@@ -1,83 +1,48 @@
-"""External fields generated by finitely many charges on the positive axis.
+"""The support solver for external fields of charges on the positive axis.
 
 A finite positive atom measure lambda = sum_i m_i delta_{R_i p} drives the
-field Q(x) = sum_i m_i |x - R_i p|^{-s} (or the log analogue).  Everything
-superposes: the balayage of lambda is the mass-weighted sum of the
-single-charge balayages, so the support solver reuses the point-charge
-norms atom by atom.  A continuous lambda should be pre-discretized by the
-caller (any quadrature of d lambda(R) against these formulas is exact for
-its own nodes).
+field Q(x) = sum_i m_i |x - R_i p|^{-s} (or the log analogue); a point
+charge is the one-atom case.  Everything superposes: the balayage of
+lambda is the mass-weighted sum of the single-charge balayages.  All three
+kernel regimes run one algorithm: the whole-sphere margin decides whether
+the support is the full sphere; otherwise Delta(t) is bracketed on a grid
+and its root t0 polished by Brent iteration; then eta_t0 is assembled.  The
+regime modules supply only the formulas (see :class:`Regime`).  A
+continuous lambda should be pre-discretized by the caller (any quadrature
+of d lambda(R) against these formulas is exact for its own nodes).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import optimize
 
-from rieszcap.cap_exceptional import epsbar_norm, log_f0_functional, nubar_norm
-from rieszcap.cap_riesz import SignedCapMeasure, eps_norm, nu_norm, _eta_tail
-from rieszcap.point_field import PointCharge, SphereSignedDensity, field_potential_on_axis
-from rieszcap.specfun import hyp2f1_regularized, log_gamma
-from rieszcap.sphere import Params, axis_dist2, integrate_radial, sphere_energy
+from rieszcap import cap_exceptional, cap_riesz
+from rieszcap.point_field import AxisMeasure, PointCharge, SphereSignedDensity, \
+    field_potential_on_axis
+from rieszcap.sphere import CapMeasure, Params, axis_dist2, sphere_energy
 
 __all__ = [
     "AxisMeasure",
-    "AxisCapSolution",
+    "CapSolution",
+    "Regime",
+    "regime",
     "axis_Q",
     "axis_sphere_equilibrium",
+    "cap_measure",
     "axis_solve_t",
     "axis_f0_functional",
 ]
 
 
-@dataclass(frozen=True)
-class AxisMeasure:
-    """Finite positive measure on the axis: atoms ((R_1, m_1), ...).
-
-    All masses must be positive.  Atoms with R < 1 are folded onto R > 1 at
-    use time for Riesz kernels (mass scaled by R'^s, exact at field level);
-    R = 1 is always rejected, and the logarithmic kernel rejects R < 1.
-    """
-
-    atoms: tuple[tuple[float, float], ...]
-
-    def __init__(self, atoms: Iterable[tuple[float, float]]):
-        atoms = tuple((float(R), float(m)) for R, m in atoms)
-        if not atoms:
-            raise ValueError("axis measure needs at least one atom")
-        for R, m in atoms:
-            if not m > 0.0:
-                raise ValueError(f"atom masses must be positive, got {m}")
-            if not R > 0.0 or R == 1.0:
-                raise ValueError(f"atom heights must satisfy R > 0, R != 1, got {R}")
-        object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def total_mass(self) -> float:
-        return sum(m for _, m in self.atoms)
-
-
-def _normalized_atoms(lam: AxisMeasure, params: Params) -> tuple[tuple[float, float], ...]:
-    out = []
-    for R, m in lam.atoms:
-        if R > 1.0:
-            out.append((R, m))
-        elif params.is_log:
-            raise ValueError("logarithmic axis fields require all atoms at R > 1")
-        else:
-            Rp = 1.0 / R
-            out.append((Rp, m * Rp ** params.s))
-    return tuple(out)
-
-
 def axis_Q(xi, lam: AxisMeasure, params: Params):
     """The external field at height xi: sum_i m_i (R_i^2-2R_i xi+1)^{-s/2},
     or its logarithmic analogue.  Vectorized over xi."""
-    atoms = _normalized_atoms(lam, params)
+    atoms = lam.folded(params).atoms
     xi_arr = np.asarray(xi, dtype=float)
     out = np.zeros_like(xi_arr)
     if params.is_log:
@@ -90,253 +55,140 @@ def axis_Q(xi, lam: AxisMeasure, params: Params):
     return float(out) if out.ndim == 0 else out
 
 
-def _sphere_functional(atoms, params: Params) -> float:
-    # F_s(S^d) = W_s + int U_s^sigma(R) d lambda(R)
-    W = sphere_energy(params)
-    return W + sum(m * field_potential_on_axis(PointCharge(q=1.0, R=R), params)
-                   for R, m in atoms)
-
-
 def axis_sphere_equilibrium(lam: AxisMeasure, params: Params) -> SphereSignedDensity:
     """Signed equilibrium on the whole sphere for the axis field.
 
     Riesz: density (1/W_s)(F_s(S^d) - sum m_i (R_i^2-1)^{d-s} rho_i^{s-2d}),
-    margin F_s(S^d) - sum m_i (R_i+1)^{d-s}/(R_i-1)^d.  Logarithmic (d=2):
-    density 1+||lambda|| - sum m_i (R_i^2-1)^d rho_i^{-2d}, margin
-    1+||lambda|| - sum m_i (R_i+1)^d/(R_i-1)^d.  Nonnegative margin means
-    the extremal support is the whole sphere.
+    margin F_s(S^d) - sum m_i (R_i+1)^{d-s}/(R_i-1)^d, where
+    F_s(S^d) = W_s + int U_s^sigma(R) d lambda(R).  Logarithmic (d=2): the
+    same forms at s = 0 with W = 1 and 1+||lambda|| in place of F_s(S^d),
+    while F is F_0(S^2).  Nonnegative margin means the extremal support is
+    the whole sphere.
     """
-    atoms = _normalized_atoms(lam, params)
+    lam = lam.folded(params)
+    atoms = lam.atoms
     d = params.d
-
     if params.is_log:
         if d != 2:
             raise ValueError("the logarithmic sphere equilibrium is stated for d = 2")
-        total = sum(m for _, m in atoms)
-
-        def density(u):
-            u_arr = np.asarray(u, dtype=float)
-            out = (1.0 + total) * np.ones_like(u_arr)
-            for R, m in atoms:
-                out = out - m * (R * R - 1.0) ** d / axis_dist2(u_arr, R) ** d
-            return float(out) if out.ndim == 0 else out
-
-        margin = (1.0 + total
-                  - sum(m * (R + 1.0) ** d / (R - 1.0) ** d for R, m in atoms))
-        return SphereSignedDensity(params=params, charge=lam,
-                                   F=axis_f0_functional(1.0, lam),
-                                   support_margin=margin, density=density)
-
-    s = params.s
-    W = sphere_energy(params)
-    F = _sphere_functional(atoms, params)
+        s, W, level = 0.0, 1.0, 1.0 + lam.total_mass
+        F = cap_exceptional.log_f0_functional(1.0, lam)
+    else:
+        s, W = params.s, sphere_energy(params)
+        F = level = W + sum(m * field_potential_on_axis(PointCharge(q=1.0, R=R), params)
+                            for R, m in atoms)
 
     def density(u):
         u_arr = np.asarray(u, dtype=float)
-        out = F * np.ones_like(u_arr)
+        out = level * np.ones_like(u_arr)
         for R, m in atoms:
             out = out - m * (R * R - 1.0) ** (d - s) * axis_dist2(u_arr, R) ** (s / 2.0 - d)
         out = out / W
         return float(out) if out.ndim == 0 else out
 
-    margin = F - sum(m * (R + 1.0) ** (d - s) / (R - 1.0) ** d for R, m in atoms)
-    return SphereSignedDensity(params=params, charge=lam, F=F,
+    margin = level - sum(m * (R + 1.0) ** (d - s) / (R - 1.0) ** d for R, m in atoms)
+    return SphereSignedDensity(params=params, field=lam, F=F,
                                support_margin=margin, density=density)
 
 
-@dataclass(frozen=True)
-class AxisCapSolution:
-    """Support cap for an axis field: height t_lambda, functional value, and
-    the extremal measure (nonnegative at the solved height)."""
+class Regime(NamedTuple):
+    """The formulas one kernel regime supplies, bound to its parameters.
 
-    t_lambda: float
-    phi_at_t: float
-    equilibrium: SignedCapMeasure
-    solved_by: str
+    ``phi(t, field)`` is the cap functional, ``delta(t, field)`` the
+    function whose root is the support height, ``eta(t, field)`` the signed
+    cap equilibrium for -1 < t < 1 (mass not computed, ``phi`` set), and
+    ``potential(xi, eta, field)`` its closed-form weighted potential.
+    ``column`` names the functional in phi-curve output.
+    """
+
+    column: str
+    phi: Callable[[float, AxisMeasure], float]
+    delta: Callable[[float, AxisMeasure], float]
+    eta: Callable[[float, AxisMeasure], CapMeasure]
+    potential: Callable[[float, CapMeasure, AxisMeasure], float]
+
+
+def regime(params: Params) -> Regime:
+    """The formulas for d-2 < s < d, s = d-2 with d >= 3, or log with d = 2."""
+    ce, cr = cap_exceptional, cap_riesz
+    if params.is_log:
+        if params.d != 2:
+            raise ValueError("the logarithmic cap case is stated for d = 2")
+        return Regime("F0", ce.log_f0_functional, ce.log_delta, ce.log_etabar,
+                      ce.log_eta_potential)
+    if params.is_exceptional:
+        column, fns = "phibar", (ce.phibar, ce.phibar_delta, ce.etabar_measure,
+                                 ce.etabar_potential)
+    elif params.in_cap_regime:
+        column, fns = "phi", (cr.phi, cr.delta, cr.eta_measure, cr.eta_potential)
+    else:
+        raise ValueError(f"no cap solver for d={params.d}, s={params.s}")
+    return Regime(column, *(partial(f, params=params) for f in fns))
+
+
+def cap_measure(lam: AxisMeasure, t: float, params: Params) -> CapMeasure:
+    """The signed cap equilibrium eta_t at a height t in (-1, 1], with its
+    functional value as ``phi`` (mass not computed).  eta_1 is the signed
+    equilibrium of the whole sphere."""
+    if t == 1.0:
+        eq = axis_sphere_equilibrium(lam, params)
+        return CapMeasure(t=1.0, regular_part=eq.density, phi=eq.F)
+    return regime(params).eta(t, lam)
+
+
+@dataclass(frozen=True)
+class CapSolution:
+    """Solved extremal support: cap height t0, functional value Phi(t0),
+    the extremal measure eta_t0 (with its mass) and the branch taken."""
+
+    t0: float
+    phi_at_t0: float
+    equilibrium: CapMeasure
+    solved_by: str  # "interior_root" or "boundary_t_equals_1"
     field: AxisMeasure
     params: Params
 
-    # duck-type aliases so the oracle treats point and axis solutions alike
     @property
-    def t0(self) -> float:
-        return self.t_lambda
-
-    @property
-    def phi_at_t0(self) -> float:
-        return self.phi_at_t
+    def t_lambda(self) -> float:
+        return self.t0
 
     @property
-    def charge(self) -> AxisMeasure:
-        return self.field
+    def phi_at_t(self) -> float:
+        return self.phi_at_t0
 
 
-def _full_sphere_solution(lam: AxisMeasure, params: Params, atoms) -> AxisCapSolution:
-    eq = axis_sphere_equilibrium(lam, params)
-    mass = integrate_radial(eq.density, 1.0, params, tol=1e-12)
-    measure = SignedCapMeasure(t=1.0, radial_density=eq.density, boundary_coeff=0.0,
-                               mass=mass, phi=eq.F, singular_exponent=0.0,
-                               regular_part=eq.density)
-    return AxisCapSolution(t_lambda=1.0, phi_at_t=eq.F, equilibrium=measure,
-                           solved_by="boundary_t_equals_1", field=lam, params=params)
-
-
-def _solve_bracketed(delta, lo: float = -1.0 + 1e-9, grid_n: int = 64) -> float:
-    grid = np.linspace(-1.0 + 2.0 / (grid_n + 1), 1.0, grid_n)
-    prev = lo
-    for tk in grid:
+def _solve_bracketed(delta) -> float:
+    # Delta > 0 near t = -1 and Delta(1) < 0: bracket the sign change on a grid
+    prev = -1.0 + 1e-9
+    for tk in np.linspace(-1.0 + 2.0 / 65.0, 1.0, 64):
         if delta(float(tk)) <= 0.0:
             return float(optimize.brentq(delta, prev, float(tk), xtol=1e-14, rtol=8.9e-16))
         prev = float(tk)
     raise RuntimeError("Delta did not change sign on the bracket grid")
 
 
-def _solve_riesz(lam: AxisMeasure, params: Params, atoms) -> AxisCapSolution:
-    d, s = params.d, params.s
-    W = sphere_energy(params)
-
-    def eps_tilde_norm(t: float) -> float:
-        return sum(m * eps_norm(t, PointCharge(q=1.0, R=R), params) for R, m in atoms)
-
-    def phi_tilde(t: float) -> float:
-        return W * (1.0 + eps_tilde_norm(t)) / nu_norm(t, params)
-
-    def rhs(t: float) -> float:
-        return sum(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0)
-                   for R, m in atoms)
-
-    t_lam = _solve_bracketed(lambda t: phi_tilde(t) - rhs(t))
-    phi_t = phi_tilde(t_lam)
-    # stable density assembly: Delta * 2F1reg + per-atom cancellation-free tails
-    delta_t = phi_t - rhs(t_lam)
-    pref0 = math.exp(log_gamma(d / 2.0) - log_gamma(d - s / 2.0)) / W
-    cc = 1.0 - (d - s) / 2.0
-    se = (s - d) / 2.0
-    atom_terms = []
-    for R, m in atoms:
-        r2 = axis_dist2(t_lam, R)
-        B = m * (R + 1.0) ** (d - s) / r2 ** (d / 2.0)
-        c2 = (R - 1.0) ** 2 / r2
-        atom_terms.append((B, c2))
-
-    def regular(u):
-        u_arr = np.asarray(u, dtype=float)
-        w = (t_lam - u_arr) / (1.0 - u_arr)
-        acc = delta_t * hyp2f1_regularized(1.0, d / 2.0, cc, w)
-        for B, c2 in atom_terms:
-            acc = acc + B * _eta_tail(w, c2, d, s)
-        out = (pref0 * ((1.0 - t_lam) / (1.0 - u_arr)) ** (d / 2.0)
-               * (1.0 - t_lam) ** ((d - s) / 2.0) * acc)
-        return out if np.ndim(out) else float(out)
-
-    mass = integrate_radial(regular, t_lam, params, singular_exponent=se, tol=1e-12)
-
-    def density(u):
-        u_arr = np.asarray(u, dtype=float)
-        out = np.asarray(regular(u_arr)) * (t_lam - u_arr) ** se
-        return float(out) if out.ndim == 0 else out
-
-    measure = SignedCapMeasure(t=t_lam, radial_density=density, boundary_coeff=0.0,
-                               mass=mass, phi=phi_t, singular_exponent=se,
-                               regular_part=regular)
-    return AxisCapSolution(t_lambda=t_lam, phi_at_t=phi_t, equilibrium=measure,
-                           solved_by="interior_root", field=lam, params=params)
-
-
-def _solve_exceptional(lam: AxisMeasure, params: Params, atoms) -> AxisCapSolution:
-    d = params.d
-    W = sphere_energy(params)
-
-    def phi_bar_tilde(t: float) -> float:
-        eps = sum(m * epsbar_norm(t, PointCharge(q=1.0, R=R), params) for R, m in atoms)
-        return W * (1.0 + eps) / nubar_norm(t, params)
-
-    def rhs(t: float) -> float:
-        return sum(m * (R + 1.0) ** 2 / axis_dist2(t, R) ** (d / 2.0) for R, m in atoms)
-
-    t_lam = _solve_bracketed(lambda t: phi_bar_tilde(t) - rhs(t))
-    phi_t = phi_bar_tilde(t_lam)
-
-    def density(u):
-        # ring term vanishes at t_lambda; interior density g(u) from the
-        # per-atom balayage superposition
-        u_arr = np.asarray(u, dtype=float)
-        out = phi_t * np.ones_like(u_arr)
-        for R, m in atoms:
-            out = out - m * (R * R - 1.0) ** 2 / axis_dist2(u_arr, R) ** (d / 2.0 + 1.0)
-        out = out / W
-        return float(out) if out.ndim == 0 else out
-
-    mass = integrate_radial(density, t_lam, params, tol=1e-12)
-    measure = SignedCapMeasure(t=t_lam, radial_density=density, boundary_coeff=0.0,
-                               mass=mass, phi=phi_t, singular_exponent=0.0,
-                               regular_part=density)
-    return AxisCapSolution(t_lambda=t_lam, phi_at_t=phi_t, equilibrium=measure,
-                           solved_by="interior_root", field=lam, params=params)
-
-
-def _solve_log(lam: AxisMeasure, params: Params, atoms) -> AxisCapSolution:
-    total = sum(m for _, m in atoms)
-
-    def rhs(t: float) -> float:
-        return sum(m * (R + 1.0) ** 2 / axis_dist2(t, R) for R, m in atoms)
-
-    # rhs is strictly increasing in t with rhs(-1) = ||lambda|| < 1+||lambda||
-    t_lam = float(optimize.brentq(lambda t: rhs(t) - (1.0 + total),
-                                  -1.0 + 1e-13, 1.0, xtol=1e-14, rtol=8.9e-16))
-
-    def density(u):
-        u_arr = np.asarray(u, dtype=float)
-        out = (1.0 + total) * np.ones_like(u_arr)
-        for R, m in atoms:
-            out = out - m * (R * R - 1.0) ** 2 / axis_dist2(u_arr, R) ** 2
-        return float(out) if out.ndim == 0 else out
-
-    phi_t = axis_f0_functional(t_lam, lam)
-    mass = integrate_radial(density, t_lam, params, tol=1e-12)
-    measure = SignedCapMeasure(t=t_lam, radial_density=density, boundary_coeff=0.0,
-                               mass=mass, phi=phi_t, singular_exponent=0.0,
-                               regular_part=density)
-    return AxisCapSolution(t_lambda=t_lam, phi_at_t=phi_t, equilibrium=measure,
-                           solved_by="interior_root", field=lam, params=params)
-
-
-def axis_solve_t(lam: AxisMeasure, params: Params) -> AxisCapSolution:
+def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     """Find the extremal support cap for an axis-supported field.
 
-    Dispatches on the kernel regime (d-2 < s < d, s = d-2 with d >= 3, or
-    logarithmic with d = 2).  A nonnegative full-support margin returns the
-    whole-sphere solution with t = 1; otherwise the unique interior root of
-    the regime's equilibrium condition is bracketed and refined.  A single
-    atom reproduces the point-charge solvers through the same code path.
+    A nonnegative whole-sphere margin returns t0 = 1 with the whole-sphere
+    signed equilibrium; otherwise the unique interior root of the regime's
+    Delta (d-2 < s < d, s = d-2 with d >= 3, or logarithmic with d = 2) is
+    bracketed and refined.  At the root Delta(t0) = 0, so eta_t0 carries no
+    ring charge.
     """
-    atoms = _normalized_atoms(lam, params)
+    lam = lam.folded(params)
     if axis_sphere_equilibrium(lam, params).support_margin >= 0.0:
-        return _full_sphere_solution(lam, params, atoms)
-    if params.is_log:
-        if params.d != 2:
-            raise ValueError("the logarithmic cap case is stated for d = 2")
-        return _solve_log(lam, params, atoms)
-    if params.is_exceptional:
-        return _solve_exceptional(lam, params, atoms)
-    if params.in_cap_regime:
-        return _solve_riesz(lam, params, atoms)
-    raise ValueError(f"no cap solver for d={params.d}, s={params.s}")
+        t0, solved_by = 1.0, "boundary_t_equals_1"
+    else:
+        form = regime(params)
+        t0 = _solve_bracketed(lambda t: form.delta(t, lam))
+        solved_by = "interior_root"
+    measure = replace(cap_measure(lam, t0, params), boundary_coeff=0.0).with_mass(params)
+    return CapSolution(t0=t0, phi_at_t0=measure.phi, equilibrium=measure,
+                       solved_by=solved_by, field=lam, params=params)
 
 
 def axis_f0_functional(t: float, lam: AxisMeasure) -> float:
-    """Closed-form logarithmic cap functional for the axis field (d = 2):
-
-        (1+||lambda||)(1+t)/4 - log(2)/2 - log(1+t)/2
-        + sum_i m_i [ (R_i-1)^2 log(R_i^2-2R_i t+1)
-                      - (R_i+1)^2 log((R_i+1)^2) ] / (8 R_i).
-    """
-    if not -1.0 < t <= 1.0:
-        raise ValueError("cap height must lie in (-1, 1]")
-    atoms = _normalized_atoms(lam, Params(d=2, log=True))
-    total = sum(m for _, m in atoms)
-    out = ((1.0 + total) * (1.0 + t) / 4.0
-           - 0.5 * math.log(2.0) - 0.5 * math.log1p(t))
-    for R, m in atoms:
-        out += m * ((R - 1.0) ** 2 * math.log(axis_dist2(t, R))
-                    - (R + 1.0) ** 2 * math.log((R + 1.0) ** 2)) / (8.0 * R)
-    return out
+    """Closed-form logarithmic cap functional for the axis field (d = 2); see
+    :func:`rieszcap.cap_exceptional.log_f0_functional`."""
+    return cap_exceptional.log_f0_functional(t, lam)

@@ -18,52 +18,40 @@ forms, including t0 = min{1, (R^2 - 2Rq + 1)/(2R(1+q))}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
-from rieszcap.cap_riesz import CapSolution, SignedCapMeasure, eps_density, nu_density
-from rieszcap.point_field import PointCharge, field_potential_on_axis, \
-    full_support_margin, normalized_charge, sphere_signed_density
-from rieszcap.sphere import Params, axis_dist2, integrate_radial, omega_ratio, sphere_energy
+from rieszcap.cap_riesz import eps_density, nu_density
+from rieszcap.point_field import AxisMeasure, PointCharge, normalized_charge
+from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, omega_ratio, \
+    sphere_energy
 
 __all__ = [
-    "BoundaryMeasureCap",
     "nubar",
     "epsbar",
     "nubar_norm",
     "epsbar_norm",
     "phibar",
+    "phibar_delta",
+    "etabar_measure",
     "etabar",
     "solve_t0_exceptional",
     "nubar_potential",
     "epsbar_potential",
+    "etabar_potential",
     "weakstar_gap",
     "gamma_s_norm",
     "log_cap_measures",
+    "log_delta",
     "log_etabar",
     "log_cap_energy",
     "log_f0_functional",
     "log_solve_t0",
+    "log_eta_potential",
     "log_weighted_potential",
 ]
 
-
-@dataclass(frozen=True)
-class BoundaryMeasureCap:
-    """Measure on the cap u <= t with an atom on the boundary ring.
-
-    ``interior_density`` is against sigma_d; ``boundary_coeff`` multiplies
-    the unit uniform ring measure at u = t, so the total mass is the
-    interior sigma_d integral plus boundary_coeff.
-    """
-
-    t: float
-    interior_density: Callable[[np.ndarray], np.ndarray]
-    boundary_coeff: float
-    mass: float
+_LOG2 = Params(d=2, log=True)
 
 
 def _require_exceptional(params: Params) -> None:
@@ -72,28 +60,27 @@ def _require_exceptional(params: Params) -> None:
                          f"got d={params.d}, s={params.s}")
 
 
-def _require_log2(params_or_none: Params | None = None) -> None:
-    if params_or_none is not None and not (params_or_none.is_log and params_or_none.d == 2):
-        raise ValueError("logarithmic cap results need d = 2 with the log kernel")
+def _edge(t: float, field: AxisMeasure, params: Params) -> float:
+    # sum_i m_i (R_i+1)^2 / r_i(t)^d, the competing term in Delta(t)
+    return sum(m * (R + 1.0) ** 2 / axis_dist2(t, R) ** (params.d / 2.0)
+               for R, m in field.folded(params).atoms)
 
 
 # ---------------------------------------------------------------------------
 # s = d-2
 
 
-def nubar(t: float, params: Params) -> BoundaryMeasureCap:
+def nubar(t: float, params: Params) -> CapMeasure:
     """Balayage of the uniform measure at s = d-2: interior density 1 plus
     a ring atom of weight W_{d-2} (1-t)/2 (1-t^2)^{d/2-1}."""
     _require_exceptional(params)
     d = params.d
     W = sphere_energy(params)
     bcoef = W * (1.0 - t) / 2.0 * (1.0 - t * t) ** (d / 2.0 - 1.0) if t < 1.0 else 0.0
-    interior = integrate_radial(lambda u: np.ones_like(u), t, params, tol=1e-12)
-    return BoundaryMeasureCap(t=t, interior_density=lambda u: np.ones_like(np.asarray(u, float)),
-                              boundary_coeff=bcoef, mass=interior + bcoef)
+    return CapMeasure(t=t, regular_part=np.ones_like, boundary_coeff=bcoef).with_mass(params)
 
 
-def epsbar(t: float, charge: PointCharge, params: Params) -> BoundaryMeasureCap:
+def epsbar(t: float, charge: PointCharge, params: Params) -> CapMeasure:
     """Balayage of the unit point charge at s = d-2 (per unit charge)."""
     _require_exceptional(params)
     charge = normalized_charge(charge, params)
@@ -102,14 +89,11 @@ def epsbar(t: float, charge: PointCharge, params: Params) -> BoundaryMeasureCap:
     r2 = axis_dist2(t, R)
 
     def interior(u):
-        u_arr = np.asarray(u, dtype=float)
-        out = (R * R - 1.0) ** 2 / (W * axis_dist2(u_arr, R) ** (d / 2.0 + 1.0))
-        return float(out) if out.ndim == 0 else out
+        return (R * R - 1.0) ** 2 / (W * axis_dist2(u, R) ** (d / 2.0 + 1.0))
 
     bcoef = ((1.0 - t) / 2.0 * (R + 1.0) ** 2 / r2 ** (d / 2.0)
              * (1.0 - t * t) ** (d / 2.0 - 1.0)) if t < 1.0 else 0.0
-    mass = integrate_radial(interior, t, params, tol=1e-12) + bcoef
-    return BoundaryMeasureCap(t=t, interior_density=interior, boundary_coeff=bcoef, mass=mass)
+    return CapMeasure(t=t, regular_part=interior, boundary_coeff=bcoef).with_mass(params)
 
 
 def _jacobi_cap_integral(f, t: float, params: Params) -> float:
@@ -147,37 +131,46 @@ def epsbar_norm(t: float, charge: PointCharge, params: Params) -> float:
     return (d - 2) / 4.0 * (R + 1.0) ** 2 * val
 
 
-def phibar(t: float, charge: PointCharge, params: Params) -> float:
-    """Cap functional at s = d-2: W_{d-2} (1 + q ||epsbar_t||) / ||nubar_t||."""
+def phibar(t: float, charge: AxisMeasure, params: Params) -> float:
+    """Cap functional at s = d-2: W_{d-2} (1 + sum_i m_i ||epsbar_t^i||) / ||nubar_t||."""
     _require_exceptional(params)
-    charge = normalized_charge(charge, params)
+    field = charge.folded(params)
     W = sphere_energy(params)
-    return W * (1.0 + charge.q * epsbar_norm(t, charge, params)) / nubar_norm(t, params)
+    eps = sum(m * epsbar_norm(t, PointCharge(q=1.0, R=R), params) for R, m in field.atoms)
+    return W * (1.0 + eps) / nubar_norm(t, params)
 
 
-def etabar(t: float, charge: PointCharge, params: Params) -> BoundaryMeasureCap:
-    """Signed cap equilibrium at s = d-2: interior density
-    (1/W)[Phibar - q(R^2-1)^2/(R^2-2Ru+1)^{d/2+1}], ring charge
-    (1-t)/2 (1-t^2)^{d/2-1} [Phibar - q(R+1)^2/r^d] (sign flips at t0)."""
-    _require_exceptional(params)
-    charge = normalized_charge(charge, params)
-    d, R, q = params.d, charge.R, charge.q
+def phibar_delta(t: float, field: AxisMeasure, params: Params) -> float:
+    """Delta(t) = Phibar(t) - sum_i m_i (R_i+1)^2 / r_i(t)^d; its root is t0."""
+    return phibar(t, field, params) - _edge(t, field, params)
+
+
+def etabar_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
+    """Signed cap equilibrium at s = d-2 (mass not computed): interior density
+    (1/W)[Phibar - sum_i m_i (R_i^2-1)^2/(R_i^2-2R_i u+1)^{d/2+1}], ring charge
+    (1-t)/2 (1-t^2)^{d/2-1} Delta(t) (sign flips at t0)."""
+    field = field.folded(params)
+    d = params.d
     W = sphere_energy(params)
-    pv = phibar(t, charge, params)
-    r2 = axis_dist2(t, R)
+    pv = phibar(t, field, params)
 
     def interior(u):
-        u_arr = np.asarray(u, dtype=float)
-        out = (pv - q * (R * R - 1.0) ** 2 / axis_dist2(u_arr, R) ** (d / 2.0 + 1.0)) / W
-        return float(out) if out.ndim == 0 else out
+        out = pv * np.ones_like(u)
+        for R, m in field.atoms:
+            out = out - m * (R * R - 1.0) ** 2 / axis_dist2(u, R) ** (d / 2.0 + 1.0)
+        return out / W
 
     bcoef = ((1.0 - t) / 2.0 * (1.0 - t * t) ** (d / 2.0 - 1.0)
-             * (pv - q * (R + 1.0) ** 2 / r2 ** (d / 2.0))) if t < 1.0 else 0.0
-    mass = integrate_radial(interior, t, params, tol=1e-12) + bcoef
-    return BoundaryMeasureCap(t=t, interior_density=interior, boundary_coeff=bcoef, mass=mass)
+             * (pv - _edge(t, field, params))) if t < 1.0 else 0.0
+    return CapMeasure(t=t, regular_part=interior, boundary_coeff=bcoef, phi=pv)
 
 
-def solve_t0_exceptional(charge: PointCharge, params: Params) -> CapSolution:
+def etabar(t: float, charge: AxisMeasure, params: Params) -> CapMeasure:
+    """The signed cap equilibrium of :func:`etabar_measure` with its mass."""
+    return etabar_measure(t, charge, params).with_mass(params)
+
+
+def solve_t0_exceptional(charge: AxisMeasure, params: Params):
     """Optimal cap at s = d-2: the root of
     Phibar(t) = q (R+1)^2 / (R^2-2Rt+1)^{d/2}, or t0 = 1 without one.
 
@@ -185,52 +178,9 @@ def solve_t0_exceptional(charge: PointCharge, params: Params) -> CapSolution:
     (Phibar(t0)/W)[1 - (R-1)^2 (R^2-2Rt0+1)^{d/2} / (R^2-2Ru+1)^{d/2+1}],
     strictly positive up to the edge.
     """
+    from rieszcap.axis_field import axis_solve_t
     _require_exceptional(params)
-    charge = normalized_charge(charge, params)
-    d, R, q = params.d, charge.R, charge.q
-
-    if full_support_margin(charge, params) >= 0.0:
-        W = sphere_energy(params)
-        phi_1 = W + q * field_potential_on_axis(charge, params)
-        density = lambda u: sphere_signed_density(u, charge, params)
-        mass = integrate_radial(density, 1.0, params, tol=1e-12)
-        measure = SignedCapMeasure(t=1.0, radial_density=density, boundary_coeff=0.0,
-                                   mass=mass, phi=phi_1, singular_exponent=0.0,
-                                   regular_part=density)
-        return CapSolution(t0=1.0, phi_at_t0=phi_1, equilibrium=measure,
-                           solved_by="boundary_t_equals_1", charge=charge, params=params)
-
-    def delta(t: float) -> float:
-        return phibar(t, charge, params) - q * (R + 1.0) ** 2 / axis_dist2(t, R) ** (d / 2.0)
-
-    grid = np.linspace(-1.0 + 2.0 / 65.0, 1.0, 64)
-    lo = -1.0 + 1e-9
-    hi = None
-    prev = lo
-    for tk in grid:
-        if delta(float(tk)) <= 0.0:
-            lo, hi = prev, float(tk)
-            break
-        prev = float(tk)
-    if hi is None:
-        raise RuntimeError("Delta did not change sign despite a negative margin")
-    t0 = float(optimize.brentq(delta, lo, hi, xtol=1e-14, rtol=8.9e-16))
-    pv = phibar(t0, charge, params)
-    W = sphere_energy(params)
-    r2 = axis_dist2(t0, R)
-
-    def density(u):
-        u_arr = np.asarray(u, dtype=float)
-        out = (pv / W) * (1.0 - (R - 1.0) ** 2 * r2 ** (d / 2.0)
-                          / axis_dist2(u_arr, R) ** (d / 2.0 + 1.0))
-        return float(out) if out.ndim == 0 else out
-
-    mass = integrate_radial(density, t0, params, tol=1e-12)
-    measure = SignedCapMeasure(t=t0, radial_density=density, boundary_coeff=0.0,
-                               mass=mass, phi=pv, singular_exponent=0.0,
-                               regular_part=density)
-    return CapSolution(t0=t0, phi_at_t0=pv, equilibrium=measure,
-                       solved_by="interior_root", charge=charge, params=params)
+    return axis_solve_t(charge, params)
 
 
 def nubar_potential(xi: float, t: float, params: Params) -> float:
@@ -254,6 +204,22 @@ def epsbar_potential(xi: float, t: float, charge: PointCharge, params: Params) -
         return axis_dist2(xi, R) ** ((2.0 - d) / 2.0)
     e = d / 2.0 - 1.0
     return axis_dist2(t, R) ** ((2.0 - d) / 2.0) * (1.0 + t) ** e * (1.0 + xi) ** (-e)
+
+
+def etabar_potential(xi: float, eta: CapMeasure, field: AxisMeasure, params: Params) -> float:
+    """Weighted potential U^{etabar_t} + Q at height xi, from the balayage
+    decomposition etabar_t = (Phibar/W) nubar_t - sum_i m_i epsbar_t^i:
+
+        (Phibar/W) U^{nubar_t} - sum_i m_i U^{epsbar_t^i} + sum_i m_i |x-a_i|^{2-d}
+
+    (``eta`` from :func:`etabar_measure`); Phibar(t) on the cap.
+    """
+    d, t = params.d, eta.t
+    out = eta.phi / sphere_energy(params) * nubar_potential(xi, t, params)
+    for R, m in field.folded(params).atoms:
+        out += m * (axis_dist2(xi, R) ** ((2.0 - d) / 2.0)
+                    - epsbar_potential(xi, t, PointCharge(q=1.0, R=R), params))
+    return out
 
 
 def gamma_s_norm(t: float, s: float, d: int) -> float:
@@ -281,7 +247,7 @@ def weakstar_gap(t: float, s_values, charge: PointCharge, params: Params):
     nb = nubar(t, params)
     eb = epsbar(t, charge, params)
 
-    def bar_moment(measure: BoundaryMeasureCap, k: int) -> float:
+    def bar_moment(measure: CapMeasure, k: int) -> float:
         interior = integrate_radial(lambda u: measure.interior_density(u) * u ** k,
                                     t, params, tol=1e-12)
         return interior + measure.boundary_coeff * t ** k
@@ -319,107 +285,95 @@ def log_cap_energy(t: float) -> float:
     return (1.0 + t) / 4.0 - 0.5 * math.log(2.0) - 0.5 * math.log1p(t)
 
 
-def log_cap_measures(t: float, charge: PointCharge) -> tuple[BoundaryMeasureCap,
-                                                             BoundaryMeasureCap]:
+def log_cap_measures(t: float, charge: PointCharge) -> tuple[CapMeasure, CapMeasure]:
     """The pair (nubar_{t,0}, epsbar_{t,0}) of logarithmic balayages onto the
     cap; both have total mass exactly 1 (log balayage preserves mass)."""
     if charge.R <= 1.0:
         raise ValueError("logarithmic balayage needs R > 1")
     R = charge.R
     r2 = axis_dist2(t, R)
-    nu = BoundaryMeasureCap(
-        t=t,
-        interior_density=lambda u: np.ones_like(np.asarray(u, float)),
-        boundary_coeff=(1.0 - t) / 2.0,
-        mass=1.0,
-    )
+    nu = CapMeasure(t=t, regular_part=np.ones_like, boundary_coeff=(1.0 - t) / 2.0, mass=1.0)
 
     def eps_interior(u):
-        u_arr = np.asarray(u, dtype=float)
-        out = (R * R - 1.0) ** 2 / axis_dist2(u_arr, R) ** 2
-        return float(out) if out.ndim == 0 else out
+        return (R * R - 1.0) ** 2 / axis_dist2(u, R) ** 2
 
-    eps = BoundaryMeasureCap(
-        t=t,
-        interior_density=eps_interior,
-        boundary_coeff=(1.0 - t) / 2.0 * (R + 1.0) ** 2 / r2,
-        mass=1.0,
-    )
+    eps = CapMeasure(t=t, regular_part=eps_interior,
+                     boundary_coeff=(1.0 - t) / 2.0 * (R + 1.0) ** 2 / r2, mass=1.0)
     return nu, eps
 
 
-def log_etabar(t: float, charge: PointCharge) -> BoundaryMeasureCap:
-    """Signed logarithmic cap equilibrium (1+q) nubar_{t,0} - q epsbar_{t,0};
-    the ring charge (1-t)/2 [1+q - q(R+1)^2/r^2] vanishes exactly at t0."""
-    if charge.R <= 1.0:
-        raise ValueError("logarithmic cap equilibrium needs R > 1")
-    q, R = charge.q, charge.R
-    r2 = axis_dist2(t, R)
+def log_delta(t: float, field: AxisMeasure) -> float:
+    """Delta(t) = (1+||lambda||) / sum_i m_i (R_i+1)^2/r_i(t)^2 - 1, which has
+    the sign of the ring charge of etabar_{t,0}; its root is t0.  Affine in t
+    for a point charge, so Brent iteration lands on the closed form
+    t0 = (R^2 - 2Rq + 1) / (2R(1+q)) to rounding."""
+    return (1.0 + field.total_mass) / _edge(t, field, _LOG2) - 1.0
+
+
+def log_etabar(t: float, charge: AxisMeasure) -> CapMeasure:
+    """Signed logarithmic cap equilibrium (1+||lambda||) nubar_{t,0} - sum_i
+    m_i epsbar_{t,0}^i; the ring charge (1-t)/2 Delta(t) vanishes exactly at
+    t0.  Unit mass; ``phi`` is F_0(Sigma_t)."""
+    field = charge.folded(_LOG2)
+    total = field.total_mass
 
     def interior(u):
-        u_arr = np.asarray(u, dtype=float)
-        out = 1.0 + q - q * (R * R - 1.0) ** 2 / axis_dist2(u_arr, R) ** 2
-        return float(out) if out.ndim == 0 else out
+        out = (1.0 + total) * np.ones_like(u)
+        for R, m in field.atoms:
+            out = out - m * (R * R - 1.0) ** 2 / axis_dist2(u, R) ** 2
+        return out
 
-    bcoef = (1.0 - t) / 2.0 * (1.0 + q - q * (R + 1.0) ** 2 / r2) if t < 1.0 else 0.0
-    return BoundaryMeasureCap(t=t, interior_density=interior, boundary_coeff=bcoef, mass=1.0)
+    bcoef = (1.0 - t) / 2.0 * (1.0 + total - _edge(t, field, _LOG2)) if t < 1.0 else 0.0
+    return CapMeasure(t=t, regular_part=interior, boundary_coeff=bcoef,
+                      phi=log_f0_functional(t, field), mass=1.0)
 
 
-def log_f0_functional(t: float, charge: PointCharge) -> float:
+def log_f0_functional(t: float, charge: AxisMeasure) -> float:
     """Closed form of the cap functional F_0(Sigma_t) = W_0(Sigma_t)
-    + int Q d mu_cap for the logarithmic point-charge field:
+    + int Q d mu_cap for the logarithmic axis field (d = 2):
 
-        (1+q)(1+t)/4 + q (R-1)^2 log(R^2-2Rt+1)/(8R)
-        - log(1+t)/2 - log(2)/2 - q (R+1)^2 log((R+1)^2)/(8R).
+        (1+||lambda||)(1+t)/4 - log(2)/2 - log(1+t)/2
+        + sum_i m_i [ (R_i-1)^2 log(R_i^2-2R_i t+1)
+                      - (R_i+1)^2 log((R_i+1)^2) ] / (8 R_i).
     """
-    if charge.R <= 1.0:
-        raise ValueError("logarithmic functional needs R > 1")
-    q, R = charge.q, charge.R
-    return ((1.0 + q) * (1.0 + t) / 4.0
-            + q * (R - 1.0) ** 2 * math.log(axis_dist2(t, R)) / (8.0 * R)
-            - 0.5 * math.log1p(t) - 0.5 * math.log(2.0)
-            - q * (R + 1.0) ** 2 * math.log((R + 1.0) ** 2) / (8.0 * R))
+    if not -1.0 < t <= 1.0:
+        raise ValueError("cap height must lie in (-1, 1]")
+    field = charge.folded(_LOG2)
+    out = ((1.0 + field.total_mass) * (1.0 + t) / 4.0
+           - 0.5 * math.log(2.0) - 0.5 * math.log1p(t))
+    for R, m in field.atoms:
+        out += m * ((R - 1.0) ** 2 * math.log(axis_dist2(t, R))
+                    - (R + 1.0) ** 2 * math.log((R + 1.0) ** 2)) / (8.0 * R)
+    return out
 
 
-def log_solve_t0(charge: PointCharge) -> CapSolution:
-    """Planar logarithmic support cap in closed form:
+def log_solve_t0(charge: AxisMeasure):
+    """Planar logarithmic support cap: the root of Delta(t) = 0 (see
+    :func:`log_delta`), in closed form for a point charge
 
         t0 = min{ 1, (R^2 - 2 R q + 1) / (2 R (1 + q)) },
 
     with extremal density 1 + q - q (R^2-1)^2/(R^2-2Ru+1)^2, which stays
     strictly positive at the edge for t0 < 1.
     """
-    if charge.R <= 1.0:
-        raise ValueError("logarithmic support solve needs R > 1")
-    q, R = charge.q, charge.R
-    params = Params(d=2, log=True)
-    t_int = (R * R - 2.0 * R * q + 1.0) / (2.0 * R * (1.0 + q))
-    t0 = min(1.0, t_int)
-    solved_by = "interior_root" if t0 < 1.0 else "boundary_t_equals_1"
-
-    def density(u):
-        u_arr = np.asarray(u, dtype=float)
-        out = 1.0 + q - q * (R * R - 1.0) ** 2 / axis_dist2(u_arr, R) ** 2
-        return float(out) if out.ndim == 0 else out
-
-    mass = integrate_radial(density, t0, params, tol=1e-12)
-    f0 = log_f0_functional(t0, charge)
-    measure = SignedCapMeasure(t=t0, radial_density=density, boundary_coeff=0.0,
-                               mass=mass, phi=f0, singular_exponent=0.0,
-                               regular_part=density)
-    return CapSolution(t0=t0, phi_at_t0=f0, equilibrium=measure,
-                       solved_by=solved_by, charge=charge, params=params)
+    from rieszcap.axis_field import axis_solve_t
+    return axis_solve_t(charge, _LOG2)
 
 
-def log_weighted_potential(xi: float, t: float, charge: PointCharge) -> float:
-    """Weighted logarithmic potential of the signed cap equilibrium:
-    F_0(Sigma_t) on the cap, and off it
+def log_eta_potential(xi: float, eta: CapMeasure, field: AxisMeasure) -> float:
+    """Weighted logarithmic potential of the signed cap equilibrium
+    (``eta`` from :func:`log_etabar`): F_0(Sigma_t) on the cap, and off it
 
-        F_0(Sigma_t) + log((1+t)/(1+xi))/2 + (q/2) log(r^2/rho^2).
+        F_0(Sigma_t) + log((1+t)/(1+xi))/2 + sum_i (m_i/2) log(r_i^2/rho_i^2).
     """
-    f0 = log_f0_functional(t, charge)
+    t, f0 = eta.t, eta.phi
     if xi <= t:
         return f0
-    q, R = charge.q, charge.R
     return (f0 + 0.5 * math.log((1.0 + t) / (1.0 + xi))
-            + 0.5 * q * math.log(axis_dist2(t, R) / axis_dist2(xi, R)))
+            + sum(0.5 * m * math.log(axis_dist2(t, R) / axis_dist2(xi, R))
+                  for R, m in field.folded(_LOG2).atoms))
+
+
+def log_weighted_potential(xi: float, t: float, charge: AxisMeasure) -> float:
+    """Weighted logarithmic potential at height xi (see :func:`log_eta_potential`)."""
+    return log_eta_potential(xi, log_etabar(t, charge), charge)

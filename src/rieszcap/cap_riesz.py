@@ -19,73 +19,35 @@ the cap; eta_{t0} is the extremal measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
-from rieszcap.point_field import PointCharge, normalized_charge, sphere_signed_density, \
-    field_potential_on_axis, full_support_margin
+from rieszcap.point_field import AxisMeasure, PointCharge, normalized_charge
 from rieszcap.specfun import beta_inc_reg, hyp2f1_regularized, log_gamma, rgamma
-from rieszcap.sphere import Params, axis_dist2, integrate_radial, omega_ratio, sphere_energy
+from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, omega_ratio, \
+    sphere_energy
 
 __all__ = [
-    "SignedCapMeasure",
-    "CapSolution",
     "nu_density",
     "eps_density",
     "nu_norm",
     "eps_norm",
     "phi",
+    "delta",
+    "eta_measure",
     "eta_density",
     "solve_t0",
+    "eta_potential",
     "weighted_potential",
     "edge_derivative_diagnostic",
     "nu_potential",
     "eps_potential",
 ]
 
-_ROOT_XTOL = 1e-14
-_BRACKET_GRID = 64
-
 
 def _require_cap_regime(params: Params) -> None:
     if not params.in_cap_regime:
         raise ValueError(f"cap formulas need d-2 < s < d, got d={params.d}, s={params.s}")
-
-
-@dataclass(frozen=True)
-class SignedCapMeasure:
-    """A (possibly signed) measure on the cap u <= t.
-
-    ``radial_density`` is the density against sigma_d at height u; it
-    factors as regular_part(u) * (t-u)^singular_exponent, which is what the
-    quadrature machinery integrates.  ``boundary_coeff`` multiplies the
-    unit uniform measure on the ring u = t (zero in this module; the
-    s = d-2 and logarithmic cases use it).  ``mass`` is the total measure,
-    ``phi`` the constant weighted potential on the cap.
-    """
-
-    t: float
-    radial_density: Callable[[np.ndarray], np.ndarray]
-    boundary_coeff: float
-    mass: float
-    phi: float
-    singular_exponent: float = 0.0
-    regular_part: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-@dataclass(frozen=True)
-class CapSolution:
-    """Solved extremal-support cap: height, functional value, equilibrium."""
-
-    t0: float
-    phi_at_t0: float
-    equilibrium: SignedCapMeasure
-    solved_by: str  # "interior_root" or "boundary_t_equals_1"
-    charge: PointCharge
-    params: Params
 
 
 def nu_density(u, t: float, params: Params):
@@ -104,12 +66,18 @@ def nu_density(u, t: float, params: Params):
         # balayage onto the whole sphere is the uniform measure itself
         ones = np.ones_like(u_arr)
         return float(ones) if ones.ndim == 0 else ones
+    return _balayage_density(u_arr, t, params, 1.0, 1.0)
+
+
+def _balayage_density(u_arr, t: float, params: Params, scale: float, c2: float):
+    # scale Gamma(d/2)/Gamma(d-s/2) ((1-t)/(1-u))^{d/2} ((t-u)/(1-t))^{(s-d)/2}
+    #   2F1reg(1, d/2; 1-(d-s)/2; c2 (t-u)/(1-u))
     d, s = params.d, params.s
     w = (t - u_arr) / (1.0 - u_arr)
-    pref = math.exp(log_gamma(d / 2.0) - log_gamma(d - s / 2.0))
+    pref = scale * math.exp(log_gamma(d / 2.0) - log_gamma(d - s / 2.0))
     out = (pref * ((1.0 - t) / (1.0 - u_arr)) ** (d / 2.0)
            * ((t - u_arr) / (1.0 - t)) ** ((s - d) / 2.0)
-           * hyp2f1_regularized(1.0, d / 2.0, 1.0 - (d - s) / 2.0, w))
+           * hyp2f1_regularized(1.0, d / 2.0, 1.0 - (d - s) / 2.0, c2 * w))
     return float(out) if out.ndim == 0 else out
 
 
@@ -134,14 +102,8 @@ def eps_density(u, t: float, charge: PointCharge, params: Params):
                / sphere_energy(params))
         return float(out) if out.ndim == 0 else out
     r2 = axis_dist2(t, R)
-    c2 = (R - 1.0) ** 2 / r2
-    w = (t - u_arr) / (1.0 - u_arr)
-    pref = (math.exp(log_gamma(d / 2.0) - log_gamma(d - s / 2.0))
-            * (R + 1.0) ** (d - s) / r2 ** (d / 2.0) / sphere_energy(params))
-    out = (pref * ((1.0 - t) / (1.0 - u_arr)) ** (d / 2.0)
-           * ((t - u_arr) / (1.0 - t)) ** ((s - d) / 2.0)
-           * hyp2f1_regularized(1.0, d / 2.0, 1.0 - (d - s) / 2.0, c2 * w))
-    return float(out) if out.ndim == 0 else out
+    scale = (R + 1.0) ** (d - s) / r2 ** (d / 2.0) / sphere_energy(params)
+    return _balayage_density(u_arr, t, params, scale, (R - 1.0) ** 2 / r2)
 
 
 def nu_norm(t: float, params: Params) -> float:
@@ -184,20 +146,28 @@ def eps_norm(t: float, charge: PointCharge, params: Params) -> float:
     return const * omega_ratio(params) * val
 
 
-def phi(t: float, charge: PointCharge, params: Params) -> float:
-    """Mhaskar-Saff functional of the cap: W_s (1 + q ||eps_t||)/||nu_t||."""
+def phi(t: float, charge: AxisMeasure, params: Params) -> float:
+    """Mhaskar-Saff functional of the cap: W_s (1 + sum_i m_i ||eps_t^i||)/||nu_t||,
+    with ||eps_t^i|| the per-unit-charge norm of atom i."""
     _require_cap_regime(params)
     if t <= -1.0:
         raise ValueError("phi diverges at t = -1 (the cap degenerates to a point)")
-    charge = normalized_charge(charge, params)
+    field = charge.folded(params)
     W = sphere_energy(params)
-    return W * (1.0 + charge.q * eps_norm(t, charge, params)) / nu_norm(t, params)
+    eps = sum(m * eps_norm(t, PointCharge(q=1.0, R=R), params) for R, m in field.atoms)
+    return W * (1.0 + eps) / nu_norm(t, params)
 
 
-def _edge_coefficient(t: float, charge: PointCharge, params: Params) -> float:
-    # q (R+1)^{d-s} / r(t)^d, the competing term in Delta(t)
+def _edge(t: float, field: AxisMeasure, params: Params) -> float:
+    # sum_i m_i (R_i+1)^{d-s} / r_i(t)^d, the competing term in Delta(t)
     d, s = params.d, params.s
-    return charge.q * (charge.R + 1.0) ** (d - s) / axis_dist2(t, charge.R) ** (d / 2.0)
+    return sum(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0)
+               for R, m in field.folded(params).atoms)
+
+
+def delta(t: float, field: AxisMeasure, params: Params) -> float:
+    """Delta(t) = Phi_s(t) - sum_i m_i (R_i+1)^{d-s} / r_i(t)^d; its root is t0."""
+    return phi(t, field, params) - _edge(t, field, params)
 
 
 def _eta_tail(w, c2: float, d: int, s: float):
@@ -228,116 +198,63 @@ def _eta_tail(w, c2: float, d: int, s: float):
     return float(total[0]) if w_in.ndim == 0 else total
 
 
-def _eta_regular_factory(t: float, charge: PointCharge, params: Params,
-                         phi_t: float) -> Callable[[np.ndarray], np.ndarray]:
-    # eta_t'(u) = (t-u)^{(s-d)/2} * regular(u); assembled as
-    # Delta(t) * [nu-type term] + B * [cancellation-free tail], which stays
-    # accurate when Delta ~ 0 (at t0 the two 2F1 terms nearly coincide)
+def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
+    """The signed cap equilibrium eta_t for -1 < t < 1 (mass not computed):
+    density (t-u)^{(s-d)/2} regular(u) against sigma_d, where
+
+        eta_t'(u) = (1/W_s) Gamma(d/2)/Gamma(d-s/2) ((1-t)/(1-u))^{d/2}
+                    ((t-u)/(1-t))^{(s-d)/2} { Phi_s(t) 2F1reg(1, d/2; 1-(d-s)/2; w)
+                    - sum_i B_i 2F1reg(1, d/2; 1-(d-s)/2; c_i^2 w) },
+
+    w = (t-u)/(1-u), B_i = m_i (R_i+1)^{d-s}/r_i^d, c_i^2 = (R_i-1)^2/r_i^2.
+    The brace is rearranged into Delta(t)*2F1reg + sum_i B_i * (term-wise
+    difference), which avoids the near-total cancellation of the 2F1 values
+    when t is close to t0.
+    """
+    field = field.folded(params)
     d, s = params.d, params.s
-    R, q = charge.R, charge.q
-    W = sphere_energy(params)
-    r2 = axis_dist2(t, R)
-    c2 = (R - 1.0) ** 2 / r2
-    B = _edge_coefficient(t, charge, params)
-    delta = phi_t - B
-    pref0 = math.exp(log_gamma(d / 2.0) - log_gamma(d - s / 2.0)) / W
+    phi_t = phi(t, field, params)
+    delta_t = phi_t - _edge(t, field, params)
+    pref0 = math.exp(log_gamma(d / 2.0) - log_gamma(d - s / 2.0)) / sphere_energy(params)
     cc = 1.0 - (d - s) / 2.0
+    atom_terms = []
+    for R, m in field.atoms:
+        r2 = axis_dist2(t, R)
+        atom_terms.append((m * (R + 1.0) ** (d - s) / r2 ** (d / 2.0), (R - 1.0) ** 2 / r2))
 
     def regular(u):
         u_arr = np.asarray(u, dtype=float)
         w = (t - u_arr) / (1.0 - u_arr)
-        head = delta * hyp2f1_regularized(1.0, d / 2.0, cc, w)
-        tail = B * _eta_tail(w, c2, d, s)
+        acc = delta_t * hyp2f1_regularized(1.0, d / 2.0, cc, w)
+        for B, c2 in atom_terms:
+            acc = acc + B * _eta_tail(w, c2, d, s)
         out = (pref0 * ((1.0 - t) / (1.0 - u_arr)) ** (d / 2.0)
-               * (1.0 - t) ** ((d - s) / 2.0) * (head + tail))
-        return out if out.ndim else float(out)
+               * (1.0 - t) ** ((d - s) / 2.0) * acc)
+        return out if np.ndim(out) else float(out)
 
-    return regular
+    return CapMeasure(t=t, regular_part=regular, singular_exponent=(s - d) / 2.0, phi=phi_t)
 
 
-def eta_density(u, t: float, charge: PointCharge, params: Params):
-    """Density of the signed cap equilibrium eta_t at height u:
-
-        eta_t'(u) = (1/W_s) Gamma(d/2)/Gamma(d-s/2) ((1-t)/(1-u))^{d/2}
-                    ((t-u)/(1-t))^{(s-d)/2} { Phi_s(t) 2F1reg(..., w)
-                    - q (R+1)^{d-s}/r^d 2F1reg(..., (R-1)^2/r^2 w) },
-
-    w = (t-u)/(1-u).  Internally the brace is rearranged into
-    Delta(t)*2F1reg + q(R+1)^{d-s}/r^d * (term-wise difference), which avoids
-    the near-total cancellation of the two 2F1 values when t is close to t0.
-    """
+def eta_density(u, t: float, charge: AxisMeasure, params: Params):
+    """Density of the signed cap equilibrium eta_t at height u < t (see
+    :func:`eta_measure`)."""
     _require_cap_regime(params)
-    charge = normalized_charge(charge, params)
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr >= t):
+    if np.any(np.asarray(u, dtype=float) >= t):
         raise ValueError("eta_density needs u < t")
-    regular = _eta_regular_factory(t, charge, params, phi(t, charge, params))
-    out = np.asarray(regular(u_arr)) * (t - u_arr) ** ((params.s - params.d) / 2.0)
-    return float(out) if out.ndim == 0 else out
+    return eta_measure(t, charge, params).radial_density(u)
 
 
-def _signed_cap_measure(t: float, charge: PointCharge, params: Params,
-                        phi_t: float) -> SignedCapMeasure:
-    d, s = params.d, params.s
-    regular = _eta_regular_factory(t, charge, params, phi_t)
-    se = (s - d) / 2.0
-    mass = integrate_radial(regular, t, params, singular_exponent=se, tol=1e-12)
-
-    def density(u):
-        u_arr = np.asarray(u, dtype=float)
-        out = np.asarray(regular(u_arr)) * (t - u_arr) ** se
-        return float(out) if out.ndim == 0 else out
-
-    return SignedCapMeasure(t=t, radial_density=density, boundary_coeff=0.0,
-                            mass=mass, phi=phi_t, singular_exponent=se,
-                            regular_part=regular)
-
-
-def solve_t0(charge: PointCharge, params: Params) -> CapSolution:
+def solve_t0(charge: AxisMeasure, params: Params):
     """Locate the extremal support cap and its equilibrium measure.
 
     Delta(1) >= 0 (equivalently a nonnegative full-support margin) means the
     support is the whole sphere: t0 = 1 and the equilibrium is the
-    full-sphere signed density.  Otherwise Delta has a unique interior root,
-    bracketed on a coarse grid and polished by Brent iteration.
+    full-sphere signed density.  Otherwise Delta has a unique interior root
+    (see :func:`rieszcap.axis_field.axis_solve_t`).
     """
+    from rieszcap.axis_field import axis_solve_t
     _require_cap_regime(params)
-    charge = normalized_charge(charge, params)
-
-    def delta(t: float) -> float:
-        return phi(t, charge, params) - _edge_coefficient(t, charge, params)
-
-    if full_support_margin(charge, params) >= 0.0:
-        W = sphere_energy(params)
-        phi_1 = W + charge.q * field_potential_on_axis(charge, params)
-        density = lambda u: sphere_signed_density(u, charge, params)
-        mass = integrate_radial(density, 1.0, params, tol=1e-12)
-        measure = SignedCapMeasure(t=1.0, radial_density=density, boundary_coeff=0.0,
-                                   mass=mass, phi=phi_1, singular_exponent=0.0,
-                                   regular_part=density)
-        return CapSolution(t0=1.0, phi_at_t0=phi_1, equilibrium=measure,
-                           solved_by="boundary_t_equals_1", charge=charge, params=params)
-
-    # Delta -> +inf as t -> -1 and Delta(1) < 0: bracket the sign change
-    grid = np.linspace(-1.0 + 2.0 / (_BRACKET_GRID + 1), 1.0, _BRACKET_GRID)
-    lo = None
-    prev_t, prev_v = grid[0], delta(float(grid[0]))
-    if prev_v <= 0.0:
-        lo, hi = -1.0 + 1e-9, prev_t
-    else:
-        for tk in grid[1:]:
-            vk = delta(float(tk))
-            if vk <= 0.0:
-                lo, hi = prev_t, float(tk)
-                break
-            prev_t, prev_v = float(tk), vk
-    if lo is None:
-        raise RuntimeError("Delta did not change sign on the bracket grid")
-    t0 = float(optimize.brentq(delta, lo, hi, xtol=_ROOT_XTOL, rtol=8.9e-16))
-    phi_t0 = phi(t0, charge, params)
-    measure = _signed_cap_measure(t0, charge, params, phi_t0)
-    return CapSolution(t0=t0, phi_at_t0=phi_t0, equilibrium=measure,
-                       solved_by="interior_root", charge=charge, params=params)
+    return axis_solve_t(charge, params)
 
 
 def nu_potential(xi: float, t: float, params: Params) -> float:
@@ -369,31 +286,35 @@ def eps_potential(xi: float, t: float, charge: PointCharge, params: Params) -> f
     return rho2 ** (-s / 2.0) * beta_inc_reg(x, s / 2.0, (params.d - params.s) / 2.0)
 
 
-def weighted_potential(xi: float, t: float, charge: PointCharge, params: Params) -> float:
+def eta_potential(xi: float, eta: CapMeasure, field: AxisMeasure, params: Params) -> float:
     """Weighted potential U^{eta_t} + Q at height xi: Phi_s(t) on the cap and
 
-        Phi_s(t) + q rho^{-s} I((R+1)^2 (xi-t)/(r^2 (1+xi)); (d-s)/2, s/2)
+        Phi_s(t) + sum_i m_i rho_i^{-s} I((R_i+1)^2 (xi-t)/(r_i^2 (1+xi)); (d-s)/2, s/2)
                  - Phi_s(t) I((xi-t)/(1+xi); (d-s)/2, s/2)
 
-    above it, rho^2 = R^2 - 2 R xi + 1.
+    above it, rho_i^2 = R_i^2 - 2 R_i xi + 1 (``eta`` from :func:`eta_measure`).
     """
-    _require_cap_regime(params)
-    charge = normalized_charge(charge, params)
-    phi_t = phi(t, charge, params)
+    t, phi_t = eta.t, eta.phi
     if xi <= t:
         return phi_t
-    d, s, R, q = params.d, params.s, charge.R, charge.q
-    r2 = axis_dist2(t, R)
-    rho2 = axis_dist2(xi, R)
-    x1 = min(1.0, (R + 1.0) ** 2 * (xi - t) / (r2 * (1.0 + xi)))
-    x2 = (xi - t) / (1.0 + xi)
-    return (phi_t + q * rho2 ** (-s / 2.0) * beta_inc_reg(x1, (d - s) / 2.0, s / 2.0)
-            - phi_t * beta_inc_reg(x2, (d - s) / 2.0, s / 2.0))
+    d, s = params.d, params.s
+    charges = sum(
+        m * axis_dist2(xi, R) ** (-s / 2.0)
+        * beta_inc_reg(min(1.0, (R + 1.0) ** 2 * (xi - t) / (axis_dist2(t, R) * (1.0 + xi))),
+                       (d - s) / 2.0, s / 2.0)
+        for R, m in field.folded(params).atoms)
+    return phi_t + charges - phi_t * beta_inc_reg((xi - t) / (1.0 + xi), (d - s) / 2.0, s / 2.0)
 
 
-def edge_derivative_diagnostic(t: float, charge: PointCharge, params: Params) -> float:
-    """Coefficient q(R+1)^{d-s}/r^d - Phi_s(t) of the (xi-t)^{(d-s)/2-1}
-    singularity in the outward derivative of the weighted potential.
+def weighted_potential(xi: float, t: float, charge: AxisMeasure, params: Params) -> float:
+    """Weighted potential U^{eta_t} + Q at height xi (see :func:`eta_potential`)."""
+    return eta_potential(xi, eta_measure(t, charge, params), charge, params)
+
+
+def edge_derivative_diagnostic(t: float, charge: AxisMeasure, params: Params) -> float:
+    """Coefficient sum_i m_i (R_i+1)^{d-s}/r_i^d - Phi_s(t) of the
+    (xi-t)^{(d-s)/2-1} singularity in the outward derivative of the weighted
+    potential.
 
     Zero exactly at t = t0; negative below (the potential dips off the
     cap), positive above.
@@ -401,5 +322,4 @@ def edge_derivative_diagnostic(t: float, charge: PointCharge, params: Params) ->
     _require_cap_regime(params)
     if not -1.0 < t < 1.0:
         raise ValueError("edge diagnostic needs -1 < t < 1")
-    charge = normalized_charge(charge, params)
-    return _edge_coefficient(t, charge, params) - phi(t, charge, params)
+    return -delta(t, charge, params)

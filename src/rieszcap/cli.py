@@ -9,23 +9,26 @@ Scenario schema::
       "name": "fig1_below",                  # basename for output files
       "task": "density" | "potential" | "phi-curve" | "solve-support"
               | "verify" | "particles" | "newton-distance",
-      "d": 2,
+      "d": 2,                                # integer >= 2
       "kernel": {"type": "riesz", "s": 0.5} | {"type": "log"},
       "field":  {"type": "point", "q": 1.0, "R": 1.5}
               | {"type": "axis", "atoms": [[R1, m1], [R2, m2], ...]},
       "cap":    {"mode": "solve"}            # use the solved support height
               | {"mode": "fixed", "value": 0.2}
               | {"mode": "offset", "value": -0.2},   # relative to solved t0
-      "grid": 200,          # curve resolution / verification grid
+      "grid": 200,          # positive integer: curve resolution / verification grid
       "tol": 1e-5,          # verification tolerance
-      "seed": 0, "n": 800, "iters": 2500,    # particles task
+      "seed": 0, "n": 800, "iters": 2500,    # particles task (integers)
       "newton_d": 2                          # newton-distance task
     }
 
-Curve tasks write ``<name>_potential.csv`` (xi, weighted potential, F) and
-``<name>_density.csv`` (u, density, boundary_coeff); scalar tasks write
-``<name>.json``.  Exit codes: 0 success, 2 malformed scenario, 3 numeric
-failure.
+Every task takes either field type; a point charge is the one-atom axis
+field.  ``density`` and ``potential`` evaluate the signed cap equilibrium
+eta_t at the cap height, ``phi-curve`` the regime's cap functional (phi,
+phibar or F0) on a height grid.  Curve tasks write ``<name>_potential.csv``
+(xi, weighted potential, F), ``<name>_density.csv`` (u, density,
+boundary_coeff) and ``<name>_phi.csv``; scalar tasks write ``<name>.json``.
+Exit codes: 0 success, 2 malformed scenario, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -37,16 +40,13 @@ from pathlib import Path
 
 import numpy as np
 
-from rieszcap import axis_field, cap_exceptional, cap_riesz, oracle, point_field
-from rieszcap.axis_field import AxisMeasure
+from rieszcap import oracle, point_field
+from rieszcap.axis_field import AxisMeasure, axis_solve_t, cap_measure, regime
 from rieszcap.point_field import PointCharge
 from rieszcap.specfun import ConvergenceError
-from rieszcap.sphere import Params
+from rieszcap.sphere import CapMeasure, Params
 
 __all__ = ["main", "run_scenario", "ScenarioError"]
-
-_TASKS = ("density", "potential", "phi-curve", "solve-support", "verify",
-          "particles", "newton-distance")
 
 
 class ScenarioError(ValueError):
@@ -57,27 +57,36 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _value(cfg: dict, key: str, kind: type, default=None):
+    # cfg[key] as an int or a float; JSON booleans are neither
+    val = cfg.get(key, default)
+    allowed = (int, float) if kind is float else int
+    if isinstance(val, bool) or not isinstance(val, allowed):
+        raise ScenarioError(f"{key} must be {kind.__name__}, got {val!r}")
+    return kind(val)
+
+
+def _grid(cfg: dict, default: int) -> int:
+    n = _value(cfg, "grid", int, default)
+    if n < 1:
+        raise ScenarioError(f"grid must be positive, got {n}")
+    return n
+
+
 def _parse_params(cfg: dict) -> Params:
+    d = _value(cfg, "d", int)
     try:
-        d = int(cfg["d"])
         kernel = cfg["kernel"]
-        ktype = kernel["type"]
-    except (KeyError, TypeError) as exc:
-        raise ScenarioError(f"missing or malformed d/kernel: {exc}") from exc
-    if ktype == "riesz":
-        try:
+        if kernel["type"] == "riesz":
             return Params(d=d, s=float(kernel["s"]))
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"bad riesz kernel: {exc}") from exc
-    if ktype == "log":
-        try:
+        if kernel["type"] == "log":
             return Params(d=d, log=True)
-        except ValueError as exc:
-            raise ScenarioError(f"bad log kernel: {exc}") from exc
-    raise ScenarioError(f"unknown kernel type {ktype!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"missing or malformed kernel: {exc}") from exc
+    raise ScenarioError(f"unknown kernel type {kernel['type']!r}")
 
 
-def _parse_field(cfg: dict):
+def _parse_field(cfg: dict) -> AxisMeasure:
     try:
         fcfg = cfg["field"]
         ftype = fcfg["type"]
@@ -93,67 +102,22 @@ def _parse_field(cfg: dict):
     raise ScenarioError(f"unknown field type {ftype!r}")
 
 
-def _solve(field, params: Params):
-    if isinstance(field, AxisMeasure):
-        return axis_field.axis_solve_t(field, params)
-    if params.is_log:
-        return cap_exceptional.log_solve_t0(field)
-    if params.is_exceptional:
-        return cap_exceptional.solve_t0_exceptional(field, params)
-    return cap_riesz.solve_t0(field, params)
-
-
-def _cap_height(cfg: dict, field, params: Params) -> tuple[float, object]:
+def _cap_measure(cfg: dict, field: AxisMeasure, params: Params) -> CapMeasure:
+    # eta_t at the scenario's cap height: the extremal measure when solved
     cap = cfg.get("cap", {"mode": "solve"})
+    if not isinstance(cap, dict):
+        raise ScenarioError(f"cap must be an object, got {cap!r}")
     mode = cap.get("mode", "solve")
-    sol = None
-    if mode == "fixed":
-        t = float(cap["value"])
-    elif mode == "solve":
-        sol = _solve(field, params)
-        t = sol.t0
-    elif mode == "offset":
-        sol = _solve(field, params)
-        t = sol.t0 + float(cap["value"])
-    else:
-        raise ScenarioError(f"unknown cap mode {cap.get('mode')!r}")
+    if mode not in ("solve", "fixed", "offset"):
+        raise ScenarioError(f"unknown cap mode {mode!r}")
+    if mode == "solve":
+        return axis_solve_t(field, params).equilibrium
+    t = _value(cap, "value", float)
+    if mode == "offset":
+        t += axis_solve_t(field, params).t0
     if not -1.0 < t <= 1.0:
         raise ScenarioError(f"cap height {t} outside (-1, 1]")
-    return t, sol
-
-
-def _signed_measure_at(t: float, field, params: Params):
-    """The signed cap equilibrium at an arbitrary height t (not just t0)."""
-    if isinstance(field, AxisMeasure):
-        atoms = field.atoms
-    else:
-        atoms = ((field.R, field.q),)
-    if params.is_log:
-        if isinstance(field, AxisMeasure):
-            raise ScenarioError("log curve tasks take a point field "
-                                "(axis log curves: use solve-support)")
-        m = cap_exceptional.log_etabar(t, field)
-        f_val = cap_exceptional.log_f0_functional(t, field)
-        return m.interior_density, m.boundary_coeff, f_val
-    if params.is_exceptional:
-        if isinstance(field, AxisMeasure):
-            raise ScenarioError("exceptional-case curves take a point field")
-        m = cap_exceptional.etabar(t, field, params)
-        return m.interior_density, m.boundary_coeff, cap_exceptional.phibar(t, field, params)
-    if isinstance(field, AxisMeasure):
-        raise ScenarioError("generic-cap curves take a point field")
-    density = lambda u: cap_riesz.eta_density(u, t, field, params)
-    return density, 0.0, cap_riesz.phi(t, field, params)
-
-
-def _weighted_potential_at(xi: float, t: float, field, params: Params) -> float:
-    if params.is_log:
-        return cap_exceptional.log_weighted_potential(xi, t, field)
-    if params.is_exceptional:
-        m = cap_exceptional.etabar(t, field, params)
-        return (oracle.potential_of(m, xi, params)
-                + float(oracle.external_field(xi, field, params)))
-    return cap_riesz.weighted_potential(xi, t, field, params)
+    return cap_measure(field, t, params)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -167,55 +131,36 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _task_density(cfg, field, params, out_dir: Path, name: str) -> dict:
-    t, _ = _cap_height(cfg, field, params)
-    density, bcoef, f_val = _signed_measure_at(t, field, params)
-    n = int(cfg.get("grid", 200))
-    us = np.linspace(-1.0 + 1e-9, t - 1e-9, n)
-    rows = [(u, float(density(float(u))), bcoef) for u in us]
-    _write_csv(out_dir / f"{name}_density.csv", ["u", "density", "boundary_coeff"], rows)
-    return {"t": t, "F": f_val, "boundary_coeff": bcoef,
-            "files": [f"{name}_density.csv"]}
-
-
-def _task_potential(cfg, field, params, out_dir: Path, name: str) -> dict:
-    t, _ = _cap_height(cfg, field, params)
-    density, bcoef, f_val = _signed_measure_at(t, field, params)
-    n = int(cfg.get("grid", 200))
-    xis = np.linspace(-1.0 + 1e-6, 1.0 - 1e-9, n)
-    pot_rows = [(xi, _weighted_potential_at(float(xi), t, field, params), f_val)
-                for xi in xis]
-    _write_csv(out_dir / f"{name}_potential.csv",
-               ["xi", "weighted_potential", "F"], pot_rows)
-    us = np.linspace(-1.0 + 1e-9, t - 1e-9, n)
-    dens_rows = [(u, float(density(float(u))), bcoef) for u in us]
+def _task_cap_curves(cfg, field, params, out_dir: Path, name: str) -> dict:
+    # density: eta_t on a height grid of the cap; potential: also the
+    # weighted potential on a height grid of the sphere
+    n = _grid(cfg, 200)
+    eta = _cap_measure(cfg, field, params)
+    files = []
+    if cfg["task"] == "potential":
+        potential = regime(params).potential
+        xis = np.linspace(-1.0 + 1e-6, 1.0 - 1e-9, n)
+        _write_csv(out_dir / f"{name}_potential.csv", ["xi", "weighted_potential", "F"],
+                   [(xi, potential(float(xi), eta, field), eta.phi) for xi in xis])
+        files.append(f"{name}_potential.csv")
+    us = np.linspace(-1.0 + 1e-9, eta.t - 1e-9, n)
     _write_csv(out_dir / f"{name}_density.csv", ["u", "density", "boundary_coeff"],
-               dens_rows)
-    return {"t": t, "F": f_val, "boundary_coeff": bcoef,
-            "files": [f"{name}_potential.csv", f"{name}_density.csv"]}
+               zip(us, eta.radial_density(us), [eta.boundary_coeff] * n))
+    files.append(f"{name}_density.csv")
+    return {"t": eta.t, "F": eta.phi, "boundary_coeff": eta.boundary_coeff, "files": files}
 
 
 def _task_phi_curve(cfg, field, params, out_dir: Path, name: str) -> dict:
-    if isinstance(field, AxisMeasure):
-        raise ScenarioError("phi-curve takes a point field")
-    n = int(cfg.get("grid", 200))
-    ts = np.linspace(-0.999, 1.0, n)
-    if params.is_log:
-        rows = [(t, cap_exceptional.log_f0_functional(float(t), field)) for t in ts]
-        header = ["t", "F0"]
-    elif params.is_exceptional:
-        rows = [(t, cap_exceptional.phibar(float(t), field, params)) for t in ts]
-        header = ["t", "phibar"]
-    else:
-        rows = [(t, cap_riesz.phi(float(t), field, params)) for t in ts]
-        header = ["t", "phi"]
-    _write_csv(out_dir / f"{name}_phi.csv", header, rows)
+    form = regime(params)
+    ts = np.linspace(-0.999, 1.0, _grid(cfg, 200))
+    rows = [(t, form.phi(float(t), field)) for t in ts]
+    _write_csv(out_dir / f"{name}_phi.csv", ["t", form.column], rows)
     return {"files": [f"{name}_phi.csv"]}
 
 
 def _task_solve_support(cfg, field, params, out_dir: Path, name: str) -> dict:
-    sol = _solve(field, params)
-    n = int(cfg.get("grid", 50))
+    n = _grid(cfg, 50)
+    sol = axis_solve_t(field, params)
     us = np.linspace(-1.0 + 1e-9, sol.t0 - 1e-9, n)
     samples = [[float(u), float(sol.equilibrium.radial_density(float(u)))] for u in us]
     payload = {
@@ -231,9 +176,9 @@ def _task_solve_support(cfg, field, params, out_dir: Path, name: str) -> dict:
 
 
 def _task_verify(cfg, field, params, out_dir: Path, name: str) -> dict:
-    sol = _solve(field, params)
-    tol = float(cfg.get("tol", 1e-5))
-    grid = int(cfg.get("grid", 41))
+    tol = _value(cfg, "tol", float, 1e-5)
+    grid = _grid(cfg, 41)
+    sol = axis_solve_t(field, params)
     report = oracle.check_variational(sol, params, grid_size=grid)
     passed = (report.max_violation_on_support <= tol
               and report.min_margin_off_support >= -tol
@@ -252,9 +197,9 @@ def _task_verify(cfg, field, params, out_dir: Path, name: str) -> dict:
 
 
 def _task_particles(cfg, field, params, out_dir: Path, name: str) -> dict:
-    n = int(cfg.get("n", 800))
-    iters = int(cfg.get("iters", 2000))
-    seed = int(cfg.get("seed", 0))
+    n = _value(cfg, "n", int, 800)
+    iters = _value(cfg, "iters", int, 2000)
+    seed = _value(cfg, "seed", int, 0)
     system = oracle.minimize_particles(n, params, field, seed=seed, iters=iters)
     est = oracle.empirical_support_height(system)
     rows = [(h,) for h in np.sort(system.heights)]
@@ -271,13 +216,19 @@ def _task_particles(cfg, field, params, out_dir: Path, name: str) -> dict:
 
 
 def _task_newton_distance(cfg, out_dir: Path, name: str) -> dict:
-    d = int(cfg.get("newton_d", cfg.get("d", 2)))
+    d = _value(cfg, "newton_d", int, cfg.get("d", 2))
     rho = point_field.gonchar_root(d)
     residual = point_field.gonchar_polynomial(d, rho)
     payload = {"d": d, "rho_plus": rho, "polynomial_residual": residual}
     if out_dir is not None:
         _write_json(out_dir / f"{name}.json", payload)
     return payload
+
+
+_TASK_RUNNERS = {"density": _task_cap_curves, "potential": _task_cap_curves,
+                 "phi-curve": _task_phi_curve, "solve-support": _task_solve_support,
+                 "verify": _task_verify, "particles": _task_particles}
+_TASKS = (*_TASK_RUNNERS, "newton-distance")
 
 
 def run_scenario(cfg: dict, out_dir: Path) -> dict:
@@ -292,20 +243,7 @@ def run_scenario(cfg: dict, out_dir: Path) -> dict:
     if task == "newton-distance":
         return _task_newton_distance(cfg, out_dir, name)
     params = _parse_params(cfg)
-    field = _parse_field(cfg)
-    if task == "density":
-        return _task_density(cfg, field, params, out_dir, name)
-    if task == "potential":
-        return _task_potential(cfg, field, params, out_dir, name)
-    if task == "phi-curve":
-        return _task_phi_curve(cfg, field, params, out_dir, name)
-    if task == "solve-support":
-        return _task_solve_support(cfg, field, params, out_dir, name)
-    if task == "verify":
-        return _task_verify(cfg, field, params, out_dir, name)
-    if task == "particles":
-        return _task_particles(cfg, field, params, out_dir, name)
-    raise ScenarioError(f"unhandled task {task!r}")  # unreachable
+    return _TASK_RUNNERS[task](cfg, _parse_field(cfg), params, out_dir, name)
 
 
 def main(argv=None) -> int:
@@ -331,13 +269,10 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "newton-distance":
-            payload = {"d": args.d,
-                       "rho_plus": point_field.gonchar_root(args.d),
-                       "polynomial_residual": point_field.gonchar_polynomial(
-                           args.d, point_field.gonchar_root(args.d))}
             if args.out is not None:
                 args.out.mkdir(parents=True, exist_ok=True)
-                _write_json(args.out / f"newton_distance_d{args.d}.json", payload)
+            payload = _task_newton_distance({"newton_d": args.d}, args.out,
+                                            f"newton_distance_d{args.d}")
             print(f"rho_plus(d={args.d}) = {_fmt(payload['rho_plus'])} "
                   f"(residual {_fmt(payload['polynomial_residual'])})")
             return 0
@@ -346,9 +281,9 @@ def main(argv=None) -> int:
             cfg = json.loads(args.scenario.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ScenarioError(f"cannot read scenario: {exc}") from exc
-        for key, val in (("tol", args.tol), ("grid", args.grid), ("seed", args.seed)):
-            if val is not None:
-                cfg[key] = val
+        overrides = {"tol": args.tol, "grid": args.grid, "seed": args.seed}
+        if isinstance(cfg, dict):  # anything else is rejected by run_scenario
+            cfg.update({key: val for key, val in overrides.items() if val is not None})
         out_dir = args.out if args.out is not None else args.scenario.parent
         summary = run_scenario(cfg, out_dir)
         print(json.dumps(summary, sort_keys=True, default=str))

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy import integrate
 
-from rieszcap.axis_field import AxisMeasure, axis_Q
-from rieszcap.point_field import PointCharge
+from rieszcap.axis_field import AxisMeasure, CapSolution, axis_Q
 from rieszcap.specfun import ConvergenceError
-from rieszcap.sphere import Params, axis_dist2, kappa, surface_factor
+from rieszcap.sphere import CapMeasure, Params, kappa, surface_factor
 
 __all__ = [
     "VariationalReport",
@@ -33,23 +32,12 @@ __all__ = [
 ]
 
 
-def external_field(xi, field, params: Params):
-    """Q at height xi for either a point charge or an axis measure."""
-    if isinstance(field, PointCharge):
-        lam = AxisMeasure([(field.R, field.q)])
-    else:
-        lam = field
-    return axis_Q(xi, lam, params)
+def external_field(xi, field: AxisMeasure, params: Params):
+    """Q at height xi for a point charge or an axis measure."""
+    return axis_Q(xi, field, params)
 
 
-def _measure_parts(measure):
-    density = getattr(measure, "radial_density", None)
-    if density is None:
-        density = measure.interior_density
-    return measure.t, density, measure.boundary_coeff
-
-
-def potential_of(measure, xi: float, params: Params) -> float:
+def potential_of(measure: CapMeasure, xi: float, params: Params) -> float:
     """U^mu at height xi by adaptive quadrature of the ring kernel:
 
         (omega_{d-1}/omega_d) int_{-1}^t kappa(u, xi) density(u)
@@ -60,7 +48,7 @@ def potential_of(measure, xi: float, params: Params) -> float:
     singularity there for s >= d-1).  Raises ConvergenceError when the
     quadrature cannot certify ~1e-7 accuracy.
     """
-    t, density, bcoef = _measure_parts(measure)
+    t, density, bcoef = measure.t, measure.radial_density, measure.boundary_coeff
     d = params.d
 
     def f(u: float) -> float:
@@ -102,13 +90,14 @@ class VariationalReport:
     min_density: float
 
 
-def check_variational(solution, params: Params, grid_size: int = 41) -> VariationalReport:
+def check_variational(solution: CapSolution, params: Params,
+                      grid_size: int = 41) -> VariationalReport:
     """Evaluate U^{eta} + Q - F on a height grid for a solved (or deliberately
     mis-solved) cap measure and report the extremes."""
     t0 = solution.t0
     F = solution.phi_at_t0
     measure = solution.equilibrium
-    field = solution.charge
+    field = solution.field
     grid = np.linspace(-1.0 + 1e-9, 1.0 - 1e-12, grid_size)
     max_violation = 0.0
     min_margin = math.inf
@@ -123,8 +112,7 @@ def check_variational(solution, params: Params, grid_size: int = 41) -> Variatio
         min_margin = 0.0  # full-sphere support: nothing off the cap
     t_edge = t0 - 1e-9 if t0 < 1.0 else 1.0 - 1e-9
     us = np.linspace(-1.0 + 1e-9, t_edge, 500)
-    _, density, _ = _measure_parts(measure)
-    dens = np.asarray(density(us), dtype=float)
+    dens = np.asarray(measure.radial_density(us), dtype=float)
     return VariationalReport(
         F_estimate=F,
         max_violation_on_support=float(max_violation),
@@ -140,7 +128,7 @@ class ParticleSystem:
 
     points: np.ndarray
     params: Params
-    field: object
+    field: AxisMeasure
     step_init: float
     backtrack_factor: float
     energies: list = dataclass_field(default_factory=list)
@@ -180,8 +168,7 @@ def _gradient(x: np.ndarray, params: Params, field) -> np.ndarray:
     np.fill_diagonal(w, 0.0)
     grad = -(2.0 / n ** 2) * np.einsum("ij,ijk->ik", w, diff)
     # external field gradient; the field acts through |x - R p|
-    atoms = [(field.R, field.q)] if isinstance(field, PointCharge) else list(field.atoms)
-    for R, m in atoms:
+    for R, m in field.atoms:
         a = np.array([0.0, 0.0, R])
         da = x - a
         da2 = np.sum(da * da, axis=1)

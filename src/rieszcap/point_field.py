@@ -1,26 +1,28 @@
-"""Whole-sphere results for a single point charge on the positive polar axis.
+"""External fields of positive charges on the polar axis, and whole-sphere results.
 
-The external field is q |x - a|^{-s} with a = R*p, R > 1.  The signed
-equilibrium on the full sphere is an explicit density against sigma_d, the
-field potential on the axis is a Gauss hypergeometric value, and the
-"support is the whole sphere" question reduces to the sign of a scalar
-margin.  The distance question for the Newtonian kernel s = d-1 comes down
-to one polynomial root (the golden ratio when d = 2).
+A finite positive atom measure lambda = sum_i m_i delta_{R_i p} drives the
+field Q(x) = sum_i m_i |x - R_i p|^{-s} (or the log analogue); a point
+charge q at a = R*p is the one-atom case.  The signed equilibrium on the
+full sphere is an explicit density against sigma_d, the field potential on
+the axis is a Gauss hypergeometric value, and the "support is the whole
+sphere" question reduces to the sign of a scalar margin.  The distance
+question for the Newtonian kernel s = d-1 comes down to one polynomial root
+(the golden ratio when d = 2).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy import optimize
 
 from rieszcap.specfun import hyp2f1_1mz
-from rieszcap.sphere import Params, axis_dist2, sphere_energy
+from rieszcap.sphere import Params
 
 __all__ = [
+    "AxisMeasure",
     "PointCharge",
     "SphereSignedDensity",
     "normalized_charge",
@@ -34,36 +36,69 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PointCharge:
-    """Positive charge q at the axis point a = R*p, R > 0, R != 1.
+class AxisMeasure:
+    """Finite positive measure on the axis: atoms ((R_1, m_1), ...).
 
-    R < 1 is accepted for Riesz kernels and silently mapped to the
-    equivalent exterior problem by inversion: the field of (q, R) with
-    R < 1 equals the field of (q R'^s, R') with R' = 1/R exactly, since
-    |x - (1/R')p| = |x - R'p| / R' on the sphere.  The logarithmic kernel
-    rejects R < 1 (the same map shifts the field by a constant, which
-    changes the functional values).
+    All masses must be positive and every height must satisfy R > 0,
+    R != 1.  Atoms with R < 1 are accepted for Riesz kernels and mapped to
+    the equivalent exterior problem by inversion (see :meth:`folded`).
     """
 
-    q: float
-    R: float
+    atoms: tuple[tuple[float, float], ...]
 
-    def __post_init__(self) -> None:
-        if not self.q > 0.0:
-            raise ValueError(f"charge must be positive, got q={self.q}")
-        if not self.R > 0.0 or self.R == 1.0:
-            raise ValueError(f"axis height must satisfy R > 0, R != 1, got R={self.R}")
+    def __init__(self, atoms: Iterable[tuple[float, float]]):
+        atoms = tuple((float(R), float(m)) for R, m in atoms)
+        if not atoms:
+            raise ValueError("axis measure needs at least one atom")
+        for R, m in atoms:
+            if not m > 0.0:
+                raise ValueError(f"charges must be positive, got {m}")
+            if not R > 0.0 or R == 1.0:
+                raise ValueError(f"axis height must satisfy R > 0, R != 1, got R={R}")
+        object.__setattr__(self, "atoms", atoms)
+
+    @property
+    def total_mass(self) -> float:
+        return sum(m for _, m in self.atoms)
+
+    def folded(self, params: Params) -> AxisMeasure:
+        """The same field with every atom at R > 1 (Riesz kernels only).
+
+        The field of (m, R) with R < 1 equals the field of (m R'^s, R') with
+        R' = 1/R exactly, since |x - (1/R')p| = |x - R'p| / R' on the
+        sphere.  The logarithmic kernel rejects R < 1: the same map shifts
+        the field by a constant, which changes the functional values.
+        """
+        if all(R > 1.0 for R, _ in self.atoms):
+            return self
+        if params.is_log:
+            raise ValueError("logarithmic fields require R > 1 (inversion shifts the field "
+                             "by a constant; supply the exterior charge directly)")
+        out = object.__new__(type(self))  # keeps the type; subclasses change __init__
+        object.__setattr__(out, "atoms", tuple(
+            (R, m) if R > 1.0 else (1.0 / R, m * (1.0 / R) ** params.s) for R, m in self.atoms))
+        return out
 
 
-def normalized_charge(charge: PointCharge, params: Params) -> PointCharge:
+class PointCharge(AxisMeasure):
+    """Positive charge q at the axis point a = R*p, R > 0, R != 1: the
+    one-atom axis measure q delta_{Rp}."""
+
+    def __init__(self, q: float, R: float):
+        super().__init__([(R, q)])
+
+    @property
+    def q(self) -> float:
+        return self.atoms[0][1]
+
+    @property
+    def R(self) -> float:
+        return self.atoms[0][0]
+
+
+def normalized_charge(charge: AxisMeasure, params: Params) -> AxisMeasure:
     """Map R < 1 onto the equivalent R > 1 charge (Riesz kernels only)."""
-    if charge.R > 1.0:
-        return charge
-    if params.is_log:
-        raise ValueError("logarithmic fields require R > 1 (inversion shifts the field "
-                         "by a constant; supply the exterior charge directly)")
-    Rp = 1.0 / charge.R
-    return PointCharge(q=charge.q * Rp ** params.s, R=Rp)
+    return charge.folded(params)
 
 
 @dataclass(frozen=True)
@@ -76,7 +111,7 @@ class SphereSignedDensity:
     """
 
     params: Params
-    charge: object  # PointCharge or an axis measure with the same density role
+    field: AxisMeasure
     F: float
     support_margin: float
     density: Callable[[np.ndarray], np.ndarray]
@@ -104,18 +139,7 @@ def sphere_signed_density(u, charge: PointCharge, params: Params):
     with |x-a|^2 = R^2 - 2Ru + 1.  Uniform when q -> 0; minimal at the
     North Pole.  Vectorized over u.
     """
-    if params.is_log:
-        raise ValueError("sphere_signed_density covers Riesz kernels; the logarithmic "
-                         "variant lives in axis_field.axis_sphere_equilibrium")
-    charge = normalized_charge(charge, params)
-    d, s = params.d, params.s
-    q, R = charge.q, charge.R
-    W = sphere_energy(params)
-    U = field_potential_on_axis(charge, params)
-    u = np.asarray(u, dtype=float)
-    dens = (1.0 + q * U / W
-            - q * (R * R - 1.0) ** (d - s) / (W * axis_dist2(u, R) ** (d - s / 2.0)))
-    return float(dens) if dens.ndim == 0 else dens
+    return sphere_signed_equilibrium(charge, params).density(u)
 
 
 def full_support_margin(charge: PointCharge, params: Params) -> float:
@@ -127,25 +151,16 @@ def full_support_margin(charge: PointCharge, params: Params) -> float:
     zero at the critical R_q).  Equivalent to (W_s/q) * density(1).
     """
     charge = normalized_charge(charge, params)
-    d, s = params.d, params.s
-    W = sphere_energy(params)
-    U = field_potential_on_axis(charge, params)
-    R = charge.R
-    return W / charge.q - ((R + 1.0) ** (d - s) / (R - 1.0) ** d - U)
+    return sphere_signed_equilibrium(charge, params).support_margin / charge.q
 
 
 def sphere_signed_equilibrium(charge: PointCharge, params: Params) -> SphereSignedDensity:
     """Bundle the full-sphere signed equilibrium with its functional value."""
-    charge = normalized_charge(charge, params)
-    W = sphere_energy(params)
-    U = field_potential_on_axis(charge, params)
-    return SphereSignedDensity(
-        params=params,
-        charge=charge,
-        F=W + charge.q * U,
-        support_margin=full_support_margin(charge, params),
-        density=lambda u: sphere_signed_density(u, charge, params),
-    )
+    from rieszcap.axis_field import axis_sphere_equilibrium
+    if params.is_log:
+        raise ValueError("the point-charge sphere formulas cover Riesz kernels; the "
+                         "logarithmic variant lives in axis_field.axis_sphere_equilibrium")
+    return axis_sphere_equilibrium(charge, params)
 
 
 def gonchar_polynomial(d: int, rho: float) -> float:

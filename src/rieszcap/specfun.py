@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "ConvergenceError",
@@ -28,7 +27,6 @@ __all__ = [
     "hyp2f1_regularized",
     "beta_inc",
     "beta_inc_reg",
-    "appell_f1_euler",
 ]
 
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -415,37 +413,3 @@ def beta_inc_reg(x: float, a: float, b: float) -> float:
 def beta_inc(x: float, a: float, b: float) -> float:
     """Unregularized incomplete beta B(x; a, b) = int_0^x v^{a-1}(1-v)^{b-1} dv."""
     return beta_inc_reg(x, a, b) * math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
-
-
-def appell_f1_euler(alpha: float, beta: float, gam: float, x: float, y: float) -> float:
-    """Euler-integral value used only by the integral-identity test.
-
-    For parameters alpha, beta, gam > 0 with beta + gam > alpha, 0 < x < 1
-    and |y| < 1, returns
-
-        Gamma(beta)/(Gamma(beta+gam-alpha) Gamma(alpha)) * x^{beta+gam-1}
-        * (1-x)^{gam-alpha} * (1-x y)^{-beta}
-        * int_0^1 v^{beta+gam-alpha-1} (1-v)^{alpha-1} (1-x v)^{beta-gam}
-                  (1 - v x(1-y)/(1-x y))^{-beta} dv
-
-    by adaptive quadrature; this is an Appell F1 in its Euler representation.
-    Not part of the public closed-form surface.
-    """
-    if not (alpha > 0.0 and beta > 0.0 and gam > 0.0):
-        raise ValueError("appell_f1_euler requires positive parameters")
-    if beta + gam <= alpha:
-        raise ValueError("appell_f1_euler requires beta + gamma > alpha")
-    if not (0.0 < x < 1.0 and abs(y) < 1.0):
-        raise ValueError("appell_f1_euler requires 0 < x < 1 and |y| < 1")
-    zz = x * (1.0 - y) / (1.0 - x * y)
-
-    def integrand(v: float) -> float:
-        return (v ** (beta + gam - alpha - 1.0) * (1.0 - v) ** (alpha - 1.0)
-                * (1.0 - x * v) ** (beta - gam) * (1.0 - zz * v) ** (-beta))
-
-    val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=300)
-    if err > 1e-9 * max(abs(val), 1.0):
-        raise ConvergenceError("appell_f1_euler quadrature did not converge")
-    pref = math.exp(log_gamma(beta) - log_gamma(beta + gam - alpha) - log_gamma(alpha))
-    return (pref * x ** (beta + gam - 1.0) * (1.0 - x) ** (gam - alpha)
-            * (1.0 - x * y) ** (-beta) * val)

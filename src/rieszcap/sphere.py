@@ -14,7 +14,7 @@ sigma_d throughout, and quadrature weights include the full surface factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -24,6 +24,7 @@ from rieszcap.specfun import ConvergenceError, digamma, gamma, hyp2f1, log_gamma
 
 __all__ = [
     "Params",
+    "CapMeasure",
     "RadialQuadrature",
     "omega_ratio",
     "sphere_energy",
@@ -253,3 +254,38 @@ def integrate_radial(f: Callable[[np.ndarray], np.ndarray], t: float, params: Pa
             return cur
         prev = cur
     raise ConvergenceError(f"radial quadrature did not settle below order {max_order}")
+
+
+@dataclass(frozen=True)
+class CapMeasure:
+    """A (possibly signed) measure on the cap u <= t.
+
+    The absolutely continuous part has density
+    regular_part(u) * (t-u)^singular_exponent against sigma_d (the form the
+    cap quadrature integrates; regular_part is called with float arrays of
+    heights); ``boundary_coeff`` multiplies the unit
+    uniform measure on the ring u = t.  ``phi`` is the constant weighted
+    potential on the cap of an equilibrium measure (None for a balayage
+    measure), and ``mass`` the total mass once computed (None otherwise).
+    """
+
+    t: float
+    regular_part: Callable[[np.ndarray], np.ndarray]
+    singular_exponent: float = 0.0
+    boundary_coeff: float = 0.0
+    phi: float | None = None
+    mass: float | None = None
+
+    def radial_density(self, u):
+        """Density of the absolutely continuous part at height u."""
+        u_arr = np.asarray(u, dtype=float)
+        out = np.asarray(self.regular_part(u_arr)) * (self.t - u_arr) ** self.singular_exponent
+        return float(out) if out.ndim == 0 else out
+
+    interior_density = radial_density
+
+    def with_mass(self, params: Params) -> "CapMeasure":
+        """This measure with ``mass`` set: the cap integral plus the ring charge."""
+        interior = integrate_radial(self.regular_part, self.t, params,
+                                    self.singular_exponent, tol=1e-12)
+        return replace(self, mass=interior + self.boundary_coeff)

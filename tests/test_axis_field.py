@@ -172,7 +172,6 @@ def test_axis_density_single_sign_change_for_wrong_caps():
             continue
         t_bad = sol.t_lambda + 0.1 * (1.0 - sol.t_lambda)
         # rebuild the signed equilibrium at the wrong cap height
-        from rieszcap.axis_field import _normalized_atoms, _solve_riesz
         from rieszcap.cap_riesz import eps_norm, nu_norm, eta_density
         from rieszcap.sphere import sphere_energy
         W = sphere_energy(p)

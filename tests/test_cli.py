@@ -147,3 +147,48 @@ def test_newton_distance_command(tmp_path, capsys):
     assert out.startswith("rho_plus(d=2) = 1.618033988749")
     payload = json.loads((tmp_path / "newton_distance_d2.json").read_text())
     assert payload["rho_plus"] == pytest.approx((1.0 + 5.0 ** 0.5) / 2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("change", [
+    {"cap": 0.3},
+    {"cap": {"mode": "fixed"}},
+    {"d": 2.7},
+    {"grid": "abc"},
+    {"grid": -3},
+])
+def test_malformed_scenario_exits_2(tmp_path, capsys, change):
+    cfg = dict(scenario("density", 2, LOG[0], point(LOG[2])), **change)
+    assert cli.main(["run", str(write_scenario(tmp_path, cfg))]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_object_scenario_exits_2_with_overrides(tmp_path, capsys):
+    path = write_scenario(tmp_path, [1, 2])
+    assert cli.main(["run", str(path), "--grid", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# axis fields take every curve task
+
+
+@pytest.mark.parametrize("case", [RIESZ, EXCEPTIONAL, LOG], ids=["riesz", "exceptional", "log"])
+@pytest.mark.parametrize("task", ["density", "potential", "phi-curve"])
+def test_one_atom_axis_field_matches_point_field(tmp_path, case, task):
+    kernel, _, charge, d = case
+    atom = {"type": "axis", "atoms": [[charge.R, charge.q]]}
+    for field, sub in ((point(charge), "point"), (atom, "axis")):
+        cli.run_scenario(scenario(task, d, kernel, field, grid=4), tmp_path / sub)
+    names = sorted(p.name for p in (tmp_path / "point").iterdir())
+    assert names and names == sorted(p.name for p in (tmp_path / "axis").iterdir())
+    for name in names:
+        assert (tmp_path / "point" / name).read_bytes() == (tmp_path / "axis" / name).read_bytes()
+
+
+def test_committed_axis_scenarios_run(tmp_path, capsys):
+    from pathlib import Path
+    paths = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("axis_*.json"))
+    assert len(paths) == 9
+    for path in paths:
+        assert cli.main(["run", str(path), "--grid", "5", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()

@@ -9,7 +9,6 @@ from scipy import integrate
 from rieszcap import specfun
 from rieszcap.specfun import (
     EULER_GAMMA,
-    appell_f1_euler,
     beta_inc,
     beta_inc_reg,
     digamma,
@@ -265,6 +264,40 @@ def test_beta_inc_reg_domain():
 
 # ---------------------------------------------------------------------------
 # Appell F1 Euler integral
+
+
+def appell_f1_euler(alpha: float, beta: float, gam: float, x: float, y: float) -> float:
+    """Euler-integral value used only by the integral-identity test.
+
+    For parameters alpha, beta, gam > 0 with beta + gam > alpha, 0 < x < 1
+    and |y| < 1, returns
+
+        Gamma(beta)/(Gamma(beta+gam-alpha) Gamma(alpha)) * x^{beta+gam-1}
+        * (1-x)^{gam-alpha} * (1-x y)^{-beta}
+        * int_0^1 v^{beta+gam-alpha-1} (1-v)^{alpha-1} (1-x v)^{beta-gam}
+                  (1 - v x(1-y)/(1-x y))^{-beta} dv
+
+    by adaptive quadrature; this is an Appell F1 in its Euler representation.
+    Not part of the public closed-form surface.
+    """
+    if not (alpha > 0.0 and beta > 0.0 and gam > 0.0):
+        raise ValueError("appell_f1_euler requires positive parameters")
+    if beta + gam <= alpha:
+        raise ValueError("appell_f1_euler requires beta + gamma > alpha")
+    if not (0.0 < x < 1.0 and abs(y) < 1.0):
+        raise ValueError("appell_f1_euler requires 0 < x < 1 and |y| < 1")
+    zz = x * (1.0 - y) / (1.0 - x * y)
+
+    def integrand(v: float) -> float:
+        return (v ** (beta + gam - alpha - 1.0) * (1.0 - v) ** (alpha - 1.0)
+                * (1.0 - x * v) ** (beta - gam) * (1.0 - zz * v) ** (-beta))
+
+    val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=300)
+    if err > 1e-9 * max(abs(val), 1.0):
+        raise specfun.ConvergenceError("appell_f1_euler quadrature did not converge")
+    pref = math.exp(log_gamma(beta) - log_gamma(beta + gam - alpha) - log_gamma(alpha))
+    return (pref * x ** (beta + gam - 1.0) * (1.0 - x) ** (gam - alpha)
+            * (1.0 - x * y) ** (-beta) * val)
 
 
 def euler_lhs(alpha, beta, gam, x, y):
