@@ -173,16 +173,27 @@ def delta(t: float, field: AxisMeasure, params: Params) -> float:
 def _eta_tail(w, c2: float, d: int, s: float):
     # sum_{n>=1} (d/2)_n / Gamma(n+1-(d-s)/2) (1 - c2^n) w^n  -- the
     # difference of the two regularized 2F1 values, summed without
-    # cancellation (c2 < 1 strictly for t < 1)
+    # cancellation (c2 < 1 strictly for t < 1).  Each element takes the
+    # route its own scalar call would take, so a vector call equals the
+    # per-element calls.
     w_in = np.asarray(w, dtype=float)
     w_arr = np.atleast_1d(w_in)
     c0 = 1.0 - (d - s) / 2.0
-    if np.max(w_arr) > 0.999:
+    near_one = w_arr > 0.999
+    total = np.empty_like(w_arr)
+    if np.any(near_one):
         # direct difference of the two regularized values; no catastrophic
         # cancellation here because (1-c2) w stays comparable to 1-w
-        total = (hyp2f1_regularized(1.0, d / 2.0, c0, w_arr)
-                 - hyp2f1_regularized(1.0, d / 2.0, c0, c2 * w_arr))
-        return float(total[0]) if w_in.ndim == 0 else total
+        w_hi = w_arr[near_one]
+        total[near_one] = (hyp2f1_regularized(1.0, d / 2.0, c0, w_hi)
+                           - hyp2f1_regularized(1.0, d / 2.0, c0, c2 * w_hi))
+    if not np.all(near_one):
+        total[~near_one] = _eta_tail_series(w_arr[~near_one], c2, d, c0)
+    return float(total[0]) if w_in.ndim == 0 else total
+
+
+def _eta_tail_series(w_arr: np.ndarray, c2: float, d: int, c0: float) -> np.ndarray:
+    # the term-wise series of _eta_tail for w <= 0.999
     base = (d / 2.0) * rgamma(1.0 + c0) * w_arr
     c2n = c2
     total = base * (1.0 - c2n)
@@ -195,7 +206,7 @@ def _eta_tail(w, c2: float, d: int, s: float):
         n += 1
         if np.max(np.abs(term)) <= 1e-17 * max(np.max(np.abs(total)), 1e-300) or n > 100_000:
             break
-    return float(total[0]) if w_in.ndim == 0 else total
+    return total
 
 
 def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:

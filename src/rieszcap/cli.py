@@ -18,7 +18,7 @@ Scenario schema::
               | {"mode": "offset", "value": -0.2},   # relative to solved t0
       "grid": 200,          # positive integer: curve resolution / verification grid
       "tol": 1e-5,          # verification tolerance
-      "seed": 0, "n": 800, "iters": 2500,    # particles task (integers)
+      "seed": 0, "n": 800, "iters": 2500,    # particles task (integers, n >= 50)
       "newton_d": 2                          # newton-distance task
     }
 
@@ -28,7 +28,9 @@ eta_t at the cap height, ``phi-curve`` the regime's cap functional (phi,
 phibar or F0) on a height grid.  Curve tasks write ``<name>_potential.csv``
 (xi, weighted potential, F), ``<name>_density.csv`` (u, density,
 boundary_coeff) and ``<name>_phi.csv``; scalar tasks write ``<name>.json``.
-Exit codes: 0 success, 2 malformed scenario, 3 numeric failure.
+Exit codes: 0 success, 2 malformed scenario (a kernel outside the three
+solvable regimes d-2 < s < d, s = d-2 with d >= 3 and log with d = 2
+included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -77,13 +79,20 @@ def _parse_params(cfg: dict) -> Params:
     d = _value(cfg, "d", int)
     try:
         kernel = cfg["kernel"]
-        if kernel["type"] == "riesz":
-            return Params(d=d, s=float(kernel["s"]))
-        if kernel["type"] == "log":
-            return Params(d=d, log=True)
+        ktype = kernel["type"]
+        if ktype == "riesz":
+            params = Params(d=d, s=float(kernel["s"]))
+        elif ktype == "log":
+            params = Params(d=d, log=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"missing or malformed kernel: {exc}") from exc
-    raise ScenarioError(f"unknown kernel type {kernel['type']!r}")
+    if ktype not in ("riesz", "log"):
+        raise ScenarioError(f"unknown kernel type {ktype!r}")
+    try:
+        regime(params)  # one of the three solvable kernel regimes
+    except ValueError as exc:
+        raise ScenarioError(f"unsupported kernel: {exc}") from exc
+    return params
 
 
 def _parse_field(cfg: dict) -> AxisMeasure:
@@ -162,7 +171,7 @@ def _task_solve_support(cfg, field, params, out_dir: Path, name: str) -> dict:
     n = _grid(cfg, 50)
     sol = axis_solve_t(field, params)
     us = np.linspace(-1.0 + 1e-9, sol.t0 - 1e-9, n)
-    samples = [[float(u), float(sol.equilibrium.radial_density(float(u)))] for u in us]
+    samples = [[float(u), float(v)] for u, v in zip(us, sol.equilibrium.radial_density(us))]
     payload = {
         "t0": sol.t0,
         "phi_at_t0": sol.phi_at_t0,
@@ -198,6 +207,8 @@ def _task_verify(cfg, field, params, out_dir: Path, name: str) -> dict:
 
 def _task_particles(cfg, field, params, out_dir: Path, name: str) -> dict:
     n = _value(cfg, "n", int, 800)
+    if n < 50:
+        raise ScenarioError(f"particles needs n >= 50, got {n}")
     iters = _value(cfg, "iters", int, 2000)
     seed = _value(cfg, "seed", int, 0)
     system = oracle.minimize_particles(n, params, field, seed=seed, iters=iters)

@@ -13,6 +13,7 @@ sigma_d throughout, and quadrature weights include the full surface factor
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 _EXC_TOL = 1e-12  # how close s must be to d-2 to count as the exceptional case
+_RULE_CACHE_SIZE = 128  # distinct (order, alpha, beta) Gauss-Jacobi rules kept per process
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,9 @@ class RadialQuadrature:
     of the cap (= 1 at t = 1).  Exact for f polynomial of degree <= 2n-1
     against the (1+u)^left (t-u)^se part; the (1-u)^{d/2-1} factor is
     analytic on [-1, t] for t < 1 and folded into the weights (merged into
-    the right-endpoint exponent when t = 1).
+    the right-endpoint exponent when t = 1).  The arrays are rescaled from a
+    [-1, 1] rule that is built once per process for each (order, alpha,
+    beta) and shared; they are the caller's own to modify.
     """
 
     nodes: np.ndarray
@@ -207,6 +211,27 @@ class RadialQuadrature:
         return float(np.dot(self.weights, vals))
 
 
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _jacobi_rule(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Jacobi rule on [-1, 1] for (1-x)^alpha (1+x)^beta; roots_jacobi is
+    # deterministic, so a cached rule equals a fresh one bit for bit.  The
+    # arrays are shared between callers and therefore read-only.
+    x, w = roots_jacobi(order, alpha, beta)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _jacobi_exponents(t: float, params: Params, singular_exponent: float,
+                      left_exponent: float | None) -> tuple[float, float]:
+    # (alpha, beta): the (t-u) and (1+u) exponents of the cap rule
+    beta = (params.d / 2.0 - 1.0) if left_exponent is None else float(left_exponent)
+    alpha = float(singular_exponent)
+    if t == 1.0:
+        alpha += params.d / 2.0 - 1.0  # (1-u) and (t-u) coincide
+    return alpha, beta
+
+
 def build_quadrature(t: float, params: Params, order: int,
                      singular_exponent: float = 0.0, *,
                      left_exponent: float | None = None) -> RadialQuadrature:
@@ -214,20 +239,19 @@ def build_quadrature(t: float, params: Params, order: int,
 
     ``singular_exponent`` is the (t-u) endpoint exponent (e.g. (s-d)/2 for
     the balayage densities); ``left_exponent`` overrides the (1+u)
-    exponent, default d/2-1.
+    exponent, default d/2-1.  The [-1, 1] Gauss-Jacobi rule comes from a
+    bounded per-process cache keyed by (order, alpha, beta); only the
+    rescaling to [-1, t] runs on every call.
     """
     if not -1.0 < t <= 1.0:
         raise ValueError(f"cap height must lie in (-1, 1], got {t}")
     if order < 4:
         raise ValueError("order >= 4 required")
     d = params.d
-    beta = (d / 2.0 - 1.0) if left_exponent is None else float(left_exponent)
-    alpha = float(singular_exponent)
-    if t == 1.0:
-        alpha += d / 2.0 - 1.0  # (1-u) and (t-u) coincide
+    alpha, beta = _jacobi_exponents(t, params, singular_exponent, left_exponent)
     if alpha <= -1.0 or beta <= -1.0:
         raise ValueError(f"Jacobi exponents must exceed -1, got ({alpha}, {beta})")
-    x, w = roots_jacobi(order, alpha, beta)
+    x, w = _jacobi_rule(order, alpha, beta)
     half = (1.0 + t) / 2.0
     u = -1.0 + half * (x + 1.0)
     scale = half ** (alpha + beta + 1.0) / omega_ratio(params)
@@ -243,17 +267,27 @@ def integrate_radial(f: Callable[[np.ndarray], np.ndarray], t: float, params: Pa
                      tol: float = 1e-10, order: int = 64,
                      max_order: int = 8192) -> float:
     """Surface-weighted cap integral with order doubling until two successive
-    Gauss-Jacobi results agree to ``tol`` (mixed absolute/relative)."""
+    Gauss-Jacobi results agree to ``tol`` (mixed absolute/relative).
+
+    Raises :class:`ConvergenceError` naming t, the Jacobi exponents, the last
+    order and the last difference when ``max_order`` is reached first.
+    """
     prev = build_quadrature(t, params, order, singular_exponent,
                             left_exponent=left_exponent).integrate(f)
+    diff = math.nan
     while order < max_order:
         order *= 2
         cur = build_quadrature(t, params, order, singular_exponent,
                                left_exponent=left_exponent).integrate(f)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
+        diff = abs(cur - prev)
+        if diff <= tol * max(1.0, abs(cur)):
             return cur
         prev = cur
-    raise ConvergenceError(f"radial quadrature did not settle below order {max_order}")
+    alpha, beta = _jacobi_exponents(t, params, singular_exponent, left_exponent)
+    raise ConvergenceError(
+        f"radial quadrature did not settle below order {order}: t={t!r}, "
+        f"Jacobi exponents (alpha, beta) = ({alpha!r}, {beta!r}), "
+        f"last |cur - prev| = {diff:.3e} (tol {tol:.1e})")
 
 
 @dataclass(frozen=True)

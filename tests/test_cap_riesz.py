@@ -278,6 +278,17 @@ def test_eta_density_sign_pattern_around_t0():
     assert eta_density(t_hi - 1e-6, t_hi, C13, P21) < 0.0
 
 
+@pytest.mark.parametrize("c2", [0.9, 0.999999])
+def test_eta_tail_vector_equals_scalar(c2):
+    # an element past the w > 0.999 switch must not pull the others off the
+    # cancellation-free series (c2 -> 1 as t -> 1)
+    from rieszcap.cap_riesz import _eta_tail
+    w = np.array([1e-9, 1e-6, 1e-3, 0.5, 0.9995])
+    vec = _eta_tail(w, c2, 2, 1.0)
+    scalar = np.array([_eta_tail(float(x), c2, 2, 1.0) for x in w])
+    assert np.all(np.abs(vec - scalar) <= 1e-14 * np.abs(scalar))
+
+
 def test_eta_mass_identity_random():
     rng = np.random.default_rng(55)
     for _ in range(5):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
+from scipy.special import roots_jacobi
 
+from rieszcap import sphere
 from rieszcap.sphere import (
     Params,
     axis_dist2,
@@ -18,7 +20,7 @@ from rieszcap.sphere import (
     sphere_energy,
     surface_factor,
 )
-from rieszcap.specfun import beta_inc_reg, log_gamma
+from rieszcap.specfun import ConvergenceError, beta_inc_reg, log_gamma
 
 
 def test_params_validation():
@@ -315,3 +317,76 @@ def test_quadrature_validation():
         build_quadrature(0.5, p, 2)
     with pytest.raises(ValueError):
         build_quadrature(0.5, p, 16, singular_exponent=-1.5)
+
+
+# ---------------------------------------------------------------------------
+# the per-process cache of [-1, 1] Gauss-Jacobi rules
+
+RULE_CASES = [  # (params, order, singular exponent, left exponent, t)
+    (Params(d=2, s=1.0), 64, -0.5, None, 0.3),
+    (Params(d=3, s=1.5), 128, -0.75, None, -0.6),
+    (Params(d=4, s=2.5), 32, 0.0, 0.25, 0.9),
+    (Params(d=5, s=3.7), 256, 0.0, None, 1.0),
+    (Params(d=3, s=1.0), 64, 1.0, -0.5, 1.0),
+]
+
+
+def fresh_quadrature(params, order, se, left, t):
+    # build_quadrature's rescaling applied to a rule built just now
+    d = params.d
+    beta = d / 2.0 - 1.0 if left is None else left
+    alpha = se + (d / 2.0 - 1.0 if t == 1.0 else 0.0)
+    x, w = roots_jacobi(order, alpha, beta)
+    half = (1.0 + t) / 2.0
+    u = -1.0 + half * (x + 1.0)
+    weights = w * (half ** (alpha + beta + 1.0) / omega_ratio(params))
+    if t < 1.0:
+        weights = weights * (1.0 - u) ** (d / 2.0 - 1.0)
+    return u, weights
+
+
+@pytest.mark.parametrize("case", RULE_CASES)
+def test_cached_rule_is_bit_identical_to_fresh_build(case):
+    params, order, se, left, t = case
+    for _ in range(2):  # the first build may fill the cache, the second reads it
+        q = build_quadrature(t, params, order, se, left_exponent=left)
+        u, weights = fresh_quadrature(params, order, se, left, t)
+        assert np.array_equal(q.nodes, u) and np.array_equal(q.weights, weights)
+
+
+def test_cached_rule_arrays_are_read_only():
+    x, w = sphere._jacobi_rule(48, -0.25, 0.5)
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+def test_writing_into_a_rule_leaves_the_next_build_alone():
+    params, order, se, left, t = RULE_CASES[0]
+    q = build_quadrature(t, params, order, se, left_exponent=left)
+    q.nodes[:] = 0.0
+    q.weights[:] = 0.0
+    again = build_quadrature(t, params, order, se, left_exponent=left)
+    u, weights = fresh_quadrature(params, order, se, left, t)
+    assert np.array_equal(again.nodes, u) and np.array_equal(again.weights, weights)
+
+
+def test_repeated_build_is_a_cache_hit():
+    p = Params(d=3, s=2.2)
+    build_quadrature(0.1, p, 96, -0.4)
+    before = sphere._jacobi_rule.cache_info()
+    build_quadrature(-0.7, p, 96, -0.4)  # another cap, the same [-1, 1] rule
+    after = sphere._jacobi_rule.cache_info()
+    assert after.hits == before.hits + 1 and after.misses == before.misses
+
+
+def test_unsettled_quadrature_names_the_integral():
+    # an integrand that never settles: the error reports where and how far
+    p = Params(d=2, s=1.0)
+    with pytest.raises(ConvergenceError) as info:
+        integrate_radial(lambda u: np.sign(np.sin(1e4 * u)), 0.25, p, -0.5, max_order=256)
+    msg = str(info.value)
+    assert "order 256" in msg and "t=0.25" in msg and "(-0.5, 0.0)" in msg
+    assert "|cur - prev| = " in msg
