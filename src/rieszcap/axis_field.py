@@ -98,7 +98,9 @@ class Regime(NamedTuple):
     function whose root is the support height, ``eta(t, field)`` the signed
     cap equilibrium for -1 < t < 1 (mass not computed, ``phi`` set), and
     ``potential(xi, eta, field)`` its closed-form weighted potential.
-    ``column`` names the functional in phi-curve output.
+    Both Riesz regimes share ``phi`` and ``delta``; s = d-2 supplies only its
+    ``eta`` (with a ring charge) and ``potential``.  ``column`` names the
+    functional in phi-curve output.
     """
 
     column: str
@@ -117,8 +119,7 @@ def regime(params: Params) -> Regime:
         return Regime("F0", ce.log_f0_functional, ce.log_delta, ce.log_etabar,
                       ce.log_eta_potential)
     if params.is_exceptional:
-        column, fns = "phibar", (ce.phibar, ce.phibar_delta, ce.etabar_measure,
-                                 ce.etabar_potential)
+        column, fns = "phibar", (cr.phi, cr.delta, ce.etabar_measure, ce.etabar_potential)
     elif params.in_cap_regime:
         column, fns = "phi", (cr.phi, cr.delta, cr.eta_measure, cr.eta_potential)
     else:

@@ -10,7 +10,9 @@ height t,
 
 and the signed equilibrium etabar_t carries a ring charge that vanishes
 exactly at the optimal height t0, where the density also stays strictly
-positive at the edge (unlike the d-2 < s < d regime).  The planar
+positive at the edge (unlike the d-2 < s < d regime).  Their norms, Phi
+and Delta are the s -> (d-2)+ limits in :mod:`rieszcap.cap_riesz`; s = d-2
+supplies only etabar_t, with its ring charge, and its potential.  The planar
 logarithmic case d = 2 has mass-preserving balayage and fully closed
 forms, including t0 = min{1, (R^2 - 2Rq + 1)/(2R(1+q))}.
 """
@@ -21,18 +23,13 @@ import math
 
 import numpy as np
 
-from rieszcap.cap_riesz import eps_density, nu_density
+from rieszcap.cap_riesz import _edge, eps_density, nu_density, phi
 from rieszcap.point_field import AxisMeasure, PointCharge, normalized_charge
-from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, omega_ratio, \
-    sphere_energy
+from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, sphere_energy
 
 __all__ = [
     "nubar",
     "epsbar",
-    "nubar_norm",
-    "epsbar_norm",
-    "phibar",
-    "phibar_delta",
     "etabar_measure",
     "etabar",
     "solve_t0_exceptional",
@@ -58,12 +55,6 @@ def _require_exceptional(params: Params) -> None:
     if not params.is_exceptional:
         raise ValueError(f"this operation needs s = d-2 with d >= 3, "
                          f"got d={params.d}, s={params.s}")
-
-
-def _edge(t: float, field: AxisMeasure, params: Params) -> float:
-    # sum_i m_i (R_i+1)^2 / r_i(t)^d, the competing term in Delta(t)
-    return sum(m * (R + 1.0) ** 2 / axis_dist2(t, R) ** (params.d / 2.0)
-               for R, m in field.folded(params).atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -96,63 +87,16 @@ def epsbar(t: float, charge: PointCharge, params: Params) -> CapMeasure:
     return CapMeasure(t=t, regular_part=interior, boundary_coeff=bcoef).with_mass(params)
 
 
-def _jacobi_cap_integral(f, t: float, params: Params) -> float:
-    # int_{-1}^t f(u) (1+u)^{d/2-2} (1-u)^{d/2} du via the cap quadrature
-    d = params.d
-    if t == 1.0:
-        g = f
-        se = 1.0
-    else:
-        g = lambda u: f(u) * (1.0 - u)
-        se = 0.0
-    val = integrate_radial(g, t, params, singular_exponent=se,
-                           left_exponent=d / 2.0 - 2.0, tol=1e-12)
-    return omega_ratio(params) * val
-
-
-def nubar_norm(t: float, params: Params) -> float:
-    """||nubar_t|| = (d-2)/4 W_{d-2} int_{-1}^t (1+u)^{d/2-2} (1-u)^{d/2} du."""
-    _require_exceptional(params)
-    if t <= -1.0:
-        return 0.0
-    W = sphere_energy(params)
-    return (params.d - 2) / 4.0 * W * _jacobi_cap_integral(lambda u: np.ones_like(u), t, params)
-
-
-def epsbar_norm(t: float, charge: PointCharge, params: Params) -> float:
-    """||epsbar_t|| = (d-2)/4 (R+1)^2 int_{-1}^t (1+u)^{d/2-2} (1-u)^{d/2}
-    (R^2-2Ru+1)^{-d/2} du (per unit charge)."""
-    _require_exceptional(params)
-    charge = normalized_charge(charge, params)
-    if t <= -1.0:
-        return 0.0
-    d, R = params.d, charge.R
-    val = _jacobi_cap_integral(lambda u: axis_dist2(u, R) ** (-d / 2.0), t, params)
-    return (d - 2) / 4.0 * (R + 1.0) ** 2 * val
-
-
-def phibar(t: float, charge: AxisMeasure, params: Params) -> float:
-    """Cap functional at s = d-2: W_{d-2} (1 + sum_i m_i ||epsbar_t^i||) / ||nubar_t||."""
-    _require_exceptional(params)
-    field = charge.folded(params)
-    W = sphere_energy(params)
-    eps = sum(m * epsbar_norm(t, PointCharge(q=1.0, R=R), params) for R, m in field.atoms)
-    return W * (1.0 + eps) / nubar_norm(t, params)
-
-
-def phibar_delta(t: float, field: AxisMeasure, params: Params) -> float:
-    """Delta(t) = Phibar(t) - sum_i m_i (R_i+1)^2 / r_i(t)^d; its root is t0."""
-    return phibar(t, field, params) - _edge(t, field, params)
-
-
 def etabar_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     """Signed cap equilibrium at s = d-2 (mass not computed): interior density
-    (1/W)[Phibar - sum_i m_i (R_i^2-1)^2/(R_i^2-2R_i u+1)^{d/2+1}], ring charge
-    (1-t)/2 (1-t^2)^{d/2-1} Delta(t) (sign flips at t0)."""
+    (1/W)[Phi - sum_i m_i (R_i^2-1)^2/(R_i^2-2R_i u+1)^{d/2+1}], ring charge
+    (1-t)/2 (1-t^2)^{d/2-1} Delta(t) (sign flips at t0), with Phi and Delta
+    those of :mod:`rieszcap.cap_riesz` at s = d-2."""
+    _require_exceptional(params)
     field = field.folded(params)
     d = params.d
     W = sphere_energy(params)
-    pv = phibar(t, field, params)
+    pv = phi(t, field, params)
 
     def interior(u):
         out = pv * np.ones_like(u)
@@ -172,10 +116,10 @@ def etabar(t: float, charge: AxisMeasure, params: Params) -> CapMeasure:
 
 def solve_t0_exceptional(charge: AxisMeasure, params: Params):
     """Optimal cap at s = d-2: the root of
-    Phibar(t) = q (R+1)^2 / (R^2-2Rt+1)^{d/2}, or t0 = 1 without one.
+    Phi(t) = q (R+1)^2 / (R^2-2Rt+1)^{d/2}, or t0 = 1 without one.
 
     The extremal measure has no ring charge; its interior density is
-    (Phibar(t0)/W)[1 - (R-1)^2 (R^2-2Rt0+1)^{d/2} / (R^2-2Ru+1)^{d/2+1}],
+    (Phi(t0)/W)[1 - (R-1)^2 (R^2-2Rt0+1)^{d/2} / (R^2-2Ru+1)^{d/2+1}],
     strictly positive up to the edge.
     """
     from rieszcap.axis_field import axis_solve_t
@@ -208,11 +152,11 @@ def epsbar_potential(xi: float, t: float, charge: PointCharge, params: Params) -
 
 def etabar_potential(xi: float, eta: CapMeasure, field: AxisMeasure, params: Params) -> float:
     """Weighted potential U^{etabar_t} + Q at height xi, from the balayage
-    decomposition etabar_t = (Phibar/W) nubar_t - sum_i m_i epsbar_t^i:
+    decomposition etabar_t = (Phi/W) nubar_t - sum_i m_i epsbar_t^i:
 
-        (Phibar/W) U^{nubar_t} - sum_i m_i U^{epsbar_t^i} + sum_i m_i |x-a_i|^{2-d}
+        (Phi/W) U^{nubar_t} - sum_i m_i U^{epsbar_t^i} + sum_i m_i |x-a_i|^{2-d}
 
-    (``eta`` from :func:`etabar_measure`); Phibar(t) on the cap.
+    (``eta`` from :func:`etabar_measure`); Phi(t) on the cap.
     """
     d, t = params.d, eta.t
     out = eta.phi / sphere_energy(params) * nubar_potential(xi, t, params)

@@ -1,4 +1,4 @@
-"""Equilibrium on spherical caps for the generic kernel range d-2 < s < d.
+"""Equilibrium on spherical caps for the Riesz kernel range d-2 <= s < d.
 
 The balayage of the uniform measure and of the external point charge onto
 the cap Sigma_t = {u <= t} have explicit densities built from a
@@ -14,6 +14,10 @@ support cap, found as the root of
 when an interior root exists and t0 = 1 otherwise.  The signed cap
 equilibrium eta_t and its weighted potential have closed forms on and off
 the cap; eta_{t0} is the extremal measure.
+
+The norms, Phi_s and Delta hold on d-2 <= s < d (at s = d-2 as the limits
+s -> (d-2)+); the densities, eta_t and the potentials need d-2 < s < d, and
+:mod:`rieszcap.cap_exceptional` supplies eta_t at s = d-2 and its potential.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import math
 
 import numpy as np
 
-from rieszcap.point_field import AxisMeasure, PointCharge, normalized_charge
+from rieszcap.point_field import AxisMeasure, PointCharge, field_potential_on_axis, \
+    normalized_charge
 from rieszcap.specfun import beta_inc_reg, hyp2f1_regularized, log_gamma, rgamma
 from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, omega_ratio, \
     sphere_energy
@@ -45,9 +50,11 @@ __all__ = [
 ]
 
 
-def _require_cap_regime(params: Params) -> None:
-    if not params.in_cap_regime:
-        raise ValueError(f"cap formulas need d-2 < s < d, got d={params.d}, s={params.s}")
+def _require_cap_regime(params: Params, ring: bool = False) -> None:
+    # ring=True also admits s = d-2 (formulas that hold through the limit)
+    if not (params.in_cap_regime or ring and params.is_exceptional):
+        bound = "<=" if ring else "<"
+        raise ValueError(f"cap formulas need d-2 {bound} s < d, got d={params.d}, s={params.s}")
 
 
 def nu_density(u, t: float, params: Params):
@@ -108,7 +115,7 @@ def eps_density(u, t: float, charge: PointCharge, params: Params):
 
 def nu_norm(t: float, params: Params) -> float:
     """||nu_t|| = 1 - I((1-t)/2; d - s/2, s/2) (regularized incomplete beta)."""
-    _require_cap_regime(params)
+    _require_cap_regime(params, ring=True)
     if t >= 1.0:
         return 1.0
     if t <= -1.0:
@@ -123,33 +130,29 @@ def eps_norm(t: float, charge: PointCharge, params: Params) -> float:
                                       (R^2-2Ru+1)^{-d/2} du,
 
     C = 2^{1-d} Gamma(d) / (Gamma(d-s/2) Gamma(s/2)); per unit charge.
+    At t = 1 it is the closed form U_s^sigma(R)/W_s of the whole sphere.
     """
-    _require_cap_regime(params)
+    _require_cap_regime(params, ring=True)
     charge = normalized_charge(charge, params)
     if t <= -1.0:
         return 0.0
+    if t == 1.0:
+        return field_potential_on_axis(charge, params) / sphere_energy(params)
     d, s, R = params.d, params.s, charge.R
     const = (math.exp((1.0 - d) * math.log(2.0) + log_gamma(float(d))
                       - log_gamma(d - s / 2.0) - log_gamma(s / 2.0))
              * (R + 1.0) ** (d - s) / sphere_energy(params))
-    # quadrature weight supplies (1+u)^{s/2-1}; the (1-u) surface part is
-    # stripped back out with omega_ratio and the residual (1-u)^{(d-s)/2}
-    # goes into the integrand (merged into the endpoint weight at t=1)
-    if t == 1.0:
-        f = lambda u: axis_dist2(u, R) ** (-d / 2.0)
-        se = (d - s) / 2.0
-    else:
-        f = lambda u: (1.0 - u) ** ((d - s) / 2.0) * axis_dist2(u, R) ** (-d / 2.0)
-        se = 0.0
-    val = integrate_radial(f, t, params, singular_exponent=se,
-                           left_exponent=s / 2.0 - 1.0, tol=1e-12)
+    # the rule supplies (1+u)^{s/2-1} (1-u)^{d/2-1} / omega_ratio and the
+    # integrand the rest, (1-u)^{(d-s)/2} (R^2-2Ru+1)^{-d/2}
+    f = lambda u: (1.0 - u) ** ((d - s) / 2.0) * axis_dist2(u, R) ** (-d / 2.0)
+    val = integrate_radial(f, t, params, left_exponent=s / 2.0 - 1.0, tol=1e-12)
     return const * omega_ratio(params) * val
 
 
 def phi(t: float, charge: AxisMeasure, params: Params) -> float:
     """Mhaskar-Saff functional of the cap: W_s (1 + sum_i m_i ||eps_t^i||)/||nu_t||,
-    with ||eps_t^i|| the per-unit-charge norm of atom i."""
-    _require_cap_regime(params)
+    with ||eps_t^i|| the per-unit-charge norm of atom i; d-2 <= s < d."""
+    _require_cap_regime(params, ring=True)
     if t <= -1.0:
         raise ValueError("phi diverges at t = -1 (the cap degenerates to a point)")
     field = charge.folded(params)
@@ -159,8 +162,8 @@ def phi(t: float, charge: AxisMeasure, params: Params) -> float:
 
 
 def _edge(t: float, field: AxisMeasure, params: Params) -> float:
-    # sum_i m_i (R_i+1)^{d-s} / r_i(t)^d, the competing term in Delta(t)
-    d, s = params.d, params.s
+    # sum_i m_i (R_i+1)^{d-s} / r_i(t)^d, the competing term in Delta(t) (s = 0 for log)
+    d, s = params.d, 0.0 if params.is_log else params.s
     return sum(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0)
                for R, m in field.folded(params).atoms)
 
@@ -222,6 +225,7 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     difference), which avoids the near-total cancellation of the 2F1 values
     when t is close to t0.
     """
+    _require_cap_regime(params)
     field = field.folded(params)
     d, s = params.d, params.s
     phi_t = phi(t, field, params)
@@ -249,7 +253,6 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
 def eta_density(u, t: float, charge: AxisMeasure, params: Params):
     """Density of the signed cap equilibrium eta_t at height u < t (see
     :func:`eta_measure`)."""
-    _require_cap_regime(params)
     if np.any(np.asarray(u, dtype=float) >= t):
         raise ValueError("eta_density needs u < t")
     return eta_measure(t, charge, params).radial_density(u)

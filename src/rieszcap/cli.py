@@ -18,7 +18,7 @@ Scenario schema::
               | {"mode": "offset", "value": -0.2},   # relative to solved t0
       "grid": 200,          # positive integer: curve resolution / verification grid
       "tol": 1e-5,          # verification tolerance
-      "seed": 0, "n": 800, "iters": 2500,    # particles task (integers, n >= 50)
+      "seed": 0, "n": 800, "iters": 2500,    # particles task (d = 2; integers, n >= 50)
       "newton_d": 2                          # newton-distance task
     }
 
@@ -206,6 +206,8 @@ def _task_verify(cfg, field, params, out_dir: Path, name: str) -> dict:
 
 
 def _task_particles(cfg, field, params, out_dir: Path, name: str) -> dict:
+    if params.d != 2:
+        raise ScenarioError(f"particles runs on S^2 only (d = 2), got d={params.d}")
     n = _value(cfg, "n", int, 800)
     if n < 50:
         raise ScenarioError(f"particles needs n >= 50, got {n}")

@@ -8,7 +8,6 @@ pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarn
 
 from rieszcap.cap_exceptional import (
     epsbar,
-    epsbar_norm,
     epsbar_potential,
     etabar,
     gamma_s_norm,
@@ -19,12 +18,11 @@ from rieszcap.cap_exceptional import (
     log_solve_t0,
     log_weighted_potential,
     nubar,
-    nubar_norm,
     nubar_potential,
-    phibar,
     solve_t0_exceptional,
     weakstar_gap,
 )
+from rieszcap.cap_riesz import eps_norm, nu_norm, phi
 from rieszcap.point_field import PointCharge
 from rieszcap.sphere import Params, axis_dist2, kappa, sphere_energy, surface_factor
 
@@ -70,7 +68,7 @@ def test_nubar_reduces_to_sigma_at_t1():
 def test_nubar_norm_closed_form_matches_mass():
     for t in (-0.3, 0.2, 0.7):
         m = nubar(t, P31)
-        assert nubar_norm(t, P31) == pytest.approx(m.mass, abs=1e-10)
+        assert nu_norm(t, P31) == pytest.approx(m.mass, abs=1e-10)
 
 
 def test_nubar_norm_quadrature():
@@ -80,7 +78,7 @@ def test_nubar_norm_quadrature():
         direct, err = integrate.quad(
             lambda u: (1.0 + u) ** (d / 2.0 - 2.0) * (1.0 - u) ** (d / 2.0), -1.0, t,
             epsabs=1e-13, epsrel=1e-12)
-        assert nubar_norm(t, P31) == pytest.approx((d - 2) / 4.0 * W * direct, rel=1e-10)
+        assert nu_norm(t, P31) == pytest.approx((d - 2) / 4.0 * W * direct, rel=1e-10)
 
 
 def test_nubar_potential_off_cap():
@@ -117,7 +115,7 @@ def test_epsbar_norm_quadrature():
             lambda u: (1.0 + u) ** (d / 2.0 - 2.0) * (1.0 - u) ** (d / 2.0)
             * axis_dist2(u, R) ** (-d / 2.0), -1.0, t, epsabs=1e-13, epsrel=1e-12)
         expected = (d - 2) / 4.0 * (R + 1.0) ** 2 * direct
-        assert epsbar_norm(t, C12, P31) == pytest.approx(expected, rel=1e-10)
+        assert eps_norm(t, C12, P31) == pytest.approx(expected, rel=1e-10)
         assert epsbar(t, C12, P31).mass == pytest.approx(expected, abs=1e-10)
 
 
@@ -149,6 +147,21 @@ def test_solve_t0_exceptional_reference():
     assert sol.equilibrium.mass == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("d, q, R, ref", [
+    (3, 1.0, 2.0, 0.34940700375689078708),
+    (3, 0.5, 1.2, 0.34864620022216720727),
+    (4, 1.0, 1.5, 0.28675241440931083081),
+    (5, 2.0, 2.5, 0.66419620126316977056),
+    (3, 3.0, 1.1, -0.29924843719945750586),
+], ids=["d3-q1-R2", "d3-q0.5-R1.2", "d4-q1-R1.5", "d5-q2-R2.5", "d3-q3-R1.1"])
+def test_solve_t0_exceptional_against_30_digit_references(d, q, R, ref):
+    # references: mpmath at 30 digits (bench/t0_reference.py); the bound is
+    # twice the xtol of the Brent solve
+    sol = solve_t0_exceptional(PointCharge(q=q, R=R), Params(d=d, s=float(d - 2)))
+    assert sol.solved_by == "interior_root"
+    assert abs(sol.t0 - ref) <= 2e-14
+
+
 def test_etabar_ring_charge_sign_structure():
     sol = solve_t0_exceptional(C12, P31)
     below = etabar(sol.t0 - 0.2, C12, P31)
@@ -167,7 +180,7 @@ def test_phibar_matches_weighted_potential_on_cap():
     # U^{etabar} + Q is constant = Phibar on the cap
     t = 0.1
     m = etabar(t, C12, P31)
-    pv = phibar(t, C12, P31)
+    pv = phi(t, C12, P31)
     q, R = 1.0, 2.0
     for xi in (-0.8, -0.3, 0.05):
         val = (ring_potential_quadrature(m, xi, P31)
@@ -202,9 +215,8 @@ def test_weakstar_moment_gaps_decay():
         assert all(a > b for a, b in zip(nu_gaps, nu_gaps[1:])), nu_gaps
         assert all(a > b for a, b in zip(eps_gaps, eps_gaps[1:])), eps_gaps
     # f = 1 gaps are norm gaps
-    from rieszcap.cap_riesz import nu_norm
     ps = Params(d=3, s=1.5)
-    assert recs[0]["nu"][0] == pytest.approx(abs(nu_norm(0.0, ps) - nubar_norm(0.0, P31)),
+    assert recs[0]["nu"][0] == pytest.approx(abs(nu_norm(0.0, ps) - nu_norm(0.0, P31)),
                                              abs=1e-8)
 
 

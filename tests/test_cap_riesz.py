@@ -7,11 +7,13 @@ from scipy import integrate
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
 from rieszcap.cap_riesz import (
+    delta,
     edge_derivative_diagnostic,
     eps_density,
     eps_norm,
     eps_potential,
     eta_density,
+    eta_measure,
     nu_density,
     nu_norm,
     nu_potential,
@@ -148,6 +150,27 @@ def test_nu_balayage_property():
 # norms
 
 
+def test_norms_phi_delta_gate_includes_s_equal_d_minus_2():
+    below = Params(d=3, s=0.5)
+    for call in (lambda: nu_norm(0.2, below), lambda: eps_norm(0.2, C13, below),
+                 lambda: phi(0.2, C13, below), lambda: delta(0.2, C13, below)):
+        with pytest.raises(ValueError):
+            call()
+    ring = Params(d=3, s=1.0)
+    assert 0.0 < nu_norm(0.2, ring) < 1.0
+    assert math.isfinite(delta(0.2, C13, ring))
+    with pytest.raises(ValueError):
+        phi(-1.0, C13, ring)
+
+
+def test_densities_and_eta_gate_excludes_s_equal_d_minus_2():
+    ring = Params(d=3, s=1.0)
+    for call in (lambda: nu_density(0.0, 0.2, ring), lambda: eps_density(0.0, 0.2, C13, ring),
+                 lambda: eta_density(0.0, 0.2, C13, ring), lambda: eta_measure(0.2, C13, ring)):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_nu_norm_endpoints():
     assert nu_norm(1.0, P21) == 1.0
     assert nu_norm(-1.0, P21) == 0.0
@@ -190,7 +213,7 @@ def test_eps_norm_endpoints_and_monotonicity():
 
 
 def test_eps_norm_t1_equals_axis_potential_ratio():
-    for (d, s, R) in [(2, 1.0, 1.5), (3, 1.7, 2.0), (4, 2.5, 1.2)]:
+    for (d, s, R) in [(2, 1.0, 1.5), (3, 1.7, 2.0), (4, 2.5, 1.2), (3, 1.0, 1.1), (2, 0.5, 1.5)]:
         p = Params(d=d, s=s)
         charge = PointCharge(q=1.0, R=R)
         expected = field_potential_on_axis(charge, p) / sphere_energy(p)

@@ -6,7 +6,7 @@ import pytest
 
 from rieszcap import cli
 from rieszcap.axis_field import axis_solve_t
-from rieszcap.cap_exceptional import etabar, log_etabar, log_weighted_potential, phibar
+from rieszcap.cap_exceptional import etabar, log_etabar, log_weighted_potential
 from rieszcap.cap_riesz import eta_density, phi, weighted_potential
 from rieszcap.point_field import PointCharge
 from rieszcap.specfun import ConvergenceError
@@ -73,7 +73,7 @@ def test_exceptional_density_matches_etabar(tmp_path):
         assert_rel(ring, m.boundary_coeff)
     summary = json.loads(json.dumps(cli.run_scenario(
         scenario("density", 3, EXCEPTIONAL[0], point(charge)), tmp_path)))
-    assert_rel(summary["F"], phibar(T_FIXED, charge, params))
+    assert_rel(summary["F"], phi(T_FIXED, charge, params))
 
 
 def test_exceptional_potential_matches_oracle(tmp_path):
@@ -226,6 +226,22 @@ def test_particles_with_too_few_points_exits_2(tmp_path, capsys):
     cfg = dict(scenario("particles", 2, RIESZ[0], point(RIESZ[2])), n=10, iters=3)
     assert cli.main(["run", str(write_scenario(tmp_path, cfg))]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_particles_off_s2_exits_2(tmp_path, capsys):
+    cfg = dict(scenario("particles", 3, EXCEPTIONAL[0], point(EXCEPTIONAL[2])), n=60, iters=3)
+    assert cli.main(["run", str(write_scenario(tmp_path, cfg))]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_exceptional_phi_curve_near_the_sphere_reaches_t1(tmp_path):
+    # the grid ends at t = 1, where ||eps_1|| has a closed form
+    cfg = scenario("phi-curve", 3, EXCEPTIONAL[0], {"type": "point", "q": 1.0, "R": 1.1},
+                   grid=200)
+    assert cli.main(["run", str(write_scenario(tmp_path, cfg))]) == 0
+    header, rows = read_csv(tmp_path / "case_phi.csv")
+    assert header == ["t", "phibar"]
+    assert rows.shape == (200, 2) and np.all(np.isfinite(rows))
 
 
 @pytest.mark.parametrize("d, kernel", [(3, {"type": "riesz", "s": 0.5}), (3, {"type": "log"})],
