@@ -18,7 +18,8 @@ Scenario schema::
               | {"mode": "offset", "value": -0.2},   # relative to solved t0
       "grid": 200,          # positive integer: curve resolution / verification grid
       "tol": 1e-5,          # verification tolerance
-      "seed": 0, "n": 800, "iters": 2500,    # particles task (d = 2; integers, n >= 50)
+      "seed": 0, "n": 800, "iters": 2500,    # particles task (d = 2; integers, n >= 50;
+                                             #   default seed 0, n 800, iters 2000)
       "newton_d": 2                          # newton-distance task
     }
 

@@ -138,35 +138,52 @@ class ParticleSystem:
         return self.points[:, 2]
 
 
-def _pair_energy_and_field(x: np.ndarray, params: Params, field) -> float:
-    n = x.shape[0]
-    dot = np.clip(x @ x.T, -1.0, 1.0)
-    d2 = np.maximum(2.0 - 2.0 * dot, 0.0)
-    iu = np.triu_indices(n, k=1)
-    pair_d2 = d2[iu]
-    if np.any(pair_d2 <= 0.0):
-        return math.inf
-    if params.is_log:
-        pair = -0.5 * np.sum(np.log(pair_d2))
-    else:
-        pair = np.sum(pair_d2 ** (-params.s / 2.0))
-    energy = 2.0 * pair / n ** 2  # both orders of each pair
-    q_vals = external_field(x[:, 2], field, params)
-    return float(energy + 2.0 / n * np.sum(q_vals))
+def _pairs(x: np.ndarray, params: Params):
+    """Kernel values k_ij and gradient weights w_ij of every pair of points,
+    both from one Gram matrix (diagonals zero).
 
-
-def _gradient(x: np.ndarray, params: Params, field) -> np.ndarray:
-    n = x.shape[0]
-    diff = x[:, None, :] - x[None, :, :]
-    d2 = np.sum(diff * diff, axis=2)
+    With d2_ij = |x_i - x_j|^2 = 2 - 2 x_i.x_j, the kernel is d2^{-s/2} (or
+    -log(d2)/2) and w_ij = s k_ij / d2_ij (or 1 / d2_ij), so that
+    grad_i k(x_i, x_j) = -w_ij (x_i - x_j).  Returns None when two points
+    coincide (an off-diagonal d2 <= 0).
+    """
+    # -2 x^T is a separate array, so numpy calls gemm, not the syrk of
+    # x @ x.T, which is about twice as slow with three columns
+    d2 = x @ (-2.0 * x.T)
+    d2 += 2.0
     np.fill_diagonal(d2, 1.0)
+    if d2.min() <= 0.0:
+        return None
     if params.is_log:
-        w = 1.0 / d2
+        k = np.log(d2)
+        k *= -0.5
+        w = np.reciprocal(d2, out=d2)
     else:
-        s = params.s
-        w = s * d2 ** (-(s + 2.0) / 2.0)
+        k = np.power(d2, -params.s / 2.0)
+        w = np.divide(k, d2, out=d2)
+        w *= params.s
+    np.fill_diagonal(k, 0.0)
     np.fill_diagonal(w, 0.0)
-    grad = -(2.0 / n ** 2) * np.einsum("ij,ijk->ik", w, diff)
+    return k, w
+
+
+def _energy(x: np.ndarray, params: Params, field):
+    """The discrete weighted energy of the points x and the gradient weights
+    of their pairs; (inf, None) when two points coincide."""
+    pairs = _pairs(x, params)
+    if pairs is None:
+        return math.inf, None
+    k, w = pairs
+    n = x.shape[0]
+    q_vals = external_field(x[:, 2], field, params)
+    return float(np.sum(k) / n ** 2 + 2.0 / n * np.sum(q_vals)), w
+
+
+def _gradient(x: np.ndarray, w: np.ndarray, params: Params, field) -> np.ndarray:
+    """Gradient of the discrete energy in R^3, from the pair weights w of x:
+    the pair part is -(2/n^2) (x_i sum_j w_ij - (W x)_i)."""
+    n = x.shape[0]
+    grad = -(2.0 / n ** 2) * (x * np.sum(w, axis=1)[:, None] - w @ x)
     # external field gradient; the field acts through |x - R p|
     for R, m in field.atoms:
         a = np.array([0.0, 0.0, R])
@@ -188,7 +205,10 @@ def minimize_particles(n: int, params: Params, field, seed: int,
 
     on S^2.  Steps renormalize to the sphere; backtracking halves the step
     until the energy does not increase and each accepted step may double it
-    again.  Deterministic for a given seed; raises after too many halvings.
+    again.  The energy and the gradient share one pair matrix: the weights
+    computed with an accepted trial's energy give the next step's gradient,
+    so each trial costs one n x n pair computation.  Deterministic for a
+    given seed; raises after too many halvings.
     """
     if params.d != 2:
         raise ValueError("the particle oracle runs on S^2 only")
@@ -201,16 +221,16 @@ def minimize_particles(n: int, params: Params, field, seed: int,
     backtrack = 0.5
     system = ParticleSystem(points=x, params=params, field=field,
                             step_init=step_init, backtrack_factor=backtrack)
-    energy = _pair_energy_and_field(x, params, field)
+    energy, w = _energy(x, params, field)
     system.energies.append(energy)
     step = step_init
     for _ in range(iters):
-        grad = _gradient(x, params, field)
+        grad = _gradient(x, w, params, field)
         accepted = False
         for _ in range(60):
             x_new = x - step * grad
             x_new /= np.linalg.norm(x_new, axis=1, keepdims=True)
-            e_new = _pair_energy_and_field(x_new, params, field)
+            e_new, w_new = _energy(x_new, params, field)
             if e_new <= energy:
                 accepted = True
                 break
@@ -219,8 +239,7 @@ def minimize_particles(n: int, params: Params, field, seed: int,
             raise RuntimeError(
                 f"descent stalled: energy {energy:.12g}, step {step:.3e}, "
                 f"gradient norm {np.linalg.norm(grad):.3e}")
-        x = x_new
-        energy = e_new
+        x, energy, w = x_new, e_new, w_new
         system.energies.append(energy)
         step *= 2.0  # regrow towards the stability ceiling; backtracking trims it
     system.points = x
@@ -230,7 +249,13 @@ def minimize_particles(n: int, params: Params, field, seed: int,
 def empirical_support_height(system: ParticleSystem) -> float:
     """Support-edge estimate from the particle heights: the 95th percentile
     linearly extrapolated through the 90th (2 q95 - q90), which hits the true
-    edge exactly for a locally uniform height distribution."""
+    edge exactly for a locally uniform height distribution.
+
+    The extremal density eta_t0 vanishes like (t0 - u)^{1/2} at the edge, so
+    under that law the estimate is biased low: 0.465 against t0 = 0.505 on
+    ``scenarios/reference_particles.json``.  ROADMAP item 5 replaces it with
+    a distance between height distributions.
+    """
     h = np.sort(system.heights)
     q90, q95 = np.quantile(h, [0.90, 0.95])
     return float(2.0 * q95 - q90)

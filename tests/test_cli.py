@@ -234,6 +234,18 @@ def test_particles_off_s2_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_particles_rerun_is_byte_identical(tmp_path):
+    cfg = dict(scenario("particles", 2, RIESZ[0], point(RIESZ[2])), n=60, iters=20, seed=4)
+    path = write_scenario(tmp_path, cfg)
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["run", str(path), "--out", str(first)]) == 0
+    assert cli.main(["run", str(path), "--out", str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == ["case.json", "case_heights.csv"]
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
 def test_exceptional_phi_curve_near_the_sphere_reaches_t1(tmp_path):
     # the grid ends at t = 1, where ||eps_1|| has a closed form
     cfg = scenario("phi-curve", 3, EXCEPTIONAL[0], {"type": "point", "q": 1.0, "R": 1.1},
@@ -266,3 +278,14 @@ FIG1_XFAIL = pytest.mark.xfail(strict=True, raises=ConvergenceError,
     for p in sorted(SCENARIOS.glob("*.json")) if p.stem not in SLOW_SCENARIOS])
 def test_committed_scenario_runs(tmp_path, path):
     cli.run_scenario(json.loads(path.read_text()), tmp_path)
+
+
+def test_committed_particle_scenario_runs_briefly(tmp_path):
+    # reference_particles with 20 descent steps in place of its 2,500
+    cfg = json.loads((SCENARIOS / "reference_particles.json").read_text())
+    cfg["iters"] = 20
+    cli.run_scenario(cfg, tmp_path)
+    payload = json.loads((tmp_path / "reference_particles.json").read_text())
+    assert payload["energy_monotone"] is True and payload["iters"] == 20
+    _, heights = read_csv(tmp_path / "reference_particles_heights.csv")
+    assert heights.shape == (cfg["n"], 1) and np.all(np.abs(heights) <= 1.0)
