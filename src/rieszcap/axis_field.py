@@ -35,7 +35,6 @@ __all__ = [
     "axis_sphere_equilibrium",
     "cap_measure",
     "axis_solve_t",
-    "axis_f0_functional",
 ]
 
 
@@ -149,14 +148,6 @@ class CapSolution:
     field: AxisMeasure
     params: Params
 
-    @property
-    def t_lambda(self) -> float:
-        return self.t0
-
-    @property
-    def phi_at_t(self) -> float:
-        return self.phi_at_t0
-
 
 def _solve_bracketed(delta) -> float:
     # Delta > 0 near t = -1 and Delta(1) < 0: bracket the sign change on a grid
@@ -187,9 +178,3 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     measure = replace(cap_measure(lam, t0, params), boundary_coeff=0.0).with_mass(params)
     return CapSolution(t0=t0, phi_at_t0=measure.phi, equilibrium=measure,
                        solved_by=solved_by, field=lam, params=params)
-
-
-def axis_f0_functional(t: float, lam: AxisMeasure) -> float:
-    """Closed-form logarithmic cap functional for the axis field (d = 2); see
-    :func:`rieszcap.cap_exceptional.log_f0_functional`."""
-    return cap_exceptional.log_f0_functional(t, lam)

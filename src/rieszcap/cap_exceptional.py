@@ -24,28 +24,23 @@ import math
 import numpy as np
 
 from rieszcap.cap_riesz import _edge, eps_density, nu_density, phi
-from rieszcap.point_field import AxisMeasure, PointCharge, normalized_charge
+from rieszcap.point_field import AxisMeasure, PointCharge
 from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, sphere_energy
 
 __all__ = [
     "nubar",
     "epsbar",
     "etabar_measure",
-    "etabar",
-    "solve_t0_exceptional",
     "nubar_potential",
     "epsbar_potential",
     "etabar_potential",
     "weakstar_gap",
     "gamma_s_norm",
-    "log_cap_measures",
     "log_delta",
     "log_etabar",
     "log_cap_energy",
     "log_f0_functional",
-    "log_solve_t0",
     "log_eta_potential",
-    "log_weighted_potential",
 ]
 
 _LOG2 = Params(d=2, log=True)
@@ -74,7 +69,7 @@ def nubar(t: float, params: Params) -> CapMeasure:
 def epsbar(t: float, charge: PointCharge, params: Params) -> CapMeasure:
     """Balayage of the unit point charge at s = d-2 (per unit charge)."""
     _require_exceptional(params)
-    charge = normalized_charge(charge, params)
+    charge = charge.folded(params)
     d, R = params.d, charge.R
     W = sphere_energy(params)
     r2 = axis_dist2(t, R)
@@ -109,24 +104,6 @@ def etabar_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     return CapMeasure(t=t, regular_part=interior, boundary_coeff=bcoef, phi=pv)
 
 
-def etabar(t: float, charge: AxisMeasure, params: Params) -> CapMeasure:
-    """The signed cap equilibrium of :func:`etabar_measure` with its mass."""
-    return etabar_measure(t, charge, params).with_mass(params)
-
-
-def solve_t0_exceptional(charge: AxisMeasure, params: Params):
-    """Optimal cap at s = d-2: the root of
-    Phi(t) = q (R+1)^2 / (R^2-2Rt+1)^{d/2}, or t0 = 1 without one.
-
-    The extremal measure has no ring charge; its interior density is
-    (Phi(t0)/W)[1 - (R-1)^2 (R^2-2Rt0+1)^{d/2} / (R^2-2Ru+1)^{d/2+1}],
-    strictly positive up to the edge.
-    """
-    from rieszcap.axis_field import axis_solve_t
-    _require_exceptional(params)
-    return axis_solve_t(charge, params)
-
-
 def nubar_potential(xi: float, t: float, params: Params) -> float:
     """U^{nubar_t}: W_{d-2} on the cap, W_{d-2}(1+t)^{d/2-1}(1+xi)^{1-d/2}
     above it (strictly smaller there)."""
@@ -142,7 +119,7 @@ def epsbar_potential(xi: float, t: float, charge: PointCharge, params: Params) -
     """U^{epsbar_t} (per unit charge): |z-a|^{2-d} on the cap,
     r^{2-d}(1+t)^{d/2-1}(1+xi)^{1-d/2} above it."""
     _require_exceptional(params)
-    charge = normalized_charge(charge, params)
+    charge = charge.folded(params)
     d, R = params.d, charge.R
     if xi <= t:
         return axis_dist2(xi, R) ** ((2.0 - d) / 2.0)
@@ -186,13 +163,13 @@ def weakstar_gap(t: float, s_values, charge: PointCharge, params: Params):
     's', 'nu', 'eps'.  Decay along s -> (d-2)+ is the caller's assertion.
     """
     _require_exceptional(params)
-    charge = normalized_charge(charge, params)
+    charge = charge.folded(params)
     d = params.d
     nb = nubar(t, params)
     eb = epsbar(t, charge, params)
 
     def bar_moment(measure: CapMeasure, k: int) -> float:
-        interior = integrate_radial(lambda u: measure.interior_density(u) * u ** k,
+        interior = integrate_radial(lambda u: measure.radial_density(u) * u ** k,
                                     t, params, tol=1e-12)
         return interior + measure.boundary_coeff * t ** k
 
@@ -227,23 +204,6 @@ def log_cap_energy(t: float) -> float:
     if not -1.0 < t <= 1.0:
         raise ValueError("cap height must lie in (-1, 1]")
     return (1.0 + t) / 4.0 - 0.5 * math.log(2.0) - 0.5 * math.log1p(t)
-
-
-def log_cap_measures(t: float, charge: PointCharge) -> tuple[CapMeasure, CapMeasure]:
-    """The pair (nubar_{t,0}, epsbar_{t,0}) of logarithmic balayages onto the
-    cap; both have total mass exactly 1 (log balayage preserves mass)."""
-    if charge.R <= 1.0:
-        raise ValueError("logarithmic balayage needs R > 1")
-    R = charge.R
-    r2 = axis_dist2(t, R)
-    nu = CapMeasure(t=t, regular_part=np.ones_like, boundary_coeff=(1.0 - t) / 2.0, mass=1.0)
-
-    def eps_interior(u):
-        return (R * R - 1.0) ** 2 / axis_dist2(u, R) ** 2
-
-    eps = CapMeasure(t=t, regular_part=eps_interior,
-                     boundary_coeff=(1.0 - t) / 2.0 * (R + 1.0) ** 2 / r2, mass=1.0)
-    return nu, eps
 
 
 def log_delta(t: float, field: AxisMeasure) -> float:
@@ -291,19 +251,6 @@ def log_f0_functional(t: float, charge: AxisMeasure) -> float:
     return out
 
 
-def log_solve_t0(charge: AxisMeasure):
-    """Planar logarithmic support cap: the root of Delta(t) = 0 (see
-    :func:`log_delta`), in closed form for a point charge
-
-        t0 = min{ 1, (R^2 - 2 R q + 1) / (2 R (1 + q)) },
-
-    with extremal density 1 + q - q (R^2-1)^2/(R^2-2Ru+1)^2, which stays
-    strictly positive at the edge for t0 < 1.
-    """
-    from rieszcap.axis_field import axis_solve_t
-    return axis_solve_t(charge, _LOG2)
-
-
 def log_eta_potential(xi: float, eta: CapMeasure, field: AxisMeasure) -> float:
     """Weighted logarithmic potential of the signed cap equilibrium
     (``eta`` from :func:`log_etabar`): F_0(Sigma_t) on the cap, and off it
@@ -316,8 +263,3 @@ def log_eta_potential(xi: float, eta: CapMeasure, field: AxisMeasure) -> float:
     return (f0 + 0.5 * math.log((1.0 + t) / (1.0 + xi))
             + sum(0.5 * m * math.log(axis_dist2(t, R) / axis_dist2(xi, R))
                   for R, m in field.folded(_LOG2).atoms))
-
-
-def log_weighted_potential(xi: float, t: float, charge: AxisMeasure) -> float:
-    """Weighted logarithmic potential at height xi (see :func:`log_eta_potential`)."""
-    return log_eta_potential(xi, log_etabar(t, charge), charge)

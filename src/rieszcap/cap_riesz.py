@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import betainc, rgamma
 
-from rieszcap.point_field import AxisMeasure, PointCharge, field_potential_on_axis, \
-    normalized_charge
-from rieszcap.specfun import beta_inc_reg, hyp2f1_regularized, log_gamma, rgamma
+from rieszcap.point_field import AxisMeasure, PointCharge, field_potential_on_axis
+from rieszcap.specfun import hyp2f1_regularized
 from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, omega_ratio, \
     sphere_energy
 
@@ -40,11 +40,7 @@ __all__ = [
     "phi",
     "delta",
     "eta_measure",
-    "eta_density",
-    "solve_t0",
     "eta_potential",
-    "weighted_potential",
-    "edge_derivative_diagnostic",
     "nu_potential",
     "eps_potential",
 ]
@@ -81,7 +77,7 @@ def _balayage_density(u_arr, t: float, params: Params, scale: float, c2: float):
     #   2F1reg(1, d/2; 1-(d-s)/2; c2 (t-u)/(1-u))
     d, s = params.d, params.s
     w = (t - u_arr) / (1.0 - u_arr)
-    pref = scale * math.exp(log_gamma(d / 2.0) - log_gamma(d - s / 2.0))
+    pref = scale * math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0))
     out = (pref * ((1.0 - t) / (1.0 - u_arr)) ** (d / 2.0)
            * ((t - u_arr) / (1.0 - t)) ** ((s - d) / 2.0)
            * hyp2f1_regularized(1.0, d / 2.0, 1.0 - (d - s) / 2.0, c2 * w))
@@ -98,7 +94,7 @@ def eps_density(u, t: float, charge: PointCharge, params: Params):
     with r^2 = R^2 - 2 R t + 1.  Same edge singularity as nu_t'.
     """
     _require_cap_regime(params)
-    charge = normalized_charge(charge, params)
+    charge = charge.folded(params)
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr >= t):
         raise ValueError("eps_density needs u < t")
@@ -114,13 +110,17 @@ def eps_density(u, t: float, charge: PointCharge, params: Params):
 
 
 def nu_norm(t: float, params: Params) -> float:
-    """||nu_t|| = 1 - I((1-t)/2; d - s/2, s/2) (regularized incomplete beta)."""
+    """||nu_t|| = I((1+t)/2; s/2, d - s/2) (regularized incomplete beta).
+
+    The symmetric form of 1 - I((1-t)/2; d - s/2, s/2) (DLMF 8.17.4), which
+    would lose digits to the subtraction.
+    """
     _require_cap_regime(params, ring=True)
     if t >= 1.0:
         return 1.0
     if t <= -1.0:
         return 0.0
-    return 1.0 - beta_inc_reg((1.0 - t) / 2.0, params.d - params.s / 2.0, params.s / 2.0)
+    return betainc(params.s / 2.0, params.d - params.s / 2.0, (1.0 + t) / 2.0)
 
 
 def eps_norm(t: float, charge: PointCharge, params: Params) -> float:
@@ -133,14 +133,14 @@ def eps_norm(t: float, charge: PointCharge, params: Params) -> float:
     At t = 1 it is the closed form U_s^sigma(R)/W_s of the whole sphere.
     """
     _require_cap_regime(params, ring=True)
-    charge = normalized_charge(charge, params)
+    charge = charge.folded(params)
     if t <= -1.0:
         return 0.0
     if t == 1.0:
         return field_potential_on_axis(charge, params) / sphere_energy(params)
     d, s, R = params.d, params.s, charge.R
-    const = (math.exp((1.0 - d) * math.log(2.0) + log_gamma(float(d))
-                      - log_gamma(d - s / 2.0) - log_gamma(s / 2.0))
+    const = (math.exp((1.0 - d) * math.log(2.0) + math.lgamma(float(d))
+                      - math.lgamma(d - s / 2.0) - math.lgamma(s / 2.0))
              * (R + 1.0) ** (d - s) / sphere_energy(params))
     # the rule supplies (1+u)^{s/2-1} (1-u)^{d/2-1} / omega_ratio and the
     # integrand the rest, (1-u)^{(d-s)/2} (R^2-2Ru+1)^{-d/2}
@@ -230,7 +230,7 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     d, s = params.d, params.s
     phi_t = phi(t, field, params)
     delta_t = phi_t - _edge(t, field, params)
-    pref0 = math.exp(log_gamma(d / 2.0) - log_gamma(d - s / 2.0)) / sphere_energy(params)
+    pref0 = math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0)) / sphere_energy(params)
     cc = 1.0 - (d - s) / 2.0
     atom_terms = []
     for R, m in field.atoms:
@@ -250,27 +250,6 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     return CapMeasure(t=t, regular_part=regular, singular_exponent=(s - d) / 2.0, phi=phi_t)
 
 
-def eta_density(u, t: float, charge: AxisMeasure, params: Params):
-    """Density of the signed cap equilibrium eta_t at height u < t (see
-    :func:`eta_measure`)."""
-    if np.any(np.asarray(u, dtype=float) >= t):
-        raise ValueError("eta_density needs u < t")
-    return eta_measure(t, charge, params).radial_density(u)
-
-
-def solve_t0(charge: AxisMeasure, params: Params):
-    """Locate the extremal support cap and its equilibrium measure.
-
-    Delta(1) >= 0 (equivalently a nonnegative full-support margin) means the
-    support is the whole sphere: t0 = 1 and the equilibrium is the
-    full-sphere signed density.  Otherwise Delta has a unique interior root
-    (see :func:`rieszcap.axis_field.axis_solve_t`).
-    """
-    from rieszcap.axis_field import axis_solve_t
-    _require_cap_regime(params)
-    return axis_solve_t(charge, params)
-
-
 def nu_potential(xi: float, t: float, params: Params) -> float:
     """Potential of nu_t at height xi: W_s on the cap, and
 
@@ -282,22 +261,21 @@ def nu_potential(xi: float, t: float, params: Params) -> float:
     W = sphere_energy(params)
     if xi <= t:
         return W
-    return W * beta_inc_reg((1.0 + t) / (1.0 + xi), params.s / 2.0,
-                            (params.d - params.s) / 2.0)
+    return W * betainc(params.s / 2.0, (params.d - params.s) / 2.0, (1.0 + t) / (1.0 + xi))
 
 
 def eps_potential(xi: float, t: float, charge: PointCharge, params: Params) -> float:
     """Potential of eps_t at height xi (per unit charge): |z-a|^{-s} on the
     cap, rho^{-s} I((rho^2/r^2)(1+t)/(1+xi); s/2, (d-s)/2) above it."""
     _require_cap_regime(params)
-    charge = normalized_charge(charge, params)
+    charge = charge.folded(params)
     s, R = params.s, charge.R
     rho2 = axis_dist2(xi, R)
     if xi <= t:
         return rho2 ** (-s / 2.0)
     r2 = axis_dist2(t, R)
     x = (rho2 / r2) * (1.0 + t) / (1.0 + xi)
-    return rho2 ** (-s / 2.0) * beta_inc_reg(x, s / 2.0, (params.d - params.s) / 2.0)
+    return rho2 ** (-s / 2.0) * betainc(s / 2.0, (params.d - params.s) / 2.0, x)
 
 
 def eta_potential(xi: float, eta: CapMeasure, field: AxisMeasure, params: Params) -> float:
@@ -314,26 +292,7 @@ def eta_potential(xi: float, eta: CapMeasure, field: AxisMeasure, params: Params
     d, s = params.d, params.s
     charges = sum(
         m * axis_dist2(xi, R) ** (-s / 2.0)
-        * beta_inc_reg(min(1.0, (R + 1.0) ** 2 * (xi - t) / (axis_dist2(t, R) * (1.0 + xi))),
-                       (d - s) / 2.0, s / 2.0)
+        * betainc((d - s) / 2.0, s / 2.0,
+                  min(1.0, (R + 1.0) ** 2 * (xi - t) / (axis_dist2(t, R) * (1.0 + xi))))
         for R, m in field.folded(params).atoms)
-    return phi_t + charges - phi_t * beta_inc_reg((xi - t) / (1.0 + xi), (d - s) / 2.0, s / 2.0)
-
-
-def weighted_potential(xi: float, t: float, charge: AxisMeasure, params: Params) -> float:
-    """Weighted potential U^{eta_t} + Q at height xi (see :func:`eta_potential`)."""
-    return eta_potential(xi, eta_measure(t, charge, params), charge, params)
-
-
-def edge_derivative_diagnostic(t: float, charge: AxisMeasure, params: Params) -> float:
-    """Coefficient sum_i m_i (R_i+1)^{d-s}/r_i^d - Phi_s(t) of the
-    (xi-t)^{(d-s)/2-1} singularity in the outward derivative of the weighted
-    potential.
-
-    Zero exactly at t = t0; negative below (the potential dips off the
-    cap), positive above.
-    """
-    _require_cap_regime(params)
-    if not -1.0 < t < 1.0:
-        raise ValueError("edge diagnostic needs -1 < t < 1")
-    return -delta(t, charge, params)
+    return phi_t + charges - phi_t * betainc((d - s) / 2.0, s / 2.0, (xi - t) / (1.0 + xi))

@@ -60,13 +60,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _value(cfg: dict, key: str, kind: type, default=None):
-    # cfg[key] as an int or a float; JSON booleans are neither
-    val = cfg.get(key, default)
+def _number(val, what: str, kind: type = float):
+    # val as an int or a float; JSON booleans and strings are neither
     allowed = (int, float) if kind is float else int
     if isinstance(val, bool) or not isinstance(val, allowed):
-        raise ScenarioError(f"{key} must be {kind.__name__}, got {val!r}")
+        raise ScenarioError(f"{what} must be {kind.__name__}, got {val!r}")
     return kind(val)
+
+
+def _value(cfg: dict, key: str, kind: type, default=None):
+    return _number(cfg.get(key, default), key, kind)
 
 
 def _grid(cfg: dict, default: int) -> int:
@@ -82,7 +85,7 @@ def _parse_params(cfg: dict) -> Params:
         kernel = cfg["kernel"]
         ktype = kernel["type"]
         if ktype == "riesz":
-            params = Params(d=d, s=float(kernel["s"]))
+            params = Params(d=d, s=_number(kernel["s"], "s"))
         elif ktype == "log":
             params = Params(d=d, log=True)
     except (KeyError, TypeError, ValueError) as exc:
@@ -104,9 +107,9 @@ def _parse_field(cfg: dict) -> AxisMeasure:
         raise ScenarioError(f"missing or malformed field: {exc}") from exc
     try:
         if ftype == "point":
-            return PointCharge(q=float(fcfg["q"]), R=float(fcfg["R"]))
+            return PointCharge(q=_number(fcfg["q"], "q"), R=_number(fcfg["R"], "R"))
         if ftype == "axis":
-            return AxisMeasure([(float(R), float(m)) for R, m in fcfg["atoms"]])
+            return AxisMeasure([(_number(R, "R"), _number(m, "m")) for R, m in fcfg["atoms"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad field: {exc}") from exc
     raise ScenarioError(f"unknown field type {ftype!r}")

@@ -3,15 +3,18 @@
 A finite positive atom measure lambda = sum_i m_i delta_{R_i p} drives the
 field Q(x) = sum_i m_i |x - R_i p|^{-s} (or the log analogue); a point
 charge q at a = R*p is the one-atom case.  The signed equilibrium on the
-full sphere is an explicit density against sigma_d, the field potential on
-the axis is a Gauss hypergeometric value, and the "support is the whole
-sphere" question reduces to the sign of a scalar margin.  The distance
+full sphere (:class:`SphereSignedDensity`, assembled by
+:func:`rieszcap.axis_field.axis_sphere_equilibrium`) is an explicit density
+against sigma_d, the field potential on the axis is a Gauss hypergeometric
+value, and the "support is the whole sphere" question reduces to the sign
+of a scalar margin.  The distance
 question for the Newtonian kernel s = d-1 comes down to one polynomial root
 (the golden ratio when d = 2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -25,11 +28,7 @@ __all__ = [
     "AxisMeasure",
     "PointCharge",
     "SphereSignedDensity",
-    "normalized_charge",
     "field_potential_on_axis",
-    "sphere_signed_density",
-    "sphere_signed_equilibrium",
-    "full_support_margin",
     "gonchar_polynomial",
     "gonchar_root",
 ]
@@ -39,9 +38,10 @@ __all__ = [
 class AxisMeasure:
     """Finite positive measure on the axis: atoms ((R_1, m_1), ...).
 
-    All masses must be positive and every height must satisfy R > 0,
-    R != 1.  Atoms with R < 1 are accepted for Riesz kernels and mapped to
-    the equivalent exterior problem by inversion (see :meth:`folded`).
+    All masses must be positive and finite, and every height must satisfy
+    0 < R < inf, R != 1.  Atoms with R < 1 are accepted for Riesz kernels
+    and mapped to the equivalent exterior problem by inversion (see
+    :meth:`folded`).
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -51,10 +51,10 @@ class AxisMeasure:
         if not atoms:
             raise ValueError("axis measure needs at least one atom")
         for R, m in atoms:
-            if not m > 0.0:
-                raise ValueError(f"charges must be positive, got {m}")
-            if not R > 0.0 or R == 1.0:
-                raise ValueError(f"axis height must satisfy R > 0, R != 1, got R={R}")
+            if not 0.0 < m < math.inf:
+                raise ValueError(f"charges must be positive and finite, got {m}")
+            if not 0.0 < R < math.inf or R == 1.0:
+                raise ValueError(f"axis height must satisfy 0 < R < inf, R != 1, got R={R}")
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -96,11 +96,6 @@ class PointCharge(AxisMeasure):
         return self.atoms[0][0]
 
 
-def normalized_charge(charge: AxisMeasure, params: Params) -> AxisMeasure:
-    """Map R < 1 onto the equivalent R > 1 charge (Riesz kernels only)."""
-    return charge.folded(params)
-
-
 @dataclass(frozen=True)
 class SphereSignedDensity:
     """Signed equilibrium on the whole sphere: density F-form plus metadata.
@@ -124,43 +119,11 @@ def field_potential_on_axis(charge: PointCharge, params: Params) -> float:
     """
     if params.is_log:
         raise ValueError("field_potential_on_axis covers 0 < s < d Riesz kernels")
-    charge = normalized_charge(charge, params)
+    charge = charge.folded(params)
     d, s, R = params.d, params.s, charge.R
     # 1 - z = ((R-1)/(R+1))^2 computed directly: z itself rounds to 1 as R -> 1
     w = ((R - 1.0) / (R + 1.0)) ** 2
     return (R + 1.0) ** (-s) * hyp2f1_1mz(s / 2.0, d / 2.0, float(d), w)
-
-
-def sphere_signed_density(u, charge: PointCharge, params: Params):
-    """Density of the signed equilibrium on the full sphere at height u:
-
-        1 + q U_s^sigma(a)/W_s - q (R^2-1)^{d-s} / (W_s |x-a|^{2d-s}),
-
-    with |x-a|^2 = R^2 - 2Ru + 1.  Uniform when q -> 0; minimal at the
-    North Pole.  Vectorized over u.
-    """
-    return sphere_signed_equilibrium(charge, params).density(u)
-
-
-def full_support_margin(charge: PointCharge, params: Params) -> float:
-    """Signed margin of the whole-sphere support criterion:
-
-        W_s/q - [ (R+1)^{d-s}/(R-1)^d - U_s^sigma(a) ],
-
-    nonnegative exactly when the extremal measure covers the sphere (and
-    zero at the critical R_q).  Equivalent to (W_s/q) * density(1).
-    """
-    charge = normalized_charge(charge, params)
-    return sphere_signed_equilibrium(charge, params).support_margin / charge.q
-
-
-def sphere_signed_equilibrium(charge: PointCharge, params: Params) -> SphereSignedDensity:
-    """Bundle the full-sphere signed equilibrium with its functional value."""
-    from rieszcap.axis_field import axis_sphere_equilibrium
-    if params.is_log:
-        raise ValueError("the point-charge sphere formulas cover Riesz kernels; the "
-                         "logarithmic variant lives in axis_field.axis_sphere_equilibrium")
-    return axis_sphere_equilibrium(charge, params)
 
 
 def gonchar_polynomial(d: int, rho: float) -> float:

@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import psi, roots_jacobi
 
-from rieszcap.specfun import ConvergenceError, digamma, gamma, hyp2f1, log_gamma
+from rieszcap.specfun import ConvergenceError, hyp2f1
 
 __all__ = [
     "Params",
@@ -33,7 +33,6 @@ __all__ = [
     "boundary_potential",
     "kelvin_image_height",
     "axis_dist2",
-    "chord2",
     "build_quadrature",
     "integrate_radial",
 ]
@@ -93,7 +92,7 @@ def omega_ratio(params: Params | int) -> float:
     d = _dim(params)
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    return math.sqrt(math.pi) * math.exp(log_gamma(d / 2.0) - log_gamma((d + 1) / 2.0))
+    return math.sqrt(math.pi) * math.exp(math.lgamma(d / 2.0) - math.lgamma((d + 1) / 2.0))
 
 
 def surface_factor(params: Params | int) -> float:
@@ -111,24 +110,16 @@ def sphere_energy(params: Params) -> float:
     """
     d = params.d
     if params.is_log:
-        return 0.5 * (digamma(float(d)) - digamma(d / 2.0)) - math.log(2.0)
+        return 0.5 * (psi(float(d)) - psi(d / 2.0)) - math.log(2.0)
     s = params.s
     # Params already guarantees 0 < s < d
-    return math.exp(log_gamma(float(d)) + log_gamma((d - s) / 2.0)
-                    - s * math.log(2.0) - log_gamma(d / 2.0) - log_gamma(d - s / 2.0))
+    return math.exp(math.lgamma(float(d)) + math.lgamma((d - s) / 2.0)
+                    - s * math.log(2.0) - math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0))
 
 
 def axis_dist2(u, R: float):
     """Squared distance from a sphere point at height u to the axis point R*p."""
     return R * R - 2.0 * R * u + 1.0
-
-
-def chord2(u: float, v: float, theta: float) -> float:
-    """Squared chord distance between sphere points at heights u, v whose
-    ring coordinates differ by the angle theta."""
-    su = math.sqrt(max(0.0, 1.0 - u * u))
-    sv = math.sqrt(max(0.0, 1.0 - v * v))
-    return max(0.0, 2.0 - 2.0 * (u * v + su * sv * math.cos(theta)))
 
 
 def kappa(u: float, xi: float, params: Params) -> float:
@@ -151,8 +142,8 @@ def kappa(u: float, xi: float, params: Params) -> float:
         if s >= d - 1:
             raise ValueError("kappa is singular at u = xi for s >= d-1")
         # 2F1 at z=1 by Gauss summation; c-a-b = d-1-s > 0
-        val = math.exp(log_gamma(d / 2.0) + log_gamma(d - 1.0 - s)
-                       - log_gamma((d - s) / 2.0) - log_gamma(d - 1.0 - s / 2.0))
+        val = math.exp(math.lgamma(d / 2.0) + math.lgamma(d - 1.0 - s)
+                       - math.lgamma((d - s) / 2.0) - math.lgamma(d - 1.0 - s / 2.0))
         return (1.0 - lo * lo) ** (-s / 2.0) * val
     z = (1.0 + lo) * (1.0 - hi) / ((1.0 - lo) * (1.0 + hi))
     return ((1.0 - lo) * (1.0 + hi)) ** (-s / 2.0) * hyp2f1(s / 2.0, 1.0 - (d - s) / 2.0, d / 2.0, z)
@@ -315,8 +306,6 @@ class CapMeasure:
         u_arr = np.asarray(u, dtype=float)
         out = np.asarray(self.regular_part(u_arr)) * (self.t - u_arr) ** self.singular_exponent
         return float(out) if out.ndim == 0 else out
-
-    interior_density = radial_density
 
     def with_mass(self, params: Params) -> "CapMeasure":
         """This measure with ``mass`` set: the cap integral plus the ring charge."""

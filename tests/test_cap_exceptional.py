@@ -6,28 +6,42 @@ from scipy import integrate
 
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
+from rieszcap.axis_field import axis_solve_t
 from rieszcap.cap_exceptional import (
     epsbar,
     epsbar_potential,
-    etabar,
+    etabar_measure,
     gamma_s_norm,
     log_cap_energy,
-    log_cap_measures,
+    log_eta_potential,
     log_etabar,
     log_f0_functional,
-    log_solve_t0,
-    log_weighted_potential,
     nubar,
     nubar_potential,
-    solve_t0_exceptional,
     weakstar_gap,
 )
 from rieszcap.cap_riesz import eps_norm, nu_norm, phi
 from rieszcap.point_field import PointCharge
-from rieszcap.sphere import Params, axis_dist2, kappa, sphere_energy, surface_factor
+from rieszcap.sphere import CapMeasure, Params, axis_dist2, kappa, sphere_energy, surface_factor
 
 P31 = Params(d=3, s=1.0)
+PLOG = Params(d=2, log=True)
 C12 = PointCharge(q=1.0, R=2.0)
+
+
+def log_cap_measures(t: float, charge: PointCharge) -> tuple[CapMeasure, CapMeasure]:
+    """The pair (nubar_{t,0}, epsbar_{t,0}) of logarithmic balayages onto the
+    cap; both have total mass exactly 1 (log balayage preserves mass)."""
+    R = charge.R
+    r2 = axis_dist2(t, R)
+    nu = CapMeasure(t=t, regular_part=np.ones_like, boundary_coeff=(1.0 - t) / 2.0, mass=1.0)
+
+    def eps_interior(u):
+        return (R * R - 1.0) ** 2 / axis_dist2(u, R) ** 2
+
+    eps = CapMeasure(t=t, regular_part=eps_interior,
+                     boundary_coeff=(1.0 - t) / 2.0 * (R + 1.0) ** 2 / r2, mass=1.0)
+    return nu, eps
 
 
 def ring_potential_quadrature(measure, xi, params):
@@ -35,7 +49,7 @@ def ring_potential_quadrature(measure, xi, params):
     d, t = params.d, measure.t
 
     def f(u):
-        return measure.interior_density(u) * kappa(u, xi, params) \
+        return measure.radial_density(u) * kappa(u, xi, params) \
             * (1.0 - u * u) ** (d / 2.0 - 1.0)
 
     pieces = []
@@ -126,7 +140,7 @@ def test_epsbar_t1_consistency():
     W = sphere_energy(P31)
     for u in (-0.5, 0.5):
         full = (R * R - 1.0) ** (d - s) * axis_dist2(u, R) ** (s / 2.0 - d) / W
-        assert m.interior_density(u) == pytest.approx(full, rel=1e-13)
+        assert m.radial_density(u) == pytest.approx(full, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +148,12 @@ def test_epsbar_t1_consistency():
 
 
 def test_solve_t0_exceptional_reference():
-    sol = solve_t0_exceptional(C12, P31)
+    sol = axis_solve_t(C12, P31)
     assert sol.solved_by == "interior_root"
     # scratch solve of the exceptional equilibrium condition (d=3,q=1,R=2)
     assert sol.t0 == pytest.approx(0.34940700375655837, abs=1e-9)
     # boundary charge of etabar vanishes at t0
-    ring = etabar(sol.t0, C12, P31)
+    ring = etabar_measure(sol.t0, C12, P31).with_mass(P31)
     assert abs(ring.boundary_coeff) < 1e-10
     # interior density strictly positive at the cap edge
     edge = sol.equilibrium.radial_density(sol.t0 - 1e-12)
@@ -157,29 +171,29 @@ def test_solve_t0_exceptional_reference():
 def test_solve_t0_exceptional_against_30_digit_references(d, q, R, ref):
     # references: mpmath at 30 digits (bench/t0_reference.py); the bound is
     # twice the xtol of the Brent solve
-    sol = solve_t0_exceptional(PointCharge(q=q, R=R), Params(d=d, s=float(d - 2)))
+    sol = axis_solve_t(PointCharge(q=q, R=R), Params(d=d, s=float(d - 2)))
     assert sol.solved_by == "interior_root"
     assert abs(sol.t0 - ref) <= 2e-14
 
 
 def test_etabar_ring_charge_sign_structure():
-    sol = solve_t0_exceptional(C12, P31)
-    below = etabar(sol.t0 - 0.2, C12, P31)
-    above = etabar(sol.t0 + 0.2, C12, P31)
+    sol = axis_solve_t(C12, P31)
+    below = etabar_measure(sol.t0 - 0.2, C12, P31).with_mass(P31)
+    above = etabar_measure(sol.t0 + 0.2, C12, P31).with_mass(P31)
     assert below.boundary_coeff > 0.0
     assert above.boundary_coeff < 0.0
 
 
 def test_etabar_mass_is_one():
     for t in (-0.2, 0.349407, 0.8):
-        m = etabar(t, C12, P31)
+        m = etabar_measure(t, C12, P31).with_mass(P31)
         assert m.mass == pytest.approx(1.0, abs=1e-9)
 
 
 def test_phibar_matches_weighted_potential_on_cap():
     # U^{etabar} + Q is constant = Phibar on the cap
     t = 0.1
-    m = etabar(t, C12, P31)
+    m = etabar_measure(t, C12, P31).with_mass(P31)
     pv = phi(t, C12, P31)
     q, R = 1.0, 2.0
     for xi in (-0.8, -0.3, 0.05):
@@ -190,7 +204,7 @@ def test_phibar_matches_weighted_potential_on_cap():
 
 def test_exceptional_full_support_branch():
     far = PointCharge(q=0.05, R=4.0)
-    sol = solve_t0_exceptional(far, P31)
+    sol = axis_solve_t(far, P31)
     assert sol.t0 == 1.0
     assert sol.solved_by == "boundary_t_equals_1"
     assert sol.equilibrium.mass == pytest.approx(1.0, abs=1e-9)
@@ -229,7 +243,7 @@ def test_log_cap_measures_unit_mass():
     assert nu.mass == 1.0 and eps.mass == 1.0
     # numeric verification of the stated masses
     for m in (nu, eps):
-        interior = cap_sigma_mass(lambda u: float(m.interior_density(u)), 2, m.t)
+        interior = cap_sigma_mass(lambda u: float(m.radial_density(u)), 2, m.t)
         assert interior + m.boundary_coeff == pytest.approx(1.0, abs=1e-10)
 
 
@@ -254,7 +268,7 @@ def test_log_nubar_potential_off_cap():
 
 
 def test_log_solve_t0_closed_form():
-    sol = log_solve_t0(C12)
+    sol = axis_solve_t(C12, PLOG)
     assert sol.t0 == pytest.approx(1.0 / 8.0, abs=1e-15)
     edge = sol.equilibrium.radial_density(sol.t0)
     assert edge == pytest.approx(14.0 / 9.0, abs=1e-13)
@@ -269,7 +283,7 @@ def test_log_solve_t0_full_support_condition():
     # (R+1)^2 >= 4R(1+q) forces t0 = 1
     weak = PointCharge(q=0.05, R=5.0)
     assert (5.0 + 1.0) ** 2 >= 4.0 * 5.0 * 1.05
-    sol = log_solve_t0(weak)
+    sol = axis_solve_t(weak, PLOG)
     assert sol.t0 == 1.0
     assert sol.solved_by == "boundary_t_equals_1"
 
@@ -279,7 +293,7 @@ def test_log_t0_matches_bisection_of_equilibrium_relation():
     from scipy import optimize
     for (q, R) in [(1.0, 2.0), (0.7, 1.6), (2.5, 3.0)]:
         charge = PointCharge(q=q, R=R)
-        sol = log_solve_t0(charge)
+        sol = axis_solve_t(charge, PLOG)
         if sol.t0 < 1.0:
             root = optimize.bisect(
                 lambda t: 1.0 + q - q * (R + 1.0) ** 2 / axis_dist2(t, R),
@@ -289,7 +303,7 @@ def test_log_t0_matches_bisection_of_equilibrium_relation():
 
 def test_log_f0_functional_shape():
     charge = C12
-    sol = log_solve_t0(charge)
+    sol = axis_solve_t(charge, PLOG)
     h = 1e-6
     deriv = (log_f0_functional(sol.t0 + h, charge)
              - log_f0_functional(sol.t0 - h, charge)) / (2.0 * h)
@@ -320,7 +334,7 @@ def test_log_weighted_potential_off_cap():
     for xi in (0.5, 0.9):
         direct = (ring_potential_quadrature(m, xi, p)
                   - 0.5 * q * math.log(axis_dist2(xi, R)))
-        assert direct == pytest.approx(log_weighted_potential(xi, t, charge), abs=1e-6)
+        assert direct == pytest.approx(log_eta_potential(xi, m, charge), abs=1e-6)
     for xi in (-0.5, 0.0):
         direct = (ring_potential_quadrature(m, xi, p)
                   - 0.5 * q * math.log(axis_dist2(xi, R)))
@@ -329,7 +343,7 @@ def test_log_weighted_potential_off_cap():
 
 def test_log_etabar_ring_sign_structure():
     charge = C12
-    t0 = log_solve_t0(charge).t0
+    t0 = axis_solve_t(charge, PLOG).t0
     assert log_etabar(t0 - 0.2, charge).boundary_coeff > 0.0
     assert abs(log_etabar(t0, charge).boundary_coeff) < 1e-14
     assert log_etabar(t0 + 0.2, charge).boundary_coeff < 0.0
@@ -339,6 +353,6 @@ def test_gating():
     with pytest.raises(ValueError):
         nubar(0.0, Params(d=3, s=1.5))
     with pytest.raises(ValueError):
-        solve_t0_exceptional(C12, Params(d=2, s=1.0))
+        etabar_measure(0.0, C12, Params(d=2, s=1.0))
     with pytest.raises(ValueError):
-        log_solve_t0(PointCharge(q=1.0, R=0.5))
+        axis_solve_t(PointCharge(q=1.0, R=0.5), PLOG)

@@ -1,29 +1,27 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
+from rieszcap.axis_field import axis_solve_t, axis_sphere_equilibrium
 from rieszcap.cap_riesz import (
     delta,
-    edge_derivative_diagnostic,
     eps_density,
     eps_norm,
     eps_potential,
-    eta_density,
     eta_measure,
+    eta_potential,
     nu_density,
     nu_norm,
     nu_potential,
     phi,
-    solve_t0,
-    weighted_potential,
 )
-from rieszcap.point_field import PointCharge, field_potential_on_axis, full_support_margin
+from rieszcap.point_field import PointCharge, field_potential_on_axis
 from rieszcap.sphere import Params, axis_dist2, kappa, sphere_energy, surface_factor
-from rieszcap.specfun import log_gamma
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -71,7 +69,7 @@ def test_nu_density_edge_scaling():
     for k in (3, 5, 7, 9):
         u = t - 10.0 ** (-k)
         scaled.append(nu_density(u, t, p) * (t - u) ** ((d - s) / 2.0))
-    limit = (math.exp(log_gamma(d / 2.0) - log_gamma(d - s / 2.0))
+    limit = (math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0))
              * ((1.0 - t)) ** (d / 2.0) / (1.0 - t) ** (d / 2.0)
              * (1.0 - t) ** ((d - s) / 2.0)
              / math.gamma(1.0 - (d - s) / 2.0))
@@ -166,7 +164,8 @@ def test_norms_phi_delta_gate_includes_s_equal_d_minus_2():
 def test_densities_and_eta_gate_excludes_s_equal_d_minus_2():
     ring = Params(d=3, s=1.0)
     for call in (lambda: nu_density(0.0, 0.2, ring), lambda: eps_density(0.0, 0.2, C13, ring),
-                 lambda: eta_density(0.0, 0.2, C13, ring), lambda: eta_measure(0.2, C13, ring)):
+                 lambda: eta_measure(0.2, C13, ring).radial_density(0.0),
+                 lambda: eta_measure(0.2, C13, ring)):
         with pytest.raises(ValueError):
             call()
 
@@ -195,12 +194,28 @@ def test_nu_norm_random_cross_checks():
         s = float(rng.uniform(d - 2 + 0.05, d - 0.05))
         t = float(rng.uniform(-0.9, 0.95))
         p = Params(d=d, s=s)
-        const = math.exp((1 - d) * math.log(2.0) + log_gamma(float(d))
-                         - log_gamma(d - s / 2.0) - log_gamma(s / 2.0))
+        const = math.exp((1 - d) * math.log(2.0) + math.lgamma(float(d))
+                         - math.lgamma(d - s / 2.0) - math.lgamma(s / 2.0))
         direct, err = integrate.quad(
             lambda u: (1.0 + u) ** (s / 2.0 - 1.0) * (1.0 - u) ** (d - s / 2.0 - 1.0),
             -1.0, t, epsabs=1e-13, epsrel=1e-12)
         assert nu_norm(t, p) == pytest.approx(const * direct, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_nu_norm_against_40_digit_mpmath(d):
+    # I((1+t)/2; s/2, d-s/2) at 40 digits; the complement form
+    # 1 - I((1-t)/2; d-s/2, s/2) misses this by up to ~1e-13
+    rng = np.random.default_rng(d)
+    with mp.workdps(40):
+        for s, t in zip(rng.uniform(d - 2, d, size=20), rng.uniform(-0.9, 0.9, size=20)):
+            s, t = float(s), float(t)
+            if s <= 0.0:
+                continue
+            ref = mp.betainc(mp.mpf(s) / 2, d - mp.mpf(s) / 2, 0, (1 + mp.mpf(t)) / 2,
+                             regularized=True)
+            got = nu_norm(t, Params(d=d, s=s))
+            assert abs(got / ref - 1) <= 1e-14, (s, t)
 
 
 def test_eps_norm_endpoints_and_monotonicity():
@@ -246,7 +261,7 @@ def test_phi_divergence_towards_minus_one():
 
 
 def test_solve_t0_reference_scenario():
-    sol = solve_t0(C13, P21)
+    sol = axis_solve_t(C13, P21)
     assert sol.solved_by == "interior_root"
     # scratch mpmath solve of Delta(t)=0 for d=2,s=1,q=1,R=1.3
     assert sol.t0 == pytest.approx(0.504812246499216, abs=1e-9)
@@ -258,25 +273,26 @@ def test_solve_t0_reference_scenario():
 
 def test_solve_t0_golden_boundary_case():
     p = Params(d=2, s=1.0)
-    sol = solve_t0(PointCharge(q=1.0, R=1.0 + GOLDEN), p)
+    sol = axis_solve_t(PointCharge(q=1.0, R=1.0 + GOLDEN), p)
     assert sol.t0 == 1.0
     assert sol.solved_by == "boundary_t_equals_1"
     assert sol.equilibrium.mass == pytest.approx(1.0, abs=1e-9)
     # equality case: margin is zero to rounding
-    assert abs(full_support_margin(PointCharge(q=1.0, R=1.0 + GOLDEN), p)) < 1e-12
+    assert abs(axis_sphere_equilibrium(PointCharge(q=1.0, R=1.0 + GOLDEN), p).support_margin) \
+        < 1e-12
 
 
 def test_solve_t0_boundary_iff_margin():
     p = Params(d=2, s=1.0)
-    just_below = solve_t0(PointCharge(q=1.0, R=1.0 + GOLDEN - 0.05), p)
-    just_above = solve_t0(PointCharge(q=1.0, R=1.0 + GOLDEN + 1e-4), p)
+    just_below = axis_solve_t(PointCharge(q=1.0, R=1.0 + GOLDEN - 0.05), p)
+    just_above = axis_solve_t(PointCharge(q=1.0, R=1.0 + GOLDEN + 1e-4), p)
     assert just_below.solved_by == "interior_root"
     assert just_below.t0 < 1.0
     assert just_above.solved_by == "boundary_t_equals_1"
 
 
 def test_solve_t0_phi_derivative_sign_change():
-    sol = solve_t0(C13, P21)
+    sol = axis_solve_t(C13, P21)
     h = 1e-5
     dphi = (phi(sol.t0 + h, C13, P21) - phi(sol.t0 - h, C13, P21)) / (2.0 * h)
     assert abs(dphi) < 1e-4
@@ -285,20 +301,21 @@ def test_solve_t0_phi_derivative_sign_change():
 
 
 def test_eta_density_sign_pattern_around_t0():
-    sol = solve_t0(C13, P21)
+    sol = axis_solve_t(C13, P21)
     t0 = sol.t0
     # at t0: nonnegative everywhere, -> 0 at the edge
     us = np.linspace(-1.0, t0 - 1e-9, 400)
-    dens = eta_density(us, t0, C13, P21)
+    eta = eta_measure(t0, C13, P21)
+    dens = eta.radial_density(us)
     assert np.all(dens > -1e-10)
-    edge = eta_density(t0 - 1e-10, t0, C13, P21)
+    edge = eta.radial_density(t0 - 1e-10)
     assert abs(edge) < 1e-4
     # below t0: strictly positive near the edge
     t_lo = t0 - 0.2
-    assert eta_density(t_lo - 1e-6, t_lo, C13, P21) > 0.0
+    assert eta_measure(t_lo, C13, P21).radial_density(t_lo - 1e-6) > 0.0
     # above t0: negative near the edge
     t_hi = t0 + 0.2
-    assert eta_density(t_hi - 1e-6, t_hi, C13, P21) < 0.0
+    assert eta_measure(t_hi, C13, P21).radial_density(t_hi - 1e-6) < 0.0
 
 
 @pytest.mark.parametrize("c2", [0.9, 0.999999])
@@ -322,7 +339,7 @@ def test_eta_mass_identity_random():
         t = float(rng.uniform(-0.5, 0.9))
         p = Params(d=d, s=s)
         charge = PointCharge(q=q, R=R)
-        dens = lambda u: eta_density(u, t, charge, p)
+        dens = eta_measure(t, charge, p).radial_density
         mass = cap_sigma_integral(dens, d, t)
         assert mass == pytest.approx(1.0, abs=1e-7)
 
@@ -335,7 +352,7 @@ def test_eta_consistent_with_nu_eps_combination():
     W = sphere_energy(p)
     for u in (-0.9, -0.3, 0.2):
         combo = (phi_t / W) * nu_density(u, t, p) - q * eps_density(u, t, charge, p)
-        assert eta_density(u, t, charge, p) == pytest.approx(combo, rel=1e-9)
+        assert eta_measure(t, charge, p).radial_density(u) == pytest.approx(combo, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +375,13 @@ def test_closed_form_off_cap_potentials():
 
 
 def test_weighted_potential_continuity_and_inequality():
-    sol = solve_t0(C13, P21)
+    sol = axis_solve_t(C13, P21)
     t0 = sol.t0
-    assert weighted_potential(t0, t0, C13, P21) == pytest.approx(sol.phi_at_t0, rel=1e-12)
+    eta = eta_measure(t0, C13, P21)
+    assert eta_potential(t0, eta, C13, P21) == pytest.approx(sol.phi_at_t0, rel=1e-12)
     # just outside the cap the potential exceeds the functional value
     for xi in (t0 + 1e-3, t0 + 0.1, 0.9):
-        assert weighted_potential(xi, t0, C13, P21) > sol.phi_at_t0
+        assert eta_potential(xi, eta, C13, P21) > sol.phi_at_t0
 
 
 def test_weighted_potential_against_quadrature():
@@ -371,16 +389,16 @@ def test_weighted_potential_against_quadrature():
     p = Params(d=d, s=s)
     charge = PointCharge(q=q, R=R)
     t = 0.35
-    dens = lambda u: eta_density(u, t, charge, p)
+    eta = eta_measure(t, charge, p)
     for xi in (0.6, 0.85):
-        direct = cap_potential(dens, t, xi, p) + q * axis_dist2(xi, R) ** (-s / 2.0)
-        assert direct == pytest.approx(weighted_potential(xi, t, charge, p), abs=1e-6)
+        direct = cap_potential(eta.radial_density, t, xi, p) + q * axis_dist2(xi, R) ** (-s / 2.0)
+        assert direct == pytest.approx(eta_potential(xi, eta, charge, p), abs=1e-6)
 
 
 def test_phi_unimodal_on_grid():
     ts = np.linspace(-0.95, 1.0, 200)
     vals = np.array([phi(float(t), C13, P21) for t in ts])
-    sol = solve_t0(C13, P21)
+    sol = axis_solve_t(C13, P21)
     k = int(np.argmin(vals))
     assert abs(ts[k] - sol.t0) < 0.02
     assert np.all(np.diff(vals[: k + 1]) < 0.0)
@@ -393,7 +411,7 @@ def test_phi_unimodal_on_grid():
 
 
 def test_edge_derivative_diagnostic():
-    sol = solve_t0(C13, P21)
-    assert abs(edge_derivative_diagnostic(sol.t0, C13, P21)) < 1e-10
-    assert edge_derivative_diagnostic(sol.t0 - 0.2, C13, P21) < 0.0
-    assert edge_derivative_diagnostic(sol.t0 + 0.2, C13, P21) > 0.0
+    sol = axis_solve_t(C13, P21)
+    assert abs(-delta(sol.t0, C13, P21)) < 1e-10
+    assert -delta(sol.t0 - 0.2, C13, P21) < 0.0
+    assert -delta(sol.t0 + 0.2, C13, P21) > 0.0

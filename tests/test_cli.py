@@ -6,8 +6,8 @@ import pytest
 
 from rieszcap import cli
 from rieszcap.axis_field import axis_solve_t
-from rieszcap.cap_exceptional import etabar, log_etabar, log_weighted_potential
-from rieszcap.cap_riesz import eta_density, phi, weighted_potential
+from rieszcap.cap_exceptional import etabar_measure, log_eta_potential, log_etabar
+from rieszcap.cap_riesz import eta_measure, eta_potential, phi
 from rieszcap.point_field import PointCharge
 from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import Params
@@ -56,20 +56,21 @@ def test_riesz_curves_match_public_functions(tmp_path):
     pot, dens = run_potential(tmp_path, RIESZ)
     _, params, charge, _ = RIESZ
     F = phi(T_FIXED, charge, params)
+    eta = eta_measure(T_FIXED, charge, params)
     for xi, val, f_col in pot:
-        assert_rel(val, weighted_potential(float(xi), T_FIXED, charge, params))
+        assert_rel(val, eta_potential(float(xi), eta, charge, params))
         assert_rel(f_col, F)
     for u, val, ring in dens:
-        assert_rel(val, eta_density(float(u), T_FIXED, charge, params))
+        assert_rel(val, eta.radial_density(float(u)))
         assert ring == 0.0
 
 
 def test_exceptional_density_matches_etabar(tmp_path):
     _, dens = run_potential(tmp_path, EXCEPTIONAL)
     _, params, charge, _ = EXCEPTIONAL
-    m = etabar(T_FIXED, charge, params)
+    m = etabar_measure(T_FIXED, charge, params).with_mass(params)
     for u, val, ring in dens:
-        assert_rel(val, m.interior_density(float(u)))
+        assert_rel(val, m.radial_density(float(u)))
         assert_rel(ring, m.boundary_coeff)
     summary = json.loads(json.dumps(cli.run_scenario(
         scenario("density", 3, EXCEPTIONAL[0], point(charge)), tmp_path)))
@@ -83,7 +84,7 @@ def test_exceptional_potential_matches_oracle(tmp_path):
     cfg = scenario("potential", d, EXCEPTIONAL[0], point(charge), grid=3)
     cli.run_scenario(cfg, tmp_path)
     _, pot = read_csv(tmp_path / "case_potential.csv")
-    m = etabar(T_FIXED, charge, params)
+    m = etabar_measure(T_FIXED, charge, params).with_mass(params)
     for xi, val, _ in pot:
         direct = (oracle.potential_of(m, float(xi), params)
                   + float(oracle.external_field(float(xi), charge, params)))
@@ -95,9 +96,9 @@ def test_log_curves_match_public_functions(tmp_path):
     _, _, charge, _ = LOG
     m = log_etabar(T_FIXED, charge)
     for xi, val, _ in pot:
-        assert_rel(val, log_weighted_potential(float(xi), T_FIXED, charge))
+        assert_rel(val, log_eta_potential(float(xi), m, charge))
     for u, val, ring in dens:
-        assert_rel(val, m.interior_density(float(u)))
+        assert_rel(val, m.radial_density(float(u)))
         assert_rel(ring, m.boundary_coeff)
 
 
@@ -158,6 +159,11 @@ def test_newton_distance_command(tmp_path, capsys):
     {"d": 2.7},
     {"grid": "abc"},
     {"grid": -3},
+    {"kernel": {"type": "riesz", "s": True}},
+    {"field": {"type": "point", "q": True, "R": 2.0}},
+    {"field": {"type": "point", "q": 1.0, "R": "1.5"}},
+    {"field": {"type": "axis", "atoms": [[1.5, True]]}},
+    {"field": {"type": "point", "q": 1.0, "R": float("inf")}},
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, change):
     cfg = dict(scenario("density", 2, LOG[0], point(LOG[2])), **change)

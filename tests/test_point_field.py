@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from rieszcap.axis_field import axis_sphere_equilibrium
 from rieszcap.point_field import (
+    AxisMeasure,
     PointCharge,
     field_potential_on_axis,
-    full_support_margin,
     gonchar_polynomial,
     gonchar_root,
-    normalized_charge,
-    sphere_signed_density,
-    sphere_signed_equilibrium,
 )
-from rieszcap.specfun import pochhammer
 from rieszcap.sphere import Params, axis_dist2, sphere_energy, surface_factor
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -45,7 +42,7 @@ def test_inversion_normalization_is_exact_at_field_level():
     # q|x - (1/R')p|^{-s} == q R'^s |x - R'p|^{-s} on the sphere
     params = Params(d=3, s=1.7)
     inner = PointCharge(q=0.8, R=0.4)
-    outer = normalized_charge(inner, params)
+    outer = inner.folded(params)
     assert outer.R == pytest.approx(2.5)
     assert outer.q == pytest.approx(0.8 * 2.5 ** 1.7)
     for u in (-0.9, 0.0, 0.7):
@@ -56,7 +53,7 @@ def test_inversion_normalization_is_exact_at_field_level():
 
 def test_inversion_rejected_for_log():
     with pytest.raises(ValueError):
-        normalized_charge(PointCharge(q=1.0, R=0.5), Params(d=2, log=True))
+        PointCharge(q=1.0, R=0.5).folded(Params(d=2, log=True))
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +92,16 @@ def test_field_potential_against_quadrature():
 
 def test_density_uniform_without_charge():
     params = Params(d=3, s=1.5)
-    charge = PointCharge(q=1e-14, R=2.0)
+    eq = axis_sphere_equilibrium(PointCharge(q=1e-14, R=2.0), params)
     for u in (-1.0, 0.0, 1.0):
-        assert sphere_signed_density(u, charge, params) == pytest.approx(1.0, abs=1e-12)
+        assert eq.density(u) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_density_minimum_at_north_pole():
     params = Params(d=2, s=1.0)
     charge = PointCharge(q=1.0, R=1.5)
     us = np.linspace(-1.0, 1.0, 201)
-    dens = sphere_signed_density(us, charge, params)
+    dens = axis_sphere_equilibrium(charge, params).density(us)
     assert np.argmin(dens) == len(us) - 1
 
 
@@ -117,7 +114,7 @@ def test_density_total_mass_one():
         R = float(rng.uniform(1.1, 4.0))
         params = Params(d=d, s=s)
         charge = PointCharge(q=q, R=R)
-        mass = sigma_integral(lambda u: sphere_signed_density(u, charge, params), d)
+        mass = sigma_integral(axis_sphere_equilibrium(charge, params).density, d)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
 
@@ -126,14 +123,14 @@ def test_density_d2_value_through_mass_identity():
     # removing it from the mass identity computed by quadrature
     params = Params(d=2, s=1.0)
     charge = PointCharge(q=1.0, R=3.0)
-    val = sphere_signed_density(-1.0, charge, params)
+    density = axis_sphere_equilibrium(charge, params).density
+    val = density(-1.0)
     # direct formula assembled from independently tested pieces
     W = sphere_energy(params)
     U = field_potential_on_axis(charge, params)
     expected = 1.0 + U / W - (9.0 - 1.0) ** 1.0 / (W * (16.0) ** (1.5))
     assert val == pytest.approx(expected, rel=1e-12)
-    assert sigma_integral(lambda u: sphere_signed_density(u, charge, params), 2) == \
-        pytest.approx(1.0, abs=1e-10)
+    assert sigma_integral(density, 2) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_balayage_mass_identity():
@@ -154,8 +151,8 @@ def test_margin_zero_iff_density_zero_at_pole():
     params = Params(d=3, s=1.4)
     for R in (1.3, 2.0, 3.5):
         charge = PointCharge(q=1.0, R=R)
-        margin = full_support_margin(charge, params)
-        pole = sphere_signed_density(1.0, charge, params)
+        eq = axis_sphere_equilibrium(charge, params)
+        margin, pole = eq.support_margin, eq.density(1.0)
         W = sphere_energy(params)
         assert margin == pytest.approx(W / charge.q * pole, rel=1e-10, abs=1e-12)
 
@@ -163,9 +160,10 @@ def test_margin_zero_iff_density_zero_at_pole():
 def test_margin_sign_flip_at_golden_ratio():
     params = Params(d=2, s=1.0)
     rho = GOLDEN
-    at = full_support_margin(PointCharge(q=1.0, R=1.0 + rho), params)
-    below = full_support_margin(PointCharge(q=1.0, R=1.0 + rho - 1e-6), params)
-    above = full_support_margin(PointCharge(q=1.0, R=1.0 + rho + 1e-6), params)
+    margin = lambda R: axis_sphere_equilibrium(PointCharge(q=1.0, R=R), params).support_margin
+    at = margin(1.0 + rho)
+    below = margin(1.0 + rho - 1e-6)
+    above = margin(1.0 + rho + 1e-6)
     assert abs(at) < 1e-12
     assert below < 0.0 < above
 
@@ -186,17 +184,18 @@ def test_margin_series_form():
     charge = PointCharge(q=1.3, R=R)
     closed = (R + 1.0) ** (d - s) / (R - 1.0) ** d - field_potential_on_axis(charge, params)
     assert closed == pytest.approx(series, rel=1e-10)
-    assert full_support_margin(charge, params) == pytest.approx(
+    assert axis_sphere_equilibrium(charge, params).support_margin / charge.q == pytest.approx(
         sphere_energy(params) / charge.q - series, rel=1e-10)
 
 
 def test_signed_equilibrium_bundle():
     params = Params(d=2, s=1.0)
     charge = PointCharge(q=1.0, R=3.0)
-    eq = sphere_signed_equilibrium(charge, params)
+    eq = axis_sphere_equilibrium(charge, params)
     assert eq.F == pytest.approx(sphere_energy(params) + 1.0 / 3.0, rel=1e-12)
     assert eq.support_margin > 0.0
-    assert eq.density(0.0) == pytest.approx(sphere_signed_density(0.0, charge, params))
+    atom = AxisMeasure([(3.0, 1.0)])
+    assert eq.density(0.0) == pytest.approx(axis_sphere_equilibrium(atom, params).density(0.0))
 
 
 def test_weighted_potential_constant_on_sphere():
@@ -205,10 +204,11 @@ def test_weighted_potential_constant_on_sphere():
     params = Params(d=d, s=s)
     charge = PointCharge(q=q, R=R)
     from rieszcap.sphere import kappa
+    density = axis_sphere_equilibrium(charge, params).density
 
     def weighted(xi):
         val, err = integrate.quad(
-            lambda u: sphere_signed_density(u, charge, params) * kappa(u, xi, params)
+            lambda u: density(u) * kappa(u, xi, params)
             * (1.0 - u * u) ** (d / 2.0 - 1.0),
             -1.0, 1.0, points=[xi], epsabs=1e-11, epsrel=1e-10, limit=300)
         return surface_factor(d) * val + q * axis_dist2(xi, R) ** (-s / 2.0)
@@ -216,7 +216,7 @@ def test_weighted_potential_constant_on_sphere():
     vals = [weighted(xi) for xi in np.linspace(-0.95, 0.95, 20)]
     spread = (max(vals) - min(vals)) / abs(np.mean(vals))
     assert spread < 1e-6
-    eq = sphere_signed_equilibrium(charge, params)
+    eq = axis_sphere_equilibrium(charge, params)
     assert np.mean(vals) == pytest.approx(eq.F, rel=1e-7)
 
 
@@ -284,6 +284,6 @@ def test_margin_root_agrees_with_gonchar_distance():
     for d in (2, 3):
         params = Params(d=d, s=float(d - 1))
         root_R = optimize.brentq(
-            lambda R: full_support_margin(PointCharge(q=1.0, R=R), params),
+            lambda R: axis_sphere_equilibrium(PointCharge(q=1.0, R=R), params).support_margin,
             1.0 + 1e-9, 6.0, xtol=1e-13)
         assert root_R == pytest.approx(1.0 + gonchar_root(d), abs=1e-10)

@@ -1,10 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
-from scipy.special import roots_jacobi
+from scipy.special import betainc, roots_jacobi
 
 from rieszcap import sphere
 from rieszcap.sphere import (
@@ -12,7 +13,6 @@ from rieszcap.sphere import (
     axis_dist2,
     boundary_potential,
     build_quadrature,
-    chord2,
     integrate_radial,
     kappa,
     kelvin_image_height,
@@ -20,7 +20,7 @@ from rieszcap.sphere import (
     sphere_energy,
     surface_factor,
 )
-from rieszcap.specfun import ConvergenceError, beta_inc_reg, log_gamma
+from rieszcap.specfun import ConvergenceError, hyp2f1_1mz
 
 
 def test_params_validation():
@@ -103,6 +103,36 @@ def test_sphere_energy_log_is_riesz_derivative():
         assert fd == pytest.approx(sphere_energy(Params(d=d, log=True)), abs=1e-5)
 
 
+@pytest.mark.parametrize("d", range(2, 13))
+def test_gamma_closed_forms_against_40_digit_mpmath(d):
+    # W_s, W_log, omega_d/omega_{d-1}, kappa on the diagonal (s < d-1) and
+    # the Gauss sum 2F1(s/2, d/2; d; 1), each against its Gamma form in mpmath
+    rng = np.random.default_rng(d)
+    with mp.workdps(40):
+        G, D = mp.gamma, mp.mpf(d)
+        log_ref = (mp.digamma(D) - mp.digamma(D / 2)) / 2 - mp.log(2)
+        assert abs(sphere_energy(Params(d=d, log=True)) - log_ref) <= 1e-14
+        assert abs(omega_ratio(d) / (mp.sqrt(mp.pi) * G(D / 2) / G((D + 1) / 2)) - 1) <= 1e-14
+        # s = 0.995 d puts c-a-b = (d-s)/2 of the Gauss sum near 0, where
+        # Gamma(c-a-b) magnifies any rounding of that difference
+        for s in [*rng.uniform(d - 2, d, size=20), 0.995 * d]:
+            s = float(s)
+            if s <= 0.0:
+                continue
+            S = mp.mpf(s)
+            gauss = G(D) * G((D - S) / 2) / (G(D / 2) * G(D - S / 2))
+            assert abs(sphere_energy(Params(d=d, s=s)) / (gauss / 2 ** S) - 1) <= 1e-14, s
+            assert abs(hyp2f1_1mz(s / 2.0, d / 2.0, float(d), 0.0) / gauss - 1) <= 1e-14, s
+        for s, u in zip(rng.uniform(0.0, d - 1, size=20), rng.uniform(-0.9, 0.9, size=20)):
+            s, u = float(s), float(u)
+            if s <= 0.0:
+                continue
+            S = mp.mpf(s)
+            ref = ((1 - mp.mpf(u) ** 2) ** (-S / 2) * G(D / 2) * G(D - 1 - S)
+                   / (G((D - S) / 2) * G(D - 1 - S / 2)))
+            assert abs(kappa(u, u, Params(d=d, s=s)) / ref - 1) <= 1e-14, (s, u)
+
+
 def test_sphere_energy_domain():
     with pytest.raises(ValueError):
         Params(d=3, s=3.0)  # s = d rejected at the Params level
@@ -112,10 +142,18 @@ def test_sphere_energy_domain():
 # kappa
 
 
+def chord2(u: float, v: float, theta: float) -> float:
+    """Squared chord distance between sphere points at heights u, v whose
+    ring coordinates differ by the angle theta."""
+    su = math.sqrt(max(0.0, 1.0 - u * u))
+    sv = math.sqrt(max(0.0, 1.0 - v * v))
+    return max(0.0, 2.0 - 2.0 * (u * v + su * sv * math.cos(theta)))
+
+
 def kappa_angle_oracle(u, xi, params):
     """Ring-to-ring kernel average, integrated directly over the ring angle."""
     d = params.d
-    const = math.exp(log_gamma(d / 2.0) - log_gamma((d - 1) / 2.0)) / math.sqrt(math.pi)
+    const = math.exp(math.lgamma(d / 2.0) - math.lgamma((d - 1) / 2.0)) / math.sqrt(math.pi)
 
     def f(theta):
         r2 = chord2(u, xi, theta)
@@ -276,9 +314,9 @@ def test_quadrature_nu_norm_closed_form():
         p = Params(d=d, s=s)
         q = build_quadrature(t, p, order=60, left_exponent=s / 2.0 - 1.0)
         got = omega_ratio(p) * q.integrate(lambda u: (1.0 - u) ** ((d - s) / 2.0))
-        closed = (beta_inc_reg((1.0 + t) / 2.0, s / 2.0, d - s / 2.0)
-                  * math.exp(log_gamma(s / 2.0) + log_gamma(d - s / 2.0) - log_gamma(float(d))
-                             + (d - 1.0) * math.log(2.0)))
+        closed = (betainc(s / 2.0, d - s / 2.0, (1.0 + t) / 2.0)
+                  * math.exp(math.lgamma(s / 2.0) + math.lgamma(d - s / 2.0)
+                             - math.lgamma(float(d)) + (d - 1.0) * math.log(2.0)))
         assert got == pytest.approx(closed, rel=1e-10)
 
 
