@@ -4,12 +4,13 @@ A finite positive atom measure lambda = sum_i m_i delta_{R_i p} drives the
 field Q(x) = sum_i m_i |x - R_i p|^{-s} (or the log analogue); a point
 charge is the one-atom case.  Everything superposes: the balayage of
 lambda is the mass-weighted sum of the single-charge balayages.  All three
-kernel regimes run one algorithm: the whole-sphere margin decides whether
-the support is the full sphere; otherwise Delta(t) is bracketed on a grid
-and its root t0 polished by Brent iteration; then eta_t0 is assembled.  The
-regime modules supply only the formulas (see :class:`Regime`).  A
-continuous lambda should be pre-discretized by the caller (any quadrature
-of d lambda(R) against these formulas is exact for its own nodes).
+kernel regimes run one algorithm: the sign of Delta(1) decides whether the
+support is the full sphere; otherwise Delta(t) is bracketed on a grid and
+its root t0 polished by Brent iteration; then eta_t0 is assembled.  The
+whole sphere is the cap t = 1.  The regime modules supply only the formulas
+(see :class:`Regime`).  A continuous lambda should be pre-discretized by
+the caller (any quadrature of d lambda(R) against these formulas is exact
+for its own nodes).
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 from scipy import optimize
 
 from rieszcap import cap_exceptional, cap_riesz
-from rieszcap.point_field import AxisMeasure, PointCharge, SphereSignedDensity, \
-    field_potential_on_axis
+from rieszcap.point_field import AxisMeasure, field_potential_on_axis
 from rieszcap.sphere import CapMeasure, Params, axis_dist2, sphere_energy
 
 __all__ = [
@@ -31,51 +31,32 @@ __all__ = [
     "CapSolution",
     "Regime",
     "regime",
-    "axis_Q",
     "axis_sphere_equilibrium",
     "cap_measure",
     "axis_solve_t",
 ]
 
 
-def axis_Q(xi, lam: AxisMeasure, params: Params):
-    """The external field at height xi: sum_i m_i (R_i^2-2R_i xi+1)^{-s/2},
-    or its logarithmic analogue.  Vectorized over xi."""
-    atoms = lam.folded(params).atoms
-    xi_arr = np.asarray(xi, dtype=float)
-    out = np.zeros_like(xi_arr)
-    if params.is_log:
-        for R, m in atoms:
-            out = out - 0.5 * m * np.log(axis_dist2(xi_arr, R))
-    else:
-        s = params.s
-        for R, m in atoms:
-            out = out + m * axis_dist2(xi_arr, R) ** (-s / 2.0)
-    return float(out) if out.ndim == 0 else out
+def axis_sphere_equilibrium(lam: AxisMeasure, params: Params) -> CapMeasure:
+    """Signed equilibrium on the whole sphere for the axis field: the cap
+    measure at t = 1, with the whole sphere's functional value as ``phi``.
 
-
-def axis_sphere_equilibrium(lam: AxisMeasure, params: Params) -> SphereSignedDensity:
-    """Signed equilibrium on the whole sphere for the axis field.
-
-    Riesz: density (1/W_s)(F_s(S^d) - sum m_i (R_i^2-1)^{d-s} rho_i^{s-2d}),
-    margin F_s(S^d) - sum m_i (R_i+1)^{d-s}/(R_i-1)^d, where
-    F_s(S^d) = W_s + int U_s^sigma(R) d lambda(R).  Logarithmic (d=2): the
-    same forms at s = 0 with W = 1 and 1+||lambda|| in place of F_s(S^d),
-    while F is F_0(S^2).  Nonnegative margin means the extremal support is
-    the whole sphere.
+    Riesz (0 < s < d): density (1/W_s)(F_s(S^d) - sum m_i (R_i^2-1)^{d-s}
+    rho_i^{s-2d}), where F_s(S^d) = W_s + int U_s^sigma(R) d lambda(R).
+    Logarithmic (d=2): the same form at s = 0 with W = 1 and 1+||lambda||
+    in place of F_s(S^d), while ``phi`` is F_0(S^2).  The density at the
+    north pole has the sign of Delta(1), which decides whether the extremal
+    support is the whole sphere.
     """
     lam = lam.folded(params)
     atoms = lam.atoms
     d = params.d
     if params.is_log:
-        if d != 2:
-            raise ValueError("the logarithmic sphere equilibrium is stated for d = 2")
         s, W, level = 0.0, 1.0, 1.0 + lam.total_mass
-        F = cap_exceptional.log_f0_functional(1.0, lam)
+        F = cap_exceptional.log_f0_functional(1.0, lam, params)
     else:
         s, W = params.s, sphere_energy(params)
-        F = level = W + sum(m * field_potential_on_axis(PointCharge(q=1.0, R=R), params)
-                            for R, m in atoms)
+        F = level = W + sum(m * field_potential_on_axis(R, params) for R, m in atoms)
 
     def density(u):
         u_arr = np.asarray(u, dtype=float)
@@ -85,9 +66,7 @@ def axis_sphere_equilibrium(lam: AxisMeasure, params: Params) -> SphereSignedDen
         out = out / W
         return float(out) if out.ndim == 0 else out
 
-    margin = level - sum(m * (R + 1.0) ** (d - s) / (R - 1.0) ** d for R, m in atoms)
-    return SphereSignedDensity(params=params, field=lam, F=F,
-                               support_margin=margin, density=density)
+    return CapMeasure(t=1.0, regular_part=density, phi=F)
 
 
 class Regime(NamedTuple):
@@ -113,11 +92,10 @@ def regime(params: Params) -> Regime:
     """The formulas for d-2 < s < d, s = d-2 with d >= 3, or log with d = 2."""
     ce, cr = cap_exceptional, cap_riesz
     if params.is_log:
-        if params.d != 2:
-            raise ValueError("the logarithmic cap case is stated for d = 2")
-        return Regime("F0", ce.log_f0_functional, ce.log_delta, ce.log_etabar,
-                      ce.log_eta_potential)
-    if params.is_exceptional:
+        ce._require_log(params)
+        column, fns = "F0", (ce.log_f0_functional, ce.log_delta, ce.log_etabar,
+                             ce.log_eta_potential)
+    elif params.is_exceptional:
         column, fns = "phibar", (cr.phi, cr.delta, ce.etabar_measure, ce.etabar_potential)
     elif params.in_cap_regime:
         column, fns = "phi", (cr.phi, cr.delta, cr.eta_measure, cr.eta_potential)
@@ -131,8 +109,7 @@ def cap_measure(lam: AxisMeasure, t: float, params: Params) -> CapMeasure:
     functional value as ``phi`` (mass not computed).  eta_1 is the signed
     equilibrium of the whole sphere."""
     if t == 1.0:
-        eq = axis_sphere_equilibrium(lam, params)
-        return CapMeasure(t=1.0, regular_part=eq.density, phi=eq.F)
+        return axis_sphere_equilibrium(lam, params)
     return regime(params).eta(t, lam)
 
 
@@ -162,17 +139,17 @@ def _solve_bracketed(delta) -> float:
 def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     """Find the extremal support cap for an axis-supported field.
 
-    A nonnegative whole-sphere margin returns t0 = 1 with the whole-sphere
-    signed equilibrium; otherwise the unique interior root of the regime's
-    Delta (d-2 < s < d, s = d-2 with d >= 3, or logarithmic with d = 2) is
-    bracketed and refined.  At the root Delta(t0) = 0, so eta_t0 carries no
+    A nonnegative Delta(1) of the regime (d-2 < s < d, s = d-2 with d >= 3,
+    or logarithmic with d = 2) returns t0 = 1 with the whole-sphere signed
+    equilibrium; otherwise the unique interior root of Delta is bracketed
+    and refined.  At the root Delta(t0) = 0, so eta_t0 carries no
     ring charge.
     """
     lam = lam.folded(params)
-    if axis_sphere_equilibrium(lam, params).support_margin >= 0.0:
+    form = regime(params)
+    if form.delta(1.0, lam) >= 0.0:
         t0, solved_by = 1.0, "boundary_t_equals_1"
     else:
-        form = regime(params)
         t0 = _solve_bracketed(lambda t: form.delta(t, lam))
         solved_by = "interior_root"
     measure = replace(cap_measure(lam, t0, params), boundary_coeff=0.0).with_mass(params)

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from rieszcap.cap_riesz import _edge, eps_density, nu_density, phi
-from rieszcap.point_field import AxisMeasure, PointCharge
+from rieszcap.point_field import AxisMeasure, _exterior
 from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, sphere_energy
 
 __all__ = [
@@ -43,13 +43,15 @@ __all__ = [
     "log_eta_potential",
 ]
 
-_LOG2 = Params(d=2, log=True)
-
-
 def _require_exceptional(params: Params) -> None:
     if not params.is_exceptional:
         raise ValueError(f"this operation needs s = d-2 with d >= 3, "
                          f"got d={params.d}, s={params.s}")
+
+
+def _require_log(params: Params) -> None:
+    if not (params.is_log and params.d == 2):
+        raise ValueError(f"the logarithmic cap case is stated for d = 2, got {params}")
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +68,10 @@ def nubar(t: float, params: Params) -> CapMeasure:
     return CapMeasure(t=t, regular_part=np.ones_like, boundary_coeff=bcoef).with_mass(params)
 
 
-def epsbar(t: float, charge: PointCharge, params: Params) -> CapMeasure:
-    """Balayage of the unit point charge at s = d-2 (per unit charge)."""
+def epsbar(t: float, R: float, params: Params) -> CapMeasure:
+    """Balayage of a unit charge at R*p, R > 1, at s = d-2."""
     _require_exceptional(params)
-    charge = charge.folded(params)
-    d, R = params.d, charge.R
+    d, R = params.d, _exterior(R)
     W = sphere_energy(params)
     r2 = axis_dist2(t, R)
 
@@ -115,12 +116,11 @@ def nubar_potential(xi: float, t: float, params: Params) -> float:
     return W * (1.0 + t) ** e * (1.0 + xi) ** (-e)
 
 
-def epsbar_potential(xi: float, t: float, charge: PointCharge, params: Params) -> float:
-    """U^{epsbar_t} (per unit charge): |z-a|^{2-d} on the cap,
-    r^{2-d}(1+t)^{d/2-1}(1+xi)^{1-d/2} above it."""
+def epsbar_potential(xi: float, t: float, R: float, params: Params) -> float:
+    """U^{epsbar_t} of a unit charge at a = R*p, R > 1: |z-a|^{2-d} on the
+    cap, r^{2-d}(1+t)^{d/2-1}(1+xi)^{1-d/2} above it."""
     _require_exceptional(params)
-    charge = charge.folded(params)
-    d, R = params.d, charge.R
+    d, R = params.d, _exterior(R)
     if xi <= t:
         return axis_dist2(xi, R) ** ((2.0 - d) / 2.0)
     e = d / 2.0 - 1.0
@@ -139,7 +139,7 @@ def etabar_potential(xi: float, eta: CapMeasure, field: AxisMeasure, params: Par
     out = eta.phi / sphere_energy(params) * nubar_potential(xi, t, params)
     for R, m in field.folded(params).atoms:
         out += m * (axis_dist2(xi, R) ** ((2.0 - d) / 2.0)
-                    - epsbar_potential(xi, t, PointCharge(q=1.0, R=R), params))
+                    - epsbar_potential(xi, t, R, params))
     return out
 
 
@@ -154,19 +154,18 @@ def gamma_s_norm(t: float, s: float, d: int) -> float:
     return math.sin(math.pi * e) / (math.pi * e) * (1.0 + t) ** e
 
 
-def weakstar_gap(t: float, s_values, charge: PointCharge, params: Params):
+def weakstar_gap(t: float, s_values, R: float, params: Params):
     """Moment gaps quantifying the weak* convergence nu_{t,s} -> nubar_t and
-    eps_{t,s} -> epsbar_t as s decreases to d-2.
+    eps_{t,s} -> epsbar_t (unit charge at R*p, R > 1) as s decreases to d-2.
 
     For each s, computes |int u^k d nu_{t,s} - int u^k d nubar_t| and the
     eps analogue for k = 0..3; returns a list of dicts with keys
     's', 'nu', 'eps'.  Decay along s -> (d-2)+ is the caller's assertion.
     """
     _require_exceptional(params)
-    charge = charge.folded(params)
     d = params.d
     nb = nubar(t, params)
-    eb = epsbar(t, charge, params)
+    eb = epsbar(t, R, params)
 
     def bar_moment(measure: CapMeasure, k: int) -> float:
         interior = integrate_radial(lambda u: measure.radial_density(u) * u ** k,
@@ -187,7 +186,7 @@ def weakstar_gap(t: float, s_values, charge: PointCharge, params: Params):
                 t, ps, singular_exponent=(s - d) / 2.0, tol=2e-9)
             rec["nu"][k] = abs(mom_nu - bar_moment(nb, k))
             mom_eps = integrate_radial(
-                lambda u: u ** k * eps_density(u, t, charge, ps) * (t - u) ** ((d - s) / 2.0),
+                lambda u: u ** k * eps_density(u, t, R, ps) * (t - u) ** ((d - s) / 2.0),
                 t, ps, singular_exponent=(s - d) / 2.0, tol=2e-9)
             rec["eps"][k] = abs(mom_eps - bar_moment(eb, k))
         out.append(rec)
@@ -206,19 +205,20 @@ def log_cap_energy(t: float) -> float:
     return (1.0 + t) / 4.0 - 0.5 * math.log(2.0) - 0.5 * math.log1p(t)
 
 
-def log_delta(t: float, field: AxisMeasure) -> float:
+def log_delta(t: float, field: AxisMeasure, params: Params) -> float:
     """Delta(t) = (1+||lambda||) / sum_i m_i (R_i+1)^2/r_i(t)^2 - 1, which has
     the sign of the ring charge of etabar_{t,0}; its root is t0.  Affine in t
     for a point charge, so Brent iteration lands on the closed form
     t0 = (R^2 - 2Rq + 1) / (2R(1+q)) to rounding."""
-    return (1.0 + field.total_mass) / _edge(t, field, _LOG2) - 1.0
+    _require_log(params)
+    return (1.0 + field.total_mass) / _edge(t, field, params) - 1.0
 
 
-def log_etabar(t: float, charge: AxisMeasure) -> CapMeasure:
+def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     """Signed logarithmic cap equilibrium (1+||lambda||) nubar_{t,0} - sum_i
     m_i epsbar_{t,0}^i; the ring charge (1-t)/2 Delta(t) vanishes exactly at
     t0.  Unit mass; ``phi`` is F_0(Sigma_t)."""
-    field = charge.folded(_LOG2)
+    field = field.folded(params)
     total = field.total_mass
 
     def interior(u):
@@ -227,12 +227,12 @@ def log_etabar(t: float, charge: AxisMeasure) -> CapMeasure:
             out = out - m * (R * R - 1.0) ** 2 / axis_dist2(u, R) ** 2
         return out
 
-    bcoef = (1.0 - t) / 2.0 * (1.0 + total - _edge(t, field, _LOG2)) if t < 1.0 else 0.0
+    bcoef = (1.0 - t) / 2.0 * (1.0 + total - _edge(t, field, params)) if t < 1.0 else 0.0
     return CapMeasure(t=t, regular_part=interior, boundary_coeff=bcoef,
-                      phi=log_f0_functional(t, field), mass=1.0)
+                      phi=log_f0_functional(t, field, params), mass=1.0)
 
 
-def log_f0_functional(t: float, charge: AxisMeasure) -> float:
+def log_f0_functional(t: float, field: AxisMeasure, params: Params) -> float:
     """Closed form of the cap functional F_0(Sigma_t) = W_0(Sigma_t)
     + int Q d mu_cap for the logarithmic axis field (d = 2):
 
@@ -240,9 +240,10 @@ def log_f0_functional(t: float, charge: AxisMeasure) -> float:
         + sum_i m_i [ (R_i-1)^2 log(R_i^2-2R_i t+1)
                       - (R_i+1)^2 log((R_i+1)^2) ] / (8 R_i).
     """
+    _require_log(params)
     if not -1.0 < t <= 1.0:
         raise ValueError("cap height must lie in (-1, 1]")
-    field = charge.folded(_LOG2)
+    field = field.folded(params)
     out = ((1.0 + field.total_mass) * (1.0 + t) / 4.0
            - 0.5 * math.log(2.0) - 0.5 * math.log1p(t))
     for R, m in field.atoms:
@@ -251,15 +252,16 @@ def log_f0_functional(t: float, charge: AxisMeasure) -> float:
     return out
 
 
-def log_eta_potential(xi: float, eta: CapMeasure, field: AxisMeasure) -> float:
+def log_eta_potential(xi: float, eta: CapMeasure, field: AxisMeasure, params: Params) -> float:
     """Weighted logarithmic potential of the signed cap equilibrium
     (``eta`` from :func:`log_etabar`): F_0(Sigma_t) on the cap, and off it
 
         F_0(Sigma_t) + log((1+t)/(1+xi))/2 + sum_i (m_i/2) log(r_i^2/rho_i^2).
     """
+    _require_log(params)
     t, f0 = eta.t, eta.phi
     if xi <= t:
         return f0
     return (f0 + 0.5 * math.log((1.0 + t) / (1.0 + xi))
             + sum(0.5 * m * math.log(axis_dist2(t, R) / axis_dist2(xi, R))
-                  for R, m in field.folded(_LOG2).atoms))
+                  for R, m in field.folded(params).atoms))

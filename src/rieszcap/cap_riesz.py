@@ -27,7 +27,7 @@ import math
 import numpy as np
 from scipy.special import betainc, rgamma
 
-from rieszcap.point_field import AxisMeasure, PointCharge, field_potential_on_axis
+from rieszcap.point_field import AxisMeasure, _exterior, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
 from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, omega_ratio, \
     sphere_energy
@@ -84,8 +84,8 @@ def _balayage_density(u_arr, t: float, params: Params, scale: float, c2: float):
     return float(out) if out.ndim == 0 else out
 
 
-def eps_density(u, t: float, charge: PointCharge, params: Params):
-    """Density of the point charge's balayage onto the cap (per unit charge):
+def eps_density(u, t: float, R: float, params: Params):
+    """Density of the balayage of a unit charge at R*p, R > 1, onto the cap:
 
         eps_t'(u) = (1/W_s) Gamma(d/2)/Gamma(d-s/2) (R+1)^{d-s}/r^d
                     ((1-t)/(1-u))^{d/2} ((t-u)/(1-t))^{(s-d)/2}
@@ -94,11 +94,11 @@ def eps_density(u, t: float, charge: PointCharge, params: Params):
     with r^2 = R^2 - 2 R t + 1.  Same edge singularity as nu_t'.
     """
     _require_cap_regime(params)
-    charge = charge.folded(params)
+    R = _exterior(R)
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr >= t):
         raise ValueError("eps_density needs u < t")
-    d, s, R = params.d, params.s, charge.R
+    d, s = params.d, params.s
     if t == 1.0:
         # full-sphere balayage of the point charge
         out = ((R * R - 1.0) ** (d - s) * axis_dist2(u_arr, R) ** (s / 2.0 - d)
@@ -123,22 +123,23 @@ def nu_norm(t: float, params: Params) -> float:
     return betainc(params.s / 2.0, params.d - params.s / 2.0, (1.0 + t) / 2.0)
 
 
-def eps_norm(t: float, charge: PointCharge, params: Params) -> float:
-    """||eps_t|| by quadrature of its one-dimensional integral form:
+def eps_norm(t: float, R: float, params: Params) -> float:
+    """||eps_t|| of a unit charge at R*p, R > 1, by quadrature of its
+    one-dimensional integral form:
 
         C (R+1)^{d-s}/W_s int_{-1}^t (1+u)^{s/2-1} (1-u)^{d-s/2-1}
                                       (R^2-2Ru+1)^{-d/2} du,
 
-    C = 2^{1-d} Gamma(d) / (Gamma(d-s/2) Gamma(s/2)); per unit charge.
+    C = 2^{1-d} Gamma(d) / (Gamma(d-s/2) Gamma(s/2)).
     At t = 1 it is the closed form U_s^sigma(R)/W_s of the whole sphere.
     """
     _require_cap_regime(params, ring=True)
-    charge = charge.folded(params)
+    R = _exterior(R)
     if t <= -1.0:
         return 0.0
     if t == 1.0:
-        return field_potential_on_axis(charge, params) / sphere_energy(params)
-    d, s, R = params.d, params.s, charge.R
+        return field_potential_on_axis(R, params) / sphere_energy(params)
+    d, s = params.d, params.s
     const = (math.exp((1.0 - d) * math.log(2.0) + math.lgamma(float(d))
                       - math.lgamma(d - s / 2.0) - math.lgamma(s / 2.0))
              * (R + 1.0) ** (d - s) / sphere_energy(params))
@@ -149,15 +150,14 @@ def eps_norm(t: float, charge: PointCharge, params: Params) -> float:
     return const * omega_ratio(params) * val
 
 
-def phi(t: float, charge: AxisMeasure, params: Params) -> float:
+def phi(t: float, field: AxisMeasure, params: Params) -> float:
     """Mhaskar-Saff functional of the cap: W_s (1 + sum_i m_i ||eps_t^i||)/||nu_t||,
     with ||eps_t^i|| the per-unit-charge norm of atom i; d-2 <= s < d."""
     _require_cap_regime(params, ring=True)
     if t <= -1.0:
         raise ValueError("phi diverges at t = -1 (the cap degenerates to a point)")
-    field = charge.folded(params)
     W = sphere_energy(params)
-    eps = sum(m * eps_norm(t, PointCharge(q=1.0, R=R), params) for R, m in field.atoms)
+    eps = sum(m * eps_norm(t, R, params) for R, m in field.folded(params).atoms)
     return W * (1.0 + eps) / nu_norm(t, params)
 
 
@@ -264,12 +264,12 @@ def nu_potential(xi: float, t: float, params: Params) -> float:
     return W * betainc(params.s / 2.0, (params.d - params.s) / 2.0, (1.0 + t) / (1.0 + xi))
 
 
-def eps_potential(xi: float, t: float, charge: PointCharge, params: Params) -> float:
-    """Potential of eps_t at height xi (per unit charge): |z-a|^{-s} on the
-    cap, rho^{-s} I((rho^2/r^2)(1+t)/(1+xi); s/2, (d-s)/2) above it."""
+def eps_potential(xi: float, t: float, R: float, params: Params) -> float:
+    """Potential of eps_t of a unit charge at a = R*p, R > 1, at height xi:
+    |z-a|^{-s} on the cap, rho^{-s} I((rho^2/r^2)(1+t)/(1+xi); s/2, (d-s)/2)
+    above it."""
     _require_cap_regime(params)
-    charge = charge.folded(params)
-    s, R = params.s, charge.R
+    s, R = params.s, _exterior(R)
     rho2 = axis_dist2(xi, R)
     if xi <= t:
         return rho2 ** (-s / 2.0)

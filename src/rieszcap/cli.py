@@ -45,7 +45,6 @@ import numpy as np
 
 from rieszcap import oracle, point_field
 from rieszcap.axis_field import AxisMeasure, axis_solve_t, cap_measure, regime
-from rieszcap.point_field import PointCharge
 from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import CapMeasure, Params
 
@@ -107,7 +106,7 @@ def _parse_field(cfg: dict) -> AxisMeasure:
         raise ScenarioError(f"missing or malformed field: {exc}") from exc
     try:
         if ftype == "point":
-            return PointCharge(q=_number(fcfg["q"], "q"), R=_number(fcfg["R"], "R"))
+            return AxisMeasure([(_number(fcfg["R"], "R"), _number(fcfg["q"], "q"))])
         if ftype == "axis":
             return AxisMeasure([(_number(R, "R"), _number(m, "m")) for R, m in fcfg["atoms"]])
     except (KeyError, TypeError, ValueError) as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy import integrate
 
-from rieszcap.axis_field import AxisMeasure, CapSolution, axis_Q
+from rieszcap.axis_field import AxisMeasure, CapSolution
 from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import CapMeasure, Params, kappa, surface_factor
 
@@ -33,8 +33,15 @@ __all__ = [
 
 
 def external_field(xi, field: AxisMeasure, params: Params):
-    """Q at height xi for a point charge or an axis measure."""
-    return axis_Q(xi, field, params)
+    """Q at height xi from the field's own atoms, without inversion:
+    sum_i m_i rho_i^{-s}, or -sum_i m_i log(rho_i) for the log kernel, where
+    rho_i^2 = (R_i-1)^2 + 2 R_i (1-xi) = |x - R_i p|^2.  Vectorized over xi."""
+    xi_arr = np.asarray(xi, dtype=float)
+    out = np.zeros_like(xi_arr)
+    for R, m in field.atoms:
+        rho2 = (R - 1.0) ** 2 + 2.0 * R * (1.0 - xi_arr)
+        out = out + m * (-0.5 * np.log(rho2) if params.is_log else rho2 ** (-params.s / 2.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def potential_of(measure: CapMeasure, xi: float, params: Params) -> float:

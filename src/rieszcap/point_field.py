@@ -1,13 +1,11 @@
-"""External fields of positive charges on the polar axis, and whole-sphere results.
+"""External fields of positive charges on the polar axis.
 
 A finite positive atom measure lambda = sum_i m_i delta_{R_i p} drives the
 field Q(x) = sum_i m_i |x - R_i p|^{-s} (or the log analogue); a point
-charge q at a = R*p is the one-atom case.  The signed equilibrium on the
-full sphere (:class:`SphereSignedDensity`, assembled by
-:func:`rieszcap.axis_field.axis_sphere_equilibrium`) is an explicit density
-against sigma_d, the field potential on the axis is a Gauss hypergeometric
-value, and the "support is the whole sphere" question reduces to the sign
-of a scalar margin.  The distance
+charge q at a = R*p is the one-atom measure.  The field potential of the
+uniform measure on the axis is a Gauss hypergeometric value; the signed
+equilibrium of the whole sphere is the cap measure at t = 1
+(:func:`rieszcap.axis_field.axis_sphere_equilibrium`).  The distance
 question for the Newtonian kernel s = d-1 comes down to one polynomial root
 (the golden ratio when d = 2).
 """
@@ -16,9 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
-import numpy as np
 from scipy import optimize
 
 from rieszcap.specfun import hyp2f1_1mz
@@ -26,8 +23,6 @@ from rieszcap.sphere import Params
 
 __all__ = [
     "AxisMeasure",
-    "PointCharge",
-    "SphereSignedDensity",
     "field_potential_on_axis",
     "gonchar_polynomial",
     "gonchar_root",
@@ -74,53 +69,27 @@ class AxisMeasure:
         if params.is_log:
             raise ValueError("logarithmic fields require R > 1 (inversion shifts the field "
                              "by a constant; supply the exterior charge directly)")
-        out = object.__new__(type(self))  # keeps the type; subclasses change __init__
-        object.__setattr__(out, "atoms", tuple(
-            (R, m) if R > 1.0 else (1.0 / R, m * (1.0 / R) ** params.s) for R, m in self.atoms))
-        return out
+        return AxisMeasure(
+            (R, m) if R > 1.0 else (1.0 / R, m * (1.0 / R) ** params.s) for R, m in self.atoms)
 
 
-class PointCharge(AxisMeasure):
-    """Positive charge q at the axis point a = R*p, R > 0, R != 1: the
-    one-atom axis measure q delta_{Rp}."""
-
-    def __init__(self, q: float, R: float):
-        super().__init__([(R, q)])
-
-    @property
-    def q(self) -> float:
-        return self.atoms[0][1]
-
-    @property
-    def R(self) -> float:
-        return self.atoms[0][0]
+def _exterior(R: float) -> float:
+    # the per-unit-charge formulas take an exterior height; only field-level
+    # functions fold interior atoms (with their mass factor R'^s)
+    if not 1.0 < R < math.inf:
+        raise ValueError(f"per-unit-charge formulas need an exterior height 1 < R < inf, "
+                         f"got R={R}; fold the field first")
+    return R
 
 
-@dataclass(frozen=True)
-class SphereSignedDensity:
-    """Signed equilibrium on the whole sphere: density F-form plus metadata.
-
-    ``F`` is the constant weighted potential (the functional value of the
-    whole sphere); ``support_margin`` is >= 0 exactly when the density is
-    nonnegative, i.e. when the extremal support is all of the sphere.
-    """
-
-    params: Params
-    field: AxisMeasure
-    F: float
-    support_margin: float
-    density: Callable[[np.ndarray], np.ndarray]
-
-
-def field_potential_on_axis(charge: PointCharge, params: Params) -> float:
-    """Potential of the uniform measure at the axis point a = R*p:
+def field_potential_on_axis(R: float, params: Params) -> float:
+    """Potential of the uniform measure at the axis point a = R*p, R > 1:
 
         U_s^sigma(a) = (R+1)^{-s} 2F1(s/2, d/2; d; 4R/(R+1)^2).
     """
     if params.is_log:
         raise ValueError("field_potential_on_axis covers 0 < s < d Riesz kernels")
-    charge = charge.folded(params)
-    d, s, R = params.d, params.s, charge.R
+    d, s, R = params.d, params.s, _exterior(R)
     # 1 - z = ((R-1)/(R+1))^2 computed directly: z itself rounds to 1 as R -> 1
     w = ((R - 1.0) / (R + 1.0)) ** 2
     return (R + 1.0) ** (-s) * hyp2f1_1mz(s / 2.0, d / 2.0, float(d), w)

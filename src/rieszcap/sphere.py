@@ -118,8 +118,10 @@ def sphere_energy(params: Params) -> float:
 
 
 def axis_dist2(u, R: float):
-    """Squared distance from a sphere point at height u to the axis point R*p."""
-    return R * R - 2.0 * R * u + 1.0
+    """Squared distance from a sphere point at height u to the axis point R*p,
+    as (R-1)^2 + 2R(1-u): two nonnegative terms, so no cancellation as R and
+    u approach 1."""
+    return (R - 1.0) ** 2 + 2.0 * R * (1.0 - u)
 
 
 def kappa(u: float, xi: float, params: Params) -> float:

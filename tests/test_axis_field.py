@@ -6,14 +6,16 @@ from scipy import integrate
 
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
+from rieszcap import cap_exceptional, cap_riesz
 from rieszcap.axis_field import (
     AxisMeasure,
-    axis_Q,
     axis_sphere_equilibrium,
     axis_solve_t,
+    regime,
 )
-from rieszcap.cap_exceptional import log_f0_functional
-from rieszcap.point_field import PointCharge
+from rieszcap.cap_exceptional import log_delta, log_f0_functional
+from rieszcap.oracle import external_field
+from rieszcap.point_field import field_potential_on_axis
 from rieszcap.sphere import Params, axis_dist2, kappa, surface_factor
 
 P21 = Params(d=2, s=1.0)
@@ -38,7 +40,7 @@ def test_axis_measure_validation():
 def test_axis_q_single_atom_reduces_to_point_charge():
     lam = AxisMeasure([(2.0, 0.7)])
     for xi in (-0.5, 0.0, 0.9):
-        assert axis_Q(xi, lam, P21) == pytest.approx(
+        assert external_field(xi, lam, P21) == pytest.approx(
             0.7 * axis_dist2(xi, 2.0) ** -0.5, rel=1e-14)
 
 
@@ -47,14 +49,14 @@ def test_axis_q_superposition_exact():
     lam2 = AxisMeasure([(3.0, 1.1)])
     both = AxisMeasure([(2.0, 0.7), (3.0, 1.1)])
     xi = np.linspace(-1.0, 1.0, 11)
-    np.testing.assert_allclose(axis_Q(xi, both, P21),
-                               axis_Q(xi, lam1, P21) + axis_Q(xi, lam2, P21), rtol=0)
+    np.testing.assert_allclose(external_field(xi, both, P21),
+                               external_field(xi, lam1, P21) + external_field(xi, lam2, P21), rtol=0)
 
 
 def test_axis_q_log_zero_at_unit_distance():
     # atom at R=2 seen from the North Pole: |p - 2p| = 1, so the log field vanishes
     lam = AxisMeasure([(2.0, 1.0)])
-    assert axis_Q(1.0, lam, PLOG) == pytest.approx(0.0, abs=1e-15)
+    assert external_field(1.0, lam, PLOG) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_axis_q_inversion_reduction():
@@ -64,7 +66,7 @@ def test_axis_q_inversion_reduction():
     inner = AxisMeasure([(0.5, 0.8)])
     outer = AxisMeasure([(2.0, 0.8 * 2.0 ** s)])
     for xi in (-0.7, 0.2, 0.95):
-        assert axis_Q(xi, inner, p) == pytest.approx(axis_Q(xi, outer, p), rel=1e-13)
+        assert external_field(xi, inner, p) == pytest.approx(external_field(xi, outer, p), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -74,26 +76,26 @@ def test_axis_q_inversion_reduction():
 def test_axis_sphere_equilibrium_single_atom_matches_point_field():
     lam = AxisMeasure([(3.0, 1.0)])
     eq = axis_sphere_equilibrium(lam, P21)
-    point = axis_sphere_equilibrium(PointCharge(q=1.0, R=3.0), P21)
+    point = axis_sphere_equilibrium(AxisMeasure([(3.0, 1.0)]), P21)
     for u in (-1.0, -0.2, 0.5, 1.0):
-        assert eq.density(u) == pytest.approx(point.density(u), rel=1e-12)
+        assert eq.radial_density(u) == pytest.approx(point.radial_density(u), rel=1e-12)
 
 
 def test_axis_sphere_equilibrium_mass():
     lam = AxisMeasure([(2.0, 0.5), (4.0, 1.5), (1.5, 0.2)])
     p = Params(d=3, s=1.4)
     eq = axis_sphere_equilibrium(lam, p)
-    val, err = integrate.quad(lambda u: eq.density(u) * (1.0 - u * u) ** 0.5, -1.0, 1.0,
+    val, err = integrate.quad(lambda u: eq.radial_density(u) * (1.0 - u * u) ** 0.5, -1.0, 1.0,
                               epsabs=1e-12, epsrel=1e-11)
     assert surface_factor(3) * val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_axis_log_margin_proper_cap():
-    # single atom (R, m) = (2, 0.5): margin 1.5 - 0.5*(3/1)^2 = -3 < 0
+    # single atom (R, m) = (2, 0.5): pole density 1.5 - 0.5*(3/1)^2 = -3 < 0 (W = 1)
     lam = AxisMeasure([(2.0, 0.5)])
     eq = axis_sphere_equilibrium(lam, PLOG)
-    assert eq.support_margin == pytest.approx(1.5 - 0.5 * 9.0, rel=1e-13)
-    assert eq.support_margin < 0.0
+    assert eq.radial_density(1.0) == pytest.approx(1.5 - 0.5 * 9.0, rel=1e-13)
+    assert log_delta(1.0, lam, PLOG) < 0.0
     sol = axis_solve_t(lam, PLOG)
     assert sol.t0 < 1.0
 
@@ -105,7 +107,7 @@ def test_axis_log_margin_proper_cap():
 def test_axis_solve_single_atom_riesz():
     lam = AxisMeasure([(1.3, 1.0)])
     sol_axis = axis_solve_t(lam, P21)
-    sol_point = axis_solve_t(PointCharge(q=1.0, R=1.3), P21)
+    sol_point = axis_solve_t(AxisMeasure([(1.3, 1.0)]), P21)
     assert sol_axis.t0 == pytest.approx(sol_point.t0, abs=1e-12)
     assert sol_axis.phi_at_t0 == pytest.approx(sol_point.phi_at_t0, rel=1e-12)
     us = np.linspace(-1.0, sol_point.t0 - 1e-6, 50)
@@ -118,7 +120,7 @@ def test_axis_solve_single_atom_exceptional():
     p = Params(d=3, s=1.0)
     lam = AxisMeasure([(2.0, 1.0)])
     sol_axis = axis_solve_t(lam, p)
-    sol_point = axis_solve_t(PointCharge(q=1.0, R=2.0), p)
+    sol_point = axis_solve_t(AxisMeasure([(2.0, 1.0)]), p)
     assert sol_axis.t0 == pytest.approx(sol_point.t0, abs=1e-12)
     assert sol_axis.phi_at_t0 == pytest.approx(sol_point.phi_at_t0, rel=1e-12)
 
@@ -126,7 +128,7 @@ def test_axis_solve_single_atom_exceptional():
 def test_axis_solve_single_atom_log():
     lam = AxisMeasure([(2.0, 1.0)])
     sol_axis = axis_solve_t(lam, PLOG)
-    sol_point = axis_solve_t(PointCharge(q=1.0, R=2.0), PLOG)
+    sol_point = axis_solve_t(AxisMeasure([(2.0, 1.0)]), PLOG)
     assert sol_axis.t0 == pytest.approx(1.0 / 8.0, abs=1e-12)
     assert sol_axis.phi_at_t0 == pytest.approx(sol_point.phi_at_t0, rel=1e-12)
     assert sol_axis.equilibrium.mass == pytest.approx(1.0, abs=1e-10)
@@ -173,7 +175,7 @@ def test_axis_density_single_sign_change_for_wrong_caps():
         from rieszcap.sphere import sphere_energy
         W = sphere_energy(p)
         atoms = lam.atoms
-        eps = sum(m * eps_norm(t_bad, PointCharge(q=1.0, R=R), p) for R, m in atoms)
+        eps = sum(m * eps_norm(t_bad, R, p) for R, m in atoms)
         phi_t = W * (1.0 + eps) / nu_norm(t_bad, p)
         us = np.linspace(-1.0 + 1e-9, t_bad - 1e-9, 400)
         dens = np.zeros_like(us)
@@ -182,7 +184,7 @@ def test_axis_density_single_sign_change_for_wrong_caps():
         from rieszcap.cap_riesz import eps_density, nu_density
         dens = (phi_t / W) * nu_density(us, t_bad, p)
         for R, m in atoms:
-            dens = dens - m * eps_density(us, t_bad, PointCharge(q=1.0, R=R), p)
+            dens = dens - m * eps_density(us, t_bad, R, p)
         signs = np.sign(dens)
         changes = int(np.sum(signs[:-1] != signs[1:]))
         assert changes <= 1
@@ -209,7 +211,7 @@ def test_axis_weighted_potential_constancy():
         else:
             pieces.append(integrate.quad(f, -1.0, t, epsabs=1e-11, epsrel=1e-10,
                                          limit=400)[0])
-        return surface_factor(2) * sum(pieces) + float(axis_Q(xi, lam, p))
+        return surface_factor(2) * sum(pieces) + float(external_field(xi, lam, p))
 
     vals = [weighted(xi) for xi in np.linspace(-0.9, t - 0.05, 8)]
     assert max(vals) - min(vals) < 1e-6 * abs(np.mean(vals))
@@ -218,20 +220,20 @@ def test_axis_weighted_potential_constancy():
 
 def test_axis_f0_single_atom_matches_point_version():
     lam = AxisMeasure([(2.0, 1.0)])
-    charge = PointCharge(q=1.0, R=2.0)
+    charge = AxisMeasure([(2.0, 1.0)])
     for t in (-0.5, 0.125, 0.8):
-        assert log_f0_functional(t, lam) == pytest.approx(
-            log_f0_functional(t, charge), rel=1e-13)
+        assert log_f0_functional(t, lam, PLOG) == pytest.approx(
+            log_f0_functional(t, charge, PLOG), rel=1e-13)
 
 
 def test_axis_f0_derivative_vanishes_at_solution():
     lam = AxisMeasure([(2.0, 1.0), (1.6, 0.5)])
     sol = axis_solve_t(lam, PLOG)
     h = 1e-6
-    deriv = (log_f0_functional(sol.t0 + h, lam)
-             - log_f0_functional(sol.t0 - h, lam)) / (2.0 * h)
+    deriv = (log_f0_functional(sol.t0 + h, lam, PLOG)
+             - log_f0_functional(sol.t0 - h, lam, PLOG)) / (2.0 * h)
     assert abs(deriv) < 1e-6
-    vals = [log_f0_functional(t, lam) for t in (-0.9, -0.99, -0.999)]
+    vals = [log_f0_functional(t, lam, PLOG) for t in (-0.9, -0.99, -0.999)]
     assert vals[0] < vals[1] < vals[2]
 
 
@@ -248,7 +250,7 @@ def test_axis_weakstar_eps_gap_decay():
     def bar_moment(k):
         out = 0.0
         for R, m in lam.atoms:
-            e = epsbar(t, PointCharge(q=1.0, R=R), pd2)
+            e = epsbar(t, R, pd2)
             interior = integrate_radial(lambda u: e.radial_density(u) * u ** k, t, pd2,
                                         tol=1e-11)
             out += m * (interior + e.boundary_coeff * t ** k)
@@ -261,7 +263,7 @@ def test_axis_weakstar_eps_gap_decay():
             mom = 0.0
             for R, m in lam.atoms:
                 mom += m * integrate_radial(
-                    lambda u: u ** k * eps_density(u, t, PointCharge(q=1.0, R=R), ps)
+                    lambda u: u ** k * eps_density(u, t, R, ps)
                     * (t - u) ** ((d - s) / 2.0),
                     t, ps, singular_exponent=(s - d) / 2.0, tol=2e-9)
             gaps.append(abs(mom - bar_moment(k)))
@@ -274,3 +276,46 @@ def test_axis_full_support_branch():
     assert sol.t0 == 1.0
     assert sol.solved_by == "boundary_t_equals_1"
     assert sol.equilibrium.mass == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the fold contract: field-level functions fold, per-unit formulas take R > 1
+
+
+@pytest.mark.parametrize("params", [Params(d=2, s=1.0), Params(d=3, s=1.0)],
+                         ids=["riesz", "exceptional"])
+def test_interior_atom_solves_as_its_exterior_fold(params):
+    # (R, m) with R < 1 is the field of (1/R, m R^{-s}) on the sphere
+    s = params.s
+    inner = AxisMeasure([(0.6, 0.6), (2.0, 0.3)])
+    outer = AxisMeasure([(1.0 / 0.6, 0.6 * 0.6 ** -s), (2.0, 0.3)])
+    sol_in, sol_out = axis_solve_t(inner, params), axis_solve_t(outer, params)
+    assert sol_in.solved_by == sol_out.solved_by == "interior_root"
+    assert sol_in.t0 == pytest.approx(sol_out.t0, rel=0, abs=1e-13)
+    assert sol_in.phi_at_t0 == pytest.approx(sol_out.phi_at_t0, rel=1e-13)
+    us = np.linspace(-1.0 + 1e-9, sol_out.t0 - 1e-3, 50)
+    np.testing.assert_allclose(sol_in.equilibrium.radial_density(us),
+                               sol_out.equilibrium.radial_density(us), rtol=1e-13, atol=1e-13)
+    potential = regime(params).potential
+    for xi in (-0.5, sol_out.t0 + 0.05, 0.9):
+        assert potential(xi, sol_in.equilibrium, inner) == pytest.approx(
+            potential(xi, sol_out.equilibrium, outer), rel=1e-13)
+
+
+PER_UNIT = {
+    "field_potential_on_axis": lambda R: field_potential_on_axis(R, Params(d=3, s=1.5)),
+    "eps_density": lambda R: cap_riesz.eps_density(0.0, 0.2, R, Params(d=3, s=1.5)),
+    "eps_norm": lambda R: cap_riesz.eps_norm(0.2, R, Params(d=3, s=1.5)),
+    "eps_potential": lambda R: cap_riesz.eps_potential(0.5, 0.2, R, Params(d=3, s=1.5)),
+    "epsbar": lambda R: cap_exceptional.epsbar(0.2, R, Params(d=3, s=1.0)),
+    "epsbar_potential": lambda R: cap_exceptional.epsbar_potential(0.5, 0.2, R,
+                                                                   Params(d=3, s=1.0)),
+    "weakstar_gap": lambda R: cap_exceptional.weakstar_gap(0.0, [1.5], R, Params(d=3, s=1.0)),
+}
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0])
+@pytest.mark.parametrize("name", list(PER_UNIT))
+def test_per_unit_formulas_reject_heights_not_above_one(name, R):
+    with pytest.raises(ValueError, match="exterior height"):
+        PER_UNIT[name](R)

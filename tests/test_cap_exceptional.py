@@ -21,18 +21,18 @@ from rieszcap.cap_exceptional import (
     weakstar_gap,
 )
 from rieszcap.cap_riesz import eps_norm, nu_norm, phi
-from rieszcap.point_field import PointCharge
+from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import CapMeasure, Params, axis_dist2, kappa, sphere_energy, surface_factor
 
 P31 = Params(d=3, s=1.0)
 PLOG = Params(d=2, log=True)
-C12 = PointCharge(q=1.0, R=2.0)
+C12 = AxisMeasure([(2.0, 1.0)])
 
 
-def log_cap_measures(t: float, charge: PointCharge) -> tuple[CapMeasure, CapMeasure]:
+def log_cap_measures(t: float, R: float) -> tuple[CapMeasure, CapMeasure]:
     """The pair (nubar_{t,0}, epsbar_{t,0}) of logarithmic balayages onto the
-    cap; both have total mass exactly 1 (log balayage preserves mass)."""
-    R = charge.R
+    cap, for a unit charge at R*p; both have total mass exactly 1 (log
+    balayage preserves mass)."""
     r2 = axis_dist2(t, R)
     nu = CapMeasure(t=t, regular_part=np.ones_like, boundary_coeff=(1.0 - t) / 2.0, mass=1.0)
 
@@ -112,12 +112,12 @@ def test_nubar_potential_off_cap():
 
 def test_epsbar_balayage_potential():
     d, t, R = 3, 0.2, 2.0
-    m = epsbar(t, C12, P31)
+    m = epsbar(t, R, P31)
     for xi in (-0.7, -0.1, 0.15):
         assert ring_potential_quadrature(m, xi, P31) == pytest.approx(
             axis_dist2(xi, R) ** ((2.0 - d) / 2.0), abs=1e-6)
     for xi in (0.4, 0.9):
-        closed = epsbar_potential(xi, t, C12, P31)
+        closed = epsbar_potential(xi, t, R, P31)
         assert ring_potential_quadrature(m, xi, P31) == pytest.approx(closed, abs=1e-6)
         assert closed < axis_dist2(xi, R) ** ((2.0 - d) / 2.0)
 
@@ -129,12 +129,12 @@ def test_epsbar_norm_quadrature():
             lambda u: (1.0 + u) ** (d / 2.0 - 2.0) * (1.0 - u) ** (d / 2.0)
             * axis_dist2(u, R) ** (-d / 2.0), -1.0, t, epsabs=1e-13, epsrel=1e-12)
         expected = (d - 2) / 4.0 * (R + 1.0) ** 2 * direct
-        assert eps_norm(t, C12, P31) == pytest.approx(expected, rel=1e-10)
-        assert epsbar(t, C12, P31).mass == pytest.approx(expected, abs=1e-10)
+        assert eps_norm(t, R, P31) == pytest.approx(expected, rel=1e-10)
+        assert epsbar(t, R, P31).mass == pytest.approx(expected, abs=1e-10)
 
 
 def test_epsbar_t1_consistency():
-    m = epsbar(1.0, C12, P31)
+    m = epsbar(1.0, 2.0, P31)
     assert m.boundary_coeff == 0.0
     d, s, R = 3, 1.0, 2.0
     W = sphere_energy(P31)
@@ -171,7 +171,7 @@ def test_solve_t0_exceptional_reference():
 def test_solve_t0_exceptional_against_30_digit_references(d, q, R, ref):
     # references: mpmath at 30 digits (bench/t0_reference.py); the bound is
     # twice the xtol of the Brent solve
-    sol = axis_solve_t(PointCharge(q=q, R=R), Params(d=d, s=float(d - 2)))
+    sol = axis_solve_t(AxisMeasure([(R, q)]), Params(d=d, s=float(d - 2)))
     assert sol.solved_by == "interior_root"
     assert abs(sol.t0 - ref) <= 2e-14
 
@@ -203,7 +203,7 @@ def test_phibar_matches_weighted_potential_on_cap():
 
 
 def test_exceptional_full_support_branch():
-    far = PointCharge(q=0.05, R=4.0)
+    far = AxisMeasure([(4.0, 0.05)])
     sol = axis_solve_t(far, P31)
     assert sol.t0 == 1.0
     assert sol.solved_by == "boundary_t_equals_1"
@@ -222,7 +222,7 @@ def test_gamma_s_norm_bounds():
 
 
 def test_weakstar_moment_gaps_decay():
-    recs = weakstar_gap(0.0, [1.5, 1.2, 1.05, 1.01], C12, P31)
+    recs = weakstar_gap(0.0, [1.5, 1.2, 1.05, 1.01], 2.0, P31)
     for k in range(4):
         nu_gaps = [r["nu"][k] for r in recs]
         eps_gaps = [r["eps"][k] for r in recs]
@@ -239,7 +239,7 @@ def test_weakstar_moment_gaps_decay():
 
 
 def test_log_cap_measures_unit_mass():
-    nu, eps = log_cap_measures(0.3, C12)
+    nu, eps = log_cap_measures(0.3, 2.0)
     assert nu.mass == 1.0 and eps.mass == 1.0
     # numeric verification of the stated masses
     for m in (nu, eps):
@@ -257,7 +257,7 @@ def test_log_nubar_potential_off_cap():
     # U_0^{nubar_{t,0}} off the cap = W_0(Sigma_t) + log((1+t)/(1+xi))/2
     p = Params(d=2, log=True)
     t = 0.3
-    nu, _ = log_cap_measures(t, C12)
+    nu, _ = log_cap_measures(t, 2.0)
     for xi in (0.5, 0.9):
         got = ring_potential_quadrature(nu, xi, p)
         assert got == pytest.approx(log_cap_energy(t)
@@ -281,7 +281,7 @@ def test_log_solve_t0_closed_form():
 
 def test_log_solve_t0_full_support_condition():
     # (R+1)^2 >= 4R(1+q) forces t0 = 1
-    weak = PointCharge(q=0.05, R=5.0)
+    weak = AxisMeasure([(5.0, 0.05)])
     assert (5.0 + 1.0) ** 2 >= 4.0 * 5.0 * 1.05
     sol = axis_solve_t(weak, PLOG)
     assert sol.t0 == 1.0
@@ -292,7 +292,7 @@ def test_log_t0_matches_bisection_of_equilibrium_relation():
     # 1 + q = q (R+1)^2 / (R^2 - 2Rt + 1) solved independently
     from scipy import optimize
     for (q, R) in [(1.0, 2.0), (0.7, 1.6), (2.5, 3.0)]:
-        charge = PointCharge(q=q, R=R)
+        charge = AxisMeasure([(R, q)])
         sol = axis_solve_t(charge, PLOG)
         if sol.t0 < 1.0:
             root = optimize.bisect(
@@ -305,48 +305,48 @@ def test_log_f0_functional_shape():
     charge = C12
     sol = axis_solve_t(charge, PLOG)
     h = 1e-6
-    deriv = (log_f0_functional(sol.t0 + h, charge)
-             - log_f0_functional(sol.t0 - h, charge)) / (2.0 * h)
+    deriv = (log_f0_functional(sol.t0 + h, charge, PLOG)
+             - log_f0_functional(sol.t0 - h, charge, PLOG)) / (2.0 * h)
     assert abs(deriv) < 1e-6
-    assert log_f0_functional(sol.t0 - 0.1, charge) > sol.phi_at_t0
-    assert log_f0_functional(sol.t0 + 0.1, charge) > sol.phi_at_t0
-    vals = [log_f0_functional(t, charge) for t in (-0.9, -0.99, -0.999)]
+    assert log_f0_functional(sol.t0 - 0.1, charge, PLOG) > sol.phi_at_t0
+    assert log_f0_functional(sol.t0 + 0.1, charge, PLOG) > sol.phi_at_t0
+    vals = [log_f0_functional(t, charge, PLOG) for t in (-0.9, -0.99, -0.999)]
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_log_f0_against_quadrature():
     # F_0 = W_0(Sigma_t) + int Q d mu_cap with mu_cap = nubar_{t,0}
     charge = C12
-    q, R = charge.q, charge.R
+    (R, q), = charge.atoms
     for t in (-0.4, 0.125, 0.6):
         interior = cap_sigma_mass(lambda u: -0.5 * q * math.log(axis_dist2(u, R)), 2, t)
         ring = (1.0 - t) / 2.0 * (-0.5 * q * math.log(axis_dist2(t, R)))
         expected = log_cap_energy(t) + interior + ring
-        assert log_f0_functional(t, charge) == pytest.approx(expected, abs=1e-8)
+        assert log_f0_functional(t, charge, PLOG) == pytest.approx(expected, abs=1e-8)
 
 
 def test_log_weighted_potential_off_cap():
     charge = C12
-    q, R = charge.q, charge.R
+    (R, q), = charge.atoms
     p = Params(d=2, log=True)
     t = 0.125
-    m = log_etabar(t, charge)
+    m = log_etabar(t, charge, p)
     for xi in (0.5, 0.9):
         direct = (ring_potential_quadrature(m, xi, p)
                   - 0.5 * q * math.log(axis_dist2(xi, R)))
-        assert direct == pytest.approx(log_eta_potential(xi, m, charge), abs=1e-6)
+        assert direct == pytest.approx(log_eta_potential(xi, m, charge, p), abs=1e-6)
     for xi in (-0.5, 0.0):
         direct = (ring_potential_quadrature(m, xi, p)
                   - 0.5 * q * math.log(axis_dist2(xi, R)))
-        assert direct == pytest.approx(log_f0_functional(t, charge), abs=1e-6)
+        assert direct == pytest.approx(log_f0_functional(t, charge, p), abs=1e-6)
 
 
 def test_log_etabar_ring_sign_structure():
     charge = C12
     t0 = axis_solve_t(charge, PLOG).t0
-    assert log_etabar(t0 - 0.2, charge).boundary_coeff > 0.0
-    assert abs(log_etabar(t0, charge).boundary_coeff) < 1e-14
-    assert log_etabar(t0 + 0.2, charge).boundary_coeff < 0.0
+    assert log_etabar(t0 - 0.2, charge, PLOG).boundary_coeff > 0.0
+    assert abs(log_etabar(t0, charge, PLOG).boundary_coeff) < 1e-14
+    assert log_etabar(t0 + 0.2, charge, PLOG).boundary_coeff < 0.0
 
 
 def test_gating():
@@ -355,4 +355,4 @@ def test_gating():
     with pytest.raises(ValueError):
         etabar_measure(0.0, C12, Params(d=2, s=1.0))
     with pytest.raises(ValueError):
-        axis_solve_t(PointCharge(q=1.0, R=0.5), PLOG)
+        axis_solve_t(AxisMeasure([(0.5, 1.0)]), PLOG)

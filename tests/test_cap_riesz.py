@@ -7,7 +7,7 @@ from scipy import integrate
 
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
-from rieszcap.axis_field import axis_solve_t, axis_sphere_equilibrium
+from rieszcap.axis_field import axis_solve_t
 from rieszcap.cap_riesz import (
     delta,
     eps_density,
@@ -20,13 +20,13 @@ from rieszcap.cap_riesz import (
     nu_potential,
     phi,
 )
-from rieszcap.point_field import PointCharge, field_potential_on_axis
+from rieszcap.point_field import AxisMeasure, field_potential_on_axis
 from rieszcap.sphere import Params, axis_dist2, kappa, sphere_energy, surface_factor
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 P21 = Params(d=2, s=1.0)
-C13 = PointCharge(q=1.0, R=1.3)
+C13 = AxisMeasure([(1.3, 1.0)])
 
 
 def cap_sigma_integral(f, d, t, edge_exponent=0.0):
@@ -112,8 +112,7 @@ def test_eps_density_balayage_property():
     # U^{eps_t} equals the point potential |z-a|^{-s} on the cap
     d, s, R, t = 3, 1.5, 2.0, 0.2
     p = Params(d=d, s=s)
-    charge = PointCharge(q=1.0, R=R)
-    dens = lambda u: eps_density(u, t, charge, p)
+    dens = lambda u: eps_density(u, t, R, p)
     for xi in (-0.8, -0.4, 0.0, 0.1, 0.19):
         got = cap_potential(dens, t, xi, p)
         assert got == pytest.approx(axis_dist2(xi, R) ** (-s / 2.0), abs=2e-6)
@@ -122,13 +121,12 @@ def test_eps_density_balayage_property():
 def test_eps_density_t1_matches_full_sphere_balayage():
     d, s, R = 3, 1.5, 2.0
     p = Params(d=d, s=s)
-    charge = PointCharge(q=1.0, R=R)
     W = sphere_energy(p)
     for u in (-0.9, 0.0, 0.7):
         full = (R * R - 1.0) ** (d - s) * axis_dist2(u, R) ** (s / 2.0 - d) / W
-        assert eps_density(u, 1.0, charge, p) == pytest.approx(full, rel=1e-12)
+        assert eps_density(u, 1.0, R, p) == pytest.approx(full, rel=1e-12)
         # interior t approaches the same values from below
-        assert eps_density(u, 1.0 - 1e-4, charge, p) == pytest.approx(full, rel=2e-2)
+        assert eps_density(u, 1.0 - 1e-4, R, p) == pytest.approx(full, rel=2e-2)
     assert nu_density(0.3, 1.0, p) == 1.0
 
 
@@ -150,7 +148,7 @@ def test_nu_balayage_property():
 
 def test_norms_phi_delta_gate_includes_s_equal_d_minus_2():
     below = Params(d=3, s=0.5)
-    for call in (lambda: nu_norm(0.2, below), lambda: eps_norm(0.2, C13, below),
+    for call in (lambda: nu_norm(0.2, below), lambda: eps_norm(0.2, 1.3, below),
                  lambda: phi(0.2, C13, below), lambda: delta(0.2, C13, below)):
         with pytest.raises(ValueError):
             call()
@@ -163,7 +161,7 @@ def test_norms_phi_delta_gate_includes_s_equal_d_minus_2():
 
 def test_densities_and_eta_gate_excludes_s_equal_d_minus_2():
     ring = Params(d=3, s=1.0)
-    for call in (lambda: nu_density(0.0, 0.2, ring), lambda: eps_density(0.0, 0.2, C13, ring),
+    for call in (lambda: nu_density(0.0, 0.2, ring), lambda: eps_density(0.0, 0.2, 1.3, ring),
                  lambda: eta_measure(0.2, C13, ring).radial_density(0.0),
                  lambda: eta_measure(0.2, C13, ring)):
         with pytest.raises(ValueError):
@@ -221,18 +219,16 @@ def test_nu_norm_against_40_digit_mpmath(d):
 def test_eps_norm_endpoints_and_monotonicity():
     d, s, R = 3, 1.5, 2.0
     p = Params(d=d, s=s)
-    charge = PointCharge(q=1.0, R=R)
-    assert eps_norm(-1.0, charge, p) == 0.0
-    vals = [eps_norm(t, charge, p) for t in (-0.5, 0.0, 0.5)]
+    assert eps_norm(-1.0, R, p) == 0.0
+    vals = [eps_norm(t, R, p) for t in (-0.5, 0.0, 0.5)]
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_eps_norm_t1_equals_axis_potential_ratio():
     for (d, s, R) in [(2, 1.0, 1.5), (3, 1.7, 2.0), (4, 2.5, 1.2), (3, 1.0, 1.1), (2, 0.5, 1.5)]:
         p = Params(d=d, s=s)
-        charge = PointCharge(q=1.0, R=R)
-        expected = field_potential_on_axis(charge, p) / sphere_energy(p)
-        assert eps_norm(1.0, charge, p) == pytest.approx(expected, abs=1e-8)
+        expected = field_potential_on_axis(R, p) / sphere_energy(p)
+        assert eps_norm(1.0, R, p) == pytest.approx(expected, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +238,15 @@ def test_eps_norm_t1_equals_axis_potential_ratio():
 def test_phi_no_charge_reduction():
     d, s, t = 2, 1.0, 0.3
     p = Params(d=d, s=s)
-    tiny = PointCharge(q=1e-15, R=2.0)
+    tiny = AxisMeasure([(2.0, 1e-15)])
     assert phi(t, tiny, p) == pytest.approx(sphere_energy(p) / nu_norm(t, p), rel=1e-16 + 1e-10)
 
 
 def test_phi_at_one_is_sphere_functional():
     p = Params(d=3, s=1.6)
-    charge = PointCharge(q=1.4, R=1.8)
-    expected = sphere_energy(p) + charge.q * field_potential_on_axis(charge, p)
-    assert phi(1.0, charge, p) == pytest.approx(expected, rel=1e-10)
+    q, R = 1.4, 1.8
+    expected = sphere_energy(p) + q * field_potential_on_axis(R, p)
+    assert phi(1.0, AxisMeasure([(R, q)]), p) == pytest.approx(expected, rel=1e-10)
 
 
 def test_phi_divergence_towards_minus_one():
@@ -273,19 +269,19 @@ def test_solve_t0_reference_scenario():
 
 def test_solve_t0_golden_boundary_case():
     p = Params(d=2, s=1.0)
-    sol = axis_solve_t(PointCharge(q=1.0, R=1.0 + GOLDEN), p)
+    field = AxisMeasure([(1.0 + GOLDEN, 1.0)])
+    sol = axis_solve_t(field, p)
     assert sol.t0 == 1.0
     assert sol.solved_by == "boundary_t_equals_1"
     assert sol.equilibrium.mass == pytest.approx(1.0, abs=1e-9)
-    # equality case: margin is zero to rounding
-    assert abs(axis_sphere_equilibrium(PointCharge(q=1.0, R=1.0 + GOLDEN), p).support_margin) \
-        < 1e-12
+    # equality case: Delta(1) is zero to rounding
+    assert abs(delta(1.0, field, p)) < 1e-12
 
 
 def test_solve_t0_boundary_iff_margin():
     p = Params(d=2, s=1.0)
-    just_below = axis_solve_t(PointCharge(q=1.0, R=1.0 + GOLDEN - 0.05), p)
-    just_above = axis_solve_t(PointCharge(q=1.0, R=1.0 + GOLDEN + 1e-4), p)
+    just_below = axis_solve_t(AxisMeasure([(1.0 + GOLDEN - 0.05, 1.0)]), p)
+    just_above = axis_solve_t(AxisMeasure([(1.0 + GOLDEN + 1e-4, 1.0)]), p)
     assert just_below.solved_by == "interior_root"
     assert just_below.t0 < 1.0
     assert just_above.solved_by == "boundary_t_equals_1"
@@ -338,8 +334,7 @@ def test_eta_mass_identity_random():
         R = float(rng.uniform(1.1, 3.0))
         t = float(rng.uniform(-0.5, 0.9))
         p = Params(d=d, s=s)
-        charge = PointCharge(q=q, R=R)
-        dens = eta_measure(t, charge, p).radial_density
+        dens = eta_measure(t, AxisMeasure([(R, q)]), p).radial_density
         mass = cap_sigma_integral(dens, d, t)
         assert mass == pytest.approx(1.0, abs=1e-7)
 
@@ -347,11 +342,11 @@ def test_eta_mass_identity_random():
 def test_eta_consistent_with_nu_eps_combination():
     d, s, q, R, t = 3, 1.5, 0.8, 1.7, 0.25
     p = Params(d=d, s=s)
-    charge = PointCharge(q=q, R=R)
+    charge = AxisMeasure([(R, q)])
     phi_t = phi(t, charge, p)
     W = sphere_energy(p)
     for u in (-0.9, -0.3, 0.2):
-        combo = (phi_t / W) * nu_density(u, t, p) - q * eps_density(u, t, charge, p)
+        combo = (phi_t / W) * nu_density(u, t, p) - q * eps_density(u, t, R, p)
         assert eta_measure(t, charge, p).radial_density(u) == pytest.approx(combo, rel=1e-9)
 
 
@@ -362,16 +357,15 @@ def test_eta_consistent_with_nu_eps_combination():
 def test_closed_form_off_cap_potentials():
     d, s, t, R = 2, 1.2, 0.3, 1.6
     p = Params(d=d, s=s)
-    charge = PointCharge(q=1.0, R=R)
     for xi in (0.45, 0.7, 0.95):
         got = cap_potential(lambda u: nu_density(u, t, p), t, xi, p)
         assert got == pytest.approx(nu_potential(xi, t, p), abs=1e-6)
-        got = cap_potential(lambda u: eps_density(u, t, charge, p), t, xi, p)
-        assert got == pytest.approx(eps_potential(xi, t, charge, p), abs=1e-6)
+        got = cap_potential(lambda u: eps_density(u, t, R, p), t, xi, p)
+        assert got == pytest.approx(eps_potential(xi, t, R, p), abs=1e-6)
     # off-cap deficiency
     for xi in (0.5, 0.8):
         assert nu_potential(xi, t, p) < sphere_energy(p)
-        assert eps_potential(xi, t, charge, p) < axis_dist2(xi, R) ** (-s / 2.0)
+        assert eps_potential(xi, t, R, p) < axis_dist2(xi, R) ** (-s / 2.0)
 
 
 def test_weighted_potential_continuity_and_inequality():
@@ -387,7 +381,7 @@ def test_weighted_potential_continuity_and_inequality():
 def test_weighted_potential_against_quadrature():
     d, s, q, R = 2, 1.0, 1.0, 1.3
     p = Params(d=d, s=s)
-    charge = PointCharge(q=q, R=R)
+    charge = AxisMeasure([(R, q)])
     t = 0.35
     eta = eta_measure(t, charge, p)
     for xi in (0.6, 0.85):

@@ -8,7 +8,7 @@ from rieszcap import cli
 from rieszcap.axis_field import axis_solve_t
 from rieszcap.cap_exceptional import etabar_measure, log_eta_potential, log_etabar
 from rieszcap.cap_riesz import eta_measure, eta_potential, phi
-from rieszcap.point_field import PointCharge
+from rieszcap.point_field import AxisMeasure
 from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import Params
 
@@ -21,13 +21,14 @@ def scenario(task, d, kernel, field, **extra):
             "cap": {"mode": "fixed", "value": T_FIXED}, "grid": GRID, **extra}
 
 
-RIESZ = ({"type": "riesz", "s": 1.2}, Params(d=2, s=1.2), PointCharge(q=0.8, R=1.6), 2)
-EXCEPTIONAL = ({"type": "riesz", "s": 1.0}, Params(d=3, s=1.0), PointCharge(q=1.0, R=2.0), 3)
-LOG = ({"type": "log"}, Params(d=2, log=True), PointCharge(q=1.0, R=2.0), 2)
+RIESZ = ({"type": "riesz", "s": 1.2}, Params(d=2, s=1.2), AxisMeasure([(1.6, 0.8)]), 2)
+EXCEPTIONAL = ({"type": "riesz", "s": 1.0}, Params(d=3, s=1.0), AxisMeasure([(2.0, 1.0)]), 3)
+LOG = ({"type": "log"}, Params(d=2, log=True), AxisMeasure([(2.0, 1.0)]), 2)
 
 
 def point(charge):
-    return {"type": "point", "q": charge.q, "R": charge.R}
+    (R, q), = charge.atoms
+    return {"type": "point", "q": q, "R": R}
 
 
 def read_csv(path):
@@ -93,10 +94,10 @@ def test_exceptional_potential_matches_oracle(tmp_path):
 
 def test_log_curves_match_public_functions(tmp_path):
     pot, dens = run_potential(tmp_path, LOG)
-    _, _, charge, _ = LOG
-    m = log_etabar(T_FIXED, charge)
+    _, params, charge, _ = LOG
+    m = log_etabar(T_FIXED, charge, params)
     for xi, val, _ in pot:
-        assert_rel(val, log_eta_potential(float(xi), m, charge))
+        assert_rel(val, log_eta_potential(float(xi), m, charge, params))
     for u, val, ring in dens:
         assert_rel(val, m.radial_density(float(u)))
         assert_rel(ring, m.boundary_coeff)
@@ -185,7 +186,7 @@ def test_non_object_scenario_exits_2_with_overrides(tmp_path, capsys):
 @pytest.mark.parametrize("task", ["density", "potential", "phi-curve"])
 def test_one_atom_axis_field_matches_point_field(tmp_path, case, task):
     kernel, _, charge, d = case
-    atom = {"type": "axis", "atoms": [[charge.R, charge.q]]}
+    atom = {"type": "axis", "atoms": [list(a) for a in charge.atoms]}
     for field, sub in ((point(charge), "point"), (atom, "axis")):
         cli.run_scenario(scenario(task, d, kernel, field, grid=4), tmp_path / sub)
     names = sorted(p.name for p in (tmp_path / "point").iterdir())
@@ -206,7 +207,7 @@ def test_committed_axis_scenarios_run(tmp_path, capsys):
 # solve-support samples, out-of-range input, committed scenarios
 
 
-FULL = PointCharge(q=0.05, R=3.0)  # whole-sphere support in all three regimes
+FULL = AxisMeasure([(3.0, 0.05)])  # whole-sphere support in all three regimes
 
 
 @pytest.mark.parametrize("case, charge, branch", [

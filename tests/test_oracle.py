@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from rieszcap import oracle
-from rieszcap.point_field import AxisMeasure, PointCharge
+from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import Params
 
 N_GRAD = 200
 N_ENERGY = 60
 
-POINT = PointCharge(q=1.0, R=1.3)
+POINT = AxisMeasure([(1.3, 1.0)])
 # the Riesz axis field has one atom inside the sphere; log fields need R > 1
 RIESZ_AXIS = AxisMeasure([(1.6, 0.5), (0.7, 0.5)])
 LOG_AXIS = AxisMeasure([(1.6, 0.5), (2.5, 0.5)])

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from rieszcap.axis_field import axis_sphere_equilibrium
+from rieszcap.axis_field import axis_sphere_equilibrium, regime
 from rieszcap.point_field import (
     AxisMeasure,
-    PointCharge,
     field_potential_on_axis,
     gonchar_polynomial,
     gonchar_root,
@@ -31,29 +30,29 @@ def sigma_integral(f, d, lo=-1.0, hi=1.0):
 
 def test_point_charge_validation():
     with pytest.raises(ValueError):
-        PointCharge(q=0.0, R=2.0)
+        AxisMeasure([(2.0, 0.0)])
     with pytest.raises(ValueError):
-        PointCharge(q=1.0, R=1.0)
+        AxisMeasure([(1.0, 1.0)])
     with pytest.raises(ValueError):
-        PointCharge(q=1.0, R=-0.5)
+        AxisMeasure([(-0.5, 1.0)])
 
 
 def test_inversion_normalization_is_exact_at_field_level():
     # q|x - (1/R')p|^{-s} == q R'^s |x - R'p|^{-s} on the sphere
     params = Params(d=3, s=1.7)
-    inner = PointCharge(q=0.8, R=0.4)
-    outer = inner.folded(params)
-    assert outer.R == pytest.approx(2.5)
-    assert outer.q == pytest.approx(0.8 * 2.5 ** 1.7)
+    inner = AxisMeasure([(0.4, 0.8)])
+    (R_out, q_out), = inner.folded(params).atoms
+    assert R_out == pytest.approx(2.5)
+    assert q_out == pytest.approx(0.8 * 2.5 ** 1.7)
     for u in (-0.9, 0.0, 0.7):
-        lhs = inner.q * axis_dist2(u, inner.R) ** (-params.s / 2.0)
-        rhs = outer.q * axis_dist2(u, outer.R) ** (-params.s / 2.0)
+        lhs = 0.8 * axis_dist2(u, 0.4) ** (-params.s / 2.0)
+        rhs = q_out * axis_dist2(u, R_out) ** (-params.s / 2.0)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_inversion_rejected_for_log():
     with pytest.raises(ValueError):
-        PointCharge(q=1.0, R=0.5).folded(Params(d=2, log=True))
+        AxisMeasure([(0.5, 1.0)]).folded(Params(d=2, log=True))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +62,7 @@ def test_inversion_rejected_for_log():
 def test_field_potential_newtonian_mean_value():
     # d=2, s=1: harmonic mean-value property gives exactly 1/R
     for R in (1.2, 2.0, 5.0):
-        got = field_potential_on_axis(PointCharge(q=1.0, R=R), Params(d=2, s=1.0))
+        got = field_potential_on_axis(R, Params(d=2, s=1.0))
         assert got == pytest.approx(1.0 / R, rel=1e-12)
 
 
@@ -72,7 +71,7 @@ def test_field_potential_limits_to_sphere_energy():
     for (d, s) in [(2, 1.3), (3, 1.6), (4, 2.1)]:
         params = Params(d=d, s=s)
         W = sphere_energy(params)
-        diffs = [abs(field_potential_on_axis(PointCharge(q=1.0, R=1.0 + eps), params) - W)
+        diffs = [abs(field_potential_on_axis(1.0 + eps, params) - W)
                  for eps in (1e-2, 1e-4, 1e-6, 1e-8)]
         assert diffs[0] > diffs[1] > diffs[2] > diffs[3]
         assert diffs[3] < 1e-5
@@ -82,7 +81,7 @@ def test_field_potential_against_quadrature():
     d, s, R = 3, 1.2, 1.7
     params = Params(d=d, s=s)
     expected = sigma_integral(lambda u: axis_dist2(u, R) ** (-s / 2.0), d)
-    got = field_potential_on_axis(PointCharge(q=2.0, R=R), params)
+    got = field_potential_on_axis(R, params)
     assert got == pytest.approx(expected, rel=1e-11)
 
 
@@ -92,16 +91,16 @@ def test_field_potential_against_quadrature():
 
 def test_density_uniform_without_charge():
     params = Params(d=3, s=1.5)
-    eq = axis_sphere_equilibrium(PointCharge(q=1e-14, R=2.0), params)
+    eq = axis_sphere_equilibrium(AxisMeasure([(2.0, 1e-14)]), params)
     for u in (-1.0, 0.0, 1.0):
-        assert eq.density(u) == pytest.approx(1.0, abs=1e-12)
+        assert eq.radial_density(u) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_density_minimum_at_north_pole():
     params = Params(d=2, s=1.0)
-    charge = PointCharge(q=1.0, R=1.5)
+    charge = AxisMeasure([(1.5, 1.0)])
     us = np.linspace(-1.0, 1.0, 201)
-    dens = axis_sphere_equilibrium(charge, params).density(us)
+    dens = axis_sphere_equilibrium(charge, params).radial_density(us)
     assert np.argmin(dens) == len(us) - 1
 
 
@@ -113,8 +112,8 @@ def test_density_total_mass_one():
         q = float(rng.uniform(0.2, 3.0))
         R = float(rng.uniform(1.1, 4.0))
         params = Params(d=d, s=s)
-        charge = PointCharge(q=q, R=R)
-        mass = sigma_integral(axis_sphere_equilibrium(charge, params).density, d)
+        charge = AxisMeasure([(R, q)])
+        mass = sigma_integral(axis_sphere_equilibrium(charge, params).radial_density, d)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
 
@@ -122,12 +121,12 @@ def test_density_d2_value_through_mass_identity():
     # spec reference point: d=2, s=1, q=1, R=3; check the u=-1 value by
     # removing it from the mass identity computed by quadrature
     params = Params(d=2, s=1.0)
-    charge = PointCharge(q=1.0, R=3.0)
-    density = axis_sphere_equilibrium(charge, params).density
+    charge = AxisMeasure([(3.0, 1.0)])
+    density = axis_sphere_equilibrium(charge, params).radial_density
     val = density(-1.0)
     # direct formula assembled from independently tested pieces
     W = sphere_energy(params)
-    U = field_potential_on_axis(charge, params)
+    U = field_potential_on_axis(3.0, params)
     expected = 1.0 + U / W - (9.0 - 1.0) ** 1.0 / (W * (16.0) ** (1.5))
     assert val == pytest.approx(expected, rel=1e-12)
     assert sigma_integral(density, 2) == pytest.approx(1.0, abs=1e-10)
@@ -139,8 +138,7 @@ def test_balayage_mass_identity():
     params = Params(d=d, s=s)
     lhs = sigma_integral(
         lambda u: (R * R - 1.0) ** (d - s) * axis_dist2(u, R) ** (s / 2.0 - d), d)
-    assert lhs == pytest.approx(field_potential_on_axis(PointCharge(q=q, R=R), params),
-                                rel=1e-10)
+    assert lhs == pytest.approx(field_potential_on_axis(R, params), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +146,29 @@ def test_balayage_mass_identity():
 
 
 def test_margin_zero_iff_density_zero_at_pole():
-    params = Params(d=3, s=1.4)
-    for R in (1.3, 2.0, 3.5):
-        charge = PointCharge(q=1.0, R=R)
-        eq = axis_sphere_equilibrium(charge, params)
-        margin, pole = eq.support_margin, eq.density(1.0)
+    # Delta(1) = W * (whole-sphere density at the pole) for d-2 < s < d and
+    # s = d-2, one atom or two; the log Delta(1) has the pole density's sign
+    fields = [AxisMeasure([(R, 1.0)]) for R in (1.3, 2.0, 3.5)]
+    fields += [AxisMeasure([(1.4, 0.6), (3.0, 0.9)]), AxisMeasure([(5.0, 0.05)])]
+    for params in (Params(d=3, s=1.4), Params(d=3, s=1.0), Params(d=4, s=2.0)):
         W = sphere_energy(params)
-        assert margin == pytest.approx(W / charge.q * pole, rel=1e-10, abs=1e-12)
+        for field in fields:
+            margin = regime(params).delta(1.0, field)
+            pole = axis_sphere_equilibrium(field, params).radial_density(1.0)
+            assert margin == pytest.approx(W * pole, rel=1e-10, abs=1e-12)
+    plog = Params(d=2, log=True)
+    signs = set()
+    for field in fields:
+        margin = regime(plog).delta(1.0, field)
+        assert np.sign(margin) == np.sign(axis_sphere_equilibrium(field, plog).radial_density(1.0))
+        signs.add(np.sign(margin))
+    assert signs == {-1.0, 1.0}
 
 
 def test_margin_sign_flip_at_golden_ratio():
     params = Params(d=2, s=1.0)
     rho = GOLDEN
-    margin = lambda R: axis_sphere_equilibrium(PointCharge(q=1.0, R=R), params).support_margin
+    margin = lambda R: regime(params).delta(1.0, AxisMeasure([(R, 1.0)]))
     at = margin(1.0 + rho)
     below = margin(1.0 + rho - 1e-6)
     above = margin(1.0 + rho + 1e-6)
@@ -181,30 +189,31 @@ def test_margin_series_form():
         ratio *= (s / 2.0 + k) / (d + k)
         coef *= (d / 2.0 + k) * z / (k + 1.0)
     series *= (R + 1.0) ** (-s)
-    charge = PointCharge(q=1.3, R=R)
-    closed = (R + 1.0) ** (d - s) / (R - 1.0) ** d - field_potential_on_axis(charge, params)
+    q = 1.3
+    closed = (R + 1.0) ** (d - s) / (R - 1.0) ** d - field_potential_on_axis(R, params)
     assert closed == pytest.approx(series, rel=1e-10)
-    assert axis_sphere_equilibrium(charge, params).support_margin / charge.q == pytest.approx(
-        sphere_energy(params) / charge.q - series, rel=1e-10)
+    assert regime(params).delta(1.0, AxisMeasure([(R, q)])) / q == pytest.approx(
+        sphere_energy(params) / q - series, rel=1e-10)
 
 
 def test_signed_equilibrium_bundle():
     params = Params(d=2, s=1.0)
-    charge = PointCharge(q=1.0, R=3.0)
+    charge = AxisMeasure([(3.0, 1.0)])
     eq = axis_sphere_equilibrium(charge, params)
-    assert eq.F == pytest.approx(sphere_energy(params) + 1.0 / 3.0, rel=1e-12)
-    assert eq.support_margin > 0.0
+    assert eq.phi == pytest.approx(sphere_energy(params) + 1.0 / 3.0, rel=1e-12)
+    assert regime(params).delta(1.0, charge) > 0.0
     atom = AxisMeasure([(3.0, 1.0)])
-    assert eq.density(0.0) == pytest.approx(axis_sphere_equilibrium(atom, params).density(0.0))
+    assert eq.radial_density(0.0) == pytest.approx(
+        axis_sphere_equilibrium(atom, params).radial_density(0.0))
 
 
 def test_weighted_potential_constant_on_sphere():
     # quadrature of U^eta + Q over heights varies by < 1e-6 relative
     d, s, q, R = 2, 1.0, 1.0, 3.0
     params = Params(d=d, s=s)
-    charge = PointCharge(q=q, R=R)
+    charge = AxisMeasure([(R, q)])
     from rieszcap.sphere import kappa
-    density = axis_sphere_equilibrium(charge, params).density
+    density = axis_sphere_equilibrium(charge, params).radial_density
 
     def weighted(xi):
         val, err = integrate.quad(
@@ -217,7 +226,7 @@ def test_weighted_potential_constant_on_sphere():
     spread = (max(vals) - min(vals)) / abs(np.mean(vals))
     assert spread < 1e-6
     eq = axis_sphere_equilibrium(charge, params)
-    assert np.mean(vals) == pytest.approx(eq.F, rel=1e-7)
+    assert np.mean(vals) == pytest.approx(eq.phi, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +293,6 @@ def test_margin_root_agrees_with_gonchar_distance():
     for d in (2, 3):
         params = Params(d=d, s=float(d - 1))
         root_R = optimize.brentq(
-            lambda R: axis_sphere_equilibrium(PointCharge(q=1.0, R=R), params).support_margin,
+            lambda R: regime(params).delta(1.0, AxisMeasure([(R, 1.0)])),
             1.0 + 1e-9, 6.0, xtol=1e-13)
         assert root_R == pytest.approx(1.0 + gonchar_root(d), abs=1e-10)

@@ -262,6 +262,26 @@ def test_boundary_potential_gating():
         boundary_potential(0.0, 0.5, Params(d=3, s=1.5))
 
 
+@pytest.mark.parametrize("near_one", [False, True], ids=["generic", "R-and-u-near-1"])
+def test_axis_dist2_against_40_digit_mpmath(near_one):
+    # R^2 - 2Ru + 1 cancels as R, u -> 1 (1.5e-8 relative on the second row);
+    # (R-1)^2 + 2R(1-u) adds two nonnegative terms
+    rng = np.random.default_rng(41)
+    n = 20_000
+    if near_one:
+        R = 1.0 + 10.0 ** rng.uniform(-9.0, -1.0, n)
+        u = 1.0 - 10.0 ** rng.uniform(-9.0, -1.0, n)
+    else:
+        R = 10.0 ** rng.uniform(-0.7, 0.7, n)  # both sides of the sphere
+        u = rng.uniform(-1.0, 1.0, n)
+    got = axis_dist2(u, R)
+    with mp.workdps(40):
+        worst = max(abs(mp.mpf(float(g)) / ((mp.mpf(float(r)) - 1) ** 2
+                                          + 2 * mp.mpf(float(r)) * (1 - mp.mpf(float(x)))) - 1)
+                    for g, r, x in zip(got, R, u))
+    assert worst <= 4.4e-16
+
+
 # ---------------------------------------------------------------------------
 # Kelvin transformation
 
