@@ -126,12 +126,21 @@ class CapSolution:
     params: Params
 
 
-def _solve_bracketed(delta) -> float:
-    # Delta > 0 near t = -1 and Delta(1) < 0: bracket the sign change on a grid
+def _solve_bracketed(delta, delta_at_one: float) -> float:
+    # Delta > 0 near t = -1 and Delta(1) < 0: bracket the sign change on a
+    # grid.  Values already known (Delta(1), the bracket ends) are not
+    # recomputed when Brent asks for them.
+    known = {1.0: delta_at_one}
+
+    def f(t: float) -> float:
+        if t not in known:
+            known[t] = delta(t)
+        return known[t]
+
     prev = -1.0 + 1e-9
     for tk in np.linspace(-1.0 + 2.0 / 65.0, 1.0, 64):
-        if delta(float(tk)) <= 0.0:
-            return float(optimize.brentq(delta, prev, float(tk), xtol=1e-14, rtol=8.9e-16))
+        if f(float(tk)) <= 0.0:
+            return float(optimize.brentq(f, prev, float(tk), xtol=1e-14, rtol=8.9e-16))
         prev = float(tk)
     raise RuntimeError("Delta did not change sign on the bracket grid")
 
@@ -147,10 +156,11 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     """
     lam = lam.folded(params)
     form = regime(params)
-    if form.delta(1.0, lam) >= 0.0:
+    delta_at_one = form.delta(1.0, lam)
+    if delta_at_one >= 0.0:
         t0, solved_by = 1.0, "boundary_t_equals_1"
     else:
-        t0 = _solve_bracketed(lambda t: form.delta(t, lam))
+        t0 = _solve_bracketed(lambda t: form.delta(t, lam), delta_at_one)
         solved_by = "interior_root"
     measure = replace(cap_measure(lam, t0, params), boundary_coeff=0.0).with_mass(params)
     return CapSolution(t0=t0, phi_at_t0=measure.phi, equilibrium=measure,

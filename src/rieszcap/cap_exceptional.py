@@ -179,15 +179,13 @@ def weakstar_gap(t: float, s_values, R: float, params: Params):
         ps = Params(d=d, s=float(s))
         rec = {"s": float(s), "nu": np.empty(4), "eps": np.empty(4)}
         for k in range(4):
-            # the Jacobi rule loses digits as its exponent approaches -1
-            # (s -> d-2), so ask only for what the gap comparison needs
             mom_nu = integrate_radial(
                 lambda u: u ** k * nu_density(u, t, ps) * (t - u) ** ((d - s) / 2.0),
-                t, ps, singular_exponent=(s - d) / 2.0, tol=2e-9)
+                t, ps, singular_exponent=(s - d) / 2.0, tol=1e-12)
             rec["nu"][k] = abs(mom_nu - bar_moment(nb, k))
             mom_eps = integrate_radial(
                 lambda u: u ** k * eps_density(u, t, R, ps) * (t - u) ** ((d - s) / 2.0),
-                t, ps, singular_exponent=(s - d) / 2.0, tol=2e-9)
+                t, ps, singular_exponent=(s - d) / 2.0, tol=1e-12)
             rec["eps"][k] = abs(mom_eps - bar_moment(eb, k))
         out.append(rec)
     return out

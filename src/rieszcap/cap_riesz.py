@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import betainc, rgamma
 
 from rieszcap.point_field import AxisMeasure, _exterior, field_potential_on_axis
-from rieszcap.specfun import hyp2f1_regularized
+from rieszcap.specfun import _block_terms, hyp2f1_regularized
 from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, omega_ratio, \
     sphere_energy
 
@@ -196,19 +196,24 @@ def _eta_tail(w, c2: float, d: int, s: float):
 
 
 def _eta_tail_series(w_arr: np.ndarray, c2: float, d: int, c0: float) -> np.ndarray:
-    # the term-wise series of _eta_tail for w <= 0.999
+    # the term-wise series of _eta_tail for w <= 0.999, a block of terms at a
+    # time; it stops at the first term below 1e-17 * max|total|
     base = (d / 2.0) * rgamma(1.0 + c0) * w_arr
     c2n = c2
     total = base * (1.0 - c2n)
     n = 1
-    while True:
-        base = base * ((d / 2.0 + n) / (n + c0)) * w_arr
-        c2n *= c2
-        term = base * (1.0 - c2n)
-        total += term
-        n += 1
-        if np.max(np.abs(term)) <= 1e-17 * max(np.max(np.abs(total)), 1e-300) or n > 100_000:
-            break
+    block = _block_terms(w_arr.size)
+    while n <= 100_000:
+        k = n + np.arange(block, dtype=float)
+        bases = base * np.cumprod(((d / 2.0 + k) / (k + c0))[:, None] * w_arr, axis=0)
+        c2ns = np.cumprod(np.concatenate([[c2n], np.full(block, c2)]))[1:]
+        terms = bases * (1.0 - c2ns)[:, None]
+        totals = total + np.cumsum(terms, axis=0)
+        settled = np.abs(terms).max(axis=1) <= 1e-17 * np.maximum(np.abs(totals).max(axis=1), 1e-300)
+        if settled.any():
+            return totals[np.argmax(settled)]
+        base, c2n, total = bases[-1], c2ns[-1], totals[-1]
+        n += block
     return total
 
 

@@ -29,10 +29,18 @@ __all__ = [
 
 _SERIES_TOL = 1e-16
 _SERIES_MAX_TERMS = 100_000
+_BLOCK_ELEMENTS = 1 << 15  # terms x points computed at once by a vectorised series
 
 
 class ConvergenceError(RuntimeError):
     """A series or quadrature failed to reach its tolerance."""
+
+
+def _block_terms(points: int) -> int:
+    """Terms per block for a series summed over ``points`` arguments at once:
+    64, fewer when the points are many, so a block stays within
+    _BLOCK_ELEMENTS values."""
+    return max(4, min(64, _BLOCK_ELEMENTS // max(points, 1)))
 
 
 def _is_nonpositive_integer(x: float, eps: float = 1e-12) -> bool:
@@ -204,18 +212,26 @@ def hyp2f1_regularized(a, b, c, z):
     total = term.copy()
     small = 0
     n = n_start
+    block = _block_terms(zv.size)
+    # a block of terms at a time; the stopping rule (three consecutive terms
+    # below tol * max|total|) is applied term by term inside the block
     while n - n_start < _SERIES_MAX_TERMS:
-        term = term * ((a + n) * (b + n) / ((n + 1.0) * (n + c))) * zv
-        total += term
-        n += 1
-        scale = np.max(np.abs(total))
-        if np.max(np.abs(term)) <= _SERIES_TOL * max(scale, 1e-300):
-            small += 1
+        k = n + np.arange(block + 1, dtype=float)
+        ratio = (a + k) / (k + 1.0) * ((b + k) / (k + c))  # term n+1 over term n, times z
+        terms = term * np.cumprod(ratio[:block, None] * zv, axis=0)
+        totals = total + np.cumsum(terms, axis=0)
+        settled = (np.abs(terms).max(axis=1)
+                   <= _SERIES_TOL * np.maximum(np.abs(totals).max(axis=1), 1e-300))
+        for j, ok in enumerate(settled):
+            small = small + 1 if ok else 0
             if small >= 3:
-                break
-        else:
-            small = 0
-    else:
-        raise ConvergenceError(
-            f"regularized 2F1 series stalled at a={a} b={b} c={c} max|z|={np.max(np.abs(zv))}")
-    return float(total[0]) if scalar else total.reshape(z_arr.shape)
+                # the terms past the stop, summed as the geometric tail of the
+                # next term ratio (their sum, ~tol/(1-z), is the truncation error)
+                rho = ratio[j + 1] * zv
+                tail = np.where(np.abs(rho) < 1.0, terms[j] * rho / (1.0 - rho), 0.0)
+                total = totals[j] + tail
+                return float(total[0]) if scalar else total.reshape(z_arr.shape)
+        term, total = terms[-1], totals[-1]
+        n += block
+    raise ConvergenceError(
+        f"regularized 2F1 series stalled at a={a} b={b} c={c} max|z|={np.max(np.abs(zv))}")

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import psi, roots_jacobi
+from scipy.linalg.lapack import dsterf
+from scipy.special import psi
 
 from rieszcap.specfun import ConvergenceError, hyp2f1
 
@@ -39,6 +40,11 @@ __all__ = [
 
 _EXC_TOL = 1e-12  # how close s must be to d-2 to count as the exceptional case
 _RULE_CACHE_SIZE = 128  # distinct (order, alpha, beta) Gauss-Jacobi rules kept per process
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
+_SERIES_TERMS = 64  # endpoint-series terms: ample for the node nearest x = 1
+_NEWTON_STEPS = 8  # Newton passes before a rule build gives up
+_STEPS_PER_TABLE = 64  # recurrence steps whose per-node coefficients are laid out at once
+_NEWTON_SETTLED = 1e-8  # relative step after which one more correction is exact to rounding
 
 
 @dataclass(frozen=True)
@@ -193,6 +199,14 @@ class RadialQuadrature:
     the right-endpoint exponent when t = 1).  The arrays are rescaled from a
     [-1, 1] rule that is built once per process for each (order, alpha,
     beta) and shared; they are the caller's own to modify.
+
+    That rule (:func:`_jacobi_rule`) is computed here, not by scipy: Newton
+    on Golub-Welsch seeds, with every node held as its distance to its
+    endpoint.  Its weights give the moments of (1-x)^alpha (1+x)^beta to
+    ~1e-14 relative for alpha, beta in (-1, 2] and orders up to 4096, so a
+    singular exponent near -1 (s -> d-2) costs no accuracy.  Nodes reach
+    ``f`` as heights u, so they carry absolute rounding ~1e-16 near the
+    endpoints.
     """
 
     nodes: np.ndarray
@@ -204,15 +218,227 @@ class RadialQuadrature:
         return float(np.dot(self.weights, vals))
 
 
+# --- Gauss-Jacobi rules on [-1, 1] ------------------------------------------
+#
+# Double-double helpers (Dekker 1971): a pair (hi, lo) stands for hi + lo.
+# They make the recurrence coefficients below correctly rounded; coefficients
+# rounded a few times each shift the computed polynomial by ~n*eps, enough to
+# cost the weights two digits at order 4096.
+
+def _two_sum(a, b):
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    p = a * b
+    ca, cb = _SPLIT * a, _SPLIT * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_add(x, y):
+    s, e = _two_sum(x[0], y[0])
+    e = e + (x[1] + y[1])
+    h = s + e
+    return h, e - (h - s)
+
+
+def _dd_mul(x, y):
+    p, e = _two_prod(x[0], y[0])
+    e = e + (x[0] * y[1] + x[1] * y[0])
+    h = p + e
+    return h, e - (h - p)
+
+
+def _dd_div(x, y):
+    # x / y rounded to double
+    q = x[0] / y[0]
+    p, e = _two_prod(q, y[0])
+    return q + (((x[0] - p) - e) + x[1] - q * y[1]) / y[0]
+
+
+def _recurrence(n: int, a, b):
+    """Coefficients of the normalised Jacobi recurrence in Reinsch's form.
+
+    With p_k = P_k^(a,b)(1-y) / P_k^(a,b)(1) and D_k = p_k - p_{k-1}:
+
+        D_1 = r y,   D_k = C_k D_{k-1} - A_k y p_{k-1},   p_k = p_{k-1} + D_k,
+
+        A_k = (2k+s-1)(2k+s) / (2(k+s)(k+a)),
+        C_k = (k-1)(k+b-1)(2k+s) / ((k+s)(2k+s-2)(k+a)),   r = -(s+2)/(2(a+1)),
+
+    s = a+b.  Every rounding of this form is relative to y, so the distance to
+    x = 1 survives however small it is (Reinsch's modification of the
+    three-term recurrence).  ``a`` and ``b`` are double-double columns, one
+    row per exponent pair; returns r (rows x 1) and A, C (rows x n-1) for
+    k = 2..n, each correctly rounded.
+    """
+    k = np.arange(2.0, n + 1.0)
+    zero = np.zeros_like(k)
+    s = _dd_add(a, b)
+
+    def plus(j, g):  # j + g for an integer-valued j
+        return _dd_add((j, np.zeros_like(j)), g)
+
+    two_k_s = plus(2.0 * k, s)
+    den = _dd_mul(plus(k, s), plus(k, a))
+    coef_a = _dd_div(_dd_mul(plus(2.0 * k - 1.0, s), two_k_s), (2.0 * den[0], 2.0 * den[1]))
+    coef_c = _dd_div(_dd_mul(_dd_mul((k - 1.0, zero), plus(k - 1.0, b)), two_k_s),
+                     _dd_mul(den, plus(2.0 * k - 2.0, s)))
+    a1 = plus(np.ones_like(a[0]), a)
+    r = -_dd_div(plus(np.full_like(a[0], 2.0), s), (2.0 * a1[0], 2.0 * a1[1]))
+    return r, coef_a, coef_c
+
+
+def _endpoint_series(n: int, a: float, b: float, y: float) -> tuple[float, float]:
+    # P_n^(a,b)(1-y) / P_n^(a,b)(1) = 2F1(-n, n+a+b+1; a+1; y/2) and its
+    # y-derivative.  At the node nearest x = 1 the terms stay O(1), so the sum
+    # carries no cancellation beyond that of the root itself.
+    j = np.arange(1.0, min(n, _SERIES_TERMS) + 1.0)
+    terms = np.cumprod((j - 1.0 - n) * (n + a + b + j) / ((a + j) * j) * (0.5 * y))
+    return 1.0 + float(terms.sum()), float((j * terms).sum()) / y
+
+
+def _golub_welsch_nodes(n: int, alpha: float, beta: float) -> np.ndarray:
+    # eigenvalues of the Jacobi matrix: starting points for Newton, accurate
+    # to ~eps in x and so to ~eps/(1-|x|) in the endpoint distance
+    s = alpha + beta
+    k = np.arange(1.0, n)
+    diag = np.empty(n)
+    diag[0] = (beta - alpha) / (s + 2.0)
+    diag[1:] = (beta - alpha) * (beta + alpha) / ((2.0 * k + s) * (2.0 * k + s + 2.0))
+    off2 = np.empty(n - 1)
+    off2[0] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + s) ** 2 * (3.0 + s))  # (1+s)/(1+s) cancelled
+    k = k[1:]
+    off2[1:] = 4.0 * k * (k + alpha) * (k + beta) * (k + s) / (
+        (2.0 * k + s) ** 2 * (2.0 * k + s + 1.0) * (2.0 * k + s - 1.0))
+    x, info = dsterf(diag, np.sqrt(off2))
+    if info != 0:
+        raise ConvergenceError(f"Jacobi matrix eigenvalues failed (dsterf info {info})")
+    return x
+
+
+def _polish_top(n: int, a: float, b: float, y: float) -> tuple[float, float]:
+    # Newton on the endpoint series for the node nearest x = 1 of P_n^(a,b);
+    # returns its distance y and P_{n-1}^(a+1,b+1)(1-y) / P_{n-1}^(a+1,b+1)(1)
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _endpoint_series(n, a, b, y)
+        step = p / dp
+        y -= step
+        if not y > 0.0:
+            break
+        if abs(step) <= _NEWTON_SETTLED * y:
+            return y, _endpoint_series(n - 1, a + 1.0, b + 1.0, y)[0]
+    raise ConvergenceError(f"Gauss-Jacobi endpoint node did not settle: n={n}, a={a!r}, b={b!r}")
+
+
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _jacobi_rule(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Jacobi rule on [-1, 1] for (1-x)^alpha (1+x)^beta; roots_jacobi is
-    # deterministic, so a cached rule equals a fresh one bit for bit.  The
-    # arrays are shared between callers and therefore read-only.
-    x, w = roots_jacobi(order, alpha, beta)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+def _jacobi_rule(order: int, alpha: float,
+                 beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule on [-1, 1] for (1-x)^alpha (1+x)^beta, as the
+    arrays (1-x, 1+x, w) in increasing x.
+
+    Nodes with x >= 0 are held as y = 1-x and solved as zeros of
+    P_n^(alpha,beta)(1-y); nodes with x < 0 as y = 1+x, zeros of
+    P_n^(beta,alpha)(1-y).  So no node's distance to its endpoint is ever
+    formed by cancellation (the idea of Hale & Townsend, SIAM J. Sci. Comput.
+    35 (2013) A652).  In each half:
+
+    - Newton starts from the Golub-Welsch eigenvalues and evaluates the
+      polynomials by the Reinsch-form recurrence of :func:`_recurrence`, all
+      nodes at once; the node nearest the endpoint uses
+      :func:`_endpoint_series` instead.
+    - The weight is 1/((1-x^2) P_n'(x)^2) up to a constant, with
+      P_n' = (n+alpha+beta+1)/2 P_{n-1}^(alpha+1,beta+1), which stays well
+      away from zero at the nodes, and 1-x^2 = y(2-y).
+
+    The two halves are put on one scale by the exact ratio of their
+    normalisations, and the weights are scaled to the exact total mass
+    2^(alpha+beta+1) B(alpha+1, beta+1).  Moments of degree <= 3 match their
+    Beta values to ~1e-14 relative for alpha, beta in (-1, 2] and n <= 4096
+    (tests/test_sphere.py).  The build is deterministic, so a cached rule
+    equals a fresh one bit for bit; the arrays are shared between callers
+    and therefore read-only.
+    """
+    n = order
+    if n < 2:
+        raise ValueError(f"Gauss-Jacobi order must be >= 2, got {n}")
+    x0 = _golub_welsch_nodes(n, alpha, beta)
+    frames = ((alpha, beta, 1.0 - x0[x0 >= 0.0][::-1]), (beta, alpha, 1.0 + x0[x0 < 0.0]))
+    a_f = np.array([[alpha], [beta]])
+    b_f = np.array([[beta], [alpha]])
+
+    # bulk nodes of both halves, padded to one width with a harmless y = 1/2
+    width = max(1, max(len(y) for _, _, y in frames) - 1)
+    y = np.full((2, width), 0.5)
+    valid = np.zeros((2, width), dtype=bool)
+    for i, (_, _, yf) in enumerate(frames):
+        y[i, :len(yf[1:])] = yf[1:]
+        valid[i, :len(yf[1:])] = True
+
+    # rows: p for both halves, then q = P_{n-1}^(a+1,b+1) for both halves
+    a1, b1 = _two_sum(alpha, 1.0), _two_sum(beta, 1.0)
+    a_dd = (np.array([[alpha], [beta], [a1[0]], [b1[0]]]), np.array([[0.0], [0.0], [a1[1]], [b1[1]]]))
+    b_dd = (np.array([[beta], [alpha], [b1[0]], [a1[0]]]), np.array([[0.0], [0.0], [b1[1]], [a1[1]]]))
+    r, coef_a, coef_c = _recurrence(n, a_dd, b_dd)
+    coef_a, coef_c = np.ascontiguousarray(coef_a.T), np.ascontiguousarray(coef_c.T)
+    row = np.repeat(np.arange(4), width)  # the coefficient row of each flattened entry
+    for _ in range(_NEWTON_STEPS):
+        yy = np.concatenate([y, y]).ravel()
+        d = r[row, 0] * yy
+        p = 1.0 + d
+        t = np.empty_like(yy)
+        for k0 in range(0, n - 1, _STEPS_PER_TABLE):
+            # per-entry coefficients for a block of steps: no broadcasting in the loop
+            tab_a = coef_a[k0:k0 + _STEPS_PER_TABLE].take(row, axis=1)
+            tab_c = coef_c[k0:k0 + _STEPS_PER_TABLE].take(row, axis=1)
+            for k in range(len(tab_a)):
+                if k0 + k == n - 2:
+                    q = p[2 * width:].reshape(2, width).copy()
+                np.multiply(tab_a[k], yy, out=t)
+                np.multiply(t, p, out=t)
+                np.multiply(d, tab_c[k], out=d)
+                np.subtract(d, t, out=d)
+                np.add(p, d, out=p)
+        p = p[:2 * width].reshape(2, width)
+        # Newton step in y: P_n' = n(n+a+b+1)/(2(a+1)) P_n(1)/P_{n-1}^(a+1,b+1)(1) q
+        step = np.divide(2.0 * (a_f + 1.0) * p, n * (n + a_f + b_f + 1.0) * q,
+                         out=np.zeros_like(y), where=valid)
+        if np.all(np.abs(step) <= _NEWTON_SETTLED * y):
+            break
+        y = y + step
+    else:
+        raise ConvergenceError(f"Gauss-Jacobi nodes did not settle: n={n}, alpha={alpha!r}, beta={beta!r}")
+    # q at the stepped node from its Jacobi equation: (1-x^2) q' = (a-b+(a+b+2)x) q - 2(a+1) p
+    dq = ((a_f - b_f + (a_f + b_f + 2.0) * (1.0 - y)) * q - 2.0 * (a_f + 1.0) * p) / (y * (2.0 - y))
+    q = q - dq * step
+    y = y + step
+
+    raw = []
+    for i, (a, b, yf) in enumerate(frames):
+        if len(yf) == 0:
+            raw.append((yf, yf))
+            continue
+        top_y, top_q = _polish_top(n, a, b, float(yf[0]))
+        yi = np.concatenate([[top_y], y[i, valid[i]]])
+        qi = np.concatenate([[top_q], q[i, valid[i]]])
+        raw.append((yi, 1.0 / (yi * (2.0 - yi) * qi * qi)))
+    (y_right, v_right), (y_left, v_left) = raw
+    # P_{n-1}^(alpha+1,beta+1)(1) / P_{n-1}^(beta+1,alpha+1)(1), squared
+    k = np.arange(1.0, n)
+    v_left = v_left * math.exp(2.0 * float(np.sum(np.log1p((alpha - beta) / (k + beta + 1.0)))))
+    one_minus_x = np.concatenate([2.0 - y_left, y_right[::-1]])
+    one_plus_x = np.concatenate([y_left, (2.0 - y_right)[::-1]])
+    w = np.concatenate([v_left, v_right[::-1]])
+    mass = 2.0 ** (alpha + beta + 1.0) * math.exp(
+        math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0))
+    w *= mass / math.fsum(w)
+    for arr in (one_minus_x, one_plus_x, w):
+        arr.flags.writeable = False
+    return one_minus_x, one_plus_x, w
 
 
 def _jacobi_exponents(t: float, params: Params, singular_exponent: float,
@@ -244,13 +470,14 @@ def build_quadrature(t: float, params: Params, order: int,
     alpha, beta = _jacobi_exponents(t, params, singular_exponent, left_exponent)
     if alpha <= -1.0 or beta <= -1.0:
         raise ValueError(f"Jacobi exponents must exceed -1, got ({alpha}, {beta})")
-    x, w = _jacobi_rule(order, alpha, beta)
+    one_minus_x, one_plus_x, w = _jacobi_rule(order, alpha, beta)
     half = (1.0 + t) / 2.0
-    u = -1.0 + half * (x + 1.0)
+    u = -1.0 + half * one_plus_x
     scale = half ** (alpha + beta + 1.0) / omega_ratio(params)
     weights = w * scale
     if t < 1.0:
-        weights = weights * (1.0 - u) ** (d / 2.0 - 1.0)
+        # 1-u as two nonnegative terms
+        weights = weights * ((1.0 - t) + half * one_minus_x) ** (d / 2.0 - 1.0)
     return RadialQuadrature(nodes=u, weights=weights, t=float(t))
 
 

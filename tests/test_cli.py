@@ -9,7 +9,6 @@ from rieszcap.axis_field import axis_solve_t
 from rieszcap.cap_exceptional import etabar_measure, log_eta_potential, log_etabar
 from rieszcap.cap_riesz import eta_measure, eta_potential, phi
 from rieszcap.point_field import AxisMeasure
-from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import Params
 
 GRID = 9
@@ -275,14 +274,10 @@ def test_kernel_outside_the_regimes_exits_2(tmp_path, capsys, d, kernel):
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # minutes of oracle quadrature and particle descent: not tier-1 material
 SLOW_SCENARIOS = {"reference_verify", "reference_particles"}
-# cap quadrature does not settle for Figure 1's exponent (ROADMAP item 1)
-FIG1_XFAIL = pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                               reason="ROADMAP item 1: fig1 mass quadrature does not settle")
 
 
 @pytest.mark.parametrize("path", [
-    pytest.param(p, id=p.stem, marks=[FIG1_XFAIL] if p.stem.startswith("fig1_") else [])
-    for p in sorted(SCENARIOS.glob("*.json")) if p.stem not in SLOW_SCENARIOS])
+    pytest.param(p, id=p.stem) for p in sorted(SCENARIOS.glob("*.json")) if p.stem not in SLOW_SCENARIOS])
 def test_committed_scenario_runs(tmp_path, path):
     cli.run_scenario(json.loads(path.read_text()), tmp_path)
 

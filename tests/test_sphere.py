@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
-from scipy.special import betainc, roots_jacobi
+from scipy.special import betainc
 
 from rieszcap import sphere
 from rieszcap.sphere import (
@@ -390,16 +390,16 @@ RULE_CASES = [  # (params, order, singular exponent, left exponent, t)
 
 
 def fresh_quadrature(params, order, se, left, t):
-    # build_quadrature's rescaling applied to a rule built just now
+    # build_quadrature's rescaling applied to a rule built just now, past the cache
     d = params.d
     beta = d / 2.0 - 1.0 if left is None else left
     alpha = se + (d / 2.0 - 1.0 if t == 1.0 else 0.0)
-    x, w = roots_jacobi(order, alpha, beta)
+    one_minus_x, one_plus_x, w = sphere._jacobi_rule.__wrapped__(order, alpha, beta)
     half = (1.0 + t) / 2.0
-    u = -1.0 + half * (x + 1.0)
+    u = -1.0 + half * one_plus_x
     weights = w * (half ** (alpha + beta + 1.0) / omega_ratio(params))
     if t < 1.0:
-        weights = weights * (1.0 - u) ** (d / 2.0 - 1.0)
+        weights = weights * ((1.0 - t) + half * one_minus_x) ** (d / 2.0 - 1.0)
     return u, weights
 
 
@@ -413,12 +413,34 @@ def test_cached_rule_is_bit_identical_to_fresh_build(case):
 
 
 def test_cached_rule_arrays_are_read_only():
-    x, w = sphere._jacobi_rule(48, -0.25, 0.5)
-    assert not x.flags.writeable and not w.flags.writeable
-    with pytest.raises(ValueError):
-        x[0] = 0.0
-    with pytest.raises(ValueError):
-        w[0] = 0.0
+    for arr in sphere._jacobi_rule(48, -0.25, 0.5):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+RULE_ALPHAS = (-0.995, -0.98, -0.95, -0.75, -0.5, 0.0, 0.5, 2.0)
+RULE_BETAS = (-0.75, 0.0, 0.5, 1.5, 2.0)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+def test_jacobi_rule_moments_match_beta_values(n):
+    # int (1-x)^alpha (1+x)^beta (1 -+ x)^k dx = 2^(alpha+beta+k+1) B(., .), k = 0..3,
+    # from the rule's own endpoint distances (1-x rounded from x would cost
+    # the node nearest x = 1 its digits)
+    mp.mp.dps = 30
+    worst = 0.0
+    for alpha in RULE_ALPHAS:
+        for beta in RULE_BETAS:
+            one_minus_x, one_plus_x, w = sphere._jacobi_rule.__wrapped__(n, alpha, beta)
+            assert np.all(np.diff(one_plus_x) > 0.0) and np.all(w > 0.0)
+            assert_allclose(one_minus_x + one_plus_x, 2.0, rtol=0, atol=4.5e-16)
+            for k in range(4):
+                for dist, (a, b) in ((one_minus_x, (alpha + k, beta)), (one_plus_x, (alpha, beta + k))):
+                    exact = mp.mpf(2) ** (a + b + 1) * mp.beta(a + 1, b + 1)
+                    err = abs(float((math.fsum(w * dist ** k) - exact) / exact))
+                    worst = max(worst, err)
+    assert worst <= 1e-14
 
 
 def test_writing_into_a_rule_leaves_the_next_build_alone():
