@@ -23,50 +23,16 @@ import numpy as np
 from scipy import optimize
 
 from rieszcap import cap_exceptional, cap_riesz
-from rieszcap.point_field import AxisMeasure, field_potential_on_axis
-from rieszcap.sphere import CapMeasure, Params, axis_dist2, sphere_energy
+from rieszcap.point_field import AxisMeasure
+from rieszcap.sphere import CapMeasure, Params
 
 __all__ = [
     "AxisMeasure",
     "CapSolution",
     "Regime",
     "regime",
-    "axis_sphere_equilibrium",
-    "cap_measure",
     "axis_solve_t",
 ]
-
-
-def axis_sphere_equilibrium(lam: AxisMeasure, params: Params) -> CapMeasure:
-    """Signed equilibrium on the whole sphere for the axis field: the cap
-    measure at t = 1, with the whole sphere's functional value as ``phi``.
-
-    Riesz (0 < s < d): density (1/W_s)(F_s(S^d) - sum m_i (R_i^2-1)^{d-s}
-    rho_i^{s-2d}), where F_s(S^d) = W_s + int U_s^sigma(R) d lambda(R).
-    Logarithmic (d=2): the same form at s = 0 with W = 1 and 1+||lambda||
-    in place of F_s(S^d), while ``phi`` is F_0(S^2).  The density at the
-    north pole has the sign of Delta(1), which decides whether the extremal
-    support is the whole sphere.
-    """
-    lam = lam.folded(params)
-    atoms = lam.atoms
-    d = params.d
-    if params.is_log:
-        s, W, level = 0.0, 1.0, 1.0 + lam.total_mass
-        F = cap_exceptional.log_f0_functional(1.0, lam, params)
-    else:
-        s, W = params.s, sphere_energy(params)
-        F = level = W + sum(m * field_potential_on_axis(R, params) for R, m in atoms)
-
-    def density(u):
-        u_arr = np.asarray(u, dtype=float)
-        out = level * np.ones_like(u_arr)
-        for R, m in atoms:
-            out = out - m * (R * R - 1.0) ** (d - s) * axis_dist2(u_arr, R) ** (s / 2.0 - d)
-        out = out / W
-        return float(out) if out.ndim == 0 else out
-
-    return CapMeasure(t=1.0, regular_part=density, phi=F)
 
 
 class Regime(NamedTuple):
@@ -74,7 +40,8 @@ class Regime(NamedTuple):
 
     ``phi(t, field)`` is the cap functional, ``delta(t, field)`` the
     function whose root is the support height, ``eta(t, field)`` the signed
-    cap equilibrium for -1 < t < 1 (mass not computed, ``phi`` set), and
+    cap equilibrium for t in (-1, 1] (mass not computed, ``phi`` set; eta_1
+    is the signed equilibrium of the whole sphere), and
     ``potential(xi, eta, field)`` its closed-form weighted potential.
     Both Riesz regimes share ``phi`` and ``delta``; s = d-2 supplies only its
     ``eta`` (with a ring charge) and ``potential``.  ``column`` names the
@@ -91,7 +58,7 @@ class Regime(NamedTuple):
 def regime(params: Params) -> Regime:
     """The formulas for d-2 < s < d, s = d-2 with d >= 3, or log with d = 2."""
     ce, cr = cap_exceptional, cap_riesz
-    if params.is_log:
+    if params.log:
         ce._require_log(params)
         column, fns = "F0", (ce.log_f0_functional, ce.log_delta, ce.log_etabar,
                              ce.log_eta_potential)
@@ -102,15 +69,6 @@ def regime(params: Params) -> Regime:
     else:
         raise ValueError(f"no cap solver for d={params.d}, s={params.s}")
     return Regime(column, *(partial(f, params=params) for f in fns))
-
-
-def cap_measure(lam: AxisMeasure, t: float, params: Params) -> CapMeasure:
-    """The signed cap equilibrium eta_t at a height t in (-1, 1], with its
-    functional value as ``phi`` (mass not computed).  eta_1 is the signed
-    equilibrium of the whole sphere."""
-    if t == 1.0:
-        return axis_sphere_equilibrium(lam, params)
-    return regime(params).eta(t, lam)
 
 
 @dataclass(frozen=True)
@@ -162,6 +120,6 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     else:
         t0 = _solve_bracketed(lambda t: form.delta(t, lam), delta_at_one)
         solved_by = "interior_root"
-    measure = replace(cap_measure(lam, t0, params), boundary_coeff=0.0).with_mass(params)
+    measure = replace(form.eta(t0, lam), boundary_coeff=0.0).with_mass(params)
     return CapSolution(t0=t0, phi_at_t0=measure.phi, equilibrium=measure,
                        solved_by=solved_by, field=lam, params=params)

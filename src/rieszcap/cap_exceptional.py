@@ -50,7 +50,7 @@ def _require_exceptional(params: Params) -> None:
 
 
 def _require_log(params: Params) -> None:
-    if not (params.is_log and params.d == 2):
+    if not (params.log and params.d == 2):
         raise ValueError(f"the logarithmic cap case is stated for d = 2, got {params}")
 
 
@@ -84,10 +84,10 @@ def epsbar(t: float, R: float, params: Params) -> CapMeasure:
 
 
 def etabar_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
-    """Signed cap equilibrium at s = d-2 (mass not computed): interior density
-    (1/W)[Phi - sum_i m_i (R_i^2-1)^2/(R_i^2-2R_i u+1)^{d/2+1}], ring charge
-    (1-t)/2 (1-t^2)^{d/2-1} Delta(t) (sign flips at t0), with Phi and Delta
-    those of :mod:`rieszcap.cap_riesz` at s = d-2."""
+    """Signed cap equilibrium at s = d-2 for t in (-1, 1] (mass not computed):
+    interior density (1/W)[Phi - sum_i m_i (R_i^2-1)^2/(R_i^2-2R_i u+1)^{d/2+1}],
+    ring charge (1-t)/2 (1-t^2)^{d/2-1} Delta(t) (sign flips at t0, none at
+    t = 1), with Phi and Delta those of :mod:`rieszcap.cap_riesz` at s = d-2."""
     _require_exceptional(params)
     field = field.folded(params)
     d = params.d
@@ -168,8 +168,7 @@ def weakstar_gap(t: float, s_values, R: float, params: Params):
     eb = epsbar(t, R, params)
 
     def bar_moment(measure: CapMeasure, k: int) -> float:
-        interior = integrate_radial(lambda u: measure.radial_density(u) * u ** k,
-                                    t, params, tol=1e-12)
+        interior = integrate_radial(lambda u: measure.radial_density(u) * u ** k, t, params)
         return interior + measure.boundary_coeff * t ** k
 
     out = []
@@ -181,11 +180,11 @@ def weakstar_gap(t: float, s_values, R: float, params: Params):
         for k in range(4):
             mom_nu = integrate_radial(
                 lambda u: u ** k * nu_density(u, t, ps) * (t - u) ** ((d - s) / 2.0),
-                t, ps, singular_exponent=(s - d) / 2.0, tol=1e-12)
+                t, ps, singular_exponent=(s - d) / 2.0)
             rec["nu"][k] = abs(mom_nu - bar_moment(nb, k))
             mom_eps = integrate_radial(
                 lambda u: u ** k * eps_density(u, t, R, ps) * (t - u) ** ((d - s) / 2.0),
-                t, ps, singular_exponent=(s - d) / 2.0, tol=1e-12)
+                t, ps, singular_exponent=(s - d) / 2.0)
             rec["eps"][k] = abs(mom_eps - bar_moment(eb, k))
         out.append(rec)
     return out
@@ -214,8 +213,8 @@ def log_delta(t: float, field: AxisMeasure, params: Params) -> float:
 
 def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     """Signed logarithmic cap equilibrium (1+||lambda||) nubar_{t,0} - sum_i
-    m_i epsbar_{t,0}^i; the ring charge (1-t)/2 Delta(t) vanishes exactly at
-    t0.  Unit mass; ``phi`` is F_0(Sigma_t)."""
+    m_i epsbar_{t,0}^i for t in (-1, 1]; the ring charge (1-t)/2 Delta(t)
+    vanishes exactly at t0 and at t = 1.  Unit mass; ``phi`` is F_0(Sigma_t)."""
     field = field.folded(params)
     total = field.total_mass
 

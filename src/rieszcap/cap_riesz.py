@@ -91,19 +91,20 @@ def eps_density(u, t: float, R: float, params: Params):
                     ((1-t)/(1-u))^{d/2} ((t-u)/(1-t))^{(s-d)/2}
                     2F1reg(1, d/2; 1-(d-s)/2; ((R-1)^2/r^2)(t-u)/(1-u)),
 
-    with r^2 = R^2 - 2 R t + 1.  Same edge singularity as nu_t'.
+    with r^2 = R^2 - 2 R t + 1.  Same edge singularity as nu_t'.  At t = 1
+    it is the whole sphere's (R^2-1)^{d-s} rho^{s-2d} / W_s, rho^2 = R^2 - 2 R u + 1,
+    which has no edge and is defined at u = 1 too.
     """
     _require_cap_regime(params)
     R = _exterior(R)
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr >= t):
-        raise ValueError("eps_density needs u < t")
     d, s = params.d, params.s
     if t == 1.0:
-        # full-sphere balayage of the point charge
         out = ((R * R - 1.0) ** (d - s) * axis_dist2(u_arr, R) ** (s / 2.0 - d)
                / sphere_energy(params))
         return float(out) if out.ndim == 0 else out
+    if np.any(u_arr >= t):
+        raise ValueError("eps_density needs u < t")
     r2 = axis_dist2(t, R)
     scale = (R + 1.0) ** (d - s) / r2 ** (d / 2.0) / sphere_energy(params)
     return _balayage_density(u_arr, t, params, scale, (R - 1.0) ** 2 / r2)
@@ -146,7 +147,7 @@ def eps_norm(t: float, R: float, params: Params) -> float:
     # the rule supplies (1+u)^{s/2-1} (1-u)^{d/2-1} / omega_ratio and the
     # integrand the rest, (1-u)^{(d-s)/2} (R^2-2Ru+1)^{-d/2}
     f = lambda u: (1.0 - u) ** ((d - s) / 2.0) * axis_dist2(u, R) ** (-d / 2.0)
-    val = integrate_radial(f, t, params, left_exponent=s / 2.0 - 1.0, tol=1e-12)
+    val = integrate_radial(f, t, params, left_exponent=s / 2.0 - 1.0)
     return const * omega_ratio(params) * val
 
 
@@ -163,7 +164,7 @@ def phi(t: float, field: AxisMeasure, params: Params) -> float:
 
 def _edge(t: float, field: AxisMeasure, params: Params) -> float:
     # sum_i m_i (R_i+1)^{d-s} / r_i(t)^d, the competing term in Delta(t) (s = 0 for log)
-    d, s = params.d, 0.0 if params.is_log else params.s
+    d, s = params.d, 0.0 if params.log else params.s
     return sum(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0)
                for R, m in field.folded(params).atoms)
 
@@ -218,8 +219,14 @@ def _eta_tail_series(w_arr: np.ndarray, c2: float, d: int, c0: float) -> np.ndar
 
 
 def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
-    """The signed cap equilibrium eta_t for -1 < t < 1 (mass not computed):
-    density (t-u)^{(s-d)/2} regular(u) against sigma_d, where
+    """The signed cap equilibrium eta_t for t in (-1, 1] (mass not computed).
+
+    At t = 1, the whole sphere, the density is regular up to the pole:
+
+        eta_1'(u) = Phi_s(1)/W_s - sum_i m_i eps_1'^i(u),
+
+    whose value at u = 1 has the sign of Delta(1).  For t < 1 it is
+    (t-u)^{(s-d)/2} regular(u) against sigma_d, where
 
         eta_t'(u) = (1/W_s) Gamma(d/2)/Gamma(d-s/2) ((1-t)/(1-u))^{d/2}
                     ((t-u)/(1-t))^{(s-d)/2} { Phi_s(t) 2F1reg(1, d/2; 1-(d-s)/2; w)
@@ -234,6 +241,16 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     field = field.folded(params)
     d, s = params.d, params.s
     phi_t = phi(t, field, params)
+    if t == 1.0:
+        W = sphere_energy(params)
+
+        def whole(u):
+            out = phi_t / W
+            for R, m in field.atoms:
+                out = out - m * eps_density(u, 1.0, R, params)
+            return out
+
+        return CapMeasure(t=1.0, regular_part=whole, phi=phi_t)
     delta_t = phi_t - _edge(t, field, params)
     pref0 = math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0)) / sphere_energy(params)
     cc = 1.0 - (d - s) / 2.0

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from rieszcap import oracle, point_field
-from rieszcap.axis_field import AxisMeasure, axis_solve_t, cap_measure, regime
+from rieszcap.axis_field import AxisMeasure, axis_solve_t, regime
 from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import CapMeasure, Params
 
@@ -114,7 +114,7 @@ def _parse_field(cfg: dict) -> AxisMeasure:
     raise ScenarioError(f"unknown field type {ftype!r}")
 
 
-def _cap_measure(cfg: dict, field: AxisMeasure, params: Params) -> CapMeasure:
+def _scenario_eta(cfg: dict, field: AxisMeasure, params: Params) -> CapMeasure:
     # eta_t at the scenario's cap height: the extremal measure when solved
     cap = cfg.get("cap", {"mode": "solve"})
     if not isinstance(cap, dict):
@@ -129,7 +129,7 @@ def _cap_measure(cfg: dict, field: AxisMeasure, params: Params) -> CapMeasure:
         t += axis_solve_t(field, params).t0
     if not -1.0 < t <= 1.0:
         raise ScenarioError(f"cap height {t} outside (-1, 1]")
-    return cap_measure(field, t, params)
+    return regime(params).eta(t, field)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -147,7 +147,7 @@ def _task_cap_curves(cfg, field, params, out_dir: Path, name: str) -> dict:
     # density: eta_t on a height grid of the cap; potential: also the
     # weighted potential on a height grid of the sphere
     n = _grid(cfg, 200)
-    eta = _cap_measure(cfg, field, params)
+    eta = _scenario_eta(cfg, field, params)
     files = []
     if cfg["task"] == "potential":
         potential = regime(params).potential

@@ -40,7 +40,7 @@ def external_field(xi, field: AxisMeasure, params: Params):
     out = np.zeros_like(xi_arr)
     for R, m in field.atoms:
         rho2 = (R - 1.0) ** 2 + 2.0 * R * (1.0 - xi_arr)
-        out = out + m * (-0.5 * np.log(rho2) if params.is_log else rho2 ** (-params.s / 2.0))
+        out = out + m * (-0.5 * np.log(rho2) if params.log else rho2 ** (-params.s / 2.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -161,7 +161,7 @@ def _pairs(x: np.ndarray, params: Params):
     np.fill_diagonal(d2, 1.0)
     if d2.min() <= 0.0:
         return None
-    if params.is_log:
+    if params.log:
         k = np.log(d2)
         k *= -0.5
         w = np.reciprocal(d2, out=d2)
@@ -196,7 +196,7 @@ def _gradient(x: np.ndarray, w: np.ndarray, params: Params, field) -> np.ndarray
         a = np.array([0.0, 0.0, R])
         da = x - a
         da2 = np.sum(da * da, axis=1)
-        if params.is_log:
+        if params.log:
             grad += (2.0 / n) * m * (-da / da2[:, None])
         else:
             s = params.s
@@ -260,8 +260,9 @@ def empirical_support_height(system: ParticleSystem) -> float:
 
     The extremal density eta_t0 vanishes like (t0 - u)^{1/2} at the edge, so
     under that law the estimate is biased low: 0.465 against t0 = 0.505 on
-    ``scenarios/reference_particles.json``.  ROADMAP item 5 replaces it with
-    a distance between height distributions.
+    ``scenarios/reference_particles.json``.  The planned replacement is the
+    Kolmogorov distance between the empirical height CDF and the cumulative
+    mass of eta_t0.
     """
     h = np.sort(system.heights)
     q90, q95 = np.quantile(h, [0.90, 0.95])

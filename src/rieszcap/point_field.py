@@ -3,9 +3,7 @@
 A finite positive atom measure lambda = sum_i m_i delta_{R_i p} drives the
 field Q(x) = sum_i m_i |x - R_i p|^{-s} (or the log analogue); a point
 charge q at a = R*p is the one-atom measure.  The field potential of the
-uniform measure on the axis is a Gauss hypergeometric value; the signed
-equilibrium of the whole sphere is the cap measure at t = 1
-(:func:`rieszcap.axis_field.axis_sphere_equilibrium`).  The distance
+uniform measure on the axis is a Gauss hypergeometric value.  The distance
 question for the Newtonian kernel s = d-1 comes down to one polynomial root
 (the golden ratio when d = 2).
 """
@@ -66,7 +64,7 @@ class AxisMeasure:
         """
         if all(R > 1.0 for R, _ in self.atoms):
             return self
-        if params.is_log:
+        if params.log:
             raise ValueError("logarithmic fields require R > 1 (inversion shifts the field "
                              "by a constant; supply the exterior charge directly)")
         return AxisMeasure(
@@ -87,7 +85,7 @@ def field_potential_on_axis(R: float, params: Params) -> float:
 
         U_s^sigma(a) = (R+1)^{-s} 2F1(s/2, d/2; d; 4R/(R+1)^2).
     """
-    if params.is_log:
+    if params.log:
         raise ValueError("field_potential_on_axis covers 0 < s < d Riesz kernels")
     d, s, R = params.d, params.s, _exterior(R)
     # 1 - z = ((R-1)/(R+1))^2 computed directly: z itself rounds to 1 as R -> 1

@@ -176,8 +176,13 @@ def hyp2f1_regularized(a, b, c, z):
     Well defined for every real c; terms whose Gamma(n+c) sits at a pole
     contribute exactly zero, so non-positive integer c is fine (the sum
     then starts at n = 1-c).  Evaluated by its own series, never as
-    2F1/Gamma(c).  `z` may be a scalar or ndarray with |z| < 1; positive z
-    gives a positive-term series, negative z alternates but stays stable.
+    2F1/Gamma(c).  `z` may be a scalar or ndarray with |z| < 1.  Negative z
+    goes through Pfaff's transformation
+
+        F(a, b; c; z) = (1-z)^{-a} F(a, c-b; c; z/(z-1)),
+
+    whose argument lies in (0, 1/2): the series in z itself alternates and
+    cancels to ~1e-9 of its largest term as z -> -1.
     """
     z_arr = np.asarray(z, dtype=float)
     if np.any(np.abs(z_arr) >= 1.0):
@@ -185,14 +190,23 @@ def hyp2f1_regularized(a, b, c, z):
     scalar = z_arr.ndim == 0
     zv = np.atleast_1d(z_arr)
 
-    near_one = np.abs(zv) > 0.999
+    negative = zv < 0.0
+    if np.any(negative):
+        out = np.empty_like(zv)
+        zn = zv[negative]
+        out[negative] = (1.0 - zn) ** (-a) * hyp2f1_regularized(a, c - b, c, zn / (zn - 1.0))
+        if not np.all(negative):
+            out[~negative] = hyp2f1_regularized(a, b, c, zv[~negative])
+        return float(out[0]) if scalar else out.reshape(z_arr.shape)
+
+    near_one = zv > 0.999
     if np.any(near_one):
         # the direct series needs ~37/(1-z) terms here, past the term cap;
         # c is finite-Gamma in every caller that can reach this region, so
         # the transformation-based 2F1 is safe (and still reported if not)
         if _is_nonpositive_integer(c):
             raise ConvergenceError(
-                "regularized 2F1 with non-positive integer c cannot be summed for |z| > 0.999")
+                "regularized 2F1 with non-positive integer c cannot be summed for z > 0.999")
         rg = rgamma(c)
         out = np.empty_like(zv)
         out[near_one] = [hyp2f1(a, b, c, float(zz)) * rg for zz in zv[near_one]]

@@ -45,6 +45,9 @@ _SERIES_TERMS = 64  # endpoint-series terms: ample for the node nearest x = 1
 _NEWTON_STEPS = 8  # Newton passes before a rule build gives up
 _STEPS_PER_TABLE = 64  # recurrence steps whose per-node coefficients are laid out at once
 _NEWTON_SETTLED = 1e-8  # relative step after which one more correction is exact to rounding
+_RADIAL_TOL = 1e-12  # agreement of two successive orders that settles integrate_radial
+_RADIAL_FIRST_ORDER = 64  # the first Gauss-Jacobi order integrate_radial tries
+_RADIAL_MAX_ORDER = 8192  # the order at which integrate_radial gives up
 
 
 @dataclass(frozen=True)
@@ -69,10 +72,6 @@ class Params:
             raise ValueError("specify exactly one of s=... or log=True")
         if self.s is not None and not 0.0 < self.s < self.d:
             raise ValueError(f"Riesz exponent must satisfy 0 < s < d, got s={self.s}, d={self.d}")
-
-    @property
-    def is_log(self) -> bool:
-        return self.log
 
     @property
     def in_cap_regime(self) -> bool:
@@ -115,7 +114,7 @@ def sphere_energy(params: Params) -> float:
     the latter being d/ds W_s at s=0 (for d=2 it equals 1/2 - log 2).
     """
     d = params.d
-    if params.is_log:
+    if params.log:
         return 0.5 * (psi(float(d)) - psi(d / 2.0)) - math.log(2.0)
     s = params.s
     # Params already guarantees 0 < s < d
@@ -142,7 +141,7 @@ def kappa(u: float, xi: float, params: Params) -> float:
     Logarithmic branch: -log(1 - u*xi + |xi - u|)/2.  At u = xi the value
     is finite only for s < d-1 (Gauss summation); s >= d-1 raises there.
     """
-    if params.is_log:
+    if params.log:
         return -0.5 * math.log(1.0 - u * xi + abs(xi - u))
     d, s = params.d, params.s
     lo, hi = (u, xi) if u <= xi else (xi, u)
@@ -483,19 +482,18 @@ def build_quadrature(t: float, params: Params, order: int,
 
 def integrate_radial(f: Callable[[np.ndarray], np.ndarray], t: float, params: Params,
                      singular_exponent: float = 0.0, *,
-                     left_exponent: float | None = None,
-                     tol: float = 1e-10, order: int = 64,
-                     max_order: int = 8192) -> float:
-    """Surface-weighted cap integral with order doubling until two successive
-    Gauss-Jacobi results agree to ``tol`` (mixed absolute/relative).
+                     left_exponent: float | None = None) -> float:
+    """Surface-weighted cap integral with order doubling from 64 until two
+    successive Gauss-Jacobi results agree to 1e-12 (mixed absolute/relative).
 
     Raises :class:`ConvergenceError` naming t, the Jacobi exponents, the last
-    order and the last difference when ``max_order`` is reached first.
+    order and the last difference when order 8192 is reached first.
     """
+    order, tol = _RADIAL_FIRST_ORDER, _RADIAL_TOL
     prev = build_quadrature(t, params, order, singular_exponent,
                             left_exponent=left_exponent).integrate(f)
     diff = math.nan
-    while order < max_order:
+    while order < _RADIAL_MAX_ORDER:
         order *= 2
         cur = build_quadrature(t, params, order, singular_exponent,
                                left_exponent=left_exponent).integrate(f)
@@ -538,6 +536,5 @@ class CapMeasure:
 
     def with_mass(self, params: Params) -> "CapMeasure":
         """This measure with ``mass`` set: the cap integral plus the ring charge."""
-        interior = integrate_radial(self.regular_part, self.t, params,
-                                    self.singular_exponent, tol=1e-12)
+        interior = integrate_radial(self.regular_part, self.t, params, self.singular_exponent)
         return replace(self, mass=interior + self.boundary_coeff)

@@ -9,14 +9,13 @@ pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarn
 from rieszcap import cap_exceptional, cap_riesz
 from rieszcap.axis_field import (
     AxisMeasure,
-    axis_sphere_equilibrium,
     axis_solve_t,
     regime,
 )
 from rieszcap.cap_exceptional import log_delta, log_f0_functional
 from rieszcap.oracle import external_field
 from rieszcap.point_field import field_potential_on_axis
-from rieszcap.sphere import Params, axis_dist2, kappa, surface_factor
+from rieszcap.sphere import Params, axis_dist2, kappa, sphere_energy, surface_factor
 
 P21 = Params(d=2, s=1.0)
 PLOG = Params(d=2, log=True)
@@ -75,8 +74,8 @@ def test_axis_q_inversion_reduction():
 
 def test_axis_sphere_equilibrium_single_atom_matches_point_field():
     lam = AxisMeasure([(3.0, 1.0)])
-    eq = axis_sphere_equilibrium(lam, P21)
-    point = axis_sphere_equilibrium(AxisMeasure([(3.0, 1.0)]), P21)
+    eq = regime(P21).eta(1.0, lam)
+    point = regime(P21).eta(1.0, AxisMeasure([(3.0, 1.0)]))
     for u in (-1.0, -0.2, 0.5, 1.0):
         assert eq.radial_density(u) == pytest.approx(point.radial_density(u), rel=1e-12)
 
@@ -84,16 +83,57 @@ def test_axis_sphere_equilibrium_single_atom_matches_point_field():
 def test_axis_sphere_equilibrium_mass():
     lam = AxisMeasure([(2.0, 0.5), (4.0, 1.5), (1.5, 0.2)])
     p = Params(d=3, s=1.4)
-    eq = axis_sphere_equilibrium(lam, p)
+    eq = regime(p).eta(1.0, lam)
     val, err = integrate.quad(lambda u: eq.radial_density(u) * (1.0 - u * u) ** 0.5, -1.0, 1.0,
                               epsabs=1e-12, epsrel=1e-11)
     assert surface_factor(3) * val == pytest.approx(1.0, abs=1e-9)
 
 
+WHOLE_SPHERE_FIELDS = {
+    "exterior": AxisMeasure([(6.0, 0.05)]),
+    "near": AxisMeasure([(1.5, 0.8)]),
+    "two_atoms": AxisMeasure([(2.0, 0.3), (5.0, 0.4)]),
+    "interior_atom": AxisMeasure([(0.5, 0.2), (4.0, 0.1)]),
+}
+
+
+WHOLE_SPHERE_PARAMS = {"riesz_2_1": Params(d=2, s=1.0), "riesz_3_1.5": Params(d=3, s=1.5),
+                       "riesz_4_3.2": Params(d=4, s=3.2), "exceptional_3": Params(d=3, s=1.0),
+                       "exceptional_4": Params(d=4, s=2.0), "log": PLOG}
+
+
+@pytest.mark.parametrize("kernel, name", [
+    (kernel, name) for kernel in WHOLE_SPHERE_PARAMS for name in WHOLE_SPHERE_FIELDS
+    if not (kernel == "log" and name == "interior_atom")])  # log fields need R > 1
+def test_regime_eta_at_one_is_the_whole_sphere_equilibrium(kernel, name):
+    # eta_1 of every regime: no ring, the closed-form density
+    # (Phi(1) - sum_i m_i (R_i^2-1)^{d-s} rho_i^{s-2d}) / W of the folded
+    # atoms, and a pole value with the sign of Delta(1)
+    params, lam = WHOLE_SPHERE_PARAMS[kernel], WHOLE_SPHERE_FIELDS[name]
+    eta = regime(params).eta(1.0, lam)
+    assert eta.t == 1.0
+    assert eta.boundary_coeff == 0.0
+    atoms = lam.folded(params).atoms
+    d = params.d
+    if params.log:
+        s, W, level = 0.0, 1.0, 1.0 + lam.total_mass
+    else:
+        s = params.s
+        W = sphere_energy(params)
+        level = W + sum(m * field_potential_on_axis(R, params) for R, m in atoms)
+        assert eta.phi == pytest.approx(level, rel=1e-14)
+    us = np.linspace(-1.0, 1.0, 41)
+    expected = (level - sum(m * (R * R - 1.0) ** (d - s) * axis_dist2(us, R) ** (s / 2.0 - d)
+                            for R, m in atoms)) / W
+    np.testing.assert_allclose(eta.radial_density(us), expected, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(expected)))
+    assert np.sign(eta.radial_density(1.0)) == np.sign(regime(params).delta(1.0, lam))
+
+
 def test_axis_log_margin_proper_cap():
     # single atom (R, m) = (2, 0.5): pole density 1.5 - 0.5*(3/1)^2 = -3 < 0 (W = 1)
     lam = AxisMeasure([(2.0, 0.5)])
-    eq = axis_sphere_equilibrium(lam, PLOG)
+    eq = regime(PLOG).eta(1.0, lam)
     assert eq.radial_density(1.0) == pytest.approx(1.5 - 0.5 * 9.0, rel=1e-13)
     assert log_delta(1.0, lam, PLOG) < 0.0
     sol = axis_solve_t(lam, PLOG)
@@ -251,8 +291,7 @@ def test_axis_weakstar_eps_gap_decay():
         out = 0.0
         for R, m in lam.atoms:
             e = epsbar(t, R, pd2)
-            interior = integrate_radial(lambda u: e.radial_density(u) * u ** k, t, pd2,
-                                        tol=1e-11)
+            interior = integrate_radial(lambda u: e.radial_density(u) * u ** k, t, pd2)
             out += m * (interior + e.boundary_coeff * t ** k)
         return out
 
@@ -265,7 +304,7 @@ def test_axis_weakstar_eps_gap_decay():
                 mom += m * integrate_radial(
                     lambda u: u ** k * eps_density(u, t, R, ps)
                     * (t - u) ** ((d - s) / 2.0),
-                    t, ps, singular_exponent=(s - d) / 2.0, tol=2e-9)
+                    t, ps, singular_exponent=(s - d) / 2.0)
             gaps.append(abs(mom - bar_moment(k)))
         assert gaps[0] > gaps[1] > gaps[2]
 

@@ -29,7 +29,7 @@ def sphere_points(n, seed=5):
 
 
 def kernel(r2, params):
-    return -0.5 * math.log(r2) if params.is_log else r2 ** (-params.s / 2.0)
+    return -0.5 * math.log(r2) if params.log else r2 ** (-params.s / 2.0)
 
 
 def reference_gradient(x, params, field):
@@ -38,13 +38,13 @@ def reference_gradient(x, params, field):
     diff = x[:, None, :] - x[None, :, :]
     d2 = np.sum(diff * diff, axis=2)
     np.fill_diagonal(d2, 1.0)
-    w = 1.0 / d2 if params.is_log else params.s * d2 ** (-(params.s + 2.0) / 2.0)
+    w = 1.0 / d2 if params.log else params.s * d2 ** (-(params.s + 2.0) / 2.0)
     np.fill_diagonal(w, 0.0)
     grad = -(2.0 / n ** 2) * np.einsum("ij,ijk->ik", w, diff)
     for R, m in field.atoms:
         da = x - np.array([0.0, 0.0, R])
         da2 = np.sum(da * da, axis=1)[:, None]
-        wa = 1.0 / da2 if params.is_log else params.s * da2 ** (-(params.s + 2.0) / 2.0)
+        wa = 1.0 / da2 if params.log else params.s * da2 ** (-(params.s + 2.0) / 2.0)
         grad -= (2.0 / n) * m * wa * da
     return grad
 

@@ -44,7 +44,7 @@ def test_params_regime_flags():
     assert not Params(d=3, s=1.0).in_cap_regime
     assert Params(d=3, s=1.0).is_exceptional
     assert not Params(d=2, s=0.5).is_exceptional  # d=2 has no s=d-2 Riesz case
-    assert Params(d=2, log=True).is_log
+    assert Params(d=2, log=True).log
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def kappa_angle_oracle(u, xi, params):
 
     def f(theta):
         r2 = chord2(u, xi, theta)
-        if params.is_log:
+        if params.log:
             return -0.5 * math.log(r2) * math.sin(theta) ** (d - 2) * const
         return r2 ** (-params.s / 2.0) * math.sin(theta) ** (d - 2) * const
 
@@ -462,11 +462,12 @@ def test_repeated_build_is_a_cache_hit():
     assert after.hits == before.hits + 1 and after.misses == before.misses
 
 
-def test_unsettled_quadrature_names_the_integral():
+def test_unsettled_quadrature_names_the_integral(monkeypatch):
     # an integrand that never settles: the error reports where and how far
     p = Params(d=2, s=1.0)
+    monkeypatch.setattr(sphere, "_RADIAL_MAX_ORDER", 256)
     with pytest.raises(ConvergenceError) as info:
-        integrate_radial(lambda u: np.sign(np.sin(1e4 * u)), 0.25, p, -0.5, max_order=256)
+        integrate_radial(lambda u: np.sign(np.sin(1e4 * u)), 0.25, p, -0.5)
     msg = str(info.value)
     assert "order 256" in msg and "t=0.25" in msg and "(-0.5, 0.0)" in msg
     assert "|cur - prev| = " in msg
