@@ -5,8 +5,8 @@ field Q(x) = sum_i m_i |x - R_i p|^{-s} (or the log analogue); a point
 charge is the one-atom case.  Everything superposes: the balayage of
 lambda is the mass-weighted sum of the single-charge balayages.  All three
 kernel regimes run one algorithm: the sign of Delta(1) decides whether the
-support is the full sphere; otherwise Delta(t) is bracketed on a grid and
-its root t0 polished by Brent iteration; then eta_t0 is assembled.  The
+support is the full sphere; otherwise Brent iteration finds the root t0 of
+Delta on (-1, 1], where Delta changes sign; then eta_t0 is assembled.  The
 whole sphere is the cap t = 1.  The regime modules supply only the formulas
 (see :class:`Regime`).  A continuous lambda should be pre-discretized by
 the caller (any quadrature of d lambda(R) against these formulas is exact
@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
-import numpy as np
 from scipy import optimize
 
 from rieszcap import cap_exceptional, cap_riesz
@@ -84,33 +83,14 @@ class CapSolution:
     params: Params
 
 
-def _solve_bracketed(delta, delta_at_one: float) -> float:
-    # Delta > 0 near t = -1 and Delta(1) < 0: bracket the sign change on a
-    # grid.  Values already known (Delta(1), the bracket ends) are not
-    # recomputed when Brent asks for them.
-    known = {1.0: delta_at_one}
-
-    def f(t: float) -> float:
-        if t not in known:
-            known[t] = delta(t)
-        return known[t]
-
-    prev = -1.0 + 1e-9
-    for tk in np.linspace(-1.0 + 2.0 / 65.0, 1.0, 64):
-        if f(float(tk)) <= 0.0:
-            return float(optimize.brentq(f, prev, float(tk), xtol=1e-14, rtol=8.9e-16))
-        prev = float(tk)
-    raise RuntimeError("Delta did not change sign on the bracket grid")
-
-
 def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     """Find the extremal support cap for an axis-supported field.
 
     A nonnegative Delta(1) of the regime (d-2 < s < d, s = d-2 with d >= 3,
     or logarithmic with d = 2) returns t0 = 1 with the whole-sphere signed
-    equilibrium; otherwise the unique interior root of Delta is bracketed
-    and refined.  At the root Delta(t0) = 0, so eta_t0 carries no
-    ring charge.
+    equilibrium.  Otherwise Delta > 0 as t -> -1 and Delta(1) < 0, and one
+    Brent solve on (-1, 1] finds its unique interior root.  At the root
+    Delta(t0) = 0, so eta_t0 carries no ring charge.
     """
     lam = lam.folded(params)
     form = regime(params)
@@ -118,7 +98,8 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     if delta_at_one >= 0.0:
         t0, solved_by = 1.0, "boundary_t_equals_1"
     else:
-        t0 = _solve_bracketed(lambda t: form.delta(t, lam), delta_at_one)
+        f = lambda t: delta_at_one if t == 1.0 else form.delta(t, lam)
+        t0 = float(optimize.brentq(f, -1.0 + 1e-9, 1.0, xtol=1e-14, rtol=8.9e-16))
         solved_by = "interior_root"
     measure = replace(form.eta(t0, lam), boundary_coeff=0.0).with_mass(params)
     return CapSolution(t0=t0, phi_at_t0=measure.phi, equilibrium=measure,

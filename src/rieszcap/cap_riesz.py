@@ -133,6 +133,10 @@ def eps_norm(t: float, R: float, params: Params) -> float:
 
     C = 2^{1-d} Gamma(d) / (Gamma(d-s/2) Gamma(s/2)).
     At t = 1 it is the closed form U_s^sigma(R)/W_s of the whole sphere.
+    Near t = 1 it is that value minus the integral over [t, 1], whose smooth
+    factor is singular min(1+t, (R-1)^2/(2R)) beyond t (at u = -1 and
+    u = (R^2+1)/(2R)); this form is used when that distance over 1-t exceeds
+    the direct form's, 1-t (its branch point u = 1) over 1+t.
     """
     _require_cap_regime(params, ring=True)
     R = _exterior(R)
@@ -143,12 +147,17 @@ def eps_norm(t: float, R: float, params: Params) -> float:
     d, s = params.d, params.s
     const = (math.exp((1.0 - d) * math.log(2.0) + math.lgamma(float(d))
                       - math.lgamma(d - s / 2.0) - math.lgamma(s / 2.0))
-             * (R + 1.0) ** (d - s) / sphere_energy(params))
+             * (R + 1.0) ** (d - s) / sphere_energy(params) * omega_ratio(params))
+    if min(1.0 + t, (R - 1.0) ** 2 / (2.0 * R)) * (1.0 + t) > (1.0 - t) ** 2:
+        # the rule on [-1, -t] in v = -u supplies (1-v)^{d/2-1} (1+v)^{d-s/2-1}
+        # / omega_ratio and the integrand the rest, (1-v)^{(s-d)/2} r(-v)^{-d}
+        f = lambda v: (1.0 - v) ** ((s - d) / 2.0) * axis_dist2(-v, R) ** (-d / 2.0)
+        val = integrate_radial(f, -t, params, left_exponent=d - s / 2.0 - 1.0)
+        return eps_norm(1.0, R, params) - const * val
     # the rule supplies (1+u)^{s/2-1} (1-u)^{d/2-1} / omega_ratio and the
     # integrand the rest, (1-u)^{(d-s)/2} (R^2-2Ru+1)^{-d/2}
     f = lambda u: (1.0 - u) ** ((d - s) / 2.0) * axis_dist2(u, R) ** (-d / 2.0)
-    val = integrate_radial(f, t, params, left_exponent=s / 2.0 - 1.0)
-    return const * omega_ratio(params) * val
+    return const * integrate_radial(f, t, params, left_exponent=s / 2.0 - 1.0)
 
 
 def phi(t: float, field: AxisMeasure, params: Params) -> float:

@@ -10,13 +10,14 @@ question for the Newtonian kernel s = d-1 comes down to one polynomial root
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
 from scipy import optimize
 
-from rieszcap.specfun import hyp2f1_1mz
+from rieszcap.specfun import hyp2f1, hyp2f1_1mz
 from rieszcap.sphere import Params
 
 __all__ = [
@@ -80,14 +81,23 @@ def _exterior(R: float) -> float:
     return R
 
 
+@functools.lru_cache
 def field_potential_on_axis(R: float, params: Params) -> float:
     """Potential of the uniform measure at the axis point a = R*p, R > 1:
 
-        U_s^sigma(a) = (R+1)^{-s} 2F1(s/2, d/2; d; 4R/(R+1)^2).
+        U_s^sigma(a) = (R+1)^{-s} 2F1(s/2, d/2; d; 4R/(R+1)^2)
+                     = R^{-s} 2F1(s/2, (s-d+1)/2; (d+1)/2; 1/R^2)   (A&S 15.3.17).
+
+    The second is summed directly for 1/R^2 <= 0.7; the first, used nearer the
+    sphere, is summed in 1-z, whose two terms cancel as (d-s)/2 nears an
+    integer.  Cached, since every Delta(t) of a solve needs it.
     """
     if params.log:
         raise ValueError("field_potential_on_axis covers 0 < s < d Riesz kernels")
     d, s, R = params.d, params.s, _exterior(R)
+    z = 1.0 / (R * R)
+    if z <= 0.7:
+        return R ** (-s) * hyp2f1(s / 2.0, (s - d + 1.0) / 2.0, (d + 1.0) / 2.0, z)
     # 1 - z = ((R-1)/(R+1))^2 computed directly: z itself rounds to 1 as R -> 1
     w = ((R - 1.0) / (R + 1.0)) ** 2
     return (R + 1.0) ** (-s) * hyp2f1_1mz(s / 2.0, d / 2.0, float(d), w)

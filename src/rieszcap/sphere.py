@@ -324,11 +324,11 @@ def _polish_top(n: int, a: float, b: float, y: float) -> tuple[float, float]:
     # Newton on the endpoint series for the node nearest x = 1 of P_n^(a,b);
     # returns its distance y and P_{n-1}^(a+1,b+1)(1-y) / P_{n-1}^(a+1,b+1)(1)
     for _ in range(_NEWTON_STEPS):
+        if not y > 0.0:  # a seed or step at or past the endpoint (y underflows as alpha -> -1)
+            break
         p, dp = _endpoint_series(n, a, b, y)
         step = p / dp
         y -= step
-        if not y > 0.0:
-            break
         if abs(step) <= _NEWTON_SETTLED * y:
             return y, _endpoint_series(n - 1, a + 1.0, b + 1.0, y)[0]
     raise ConvergenceError(f"Gauss-Jacobi endpoint node did not settle: n={n}, a={a!r}, b={b!r}")

@@ -224,6 +224,29 @@ def test_eps_norm_endpoints_and_monotonicity():
     assert vals[0] < vals[1] < vals[2]
 
 
+EPS_NORM_CASES = [(2, 1.0, 2.618), (3, 2.4, 1.7), (4, 2.3, 1.2), (3, 1.0, 1.1), (5, 3.2, 3.0)]
+
+
+@pytest.mark.parametrize("d, s, R", EPS_NORM_CASES, ids=[f"d{d}-s{s}-R{R}" for d, s, R in EPS_NORM_CASES])
+def test_eps_norm_against_30_digit_mpmath(d, s, R):
+    # heights on both sides of the switch to the complement form, down to
+    # 1e-12 below the pole, where the direct integrand's branch point at
+    # u = 1 lies 1-t beyond the cap edge.  The reference integrates over
+    # [-1, 1] and [t, 1] (both singular only at their ends) above t = 0.
+    with mp.workdps(30):
+        dm, sm, Rm = mp.mpf(d), mp.mpf(s), mp.mpf(R)
+        W = mp.gamma(dm) * mp.gamma((dm - sm) / 2) / (
+            2 ** sm * mp.gamma(dm / 2) * mp.gamma(dm - sm / 2))
+        C = 2 ** (1 - dm) * mp.gamma(dm) / (mp.gamma(dm - sm / 2) * mp.gamma(sm / 2))
+        f = lambda u: ((1 + u) ** (sm / 2 - 1) * (1 - u) ** (dm - sm / 2 - 1)
+                       * (Rm * Rm - 2 * Rm * u + 1) ** (-dm / 2))
+        for t in (-0.5, 0.5, 0.99, 1.0 - 4e-8, 1.0 - 1e-12):
+            tm = mp.mpf(t)
+            integral = mp.quad(f, [-1, tm]) if t < 0 else mp.quad(f, [-1, 0, 1]) - mp.quad(f, [tm, 1])
+            ref = C * (Rm + 1) ** (dm - sm) / W * integral
+            assert abs(eps_norm(t, R, Params(d=d, s=s)) / ref - 1) <= 1e-14, t
+
+
 def test_eps_norm_t1_equals_axis_potential_ratio():
     for (d, s, R) in [(2, 1.0, 1.5), (3, 1.7, 2.0), (4, 2.5, 1.2), (3, 1.0, 1.1), (2, 0.5, 1.5)]:
         p = Params(d=d, s=s)

@@ -145,6 +145,16 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rule_underflow_near_s_equal_d_minus_2_exits_0_or_3(tmp_path, capsys):
+    # s - (d-2) = 2^-36: the mass certificate's Jacobi exponent (s-d)/2 sits
+    # 7e-12 above -1, where the rule's endpoint distance underflows to 0
+    cfg = {"name": "case", "task": "solve-support", "d": 3,
+           "kernel": {"type": "riesz", "s": 1.0 + 2.0 ** -36},
+           "field": {"type": "point", "q": 1.0, "R": 1.5}, "grid": GRID}
+    assert cli.main(["run", str(write_scenario(tmp_path, cfg)), "--out", str(tmp_path)]) in (0, 3)
+    capsys.readouterr()
+
+
 def test_newton_distance_command(tmp_path, capsys):
     assert cli.main(["newton-distance", "--d", "2", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

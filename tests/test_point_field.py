@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from rieszcap.axis_field import regime
+from rieszcap import point_field
+from rieszcap.axis_field import axis_solve_t, regime
 from rieszcap.point_field import (
     AxisMeasure,
     field_potential_on_axis,
@@ -83,6 +85,32 @@ def test_field_potential_against_quadrature():
     expected = sigma_integral(lambda u: axis_dist2(u, R) ** (-s / 2.0), d)
     got = field_potential_on_axis(R, params)
     assert got == pytest.approx(expected, rel=1e-11)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_field_potential_against_30_digit_mpmath(d):
+    # (d-s)/2 near an integer makes the two terms of the 1-z transformation
+    # cancel; the quadratic transformation avoids them away from the sphere
+    worst = 0.0
+    with mp.workdps(30):
+        for f in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98):
+            s = d - 2 + 2 * f
+            for R in (1.0001, 1.01, 1.1, 1.5, 2.0, 3.0, 10.0):
+                sm, Rm = mp.mpf(s), mp.mpf(R)
+                ref = (Rm + 1) ** (-sm) * mp.hyp2f1(sm / 2, mp.mpf(d) / 2, d, 4 * Rm / (Rm + 1) ** 2)
+                worst = max(worst, float(abs(field_potential_on_axis(R, Params(d=d, s=s)) / ref - 1)))
+    assert worst <= 1e-14
+
+
+def test_field_potential_evaluated_once_per_atom(monkeypatch):
+    calls = []
+    for name in ("hyp2f1", "hyp2f1_1mz"):
+        fn = getattr(point_field, name)
+        monkeypatch.setattr(point_field, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
+    field_potential_on_axis.cache_clear()
+    sol = axis_solve_t(AxisMeasure([(6.0, 0.05), (8.0, 0.05)]), Params(d=2, s=1.0))
+    assert sol.solved_by == "boundary_t_equals_1"
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

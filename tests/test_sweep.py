@@ -5,21 +5,28 @@ integral at tol 1e-12 whose Jacobi exponent (s-d)/2 nears -1 as s -> d-2.
 """
 
 import json
+import statistics
 from pathlib import Path
 
 import pytest
 
+from rieszcap import cap_riesz
 from rieszcap.axis_field import axis_solve_t
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import Params
 
 SWEEP = [(d, d - 2 + 2 * f, R) for d in (2, 3, 4, 5) for f in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9)
          for R in (1.1, 1.5, 3.0)]
-EDGES = [  # t0 -> 1 at d = 2, s = 1; s = d-2; log
-    (Params(d=2, s=1.0), 2.6),
-    (Params(d=2, s=1.0), 2.615),
-    (Params(d=3, s=1.0), 1.5),
-    (Params(d=2, log=True), 1.5),
+# 30-digit roots of Delta for d = 2, s = 1, q = 1, from bench/t0_reference._terms
+# with a bracketing solve on [0.99999, 1 - 1e-14]; the critical R is 1 + golden ratio
+T0_R_2_61803 = 0.9999982966008790597985761
+T0_R_2_6180339 = 0.9999999620992703723025914
+EDGES = [  # t0 -> 1 at d = 2, s = 1 (with a 30-digit t0 where known); s = d-2; log
+    (Params(d=2, s=1.0), 2.6, None),
+    (Params(d=2, s=1.0), 2.615, None),
+    (Params(d=2, s=1.0), 2.61803, T0_R_2_61803),
+    (Params(d=3, s=1.0), 1.5, None),
+    (Params(d=2, log=True), 1.5, None),
 ]
 REFERENCES = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "t0_reference.json").read_text())["cases"]
@@ -34,11 +41,34 @@ def test_sweep_solves_with_unit_mass(d, s, R):
     assert_unit_mass(axis_solve_t(AxisMeasure([(R, 1.0)]), Params(d=d, s=s)))
 
 
-@pytest.mark.parametrize("params, R", EDGES, ids=["t0-0.99", "t0-0.999", "s-eq-d-2", "log"])
-def test_sweep_edges_solve_with_unit_mass(params, R):
+@pytest.mark.parametrize("params, R, t0_ref", EDGES,
+                         ids=["t0-0.99", "t0-0.999", "t0-1-2e-6", "s-eq-d-2", "log"])
+def test_sweep_edges_solve_with_unit_mass(params, R, t0_ref):
     sol = axis_solve_t(AxisMeasure([(R, 1.0)]), params)
     assert sol.solved_by == "interior_root"
     assert_unit_mass(sol)
+    assert t0_ref is None or abs(sol.t0 - t0_ref) <= 2e-14
+
+
+def test_delta_changes_sign_at_one_minus_4e8():
+    # the full solve at this R still fails its mass certificate, so check
+    # that Delta brackets the reference root within 1e-12
+    field, params = AxisMeasure([(2.6180339, 1.0)]), Params(d=2, s=1.0)
+    assert cap_riesz.delta(T0_R_2_6180339 - 1e-12, field, params) > 0.0
+    assert cap_riesz.delta(T0_R_2_6180339 + 1e-12, field, params) < 0.0
+
+
+def test_interior_solves_take_few_delta_evaluations(monkeypatch):
+    # one Brent solve on (-1, 1]; regime() reads cap_riesz.delta at call time
+    calls = []
+    delta = cap_riesz.delta
+    monkeypatch.setattr(cap_riesz, "delta", lambda *a, **k: calls.append(a[0]) or delta(*a, **k))
+    counts = []
+    for d, s, R in SWEEP:
+        calls.clear()
+        if axis_solve_t(AxisMeasure([(R, 1.0)]), Params(d=d, s=s)).solved_by == "interior_root":
+            counts.append(len(calls))
+    assert statistics.median(counts) <= 20, counts
 
 
 def test_t0_edge_cases_sit_near_one():
