@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betainc, rgamma
+from scipy.special import betainc
 
 from rieszcap.point_field import AxisMeasure, _exterior, field_potential_on_axis
-from rieszcap.specfun import _block_terms, hyp2f1_regularized
+from rieszcap.specfun import hyp2f1_regularized
 from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, omega_ratio, \
     sphere_energy
 
@@ -183,50 +183,6 @@ def delta(t: float, field: AxisMeasure, params: Params) -> float:
     return phi(t, field, params) - _edge(t, field, params)
 
 
-def _eta_tail(w, c2: float, d: int, s: float):
-    # sum_{n>=1} (d/2)_n / Gamma(n+1-(d-s)/2) (1 - c2^n) w^n  -- the
-    # difference of the two regularized 2F1 values, summed without
-    # cancellation (c2 < 1 strictly for t < 1).  Each element takes the
-    # route its own scalar call would take, so a vector call equals the
-    # per-element calls.
-    w_in = np.asarray(w, dtype=float)
-    w_arr = np.atleast_1d(w_in)
-    c0 = 1.0 - (d - s) / 2.0
-    near_one = w_arr > 0.999
-    total = np.empty_like(w_arr)
-    if np.any(near_one):
-        # direct difference of the two regularized values; no catastrophic
-        # cancellation here because (1-c2) w stays comparable to 1-w
-        w_hi = w_arr[near_one]
-        total[near_one] = (hyp2f1_regularized(1.0, d / 2.0, c0, w_hi)
-                           - hyp2f1_regularized(1.0, d / 2.0, c0, c2 * w_hi))
-    if not np.all(near_one):
-        total[~near_one] = _eta_tail_series(w_arr[~near_one], c2, d, c0)
-    return float(total[0]) if w_in.ndim == 0 else total
-
-
-def _eta_tail_series(w_arr: np.ndarray, c2: float, d: int, c0: float) -> np.ndarray:
-    # the term-wise series of _eta_tail for w <= 0.999, a block of terms at a
-    # time; it stops at the first term below 1e-17 * max|total|
-    base = (d / 2.0) * rgamma(1.0 + c0) * w_arr
-    c2n = c2
-    total = base * (1.0 - c2n)
-    n = 1
-    block = _block_terms(w_arr.size)
-    while n <= 100_000:
-        k = n + np.arange(block, dtype=float)
-        bases = base * np.cumprod(((d / 2.0 + k) / (k + c0))[:, None] * w_arr, axis=0)
-        c2ns = np.cumprod(np.concatenate([[c2n], np.full(block, c2)]))[1:]
-        terms = bases * (1.0 - c2ns)[:, None]
-        totals = total + np.cumsum(terms, axis=0)
-        settled = np.abs(terms).max(axis=1) <= 1e-17 * np.maximum(np.abs(totals).max(axis=1), 1e-300)
-        if settled.any():
-            return totals[np.argmax(settled)]
-        base, c2n, total = bases[-1], c2ns[-1], totals[-1]
-        n += block
-    return total
-
-
 def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     """The signed cap equilibrium eta_t for t in (-1, 1] (mass not computed).
 
@@ -242,9 +198,10 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
                     - sum_i B_i 2F1reg(1, d/2; 1-(d-s)/2; c_i^2 w) },
 
     w = (t-u)/(1-u), B_i = m_i (R_i+1)^{d-s}/r_i^d, c_i^2 = (R_i-1)^2/r_i^2.
-    The brace is rearranged into Delta(t)*2F1reg + sum_i B_i * (term-wise
-    difference), which avoids the near-total cancellation of the 2F1 values
-    when t is close to t0.
+    The brace is rearranged into Delta(t)*2F1reg(w) + sum_i B_i [2F1reg(w) -
+    2F1reg(c_i^2 w)], which avoids the near-total cancellation of the 2F1
+    values when t is close to t0; :func:`rieszcap.specfun.hyp2f1_regularized`
+    sums it as one series, given Delta(t) and the pairs (B_i, 1 - c_i^2).
     """
     _require_cap_regime(params)
     field = field.folded(params)
@@ -262,18 +219,14 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
         return CapMeasure(t=1.0, regular_part=whole, phi=phi_t)
     delta_t = phi_t - _edge(t, field, params)
     pref0 = math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0)) / sphere_energy(params)
-    cc = 1.0 - (d - s) / 2.0
-    atom_terms = []
-    for R, m in field.atoms:
-        r2 = axis_dist2(t, R)
-        atom_terms.append((m * (R + 1.0) ** (d - s) / r2 ** (d / 2.0), (R - 1.0) ** 2 / r2))
+    # (B_i, 1 - c_i^2), the second formed as 2 R_i (1-t) / r_i^2 without cancellation
+    pairs = [(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0),
+              2.0 * R * (1.0 - t) / axis_dist2(t, R)) for R, m in field.atoms]
 
     def regular(u):
         u_arr = np.asarray(u, dtype=float)
         w = (t - u_arr) / (1.0 - u_arr)
-        acc = delta_t * hyp2f1_regularized(1.0, d / 2.0, cc, w)
-        for B, c2 in atom_terms:
-            acc = acc + B * _eta_tail(w, c2, d, s)
+        acc = hyp2f1_regularized(1.0, d / 2.0, 1.0 - (d - s) / 2.0, w, delta_t, pairs)
         out = (pref0 * ((1.0 - t) / (1.0 - u_arr)) ** (d / 2.0)
                * (1.0 - t) ** ((d - s) / 2.0) * acc)
         return out if np.ndim(out) else float(out)

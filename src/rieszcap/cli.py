@@ -191,7 +191,7 @@ def _task_verify(cfg, field, params, out_dir: Path, name: str) -> dict:
     tol = _value(cfg, "tol", float, 1e-5)
     grid = _grid(cfg, 41)
     sol = axis_solve_t(field, params)
-    report = oracle.check_variational(sol, params, grid_size=grid)
+    report = oracle.check_variational(sol, grid_size=grid)
     passed = (report.max_violation_on_support <= tol
               and report.min_margin_off_support >= -tol
               and report.min_density >= -tol)

@@ -86,8 +86,9 @@ class VariationalReport:
     ``max_violation_on_support`` is the largest |U + Q - F| over cap
     heights, ``min_margin_off_support`` the smallest U + Q - F above the
     cap (negative values flag a violated inequality), and ``min_density``
-    the smallest interior density sample (negative values flag a signed
-    measure posing as an extremal one).
+    the smallest interior density sample, or the ring charge when that is
+    nonzero and smaller (negative values flag a signed measure posing as an
+    extremal one).
     """
 
     F_estimate: float
@@ -97,10 +98,10 @@ class VariationalReport:
     min_density: float
 
 
-def check_variational(solution: CapSolution, params: Params,
-                      grid_size: int = 41) -> VariationalReport:
+def check_variational(solution: CapSolution, grid_size: int = 41) -> VariationalReport:
     """Evaluate U^{eta} + Q - F on a height grid for a solved (or deliberately
     mis-solved) cap measure and report the extremes."""
+    params = solution.params
     t0 = solution.t0
     F = solution.phi_at_t0
     measure = solution.equilibrium
@@ -120,6 +121,8 @@ def check_variational(solution: CapSolution, params: Params,
     t_edge = t0 - 1e-9 if t0 < 1.0 else 1.0 - 1e-9
     us = np.linspace(-1.0 + 1e-9, t_edge, 500)
     dens = np.asarray(measure.radial_density(us), dtype=float)
+    if measure.boundary_coeff:
+        dens = np.append(dens, measure.boundary_coeff)
     return VariationalReport(
         F_estimate=F,
         max_violation_on_support=float(max_violation),

@@ -21,6 +21,7 @@ from rieszcap.cap_riesz import (
     phi,
 )
 from rieszcap.point_field import AxisMeasure, field_potential_on_axis
+from rieszcap.specfun import hyp2f1_regularized
 from rieszcap.sphere import Params, axis_dist2, kappa, sphere_energy, surface_factor
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -339,13 +340,57 @@ def test_eta_density_sign_pattern_around_t0():
 
 @pytest.mark.parametrize("c2", [0.9, 0.999999])
 def test_eta_tail_vector_equals_scalar(c2):
-    # an element past the w > 0.999 switch must not pull the others off the
-    # cancellation-free series (c2 -> 1 as t -> 1)
-    from rieszcap.cap_riesz import _eta_tail
+    # eta_t's tail F(w) - F(c2 w) at d = 2, s = 1, summed through one pair
+    # (1, 1 - c2): an element past the w > 0.999 switch must not pull the
+    # others off the cancellation-free series (c2 -> 1 as t -> 1)
+    tail = lambda w: hyp2f1_regularized(1.0, 1.0, 0.5, w, 0.0, [(1.0, 1.0 - c2)])
     w = np.array([1e-9, 1e-6, 1e-3, 0.5, 0.9995])
-    vec = _eta_tail(w, c2, 2, 1.0)
-    scalar = np.array([_eta_tail(float(x), c2, 2, 1.0) for x in w])
+    vec = tail(w)
+    scalar = np.array([tail(float(x)) for x in w])
     assert np.all(np.abs(vec - scalar) <= 1e-14 * np.abs(scalar))
+
+
+ETA_FIELDS = [[(1.5, 1.0)], [(3.0, 0.4), (1.2, 0.2)], [(10.0, 2.0)]]
+
+
+def eta_regular_reference(t, u, atoms, params):
+    """50-digit regular part of eta_t at height u from the float inputs.
+    Delta(t) is taken as the package computes it: near t0 it is itself a
+    cancelling difference, which no summation of the brace can repair."""
+    dt = delta(t, AxisMeasure(atoms), params)
+    with mp.workdps(50):
+        t, u, d, s = mp.mpf(t), mp.mpf(u), mp.mpf(params.d), mp.mpf(params.s)
+        c = 1 - (d - s) / 2
+        F = lambda z: mp.hyp2f1(1, d / 2, c, z) * mp.rgamma(c)
+        w = (t - u) / (1 - u)
+        brace = mp.mpf(dt) * F(w)
+        for R, m in atoms:
+            R = mp.mpf(R)
+            r2 = R * R - 2 * R * t + 1
+            brace += m * (R + 1) ** (d - s) / r2 ** (d / 2) * (F(w) - F((R - 1) ** 2 / r2 * w))
+        pref = mp.gamma(d / 2) / mp.gamma(d - s / 2) / mp.mpf(sphere_energy(params))
+        return float(pref * ((1 - t) / (1 - u)) ** (d / 2) * (1 - t) ** ((d - s) / 2) * brace)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("t, tol", [(-0.5, 1e-14), (0.3, 1e-14), (0.9, 1e-14), (0.999, 5e-12)])
+def test_eta_regular_part_against_mpmath(t, tol, d):
+    # curves of 12 heights from 1e-12 below the edge down to the pole, spaced
+    # geometrically; at t = 0.999 also evenly, which puts most w = (t-u)/(1-u)
+    # in (0.99, 0.9995), where the series runs longest before the w > 0.999
+    # switch.  The error is taken against each curve's largest value: the
+    # brace cancels where eta_t changes sign.
+    curves = [t - np.geomspace(1e-12, t + 1.0 - 1e-9, 12)]
+    if t > 0.99:
+        curves.append(np.linspace(t - 1e-12, -1.0 + 1e-9, 12))
+    for f in (0.05, 0.3, 0.7, 0.95):
+        params = Params(d=d, s=d - 2 + 2 * f)
+        for atoms in ETA_FIELDS:
+            eta = eta_measure(t, AxisMeasure(atoms), params)
+            for us in curves:
+                ref = np.array([eta_regular_reference(t, u, atoms, params) for u in us])
+                err = np.max(np.abs(eta.regular_part(us) - ref))
+                assert err <= tol * np.max(np.abs(ref)), (f, atoms)
 
 
 def test_eta_mass_identity_random():

@@ -1,11 +1,13 @@
-"""The particle descent of ``rieszcap.oracle`` against direct pairwise sums."""
+"""The particle descent of ``rieszcap.oracle`` against direct pairwise sums,
+and its variational check on solved and mis-solved caps."""
 
 import math
 
 import numpy as np
 import pytest
 
-from rieszcap import oracle
+from rieszcap import cli, oracle
+from rieszcap.axis_field import CapSolution, axis_solve_t, regime
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import Params
 
@@ -118,3 +120,47 @@ def test_descent_is_deterministic_and_monotone(params, field):
     assert np.all(np.diff(first.energies) <= 0.0)
     assert first.step_init == 0.1 / 60 and first.backtrack_factor == 0.5
     assert np.allclose(np.linalg.norm(first.points, axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the variational check
+
+TOL = 1e-5  # the verify task's default tolerance
+VERIFY_FIELD = AxisMeasure([(1.5, 1.0)])
+VERIFY_PARAMS = [pytest.param(Params(d=3, s=1.0), id="d3-s1"),
+                 pytest.param(Params(d=4, s=2.0), id="d4-s2"),
+                 pytest.param(Params(d=2, log=True), id="log")]
+
+
+@pytest.mark.parametrize("d, kernel", [(3, {"type": "riesz", "s": 1.0}), (2, {"type": "log"})],
+                         ids=["d3-s1", "log"])
+def test_verify_task_passes_on_solved_cap(tmp_path, d, kernel):
+    cfg = {"name": "v", "task": "verify", "d": d, "kernel": kernel, "grid": 5,
+           "field": {"type": "point", "q": 1.0, "R": 1.5}}
+    assert cli.run_scenario(cfg, tmp_path)["passed"] is True
+
+
+def mis_solved(params, shift):
+    """The regime's eta at t0 + shift, with its mass and ring charge, posing as a solution."""
+    t = axis_solve_t(VERIFY_FIELD, params).t0 + shift
+    eta = regime(params).eta(t, VERIFY_FIELD).with_mass(params)
+    return CapSolution(t0=t, phi_at_t0=eta.phi, equilibrium=eta, solved_by="interior_root",
+                       field=VERIFY_FIELD, params=params)
+
+
+@pytest.mark.parametrize("params", VERIFY_PARAMS)
+def test_cap_too_small_is_flagged_by_the_margin(params):
+    report = oracle.check_variational(mis_solved(params, -0.1), grid_size=9)
+    assert report.max_violation_on_support <= TOL
+    assert report.min_margin_off_support < -TOL
+
+
+@pytest.mark.parametrize("params", VERIFY_PARAMS)
+def test_cap_too_large_is_flagged_by_its_negative_ring(params):
+    # above t0 the potential inequalities all hold on the grid; only the
+    # negative ring charge shows that eta is signed
+    sol = mis_solved(params, 0.1)
+    report = oracle.check_variational(sol, grid_size=9)
+    assert report.max_violation_on_support <= TOL
+    assert report.min_margin_off_support >= -TOL
+    assert report.min_density == sol.equilibrium.boundary_coeff < -TOL

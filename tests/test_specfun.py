@@ -200,6 +200,15 @@ def test_regularized_domain():
         hyp2f1_regularized(1.0, 1.0, 1.0, 1.0)
 
 
+def test_regularized_pairs_need_nonnegative_argument():
+    # pairs are summed term by term in z itself; Pfaff's map would change the terms
+    z = np.array([0.2, -0.1])
+    with pytest.raises(ValueError):
+        hyp2f1_regularized(1.0, 1.5, 0.5, z, 0.5, [(1.0, 0.3)])
+    assert hyp2f1_regularized(1.0, 1.5, 0.5, z, 0.5) == pytest.approx(
+        0.5 * hyp2f1_regularized(1.0, 1.5, 0.5, z), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # incomplete beta (scipy.special.betainc, argument order a, b, x)
 
