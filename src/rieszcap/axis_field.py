@@ -42,9 +42,9 @@ class Regime(NamedTuple):
     cap equilibrium for t in (-1, 1] (mass not computed, ``phi`` set; eta_1
     is the signed equilibrium of the whole sphere), and
     ``potential(xi, eta, field)`` its closed-form weighted potential.
-    Both Riesz regimes share ``phi`` and ``delta``; s = d-2 supplies only its
-    ``eta`` (with a ring charge) and ``potential``.  ``column`` names the
-    functional in phi-curve output.
+    The Riesz range d-2 <= s < d runs one set of formulas; at s = d-2 its
+    ``eta`` carries a ring charge.  ``column`` names the functional in
+    phi-curve output.
     """
 
     column: str
@@ -61,10 +61,9 @@ def regime(params: Params) -> Regime:
         ce._require_log(params)
         column, fns = "F0", (ce.log_f0_functional, ce.log_delta, ce.log_etabar,
                              ce.log_eta_potential)
-    elif params.is_exceptional:
-        column, fns = "phibar", (cr.phi, cr.delta, ce.etabar_measure, ce.etabar_potential)
-    elif params.in_cap_regime:
-        column, fns = "phi", (cr.phi, cr.delta, cr.eta_measure, cr.eta_potential)
+    elif params.in_cap_regime or params.is_exceptional:
+        column = "phibar" if params.is_exceptional else "phi"
+        fns = (cr.phi, cr.delta, cr.eta_measure, cr.eta_potential)
     else:
         raise ValueError(f"no cap solver for d={params.d}, s={params.s}")
     return Regime(column, *(partial(f, params=params) for f in fns))
@@ -72,15 +71,23 @@ def regime(params: Params) -> Regime:
 
 @dataclass(frozen=True)
 class CapSolution:
-    """Solved extremal support: cap height t0, functional value Phi(t0),
-    the extremal measure eta_t0 (with its mass) and the branch taken."""
+    """Solved extremal support: the extremal measure eta_t0 (with its mass)
+    and the branch taken; t0 and Phi(t0) are read from eta_t0."""
 
-    t0: float
-    phi_at_t0: float
     equilibrium: CapMeasure
     solved_by: str  # "interior_root" or "boundary_t_equals_1"
     field: AxisMeasure
     params: Params
+
+    @property
+    def t0(self) -> float:
+        """Height of the support cap."""
+        return self.equilibrium.t
+
+    @property
+    def phi_at_t0(self) -> float:
+        """The functional at t0, the weighted potential on the support."""
+        return self.equilibrium.phi
 
 
 def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
@@ -102,5 +109,4 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
         t0 = float(optimize.brentq(f, -1.0 + 1e-9, 1.0, xtol=1e-14, rtol=8.9e-16))
         solved_by = "interior_root"
     measure = replace(form.eta(t0, lam), boundary_coeff=0.0).with_mass(params)
-    return CapSolution(t0=t0, phi_at_t0=measure.phi, equilibrium=measure,
-                       solved_by=solved_by, field=lam, params=params)
+    return CapSolution(equilibrium=measure, solved_by=solved_by, field=lam, params=params)

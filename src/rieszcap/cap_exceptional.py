@@ -10,11 +10,12 @@ height t,
 
 and the signed equilibrium etabar_t carries a ring charge that vanishes
 exactly at the optimal height t0, where the density also stays strictly
-positive at the edge (unlike the d-2 < s < d regime).  Their norms, Phi
-and Delta are the s -> (d-2)+ limits in :mod:`rieszcap.cap_riesz`; s = d-2
-supplies only etabar_t, with its ring charge, and its potential.  The planar
-logarithmic case d = 2 has mass-preserving balayage and fully closed
-forms, including t0 = min{1, (R^2 - 2Rq + 1)/(2R(1+q))}.
+positive at the edge (unlike the d-2 < s < d regime).  etabar_t, its
+potential and the norms, Phi and Delta are the s -> (d-2)+ limits in
+:mod:`rieszcap.cap_riesz`; this module keeps nubar_t and epsbar_t as
+measures, for the weak* analysis of that limit.  The planar logarithmic
+case d = 2 has mass-preserving balayage and fully closed forms, including
+t0 = min{1, (R^2 - 2Rq + 1)/(2R(1+q))}.
 """
 
 from __future__ import annotations
@@ -23,17 +24,13 @@ import math
 
 import numpy as np
 
-from rieszcap.cap_riesz import _edge, eps_density, nu_density, phi
+from rieszcap.cap_riesz import _edge, eps_density, nu_density
 from rieszcap.point_field import AxisMeasure, _exterior
 from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, sphere_energy
 
 __all__ = [
     "nubar",
     "epsbar",
-    "etabar_measure",
-    "nubar_potential",
-    "epsbar_potential",
-    "etabar_potential",
     "weakstar_gap",
     "gamma_s_norm",
     "log_delta",
@@ -72,75 +69,10 @@ def epsbar(t: float, R: float, params: Params) -> CapMeasure:
     """Balayage of a unit charge at R*p, R > 1, at s = d-2."""
     _require_exceptional(params)
     d, R = params.d, _exterior(R)
-    W = sphere_energy(params)
-    r2 = axis_dist2(t, R)
-
-    def interior(u):
-        return (R * R - 1.0) ** 2 / (W * axis_dist2(u, R) ** (d / 2.0 + 1.0))
-
-    bcoef = ((1.0 - t) / 2.0 * (R + 1.0) ** 2 / r2 ** (d / 2.0)
+    bcoef = ((1.0 - t) / 2.0 * (R + 1.0) ** 2 / axis_dist2(t, R) ** (d / 2.0)
              * (1.0 - t * t) ** (d / 2.0 - 1.0)) if t < 1.0 else 0.0
+    interior = lambda u: eps_density(u, 1.0, R, params)  # the whole sphere's density
     return CapMeasure(t=t, regular_part=interior, boundary_coeff=bcoef).with_mass(params)
-
-
-def etabar_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
-    """Signed cap equilibrium at s = d-2 for t in (-1, 1] (mass not computed):
-    interior density (1/W)[Phi - sum_i m_i (R_i^2-1)^2/(R_i^2-2R_i u+1)^{d/2+1}],
-    ring charge (1-t)/2 (1-t^2)^{d/2-1} Delta(t) (sign flips at t0, none at
-    t = 1), with Phi and Delta those of :mod:`rieszcap.cap_riesz` at s = d-2."""
-    _require_exceptional(params)
-    field = field.folded(params)
-    d = params.d
-    W = sphere_energy(params)
-    pv = phi(t, field, params)
-
-    def interior(u):
-        out = pv * np.ones_like(u)
-        for R, m in field.atoms:
-            out = out - m * (R * R - 1.0) ** 2 / axis_dist2(u, R) ** (d / 2.0 + 1.0)
-        return out / W
-
-    bcoef = ((1.0 - t) / 2.0 * (1.0 - t * t) ** (d / 2.0 - 1.0)
-             * (pv - _edge(t, field, params))) if t < 1.0 else 0.0
-    return CapMeasure(t=t, regular_part=interior, boundary_coeff=bcoef, phi=pv)
-
-
-def nubar_potential(xi: float, t: float, params: Params) -> float:
-    """U^{nubar_t}: W_{d-2} on the cap, W_{d-2}(1+t)^{d/2-1}(1+xi)^{1-d/2}
-    above it (strictly smaller there)."""
-    _require_exceptional(params)
-    W = sphere_energy(params)
-    if xi <= t:
-        return W
-    e = params.d / 2.0 - 1.0
-    return W * (1.0 + t) ** e * (1.0 + xi) ** (-e)
-
-
-def epsbar_potential(xi: float, t: float, R: float, params: Params) -> float:
-    """U^{epsbar_t} of a unit charge at a = R*p, R > 1: |z-a|^{2-d} on the
-    cap, r^{2-d}(1+t)^{d/2-1}(1+xi)^{1-d/2} above it."""
-    _require_exceptional(params)
-    d, R = params.d, _exterior(R)
-    if xi <= t:
-        return axis_dist2(xi, R) ** ((2.0 - d) / 2.0)
-    e = d / 2.0 - 1.0
-    return axis_dist2(t, R) ** ((2.0 - d) / 2.0) * (1.0 + t) ** e * (1.0 + xi) ** (-e)
-
-
-def etabar_potential(xi: float, eta: CapMeasure, field: AxisMeasure, params: Params) -> float:
-    """Weighted potential U^{etabar_t} + Q at height xi, from the balayage
-    decomposition etabar_t = (Phi/W) nubar_t - sum_i m_i epsbar_t^i:
-
-        (Phi/W) U^{nubar_t} - sum_i m_i U^{epsbar_t^i} + sum_i m_i |x-a_i|^{2-d}
-
-    (``eta`` from :func:`etabar_measure`); Phi(t) on the cap.
-    """
-    d, t = params.d, eta.t
-    out = eta.phi / sphere_energy(params) * nubar_potential(xi, t, params)
-    for R, m in field.folded(params).atoms:
-        out += m * (axis_dist2(xi, R) ** ((2.0 - d) / 2.0)
-                    - epsbar_potential(xi, t, R, params))
-    return out
 
 
 def gamma_s_norm(t: float, s: float, d: int) -> float:

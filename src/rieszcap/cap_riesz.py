@@ -15,9 +15,10 @@ when an interior root exists and t0 = 1 otherwise.  The signed cap
 equilibrium eta_t and its weighted potential have closed forms on and off
 the cap; eta_{t0} is the extremal measure.
 
-The norms, Phi_s and Delta hold on d-2 <= s < d (at s = d-2 as the limits
-s -> (d-2)+); the densities, eta_t and the potentials need d-2 < s < d, and
-:mod:`rieszcap.cap_exceptional` supplies eta_t at s = d-2 and its potential.
+Everything but the balayage densities of caps t < 1 holds on d-2 <= s < d,
+at s = d-2 as the limit s -> (d-2)+.  There eta_t has the whole sphere's
+density on every cap plus a ring charge on the cap edge, and the potentials
+are the betainc forms with (d-s)/2 = 1.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ def eps_density(u, t: float, R: float, params: Params):
 
     with r^2 = R^2 - 2 R t + 1.  Same edge singularity as nu_t'.  At t = 1
     it is the whole sphere's (R^2-1)^{d-s} rho^{s-2d} / W_s, rho^2 = R^2 - 2 R u + 1,
-    which has no edge and is defined at u = 1 too.
+    which has no edge and is defined at u = 1 too, also at s = d-2.
     """
-    _require_cap_regime(params)
+    _require_cap_regime(params, ring=t == 1.0)
     R = _exterior(R)
     u_arr = np.asarray(u, dtype=float)
     d, s = params.d, params.s
@@ -190,8 +191,11 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
 
         eta_1'(u) = Phi_s(1)/W_s - sum_i m_i eps_1'^i(u),
 
-    whose value at u = 1 has the sign of Delta(1).  For t < 1 it is
-    (t-u)^{(s-d)/2} regular(u) against sigma_d, where
+    whose value at u = 1 has the sign of Delta(1).  At s = d-2 every cap
+    has this density with Phi_s(t) for Phi_s(1), plus the ring charge
+    (1-t)/2 (1-t^2)^{d/2-1} Delta(t) on its edge, which vanishes at t0 and
+    at t = 1.  For d-2 < s < d and t < 1 it is (t-u)^{(s-d)/2} regular(u)
+    against sigma_d, where
 
         eta_t'(u) = (1/W_s) Gamma(d/2)/Gamma(d-s/2) ((1-t)/(1-u))^{d/2}
                     ((t-u)/(1-t))^{(s-d)/2} { Phi_s(t) 2F1reg(1, d/2; 1-(d-s)/2; w)
@@ -203,11 +207,12 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     values when t is close to t0; :func:`rieszcap.specfun.hyp2f1_regularized`
     sums it as one series, given Delta(t) and the pairs (B_i, 1 - c_i^2).
     """
-    _require_cap_regime(params)
+    _require_cap_regime(params, ring=True)
     field = field.folded(params)
     d, s = params.d, params.s
     phi_t = phi(t, field, params)
-    if t == 1.0:
+    delta_t = phi_t - _edge(t, field, params) if t < 1.0 else 0.0
+    if t == 1.0 or params.is_exceptional:
         W = sphere_energy(params)
 
         def whole(u):
@@ -216,8 +221,8 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
                 out = out - m * eps_density(u, 1.0, R, params)
             return out
 
-        return CapMeasure(t=1.0, regular_part=whole, phi=phi_t)
-    delta_t = phi_t - _edge(t, field, params)
+        ring = (1.0 - t) / 2.0 * (1.0 - t * t) ** (d / 2.0 - 1.0) * delta_t
+        return CapMeasure(t=t, regular_part=whole, boundary_coeff=ring, phi=phi_t)
     pref0 = math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0)) / sphere_energy(params)
     # (B_i, 1 - c_i^2), the second formed as 2 R_i (1-t) / r_i^2 without cancellation
     pairs = [(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0),
@@ -239,9 +244,10 @@ def nu_potential(xi: float, t: float, params: Params) -> float:
 
         W_s I((1+t)/(1+xi); s/2, (d-s)/2)
 
-    above it (strictly below W_s there).
+    above it (strictly below W_s there); at s = d-2 that is
+    W_{d-2} ((1+t)/(1+xi))^{d/2-1}, since I(x; a, 1) = x^a.
     """
-    _require_cap_regime(params)
+    _require_cap_regime(params, ring=True)
     W = sphere_energy(params)
     if xi <= t:
         return W
@@ -251,8 +257,8 @@ def nu_potential(xi: float, t: float, params: Params) -> float:
 def eps_potential(xi: float, t: float, R: float, params: Params) -> float:
     """Potential of eps_t of a unit charge at a = R*p, R > 1, at height xi:
     |z-a|^{-s} on the cap, rho^{-s} I((rho^2/r^2)(1+t)/(1+xi); s/2, (d-s)/2)
-    above it."""
-    _require_cap_regime(params)
+    above it (r^{2-d} ((1+t)/(1+xi))^{d/2-1} at s = d-2)."""
+    _require_cap_regime(params, ring=True)
     s, R = params.s, _exterior(R)
     rho2 = axis_dist2(xi, R)
     if xi <= t:
@@ -269,6 +275,8 @@ def eta_potential(xi: float, eta: CapMeasure, field: AxisMeasure, params: Params
                  - Phi_s(t) I((xi-t)/(1+xi); (d-s)/2, s/2)
 
     above it, rho_i^2 = R_i^2 - 2 R_i xi + 1 (``eta`` from :func:`eta_measure`).
+    At s = d-2, where I(x; 1, b) = 1 - (1-x)^b, this is the potential of
+    (Phi/W) nubar_t - sum_i m_i epsbar_t^i plus Q, ring charge included.
     """
     t, phi_t = eta.t, eta.phi
     if xi <= t:

@@ -94,7 +94,6 @@ class VariationalReport:
     F_estimate: float
     max_violation_on_support: float
     min_margin_off_support: float
-    grid: np.ndarray
     min_density: float
 
 
@@ -127,7 +126,6 @@ def check_variational(solution: CapSolution, grid_size: int = 41) -> Variational
         F_estimate=F,
         max_violation_on_support=float(max_violation),
         min_margin_off_support=float(min_margin),
-        grid=grid,
         min_density=float(np.min(dens)),
     )
 

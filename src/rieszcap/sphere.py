@@ -56,9 +56,10 @@ class Params:
 
     Either a Riesz kernel |x-y|^(-s) with 0 < s < d (pass ``s``), or the
     logarithmic kernel log(1/|x-y|) (pass ``log=True``).  Cap-level results
-    gate their own sub-regimes: d-2 < s < d for the generic cap formulas,
-    s = d-2 with d >= 3 for the boundary-atom case, and d = 2 for the
-    logarithmic cap case.
+    gate their own sub-regimes: d-2 <= s < d for the Riesz cap formulas
+    (s = d-2 with d >= 3 is the boundary case, where balayage grows a ring
+    charge; the balayage densities of proper caps need d-2 < s), and d = 2
+    for the logarithmic cap case.
     """
 
     d: int

@@ -6,21 +6,18 @@ from scipy import integrate
 
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
-from rieszcap.axis_field import axis_solve_t
+from rieszcap.axis_field import axis_solve_t, regime
 from rieszcap.cap_exceptional import (
     epsbar,
-    epsbar_potential,
-    etabar_measure,
     gamma_s_norm,
     log_cap_energy,
     log_eta_potential,
     log_etabar,
     log_f0_functional,
     nubar,
-    nubar_potential,
     weakstar_gap,
 )
-from rieszcap.cap_riesz import eps_norm, nu_norm, phi
+from rieszcap.cap_riesz import eps_norm, eps_potential, eta_measure, nu_norm, nu_potential, phi
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import CapMeasure, Params, axis_dist2, kappa, sphere_energy, surface_factor
 
@@ -100,7 +97,7 @@ def test_nubar_potential_off_cap():
     W = sphere_energy(P31)
     m = nubar(t, P31)
     for xi in (0.5, 0.8):
-        closed = nubar_potential(xi, t, P31)
+        closed = nu_potential(xi, t, P31)
         assert closed == pytest.approx(W * (1.0 + t) ** (d / 2.0 - 1.0)
                                        * (1.0 + xi) ** (1.0 - d / 2.0), rel=1e-13)
         assert closed < W
@@ -117,7 +114,7 @@ def test_epsbar_balayage_potential():
         assert ring_potential_quadrature(m, xi, P31) == pytest.approx(
             axis_dist2(xi, R) ** ((2.0 - d) / 2.0), abs=1e-6)
     for xi in (0.4, 0.9):
-        closed = epsbar_potential(xi, t, R, P31)
+        closed = eps_potential(xi, t, R, P31)
         assert ring_potential_quadrature(m, xi, P31) == pytest.approx(closed, abs=1e-6)
         assert closed < axis_dist2(xi, R) ** ((2.0 - d) / 2.0)
 
@@ -153,7 +150,7 @@ def test_solve_t0_exceptional_reference():
     # scratch solve of the exceptional equilibrium condition (d=3,q=1,R=2)
     assert sol.t0 == pytest.approx(0.34940700375655837, abs=1e-9)
     # boundary charge of etabar vanishes at t0
-    ring = etabar_measure(sol.t0, C12, P31).with_mass(P31)
+    ring = regime(P31).eta(sol.t0, C12).with_mass(P31)
     assert abs(ring.boundary_coeff) < 1e-10
     # interior density strictly positive at the cap edge
     edge = sol.equilibrium.radial_density(sol.t0 - 1e-12)
@@ -178,22 +175,22 @@ def test_solve_t0_exceptional_against_30_digit_references(d, q, R, ref):
 
 def test_etabar_ring_charge_sign_structure():
     sol = axis_solve_t(C12, P31)
-    below = etabar_measure(sol.t0 - 0.2, C12, P31).with_mass(P31)
-    above = etabar_measure(sol.t0 + 0.2, C12, P31).with_mass(P31)
+    below = regime(P31).eta(sol.t0 - 0.2, C12).with_mass(P31)
+    above = regime(P31).eta(sol.t0 + 0.2, C12).with_mass(P31)
     assert below.boundary_coeff > 0.0
     assert above.boundary_coeff < 0.0
 
 
 def test_etabar_mass_is_one():
     for t in (-0.2, 0.349407, 0.8):
-        m = etabar_measure(t, C12, P31).with_mass(P31)
+        m = regime(P31).eta(t, C12).with_mass(P31)
         assert m.mass == pytest.approx(1.0, abs=1e-9)
 
 
 def test_phibar_matches_weighted_potential_on_cap():
     # U^{etabar} + Q is constant = Phibar on the cap
     t = 0.1
-    m = etabar_measure(t, C12, P31).with_mass(P31)
+    m = regime(P31).eta(t, C12).with_mass(P31)
     pv = phi(t, C12, P31)
     q, R = 1.0, 2.0
     for xi in (-0.8, -0.3, 0.05):
@@ -353,6 +350,6 @@ def test_gating():
     with pytest.raises(ValueError):
         nubar(0.0, Params(d=3, s=1.5))
     with pytest.raises(ValueError):
-        etabar_measure(0.0, C12, Params(d=2, s=1.0))
+        eta_measure(0.0, C12, Params(d=4, s=1.0))
     with pytest.raises(ValueError):
         axis_solve_t(AxisMeasure([(0.5, 1.0)]), PLOG)

@@ -22,7 +22,7 @@ from rieszcap.cap_riesz import (
 )
 from rieszcap.point_field import AxisMeasure, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
-from rieszcap.sphere import Params, axis_dist2, kappa, sphere_energy, surface_factor
+from rieszcap.sphere import CapMeasure, Params, axis_dist2, kappa, sphere_energy, surface_factor
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -158,13 +158,20 @@ def test_norms_phi_delta_gate_includes_s_equal_d_minus_2():
     assert math.isfinite(delta(0.2, C13, ring))
     with pytest.raises(ValueError):
         phi(-1.0, C13, ring)
+    # eta_t at s = d-2: the whole sphere's density plus a ring charge on the edge
+    eta = eta_measure(0.2, C13, ring)
+    assert isinstance(eta, CapMeasure) and eta.singular_exponent == 0.0
+    assert eta.boundary_coeff != 0.0
+    # (Phi - (R^2-1)^2 / rho^{d+2}) / W at u = 0, where rho^2 = R^2 + 1
+    assert eta.radial_density(0.0) == pytest.approx(
+        (eta.phi - 0.69 ** 2 / 2.69 ** 2.5) / sphere_energy(ring), rel=1e-14)
+    assert eta_measure(1.0, C13, ring).boundary_coeff == 0.0
+    assert math.isfinite(eta_potential(0.5, eta, C13, ring))
 
 
-def test_densities_and_eta_gate_excludes_s_equal_d_minus_2():
+def test_densities_gate_excludes_s_equal_d_minus_2():
     ring = Params(d=3, s=1.0)
-    for call in (lambda: nu_density(0.0, 0.2, ring), lambda: eps_density(0.0, 0.2, 1.3, ring),
-                 lambda: eta_measure(0.2, C13, ring).radial_density(0.0),
-                 lambda: eta_measure(0.2, C13, ring)):
+    for call in (lambda: nu_density(0.0, 0.2, ring), lambda: eps_density(0.0, 0.2, 1.3, ring)):
         with pytest.raises(ValueError):
             call()
 

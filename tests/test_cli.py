@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from rieszcap import cli
-from rieszcap.axis_field import axis_solve_t
-from rieszcap.cap_exceptional import etabar_measure, log_eta_potential, log_etabar
+from rieszcap.axis_field import axis_solve_t, regime
+from rieszcap.cap_exceptional import log_eta_potential, log_etabar
 from rieszcap.cap_riesz import eta_measure, eta_potential, phi
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import Params
@@ -68,7 +68,7 @@ def test_riesz_curves_match_public_functions(tmp_path):
 def test_exceptional_density_matches_etabar(tmp_path):
     _, dens = run_potential(tmp_path, EXCEPTIONAL)
     _, params, charge, _ = EXCEPTIONAL
-    m = etabar_measure(T_FIXED, charge, params).with_mass(params)
+    m = regime(params).eta(T_FIXED, charge).with_mass(params)
     for u, val, ring in dens:
         assert_rel(val, m.radial_density(float(u)))
         assert_rel(ring, m.boundary_coeff)
@@ -78,17 +78,21 @@ def test_exceptional_density_matches_etabar(tmp_path):
 
 
 def test_exceptional_potential_matches_oracle(tmp_path):
-    # the s = d-2 weighted potential against quadrature of the ring kernel
+    # the s = d-2 weighted potential against quadrature of the ring kernel,
+    # on caps with a ring charge, where betainc(1, d/2-1, x) is 1 - (1-x)^{d/2-1}
     from rieszcap import oracle
-    _, params, charge, d = EXCEPTIONAL
-    cfg = scenario("potential", d, EXCEPTIONAL[0], point(charge), grid=3)
-    cli.run_scenario(cfg, tmp_path)
-    _, pot = read_csv(tmp_path / "case_potential.csv")
-    m = etabar_measure(T_FIXED, charge, params).with_mass(params)
-    for xi, val, _ in pot:
-        direct = (oracle.potential_of(m, float(xi), params)
-                  + float(oracle.external_field(float(xi), charge, params)))
-        assert val == pytest.approx(direct, rel=1e-9)
+    _, _, charge, _ = EXCEPTIONAL
+    for d in (3, 4, 5):
+        params = Params(d=d, s=float(d - 2))
+        cfg = scenario("potential", d, {"type": "riesz", "s": d - 2.0}, point(charge), grid=3)
+        cli.run_scenario(cfg, tmp_path)
+        _, pot = read_csv(tmp_path / "case_potential.csv")
+        m = regime(params).eta(T_FIXED, charge).with_mass(params)
+        assert abs(m.boundary_coeff) > 1e-3
+        for xi, val, _ in pot:
+            direct = (oracle.potential_of(m, float(xi), params)
+                      + float(oracle.external_field(float(xi), charge, params)))
+            assert val == pytest.approx(direct, rel=1e-9)
 
 
 def test_log_curves_match_public_functions(tmp_path):

@@ -144,8 +144,8 @@ def mis_solved(params, shift):
     """The regime's eta at t0 + shift, with its mass and ring charge, posing as a solution."""
     t = axis_solve_t(VERIFY_FIELD, params).t0 + shift
     eta = regime(params).eta(t, VERIFY_FIELD).with_mass(params)
-    return CapSolution(t0=t, phi_at_t0=eta.phi, equilibrium=eta, solved_by="interior_root",
-                       field=VERIFY_FIELD, params=params)
+    return CapSolution(equilibrium=eta, solved_by="interior_root", field=VERIFY_FIELD,
+                       params=params)
 
 
 @pytest.mark.parametrize("params", VERIFY_PARAMS)
