@@ -347,8 +347,8 @@ PER_UNIT = {
     "eps_norm": lambda R: cap_riesz.eps_norm(0.2, R, Params(d=3, s=1.5)),
     "eps_potential": lambda R: cap_riesz.eps_potential(0.5, 0.2, R, Params(d=3, s=1.5)),
     "epsbar": lambda R: cap_exceptional.epsbar(0.2, R, Params(d=3, s=1.0)),
-    "eps_potential_at_d_minus_2": lambda R: cap_riesz.eps_potential(0.5, 0.2, R,
-                                                                    Params(d=3, s=1.0)),
+    # the s = d-2 potential of epsbar_t, now computed by the Riesz cap formula
+    "epsbar_potential": lambda R: cap_riesz.eps_potential(0.5, 0.2, R, Params(d=3, s=1.0)),
     "weakstar_gap": lambda R: cap_exceptional.weakstar_gap(0.0, [1.5], R, Params(d=3, s=1.0)),
 }
 
