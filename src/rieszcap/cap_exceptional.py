@@ -10,12 +10,12 @@ height t,
 
 and the signed equilibrium etabar_t carries a ring charge that vanishes
 exactly at the optimal height t0, where the density also stays strictly
-positive at the edge (unlike the d-2 < s < d regime).  etabar_t, its
-potential and the norms, Phi and Delta are the s -> (d-2)+ limits in
-:mod:`rieszcap.cap_riesz`; this module keeps nubar_t and epsbar_t as
-measures, for the weak* analysis of that limit.  The planar logarithmic
-case d = 2 has mass-preserving balayage and fully closed forms, including
-t0 = min{1, (R^2 - 2Rq + 1)/(2R(1+q))}.
+positive at the edge (unlike the d-2 < s < d regime).  All three measures,
+their potentials and the norms, Phi and Delta are the s -> (d-2)+ limits in
+:mod:`rieszcap.cap_riesz`, built by the same constructors as for s > d-2;
+this module measures the weak* convergence of that limit.  The planar
+logarithmic case d = 2 has mass-preserving balayage and fully closed forms,
+including t0 = min{1, (R^2 - 2Rq + 1)/(2R(1+q))}.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ import math
 
 import numpy as np
 
-from rieszcap.cap_riesz import _edge, eps_density, nu_density
-from rieszcap.point_field import AxisMeasure, _exterior
-from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, sphere_energy
+from rieszcap.cap_riesz import _edge, eps_measure, nu_measure
+from rieszcap.point_field import AxisMeasure
+from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial
 
 __all__ = [
-    "nubar",
-    "epsbar",
     "weakstar_gap",
     "gamma_s_norm",
     "log_delta",
@@ -55,26 +53,6 @@ def _require_log(params: Params) -> None:
 # s = d-2
 
 
-def nubar(t: float, params: Params) -> CapMeasure:
-    """Balayage of the uniform measure at s = d-2: interior density 1 plus
-    a ring atom of weight W_{d-2} (1-t)/2 (1-t^2)^{d/2-1}."""
-    _require_exceptional(params)
-    d = params.d
-    W = sphere_energy(params)
-    bcoef = W * (1.0 - t) / 2.0 * (1.0 - t * t) ** (d / 2.0 - 1.0) if t < 1.0 else 0.0
-    return CapMeasure(t=t, regular_part=np.ones_like, boundary_coeff=bcoef).with_mass(params)
-
-
-def epsbar(t: float, R: float, params: Params) -> CapMeasure:
-    """Balayage of a unit charge at R*p, R > 1, at s = d-2."""
-    _require_exceptional(params)
-    d, R = params.d, _exterior(R)
-    bcoef = ((1.0 - t) / 2.0 * (R + 1.0) ** 2 / axis_dist2(t, R) ** (d / 2.0)
-             * (1.0 - t * t) ** (d / 2.0 - 1.0)) if t < 1.0 else 0.0
-    interior = lambda u: eps_density(u, 1.0, R, params)  # the whole sphere's density
-    return CapMeasure(t=t, regular_part=interior, boundary_coeff=bcoef).with_mass(params)
-
-
 def gamma_s_norm(t: float, s: float, d: int) -> float:
     """Mass of the edge-concentrating kernel gamma_s as s decreases to d-2:
 
@@ -91,33 +69,29 @@ def weakstar_gap(t: float, s_values, R: float, params: Params):
     eps_{t,s} -> epsbar_t (unit charge at R*p, R > 1) as s decreases to d-2.
 
     For each s, computes |int u^k d nu_{t,s} - int u^k d nubar_t| and the
-    eps analogue for k = 0..3; returns a list of dicts with keys
-    's', 'nu', 'eps'.  Decay along s -> (d-2)+ is the caller's assertion.
+    eps analogue for k = 0..3, ring charges included; returns a list of
+    dicts with keys 's', 'nu', 'eps'.  Decay along s -> (d-2)+ is the
+    caller's assertion.
     """
     _require_exceptional(params)
     d = params.d
-    nb = nubar(t, params)
-    eb = epsbar(t, R, params)
 
-    def bar_moment(measure: CapMeasure, k: int) -> float:
-        interior = integrate_radial(lambda u: measure.radial_density(u) * u ** k, t, params)
+    def moment(measure: CapMeasure, p: Params, k: int) -> float:
+        interior = integrate_radial(lambda u: u ** k * measure.regular_part(u), t, p,
+                                    measure.singular_exponent)
         return interior + measure.boundary_coeff * t ** k
 
+    nb, eb = nu_measure(t, params), eps_measure(t, R, params)
     out = []
     for s in s_values:
         if not (d - 2 < s < d):
             raise ValueError(f"weak* path requires d-2 < s < d, got s={s}")
         ps = Params(d=d, s=float(s))
+        nu, eps = nu_measure(t, ps), eps_measure(t, R, ps)
         rec = {"s": float(s), "nu": np.empty(4), "eps": np.empty(4)}
         for k in range(4):
-            mom_nu = integrate_radial(
-                lambda u: u ** k * nu_density(u, t, ps) * (t - u) ** ((d - s) / 2.0),
-                t, ps, singular_exponent=(s - d) / 2.0)
-            rec["nu"][k] = abs(mom_nu - bar_moment(nb, k))
-            mom_eps = integrate_radial(
-                lambda u: u ** k * eps_density(u, t, R, ps) * (t - u) ** ((d - s) / 2.0),
-                t, ps, singular_exponent=(s - d) / 2.0)
-            rec["eps"][k] = abs(mom_eps - bar_moment(eb, k))
+            rec["nu"][k] = abs(moment(nu, ps, k) - moment(nb, params, k))
+            rec["eps"][k] = abs(moment(eps, ps, k) - moment(eb, params, k))
         out.append(rec)
     return out
 
@@ -140,7 +114,7 @@ def log_delta(t: float, field: AxisMeasure, params: Params) -> float:
     for a point charge, so Brent iteration lands on the closed form
     t0 = (R^2 - 2Rq + 1) / (2R(1+q)) to rounding."""
     _require_log(params)
-    return (1.0 + field.total_mass) / _edge(t, field, params) - 1.0
+    return (1.0 + field.total_mass) / _edge(t, field.folded(params).atoms, params) - 1.0
 
 
 def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
@@ -156,7 +130,7 @@ def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
             out = out - m * (R * R - 1.0) ** 2 / axis_dist2(u, R) ** 2
         return out
 
-    bcoef = (1.0 - t) / 2.0 * (1.0 + total - _edge(t, field, params)) if t < 1.0 else 0.0
+    bcoef = (1.0 - t) / 2.0 * (1.0 + total - _edge(t, field.atoms, params)) if t < 1.0 else 0.0
     return CapMeasure(t=t, regular_part=interior, boundary_coeff=bcoef,
                       phi=log_f0_functional(t, field, params), mass=1.0)
 

@@ -15,10 +15,11 @@ when an interior root exists and t0 = 1 otherwise.  The signed cap
 equilibrium eta_t and its weighted potential have closed forms on and off
 the cap; eta_{t0} is the extremal measure.
 
-Everything but the balayage densities of caps t < 1 holds on d-2 <= s < d,
-at s = d-2 as the limit s -> (d-2)+.  There eta_t has the whole sphere's
-density on every cap plus a ring charge on the cap edge, and the potentials
-are the betainc forms with (d-s)/2 = 1.
+Everything holds on d-2 <= s < d, at s = d-2 as the limit s -> (d-2)+.
+nu_t, eps_t and eta_t are one CapMeasure constructor with different
+coefficients; at s = d-2 each has the whole sphere's density on every cap
+plus a ring charge on the cap edge, and the potentials are the betainc
+forms with (d-s)/2 = 1.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, om
     sphere_energy
 
 __all__ = [
-    "nu_density",
-    "eps_density",
+    "nu_measure",
+    "eps_measure",
     "nu_norm",
     "eps_norm",
     "phi",
@@ -47,68 +48,92 @@ __all__ = [
 ]
 
 
-def _require_cap_regime(params: Params, ring: bool = False) -> None:
-    # ring=True also admits s = d-2 (formulas that hold through the limit)
-    if not (params.in_cap_regime or ring and params.is_exceptional):
-        bound = "<=" if ring else "<"
-        raise ValueError(f"cap formulas need d-2 {bound} s < d, got d={params.d}, s={params.s}")
+def _require_cap_regime(params: Params) -> None:
+    if not (params.in_cap_regime or params.is_exceptional):
+        raise ValueError(f"cap formulas need d-2 <= s < d, got d={params.d}, s={params.s}")
 
 
-def nu_density(u, t: float, params: Params):
-    """Density of the uniform measure's balayage onto the cap, at height u:
+def _cap_measure(t: float, params: Params, K: float, charges, *, contraction: float = 1.0,
+                 pairs=(), phi: float | None = None) -> CapMeasure:
+    """The measure (K/W_s) nu_t - sum_j c_j eps_t^{R_j} for charges ((R_j, c_j), ...),
+    R_j > 1, on the cap t in (-1, 1]; d-2 <= s < d (mass not computed).
 
-        nu_t'(u) = Gamma(d/2)/Gamma(d-s/2) ((1-t)/(1-u))^{d/2}
-                   ((t-u)/(1-t))^{(s-d)/2} 2F1reg(1, d/2; 1-(d-s)/2; (t-u)/(1-u)).
+    With B_j = (R_j+1)^{d-s}/r_j^d, r_j^2 = R_j^2 - 2 R_j t + 1, at t = 1 or
+    s = d-2 the density is the whole sphere's
 
-    Blows up like (t-u)^{(s-d)/2} at the cap edge; u >= t is rejected.
+        K/W_s - sum_j c_j (R_j^2-1)^{d-s} rho_j^{s-2d} / W_s,   rho_j^2 = R_j^2 - 2 R_j u + 1,
+
+    and s = d-2 adds the ring charge (1-t)/2 (1-t^2)^{d/2-1} (K - sum_j c_j B_j)
+    on the edge.  Otherwise the density is (t-u)^{(s-d)/2} times
+
+        Gamma(d/2)/(Gamma(d-s/2) W_s) ((1-t)/(1-u))^{d/2} (1-t)^{(d-s)/2}
+            { K F(w) - sum_j c_j B_j F(((R_j-1)^2/r_j^2) w) },
+
+    w = (t-u)/(1-u), F = 2F1reg(1, d/2; 1-(d-s)/2; .).  The brace is summed
+    as (K - sum_j c_j B_j) F(contraction w) plus the ``pairs`` of
+    :func:`rieszcap.specfun.hyp2f1_regularized`; the caller picks the two so
+    that they equal it.
     """
     _require_cap_regime(params)
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr >= t):
-        raise ValueError("nu_density needs u < t")
-    if t == 1.0:
-        # balayage onto the whole sphere is the uniform measure itself
-        ones = np.ones_like(u_arr)
-        return float(ones) if ones.ndim == 0 else ones
-    return _balayage_density(u_arr, t, params, 1.0, 1.0)
-
-
-def _balayage_density(u_arr, t: float, params: Params, scale: float, c2: float):
-    # scale Gamma(d/2)/Gamma(d-s/2) ((1-t)/(1-u))^{d/2} ((t-u)/(1-t))^{(s-d)/2}
-    #   2F1reg(1, d/2; 1-(d-s)/2; c2 (t-u)/(1-u))
+    if not -1.0 < t <= 1.0:
+        raise ValueError(f"cap height must lie in (-1, 1], got {t}")
     d, s = params.d, params.s
-    w = (t - u_arr) / (1.0 - u_arr)
-    pref = scale * math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0))
-    out = (pref * ((1.0 - t) / (1.0 - u_arr)) ** (d / 2.0)
-           * ((t - u_arr) / (1.0 - t)) ** ((s - d) / 2.0)
-           * hyp2f1_regularized(1.0, d / 2.0, 1.0 - (d - s) / 2.0, c2 * w))
-    return float(out) if out.ndim == 0 else out
+    W = sphere_energy(params)
+    net = K - _edge(t, charges, params)
+    if t == 1.0 or params.is_exceptional:
+        def whole(u):
+            out = np.full(np.shape(u), K / W)
+            for R, c in charges:
+                out = out - c * ((R * R - 1.0) ** (d - s) * axis_dist2(u, R) ** (s / 2.0 - d) / W)
+            return out
+
+        ring = (1.0 - t) / 2.0 * (1.0 - t * t) ** (d / 2.0 - 1.0) * net if t < 1.0 else 0.0
+        return CapMeasure(t=t, regular_part=whole, boundary_coeff=ring, phi=phi)
+    pref = math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0)) / W
+
+    def regular(u):
+        u_arr = np.asarray(u, dtype=float)
+        w = (t - u_arr) / (1.0 - u_arr)
+        acc = hyp2f1_regularized(1.0, d / 2.0, 1.0 - (d - s) / 2.0, contraction * w, net, pairs)
+        out = (pref * ((1.0 - t) / (1.0 - u_arr)) ** (d / 2.0)
+               * (1.0 - t) ** ((d - s) / 2.0) * acc)
+        return out if np.ndim(out) else float(out)
+
+    return CapMeasure(t=t, regular_part=regular, singular_exponent=(s - d) / 2.0, phi=phi)
 
 
-def eps_density(u, t: float, R: float, params: Params):
-    """Density of the balayage of a unit charge at R*p, R > 1, onto the cap:
+def nu_measure(t: float, params: Params) -> CapMeasure:
+    """Balayage nu_t of the uniform measure onto the cap, t in (-1, 1].
+
+    For d-2 < s < d and t < 1 its density is
+
+        nu_t'(u) = Gamma(d/2)/Gamma(d-s/2) ((1-t)/(1-u))^{d/2}
+                   ((t-u)/(1-t))^{(s-d)/2} 2F1reg(1, d/2; 1-(d-s)/2; (t-u)/(1-u)),
+
+    which blows up like (t-u)^{(s-d)/2} at the edge.  At s = d-2 it is 1
+    on the cap plus a ring charge W_{d-2} (1-t)/2 (1-t^2)^{d/2-1}; at t = 1
+    it is the uniform measure itself.
+    """
+    return _cap_measure(t, params, sphere_energy(params), ())
+
+
+def eps_measure(t: float, R: float, params: Params) -> CapMeasure:
+    """Balayage eps_t of a unit charge at R*p, R > 1, onto the cap, t in (-1, 1].
+
+    For d-2 < s < d and t < 1 its density is
 
         eps_t'(u) = (1/W_s) Gamma(d/2)/Gamma(d-s/2) (R+1)^{d-s}/r^d
                     ((1-t)/(1-u))^{d/2} ((t-u)/(1-t))^{(s-d)/2}
                     2F1reg(1, d/2; 1-(d-s)/2; ((R-1)^2/r^2)(t-u)/(1-u)),
 
-    with r^2 = R^2 - 2 R t + 1.  Same edge singularity as nu_t'.  At t = 1
-    it is the whole sphere's (R^2-1)^{d-s} rho^{s-2d} / W_s, rho^2 = R^2 - 2 R u + 1,
-    which has no edge and is defined at u = 1 too, also at s = d-2.
+    r^2 = R^2 - 2 R t + 1.  At t = 1, and on every cap at s = d-2, it is the
+    whole sphere's (R^2-1)^{d-s} rho^{s-2d} / W_s, rho^2 = R^2 - 2 R u + 1;
+    s = d-2 adds the ring charge (1-t)/2 (1-t^2)^{d/2-1} (R+1)^2/r^d.
     """
-    _require_cap_regime(params, ring=t == 1.0)
     R = _exterior(R)
-    u_arr = np.asarray(u, dtype=float)
-    d, s = params.d, params.s
-    if t == 1.0:
-        out = ((R * R - 1.0) ** (d - s) * axis_dist2(u_arr, R) ** (s / 2.0 - d)
-               / sphere_energy(params))
-        return float(out) if out.ndim == 0 else out
-    if np.any(u_arr >= t):
-        raise ValueError("eps_density needs u < t")
-    r2 = axis_dist2(t, R)
-    scale = (R + 1.0) ** (d - s) / r2 ** (d / 2.0) / sphere_energy(params)
-    return _balayage_density(u_arr, t, params, scale, (R - 1.0) ** 2 / r2)
+    # a contraction, not a pair with B = -1, whose term weights B (1 + expm1(...))
+    # cancel when (R-1)^2/r^2 is small
+    return _cap_measure(t, params, 0.0, ((R, -1.0),), contraction=(R - 1.0) ** 2 / axis_dist2(t, R))
 
 
 def nu_norm(t: float, params: Params) -> float:
@@ -117,7 +142,7 @@ def nu_norm(t: float, params: Params) -> float:
     The symmetric form of 1 - I((1-t)/2; d - s/2, s/2) (DLMF 8.17.4), which
     would lose digits to the subtraction.
     """
-    _require_cap_regime(params, ring=True)
+    _require_cap_regime(params)
     if t >= 1.0:
         return 1.0
     if t <= -1.0:
@@ -139,7 +164,7 @@ def eps_norm(t: float, R: float, params: Params) -> float:
     u = (R^2+1)/(2R)); this form is used when that distance over 1-t exceeds
     the direct form's, 1-t (its branch point u = 1) over 1+t.
     """
-    _require_cap_regime(params, ring=True)
+    _require_cap_regime(params)
     R = _exterior(R)
     if t <= -1.0:
         return 0.0
@@ -164,7 +189,7 @@ def eps_norm(t: float, R: float, params: Params) -> float:
 def phi(t: float, field: AxisMeasure, params: Params) -> float:
     """Mhaskar-Saff functional of the cap: W_s (1 + sum_i m_i ||eps_t^i||)/||nu_t||,
     with ||eps_t^i|| the per-unit-charge norm of atom i; d-2 <= s < d."""
-    _require_cap_regime(params, ring=True)
+    _require_cap_regime(params)
     if t <= -1.0:
         raise ValueError("phi diverges at t = -1 (the cap degenerates to a point)")
     W = sphere_energy(params)
@@ -172,71 +197,44 @@ def phi(t: float, field: AxisMeasure, params: Params) -> float:
     return W * (1.0 + eps) / nu_norm(t, params)
 
 
-def _edge(t: float, field: AxisMeasure, params: Params) -> float:
-    # sum_i m_i (R_i+1)^{d-s} / r_i(t)^d, the competing term in Delta(t) (s = 0 for log)
+def _edge(t: float, atoms, params: Params) -> float:
+    # sum_i m_i (R_i+1)^{d-s} / r_i(t)^d over exterior atoms (R_i, m_i), the
+    # competing term in Delta(t) (s = 0 for log)
     d, s = params.d, 0.0 if params.log else params.s
-    return sum(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0)
-               for R, m in field.folded(params).atoms)
+    return sum(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0) for R, m in atoms)
 
 
 def delta(t: float, field: AxisMeasure, params: Params) -> float:
     """Delta(t) = Phi_s(t) - sum_i m_i (R_i+1)^{d-s} / r_i(t)^d; its root is t0."""
-    return phi(t, field, params) - _edge(t, field, params)
+    return phi(t, field, params) - _edge(t, field.folded(params).atoms, params)
 
 
 def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
-    """The signed cap equilibrium eta_t for t in (-1, 1] (mass not computed).
+    """The signed cap equilibrium eta_t = (Phi_s(t)/W_s) nu_t - sum_i m_i eps_t^i
+    for t in (-1, 1] (mass not computed; ``phi`` is Phi_s(t)).
 
-    At t = 1, the whole sphere, the density is regular up to the pole:
+    At t = 1, the whole sphere, its density is regular up to the pole, and its
+    value at u = 1 has the sign of Delta(1).  At s = d-2 every cap has that
+    density with Phi_s(t) for Phi_s(1), plus the ring charge
+    (1-t)/2 (1-t^2)^{d/2-1} Delta(t) on its edge, which vanishes at t0.  For
+    d-2 < s < d and t < 1 the brace of :func:`_cap_measure`,
 
-        eta_1'(u) = Phi_s(1)/W_s - sum_i m_i eps_1'^i(u),
+        Phi_s(t) 2F1reg(w) - sum_i B_i 2F1reg(c_i^2 w),   B_i = m_i (R_i+1)^{d-s}/r_i^d,
 
-    whose value at u = 1 has the sign of Delta(1).  At s = d-2 every cap
-    has this density with Phi_s(t) for Phi_s(1), plus the ring charge
-    (1-t)/2 (1-t^2)^{d/2-1} Delta(t) on its edge, which vanishes at t0 and
-    at t = 1.  For d-2 < s < d and t < 1 it is (t-u)^{(s-d)/2} regular(u)
-    against sigma_d, where
-
-        eta_t'(u) = (1/W_s) Gamma(d/2)/Gamma(d-s/2) ((1-t)/(1-u))^{d/2}
-                    ((t-u)/(1-t))^{(s-d)/2} { Phi_s(t) 2F1reg(1, d/2; 1-(d-s)/2; w)
-                    - sum_i B_i 2F1reg(1, d/2; 1-(d-s)/2; c_i^2 w) },
-
-    w = (t-u)/(1-u), B_i = m_i (R_i+1)^{d-s}/r_i^d, c_i^2 = (R_i-1)^2/r_i^2.
-    The brace is rearranged into Delta(t)*2F1reg(w) + sum_i B_i [2F1reg(w) -
-    2F1reg(c_i^2 w)], which avoids the near-total cancellation of the 2F1
-    values when t is close to t0; :func:`rieszcap.specfun.hyp2f1_regularized`
-    sums it as one series, given Delta(t) and the pairs (B_i, 1 - c_i^2).
+    c_i^2 = (R_i-1)^2/r_i^2, is rearranged into Delta(t)*2F1reg(w) + sum_i
+    B_i [2F1reg(w) - 2F1reg(c_i^2 w)], which avoids the near-total
+    cancellation of the 2F1 values when t is close to t0;
+    :func:`rieszcap.specfun.hyp2f1_regularized` sums it as one series, given
+    Delta(t) and the pairs (B_i, 1 - c_i^2).
     """
-    _require_cap_regime(params, ring=True)
+    _require_cap_regime(params)
     field = field.folded(params)
     d, s = params.d, params.s
     phi_t = phi(t, field, params)
-    delta_t = phi_t - _edge(t, field, params) if t < 1.0 else 0.0
-    if t == 1.0 or params.is_exceptional:
-        W = sphere_energy(params)
-
-        def whole(u):
-            out = phi_t / W
-            for R, m in field.atoms:
-                out = out - m * eps_density(u, 1.0, R, params)
-            return out
-
-        ring = (1.0 - t) / 2.0 * (1.0 - t * t) ** (d / 2.0 - 1.0) * delta_t
-        return CapMeasure(t=t, regular_part=whole, boundary_coeff=ring, phi=phi_t)
-    pref0 = math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0)) / sphere_energy(params)
     # (B_i, 1 - c_i^2), the second formed as 2 R_i (1-t) / r_i^2 without cancellation
     pairs = [(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0),
               2.0 * R * (1.0 - t) / axis_dist2(t, R)) for R, m in field.atoms]
-
-    def regular(u):
-        u_arr = np.asarray(u, dtype=float)
-        w = (t - u_arr) / (1.0 - u_arr)
-        acc = hyp2f1_regularized(1.0, d / 2.0, 1.0 - (d - s) / 2.0, w, delta_t, pairs)
-        out = (pref0 * ((1.0 - t) / (1.0 - u_arr)) ** (d / 2.0)
-               * (1.0 - t) ** ((d - s) / 2.0) * acc)
-        return out if np.ndim(out) else float(out)
-
-    return CapMeasure(t=t, regular_part=regular, singular_exponent=(s - d) / 2.0, phi=phi_t)
+    return _cap_measure(t, params, phi_t, field.atoms, pairs=pairs, phi=phi_t)
 
 
 def nu_potential(xi: float, t: float, params: Params) -> float:
@@ -247,7 +245,7 @@ def nu_potential(xi: float, t: float, params: Params) -> float:
     above it (strictly below W_s there); at s = d-2 that is
     W_{d-2} ((1+t)/(1+xi))^{d/2-1}, since I(x; a, 1) = x^a.
     """
-    _require_cap_regime(params, ring=True)
+    _require_cap_regime(params)
     W = sphere_energy(params)
     if xi <= t:
         return W
@@ -258,7 +256,7 @@ def eps_potential(xi: float, t: float, R: float, params: Params) -> float:
     """Potential of eps_t of a unit charge at a = R*p, R > 1, at height xi:
     |z-a|^{-s} on the cap, rho^{-s} I((rho^2/r^2)(1+t)/(1+xi); s/2, (d-s)/2)
     above it (r^{2-d} ((1+t)/(1+xi))^{d/2-1} at s = d-2)."""
-    _require_cap_regime(params, ring=True)
+    _require_cap_regime(params)
     s, R = params.s, _exterior(R)
     rho2 = axis_dist2(xi, R)
     if xi <= t:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from scipy import optimize
 
-from rieszcap.specfun import hyp2f1, hyp2f1_1mz
+from rieszcap.specfun import _series_2f1, hyp2f1_1mz
 from rieszcap.sphere import Params
 
 __all__ = [
@@ -88,16 +88,17 @@ def field_potential_on_axis(R: float, params: Params) -> float:
         U_s^sigma(a) = (R+1)^{-s} 2F1(s/2, d/2; d; 4R/(R+1)^2)
                      = R^{-s} 2F1(s/2, (s-d+1)/2; (d+1)/2; 1/R^2)   (A&S 15.3.17).
 
-    The second is summed directly for 1/R^2 <= 0.7; the first, used nearer the
-    sphere, is summed in 1-z, whose two terms cancel as (d-s)/2 nears an
-    integer.  Cached, since every Delta(t) of a solve needs it.
+    The second is summed as its plain Gauss series for 1/R^2 <= 0.9; the
+    first, used nearer the sphere, is summed in 1-z, whose two terms cancel
+    as (d-s)/2 nears an integer.  Cached, since every Delta(t) of a solve
+    needs it.
     """
     if params.log:
         raise ValueError("field_potential_on_axis covers 0 < s < d Riesz kernels")
     d, s, R = params.d, params.s, _exterior(R)
     z = 1.0 / (R * R)
-    if z <= 0.7:
-        return R ** (-s) * hyp2f1(s / 2.0, (s - d + 1.0) / 2.0, (d + 1.0) / 2.0, z)
+    if z <= 0.9:
+        return R ** (-s) * _series_2f1(s / 2.0, (s - d + 1.0) / 2.0, (d + 1.0) / 2.0, z)
     # 1 - z = ((R-1)/(R+1))^2 computed directly: z itself rounds to 1 as R -> 1
     w = ((R - 1.0) / (R + 1.0)) ** 2
     return (R + 1.0) ** (-s) * hyp2f1_1mz(s / 2.0, d / 2.0, float(d), w)

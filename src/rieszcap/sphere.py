@@ -31,8 +31,6 @@ __all__ = [
     "omega_ratio",
     "sphere_energy",
     "kappa",
-    "boundary_potential",
-    "kelvin_image_height",
     "axis_dist2",
     "build_quadrature",
     "integrate_radial",
@@ -58,8 +56,7 @@ class Params:
     logarithmic kernel log(1/|x-y|) (pass ``log=True``).  Cap-level results
     gate their own sub-regimes: d-2 <= s < d for the Riesz cap formulas
     (s = d-2 with d >= 3 is the boundary case, where balayage grows a ring
-    charge; the balayage densities of proper caps need d-2 < s), and d = 2
-    for the logarithmic cap case.
+    charge), and d = 2 for the logarithmic cap case.
     """
 
     d: int
@@ -155,33 +152,6 @@ def kappa(u: float, xi: float, params: Params) -> float:
         return (1.0 - lo * lo) ** (-s / 2.0) * val
     z = (1.0 + lo) * (1.0 - hi) / ((1.0 - lo) * (1.0 + hi))
     return ((1.0 - lo) * (1.0 + hi)) ** (-s / 2.0) * hyp2f1(s / 2.0, 1.0 - (d - s) / 2.0, d / 2.0, z)
-
-
-def boundary_potential(t: float, xi: float, params: Params) -> float:
-    """Potential of the unit ring measure on u = t at kernel exponent s = d-2.
-
-        (1-t)^{1-d/2} (1+xi)^{1-d/2}   for xi >= t,
-        (1+t)^{1-d/2} (1-xi)^{1-d/2}   for xi <  t.
-    """
-    if not params.is_exceptional:
-        raise ValueError("boundary_potential needs s = d-2 with d >= 3")
-    e = 1.0 - params.d / 2.0
-    if xi >= t:
-        return (1.0 - t) ** e * (1.0 + xi) ** e
-    return (1.0 + t) ** e * (1.0 - xi) ** e
-
-
-def kelvin_image_height(u: float, R: float) -> float:
-    """Height of the Kelvin image (inversion centred at R*p, radius
-    sqrt(R^2-1)) of the sphere point at height u:
-
-        1 + u* = (R+1)^2 (1-u) / (R^2 - 2 R u + 1).
-
-    The sphere maps to itself; u = 1/R stays fixed, the poles swap.
-    """
-    if R <= 1.0:
-        raise ValueError("kelvin_image_height needs R > 1")
-    return (R + 1.0) ** 2 * (1.0 - u) / axis_dist2(u, R) - 1.0
 
 
 @dataclass(frozen=True)
@@ -530,8 +500,12 @@ class CapMeasure:
     mass: float | None = None
 
     def radial_density(self, u):
-        """Density of the absolutely continuous part at height u."""
+        """Density of the absolutely continuous part at height u <= t (u < t
+        when the edge is singular, singular_exponent < 0)."""
         u_arr = np.asarray(u, dtype=float)
+        singular = self.singular_exponent < 0.0
+        if np.any(u_arr >= self.t if singular else u_arr > self.t):
+            raise ValueError(f"density needs u {'<' if singular else '<='} t = {self.t}")
         out = np.asarray(self.regular_part(u_arr)) * (self.t - u_arr) ** self.singular_exponent
         return float(out) if out.ndim == 0 else out
 

@@ -221,10 +221,10 @@ def test_axis_density_single_sign_change_for_wrong_caps():
         dens = np.zeros_like(us)
         # superpose per-atom signed equilibria sharing the common phi value
         # eta' = (phi/W) nu' - sum m_i eps'_i
-        from rieszcap.cap_riesz import eps_density, nu_density
-        dens = (phi_t / W) * nu_density(us, t_bad, p)
+        from rieszcap.cap_riesz import eps_measure, nu_measure
+        dens = (phi_t / W) * nu_measure(t_bad, p).radial_density(us)
         for R, m in atoms:
-            dens = dens - m * eps_density(us, t_bad, R, p)
+            dens = dens - m * eps_measure(t_bad, R, p).radial_density(us)
         signs = np.sign(dens)
         changes = int(np.sum(signs[:-1] != signs[1:]))
         assert changes <= 1
@@ -283,29 +283,21 @@ def test_axis_weakstar_eps_gap_decay():
     lam = AxisMeasure([(2.0, 0.6), (3.0, 0.4)])
     pd2 = Params(d=d, s=1.0)
     t = 0.0
-    from rieszcap.cap_exceptional import epsbar
-    from rieszcap.cap_riesz import eps_density
+    from rieszcap.cap_riesz import eps_measure
     from rieszcap.sphere import integrate_radial
 
-    def bar_moment(k):
+    def moment(params, k):
+        # int u^k d(sum_i m_i eps_t^i), ring charges included
         out = 0.0
         for R, m in lam.atoms:
-            e = epsbar(t, R, pd2)
-            interior = integrate_radial(lambda u: e.radial_density(u) * u ** k, t, pd2)
+            e = eps_measure(t, R, params)
+            interior = integrate_radial(lambda u: u ** k * e.regular_part(u), t, params,
+                                        e.singular_exponent)
             out += m * (interior + e.boundary_coeff * t ** k)
         return out
 
     for k in (0, 1):
-        gaps = []
-        for s in (1.5, 1.2, 1.05):
-            ps = Params(d=d, s=s)
-            mom = 0.0
-            for R, m in lam.atoms:
-                mom += m * integrate_radial(
-                    lambda u: u ** k * eps_density(u, t, R, ps)
-                    * (t - u) ** ((d - s) / 2.0),
-                    t, ps, singular_exponent=(s - d) / 2.0)
-            gaps.append(abs(mom - bar_moment(k)))
+        gaps = [abs(moment(Params(d=d, s=s), k) - moment(pd2, k)) for s in (1.5, 1.2, 1.05)]
         assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -343,11 +335,11 @@ def test_interior_atom_solves_as_its_exterior_fold(params):
 
 PER_UNIT = {
     "field_potential_on_axis": lambda R: field_potential_on_axis(R, Params(d=3, s=1.5)),
-    "eps_density": lambda R: cap_riesz.eps_density(0.0, 0.2, R, Params(d=3, s=1.5)),
+    "eps_density": lambda R: cap_riesz.eps_measure(0.2, R, Params(d=3, s=1.5)).radial_density(0.0),
     "eps_norm": lambda R: cap_riesz.eps_norm(0.2, R, Params(d=3, s=1.5)),
     "eps_potential": lambda R: cap_riesz.eps_potential(0.5, 0.2, R, Params(d=3, s=1.5)),
-    "epsbar": lambda R: cap_exceptional.epsbar(0.2, R, Params(d=3, s=1.0)),
-    # the s = d-2 potential of epsbar_t, now computed by the Riesz cap formula
+    # epsbar_t, the s = d-2 balayage, and its potential, by the Riesz cap formulas
+    "epsbar": lambda R: cap_riesz.eps_measure(0.2, R, Params(d=3, s=1.0)),
     "epsbar_potential": lambda R: cap_riesz.eps_potential(0.5, 0.2, R, Params(d=3, s=1.0)),
     "weakstar_gap": lambda R: cap_exceptional.weakstar_gap(0.0, [1.5], R, Params(d=3, s=1.0)),
 }

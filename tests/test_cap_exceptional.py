@@ -8,16 +8,23 @@ pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarn
 
 from rieszcap.axis_field import axis_solve_t, regime
 from rieszcap.cap_exceptional import (
-    epsbar,
     gamma_s_norm,
     log_cap_energy,
     log_eta_potential,
     log_etabar,
     log_f0_functional,
-    nubar,
     weakstar_gap,
 )
-from rieszcap.cap_riesz import eps_norm, eps_potential, eta_measure, nu_norm, nu_potential, phi
+from rieszcap.cap_riesz import (
+    eps_measure,
+    eps_norm,
+    eps_potential,
+    eta_measure,
+    nu_measure,
+    nu_norm,
+    nu_potential,
+    phi,
+)
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import CapMeasure, Params, axis_dist2, kappa, sphere_energy, surface_factor
 
@@ -71,14 +78,14 @@ def cap_sigma_mass(density, d, t):
 
 
 def test_nubar_reduces_to_sigma_at_t1():
-    m = nubar(1.0, P31)
+    m = nu_measure(1.0, P31).with_mass(P31)
     assert m.boundary_coeff == 0.0
     assert m.mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nubar_norm_closed_form_matches_mass():
     for t in (-0.3, 0.2, 0.7):
-        m = nubar(t, P31)
+        m = nu_measure(t, P31).with_mass(P31)
         assert nu_norm(t, P31) == pytest.approx(m.mass, abs=1e-10)
 
 
@@ -95,7 +102,7 @@ def test_nubar_norm_quadrature():
 def test_nubar_potential_off_cap():
     d, t = 3, 0.2
     W = sphere_energy(P31)
-    m = nubar(t, P31)
+    m = nu_measure(t, P31)
     for xi in (0.5, 0.8):
         closed = nu_potential(xi, t, P31)
         assert closed == pytest.approx(W * (1.0 + t) ** (d / 2.0 - 1.0)
@@ -109,7 +116,7 @@ def test_nubar_potential_off_cap():
 
 def test_epsbar_balayage_potential():
     d, t, R = 3, 0.2, 2.0
-    m = epsbar(t, R, P31)
+    m = eps_measure(t, R, P31)
     for xi in (-0.7, -0.1, 0.15):
         assert ring_potential_quadrature(m, xi, P31) == pytest.approx(
             axis_dist2(xi, R) ** ((2.0 - d) / 2.0), abs=1e-6)
@@ -127,11 +134,11 @@ def test_epsbar_norm_quadrature():
             * axis_dist2(u, R) ** (-d / 2.0), -1.0, t, epsabs=1e-13, epsrel=1e-12)
         expected = (d - 2) / 4.0 * (R + 1.0) ** 2 * direct
         assert eps_norm(t, R, P31) == pytest.approx(expected, rel=1e-10)
-        assert epsbar(t, R, P31).mass == pytest.approx(expected, abs=1e-10)
+        assert eps_measure(t, R, P31).with_mass(P31).mass == pytest.approx(expected, abs=1e-10)
 
 
 def test_epsbar_t1_consistency():
-    m = epsbar(1.0, 2.0, P31)
+    m = eps_measure(1.0, 2.0, P31)
     assert m.boundary_coeff == 0.0
     d, s, R = 3, 1.0, 2.0
     W = sphere_energy(P31)
@@ -348,7 +355,9 @@ def test_log_etabar_ring_sign_structure():
 
 def test_gating():
     with pytest.raises(ValueError):
-        nubar(0.0, Params(d=3, s=1.5))
+        nu_measure(0.0, Params(d=4, s=1.0))
+    with pytest.raises(ValueError):
+        weakstar_gap(0.0, [1.5], 2.0, Params(d=3, s=1.5))
     with pytest.raises(ValueError):
         eta_measure(0.0, C12, Params(d=4, s=1.0))
     with pytest.raises(ValueError):

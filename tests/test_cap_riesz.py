@@ -10,12 +10,12 @@ pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarn
 from rieszcap.axis_field import axis_solve_t
 from rieszcap.cap_riesz import (
     delta,
-    eps_density,
+    eps_measure,
     eps_norm,
     eps_potential,
     eta_measure,
     eta_potential,
-    nu_density,
+    nu_measure,
     nu_norm,
     nu_potential,
     phi,
@@ -69,7 +69,7 @@ def test_nu_density_edge_scaling():
     scaled = []
     for k in (3, 5, 7, 9):
         u = t - 10.0 ** (-k)
-        scaled.append(nu_density(u, t, p) * (t - u) ** ((d - s) / 2.0))
+        scaled.append(nu_measure(t, p).radial_density(u) * (t - u) ** ((d - s) / 2.0))
     limit = (math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0))
              * ((1.0 - t)) ** (d / 2.0) / (1.0 - t) ** (d / 2.0)
              * (1.0 - t) ** ((d - s) / 2.0)
@@ -94,12 +94,19 @@ def test_nu_density_j_representation():
         pref = 1.0 / (math.gamma((d - s) / 2.0) * math.gamma(1.0 - (d - s) / 2.0))
         return (pref * x ** (d / 2.0) * ((t - u) / (1.0 - t)) ** ((s - d) / 2.0) * val)
 
-    assert nu_density(u, t, p) == pytest.approx(1.0 + j_integral(), rel=1e-10)
+    assert nu_measure(t, p).radial_density(u) == pytest.approx(1.0 + j_integral(), rel=1e-10)
 
 
 def test_nu_density_rejects_outside():
+    # a singular edge needs u < t; a bounded one admits u = t, never u > t
     with pytest.raises(ValueError):
-        nu_density(0.5, 0.5, P21)
+        nu_measure(0.5, P21).radial_density(0.5)
+    with pytest.raises(ValueError):
+        nu_measure(0.5, P21).radial_density(np.array([0.0, 0.6]))
+    ring = nu_measure(0.5, Params(d=3, s=1.0))
+    assert ring.radial_density(0.5) == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(ValueError):
+        ring.radial_density(0.6)
 
 
 def test_eps_density_argument_bound():
@@ -113,7 +120,7 @@ def test_eps_density_balayage_property():
     # U^{eps_t} equals the point potential |z-a|^{-s} on the cap
     d, s, R, t = 3, 1.5, 2.0, 0.2
     p = Params(d=d, s=s)
-    dens = lambda u: eps_density(u, t, R, p)
+    dens = eps_measure(t, R, p).radial_density
     for xi in (-0.8, -0.4, 0.0, 0.1, 0.19):
         got = cap_potential(dens, t, xi, p)
         assert got == pytest.approx(axis_dist2(xi, R) ** (-s / 2.0), abs=2e-6)
@@ -125,10 +132,10 @@ def test_eps_density_t1_matches_full_sphere_balayage():
     W = sphere_energy(p)
     for u in (-0.9, 0.0, 0.7):
         full = (R * R - 1.0) ** (d - s) * axis_dist2(u, R) ** (s / 2.0 - d) / W
-        assert eps_density(u, 1.0, R, p) == pytest.approx(full, rel=1e-12)
+        assert eps_measure(1.0, R, p).radial_density(u) == pytest.approx(full, rel=1e-12)
         # interior t approaches the same values from below
-        assert eps_density(u, 1.0 - 1e-4, R, p) == pytest.approx(full, rel=2e-2)
-    assert nu_density(0.3, 1.0, p) == 1.0
+        assert eps_measure(1.0 - 1e-4, R, p).radial_density(u) == pytest.approx(full, rel=2e-2)
+    assert nu_measure(1.0, p).radial_density(0.3) == 1.0
 
 
 def test_nu_balayage_property():
@@ -136,7 +143,7 @@ def test_nu_balayage_property():
     d, s, t = 2, 1.2, 0.3
     p = Params(d=d, s=s)
     W = sphere_energy(p)
-    dens = lambda u: nu_density(u, t, p)
+    dens = nu_measure(t, p).radial_density
     for xi in (-0.7, -0.2, 0.15, 0.29):
         assert cap_potential(dens, t, xi, p) == pytest.approx(W, abs=2e-6)
     for xi in (0.5, 0.9):
@@ -169,11 +176,24 @@ def test_norms_phi_delta_gate_includes_s_equal_d_minus_2():
     assert math.isfinite(eta_potential(0.5, eta, C13, ring))
 
 
-def test_densities_gate_excludes_s_equal_d_minus_2():
-    ring = Params(d=3, s=1.0)
-    for call in (lambda: nu_density(0.0, 0.2, ring), lambda: eps_density(0.0, 0.2, 1.3, ring)):
-        with pytest.raises(ValueError):
-            call()
+def test_balayage_measures_at_s_equal_d_minus_2_carry_a_ring():
+    # nubar_t: density 1 plus W (1-t)/2 (1-t^2)^{d/2-1} on the edge; epsbar_t:
+    # the whole sphere's density plus (1-t)/2 (R+1)^2/r^d (1-t^2)^{d/2-1}
+    d, t, R = 4, 0.2, 1.3
+    ring = Params(d=d, s=d - 2.0)
+    W = sphere_energy(ring)
+    nu, eps = nu_measure(t, ring), eps_measure(t, R, ring)
+    assert nu.singular_exponent == eps.singular_exponent == 0.0
+    us = np.array([-0.9, 0.0, t])
+    assert np.all(nu.radial_density(us) == 1.0)
+    np.testing.assert_allclose(eps.radial_density(us),
+                               (R * R - 1.0) ** 2 * axis_dist2(us, R) ** (-d / 2.0 - 1.0) / W,
+                               rtol=1e-15)
+    bulge = (1.0 - t) / 2.0 * (1.0 - t * t) ** (d / 2.0 - 1.0)
+    assert nu.boundary_coeff == pytest.approx(W * bulge, rel=1e-15)
+    assert eps.boundary_coeff == pytest.approx((R + 1.0) ** 2 / axis_dist2(t, R) ** (d / 2.0)
+                                               * bulge, rel=1e-15)
+    assert nu_measure(1.0, ring).boundary_coeff == eps_measure(1.0, R, ring).boundary_coeff == 0.0
 
 
 def test_nu_norm_endpoints():
@@ -190,7 +210,16 @@ def test_nu_norm_closed_vs_quadrature():
         lambda u: (1.0 + u) ** (s / 2.0 - 1.0) * (1.0 - u) ** (d - s / 2.0 - 1.0), -1.0, t)
     assert nu_norm(t, p) == pytest.approx(const * direct, rel=1e-10)
     assert nu_norm(t, p) == pytest.approx(
-        cap_sigma_integral(lambda u: nu_density(u, t, p), d, t), rel=1e-8)
+        cap_sigma_integral(nu_measure(t, p).radial_density, d, t), rel=1e-8)
+    # the masses of nu_t and eps_t by the cap quadrature, ring charges included
+    for d in (2, 3, 4, 5):
+        for s in ([d - 2.0] if d >= 3 else []) + [d - 1.4, d - 0.3]:
+            p = Params(d=d, s=s)
+            for t in (-0.5, 0.3, 0.9, 1.0):
+                assert abs(nu_measure(t, p).with_mass(p).mass - nu_norm(t, p)) <= 1e-12
+                for R in (1.3, 3.0):
+                    got = eps_measure(t, R, p).with_mass(p).mass
+                    assert abs(got - eps_norm(t, R, p)) <= 1e-12, (d, s, t, R)
 
 
 def test_nu_norm_random_cross_checks():
@@ -421,7 +450,8 @@ def test_eta_consistent_with_nu_eps_combination():
     phi_t = phi(t, charge, p)
     W = sphere_energy(p)
     for u in (-0.9, -0.3, 0.2):
-        combo = (phi_t / W) * nu_density(u, t, p) - q * eps_density(u, t, R, p)
+        combo = ((phi_t / W) * nu_measure(t, p).radial_density(u)
+                 - q * eps_measure(t, R, p).radial_density(u))
         assert eta_measure(t, charge, p).radial_density(u) == pytest.approx(combo, rel=1e-9)
 
 
@@ -433,9 +463,9 @@ def test_closed_form_off_cap_potentials():
     d, s, t, R = 2, 1.2, 0.3, 1.6
     p = Params(d=d, s=s)
     for xi in (0.45, 0.7, 0.95):
-        got = cap_potential(lambda u: nu_density(u, t, p), t, xi, p)
+        got = cap_potential(nu_measure(t, p).radial_density, t, xi, p)
         assert got == pytest.approx(nu_potential(xi, t, p), abs=1e-6)
-        got = cap_potential(lambda u: eps_density(u, t, R, p), t, xi, p)
+        got = cap_potential(eps_measure(t, R, p).radial_density, t, xi, p)
         assert got == pytest.approx(eps_potential(xi, t, R, p), abs=1e-6)
     # off-cap deficiency
     for xi in (0.5, 0.8):

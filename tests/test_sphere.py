@@ -11,11 +11,9 @@ from rieszcap import sphere
 from rieszcap.sphere import (
     Params,
     axis_dist2,
-    boundary_potential,
     build_quadrature,
     integrate_radial,
     kappa,
-    kelvin_image_height,
     omega_ratio,
     sphere_energy,
     surface_factor,
@@ -231,37 +229,6 @@ def test_kappa_coincidence_point():
         kappa(0.3, 0.3, Params(d=2, s=1.5))  # s >= d-1 diverges at u = xi
 
 
-# ---------------------------------------------------------------------------
-# boundary ring potential at s = d-2
-
-
-def test_boundary_potential_branch_agreement():
-    p = Params(d=4, s=2.0)
-    t = 0.3
-    up = boundary_potential(t, t, p)
-    lo = boundary_potential(t, t - 1e-16, p)
-    assert up == pytest.approx((1.0 - t * t) ** (1.0 - 2.0), rel=1e-13)
-    assert lo == pytest.approx(up, rel=1e-12)
-
-
-def test_boundary_potential_d3_value():
-    p = Params(d=3, s=1.0)
-    assert boundary_potential(0.0, 1.0, p) == pytest.approx(2.0 ** (-0.5), rel=1e-14)
-
-
-def test_boundary_potential_matches_ring_quadrature():
-    p = Params(d=4, s=2.0)
-    assert boundary_potential(0.3, -0.5, p) == pytest.approx(
-        kappa_angle_oracle(0.3, -0.5, p), rel=1e-9)
-    assert boundary_potential(0.3, 0.9, p) == pytest.approx(
-        kappa_angle_oracle(0.3, 0.9, p), rel=1e-9)
-
-
-def test_boundary_potential_gating():
-    with pytest.raises(ValueError):
-        boundary_potential(0.0, 0.5, Params(d=3, s=1.5))
-
-
 @pytest.mark.parametrize("near_one", [False, True], ids=["generic", "R-and-u-near-1"])
 def test_axis_dist2_against_40_digit_mpmath(near_one):
     # R^2 - 2Ru + 1 cancels as R, u -> 1 (1.5e-8 relative on the second row);
@@ -280,31 +247,6 @@ def test_axis_dist2_against_40_digit_mpmath(near_one):
                                           + 2 * mp.mpf(float(r)) * (1 - mp.mpf(float(x)))) - 1)
                     for g, r, x in zip(got, R, u))
     assert worst <= 4.4e-16
-
-
-# ---------------------------------------------------------------------------
-# Kelvin transformation
-
-
-def test_kelvin_image_height_fixed_points():
-    assert kelvin_image_height(1.0, 2.0) == pytest.approx(-1.0, abs=1e-14)
-    for R in (1.5, 2.0, 4.0):
-        assert kelvin_image_height(1.0 / R, R) == pytest.approx(1.0 / R, rel=1e-13)
-    assert 1.0 + kelvin_image_height(0.0, 2.0) == pytest.approx(9.0 / 5.0, rel=1e-14)
-
-
-def test_kelvin_distance_identity():
-    # |x*-y*| |x-a| |y-a| = (R^2-1) |x-y| on the sphere
-    rng = np.random.default_rng(17)
-    for _ in range(40):
-        R = float(rng.uniform(1.05, 5.0))
-        u, v = (float(w) for w in rng.uniform(-0.999, 0.999, size=2))
-        theta = float(rng.uniform(0.0, math.pi))
-        us, vs = kelvin_image_height(u, R), kelvin_image_height(v, R)
-        lhs = (math.sqrt(chord2(us, vs, theta))
-               * math.sqrt(axis_dist2(u, R)) * math.sqrt(axis_dist2(v, R)))
-        rhs = (R * R - 1.0) * math.sqrt(chord2(u, v, theta))
-        assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
