@@ -26,7 +26,7 @@ import numpy as np
 
 from rieszcap.cap_riesz import _edge, eps_measure, nu_measure
 from rieszcap.point_field import AxisMeasure
-from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial
+from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, axis_dist2, integrate_radial
 
 __all__ = [
     "weakstar_gap",
@@ -78,7 +78,8 @@ def weakstar_gap(t: float, s_values, R: float, params: Params):
 
     def moment(measure: CapMeasure, p: Params, k: int) -> float:
         interior = integrate_radial(lambda u: u ** k * measure.regular_part(u), t, p,
-                                    measure.singular_exponent)
+                                    measure.singular_exponent,
+                                    singular_height=measure.singular_height)
         return interior + measure.boundary_coeff * t ** k
 
     nb, eb = nu_measure(t, params), eps_measure(t, R, params)
@@ -120,7 +121,9 @@ def log_delta(t: float, field: AxisMeasure, params: Params) -> float:
 def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     """Signed logarithmic cap equilibrium (1+||lambda||) nubar_{t,0} - sum_i
     m_i epsbar_{t,0}^i for t in (-1, 1]; the ring charge (1-t)/2 Delta(t)
-    vanishes exactly at t0 and at t = 1.  Unit mass; ``phi`` is F_0(Sigma_t)."""
+    vanishes exactly at t0 and at t = 1.  Unit mass; ``phi`` is F_0(Sigma_t).
+    The density is singular only at the atoms' heights (R_i^2+1)/(2R_i): at
+    d = 2 the cap rule folds in no surface factor."""
     field = field.folded(params)
     total = field.total_mass
 
@@ -131,8 +134,9 @@ def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
         return out
 
     bcoef = (1.0 - t) / 2.0 * (1.0 + total - _edge(t, field.atoms, params)) if t < 1.0 else 0.0
+    height = min((_axis_pole_height(R) for R, _ in field.atoms), default=math.inf)
     return CapMeasure(t=t, regular_part=interior, boundary_coeff=bcoef,
-                      phi=log_f0_functional(t, field, params), mass=1.0)
+                      phi=log_f0_functional(t, field, params), mass=1.0, singular_height=height)
 
 
 def log_f0_functional(t: float, field: AxisMeasure, params: Params) -> float:

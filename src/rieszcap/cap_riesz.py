@@ -31,8 +31,8 @@ from scipy.special import betainc
 
 from rieszcap.point_field import AxisMeasure, _exterior, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
-from rieszcap.sphere import CapMeasure, Params, axis_dist2, integrate_radial, omega_ratio, \
-    sphere_energy
+from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, axis_dist2, integrate_radial, \
+    omega_ratio, sphere_energy
 
 __all__ = [
     "nu_measure",
@@ -53,7 +53,7 @@ def _require_cap_regime(params: Params) -> None:
         raise ValueError(f"cap formulas need d-2 <= s < d, got d={params.d}, s={params.s}")
 
 
-def _cap_measure(t: float, params: Params, K: float, charges, *, contraction: float = 1.0,
+def _cap_measure(t: float, params: Params, K: float, charges, *, contraction=(1.0, 0.0),
                  pairs=(), phi: float | None = None) -> CapMeasure:
     """The measure (K/W_s) nu_t - sum_j c_j eps_t^{R_j} for charges ((R_j, c_j), ...),
     R_j > 1, on the cap t in (-1, 1]; d-2 <= s < d (mass not computed).
@@ -70,16 +70,24 @@ def _cap_measure(t: float, params: Params, K: float, charges, *, contraction: fl
             { K F(w) - sum_j c_j B_j F(((R_j-1)^2/r_j^2) w) },
 
     w = (t-u)/(1-u), F = 2F1reg(1, d/2; 1-(d-s)/2; .).  The brace is summed
-    as (K - sum_j c_j B_j) F(contraction w) plus the ``pairs`` of
+    as (K - sum_j c_j B_j) F(c w) plus the ``pairs`` of
     :func:`rieszcap.specfun.hyp2f1_regularized`; the caller picks the two so
-    that they equal it.
+    that they equal it, and passes ``contraction`` as (c, 1-c), each formed
+    without cancellation.  F's argument reaches the near-one route with its
+    complement 1 - c w = (1-c) + c (1-t)/(1-u), which does not cancel.
+
+    Its ``singular_height`` is u = 1 for t < 1 (a branch point of the regular
+    part and of the surface factor the cap rule folds in), and at t = 1 the
+    lowest charge height (R_j^2+1)/(2R_j) > 1.
     """
     _require_cap_regime(params)
     if not -1.0 < t <= 1.0:
         raise ValueError(f"cap height must lie in (-1, 1], got {t}")
     d, s = params.d, params.s
+    c, gap = contraction
     W = sphere_energy(params)
     net = K - _edge(t, charges, params)
+    height = 1.0 if t < 1.0 else min((_axis_pole_height(R) for R, _ in charges), default=math.inf)
     if t == 1.0 or params.is_exceptional:
         def whole(u):
             out = np.full(np.shape(u), K / W)
@@ -88,18 +96,20 @@ def _cap_measure(t: float, params: Params, K: float, charges, *, contraction: fl
             return out
 
         ring = (1.0 - t) / 2.0 * (1.0 - t * t) ** (d / 2.0 - 1.0) * net if t < 1.0 else 0.0
-        return CapMeasure(t=t, regular_part=whole, boundary_coeff=ring, phi=phi)
+        return CapMeasure(t=t, regular_part=whole, boundary_coeff=ring, phi=phi,
+                          singular_height=height)
     pref = math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0)) / W
 
     def regular(u):
         u_arr = np.asarray(u, dtype=float)
-        w = (t - u_arr) / (1.0 - u_arr)
-        acc = hyp2f1_regularized(1.0, d / 2.0, 1.0 - (d - s) / 2.0, contraction * w, net, pairs)
-        out = (pref * ((1.0 - t) / (1.0 - u_arr)) ** (d / 2.0)
-               * (1.0 - t) ** ((d - s) / 2.0) * acc)
+        w, rest = (t - u_arr) / (1.0 - u_arr), (1.0 - t) / (1.0 - u_arr)  # w and 1 - w
+        acc = hyp2f1_regularized(1.0, d / 2.0, 1.0 - (d - s) / 2.0, c * w, net, pairs,
+                                 one_minus_z=gap + c * rest)
+        out = pref * rest ** (d / 2.0) * (1.0 - t) ** ((d - s) / 2.0) * acc
         return out if np.ndim(out) else float(out)
 
-    return CapMeasure(t=t, regular_part=regular, singular_exponent=(s - d) / 2.0, phi=phi)
+    return CapMeasure(t=t, regular_part=regular, singular_exponent=(s - d) / 2.0, phi=phi,
+                      singular_height=height)
 
 
 def nu_measure(t: float, params: Params) -> CapMeasure:
@@ -133,7 +143,9 @@ def eps_measure(t: float, R: float, params: Params) -> CapMeasure:
     R = _exterior(R)
     # a contraction, not a pair with B = -1, whose term weights B (1 + expm1(...))
     # cancel when (R-1)^2/r^2 is small
-    return _cap_measure(t, params, 0.0, ((R, -1.0),), contraction=(R - 1.0) ** 2 / axis_dist2(t, R))
+    r2 = axis_dist2(t, R)
+    return _cap_measure(t, params, 0.0, ((R, -1.0),),
+                        contraction=((R - 1.0) ** 2 / r2, 2.0 * R * (1.0 - t) / r2))
 
 
 def nu_norm(t: float, params: Params) -> float:
@@ -174,16 +186,19 @@ def eps_norm(t: float, R: float, params: Params) -> float:
     const = (math.exp((1.0 - d) * math.log(2.0) + math.lgamma(float(d))
                       - math.lgamma(d - s / 2.0) - math.lgamma(s / 2.0))
              * (R + 1.0) ** (d - s) / sphere_energy(params) * omega_ratio(params))
-    if min(1.0 + t, (R - 1.0) ** 2 / (2.0 * R)) * (1.0 + t) > (1.0 - t) ** 2:
+    beyond = (R - 1.0) ** 2 / (2.0 * R)  # how far the charge's height lies above u = 1
+    if min(1.0 + t, beyond) * (1.0 + t) > (1.0 - t) ** 2:
         # the rule on [-1, -t] in v = -u supplies (1-v)^{d/2-1} (1+v)^{d-s/2-1}
-        # / omega_ratio and the integrand the rest, (1-v)^{(s-d)/2} r(-v)^{-d}
+        # / omega_ratio and the integrand the rest, (1-v)^{(s-d)/2} r(-v)^{-d},
+        # singular at v = 1 and at v = -(R^2+1)/(2R), whichever is nearer
         f = lambda v: (1.0 - v) ** ((s - d) / 2.0) * axis_dist2(-v, R) ** (-d / 2.0)
-        val = integrate_radial(f, -t, params, left_exponent=d - s / 2.0 - 1.0)
+        val = integrate_radial(f, -t, params, left_exponent=d - s / 2.0 - 1.0,
+                               singular_height=1.0 if 1.0 + t <= beyond else -1.0 - beyond)
         return eps_norm(1.0, R, params) - const * val
     # the rule supplies (1+u)^{s/2-1} (1-u)^{d/2-1} / omega_ratio and the
-    # integrand the rest, (1-u)^{(d-s)/2} (R^2-2Ru+1)^{-d/2}
+    # integrand the rest, (1-u)^{(d-s)/2} (R^2-2Ru+1)^{-d/2}, singular at u = 1
     f = lambda u: (1.0 - u) ** ((d - s) / 2.0) * axis_dist2(u, R) ** (-d / 2.0)
-    return const * integrate_radial(f, t, params, left_exponent=s / 2.0 - 1.0)
+    return const * integrate_radial(f, t, params, left_exponent=s / 2.0 - 1.0, singular_height=1.0)
 
 
 def phi(t: float, field: AxisMeasure, params: Params) -> float:

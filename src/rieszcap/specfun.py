@@ -173,7 +173,7 @@ def hyp2f1_1mz(a: float, b: float, c: float, w: float) -> float:
     return _hyp2f1_log_case(a, b, mi, w)
 
 
-def hyp2f1_regularized(a, b, c, z, scale=1.0, pairs=()):
+def hyp2f1_regularized(a, b, c, z, scale=1.0, pairs=(), *, one_minus_z=None):
     """Regularized Gauss function: sum (a)_n (b)_n z^n / (Gamma(n+c) n!).
 
     Well defined for every real c; terms whose Gamma(n+c) sits at a pole
@@ -192,14 +192,20 @@ def hyp2f1_regularized(a, b, c, z, scale=1.0, pairs=()):
         D F(z) + sum_i B_i [F(z) - F((1-g_i) z)]
 
     as one series whose n-th term is F's times D + sum_i B_i (1 - (1-g_i)^n),
-    so no two sums cancel however small g_i is.  Above z = 0.999 the
-    differences are taken directly; pairs need z >= 0.
+    so no two sums cancel however small g_i is; pairs need z >= 0.
+
+    Above z = 0.999 each term runs through :func:`hyp2f1_1mz` on 1 - z, and
+    on 1 - (1-g_i) z = (1-z) + g_i z for the pairs, whose differences are
+    taken directly.  ``one_minus_z``, when given, is that 1 - z formed by the
+    caller without cancellation (a z rounded near 1 has lost it); it has z's
+    shape.
     """
     z_arr = np.asarray(z, dtype=float)
     if np.any(np.abs(z_arr) >= 1.0):
         raise ValueError("hyp2f1_regularized requires |z| < 1")
     scalar = z_arr.ndim == 0
     zv = np.atleast_1d(z_arr)
+    wv = 1.0 - zv if one_minus_z is None else np.atleast_1d(np.asarray(one_minus_z, dtype=float))
 
     negative = zv < 0.0
     if np.any(negative):
@@ -210,7 +216,8 @@ def hyp2f1_regularized(a, b, c, z, scale=1.0, pairs=()):
         out[negative] = (scale * (1.0 - zn) ** (-a)
                          * hyp2f1_regularized(a, c - b, c, zn / (zn - 1.0)))
         if not np.all(negative):
-            out[~negative] = hyp2f1_regularized(a, b, c, zv[~negative], scale)
+            out[~negative] = hyp2f1_regularized(a, b, c, zv[~negative], scale,
+                                                one_minus_z=wv[~negative])
         return float(out[0]) if scalar else out.reshape(z_arr.shape)
 
     near_one = zv > 0.999
@@ -223,12 +230,13 @@ def hyp2f1_regularized(a, b, c, z, scale=1.0, pairs=()):
                 "regularized 2F1 with non-positive integer c cannot be summed for z > 0.999")
         rg = rgamma(c)
         out = np.empty_like(zv)
-        zn = zv[near_one]
-        f = np.array([hyp2f1(a, b, c, float(zz)) * rg for zz in zn])
+        zn, wn = zv[near_one], wv[near_one]
+        f = np.array([hyp2f1_1mz(a, b, c, float(w)) * rg for w in wn])
         out[near_one] = scale * f
         for B, g in pairs:
             # (1-g) z stays comparable to 1-z, so this difference does not cancel
-            out[near_one] += B * (f - hyp2f1_regularized(a, b, c, (1.0 - g) * zn))
+            out[near_one] += B * (f - hyp2f1_regularized(a, b, c, (1.0 - g) * zn,
+                                                         one_minus_z=wn + g * zn))
         if np.any(~near_one):
             out[~near_one] = hyp2f1_regularized(a, b, c, zv[~near_one], scale, pairs)
         return float(out[0]) if scalar else out.reshape(z_arr.shape)

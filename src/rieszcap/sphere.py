@@ -9,13 +9,20 @@ and all potentials become 1-d integrals against the Funk-Hecke ring kernel
 ``kappa``.  Measures are normalized against the unit surface measure
 sigma_d throughout, and quadrature weights include the full surface factor
 (omega ratio and Jacobian), so plain weight sums are sigma_d masses.
+
+Every cap integral (:func:`integrate_radial`) is one Gauss-Jacobi rule.
+Its caller names the height of the integrand's nearest singularity; the
+Bernstein ellipse through it sets, a priori, the power-of-two order whose
+error bound 4 mu M rho^{1-2n}/(rho-1) meets 1e-12.  Only when no order up
+to 8192 does (a singularity within ~1e-6 of the cap edge, relative to the
+cap) do the orders double until two results agree.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -43,7 +50,10 @@ _SERIES_TERMS = 64  # endpoint-series terms: ample for the node nearest x = 1
 _NEWTON_STEPS = 8  # Newton passes before a rule build gives up
 _STEPS_PER_TABLE = 64  # recurrence steps whose per-node coefficients are laid out at once
 _NEWTON_SETTLED = 1e-8  # relative step after which one more correction is exact to rounding
-_RADIAL_TOL = 1e-12  # agreement of two successive orders that settles integrate_radial
+_RADIAL_TOL = 1e-12  # error bound (doubling: successive agreement) settling integrate_radial
+_RULE_EPS = 2e-14  # relative weight error of two Gauss-Jacobi rules (moments ~1e-14 each)
+_NODE_ROUNDING = 4.4e-16  # absolute error of a node height -1 + half*(1+x), two roundings
+_TINY = 2.2250738585072014e-308  # smallest normal double
 _RADIAL_FIRST_ORDER = 64  # the first Gauss-Jacobi order integrate_radial tries
 _RADIAL_MAX_ORDER = 8192  # the order at which integrate_radial gives up
 
@@ -166,9 +176,13 @@ class RadialQuadrature:
     of the cap (= 1 at t = 1).  Exact for f polynomial of degree <= 2n-1
     against the (1+u)^left (t-u)^se part; the (1-u)^{d/2-1} factor is
     analytic on [-1, t] for t < 1 and folded into the weights (merged into
-    the right-endpoint exponent when t = 1).  The arrays are rescaled from a
-    [-1, 1] rule that is built once per process for each (order, alpha,
-    beta) and shared; they are the caller's own to modify.
+    the right-endpoint exponent when t = 1).  The folded factor's branch
+    point u = 1 therefore limits the rule's convergence like a singularity
+    of f: :func:`integrate_radial` sizes the order n from the nearer of the
+    two, so that its error bound, 4 (weight sum) max|f| rho^{1-2n}/(rho-1),
+    meets 1e-12.  The arrays are rescaled from a [-1, 1] rule that is built
+    once per process for each (order, alpha, beta) and shared; they are the
+    caller's own to modify.
 
     That rule (:func:`_jacobi_rule`) is computed here, not by scipy: Newton
     on Golub-Welsch seeds, with every node held as its distance to its
@@ -451,15 +465,122 @@ def build_quadrature(t: float, params: Params, order: int,
     return RadialQuadrature(nodes=u, weights=weights, t=float(t))
 
 
+def _axis_pole_height(R: float) -> float:
+    """Height 1 + (R-1)^2/(2R) = (R^2+1)/(2R) at which axis_dist2(u, R)
+    vanishes: the singularity of an axis charge's kernel in u, beyond u = 1."""
+    return 1.0 + (R - 1.0) ** 2 / (2.0 * R)
+
+
+def _bernstein_rho_minus_one(t: float, height: float) -> float:
+    # rho - 1 of the Bernstein ellipse through the singularity at ``height``,
+    # on [-1, t] mapped to [-1, 1]: x_s = 1 + delta beyond the nearer end and
+    # rho = x_s + sqrt(x_s^2 - 1), with delta formed without cancellation;
+    # 0 for a height inside the interval
+    if height > t:
+        delta = 2.0 * (height - t) / (1.0 + t)
+    elif height < -1.0:
+        delta = 2.0 * (-1.0 - height) / (1.0 + t)
+    else:
+        return 0.0
+    return delta + math.sqrt(delta * (2.0 + delta))
+
+
+def _truncation(rho_m1: float, order: int) -> float:
+    # 4 rho^(1-2n) / (rho-1), in logarithms so that no power overflows
+    if rho_m1 <= 0.0:
+        return math.inf
+    return 4.0 * math.exp((1.0 - 2.0 * order) * math.log1p(rho_m1) - math.log(rho_m1))
+
+
+def _one_rule(f: Callable[[np.ndarray], np.ndarray], t: float, params: Params,
+              singular_exponent: float, left_exponent: float | None,
+              singular_height: float) -> tuple[float, float, int] | None:
+    """(value, bound, order) of the cap integral from the rule whose stated
+    bound meets _RADIAL_TOL, or None when no order <= _RADIAL_MAX_ORDER does.
+
+    The order is the smallest power of two n >= _RADIAL_FIRST_ORDER with
+    scale * 4 rho^(1-2n)/(rho-1) <= tol, where scale = mu M / max(1, |I|)
+    is taken as 1 before the first build.  Once the rule is built, the
+    bound is mu M 4 rho^(1-2n)/(rho-1), M the largest |f| at the nodes, plus
+    the rounding floor sum_i w_i (_RULE_EPS |f(u_i)| + _NODE_ROUNDING
+    |f'(u_i)|), f' taken from the secants to the neighbouring nodes.  A rule
+    whose bound misses tol * max(1, |I|) (an integrand that spans more than
+    the rule mass foresaw) is followed by the order its measured scale asks
+    for, unless the floor alone misses it (s close to d-2, where the rule
+    mass grows like 1/(alpha+1)): no order can meet the bound then.
+    """
+    rho_m1 = _bernstein_rho_minus_one(t, singular_height)
+    order, scale = _RADIAL_FIRST_ORDER, 1.0
+    while order <= _RADIAL_MAX_ORDER:
+        trunc = _truncation(rho_m1, order)
+        if scale * trunc > _RADIAL_TOL:
+            order *= 2
+            continue
+        q = build_quadrature(t, params, order, singular_exponent, left_exponent=left_exponent)
+        u, w = q.nodes, q.weights
+        vals = np.asarray(f(u), dtype=float)
+        value = float(w @ vals)
+        size = max(1.0, abs(value))
+        abs_vals = np.abs(vals)
+        mass_m = float(w.sum() * abs_vals.max())
+        # |f'| by the secant between neighbouring nodes, charged to both; nodes of
+        # a cap near -1 can share a rounded height (and then a value of f)
+        secant = np.abs(vals[1:] - vals[:-1]) / np.maximum(u[1:] - u[:-1], _TINY)
+        floor = (_RULE_EPS * float(w @ abs_vals)
+                 + _NODE_ROUNDING * float((w[:-1] + w[1:]) @ secant))
+        bound = mass_m * trunc + floor
+        if bound <= _RADIAL_TOL * size:
+            return value, bound, order
+        if floor > _RADIAL_TOL * size:
+            return None  # the rounding floor does not fall with the order
+        scale, order = mass_m / size, order * 2
+    return None
+
+
 def integrate_radial(f: Callable[[np.ndarray], np.ndarray], t: float, params: Params,
                      singular_exponent: float = 0.0, *,
-                     left_exponent: float | None = None) -> float:
-    """Surface-weighted cap integral with order doubling from 64 until two
-    successive Gauss-Jacobi results agree to 1e-12 (mixed absolute/relative).
+                     left_exponent: float | None = None,
+                     singular_height: float) -> float:
+    """Surface-weighted cap integral from one Gauss-Jacobi rule whose order is
+    set a priori by the integrand's nearest singularity.
 
-    Raises :class:`ConvergenceError` naming t, the Jacobi exponents, the last
-    order and the last difference when order 8192 is reached first.
+    ``singular_height`` is the height of the nearest singularity of ``f``
+    outside [-1, t] (math.inf for an entire integrand).  For t < 1 it counts
+    the factor (1-u)^{d/2-1} that :func:`build_quadrature` folds into the
+    weights, so it is at most 1 there unless d is even.  On the rule's
+    interval mapped to [-1, 1] that height lies at x_s, the focus of the
+    Bernstein ellipse E_rho, rho = |x_s| + sqrt(x_s^2 - 1).  If f is
+    analytic inside E_rho with |f| <= M there, its Chebyshev coefficients
+    obey |a_k| <= 2 M rho^{-k} (Trefethen, *Approximation Theory and
+    Approximation Practice*, Thm 8.1).  An n-point Gauss rule integrates
+    T_k exactly for k < 2n, and for k >= 2n the rule and the integral each
+    give at most mu in modulus, mu the (positive) rule mass.  Summing
+    2 mu * 2 M rho^{-k} over k >= 2n gives the bound
+
+        |I - I_n| <= 4 mu M rho^{1-2n} / (rho - 1),
+
+    the weighted form of ATAP Thm 19.3 (Trefethen, "Is Gauss quadrature
+    better than Clenshaw-Curtis?", SIAM Rev. 50 (2008) 67-87).  M is
+    unbounded when the singularity lies on E_rho itself, so the largest |f|
+    at the nodes stands in for it; the sweep's oracle test checks the bound
+    so formed against doubled orders on every call-site family
+    (tests/test_sweep.py).  A rounding floor covers the weights' own error
+    (2e-14 of sum_i w_i |f(u_i)|) and that of the node heights, which reach
+    f rounded to ~4e-16 absolute: a steep f near a heavy endpoint node (s
+    near d-2, t near 1) moves by |f'| times that.  The one power-of-two order
+    n >= 64 whose bound meets 1e-12 (mixed absolute/relative) is built; see
+    :func:`_one_rule`.
+
+    When no order up to 8192 meets the bound (a singularity within about
+    1e-6 of the cap edge relative to its length, a height inside the cap, or
+    a rounding floor above the tolerance as s nears d-2), the orders double
+    from 64 until two successive results agree to 1e-12, and
+    :class:`ConvergenceError` names t, the Jacobi exponents, the last order
+    and the last difference when order 8192 is reached first.
     """
+    settled = _one_rule(f, t, params, singular_exponent, left_exponent, singular_height)
+    if settled is not None:
+        return settled[0]
     order, tol = _RADIAL_FIRST_ORDER, _RADIAL_TOL
     prev = build_quadrature(t, params, order, singular_exponent,
                             left_exponent=left_exponent).integrate(f)
@@ -490,6 +611,9 @@ class CapMeasure:
     uniform measure on the ring u = t.  ``phi`` is the constant weighted
     potential on the cap of an equilibrium measure (None for a balayage
     measure), and ``mass`` the total mass once computed (None otherwise).
+    ``singular_height`` is the height of regular_part's nearest singularity
+    outside the cap, the (1-u)^{d/2-1} surface factor included for t < 1:
+    what :func:`integrate_radial` needs to size its rule.
     """
 
     t: float
@@ -498,6 +622,7 @@ class CapMeasure:
     boundary_coeff: float = 0.0
     phi: float | None = None
     mass: float | None = None
+    singular_height: float = field(kw_only=True)
 
     def radial_density(self, u):
         """Density of the absolutely continuous part at height u <= t (u < t
@@ -510,6 +635,11 @@ class CapMeasure:
         return float(out) if out.ndim == 0 else out
 
     def with_mass(self, params: Params) -> "CapMeasure":
-        """This measure with ``mass`` set: the cap integral plus the ring charge."""
-        interior = integrate_radial(self.regular_part, self.t, params, self.singular_exponent)
+        """This measure with ``mass`` set: the cap integral plus the ring charge.
+
+        The integral is one Gauss-Jacobi rule sized by ``singular_height``
+        (falling back to order doubling when no order up to 8192 meets the
+        error bound); see :func:`integrate_radial`."""
+        interior = integrate_radial(self.regular_part, self.t, params, self.singular_exponent,
+                                    singular_height=self.singular_height)
         return replace(self, mass=interior + self.boundary_coeff)

@@ -292,7 +292,7 @@ def test_axis_weakstar_eps_gap_decay():
         for R, m in lam.atoms:
             e = eps_measure(t, R, params)
             interior = integrate_radial(lambda u: u ** k * e.regular_part(u), t, params,
-                                        e.singular_exponent)
+                                        e.singular_exponent, singular_height=e.singular_height)
             out += m * (interior + e.boundary_coeff * t ** k)
         return out
 

@@ -409,7 +409,8 @@ def eta_regular_reference(t, u, atoms, params):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-@pytest.mark.parametrize("t, tol", [(-0.5, 1e-14), (0.3, 1e-14), (0.9, 1e-14), (0.999, 5e-12)])
+@pytest.mark.parametrize("t, tol", [(-0.5, 1e-14), (0.3, 1e-14), (0.9, 1e-14), (0.999, 5e-12),
+                                     (1 - 1e-6, 5e-12)])
 def test_eta_regular_part_against_mpmath(t, tol, d):
     # curves of 12 heights from 1e-12 below the edge down to the pole, spaced
     # geometrically; at t = 0.999 also evenly, which puts most w = (t-u)/(1-u)

@@ -286,7 +286,8 @@ def test_quadrature_endpoint_singular_integrand():
     # (t-u)^{(s-d)/2} with d=2, s=1 integrates finitely; compare adaptive quad
     d, s, t = 2, 1.0, 0.2
     p = Params(d=d, s=s)
-    got = integrate_radial(lambda u: np.ones_like(u), t, p, singular_exponent=(s - d) / 2.0)
+    got = integrate_radial(lambda u: np.ones_like(u), t, p, singular_exponent=(s - d) / 2.0,
+                           singular_height=math.inf)
     direct, err = integrate.quad(lambda u: (t - u) ** ((s - d) / 2.0), -1.0, t,
                                  epsabs=1e-12, epsrel=1e-11)
     assert got == pytest.approx(surface_factor(d) * direct, rel=1e-9)
@@ -405,11 +406,13 @@ def test_repeated_build_is_a_cache_hit():
 
 
 def test_unsettled_quadrature_names_the_integral(monkeypatch):
-    # an integrand that never settles: the error reports where and how far
+    # an integrand that never settles: the error reports where and how far.
+    # It jumps inside the cap, so it declares a singular height there, which
+    # no order meets: integrate_radial doubles until it gives up
     p = Params(d=2, s=1.0)
     monkeypatch.setattr(sphere, "_RADIAL_MAX_ORDER", 256)
     with pytest.raises(ConvergenceError) as info:
-        integrate_radial(lambda u: np.sign(np.sin(1e4 * u)), 0.25, p, -0.5)
+        integrate_radial(lambda u: np.sign(np.sin(1e4 * u)), 0.25, p, -0.5, singular_height=0.0)
     msg = str(info.value)
     assert "order 256" in msg and "t=0.25" in msg and "(-0.5, 0.0)" in msg
     assert "|cur - prev| = " in msg

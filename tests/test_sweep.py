@@ -2,6 +2,8 @@
 
 Every solve ends in the mass certificate of CapMeasure.with_mass, a cap
 integral at tol 1e-12 whose Jacobi exponent (s-d)/2 nears -1 as s -> d-2.
+Each cap integral is one Gauss-Jacobi rule sized by its nearest singularity;
+its error bound is checked here against the doubled order.
 """
 
 import json
@@ -10,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from rieszcap import cap_riesz
+from rieszcap import cap_exceptional, cap_riesz, sphere
 from rieszcap.axis_field import axis_solve_t
 from rieszcap.point_field import AxisMeasure
-from rieszcap.sphere import Params
+from rieszcap.sphere import Params, build_quadrature
 
 SWEEP = [(d, d - 2 + 2 * f, R) for d in (2, 3, 4, 5) for f in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9)
          for R in (1.1, 1.5, 3.0)]
@@ -25,6 +27,8 @@ EDGES = [  # t0 -> 1 at d = 2, s = 1 (with a 30-digit t0 where known); s = d-2; 
     (Params(d=2, s=1.0), 2.6, None),
     (Params(d=2, s=1.0), 2.615, None),
     (Params(d=2, s=1.0), 2.61803, T0_R_2_61803),
+    (Params(d=2, s=1.0), 2.6180339, T0_R_2_6180339),
+    (Params(d=2, s=1.0), 2.61803398, None),
     (Params(d=3, s=1.0), 1.5, None),
     (Params(d=2, log=True), 1.5, None),
 ]
@@ -42,7 +46,8 @@ def test_sweep_solves_with_unit_mass(d, s, R):
 
 
 @pytest.mark.parametrize("params, R, t0_ref", EDGES,
-                         ids=["t0-0.99", "t0-0.999", "t0-1-2e-6", "s-eq-d-2", "log"])
+                         ids=["t0-0.99", "t0-0.999", "t0-1-2e-6", "t0-1-4e-8", "t0-1-4e-9",
+                              "s-eq-d-2", "log"])
 def test_sweep_edges_solve_with_unit_mass(params, R, t0_ref):
     sol = axis_solve_t(AxisMeasure([(R, 1.0)]), params)
     assert sol.solved_by == "interior_root"
@@ -51,8 +56,7 @@ def test_sweep_edges_solve_with_unit_mass(params, R, t0_ref):
 
 
 def test_delta_changes_sign_at_one_minus_4e8():
-    # the full solve at this R still fails its mass certificate, so check
-    # that Delta brackets the reference root within 1e-12
+    # Delta brackets the reference root within 1e-12
     field, params = AxisMeasure([(2.6180339, 1.0)]), Params(d=2, s=1.0)
     assert cap_riesz.delta(T0_R_2_6180339 - 1e-12, field, params) > 0.0
     assert cap_riesz.delta(T0_R_2_6180339 + 1e-12, field, params) < 0.0
@@ -84,3 +88,59 @@ def test_t0_matches_30_digit_reference(case):
     # twice the xtol of the Brent solve
     sol = axis_solve_t(AxisMeasure([(case["R"], case["q"])]), Params(d=case["d"], s=case["s"]))
     assert abs(sol.t0 - float(case["t0"])) <= 2e-14
+
+
+@pytest.mark.parametrize("params, R, most",
+                         [(Params(d=3, s=1.7), 1.5, 3), (Params(d=5, s=4.5), 3.0, 1)],
+                         ids=["interior", "whole-sphere"])
+def test_solve_builds_one_rule_per_integral_family(params, R, most):
+    # an interior solve integrates direct eps, complement eps and eta's mass;
+    # a whole-sphere solve only the mass at t = 1
+    sphere._jacobi_rule.cache_clear()
+    sol = axis_solve_t(AxisMeasure([(R, 1.0)]), params)
+    assert sol.solved_by == ("interior_root" if most > 1 else "boundary_t_equals_1")
+    assert sphere._jacobi_rule.cache_info().misses <= most
+
+
+ORACLE_T = (-0.5, 0.3, 0.9, 0.99, 1.0)
+
+
+def test_one_rule_bound_holds_against_doubled_order(monkeypatch):
+    # every cap integral of the call-site families, on the sweep grid: the one
+    # a-priori rule agrees with the rule of twice its order within the bound it
+    # reports, and that bound meets the 1e-12 tolerance
+    seen, measure = set(), [""]
+
+    def checked(f, t, params, singular_exponent=0.0, *, left_exponent=None, singular_height):
+        if left_exponent is not None:  # eps_norm, on [-1, t] or in v = -u on [-1, -t]
+            name = "direct eps" if left_exponent == params.s / 2.0 - 1.0 else "complement eps"
+        else:
+            name = measure[0] + (" mass at t = 1" if t == 1.0 else " mass")
+        settled = sphere._one_rule(f, t, params, singular_exponent, left_exponent, singular_height)
+        assert settled is not None, (name, t, params, singular_height)
+        value, bound, order = settled
+        doubled = build_quadrature(t, params, 2 * order, singular_exponent,
+                                   left_exponent=left_exponent).integrate(f)
+        assert abs(value - doubled) <= bound <= 1e-12 * max(1.0, abs(value)), (name, t, params)
+        seen.add(name)
+        return value
+
+    monkeypatch.setattr(sphere, "integrate_radial", checked)
+    monkeypatch.setattr(cap_riesz, "integrate_radial", checked)
+    for d, s, R in SWEEP:
+        p = Params(d=d, s=s)
+        for t in ORACLE_T:
+            cap_riesz.eps_norm(t, R, p)
+            measure[0] = "nu/eps"
+            cap_riesz.nu_measure(t, p).with_mass(p)
+            cap_riesz.eps_measure(t, R, p).with_mass(p)
+            eta = cap_riesz.eta_measure(t, AxisMeasure([(R, 1.0)]), p)
+            measure[0] = "eta"
+            eta.with_mass(p)
+    plog = Params(d=2, log=True)
+    measure[0] = "log"
+    for R in (1.1, 1.5, 3.0):
+        for t in ORACLE_T:
+            cap_exceptional.log_etabar(t, AxisMeasure([(R, 1.0)]), plog).with_mass(plog)
+    assert seen == {"direct eps", "complement eps", "nu/eps mass", "nu/eps mass at t = 1",
+                    "eta mass", "eta mass at t = 1", "log mass", "log mass at t = 1"}, seen
