@@ -37,11 +37,11 @@ __all__ = [
 class Regime(NamedTuple):
     """The formulas one kernel regime supplies, bound to its parameters.
 
-    ``phi(t, field)`` is the cap functional, ``delta(t, field)`` the
-    function whose root is the support height, ``eta(t, field)`` the signed
-    cap equilibrium for t in (-1, 1] (mass not computed, ``phi`` set; eta_1
-    is the signed equilibrium of the whole sphere), and
-    ``potential(xi, eta, field)`` its closed-form weighted potential.
+    ``phi(t, field)`` is the cap functional and ``delta(t, field)`` the function
+    whose root is the support height, at t or each entry of an array t (bit for
+    bit), ``eta(t, field)`` the signed cap equilibrium for t in (-1, 1] (mass
+    not computed, ``phi`` set; eta_1 is the signed equilibrium of the whole
+    sphere), and ``potential(xi, eta, field)`` its closed-form weighted potential.
     The Riesz range d-2 <= s < d runs one set of formulas; at s = d-2 its
     ``eta`` carries a ring charge.  ``column`` names the functional in
     phi-curve output.

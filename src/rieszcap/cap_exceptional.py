@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from rieszcap.cap_riesz import _edge, eps_measure, nu_measure
+from rieszcap.cap_riesz import _edge, _per_height, eps_measure, nu_measure
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, axis_dist2, integrate_radial
 
@@ -77,7 +77,7 @@ def weakstar_gap(t: float, s_values, R: float, params: Params):
     d = params.d
 
     def moment(measure: CapMeasure, p: Params, k: int) -> float:
-        interior = integrate_radial(lambda u: u ** k * measure.regular_part(u), t, p,
+        interior = integrate_radial(lambda u, rows: u ** k * measure.regular_part(u), t, p,
                                     measure.singular_exponent,
                                     singular_height=measure.singular_height)
         return interior + measure.boundary_coeff * t ** k
@@ -139,9 +139,10 @@ def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
                       phi=log_f0_functional(t, field, params), mass=1.0, singular_height=height)
 
 
+@_per_height
 def log_f0_functional(t: float, field: AxisMeasure, params: Params) -> float:
     """Closed form of the cap functional F_0(Sigma_t) = W_0(Sigma_t)
-    + int Q d mu_cap for the logarithmic axis field (d = 2):
+    + int Q d mu_cap for the logarithmic axis field (d = 2), t a number or array:
 
         (1+||lambda||)(1+t)/4 - log(2)/2 - log(1+t)/2
         + sum_i m_i [ (R_i-1)^2 log(R_i^2-2R_i t+1)

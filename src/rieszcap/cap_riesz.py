@@ -24,6 +24,7 @@ forms with (d-s)/2 = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -31,8 +32,8 @@ from scipy.special import betainc
 
 from rieszcap.point_field import AxisMeasure, _exterior, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
-from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, axis_dist2, integrate_radial, \
-    omega_ratio, sphere_energy
+from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, _entries, axis_dist2, \
+    integrate_radial, omega_ratio, sphere_energy
 
 __all__ = [
     "nu_measure",
@@ -148,21 +149,17 @@ def eps_measure(t: float, R: float, params: Params) -> CapMeasure:
                         contraction=((R - 1.0) ** 2 / r2, 2.0 * R * (1.0 - t) / r2))
 
 
-def nu_norm(t: float, params: Params) -> float:
-    """||nu_t|| = I((1+t)/2; s/2, d - s/2) (regularized incomplete beta).
+def nu_norm(t: float | np.ndarray, params: Params) -> float | np.ndarray:
+    """||nu_t|| = I((1+t)/2; s/2, d - s/2) (regularized incomplete beta), t in [-1, 1].
 
     The symmetric form of 1 - I((1-t)/2; d - s/2, s/2) (DLMF 8.17.4), which
     would lose digits to the subtraction.
     """
     _require_cap_regime(params)
-    if t >= 1.0:
-        return 1.0
-    if t <= -1.0:
-        return 0.0
     return betainc(params.s / 2.0, params.d - params.s / 2.0, (1.0 + t) / 2.0)
 
 
-def eps_norm(t: float, R: float, params: Params) -> float:
+def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> float | np.ndarray:
     """||eps_t|| of a unit charge at R*p, R > 1, by quadrature of its
     one-dimensional integral form:
 
@@ -175,43 +172,74 @@ def eps_norm(t: float, R: float, params: Params) -> float:
     factor is singular min(1+t, (R-1)^2/(2R)) beyond t (at u = -1 and
     u = (R^2+1)/(2R)); this form is used when that distance over 1-t exceeds
     the direct form's, 1-t (its branch point u = 1) over 1+t.
+    ``t`` and ``R`` broadcast together, each pair a row: the rows of each
+    form make one batch of :func:`rieszcap.sphere.integrate_radial`.
     """
     _require_cap_regime(params)
-    R = _exterior(R)
-    if t <= -1.0:
-        return 0.0
-    if t == 1.0:
-        return field_potential_on_axis(R, params) / sphere_energy(params)
+    (ts, shape), (Rs, R_shape) = _entries(t), _entries(R)
+    if shape != R_shape:
+        (ts, shape), (Rs, _) = (_entries(a) for a in np.broadcast_arrays(t, R))
     d, s = params.d, params.s
-    const = (math.exp((1.0 - d) * math.log(2.0) + math.lgamma(float(d))
-                      - math.lgamma(d - s / 2.0) - math.lgamma(s / 2.0))
-             * (R + 1.0) ** (d - s) / sphere_energy(params) * omega_ratio(params))
-    beyond = (R - 1.0) ** 2 / (2.0 * R)  # how far the charge's height lies above u = 1
-    if min(1.0 + t, beyond) * (1.0 + t) > (1.0 - t) ** 2:
-        # the rule on [-1, -t] in v = -u supplies (1-v)^{d/2-1} (1+v)^{d-s/2-1}
-        # / omega_ratio and the integrand the rest, (1-v)^{(s-d)/2} r(-v)^{-d},
-        # singular at v = 1 and at v = -(R^2+1)/(2R), whichever is nearer
-        f = lambda v: (1.0 - v) ** ((s - d) / 2.0) * axis_dist2(-v, R) ** (-d / 2.0)
-        val = integrate_radial(f, -t, params, left_exponent=d - s / 2.0 - 1.0,
-                               singular_height=1.0 if 1.0 + t <= beyond else -1.0 - beyond)
-        return eps_norm(1.0, R, params) - const * val
-    # the rule supplies (1+u)^{s/2-1} (1-u)^{d/2-1} / omega_ratio and the
-    # integrand the rest, (1-u)^{(d-s)/2} (R^2-2Ru+1)^{-d/2}, singular at u = 1
-    f = lambda u: (1.0 - u) ** ((d - s) / 2.0) * axis_dist2(u, R) ** (-d / 2.0)
-    return const * integrate_radial(f, t, params, left_exponent=s / 2.0 - 1.0, singular_height=1.0)
+    W, om = sphere_energy(params), omega_ratio(params)
+    c0 = math.exp((1.0 - d) * math.log(2.0) + math.lgamma(float(d))
+                  - math.lgamma(d - s / 2.0) - math.lgamma(s / 2.0))
+    out, forms = [], ([], [])  # the whole-sphere values, and the rows of each form
+    for x, r in zip(ts, map(_exterior, Rs)):
+        beyond = (r - 1.0) ** 2 / (2.0 * r)  # how far the charge's height lies above u = 1
+        complement = x == 1.0 or min(1.0 + x, beyond) * (1.0 + x) > (1.0 - x) ** 2
+        out.append(field_potential_on_axis(r, params) / W if complement else 0.0)
+        if -1.0 < x < 1.0:  # index, rule height, constant, singular height, axis_dist2 terms
+            forms[complement].append((len(out) - 1, -x if complement else x,
+                                      c0 * (r + 1.0) ** (d - s) / W * om,
+                                      -1.0 - beyond if complement and 1.0 + x > beyond else 1.0,
+                                      (r - 1.0) ** 2, 2.0 * r))
+    # the direct rule supplies (1+u)^{s/2-1} (1-u)^{d/2-1} / omega_ratio, the
+    # integrand (1-u)^{(d-s)/2} r(u)^{-d}, singular at u = 1; the complement's, on
+    # [-1, -t] in v = -u, (1-v)^{d/2-1} (1+v)^{d-s/2-1} / omega_ratio, and the
+    # integrand (1-v)^{(s-d)/2} r(-v)^{-d}, singular at v = 1 and v = -(R^2+1)/(2R)
+    for complement, rows in enumerate(forms):
+        if not rows:
+            continue
+        idx, heights, consts, singular, *axis = zip(*rows)
+        gap2, twice_r = np.array(axis)[:, :, None]  # axis_dist2 = gap2 + twice_r (1-u)
+        power = (s - d) / 2.0 if complement else (d - s) / 2.0
+        f = lambda v, j: ((1.0 - v) ** power * (
+            gap2[j] + twice_r[j] * (1.0 + v if complement else 1.0 - v)) ** (-d / 2.0))
+        vals = integrate_radial(f, list(heights), params, singular_height=list(singular),
+                                left_exponent=d - s / 2.0 - 1.0 if complement else s / 2.0 - 1.0)
+        for i, const, val in zip(idx, consts, vals.tolist()):
+            # near t = 1: the whole sphere's value minus the integral over [t, 1]
+            out[i] = out[i] - const * val if complement else const * val
+    return np.array(out).reshape(shape) if shape else out[0]
 
 
-def phi(t: float, field: AxisMeasure, params: Params) -> float:
+def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.ndarray:
     """Mhaskar-Saff functional of the cap: W_s (1 + sum_i m_i ||eps_t^i||)/||nu_t||,
-    with ||eps_t^i|| the per-unit-charge norm of atom i; d-2 <= s < d."""
+    with ||eps_t^i|| the per-unit-charge norm of atom i; d-2 <= s < d.  Every
+    (height, atom) pair of an array or a number t is a row of one eps_norm batch."""
     _require_cap_regime(params)
-    if t <= -1.0:
+    ts, shape = _entries(t)
+    if min(ts) <= -1.0:
         raise ValueError("phi diverges at t = -1 (the cap degenerates to a point)")
-    W = sphere_energy(params)
-    eps = sum(m * eps_norm(t, R, params) for R, m in field.folded(params).atoms)
-    return W * (1.0 + eps) / nu_norm(t, params)
+    atoms = field.folded(params).atoms
+    norms = iter(eps_norm([x for x in ts for _ in atoms], [R for _ in ts for R, _ in atoms],
+                          params).tolist())
+    eps = [sum(m * next(norms) for _, m in atoms) for _ in ts]
+    eps = np.array(eps).reshape(shape) if shape else eps[0]
+    return sphere_energy(params) * (1.0 + eps) / nu_norm(t, params)
 
 
+def _per_height(fn):
+    # fn(t, ...) at a number t or at each (Python float) entry of an array t, in math's rounding
+    @functools.wraps(fn)
+    def each(t, *args, **kwargs):
+        if not isinstance(t, np.ndarray):
+            return fn(t, *args, **kwargs)
+        return np.array([fn(x, *args, **kwargs) for x in t.ravel().tolist()]).reshape(t.shape)
+    return each
+
+
+@_per_height
 def _edge(t: float, atoms, params: Params) -> float:
     # sum_i m_i (R_i+1)^{d-s} / r_i(t)^d over exterior atoms (R_i, m_i), the
     # competing term in Delta(t) (s = 0 for log)
@@ -219,8 +247,9 @@ def _edge(t: float, atoms, params: Params) -> float:
     return sum(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0) for R, m in atoms)
 
 
-def delta(t: float, field: AxisMeasure, params: Params) -> float:
-    """Delta(t) = Phi_s(t) - sum_i m_i (R_i+1)^{d-s} / r_i(t)^d; its root is t0."""
+def delta(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.ndarray:
+    """Delta(t) = Phi_s(t) - sum_i m_i (R_i+1)^{d-s} / r_i(t)^d, at a number
+    or an array t; its root is t0."""
     return phi(t, field, params) - _edge(t, field.folded(params).atoms, params)
 
 

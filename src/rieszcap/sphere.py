@@ -15,7 +15,8 @@ Its caller names the height of the integrand's nearest singularity; the
 Bernstein ellipse through it sets, a priori, the power-of-two order whose
 error bound 4 mu M rho^{1-2n}/(rho-1) meets 1e-12.  Only when no order up
 to 8192 does (a singularity within ~1e-6 of the cap edge, relative to the
-cap) do the orders double until two results agree.
+cap) do the orders double until two results agree.  Integrals come in
+batches of rows, one per cap height; rows that share a rule share its build.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ _NODE_ROUNDING = 4.4e-16  # absolute error of a node height -1 + half*(1+x), two
 _TINY = 2.2250738585072014e-308  # smallest normal double
 _RADIAL_FIRST_ORDER = 64  # the first Gauss-Jacobi order integrate_radial tries
 _RADIAL_MAX_ORDER = 8192  # the order at which integrate_radial gives up
+_CHUNK_NODES = 65536  # nodes evaluated at once: rows sharing a rule run in chunks of this size
 
 
 @dataclass(frozen=True)
@@ -190,16 +192,17 @@ class RadialQuadrature:
     ~1e-14 relative for alpha, beta in (-1, 2] and orders up to 4096, so a
     singular exponent near -1 (s -> d-2) costs no accuracy.  Nodes reach
     ``f`` as heights u, so they carry absolute rounding ~1e-16 near the
-    endpoints.
+    endpoints.  For an array ``t`` the arrays hold one row per height.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    t: float
+    t: float | np.ndarray
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        vals = np.asarray(f(self.nodes), dtype=float)
-        return float(np.dot(self.weights, vals))
+    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float | np.ndarray:
+        """sum_i w_i f(u_i) of each row: a float for one height, else an array."""
+        out = np.vecdot(self.weights, np.asarray(f(self.nodes), dtype=float))
+        return float(out) if out.ndim == 0 else out
 
 
 # --- Gauss-Jacobi rules on [-1, 1] ------------------------------------------
@@ -322,8 +325,21 @@ def _polish_top(n: int, a: float, b: float, y: float) -> tuple[float, float]:
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _jacobi_rule(order: int, alpha: float,
                  beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Jacobi rule on [-1, 1] for (1-x)^alpha (1+x)^beta, as the
-    arrays (1-x, 1+x, w) in increasing x.
+    """Gauss-Jacobi rule on [-1, 1] for (1-x)^alpha (1+x)^beta, as read-only
+    arrays (1-x, 1+x, w) in increasing x.  alpha > beta reflects the built
+    (beta, alpha) rule: at d = 2 the direct ||eps_t|| rule is eta's mass rule."""
+    if alpha <= beta:
+        return _gauss_jacobi(order, alpha, beta)
+    rule = [np.ascontiguousarray(a[::-1]) for a in _gauss_jacobi(order, beta, alpha)]
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule[1], rule[0], rule[2]
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _gauss_jacobi(order: int, alpha: float,
+                  beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gauss-Jacobi rule of :func:`_jacobi_rule`, built for any (alpha, beta).
 
     Nodes with x >= 0 are held as y = 1-x and solved as zeros of
     P_n^(alpha,beta)(1-y); nodes with x < 0 as y = 1+x, zeros of
@@ -435,34 +451,40 @@ def _jacobi_exponents(t: float, params: Params, singular_exponent: float,
     return alpha, beta
 
 
-def build_quadrature(t: float, params: Params, order: int,
+def build_quadrature(t: float | np.ndarray, params: Params, order: int,
                      singular_exponent: float = 0.0, *,
                      left_exponent: float | None = None) -> RadialQuadrature:
-    """Build the cap quadrature described on :class:`RadialQuadrature`.
+    """Build the cap quadrature described on :class:`RadialQuadrature`, at a
+    height t or at each of an array (all below 1 or all at 1).
 
     ``singular_exponent`` is the (t-u) endpoint exponent (e.g. (s-d)/2 for
     the balayage densities); ``left_exponent`` overrides the (1+u)
     exponent, default d/2-1.  The [-1, 1] Gauss-Jacobi rule comes from a
     bounded per-process cache keyed by (order, alpha, beta); only the
-    rescaling to [-1, t] runs on every call.
+    rescaling to each [-1, t] runs per call, by broadcasting.
     """
-    if not -1.0 < t <= 1.0:
-        raise ValueError(f"cap height must lie in (-1, 1], got {t}")
+    ts, shape = _entries(t)
+    if not (-1.0 < min(ts) and max(ts) <= 1.0):
+        raise ValueError(f"cap heights must lie in (-1, 1], got {t}")
     if order < 4:
         raise ValueError("order >= 4 required")
-    d = params.d
-    alpha, beta = _jacobi_exponents(t, params, singular_exponent, left_exponent)
+    if len({x == 1.0 for x in ts}) > 1:
+        raise ValueError("one rule serves heights all below 1 or all at 1")
+    alpha, beta = _jacobi_exponents(ts[0], params, singular_exponent, left_exponent)
     if alpha <= -1.0 or beta <= -1.0:
         raise ValueError(f"Jacobi exponents must exceed -1, got ({alpha}, {beta})")
     one_minus_x, one_plus_x, w = _jacobi_rule(order, alpha, beta)
-    half = (1.0 + t) / 2.0
-    u = -1.0 + half * one_plus_x
-    scale = half ** (alpha + beta + 1.0) / omega_ratio(params)
+    om = omega_ratio(params)
+    # per-row scalars in Python floats, rounded as for one cap (numpy's vector pow can differ)
+    halves = [(1.0 + t) / 2.0 for t in ts]
+    half, scale, gap = np.array(halves + [h ** (alpha + beta + 1.0) / om for h in halves]
+                                + [1.0 - t for t in ts]).reshape(3, -1, 1)
     weights = w * scale
-    if t < 1.0:
+    if ts[0] < 1.0:
         # 1-u as two nonnegative terms
-        weights = weights * ((1.0 - t) + half * one_minus_x) ** (d / 2.0 - 1.0)
-    return RadialQuadrature(nodes=u, weights=weights, t=float(t))
+        weights = weights * (gap + half * one_minus_x) ** (params.d / 2.0 - 1.0)
+    rows = shape + (order,)
+    return RadialQuadrature((-1.0 + half * one_plus_x).reshape(rows), weights.reshape(rows), t)
 
 
 def _axis_pole_height(R: float) -> float:
@@ -492,70 +514,102 @@ def _truncation(rho_m1: float, order: int) -> float:
     return 4.0 * math.exp((1.0 - 2.0 * order) * math.log1p(rho_m1) - math.log(rho_m1))
 
 
-def _one_rule(f: Callable[[np.ndarray], np.ndarray], t: float, params: Params,
-              singular_exponent: float, left_exponent: float | None,
-              singular_height: float) -> tuple[float, float, int] | None:
-    """(value, bound, order) of the cap integral from the rule whose stated
-    bound meets _RADIAL_TOL, or None when no order <= _RADIAL_MAX_ORDER does.
-
-    The order is the smallest power of two n >= _RADIAL_FIRST_ORDER with
-    scale * 4 rho^(1-2n)/(rho-1) <= tol, where scale = mu M / max(1, |I|)
-    is taken as 1 before the first build.  Once the rule is built, the
-    bound is mu M 4 rho^(1-2n)/(rho-1), M the largest |f| at the nodes, plus
-    the rounding floor sum_i w_i (_RULE_EPS |f(u_i)| + _NODE_ROUNDING
-    |f'(u_i)|), f' taken from the secants to the neighbouring nodes.  A rule
-    whose bound misses tol * max(1, |I|) (an integrand that spans more than
-    the rule mass foresaw) is followed by the order its measured scale asks
-    for, unless the floor alone misses it (s close to d-2, where the rule
-    mass grows like 1/(alpha+1)): no order can meet the bound then.
-    """
-    rho_m1 = _bernstein_rho_minus_one(t, singular_height)
-    order, scale = _RADIAL_FIRST_ORDER, 1.0
-    while order <= _RADIAL_MAX_ORDER:
-        trunc = _truncation(rho_m1, order)
-        if scale * trunc > _RADIAL_TOL:
-            order *= 2
-            continue
-        q = build_quadrature(t, params, order, singular_exponent, left_exponent=left_exponent)
+def _rows_on_rule(f, ts: list[float], rows: list[int], params: Params, order: int,
+                  singular_exponent: float, left_exponent: float | None):
+    # (value, mu M, rounding floor) of each batch row in ``rows`` on the rule of
+    # ``order``, f called on node arrays of about _CHUNK_NODES nodes at most
+    step = max(1, _CHUNK_NODES // order)
+    for chunk in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
+        q = build_quadrature([ts[i] for i in chunk], params, order, singular_exponent,
+                             left_exponent=left_exponent)
         u, w = q.nodes, q.weights
-        vals = np.asarray(f(u), dtype=float)
-        value = float(w @ vals)
-        size = max(1.0, abs(value))
+        # the rows ascend, so a chunk without gaps is a slice (and gathers nothing)
+        run = chunk[-1] + 1 - chunk[0] == len(chunk)
+        vals = f(u, slice(chunk[0], chunk[-1] + 1) if run else np.array(chunk))
         abs_vals = np.abs(vals)
-        mass_m = float(w.sum() * abs_vals.max())
         # |f'| by the secant between neighbouring nodes, charged to both; nodes of
         # a cap near -1 can share a rounded height (and then a value of f)
-        secant = np.abs(vals[1:] - vals[:-1]) / np.maximum(u[1:] - u[:-1], _TINY)
-        floor = (_RULE_EPS * float(w @ abs_vals)
-                 + _NODE_ROUNDING * float((w[:-1] + w[1:]) @ secant))
-        bound = mass_m * trunc + floor
-        if bound <= _RADIAL_TOL * size:
-            return value, bound, order
-        if floor > _RADIAL_TOL * size:
-            return None  # the rounding floor does not fall with the order
-        scale, order = mass_m / size, order * 2
-    return None
+        secant = np.abs(vals[:, 1:] - vals[:, :-1]) / np.maximum(u[:, 1:] - u[:, :-1], _TINY)
+        # np.vecdot sums each row as np.dot would that row alone, bit for bit
+        for value, mass, top, weighted, steep in zip(
+                np.vecdot(w, vals).tolist(), w.sum(axis=1).tolist(), abs_vals.max(axis=1).tolist(),
+                np.vecdot(w, abs_vals).tolist(), np.vecdot(w[:, :-1] + w[:, 1:], secant).tolist()):
+            yield value, mass * top, _RULE_EPS * weighted + _NODE_ROUNDING * steep
 
 
-def integrate_radial(f: Callable[[np.ndarray], np.ndarray], t: float, params: Params,
-                     singular_exponent: float = 0.0, *,
+def _one_rule(f, ts: list[float], params: Params, singular_exponent: float,
+              left_exponent: float | None, heights: list[float]):
+    """(values, bounds, orders) of the rows of :func:`integrate_radial`, bound
+    NaN for a row settled by doubling.  A row's order is the least power of
+    two n >= 64 with scale * 4 rho^(1-2n)/(rho-1) <= tol, scale = mu M /
+    max(1, |I|) taken as 1 before the first build.  A rule whose bound misses
+    (the integrand spans more than the rule mass foresaw) is followed by the
+    order its measured scale asks for, unless the rounding floor alone misses
+    (s near d-2, where the rule mass grows like 1/(alpha+1)); then, as when
+    no order <= 8192 can settle the row, its order doubles from 64."""
+    rho = [_bernstein_rho_minus_one(t, h) for t, h in zip(ts, heights)]
+    values, bounds, orders = [math.nan] * len(ts), [math.nan] * len(ts), [0] * len(ts)
+    todo = [(i, _RADIAL_FIRST_ORDER, 1.0, None) for i in range(len(ts))]  # prev: when doubling
+    while todo:
+        groups = {}
+        for i, order, scale, prev in todo:
+            if prev is None:
+                while (order <= _RADIAL_MAX_ORDER
+                       and scale * _truncation(rho[i], order) > _RADIAL_TOL):
+                    order *= 2
+                if order > _RADIAL_MAX_ORDER:  # no order meets the bound: double instead
+                    order, prev = _RADIAL_FIRST_ORDER, math.nan
+            groups.setdefault((order, ts[i] == 1.0), []).append((i, prev))
+        todo = []
+        for (order, _), rows in groups.items():
+            settled = _rows_on_rule(f, ts, [i for i, _ in rows], params, order,
+                                    singular_exponent, left_exponent)
+            for (i, prev), (value, mass_m, floor) in zip(rows, settled):
+                size = max(1.0, abs(value))
+                if prev is None:  # the a-priori rule, settled by its bound
+                    bound = mass_m * _truncation(rho[i], order) + floor
+                    if bound <= _RADIAL_TOL * size:
+                        values[i], bounds[i], orders[i] = value, bound, order
+                    elif floor <= _RADIAL_TOL * size:  # the order its measured scale asks for
+                        todo.append((i, order * 2, mass_m / size, None))
+                    else:  # the rounding floor does not fall with the order
+                        todo.append((i, _RADIAL_FIRST_ORDER, 0.0, math.nan))
+                elif abs(value - prev) <= _RADIAL_TOL * size:  # doubling: two orders agree
+                    values[i], orders[i] = value, order
+                elif order < _RADIAL_MAX_ORDER:
+                    todo.append((i, order * 2, 0.0, value))
+                else:
+                    exponents = _jacobi_exponents(ts[i], params, singular_exponent, left_exponent)
+                    raise ConvergenceError(
+                        f"radial quadrature did not settle below order {order}: t={ts[i]!r}, "
+                        f"Jacobi exponents (alpha, beta) = {exponents!r}, "
+                        f"last |cur - prev| = {abs(value - prev):.3e} (tol {_RADIAL_TOL:.1e})")
+    return values, bounds, orders
+
+
+def integrate_radial(f: Callable[[np.ndarray, np.ndarray], np.ndarray], t: float | np.ndarray,
+                     params: Params, singular_exponent: float = 0.0, *,
                      left_exponent: float | None = None,
-                     singular_height: float) -> float:
-    """Surface-weighted cap integral from one Gauss-Jacobi rule whose order is
-    set a priori by the integrand's nearest singularity.
+                     singular_height: float | np.ndarray) -> float | np.ndarray:
+    """Surface-weighted cap integrals, one per height of ``t`` (a row), each
+    from one Gauss-Jacobi rule whose order is set a priori by the row
+    integrand's nearest singularity.  ``f(u, rows)`` returns the integrand
+    of the rows ``rows`` (ascending indices into the flattened t, or a
+    slice) at their (rows, n) node heights u, as an array.  The result has
+    t's shape, each row's value bit for bit what the row gives alone.
 
-    ``singular_height`` is the height of the nearest singularity of ``f``
-    outside [-1, t] (math.inf for an entire integrand).  For t < 1 it counts
-    the factor (1-u)^{d/2-1} that :func:`build_quadrature` folds into the
-    weights, so it is at most 1 there unless d is even.  On the rule's
-    interval mapped to [-1, 1] that height lies at x_s, the focus of the
-    Bernstein ellipse E_rho, rho = |x_s| + sqrt(x_s^2 - 1).  If f is
-    analytic inside E_rho with |f| <= M there, its Chebyshev coefficients
-    obey |a_k| <= 2 M rho^{-k} (Trefethen, *Approximation Theory and
-    Approximation Practice*, Thm 8.1).  An n-point Gauss rule integrates
-    T_k exactly for k < 2n, and for k >= 2n the rule and the integral each
-    give at most mu in modulus, mu the (positive) rule mass.  Summing
-    2 mu * 2 M rho^{-k} over k >= 2n gives the bound
+    ``singular_height`` (one, or an array of t's shape) is the height of the
+    integrand's nearest singularity outside [-1, t] (math.inf for an entire
+    one).  For t < 1 it counts the factor (1-u)^{d/2-1} that
+    :func:`build_quadrature` folds into the weights, so it is at most 1
+    there unless d is even.  On the rule's interval mapped to [-1, 1] that
+    height lies at x_s, the focus of the Bernstein ellipse E_rho,
+    rho = |x_s| + sqrt(x_s^2 - 1).  If f is analytic inside E_rho with
+    |f| <= M there, its Chebyshev coefficients obey |a_k| <= 2 M rho^{-k}
+    (Trefethen, *Approximation Theory and Approximation Practice*, Thm 8.1).
+    An n-point Gauss rule integrates T_k exactly for k < 2n, and for k >= 2n
+    the rule and the integral each give at most mu in modulus, mu the
+    (positive) rule mass.  Summing 2 mu * 2 M rho^{-k} over k >= 2n gives
 
         |I - I_n| <= 4 mu M rho^{1-2n} / (rho - 1),
 
@@ -567,37 +621,30 @@ def integrate_radial(f: Callable[[np.ndarray], np.ndarray], t: float, params: Pa
     (tests/test_sweep.py).  A rounding floor covers the weights' own error
     (2e-14 of sum_i w_i |f(u_i)|) and that of the node heights, which reach
     f rounded to ~4e-16 absolute: a steep f near a heavy endpoint node (s
-    near d-2, t near 1) moves by |f'| times that.  The one power-of-two order
-    n >= 64 whose bound meets 1e-12 (mixed absolute/relative) is built; see
-    :func:`_one_rule`.
+    near d-2, t near 1) moves by |f'| times that, taken from the secants to
+    the neighbouring nodes.  The one power-of-two order n >= 64 whose bound
+    meets 1e-12 (mixed absolute/relative) is built; see :func:`_one_rule`.
 
-    When no order up to 8192 meets the bound (a singularity within about
-    1e-6 of the cap edge relative to its length, a height inside the cap, or
-    a rounding floor above the tolerance as s nears d-2), the orders double
-    from 64 until two successive results agree to 1e-12, and
-    :class:`ConvergenceError` names t, the Jacobi exponents, the last order
-    and the last difference when order 8192 is reached first.
+    When no order up to 8192 meets a row's bound (a singularity within ~1e-6
+    of the cap edge relative to its length, a height inside the cap, or a
+    rounding floor above the tolerance as s nears d-2), its orders double
+    from 64 until two results agree to 1e-12; :class:`ConvergenceError`
+    names its t, the Jacobi exponents, the last order and difference.
     """
-    settled = _one_rule(f, t, params, singular_exponent, left_exponent, singular_height)
-    if settled is not None:
-        return settled[0]
-    order, tol = _RADIAL_FIRST_ORDER, _RADIAL_TOL
-    prev = build_quadrature(t, params, order, singular_exponent,
-                            left_exponent=left_exponent).integrate(f)
-    diff = math.nan
-    while order < _RADIAL_MAX_ORDER:
-        order *= 2
-        cur = build_quadrature(t, params, order, singular_exponent,
-                               left_exponent=left_exponent).integrate(f)
-        diff = abs(cur - prev)
-        if diff <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    alpha, beta = _jacobi_exponents(t, params, singular_exponent, left_exponent)
-    raise ConvergenceError(
-        f"radial quadrature did not settle below order {order}: t={t!r}, "
-        f"Jacobi exponents (alpha, beta) = ({alpha!r}, {beta!r}), "
-        f"last |cur - prev| = {diff:.3e} (tol {tol:.1e})")
+    ts, shape = _entries(t)
+    heights, h_shape = _entries(singular_height)
+    values = _one_rule(f, ts, params, singular_exponent, left_exponent,
+                       heights if h_shape else heights * len(ts))[0]
+    return np.array(values).reshape(shape) if shape else values[0]
+
+
+def _entries(x) -> tuple[list[float], tuple[int, ...]]:
+    # the entries of a number, list or array as Python floats, with its shape
+    if isinstance(x, np.ndarray):
+        return x.ravel().tolist(), x.shape
+    if isinstance(x, list):
+        return x, (len(x),)
+    return [float(x)], ()
 
 
 @dataclass(frozen=True)
@@ -640,6 +687,6 @@ class CapMeasure:
         The integral is one Gauss-Jacobi rule sized by ``singular_height``
         (falling back to order doubling when no order up to 8192 meets the
         error bound); see :func:`integrate_radial`."""
-        interior = integrate_radial(self.regular_part, self.t, params, self.singular_exponent,
-                                    singular_height=self.singular_height)
+        interior = integrate_radial(lambda u, rows: self.regular_part(u), self.t, params,
+                                    self.singular_exponent, singular_height=self.singular_height)
         return replace(self, mass=interior + self.boundary_coeff)

@@ -291,7 +291,7 @@ def test_axis_weakstar_eps_gap_decay():
         out = 0.0
         for R, m in lam.atoms:
             e = eps_measure(t, R, params)
-            interior = integrate_radial(lambda u: u ** k * e.regular_part(u), t, params,
+            interior = integrate_radial(lambda u, rows: u ** k * e.regular_part(u), t, params,
                                         e.singular_exponent, singular_height=e.singular_height)
             out += m * (interior + e.boundary_coeff * t ** k)
         return out

@@ -515,3 +515,31 @@ def test_edge_derivative_diagnostic():
     assert abs(-delta(sol.t0, C13, P21)) < 1e-10
     assert -delta(sol.t0 - 0.2, C13, P21) < 0.0
     assert -delta(sol.t0 + 0.2, C13, P21) > 0.0
+
+
+PHI_BATCH = [  # Riesz d = 2..5, s = d-2, log; four atoms, one of them at R < 1
+    (Params(d=2, s=0.6), AxisMeasure([(1.5, 1.0)])),
+    (Params(d=3, s=1.7), AxisMeasure([(1.2, 0.5), (2.5, 0.3)])),
+    (Params(d=4, s=3.1), AxisMeasure([(1.3, 2.0)])),
+    (Params(d=5, s=3.4), AxisMeasure([(1.1, 1.0), (2.0, 0.3)])),
+    (Params(d=3, s=1.0), AxisMeasure([(2.0, 0.6), (3.0, 0.4)])),
+    (Params(d=4, s=2.0), AxisMeasure([(1.4, 1.0)])),
+    (Params(d=2, log=True), AxisMeasure([(2.0, 1.0), (3.0, 0.4)])),
+    (Params(d=3, s=1.5), AxisMeasure([(1.5, 1.0), (0.8, 0.2), (3.0, 1.0), (1.05, 0.1)])),
+]
+
+
+@pytest.mark.parametrize("params, field", PHI_BATCH,
+                         ids=["d2", "d3", "d4", "d5", "d3-s1", "d4-s2", "log", "four-atoms"])
+def test_phi_batch_equals_per_point_calls(params, field, monkeypatch):
+    # 200 heights up to t = 1 (the closed form), rows in both eps_norm forms
+    from rieszcap import cap_riesz
+    from rieszcap.axis_field import regime
+    forms, integrate_radial = set(), cap_riesz.integrate_radial
+    monkeypatch.setattr(cap_riesz, "integrate_radial", lambda *a, **k: forms.add(
+        k["left_exponent"]) or integrate_radial(*a, **k))
+    form, ts = regime(params), np.linspace(-0.999, 1.0, 200)
+    for fn in (form.phi, form.delta):
+        batch = fn(ts, field)
+        assert np.array_equal(batch, [fn(float(t), field) for t in ts])
+    assert ts[-1] == 1.0 and len(forms) == (0 if params.log else 2)

@@ -305,3 +305,18 @@ def test_committed_particle_scenario_runs_briefly(tmp_path):
     assert payload["energy_monotone"] is True and payload["iters"] == 20
     _, heights = read_csv(tmp_path / "reference_particles_heights.csv")
     assert heights.shape == (cfg["n"], 1) and np.all(np.abs(heights) <= 1.0)
+
+
+def test_phi_curve_batches_its_cap_integrals(tmp_path, monkeypatch):
+    # a 200-point Riesz phi-curve integrates every (height, atom) row in one
+    # batch per eps_norm form: a few integrate_radial calls per atom, not 200
+    from rieszcap import cap_riesz
+    calls, integrate_radial = [], cap_riesz.integrate_radial
+    monkeypatch.setattr(cap_riesz, "integrate_radial",
+                        lambda *a, **k: calls.append(a[1]) or integrate_radial(*a, **k))
+    atoms = [[1.5, 0.5], [2.5, 0.7]]
+    cfg = {"name": "curve", "task": "phi-curve", "d": 3, "kernel": {"type": "riesz", "s": 1.5},
+           "field": {"type": "axis", "atoms": atoms}, "grid": 200}
+    cli.run_scenario(cfg, tmp_path)
+    assert 0 < len(calls) <= 4 * len(atoms)
+    assert sum(len(t) for t in calls) == 2 * 199  # every height below 1, each atom

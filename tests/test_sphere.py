@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import betainc
 
 from rieszcap import sphere
@@ -286,7 +286,7 @@ def test_quadrature_endpoint_singular_integrand():
     # (t-u)^{(s-d)/2} with d=2, s=1 integrates finitely; compare adaptive quad
     d, s, t = 2, 1.0, 0.2
     p = Params(d=d, s=s)
-    got = integrate_radial(lambda u: np.ones_like(u), t, p, singular_exponent=(s - d) / 2.0,
+    got = integrate_radial(lambda u, rows: np.ones_like(u), t, p, singular_exponent=(s - d) / 2.0,
                            singular_height=math.inf)
     direct, err = integrate.quad(lambda u: (t - u) ** ((s - d) / 2.0), -1.0, t,
                                  epsabs=1e-12, epsrel=1e-11)
@@ -332,12 +332,23 @@ RULE_CASES = [  # (params, order, singular exponent, left exponent, t)
 ]
 
 
+def fresh_rule(order, alpha, beta):
+    # _jacobi_rule with its rule built just now, past both caches (and
+    # reflected from the (beta, alpha) build when alpha > beta)
+    cached = sphere._gauss_jacobi
+    sphere._gauss_jacobi = cached.__wrapped__
+    try:
+        return sphere._jacobi_rule.__wrapped__(order, alpha, beta)
+    finally:
+        sphere._gauss_jacobi = cached
+
+
 def fresh_quadrature(params, order, se, left, t):
     # build_quadrature's rescaling applied to a rule built just now, past the cache
     d = params.d
     beta = d / 2.0 - 1.0 if left is None else left
     alpha = se + (d / 2.0 - 1.0 if t == 1.0 else 0.0)
-    one_minus_x, one_plus_x, w = sphere._jacobi_rule.__wrapped__(order, alpha, beta)
+    one_minus_x, one_plus_x, w = fresh_rule(order, alpha, beta)
     half = (1.0 + t) / 2.0
     u = -1.0 + half * one_plus_x
     weights = w * (half ** (alpha + beta + 1.0) / omega_ratio(params))
@@ -363,19 +374,22 @@ def test_cached_rule_arrays_are_read_only():
 
 
 RULE_ALPHAS = (-0.995, -0.98, -0.95, -0.75, -0.5, 0.0, 0.5, 2.0)
-RULE_BETAS = (-0.75, 0.0, 0.5, 1.5, 2.0)
+RULE_BETAS = (-0.97, -0.75, 0.0, 0.5, 1.5, 2.0)
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
 def test_jacobi_rule_moments_match_beta_values(n):
     # int (1-x)^alpha (1+x)^beta (1 -+ x)^k dx = 2^(alpha+beta+k+1) B(., .), k = 0..3,
     # from the rule's own endpoint distances (1-x rounded from x would cost
-    # the node nearest x = 1 its digits)
+    # the node nearest x = 1 its digits).  Pairs with alpha > beta (14 of the
+    # 48, beta = -0.97 among them, the shape of the d = 2 direct eps rule) are
+    # reflected (beta, alpha) builds
     mp.mp.dps = 30
     worst = 0.0
+    assert sum(a > b for a in RULE_ALPHAS for b in RULE_BETAS) == 14
     for alpha in RULE_ALPHAS:
         for beta in RULE_BETAS:
-            one_minus_x, one_plus_x, w = sphere._jacobi_rule.__wrapped__(n, alpha, beta)
+            one_minus_x, one_plus_x, w = fresh_rule(n, alpha, beta)
             assert np.all(np.diff(one_plus_x) > 0.0) and np.all(w > 0.0)
             assert_allclose(one_minus_x + one_plus_x, 2.0, rtol=0, atol=4.5e-16)
             for k in range(4):
@@ -412,7 +426,45 @@ def test_unsettled_quadrature_names_the_integral(monkeypatch):
     p = Params(d=2, s=1.0)
     monkeypatch.setattr(sphere, "_RADIAL_MAX_ORDER", 256)
     with pytest.raises(ConvergenceError) as info:
-        integrate_radial(lambda u: np.sign(np.sin(1e4 * u)), 0.25, p, -0.5, singular_height=0.0)
+        integrate_radial(lambda u, rows: np.sign(np.sin(1e4 * u)), 0.25, p, -0.5,
+                         singular_height=0.0)
     msg = str(info.value)
     assert "order 256" in msg and "t=0.25" in msg and "(-0.5, 0.0)" in msg
     assert "|cur - prev| = " in msg
+
+
+def per_row(fns):
+    # the integrand f(u, rows) of a batch whose row i integrates fns[i]
+    return lambda u, rows: np.stack([fns[i](row) for i, row in zip(np.arange(len(fns))[rows], u)])
+
+
+def test_batch_rows_take_their_own_paths_to_their_one_row_values():
+    # one batch holding a row that the a-priori order 64 settles, a row whose
+    # integrand spans more than its integral (the measured-scale retry, to
+    # 128) and a row declared singular inside its cap (the doubling fallback):
+    # each row's value is the one that row gives alone, bit for bit
+    p, t = Params(d=3, s=1.5), 0.4
+    q = build_quadrature(t, p, 64)
+    mean = float(q.weights @ q.nodes / q.weights.sum())
+    # the singular height whose truncation term at order 64 is 1e-13: the a-priori
+    # rule is 64, and only the scale the row measures asks for more
+    rho_m1 = optimize.brentq(lambda r: math.log(sphere._truncation(r, 64) / 1e-13), 1e-3, 10.0)
+    rho = 1.0 + rho_m1
+    fns = [lambda u: 1.0 + u, lambda u: 30.0 * (u - mean), lambda u: np.cos(3.0 * u)]
+    ts, heights = [0.3, t, 0.5], [math.inf, t + (rho - 1.0) ** 2 / (2.0 * rho) * (1.0 + t) / 2.0, 0.0]
+    values, bounds, orders = sphere._one_rule(per_row(fns), ts, p, 0.0, None, heights)
+    assert orders == [64, 128, 128]
+    assert math.isfinite(bounds[0]) and math.isfinite(bounds[1]) and math.isnan(bounds[2])
+    batch = integrate_radial(per_row(fns), np.array(ts), p, singular_height=np.array(heights))
+    for i, fn in enumerate(fns):
+        one = integrate_radial(lambda u, rows: fn(u), ts[i], p, singular_height=heights[i])
+        assert batch[i] == one == values[i]
+
+
+def test_batch_row_that_cannot_settle_names_its_t(monkeypatch):
+    p = Params(d=2, s=1.0)
+    monkeypatch.setattr(sphere, "_RADIAL_MAX_ORDER", 256)
+    f = per_row([lambda u: 1.0 + u, lambda u: np.sign(np.sin(1e4 * u))])
+    with pytest.raises(ConvergenceError) as info:
+        integrate_radial(f, np.array([0.3, 0.25]), p, -0.5, singular_height=np.array([math.inf, 0.0]))
+    assert "t=0.25" in str(info.value) and "order 256" in str(info.value)

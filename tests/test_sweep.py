@@ -7,9 +7,11 @@ its error bound is checked here against the doubled order.
 """
 
 import json
+import math
 import statistics
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rieszcap import cap_exceptional, cap_riesz, sphere
@@ -91,46 +93,57 @@ def test_t0_matches_30_digit_reference(case):
 
 
 @pytest.mark.parametrize("params, R, most",
-                         [(Params(d=3, s=1.7), 1.5, 3), (Params(d=5, s=4.5), 3.0, 1)],
-                         ids=["interior", "whole-sphere"])
+                         [(Params(d=3, s=1.7), 1.5, 3), (Params(d=2, s=1.0), 1.5, 2),
+                          (Params(d=5, s=4.5), 3.0, 1)],
+                         ids=["interior", "interior-d2", "whole-sphere"])
 def test_solve_builds_one_rule_per_integral_family(params, R, most):
     # an interior solve integrates direct eps, complement eps and eta's mass;
-    # a whole-sphere solve only the mass at t = 1
+    # at d = 2 the direct eps rule (0, s/2-1) is eta's (s/2-1, 0) reflected;
+    # a whole-sphere solve only the mass at t = 1.  Misses of _gauss_jacobi
+    # count rule builds; _jacobi_rule caches the reflected copies
     sphere._jacobi_rule.cache_clear()
+    sphere._gauss_jacobi.cache_clear()
     sol = axis_solve_t(AxisMeasure([(R, 1.0)]), params)
     assert sol.solved_by == ("interior_root" if most > 1 else "boundary_t_equals_1")
-    assert sphere._jacobi_rule.cache_info().misses <= most
+    assert sphere._gauss_jacobi.cache_info().misses <= most
 
 
 ORACLE_T = (-0.5, 0.3, 0.9, 0.99, 1.0)
 
 
 def test_one_rule_bound_holds_against_doubled_order(monkeypatch):
-    # every cap integral of the call-site families, on the sweep grid: the one
-    # a-priori rule agrees with the rule of twice its order within the bound it
-    # reports, and that bound meets the 1e-12 tolerance
+    # every cap integral of the call-site families, on the sweep grid, as one
+    # batch per family over the heights ORACLE_T: every row's a-priori rule
+    # agrees with the rule of twice its order within the bound it reports,
+    # and that bound meets the 1e-12 tolerance
     seen, measure = set(), [""]
 
     def checked(f, t, params, singular_exponent=0.0, *, left_exponent=None, singular_height):
-        if left_exponent is not None:  # eps_norm, on [-1, t] or in v = -u on [-1, -t]
-            name = "direct eps" if left_exponent == params.s / 2.0 - 1.0 else "complement eps"
-        else:
-            name = measure[0] + (" mass at t = 1" if t == 1.0 else " mass")
-        settled = sphere._one_rule(f, t, params, singular_exponent, left_exponent, singular_height)
-        assert settled is not None, (name, t, params, singular_height)
-        value, bound, order = settled
-        doubled = build_quadrature(t, params, 2 * order, singular_exponent,
-                                   left_exponent=left_exponent).integrate(f)
-        assert abs(value - doubled) <= bound <= 1e-12 * max(1.0, abs(value)), (name, t, params)
-        seen.add(name)
-        return value
+        ts, _ = sphere._entries(t)
+        heights, shape = sphere._entries(singular_height)
+        heights = heights if shape else heights * len(ts)
+        values, bounds, orders = sphere._one_rule(f, ts, params, singular_exponent,
+                                                  left_exponent, heights)
+        for i, (x, value, bound, order) in enumerate(zip(ts, values, bounds, orders)):
+            if left_exponent is not None:  # eps_norm, on [-1, t] or in v = -u on [-1, -t]
+                name = "direct eps" if left_exponent == params.s / 2.0 - 1.0 else "complement eps"
+            else:
+                name = measure[0] + (" mass at t = 1" if x == 1.0 else " mass")
+            assert not math.isnan(bound), (name, x, params, heights[i])  # no doubling
+            doubled = build_quadrature(x, params, 2 * order, singular_exponent,
+                                       left_exponent=left_exponent).integrate(
+                lambda u: f(u[None], np.array([i]))[0])
+            assert abs(value - doubled) <= bound <= 1e-12 * max(1.0, abs(value)), (name, x, params)
+            seen.add(name)
+        return values[0] if np.ndim(t) == 0 else np.array(values)
 
     monkeypatch.setattr(sphere, "integrate_radial", checked)
     monkeypatch.setattr(cap_riesz, "integrate_radial", checked)
+    ts = np.array(ORACLE_T)
     for d, s, R in SWEEP:
         p = Params(d=d, s=s)
+        cap_riesz.eps_norm(ts, R, p)
         for t in ORACLE_T:
-            cap_riesz.eps_norm(t, R, p)
             measure[0] = "nu/eps"
             cap_riesz.nu_measure(t, p).with_mass(p)
             cap_riesz.eps_measure(t, R, p).with_mass(p)
