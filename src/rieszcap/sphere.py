@@ -464,11 +464,12 @@ def build_quadrature(t: float | np.ndarray, params: Params, order: int,
     rescaling to each [-1, t] runs per call, by broadcasting.
     """
     ts, shape = _entries(t)
-    if not (-1.0 < min(ts) and max(ts) <= 1.0):
+    lo, hi = min(ts), max(ts)
+    if not (-1.0 < lo and hi <= 1.0):
         raise ValueError(f"cap heights must lie in (-1, 1], got {t}")
     if order < 4:
         raise ValueError("order >= 4 required")
-    if len({x == 1.0 for x in ts}) > 1:
+    if lo < 1.0 == hi:
         raise ValueError("one rule serves heights all below 1 or all at 1")
     alpha, beta = _jacobi_exponents(ts[0], params, singular_exponent, left_exponent)
     if alpha <= -1.0 or beta <= -1.0:
@@ -480,8 +481,8 @@ def build_quadrature(t: float | np.ndarray, params: Params, order: int,
     half, scale, gap = np.array(halves + [h ** (alpha + beta + 1.0) / om for h in halves]
                                 + [1.0 - t for t in ts]).reshape(3, -1, 1)
     weights = w * scale
-    if ts[0] < 1.0:
-        # 1-u as two nonnegative terms
+    if ts[0] < 1.0 and params.d > 2:
+        # 1-u as two nonnegative terms (the factor is 1 at d = 2)
         weights = weights * (gap + half * one_minus_x) ** (params.d / 2.0 - 1.0)
     rows = shape + (order,)
     return RadialQuadrature((-1.0 + half * one_plus_x).reshape(rows), weights.reshape(rows), t)
@@ -552,7 +553,7 @@ def _one_rule(f, ts: list[float], params: Params, singular_exponent: float,
     todo = [(i, _RADIAL_FIRST_ORDER, 1.0, None) for i in range(len(ts))]  # prev: when doubling
     while todo:
         groups = {}
-        for i, order, scale, prev in todo:
+        for i, order, scale, prev in sorted(todo):  # each group's rows ascend
             if prev is None:
                 while (order <= _RADIAL_MAX_ORDER
                        and scale * _truncation(rho[i], order) > _RADIAL_TOL):
