@@ -188,11 +188,10 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
         beyond = (r - 1.0) ** 2 / (2.0 * r)  # how far the charge's height lies above u = 1
         complement = x == 1.0 or min(1.0 + x, beyond) * (1.0 + x) > (1.0 - x) ** 2
         out.append(field_potential_on_axis(r, params) / W if complement else 0.0)
-        if -1.0 < x < 1.0:  # index, rule height, constant, singular height, axis_dist2 terms
+        if -1.0 < x < 1.0:  # index, rule height, constant, singular height, R
             forms[complement].append((len(out) - 1, -x if complement else x,
                                       c0 * (r + 1.0) ** (d - s) / W * om,
-                                      -1.0 - beyond if complement and 1.0 + x > beyond else 1.0,
-                                      (r - 1.0) ** 2, 2.0 * r))
+                                      -1.0 - beyond if complement and 1.0 + x > beyond else 1.0, r))
     # the direct rule supplies (1+u)^{s/2-1} (1-u)^{d/2-1} / omega_ratio, the
     # integrand (1-u)^{(d-s)/2} r(u)^{-d}, singular at u = 1; the complement's, on
     # [-1, -t] in v = -u, (1-v)^{d/2-1} (1+v)^{d-s/2-1} / omega_ratio, and the
@@ -200,11 +199,10 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
     for complement, rows in enumerate(forms):
         if not rows:
             continue
-        idx, heights, consts, singular, *axis = zip(*rows)
-        gap2, twice_r = np.array(axis)[:, :, None]  # axis_dist2 = gap2 + twice_r (1-u)
-        power = (s - d) / 2.0 if complement else (d - s) / 2.0
-        f = lambda v, j: ((1.0 - v) ** power * (
-            gap2[j] + twice_r[j] * (1.0 + v if complement else 1.0 - v)) ** (-d / 2.0))
+        idx, heights, consts, singular, radii = zip(*rows)
+        radii, power = np.array(radii)[:, None], (s - d) / 2.0 if complement else (d - s) / 2.0
+        f = lambda v, j: ((1.0 - v) ** power
+                          * axis_dist2(-v if complement else v, radii[j]) ** (-d / 2.0))
         vals = integrate_radial(f, list(heights), params, singular_height=list(singular),
                                 left_exponent=d - s / 2.0 - 1.0 if complement else s / 2.0 - 1.0)
         for i, const, val in zip(idx, consts, vals.tolist()):
