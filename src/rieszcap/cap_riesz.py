@@ -32,7 +32,7 @@ from scipy.special import betainc
 
 from rieszcap.point_field import AxisMeasure, _exterior, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
-from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, _entries, axis_dist2, \
+from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, _entries, _like, axis_dist2, \
     integrate_radial, omega_ratio, sphere_energy
 
 __all__ = [
@@ -176,9 +176,10 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
     form make one batch of :func:`rieszcap.sphere.integrate_radial`.
     """
     _require_cap_regime(params)
-    (ts, shape), (Rs, R_shape) = _entries(t), _entries(R)
+    (ts, shape), (Rs, R_shape), form = _entries(t), _entries(R), t  # form: that of the result
     if shape != R_shape:
-        (ts, shape), (Rs, _) = (_entries(a) for a in np.broadcast_arrays(t, R))
+        form, R = np.broadcast_arrays(t, R)
+        (ts, _), (Rs, _) = _entries(form), _entries(R)
     d, s = params.d, params.s
     W, om = sphere_energy(params), omega_ratio(params)
     c0 = math.exp((1.0 - d) * math.log(2.0) + math.lgamma(float(d))
@@ -200,15 +201,16 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
         if not rows:
             continue
         idx, heights, consts, singular, radii = zip(*rows)
-        radii, power = np.array(radii)[:, None], (s - d) / 2.0 if complement else (d - s) / 2.0
-        f = lambda v, j: ((1.0 - v) ** power
-                          * axis_dist2(-v if complement else v, radii[j]) ** (-d / 2.0))
+        axis = np.array([((r - 1.0) ** 2, 2.0 * r) for r in radii])  # axis_dist2's two terms
+        power = (s - d) / 2.0 if complement else (d - s) / 2.0
+        f = lambda v, j: (1.0 - v) ** power * (
+            axis[j, :1] + axis[j, 1:] * (1.0 + v if complement else 1.0 - v)) ** (-d / 2.0)
         vals = integrate_radial(f, list(heights), params, singular_height=list(singular),
                                 left_exponent=d - s / 2.0 - 1.0 if complement else s / 2.0 - 1.0)
-        for i, const, val in zip(idx, consts, vals.tolist()):
+        for i, const, val in zip(idx, consts, vals):
             # near t = 1: the whole sphere's value minus the integral over [t, 1]
             out[i] = out[i] - const * val if complement else const * val
-    return np.array(out).reshape(shape) if shape else out[0]
+    return _like(form, out)
 
 
 def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.ndarray:
@@ -216,19 +218,19 @@ def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np
     with ||eps_t^i|| the per-unit-charge norm of atom i; d-2 <= s < d.  Every
     (height, atom) pair of an array or a number t is a row of one eps_norm batch."""
     _require_cap_regime(params)
-    ts, shape = _entries(t)
+    ts = _entries(t)[0]
     if min(ts) <= -1.0:
         raise ValueError("phi diverges at t = -1 (the cap degenerates to a point)")
     atoms = field.folded(params).atoms
     norms = iter(eps_norm([x for x in ts for _ in atoms], [R for _ in ts for R, _ in atoms],
-                          params).tolist())
-    eps = [sum(m * next(norms) for _, m in atoms) for _ in ts]
-    eps = np.array(eps).reshape(shape) if shape else eps[0]
+                          params))
+    eps = _like(t, [sum(m * next(norms) for _, m in atoms) for _ in ts])
     return sphere_energy(params) * (1.0 + eps) / nu_norm(t, params)
 
 
 def _per_height(fn):
-    # fn(t, ...) at a number t or at each (Python float) entry of an array t, in math's rounding
+    # fn(t, ...) at a number t, or at each entry of an array t as a Python float:
+    # math's rounding, so that each entry is the one-height call bit for bit
     @functools.wraps(fn)
     def each(t, *args, **kwargs):
         if not isinstance(t, np.ndarray):

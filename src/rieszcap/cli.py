@@ -26,7 +26,7 @@ Scenario schema::
 Every task takes either field type; a point charge is the one-atom axis
 field.  ``density`` and ``potential`` evaluate the signed cap equilibrium
 eta_t at the cap height, ``phi-curve`` the regime's cap functional (phi,
-phibar or F0) on a height grid, in one call.  Curve tasks write ``<name>_potential.csv``
+phibar or F0) on a height grid in one batched call.  Curve tasks write ``<name>_potential.csv``
 (xi, weighted potential, F), ``<name>_density.csv`` (u, density,
 boundary_coeff) and ``<name>_phi.csv``; scalar tasks write ``<name>.json``.
 Exit codes: 0 success, 2 malformed scenario (a kernel outside the three
@@ -163,7 +163,6 @@ def _task_cap_curves(cfg, field, params, out_dir: Path, name: str) -> dict:
 
 
 def _task_phi_curve(cfg, field, params, out_dir: Path, name: str) -> dict:
-    # the whole grid in one call: one batch of cap integrals for a Riesz kernel
     form = regime(params)
     ts = np.linspace(-0.999, 1.0, _grid(cfg, 200))
     _write_csv(out_dir / f"{name}_phi.csv", ["t", form.column], zip(ts, form.phi(ts, field)))

@@ -477,9 +477,9 @@ def build_quadrature(t: float | np.ndarray, params: Params, order: int,
     one_minus_x, one_plus_x, w = _jacobi_rule(order, alpha, beta)
     om = omega_ratio(params)
     # per-row scalars in Python floats, rounded as for one cap (numpy's vector pow can differ)
-    halves = [(1.0 + t) / 2.0 for t in ts]
-    half, scale, gap = np.array(halves + [h ** (alpha + beta + 1.0) / om for h in halves]
-                                + [1.0 - t for t in ts]).reshape(3, -1, 1)
+    cols = np.array([((1.0 + t) / 2.0, ((1.0 + t) / 2.0) ** (alpha + beta + 1.0) / om, 1.0 - t)
+                     for t in ts])
+    half, scale, gap = cols[:, :1], cols[:, 1:2], cols[:, 2:]
     weights = w * scale
     if ts[0] < 1.0 and params.d > 2:
         # 1-u as two nonnegative terms (the factor is 1 at d = 2)
@@ -541,13 +541,12 @@ def _rows_on_rule(f, ts: list[float], rows: list[int], params: Params, order: in
 def _one_rule(f, ts: list[float], params: Params, singular_exponent: float,
               left_exponent: float | None, heights: list[float]):
     """(values, bounds, orders) of the rows of :func:`integrate_radial`, bound
-    NaN for a row settled by doubling.  A row's order is the least power of
-    two n >= 64 with scale * 4 rho^(1-2n)/(rho-1) <= tol, scale = mu M /
-    max(1, |I|) taken as 1 before the first build.  A rule whose bound misses
-    (the integrand spans more than the rule mass foresaw) is followed by the
+    NaN for a row settled by doubling.  A row's order is the least power of two
+    n >= 64 with scale * 4 rho^(1-2n)/(rho-1) <= tol, scale = mu M / max(1, |I|)
+    (1 before the first build).  A rule whose bound misses is followed by the
     order its measured scale asks for, unless the rounding floor alone misses
-    (s near d-2, where the rule mass grows like 1/(alpha+1)); then, as when
-    no order <= 8192 can settle the row, its order doubles from 64."""
+    (s near d-2, where the rule mass grows like 1/(alpha+1)); then, as when no
+    order <= 8192 can settle the row, its order doubles from 64."""
     rho = [_bernstein_rho_minus_one(t, h) for t, h in zip(ts, heights)]
     values, bounds, orders = [math.nan] * len(ts), [math.nan] * len(ts), [0] * len(ts)
     todo = [(i, _RADIAL_FIRST_ORDER, 1.0, None) for i in range(len(ts))]  # prev: when doubling
@@ -632,20 +631,24 @@ def integrate_radial(f: Callable[[np.ndarray, np.ndarray], np.ndarray], t: float
     from 64 until two results agree to 1e-12; :class:`ConvergenceError`
     names its t, the Jacobi exponents, the last order and difference.
     """
-    ts, shape = _entries(t)
+    ts = _entries(t)[0]
     heights, h_shape = _entries(singular_height)
-    values = _one_rule(f, ts, params, singular_exponent, left_exponent,
-                       heights if h_shape else heights * len(ts))[0]
-    return np.array(values).reshape(shape) if shape else values[0]
+    return _like(t, _one_rule(f, ts, params, singular_exponent, left_exponent,
+                              heights if h_shape else heights * len(ts))[0])
 
 
 def _entries(x) -> tuple[list[float], tuple[int, ...]]:
     # the entries of a number, list or array as Python floats, with its shape
     if isinstance(x, np.ndarray):
         return x.ravel().tolist(), x.shape
-    if isinstance(x, list):
-        return x, (len(x),)
-    return [float(x)], ()
+    return (x, (len(x),)) if isinstance(x, list) else ([float(x)], ())
+
+
+def _like(x, values: list[float]):
+    # values in the form of x: an array of its shape, a list, or one float
+    if isinstance(x, np.ndarray):
+        return np.array(values).reshape(x.shape)
+    return values if isinstance(x, list) else values[0]
 
 
 @dataclass(frozen=True)
