@@ -23,7 +23,7 @@ from scipy import optimize
 
 from rieszcap import cap_exceptional, cap_riesz
 from rieszcap.point_field import AxisMeasure
-from rieszcap.sphere import CapMeasure, Params
+from rieszcap.sphere import _RADIAL_FIRST_ORDER, CapMeasure, Params, _jacobi_exponents, _jacobi_rules
 
 __all__ = [
     "AxisMeasure",
@@ -44,7 +44,8 @@ class Regime(NamedTuple):
     sphere), and ``potential(xi, eta, field)`` its closed-form weighted potential.
     The Riesz range d-2 <= s < d runs one set of formulas; at s = d-2 its
     ``eta`` carries a ring charge.  ``column`` names the functional in
-    phi-curve output.
+    phi-curve output.  ``families`` are the (singular, left) exponents of the
+    cap integrals whose rules depend on s (none for log, fixed at d = 2).
     """
 
     column: str
@@ -52,6 +53,7 @@ class Regime(NamedTuple):
     delta: Callable[[float, AxisMeasure], float]
     eta: Callable[[float, AxisMeasure], CapMeasure]
     potential: Callable[[float, CapMeasure, AxisMeasure], float]
+    families: tuple[tuple[float, float | None], ...]
 
 
 def regime(params: Params) -> Regime:
@@ -59,14 +61,14 @@ def regime(params: Params) -> Regime:
     ce, cr = cap_exceptional, cap_riesz
     if params.log:
         ce._require_log(params)
-        column, fns = "F0", (ce.log_f0_functional, ce.log_delta, ce.log_etabar,
-                             ce.log_eta_potential)
+        column, fns, families = "F0", (ce.log_f0_functional, ce.log_delta, ce.log_etabar,
+                                       ce.log_eta_potential), ()
     elif params.in_cap_regime or params.is_exceptional:
         column = "phibar" if params.is_exceptional else "phi"
-        fns = (cr.phi, cr.delta, cr.eta_measure, cr.eta_potential)
+        fns, families = (cr.phi, cr.delta, cr.eta_measure, cr.eta_potential), cr._families(params)
     else:
         raise ValueError(f"no cap solver for d={params.d}, s={params.s}")
-    return Regime(column, *(partial(f, params=params) for f in fns))
+    return Regime(column, *(partial(f, params=params) for f in fns), families)
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,8 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     if delta_at_one >= 0.0:
         t0, solved_by = 1.0, "boundary_t_equals_1"
     else:
+        # the first-order rules of every cap integral of the solve, in one build pass
+        _jacobi_rules(_RADIAL_FIRST_ORDER, [_jacobi_exponents(0.0, params, *f) for f in form.families])
         f = lambda t: delta_at_one if t == 1.0 else form.delta(t, lam)
         t0 = float(optimize.brentq(f, -1.0 + 1e-9, 1.0, xtol=1e-14, rtol=8.9e-16))
         solved_by = "interior_root"

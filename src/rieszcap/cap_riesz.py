@@ -54,6 +54,14 @@ def _require_cap_regime(params: Params) -> None:
         raise ValueError(f"cap formulas need d-2 <= s < d, got d={params.d}, s={params.s}")
 
 
+def _families(params: Params) -> tuple[tuple[float, float | None], ...]:
+    # integrate_radial's (singular, left) exponents of direct and complement ||eps_t||
+    # and of eta_t's mass, on caps t < 1
+    d, s = params.d, params.s
+    return ((0.0, s / 2.0 - 1.0), (0.0, d - s / 2.0 - 1.0),
+            (0.0 if params.is_exceptional else (s - d) / 2.0, None))
+
+
 def _cap_measure(t: float, params: Params, K: float, charges, *, contraction=(1.0, 0.0),
                  pairs=(), phi: float | None = None) -> CapMeasure:
     """The measure (K/W_s) nu_t - sum_j c_j eps_t^{R_j} for charges ((R_j, c_j), ...),
@@ -109,7 +117,7 @@ def _cap_measure(t: float, params: Params, K: float, charges, *, contraction=(1.
         out = pref * rest ** (d / 2.0) * (1.0 - t) ** ((d - s) / 2.0) * acc
         return out if np.ndim(out) else float(out)
 
-    return CapMeasure(t=t, regular_part=regular, singular_exponent=(s - d) / 2.0, phi=phi,
+    return CapMeasure(t=t, regular_part=regular, singular_exponent=_families(params)[2][0], phi=phi,
                       singular_height=height)
 
 
@@ -205,8 +213,9 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
         power = (s - d) / 2.0 if complement else (d - s) / 2.0
         f = lambda v, j: (1.0 - v) ** power * (
             axis[j, :1] + axis[j, 1:] * (1.0 + v if complement else 1.0 - v)) ** (-d / 2.0)
-        vals = integrate_radial(f, list(heights), params, singular_height=list(singular),
-                                left_exponent=d - s / 2.0 - 1.0 if complement else s / 2.0 - 1.0)
+        singular_exponent, left = _families(params)[complement]
+        vals = integrate_radial(f, list(heights), params, singular_exponent, left_exponent=left,
+                                singular_height=list(singular))
         for i, const, val in zip(idx, consts, vals):
             # near t = 1: the whole sphere's value minus the integral over [t, 1]
             out[i] = out[i] - const * val if complement else const * val

@@ -133,10 +133,9 @@ def _scenario_eta(cfg: dict, field: AxisMeasure, params: Params) -> CapMeasure:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    # one %-format per row tuple: the bytes of _fmt, value by value
+    line = ",".join(["%.17g"] * len(header))
+    path.write_text("\n".join([",".join(header)] + [line % row for row in rows]) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -16,12 +16,12 @@ Bernstein ellipse through it sets, a priori, the power-of-two order whose
 error bound 4 mu M rho^{1-2n}/(rho-1) meets 1e-12.  Only when no order up
 to 8192 does (a singularity within ~1e-6 of the cap edge, relative to the
 cap) do the orders double until two results agree.  Integrals come in
-batches of rows, one per cap height; rows that share a rule share its build.
+batches of rows, one per cap height; rows that share a rule share its build,
+and a solve builds the first-order rules of all its integrals in one pass.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -186,7 +186,7 @@ class RadialQuadrature:
     once per process for each (order, alpha, beta) and shared; they are the
     caller's own to modify.
 
-    That rule (:func:`_jacobi_rule`) is computed here, not by scipy: Newton
+    That rule (:func:`_jacobi_rules`) is computed here, not by scipy: Newton
     on Golub-Welsch seeds, with every node held as its distance to its
     endpoint.  Its weights give the moments of (1-x)^alpha (1+x)^beta to
     ~1e-14 relative for alpha, beta in (-1, 2] and orders up to 4096, so a
@@ -322,24 +322,38 @@ def _polish_top(n: int, a: float, b: float, y: float) -> tuple[float, float]:
     raise ConvergenceError(f"Gauss-Jacobi endpoint node did not settle: n={n}, a={a!r}, b={b!r}")
 
 
-@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _jacobi_rule(order: int, alpha: float,
-                 beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Jacobi rule on [-1, 1] for (1-x)^alpha (1+x)^beta, as read-only
-    arrays (1-x, 1+x, w) in increasing x.  alpha > beta reflects the built
-    (beta, alpha) rule: at d = 2 the direct ||eps_t|| rule is eta's mass rule."""
-    if alpha <= beta:
-        return _gauss_jacobi(order, alpha, beta)
-    rule = [np.ascontiguousarray(a[::-1]) for a in _gauss_jacobi(order, beta, alpha)]
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule[1], rule[0], rule[2]
+_RULES: dict = {}  # (order, alpha, beta) -> rule, least recently used first
 
 
-@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _gauss_jacobi(order: int, alpha: float,
-                  beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Gauss-Jacobi rule of :func:`_jacobi_rule`, built for any (alpha, beta).
+def _jacobi_rules(order: int, pairs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Gauss-Jacobi rules on [-1, 1] for (1-x)^alpha (1+x)^beta, one per pair
+    (alpha, beta), as read-only arrays (1-x, 1+x, w) in increasing x, from a
+    bounded per-process cache that builds what it lacks in one pass of
+    :func:`_gauss_jacobi`.  alpha > beta reflects the (beta, alpha) rule: at
+    d = 2 the direct ||eps_t|| rule is eta's mass rule."""
+    keys = [(order, a, b) for a, b in pairs]
+    lacking = dict.fromkeys((order, min(k[1:]), max(k[1:])) for k in keys if k not in _RULES)
+    build = [k[1:] for k in lacking if k not in _RULES]  # the alpha <= beta rules to build
+    _RULES.update(zip(((order, a, b) for a, b in build), _gauss_jacobi(order, build) if build else ()))
+    rules = []
+    for key in keys:
+        rule = _RULES.pop(key, None)
+        if rule is None:  # alpha > beta: the (beta, alpha) rule under x -> -x
+            one_minus_x, one_plus_x, w = _RULES[key[0], key[2], key[1]]
+            rule = tuple(np.ascontiguousarray(a[::-1]) for a in (one_plus_x, one_minus_x, w))
+            for arr in rule:
+                arr.flags.writeable = False
+        _RULES[key] = rule  # now the most recently used
+        rules.append(rule)
+    while len(_RULES) > _RULE_CACHE_SIZE:
+        del _RULES[next(iter(_RULES))]
+    return rules
+
+
+def _gauss_jacobi(order: int, pairs: list[tuple[float, float]]
+                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The read-only Gauss-Jacobi rules of :func:`_jacobi_rules`, one per
+    (alpha, beta) of ``pairs``, built in one pass.
 
     Nodes with x >= 0 are held as y = 1-x and solved as zeros of
     P_n^(alpha,beta)(1-y); nodes with x < 0 as y = 1+x, zeros of
@@ -347,77 +361,87 @@ def _gauss_jacobi(order: int, alpha: float,
     formed by cancellation (the idea of Hale & Townsend, SIAM J. Sci. Comput.
     35 (2013) A652).  In each half:
 
-    - Newton starts from the Golub-Welsch eigenvalues and evaluates the
-      polynomials by the Reinsch-form recurrence of :func:`_recurrence`, all
-      nodes at once; the node nearest the endpoint uses
+    - Newton starts from the Golub-Welsch eigenvalues (Golub & Welsch, Math.
+      Comp. 23 (1969) 221) and evaluates the polynomials by the Reinsch-form
+      recurrence of :func:`_recurrence`; the node nearest the endpoint uses
       :func:`_endpoint_series` instead.
     - The weight is 1/((1-x^2) P_n'(x)^2) up to a constant, with
       P_n' = (n+alpha+beta+1)/2 P_{n-1}^(alpha+1,beta+1), which stays well
       away from zero at the nodes, and 1-x^2 = y(2-y).
 
-    The two halves are put on one scale by the exact ratio of their
-    normalisations, and the weights are scaled to the exact total mass
-    2^(alpha+beta+1) B(alpha+1, beta+1).  Moments of degree <= 3 match their
-    Beta values to ~1e-14 relative for alpha, beta in (-1, 2] and n <= 4096
-    (tests/test_sphere.py).  The build is deterministic, so a cached rule
-    equals a fresh one bit for bit; the arrays are shared between callers
-    and therefore read-only.
+    The start values, the endpoint nodes and the weights are formed pair by
+    pair; the recurrence and the Newton passes run once over the bulk nodes of
+    every pair, as their cost is mostly per call.  A settled pair takes no more
+    Newton steps, and each node's arithmetic is elementwise, so every rule is
+    bit for bit its pair's one-pair build.  The two halves are put on one
+    scale by the exact ratio of their normalisations, and the weights are
+    scaled to the exact total mass 2^(alpha+beta+1) B(alpha+1, beta+1).
+    Moments of degree <= 3 match their Beta values to ~1e-14 relative for
+    alpha, beta in (-1, 2] and n <= 4096 (tests/test_sphere.py).
     """
     n = order
     if n < 2:
         raise ValueError(f"Gauss-Jacobi order must be >= 2, got {n}")
-    x0 = _golub_welsch_nodes(n, alpha, beta)
-    frames = ((alpha, beta, 1.0 - x0[x0 >= 0.0][::-1]), (beta, alpha, 1.0 + x0[x0 < 0.0]))
-    a_f = np.array([[alpha], [beta]])
-    b_f = np.array([[beta], [alpha]])
+    frames = []  # (a, b, y) of each half: a pair's x >= 0 half, then its x < 0 half
+    for alpha, beta in pairs:
+        x0 = _golub_welsch_nodes(n, alpha, beta)
+        frames += [(alpha, beta, 1.0 - x0[x0 >= 0.0][::-1]), (beta, alpha, 1.0 + x0[x0 < 0.0])]
+    halves = len(frames)
+    a_f, b_f = np.array([[a, b] for a, b, _ in frames]).T[:, :, None]  # columns, one row per half
 
-    # bulk nodes of both halves, padded to one width with a harmless y = 1/2
+    # bulk nodes of every half, padded to one width with a harmless y = 1/2
     width = max(1, max(len(y) for _, _, y in frames) - 1)
-    y = np.full((2, width), 0.5)
-    valid = np.zeros((2, width), dtype=bool)
+    y = np.full((halves, width), 0.5)
+    valid = np.zeros((halves, width), dtype=bool)
     for i, (_, _, yf) in enumerate(frames):
         y[i, :len(yf[1:])] = yf[1:]
         valid[i, :len(yf[1:])] = True
 
-    # rows: p for both halves, then q = P_{n-1}^(a+1,b+1) for both halves
-    a1, b1 = _two_sum(alpha, 1.0), _two_sum(beta, 1.0)
-    a_dd = (np.array([[alpha], [beta], [a1[0]], [b1[0]]]), np.array([[0.0], [0.0], [a1[1]], [b1[1]]]))
-    b_dd = (np.array([[beta], [alpha], [b1[0]], [a1[0]]]), np.array([[0.0], [0.0], [b1[1]], [a1[1]]]))
+    # rows: p of every half, then q = P_{n-1}^(a+1,b+1) of every half
+    (a1, a1_lo), (b1, b1_lo), zero = _two_sum(a_f, 1.0), _two_sum(b_f, 1.0), np.zeros_like(a_f)
+    a_dd = (np.concatenate([a_f, a1]), np.concatenate([zero, a1_lo]))
+    b_dd = (np.concatenate([b_f, b1]), np.concatenate([zero, b1_lo]))
     r, coef_a, coef_c = _recurrence(n, a_dd, b_dd)
     coef_a, coef_c = np.ascontiguousarray(coef_a.T), np.ascontiguousarray(coef_c.T)
-    row = np.repeat(np.arange(4), width)  # the coefficient row of each flattened entry
+    p, q, step = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    live = np.arange(halves)  # the halves of the pairs still taking Newton steps
     for _ in range(_NEWTON_STEPS):
-        yy = np.concatenate([y, y]).ravel()
+        m, y_live = len(live), y[live]
+        row = np.repeat(np.concatenate([live, halves + live]), width)  # coefficient row of each entry
+        yy = np.concatenate([y_live, y_live]).ravel()
         d = r[row, 0] * yy
-        p = 1.0 + d
+        pk = 1.0 + d
         t = np.empty_like(yy)
         for k0 in range(0, n - 1, _STEPS_PER_TABLE):
             # per-entry coefficients for a block of steps: no broadcasting in the loop
-            tab_a = coef_a[k0:k0 + _STEPS_PER_TABLE].take(row, axis=1)
+            tab_ay = coef_a[k0:k0 + _STEPS_PER_TABLE].take(row, axis=1) * yy  # A_k y
             tab_c = coef_c[k0:k0 + _STEPS_PER_TABLE].take(row, axis=1)
-            for k in range(len(tab_a)):
+            for k in range(len(tab_ay)):
                 if k0 + k == n - 2:
-                    q = p[2 * width:].reshape(2, width).copy()
-                np.multiply(tab_a[k], yy, out=t)
-                np.multiply(t, p, out=t)
+                    q[live] = pk[m * width:].reshape(m, width)
+                np.multiply(tab_ay[k], pk, out=t)
                 np.multiply(d, tab_c[k], out=d)
                 np.subtract(d, t, out=d)
-                np.add(p, d, out=p)
-        p = p[:2 * width].reshape(2, width)
+                np.add(pk, d, out=pk)
+        p[live] = pk[:m * width].reshape(m, width)
         # Newton step in y: P_n' = n(n+a+b+1)/(2(a+1)) P_n(1)/P_{n-1}^(a+1,b+1)(1) q
-        step = np.divide(2.0 * (a_f + 1.0) * p, n * (n + a_f + b_f + 1.0) * q,
-                         out=np.zeros_like(y), where=valid)
-        if np.all(np.abs(step) <= _NEWTON_SETTLED * y):
+        a_l, b_l = a_f[live], b_f[live]
+        step[live] = np.divide(2.0 * (a_l + 1.0) * p[live], n * (n + a_l + b_l + 1.0) * q[live],
+                               out=np.zeros_like(y_live), where=valid[live])
+        settled = np.all(np.abs(step[live]) <= _NEWTON_SETTLED * y_live, axis=1)
+        live = live[~np.repeat(settled.reshape(-1, 2).all(axis=1), 2)]  # both halves of a pair
+        if not len(live):
             break
-        y = y + step
+        y[live] = y[live] + step[live]
     else:
-        raise ConvergenceError(f"Gauss-Jacobi nodes did not settle: n={n}, alpha={alpha!r}, beta={beta!r}")
+        raise ConvergenceError(f"Gauss-Jacobi nodes did not settle: n={n}, "
+                               f"(alpha, beta) = {pairs[live[0] // 2]}")
     # q at the stepped node from its Jacobi equation: (1-x^2) q' = (a-b+(a+b+2)x) q - 2(a+1) p
     dq = ((a_f - b_f + (a_f + b_f + 2.0) * (1.0 - y)) * q - 2.0 * (a_f + 1.0) * p) / (y * (2.0 - y))
     q = q - dq * step
     y = y + step
 
-    raw = []
+    raw = []  # (y, unscaled weight) of each half, the endpoint node first
     for i, (a, b, yf) in enumerate(frames):
         if len(yf) == 0:
             raw.append((yf, yf))
@@ -426,19 +450,21 @@ def _gauss_jacobi(order: int, alpha: float,
         yi = np.concatenate([[top_y], y[i, valid[i]]])
         qi = np.concatenate([[top_q], q[i, valid[i]]])
         raw.append((yi, 1.0 / (yi * (2.0 - yi) * qi * qi)))
-    (y_right, v_right), (y_left, v_left) = raw
-    # P_{n-1}^(alpha+1,beta+1)(1) / P_{n-1}^(beta+1,alpha+1)(1), squared
-    k = np.arange(1.0, n)
-    v_left = v_left * math.exp(2.0 * float(np.sum(np.log1p((alpha - beta) / (k + beta + 1.0)))))
-    one_minus_x = np.concatenate([2.0 - y_left, y_right[::-1]])
-    one_plus_x = np.concatenate([y_left, (2.0 - y_right)[::-1]])
-    w = np.concatenate([v_left, v_right[::-1]])
-    mass = 2.0 ** (alpha + beta + 1.0) * math.exp(
-        math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0))
-    w *= mass / math.fsum(w)
-    for arr in (one_minus_x, one_plus_x, w):
-        arr.flags.writeable = False
-    return one_minus_x, one_plus_x, w
+    rules = []
+    for (alpha, beta), (y_right, v_right), (y_left, v_left) in zip(pairs, raw[::2], raw[1::2]):
+        # P_{n-1}^(alpha+1,beta+1)(1) / P_{n-1}^(beta+1,alpha+1)(1), squared
+        k = np.arange(1.0, n)
+        v_left = v_left * math.exp(2.0 * float(np.sum(np.log1p((alpha - beta) / (k + beta + 1.0)))))
+        one_minus_x = np.concatenate([2.0 - y_left, y_right[::-1]])
+        one_plus_x = np.concatenate([y_left, (2.0 - y_right)[::-1]])
+        w = np.concatenate([v_left, v_right[::-1]])
+        mass = 2.0 ** (alpha + beta + 1.0) * math.exp(
+            math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0))
+        w *= mass / math.fsum(w)
+        for arr in (one_minus_x, one_plus_x, w):
+            arr.flags.writeable = False
+        rules.append((one_minus_x, one_plus_x, w))
+    return rules
 
 
 def _jacobi_exponents(t: float, params: Params, singular_exponent: float,
@@ -474,7 +500,7 @@ def build_quadrature(t: float | np.ndarray, params: Params, order: int,
     alpha, beta = _jacobi_exponents(ts[0], params, singular_exponent, left_exponent)
     if alpha <= -1.0 or beta <= -1.0:
         raise ValueError(f"Jacobi exponents must exceed -1, got ({alpha}, {beta})")
-    one_minus_x, one_plus_x, w = _jacobi_rule(order, alpha, beta)
+    one_minus_x, one_plus_x, w = _jacobi_rules(order, [(alpha, beta)])[0]
     om = omega_ratio(params)
     # per-row scalars in Python floats, rounded as for one cap (numpy's vector pow can differ)
     cols = np.array([((1.0 + t) / 2.0, ((1.0 + t) / 2.0) ** (alpha + beta + 1.0) / om, 1.0 - t)

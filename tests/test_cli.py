@@ -320,3 +320,17 @@ def test_phi_curve_batches_its_cap_integrals(tmp_path, monkeypatch):
     cli.run_scenario(cfg, tmp_path)
     assert 0 < len(calls) <= 4 * len(atoms)
     assert sum(len(t) for t in calls) == 2 * 199  # every height below 1, each atom
+
+
+def test_csv_rows_are_the_bytes_of_per_value_formatting(tmp_path):
+    # one %-format per row writes what _fmt gives value by value: signed zeros,
+    # infinities, NaN, subnormals, Python floats and ints, and np.float64
+    special = [0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324, -2.5e-310,
+               2.2250738585072014e-308, 1.0 / 3.0, -1e300, 2, 0.1]
+    values = special + [np.float64(x) for x in special]
+    values += np.random.default_rng(7).standard_normal(200).tolist()
+    values += list(np.random.default_rng(8).uniform(-1e-300, 1e-300, 200))  # np.float64
+    rows = list(zip(values[0::3], values[1::3], values[2::3]))
+    cli._write_csv(tmp_path / "rows.csv", ["a", "b", "c"], rows)
+    expected = "\n".join(["a,b,c"] + [",".join(cli._fmt(v) for v in row) for row in rows]) + "\n"
+    assert (tmp_path / "rows.csv").read_bytes() == expected.encode()

@@ -333,14 +333,13 @@ RULE_CASES = [  # (params, order, singular exponent, left exponent, t)
 
 
 def fresh_rule(order, alpha, beta):
-    # _jacobi_rule with its rule built just now, past both caches (and
+    # _jacobi_rules with its rule built just now, past the cache (and
     # reflected from the (beta, alpha) build when alpha > beta)
-    cached = sphere._gauss_jacobi
-    sphere._gauss_jacobi = cached.__wrapped__
+    cached, sphere._RULES = sphere._RULES, {}
     try:
-        return sphere._jacobi_rule.__wrapped__(order, alpha, beta)
+        return sphere._jacobi_rules(order, [(alpha, beta)])[0]
     finally:
-        sphere._gauss_jacobi = cached
+        sphere._RULES = cached
 
 
 def fresh_quadrature(params, order, se, left, t):
@@ -367,7 +366,7 @@ def test_cached_rule_is_bit_identical_to_fresh_build(case):
 
 
 def test_cached_rule_arrays_are_read_only():
-    for arr in sphere._jacobi_rule(48, -0.25, 0.5):
+    for arr in sphere._jacobi_rules(48, [(-0.25, 0.5)])[0]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -410,13 +409,39 @@ def test_writing_into_a_rule_leaves_the_next_build_alone():
     assert np.array_equal(again.nodes, u) and np.array_equal(again.weights, weights)
 
 
-def test_repeated_build_is_a_cache_hit():
+def test_repeated_build_is_a_cache_hit(monkeypatch):
     p = Params(d=3, s=2.2)
     build_quadrature(0.1, p, 96, -0.4)
-    before = sphere._jacobi_rule.cache_info()
+    key = next(reversed(sphere._RULES))  # the rule just used
+    built, build = [], sphere._gauss_jacobi
+    monkeypatch.setattr(sphere, "_gauss_jacobi",
+                        lambda order, pairs: built.extend(pairs) or build(order, pairs))
+    sphere._jacobi_rules(64, [(0.5, 1.5)])  # another rule becomes the most recent
     build_quadrature(-0.7, p, 96, -0.4)  # another cap, the same [-1, 1] rule
-    after = sphere._jacobi_rule.cache_info()
-    assert after.hits == before.hits + 1 and after.misses == before.misses
+    assert next(reversed(sphere._RULES)) == key and key[1:] not in built
+
+
+# the rule of each order whose Newton steps need a second pass, and others that
+# settle in the first
+SLOW_PAIRS = {64: (-0.98, -0.999), 256: (-0.999, 0.5), 1024: (-0.999, 0.5)}
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_batch_rules_equal_their_one_pair_builds(n, monkeypatch):
+    # one pass stacks the Newton steps of every pair, and a settled pair takes
+    # no more: each rule of a batch is its one-pair build bit for bit
+    rng = np.random.default_rng(n)
+    quick = [tuple(pair) for pair in rng.uniform(-0.5, 2.0, (4, 2)).tolist()]
+    quick += [quick[0][::-1], (0.75, 0.75), (-0.5, -0.5)]
+    pairs = quick[:3] + [SLOW_PAIRS[n]] + quick[3:]
+    monkeypatch.setattr(sphere, "_NEWTON_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="did not settle"):
+        sphere._gauss_jacobi(n, [SLOW_PAIRS[n]])
+    alone = [sphere._gauss_jacobi(n, [pair])[0] for pair in quick]
+    monkeypatch.undo()
+    alone.insert(3, sphere._gauss_jacobi(n, [SLOW_PAIRS[n]])[0])
+    for pair, rule, single in zip(pairs, sphere._gauss_jacobi(n, pairs), alone):
+        assert all(np.array_equal(a, b) for a, b in zip(rule, single)), pair
 
 
 def test_unsettled_quadrature_names_the_integral(monkeypatch):

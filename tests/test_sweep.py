@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rieszcap import cap_exceptional, cap_riesz, sphere
+from rieszcap import axis_field, cap_exceptional, cap_riesz, sphere
 from rieszcap.axis_field import axis_solve_t
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import Params, build_quadrature
@@ -96,16 +96,61 @@ def test_t0_matches_30_digit_reference(case):
                          [(Params(d=3, s=1.7), 1.5, 3), (Params(d=2, s=1.0), 1.5, 2),
                           (Params(d=5, s=4.5), 3.0, 1)],
                          ids=["interior", "interior-d2", "whole-sphere"])
-def test_solve_builds_one_rule_per_integral_family(params, R, most):
+def test_solve_builds_one_rule_per_integral_family(params, R, most, monkeypatch):
     # an interior solve integrates direct eps, complement eps and eta's mass;
     # at d = 2 the direct eps rule (0, s/2-1) is eta's (s/2-1, 0) reflected;
-    # a whole-sphere solve only the mass at t = 1.  Misses of _gauss_jacobi
-    # count rule builds; _jacobi_rule caches the reflected copies
-    sphere._jacobi_rule.cache_clear()
-    sphere._gauss_jacobi.cache_clear()
+    # a whole-sphere solve only the mass at t = 1.  The pairs _gauss_jacobi
+    # is given count rule builds; the cache holds the reflected copies
+    built, build = [], sphere._gauss_jacobi
+    monkeypatch.setattr(sphere, "_RULES", {})
+    monkeypatch.setattr(sphere, "_gauss_jacobi",
+                        lambda order, pairs: built.extend(pairs) or build(order, pairs))
     sol = axis_solve_t(AxisMeasure([(R, 1.0)]), params)
     assert sol.solved_by == ("interior_root" if most > 1 else "boundary_t_equals_1")
-    assert sphere._gauss_jacobi.cache_info().misses <= most
+    assert len(built) <= most
+
+
+COLD = [Params(d=2, s=1.0), Params(d=3, s=1.7), Params(d=4, s=2.9), Params(d=5, s=3.6),
+        Params(d=3, s=1.0), Params(d=4, s=2.0)]
+
+
+def _solve_record(params):
+    # t0, Phi(t0), mass and density samples of the point-charge solve at R = 1.5
+    sol = axis_solve_t(AxisMeasure([(1.5, 1.0)]), params)
+    assert sol.solved_by == "interior_root"
+    u = sol.t0 - (1.0 + sol.t0) * np.linspace(0.01, 0.99, 9)
+    return sol.t0, sol.phi_at_t0, sol.equilibrium.mass, sol.equilibrium.radial_density(u).tolist()
+
+
+@pytest.mark.parametrize("params", COLD, ids=[f"d{p.d}-s{p.s}" for p in COLD])
+def test_cold_solve_builds_its_rules_in_one_pass(params, monkeypatch):
+    # an interior solve requests the first-order rules of its regime's cap
+    # integral families before Brent, in one build pass; every rule its call
+    # sites ask for at that order was in the request, and the answer is bit
+    # for bit that of a warm cache and of rules built one pair at a time
+    requests, passes = [], []
+    rules, build = sphere._jacobi_rules, sphere._gauss_jacobi
+
+    def request(order, pairs):
+        requests.append((order, list(pairs)))
+        return rules(order, pairs)
+
+    monkeypatch.setattr(sphere, "_RULES", {})
+    monkeypatch.setattr(sphere, "_jacobi_rules", request)
+    monkeypatch.setattr(axis_field, "_jacobi_rules", request)
+    monkeypatch.setattr(sphere, "_gauss_jacobi",
+                        lambda order, pairs: passes.append(pairs) or build(order, pairs))
+    cold = _solve_record(params)
+    assert len(passes) == 1
+    (order, up_front), later = requests[0], requests[1:]
+    assert order == sphere._RADIAL_FIRST_ORDER and len(up_front) == 3
+    assert {pair for o, pairs in later if o == order for pair in pairs} <= set(up_front)
+    assert _solve_record(params) == cold  # warm: no build at all
+    assert len(passes) == 1
+    monkeypatch.setattr(sphere, "_RULES", {})
+    monkeypatch.setattr(sphere, "_gauss_jacobi",
+                        lambda order, pairs: [build(order, [pair])[0] for pair in pairs])
+    assert _solve_record(params) == cold
 
 
 ORACLE_T = (-0.5, 0.3, 0.9, 0.99, 1.0)
