@@ -55,8 +55,7 @@ def _require_cap_regime(params: Params) -> None:
 
 
 def _families(params: Params) -> tuple[tuple[float, float | None], ...]:
-    # integrate_radial's (singular, left) exponents of direct and complement ||eps_t||
-    # and of eta_t's mass, on caps t < 1
+    # (singular, left) exponents of the direct and complement ||eps_t|| and eta_t's mass, t < 1
     d, s = params.d, params.s
     return ((0.0, s / 2.0 - 1.0), (0.0, d - s / 2.0 - 1.0),
             (0.0 if params.is_exceptional else (s - d) / 2.0, None))

@@ -200,9 +200,8 @@ def hyp2f1_regularized(a, b, c, z, scale=1.0, pairs=(), *, one_minus_z=None):
     caller without cancellation (a z rounded near 1 has lost it); it has z's
     shape.
 
-    The series stops once three consecutive terms are small at every point
-    of z at once, so a point's value depends on the points that share its
-    call: a caller that needs one cap's bits passes one cap per call.
+    The series stops when three consecutive terms are small at all points of
+    z at once, so a caller that needs one cap's bits passes one cap per call.
     """
     z_arr = np.asarray(z, dtype=float)
     if np.any(np.abs(z_arr) >= 1.0):
@@ -245,7 +244,10 @@ def hyp2f1_regularized(a, b, c, z, scale=1.0, pairs=(), *, one_minus_z=None):
             out[~near_one] = hyp2f1_regularized(a, b, c, zv[~near_one], scale, pairs)
         return float(out[0]) if scalar else out.reshape(z_arr.shape)
 
-    n_start = int(round(1.0 - c)) if _is_nonpositive_integer(c) else 0  # first n with n + c = 1
+    if _is_nonpositive_integer(c):
+        n_start = int(round(1.0 - c))  # first index with n + c = 1
+    else:
+        n_start = 0
     # the weight of term n is scale + sum_i B_i (1 - (1-g_i)^n)
     B, g = np.reshape(np.asarray(pairs, dtype=float), (-1, 2)).T
     weights = lambda k: scale - np.expm1(np.multiply.outer(k, np.log1p(-g))) @ B
