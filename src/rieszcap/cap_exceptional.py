@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from rieszcap.cap_riesz import _edge, _per_height, eps_measure, nu_measure
+from rieszcap.cap_riesz import _edge, _edge_slope, _per_height, eps_measure, nu_measure
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, axis_dist2, integrate_radial
 
@@ -32,6 +32,7 @@ __all__ = [
     "weakstar_gap",
     "gamma_s_norm",
     "log_delta",
+    "log_delta_slope",
     "log_etabar",
     "log_cap_energy",
     "log_f0_functional",
@@ -112,10 +113,16 @@ def log_cap_energy(t: float) -> float:
 def log_delta(t: float, field: AxisMeasure, params: Params) -> float:
     """Delta(t) = (1+||lambda||) / sum_i m_i (R_i+1)^2/r_i(t)^2 - 1, which has
     the sign of the ring charge of etabar_{t,0}; its root is t0.  Affine in t
-    for a point charge, so Brent iteration lands on the closed form
+    for a point charge, so one Newton step lands on the closed form
     t0 = (R^2 - 2Rq + 1) / (2R(1+q)) to rounding."""
     _require_log(params)
     return (1.0 + field.total_mass) / _edge(t, field.folded(params).atoms, params) - 1.0
+
+
+def log_delta_slope(t: float, delta_t: float, field: AxisMeasure, params: Params) -> float:
+    """Delta'(t) = -(Delta(t)+1) edge'(t)/edge(t), edge(t) = sum_i m_i (R_i+1)^2/r_i(t)^2."""
+    atoms = field.folded(params).atoms
+    return -(delta_t + 1.0) * _edge_slope(t, atoms, params) / _edge(t, atoms, params)
 
 
 def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:

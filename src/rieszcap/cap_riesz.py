@@ -28,7 +28,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import beta, betainc
 
 from rieszcap.point_field import AxisMeasure, _exterior, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
@@ -42,6 +42,7 @@ __all__ = [
     "eps_norm",
     "phi",
     "delta",
+    "delta_slope",
     "eta_measure",
     "eta_potential",
     "nu_potential",
@@ -255,10 +256,24 @@ def _edge(t: float, atoms, params: Params) -> float:
     return sum(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0) for R, m in atoms)
 
 
+def _edge_slope(t: float, atoms, params: Params) -> float:
+    # d/dt of _edge: sum_i m_i d R_i (R_i+1)^{d-s} / r_i(t)^{d+2}
+    d, s = params.d, 0.0 if params.log else params.s
+    return sum(m * d * R * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0 + 1.0) for R, m in atoms)
+
+
 def delta(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.ndarray:
     """Delta(t) = Phi_s(t) - sum_i m_i (R_i+1)^{d-s} / r_i(t)^d, at a number
     or an array t; its root is t0."""
     return phi(t, field, params) - _edge(t, field.folded(params).atoms, params)
+
+
+def delta_slope(t: float, delta_t: float, field: AxisMeasure, params: Params) -> float:
+    """Delta'(t) = -(||nu_t||'/||nu_t||) Delta(t) - edge'(t) for t in (-1, 1), given
+    delta_t = Delta(t): no quadrature, as ||eps_t^i||' = ||nu_t||' (R_i+1)^{d-s}/(W_s r_i^d)."""
+    a, b = params.s / 2.0, params.d - params.s / 2.0
+    nu_slope = ((1.0 + t) / 2.0) ** (a - 1.0) * ((1.0 - t) / 2.0) ** (b - 1.0) / (2.0 * beta(a, b))
+    return -nu_slope / nu_norm(t, params) * delta_t - _edge_slope(t, field.folded(params).atoms, params)
 
 
 def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 _EXC_TOL = 1e-12  # how close s must be to d-2 to count as the exceptional case
-_RULE_CACHE_SIZE = 128  # distinct (order, alpha, beta) Gauss-Jacobi rules kept per process
+_RULE_CACHE_SIZE = 384  # (order, alpha, beta) rules kept per process, 24 * order bytes each
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
 _SERIES_TERMS = 64  # endpoint-series terms: ample for the node nearest x = 1
 _NEWTON_STEPS = 8  # Newton passes before a rule build gives up

@@ -15,6 +15,7 @@ from rieszcap.axis_field import (
 from rieszcap.cap_exceptional import log_delta, log_f0_functional
 from rieszcap.oracle import external_field
 from rieszcap.point_field import field_potential_on_axis
+from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import Params, axis_dist2, kappa, sphere_energy, surface_factor
 
 P21 = Params(d=2, s=1.0)
@@ -307,6 +308,45 @@ def test_axis_full_support_branch():
     assert sol.t0 == 1.0
     assert sol.solved_by == "boundary_t_equals_1"
     assert sol.equilibrium.mass == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the Newton solve: Delta' in closed form, and the lower end of the bracket
+
+SLOPE_PARAMS = {f"riesz_{d}": Params(d=d, s=d - 1.2) for d in (2, 3, 4, 5)} | {
+    "exceptional_3": Params(d=3, s=1.0), "exceptional_4": Params(d=4, s=2.0), "log": PLOG}
+SLOPE_FIELDS = {
+    "one_atom": AxisMeasure([(1.5, 1.0)]),
+    # one atom inside the sphere, folded (the log kernel takes exterior atoms only)
+    "three_atoms": AxisMeasure([(0.7, 0.3), (1.3, 0.5), (2.5, 1.0)]),
+    "three_exterior_atoms": AxisMeasure([(1.7, 0.3), (1.3, 0.5), (2.5, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("kernel, name", [(kernel, "one_atom") for kernel in SLOPE_PARAMS]
+                         + [(kernel, "three_atoms") for kernel in SLOPE_PARAMS if kernel != "log"]
+                         + [("log", "three_exterior_atoms")])
+def test_delta_slope_matches_central_differences(kernel, name):
+    form, lam, h = regime(SLOPE_PARAMS[kernel]), SLOPE_FIELDS[name], 1e-6
+    for t in (-0.9, -0.3, 0.3, 0.9, 0.99):
+        slope = form.slope(t, form.delta(t, lam), lam)
+        central = (form.delta(t + h, lam) - form.delta(t - h, lam)) / (2.0 * h)
+        assert abs(slope - central) <= 1e-7 * abs(slope), (t, slope, central)
+
+
+def test_log_point_charge_solve_takes_one_newton_step():
+    # Delta is affine in t: Delta(1), Delta(0), then Delta at the closed-form t0
+    q, R = 1.0, 2.0
+    sol = axis_solve_t(AxisMeasure([(R, q)]), PLOG)
+    assert sol.delta_evals == 3
+    assert sol.t0 == pytest.approx((R * R - 2.0 * R * q + 1.0) / (2.0 * R * (1.0 + q)), abs=1e-15)
+
+
+def test_t0_below_the_bracket_raises_convergence_error():
+    # q = 1e14 puts t0 below -1 + 1e-9, the lower end of the bracket: the
+    # bracket collapses onto it, and Delta there is negative
+    with pytest.raises(ConvergenceError, match=r"Delta\(-0\.999999999\) = -[0-9.e+]+ <= 0"):
+        axis_solve_t(AxisMeasure([(3.0, 1e14)]), Params(d=2, s=0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_solve_t0_exceptional_reference():
 ], ids=["d3-q1-R2", "d3-q0.5-R1.2", "d4-q1-R1.5", "d5-q2-R2.5", "d3-q3-R1.1"])
 def test_solve_t0_exceptional_against_30_digit_references(d, q, R, ref):
     # references: mpmath at 30 digits (bench/t0_reference.py); the bound is
-    # twice the xtol of the Brent solve
+    # twice the stopping tolerance of the Newton solve
     sol = axis_solve_t(AxisMeasure([(R, q)]), Params(d=d, s=float(d - 2)))
     assert sol.solved_by == "interior_root"
     assert abs(sol.t0 - ref) <= 2e-14

@@ -159,6 +159,16 @@ def test_rule_underflow_near_s_equal_d_minus_2_exits_0_or_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_t0_below_the_bracket_exits_3(tmp_path, capsys):
+    # q = 1e14 puts t0 below the bracket's lower end -1 + 1e-9: a typed
+    # numeric failure, not an answer at the bracket end
+    cfg = {"name": "case", "task": "solve-support", "d": 2, "kernel": {"type": "riesz", "s": 0.5},
+           "field": {"type": "point", "q": 1e14, "R": 3.0}, "grid": GRID}
+    assert cli.main(["run", str(write_scenario(tmp_path, cfg)), "--out", str(tmp_path)]) == 3
+    assert "Delta(-0.999999999)" in capsys.readouterr().err
+    assert not (tmp_path / "case.json").exists()
+
+
 def test_newton_distance_command(tmp_path, capsys):
     assert cli.main(["newton-distance", "--d", "2", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -65,16 +65,19 @@ def test_delta_changes_sign_at_one_minus_4e8():
 
 
 def test_interior_solves_take_few_delta_evaluations(monkeypatch):
-    # one Brent solve on (-1, 1]; regime() reads cap_riesz.delta at call time
+    # Newton steps on Delta from t = 0; regime() reads cap_riesz.delta at call
+    # time.  Every count includes Delta(1), and the solve reports it
     calls = []
     delta = cap_riesz.delta
     monkeypatch.setattr(cap_riesz, "delta", lambda *a, **k: calls.append(a[0]) or delta(*a, **k))
     counts = []
     for d, s, R in SWEEP:
         calls.clear()
-        if axis_solve_t(AxisMeasure([(R, 1.0)]), Params(d=d, s=s)).solved_by == "interior_root":
+        sol = axis_solve_t(AxisMeasure([(R, 1.0)]), Params(d=d, s=s))
+        assert sol.delta_evals == len(calls)
+        if sol.solved_by == "interior_root":
             counts.append(len(calls))
-    assert statistics.median(counts) <= 20, counts
+    assert statistics.median(counts) <= 9 and max(counts) <= 12, counts
 
 
 def test_t0_edge_cases_sit_near_one():
@@ -87,9 +90,11 @@ def test_t0_edge_cases_sit_near_one():
                                                   for c in REFERENCES])
 def test_t0_matches_30_digit_reference(case):
     # the bound of test_solve_t0_exceptional_against_30_digit_references:
-    # twice the xtol of the Brent solve
+    # twice the stopping tolerance of the Newton solve, which reports its
+    # last step |Delta/Delta'| as t0's error estimate
     sol = axis_solve_t(AxisMeasure([(case["R"], case["q"])]), Params(d=case["d"], s=case["s"]))
     assert abs(sol.t0 - float(case["t0"])) <= 2e-14
+    assert sol.t0_error <= 1e-14
 
 
 @pytest.mark.parametrize("params, R, most",
@@ -125,9 +130,9 @@ def _solve_record(params):
 @pytest.mark.parametrize("params", COLD, ids=[f"d{p.d}-s{p.s}" for p in COLD])
 def test_cold_solve_builds_its_rules_in_one_pass(params, monkeypatch):
     # an interior solve requests the first-order rules of its regime's cap
-    # integral families before Brent, in one build pass; every rule its call
-    # sites ask for at that order was in the request, and the answer is bit
-    # for bit that of a warm cache and of rules built one pair at a time
+    # integral families before the Newton steps, in one build pass; every rule
+    # its call sites ask for at that order was in the request, and the answer
+    # is bit for bit that of a warm cache and of rules built one pair at a time
     requests, passes = [], []
     rules, build = sphere._jacobi_rules, sphere._gauss_jacobi
 
