@@ -26,7 +26,7 @@ import numpy as np
 
 from rieszcap.cap_riesz import _edge, _edge_slope, _per_height, eps_measure, nu_measure
 from rieszcap.point_field import AxisMeasure
-from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, axis_dist2, integrate_radial
+from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, axis_dist2
 
 __all__ = [
     "weakstar_gap",
@@ -77,12 +77,6 @@ def weakstar_gap(t: float, s_values, R: float, params: Params):
     _require_exceptional(params)
     d = params.d
 
-    def moment(measure: CapMeasure, p: Params, k: int) -> float:
-        interior = integrate_radial(lambda u, rows: u ** k * measure.regular_part(u), t, p,
-                                    measure.singular_exponent,
-                                    singular_height=measure.singular_height)
-        return interior + measure.boundary_coeff * t ** k
-
     nb, eb = nu_measure(t, params), eps_measure(t, R, params)
     out = []
     for s in s_values:
@@ -92,8 +86,8 @@ def weakstar_gap(t: float, s_values, R: float, params: Params):
         nu, eps = nu_measure(t, ps), eps_measure(t, R, ps)
         rec = {"s": float(s), "nu": np.empty(4), "eps": np.empty(4)}
         for k in range(4):
-            rec["nu"][k] = abs(moment(nu, ps, k) - moment(nb, params, k))
-            rec["eps"][k] = abs(moment(eps, ps, k) - moment(eb, params, k))
+            rec["nu"][k] = abs(nu.moment(k, ps) - nb.moment(k, params))
+            rec["eps"][k] = abs(eps.moment(k, ps) - eb.moment(k, params))
         out.append(rec)
     return out
 

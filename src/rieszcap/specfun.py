@@ -5,15 +5,16 @@ and ``scipy.special``.  The 2F1 routines stay here because scipy cannot
 do what two of them do:
 
 - :func:`hyp2f1_1mz` takes w = 1-z itself, so an argument within rounding
-  of z = 1 (the axis potential as R -> 1) keeps its distance to 1;
+  of z = 1 (the axis potential as R -> 1, the oracle's ring kernel as its
+  two rings meet) keeps its distance to 1;
 - :func:`hyp2f1_regularized` sums 2F1/Gamma(c) for every real c, the
   non-positive integers included, vectorized over z; it also sums a signed
   cap density's D F(z) + sum_i B_i [F(z) - F((1-g_i) z)] as one series.
 
-:func:`hyp2f1` is the scalar routine both build on, a loop of its own: a
-scalar call costs several times as much through the vectorized series, and
-the oracle makes many.  Sources: Abramowitz & Stegun ch. 15, DLMF ch. 15.
-Everything is pure and reentrant.
+:func:`hyp2f1_1mz` is a scalar loop of its own: a scalar call costs several
+times as much through the vectorized series, and the oracle makes many.
+Sources: Abramowitz & Stegun ch. 15, DLMF ch. 15.  Everything is pure and
+reentrant.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from scipy.special import poch, psi, rgamma
 
 __all__ = [
     "ConvergenceError",
-    "hyp2f1",
     "hyp2f1_1mz",
     "hyp2f1_regularized",
 ]
@@ -51,9 +51,9 @@ def _is_nonpositive_integer(x: float, eps: float = 1e-12) -> bool:
 
 
 def _series_2f1(a: float, b: float, c: float, z: float) -> float:
-    # plain Gauss series; caller guarantees convergence (|z| < 1, c not a
-    # non-positive integer).  Two extra small terms guard against a single
-    # coefficient passing through zero.
+    # plain Gauss series; caller guarantees convergence (|z| < 1 or a
+    # terminating series, c not a non-positive integer).  Two extra small
+    # terms guard against a single coefficient passing through zero.
     term = 1.0
     total = 1.0
     small = 0
@@ -105,54 +105,21 @@ def _hyp2f1_log_case(a: float, b: float, m: int, w: float) -> float:
     return total
 
 
-def hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; z) for real z, |z| < 1.
-
-    Strategy: direct series for z <= 0.7 (and down to -0.7), Pfaff
-    transformation for z < -0.7, and the 1-z linear transformations
-    (A&S 15.3.6, or 15.3.10/15.3.11 when c-a-b is an integer) for
-    z > 0.7.  When c-a-b lies within delta < 1e-5 of a nonzero integer
-    the two 15.3.6 terms cancel to ~1e-16/delta; exact integers take the
-    dedicated log-series branch.
-
-    Raises ValueError for |z| >= 1 and for c a non-positive integer (use
-    :func:`hyp2f1_regularized` there, which stays finite).
-    """
-    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        # terminating series: a polynomial in z, valid for every z
-        n_top = int(round(-min(a, b)))
-        total = 1.0
-        term = 1.0
-        for k in range(n_top):
-            term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-            total += term
-        return total
-    if _is_nonpositive_integer(c):
-        raise ValueError(
-            f"2F1 pole: c = {c} is a non-positive integer; use hyp2f1_regularized")
-    if abs(z) >= 1.0:
-        raise ValueError(f"hyp2f1 requires |z| < 1, got z = {z}")
-    if z == 0.0:
-        return 1.0
-    if z < -0.7:
-        # Pfaff: maps (-1, -0.7) into (0.41, 0.5)
-        return (1.0 - z) ** (-a) * hyp2f1(a, c - b, c, z / (z - 1.0))
-    if z <= 0.7:
-        return _series_2f1(a, b, c, z)
-    return hyp2f1_1mz(a, b, c, 1.0 - z)
-
-
 def hyp2f1_1mz(a: float, b: float, c: float, w: float) -> float:
-    """2F1(a, b; c; 1-w) evaluated from w = 1-z directly, 0 <= w < 1.
+    """2F1(a, b; c; 1-w) evaluated from w = 1-z directly, 0 <= w <= 1.
 
     Callers close to z = 1 (e.g. the axis potential as R -> 1) lose the
     distance to 1 when they round z itself; passing w keeps full accuracy.
-    At w = 0 this is the Gauss summation value (requires c - a - b > 0).
+    At w = 0 this is the Gauss summation value (requires c - a - b > 0);
+    above w = 0.3, or for a or b a non-positive integer, the Gauss series in
+    z = 1-w; otherwise A&S 15.3.6 (15.3.10/15.3.11 for integer c-a-b), whose
+    two terms cancel to ~1e-16/delta when c-a-b is within delta < 1e-5 of a
+    nonzero integer.  c must not be a non-positive integer.
     """
-    if not 0.0 <= w < 1.0:
-        raise ValueError(f"hyp2f1_1mz requires 0 <= w < 1, got {w}")
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"hyp2f1_1mz requires 0 <= w <= 1, got {w}")
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        return hyp2f1(a, b, c, 1.0 - w)  # terminating series
+        return _series_2f1(a, b, c, 1.0 - w)  # terminating series
     m = math.fsum((c, -a, -b))  # rounded once: Gamma(m) magnifies its error by 1/m
     if w == 0.0:
         if m <= 0.0:

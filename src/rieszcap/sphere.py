@@ -30,12 +30,11 @@ import numpy as np
 from scipy.linalg.lapack import dsterf
 from scipy.special import psi
 
-from rieszcap.specfun import ConvergenceError, hyp2f1
+from rieszcap.specfun import ConvergenceError, hyp2f1_1mz
 
 __all__ = [
     "Params",
     "CapMeasure",
-    "RadialQuadrature",
     "omega_ratio",
     "sphere_energy",
     "kappa",
@@ -147,9 +146,11 @@ def kappa(u: float, xi: float, params: Params) -> float:
         kappa(u, xi) = (1-lo)^{-s/2} (1+hi)^{-s/2}
                        2F1(s/2, 1-(d-s)/2; d/2; (1+lo)(1-hi)/((1-lo)(1+hi)))
 
-    with lo = min(u, xi), hi = max(u, xi); symmetric by construction.
-    Logarithmic branch: -log(1 - u*xi + |xi - u|)/2.  At u = xi the value
-    is finite only for s < d-1 (Gauss summation); s >= d-1 raises there.
+    with lo = min(u, xi), hi = max(u, xi); symmetric by construction.  The
+    2F1 takes 1 - z = 2(hi-lo)/((1-lo)(1+hi)) formed as such, so rings a few
+    ulps apart keep their distance.  Logarithmic branch:
+    -log(1 - u*xi + |xi - u|)/2.  At u = xi the value is finite only for
+    s < d-1 (Gauss summation); s >= d-1 raises there.
     """
     if params.log:
         return -0.5 * math.log(1.0 - u * xi + abs(xi - u))
@@ -162,47 +163,9 @@ def kappa(u: float, xi: float, params: Params) -> float:
         val = math.exp(math.lgamma(d / 2.0) + math.lgamma(d - 1.0 - s)
                        - math.lgamma((d - s) / 2.0) - math.lgamma(d - 1.0 - s / 2.0))
         return (1.0 - lo * lo) ** (-s / 2.0) * val
-    z = (1.0 + lo) * (1.0 - hi) / ((1.0 - lo) * (1.0 + hi))
-    return ((1.0 - lo) * (1.0 + hi)) ** (-s / 2.0) * hyp2f1(s / 2.0, 1.0 - (d - s) / 2.0, d / 2.0, z)
-
-
-@dataclass(frozen=True)
-class RadialQuadrature:
-    """Gauss-Jacobi nodes/weights on [-1, t] for the surface-weighted integral
-
-        sum_i w_i f(u_i)  ~=  (omega_{d-1}/omega_d) *
-            int_{-1}^t f(u) (1-u)^{d/2-1} (1+u)^{left} (t-u)^{se} du.
-
-    With the default left exponent d/2-1 and se = 0 the weight is exactly
-    the sigma_d surface factor, so the plain weight sum is the sigma_d mass
-    of the cap (= 1 at t = 1).  Exact for f polynomial of degree <= 2n-1
-    against the (1+u)^left (t-u)^se part; the (1-u)^{d/2-1} factor is
-    analytic on [-1, t] for t < 1 and folded into the weights (merged into
-    the right-endpoint exponent when t = 1).  The folded factor's branch
-    point u = 1 therefore limits the rule's convergence like a singularity
-    of f: :func:`integrate_radial` sizes the order n from the nearer of the
-    two, so that its error bound, 4 (weight sum) max|f| rho^{1-2n}/(rho-1),
-    meets 1e-12.  The arrays are rescaled from a [-1, 1] rule that is built
-    once per process for each (order, alpha, beta) and shared; they are the
-    caller's own to modify.
-
-    That rule (:func:`_jacobi_rules`) is computed here, not by scipy: Newton
-    on Golub-Welsch seeds, with every node held as its distance to its
-    endpoint.  Its weights give the moments of (1-x)^alpha (1+x)^beta to
-    ~1e-14 relative for alpha, beta in (-1, 2] and orders up to 4096, so a
-    singular exponent near -1 (s -> d-2) costs no accuracy.  Nodes reach
-    ``f`` as heights u, so they carry absolute rounding ~1e-16 near the
-    endpoints.  For an array ``t`` the arrays hold one row per height.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    t: float | np.ndarray
-
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float | np.ndarray:
-        """sum_i w_i f(u_i) of each row: a float for one height, else an array."""
-        out = np.vecdot(self.weights, np.asarray(f(self.nodes), dtype=float))
-        return float(out) if out.ndim == 0 else out
+    # 1 - z rounds to 1 + ulp when a ring sits at a pole (z = 0)
+    w = min(1.0, 2.0 * (hi - lo) / ((1.0 - lo) * (1.0 + hi)))
+    return ((1.0 - lo) * (1.0 + hi)) ** (-s / 2.0) * hyp2f1_1mz(s / 2.0, 1.0 - (d - s) / 2.0, d / 2.0, w)
 
 
 # --- Gauss-Jacobi rules on [-1, 1] ------------------------------------------
@@ -479,15 +442,39 @@ def _jacobi_exponents(t: float, params: Params, singular_exponent: float,
 
 def build_quadrature(t: float | np.ndarray, params: Params, order: int,
                      singular_exponent: float = 0.0, *,
-                     left_exponent: float | None = None) -> RadialQuadrature:
-    """Build the cap quadrature described on :class:`RadialQuadrature`, at a
-    height t or at each of an array (all below 1 or all at 1).
+                     left_exponent: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights (u, w) on [-1, t] for the
+    surface-weighted integral
 
-    ``singular_exponent`` is the (t-u) endpoint exponent (e.g. (s-d)/2 for
-    the balayage densities); ``left_exponent`` overrides the (1+u)
-    exponent, default d/2-1.  The [-1, 1] Gauss-Jacobi rule comes from a
-    bounded per-process cache keyed by (order, alpha, beta); only the
-    rescaling to each [-1, t] runs per call, by broadcasting.
+        sum_i w_i f(u_i)  ~=  (omega_{d-1}/omega_d) *
+            int_{-1}^t f(u) (1-u)^{d/2-1} (1+u)^{left} (t-u)^{se} du,
+
+    at a height t (arrays of n nodes) or at each of a list or array of
+    heights (one row per height, all below 1 or all at 1).  The (t-u)
+    endpoint exponent se is ``singular_exponent`` (e.g. (s-d)/2 for the
+    balayage densities); ``left_exponent`` overrides the (1+u) exponent,
+    default d/2-1.
+
+    With the default left exponent and se = 0 the weight is exactly the
+    sigma_d surface factor, so the plain weight sum is the sigma_d mass of
+    the cap (= 1 at t = 1).  Exact for f polynomial of degree <= 2n-1
+    against the (1+u)^left (t-u)^se part; the (1-u)^{d/2-1} factor is
+    analytic on [-1, t] for t < 1 and folded into the weights (merged into
+    the right-endpoint exponent when t = 1).  The folded factor's branch
+    point u = 1 therefore limits the rule's convergence like a singularity
+    of f: :func:`integrate_radial` sizes the order n from the nearer of the
+    two, so that its error bound, 4 (weight sum) max|f| rho^{1-2n}/(rho-1),
+    meets 1e-12.  The arrays are rescaled, by broadcasting, from a [-1, 1]
+    rule that a bounded per-process cache keeps for each (order, alpha,
+    beta); they are the caller's own to modify.
+
+    That rule (:func:`_jacobi_rules`) is computed here, not by scipy: Newton
+    on Golub-Welsch seeds, with every node held as its distance to its
+    endpoint.  Its weights give the moments of (1-x)^alpha (1+x)^beta to
+    ~1e-14 relative for alpha, beta in (-1, 2] and orders up to 4096, so a
+    singular exponent near -1 (s -> d-2) costs no accuracy.  Nodes reach
+    ``f`` as heights u, so they carry absolute rounding ~1e-16 near the
+    endpoints.
     """
     ts, shape = _entries(t)
     lo, hi = min(ts), max(ts)
@@ -511,7 +498,7 @@ def build_quadrature(t: float | np.ndarray, params: Params, order: int,
         # 1-u as two nonnegative terms (the factor is 1 at d = 2)
         weights = weights * (gap + half * one_minus_x) ** (params.d / 2.0 - 1.0)
     rows = shape + (order,)
-    return RadialQuadrature((-1.0 + half * one_plus_x).reshape(rows), weights.reshape(rows), t)
+    return (-1.0 + half * one_plus_x).reshape(rows), weights.reshape(rows)
 
 
 def _axis_pole_height(R: float) -> float:
@@ -541,29 +528,6 @@ def _truncation(rho_m1: float, order: int) -> float:
     return 4.0 * math.exp((1.0 - 2.0 * order) * math.log1p(rho_m1) - math.log(rho_m1))
 
 
-def _rows_on_rule(f, ts: list[float], rows: list[int], params: Params, order: int,
-                  singular_exponent: float, left_exponent: float | None):
-    # (value, mu M, rounding floor) of each batch row in ``rows`` on the rule of
-    # ``order``, f called on node arrays of about _CHUNK_NODES nodes at most
-    step = max(1, _CHUNK_NODES // order)
-    for chunk in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
-        q = build_quadrature([ts[i] for i in chunk], params, order, singular_exponent,
-                             left_exponent=left_exponent)
-        u, w = q.nodes, q.weights
-        # the rows ascend, so a chunk without gaps is a slice (and gathers nothing)
-        run = chunk[-1] + 1 - chunk[0] == len(chunk)
-        vals = f(u, slice(chunk[0], chunk[-1] + 1) if run else np.array(chunk))
-        abs_vals = np.abs(vals)
-        # |f'| by the secant between neighbouring nodes, charged to both; nodes of
-        # a cap near -1 can share a rounded height (and then a value of f)
-        secant = np.abs(vals[:, 1:] - vals[:, :-1]) / np.maximum(u[:, 1:] - u[:, :-1], _TINY)
-        # np.vecdot sums each row as np.dot would that row alone, bit for bit
-        for value, mass, top, weighted, steep in zip(
-                np.vecdot(w, vals).tolist(), w.sum(axis=1).tolist(), abs_vals.max(axis=1).tolist(),
-                np.vecdot(w, abs_vals).tolist(), np.vecdot(w[:, :-1] + w[:, 1:], secant).tolist()):
-            yield value, mass * top, _RULE_EPS * weighted + _NODE_ROUNDING * steep
-
-
 def _one_rule(f, ts: list[float], params: Params, singular_exponent: float,
               left_exponent: float | None, heights: list[float]):
     """(values, bounds, orders) of the rows of :func:`integrate_radial`, bound
@@ -588,28 +552,45 @@ def _one_rule(f, ts: list[float], params: Params, singular_exponent: float,
             groups.setdefault((order, ts[i] == 1.0), []).append((i, prev))
         todo = []
         for (order, _), rows in groups.items():
-            settled = _rows_on_rule(f, ts, [i for i, _ in rows], params, order,
-                                    singular_exponent, left_exponent)
-            for (i, prev), (value, mass_m, floor) in zip(rows, settled):
-                size = max(1.0, abs(value))
-                if prev is None:  # the a-priori rule, settled by its bound
-                    bound = mass_m * _truncation(rho[i], order) + floor
-                    if bound <= _RADIAL_TOL * size:
-                        values[i], bounds[i], orders[i] = value, bound, order
-                    elif floor <= _RADIAL_TOL * size:  # the order its measured scale asks for
-                        todo.append((i, order * 2, mass_m / size, None))
-                    else:  # the rounding floor does not fall with the order
-                        todo.append((i, _RADIAL_FIRST_ORDER, 0.0, math.nan))
-                elif abs(value - prev) <= _RADIAL_TOL * size:  # doubling: two orders agree
-                    values[i], orders[i] = value, order
-                elif order < _RADIAL_MAX_ORDER:
-                    todo.append((i, order * 2, 0.0, value))
-                else:
-                    exponents = _jacobi_exponents(ts[i], params, singular_exponent, left_exponent)
-                    raise ConvergenceError(
-                        f"radial quadrature did not settle below order {order}: t={ts[i]!r}, "
-                        f"Jacobi exponents (alpha, beta) = {exponents!r}, "
-                        f"last |cur - prev| = {abs(value - prev):.3e} (tol {_RADIAL_TOL:.1e})")
+            # f is called on node arrays of about _CHUNK_NODES nodes at most
+            step = max(1, _CHUNK_NODES // order)
+            for chunk in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
+                idx = [i for i, _ in chunk]
+                u, w = build_quadrature([ts[i] for i in idx], params, order, singular_exponent,
+                                        left_exponent=left_exponent)
+                # the rows ascend, so a chunk without gaps is a slice (and gathers nothing)
+                run = idx[-1] + 1 - idx[0] == len(idx)
+                vals = f(u, slice(idx[0], idx[-1] + 1) if run else np.array(idx))
+                abs_vals = np.abs(vals)
+                # |f'| by the secant between neighbouring nodes, charged to both; nodes of
+                # a cap near -1 can share a rounded height (and then a value of f)
+                secant = np.abs(vals[:, 1:] - vals[:, :-1]) / np.maximum(u[:, 1:] - u[:, :-1], _TINY)
+                # np.vecdot sums each row as np.dot would that row alone, bit for bit
+                for (i, prev), value, mass, top, weighted, steep in zip(
+                        chunk, np.vecdot(w, vals).tolist(), w.sum(axis=1).tolist(),
+                        abs_vals.max(axis=1).tolist(), np.vecdot(w, abs_vals).tolist(),
+                        np.vecdot(w[:, :-1] + w[:, 1:], secant).tolist()):
+                    size, mass_m = max(1.0, abs(value)), mass * top
+                    floor = _RULE_EPS * weighted + _NODE_ROUNDING * steep
+                    if prev is None:  # the a-priori rule, settled by its bound
+                        bound = mass_m * _truncation(rho[i], order) + floor
+                        if bound <= _RADIAL_TOL * size:
+                            values[i], bounds[i], orders[i] = value, bound, order
+                        elif floor <= _RADIAL_TOL * size:  # the order its measured scale asks for
+                            todo.append((i, order * 2, mass_m / size, None))
+                        else:  # the rounding floor does not fall with the order
+                            todo.append((i, _RADIAL_FIRST_ORDER, 0.0, math.nan))
+                    elif abs(value - prev) <= _RADIAL_TOL * size:  # doubling: two orders agree
+                        values[i], orders[i] = value, order
+                    elif order < _RADIAL_MAX_ORDER:
+                        todo.append((i, order * 2, 0.0, value))
+                    else:
+                        exponents = _jacobi_exponents(ts[i], params, singular_exponent,
+                                                      left_exponent)
+                        raise ConvergenceError(
+                            f"radial quadrature did not settle below order {order}: t={ts[i]!r}, "
+                            f"Jacobi exponents (alpha, beta) = {exponents!r}, "
+                            f"last |cur - prev| = {abs(value - prev):.3e} (tol {_RADIAL_TOL:.1e})")
     return values, bounds, orders
 
 
@@ -720,3 +701,10 @@ class CapMeasure:
         interior = integrate_radial(lambda u, rows: self.regular_part(u), self.t, params,
                                     self.singular_exponent, singular_height=self.singular_height)
         return replace(self, mass=interior + self.boundary_coeff)
+
+    def moment(self, k: int, params: Params) -> float:
+        """int u^k d(this measure), the ring charge included; the integral is
+        sized as in :meth:`with_mass`."""
+        interior = integrate_radial(lambda u, rows: u ** k * self.regular_part(u), self.t, params,
+                                    self.singular_exponent, singular_height=self.singular_height)
+        return interior + self.boundary_coeff * self.t ** k

@@ -285,16 +285,12 @@ def test_axis_weakstar_eps_gap_decay():
     pd2 = Params(d=d, s=1.0)
     t = 0.0
     from rieszcap.cap_riesz import eps_measure
-    from rieszcap.sphere import integrate_radial
 
     def moment(params, k):
         # int u^k d(sum_i m_i eps_t^i), ring charges included
         out = 0.0
         for R, m in lam.atoms:
-            e = eps_measure(t, R, params)
-            interior = integrate_radial(lambda u, rows: u ** k * e.regular_part(u), t, params,
-                                        e.singular_exponent, singular_height=e.singular_height)
-            out += m * (interior + e.boundary_coeff * t ** k)
+            out += m * eps_measure(t, R, params).moment(k, params)
         return out
 
     for k in (0, 1):

@@ -164,3 +164,15 @@ def test_cap_too_large_is_flagged_by_its_negative_ring(params):
     assert report.max_violation_on_support <= TOL
     assert report.min_margin_off_support >= -TOL
     assert report.min_density == sol.equilibrium.boundary_coeff < -TOL
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.0, 0.505, 0.9])
+@pytest.mark.parametrize("n", [200, 801])
+def test_empirical_support_height_of_evenly_spaced_heights(a, n):
+    # a locally uniform height law: the extrapolated 2 q95 - q90 is its edge a
+    # to within one spacing, whatever order the particles come in
+    heights = np.random.default_rng(n).permutation(np.linspace(-1.0, a, n))
+    points = np.column_stack([np.sqrt(1.0 - heights ** 2), np.zeros(n), heights])
+    system = oracle.ParticleSystem(points=points, params=Params(d=2, s=1.0), field=POINT,
+                                   step_init=0.1 / n, backtrack_factor=0.5)
+    assert abs(oracle.empirical_support_height(system) - a) <= (1.0 + a) / (n - 1)

@@ -8,7 +8,7 @@ from scipy import integrate
 from scipy.special import betainc, poch, psi
 
 from rieszcap import specfun
-from rieszcap.specfun import hyp2f1, hyp2f1_regularized
+from rieszcap.specfun import hyp2f1_1mz, hyp2f1_regularized
 
 mp.mp.dps = 40
 
@@ -62,7 +62,7 @@ def test_pochhammer_recurrence():
 
 
 # ---------------------------------------------------------------------------
-# hyp2f1
+# hyp2f1_1mz, from w = 1-z
 
 
 def series_200(a, b, c, z):
@@ -75,17 +75,17 @@ def series_200(a, b, c, z):
 
 
 def test_hyp2f1_empty_series():
-    assert hyp2f1(0.3, 2.2, 1.7, 0.0) == 1.0
+    assert hyp2f1_1mz(0.3, 2.2, 1.7, 1.0) == 1.0
 
 
 def test_hyp2f1_log_identity():
     # 2F1(1,1;2;z) = -log(1-z)/z
-    assert hyp2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(2.0 * math.log(2.0), rel=1e-13)
+    assert hyp2f1_1mz(1.0, 1.0, 2.0, 0.5) == pytest.approx(2.0 * math.log(2.0), rel=1e-13)
 
 
 def test_hyp2f1_against_series_oracle():
-    assert hyp2f1(0.5, 1.0, 1.5, 0.25) == pytest.approx(series_200(0.5, 1.0, 1.5, 0.25),
-                                                        rel=1e-13)
+    assert hyp2f1_1mz(0.5, 1.0, 1.5, 0.75) == pytest.approx(series_200(0.5, 1.0, 1.5, 0.25),
+                                                            rel=1e-13)
 
 
 def test_hyp2f1_transformation_consistency():
@@ -97,39 +97,24 @@ def test_hyp2f1_transformation_consistency():
             for n in range(4000):
                 term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
                 brute += term
-            assert hyp2f1(a, b, c, z) == pytest.approx(brute, rel=1e-11)
-
-
-def test_hyp2f1_negative_argument():
-    a, b, c = 0.7, 1.3, 2.1
-    for z in (-0.9, -0.75, -0.3):
-        assert hyp2f1(a, b, c, z) == pytest.approx(series_200(a, b, c, z), rel=1e-12)
+            assert hyp2f1_1mz(a, b, c, 1.0 - z) == pytest.approx(brute, rel=1e-11)
 
 
 def test_hyp2f1_gauss_summation_trend():
     # 2F1(a,b;c;1-eps) -> Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)) for c-a-b > 0
     a, b, c = 0.4, 0.7, 2.0
     limit = math.gamma(c) * math.gamma(c - a - b) / (math.gamma(c - a) * math.gamma(c - b))
-    errs = [abs(hyp2f1(a, b, c, 1.0 - eps) - limit) for eps in (1e-2, 1e-4, 1e-6)]
+    errs = [abs(hyp2f1_1mz(a, b, c, eps) - limit) for eps in (1e-2, 1e-4, 1e-6)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-4  # convergence rate is O(eps^{c-a-b}) = O(eps^0.9)
 
 
-def test_hyp2f1_domain_errors():
-    with pytest.raises(ValueError):
-        hyp2f1(0.5, 0.5, 1.5, 1.0)
-    with pytest.raises(ValueError):
-        hyp2f1(0.5, 0.5, 1.5, -1.2)
-    with pytest.raises(ValueError, match="regularized"):
-        hyp2f1(0.5, 0.5, 0.0, 0.3)
-    with pytest.raises(ValueError, match="regularized"):
-        hyp2f1(0.5, 0.5, -2.0, 0.3)
-
-
-def test_hyp2f1_polynomial_case():
-    # negative-integer a terminates: valid even at |z| > 1
-    assert hyp2f1(-2.0, 1.5, 0.5, 3.0) == pytest.approx(
-        1.0 + (-2.0) * 1.5 / 0.5 * 3.0 + ((-2.0) * (-1.0) * 1.5 * 2.5 / (0.5 * 1.5) / 2.0) * 9.0)
+def test_hyp2f1_1mz_domain():
+    # w = 1 (z = 0) is the empty series; w outside [0, 1] is refused
+    assert hyp2f1_1mz(0.5, 0.5, 1.5, 1.0) == 1.0
+    for w in (-1e-300, -0.5, 1.0 + 2.0 ** -52, 2.0):
+        with pytest.raises(ValueError):
+            hyp2f1_1mz(0.5, 0.5, 1.5, w)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +146,7 @@ def test_regularized_nonpositive_c():
 
 def test_regularized_matches_unregularized():
     c = 1.5
-    expected = hyp2f1(0.5, 1.0, c, 0.25) / math.gamma(c)
+    expected = hyp2f1_1mz(0.5, 1.0, c, 0.75) / math.gamma(c)
     assert hyp2f1_regularized(0.5, 1.0, c, 0.25) == pytest.approx(expected, rel=1e-12)
 
 

@@ -230,6 +230,26 @@ def test_kappa_coincidence_point():
         kappa(0.3, 0.3, Params(d=2, s=1.5))  # s >= d-1 diverges at u = xi
 
 
+@pytest.mark.parametrize("d, s", [(2, 0.5), (3, 1.5), (4, 2.4), (5, 3.3), (3, 1.0), (4, 2.0),
+                                  (4, 2.99)])
+def test_kappa_near_the_diagonal_against_40_digit_mpmath(d, s):
+    # rings 1e-10 to 1e-2 apart put the 2F1 argument z within that of 1;
+    # 1 - z formed from the ring heights keeps kappa's digits, and rings one
+    # ulp apart (z rounds to 1) still give a finite kernel
+    p = Params(d=d, s=s)
+    with mp.workdps(40):
+        S = mp.mpf(s)
+        for xi in (-0.9, -0.3, 0.3, 0.9):
+            for gap in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
+                for u in (xi - gap, xi + gap):
+                    lo, hi = sorted((mp.mpf(u), mp.mpf(xi)))
+                    z = (1 + lo) * (1 - hi) / ((1 - lo) * (1 + hi))
+                    ref = (((1 - lo) * (1 + hi)) ** (-S / 2)
+                           * mp.hyp2f1(S / 2, 1 - (d - S) / 2, mp.mpf(d) / 2, z))
+                    assert abs(kappa(u, xi, p) / ref - 1) <= 1e-13, (xi, u)
+            assert 0.0 < kappa(xi, math.nextafter(xi, 1.0), p) < math.inf, xi
+
+
 @pytest.mark.parametrize("near_one", [False, True], ids=["generic", "R-and-u-near-1"])
 def test_axis_dist2_against_40_digit_mpmath(near_one):
     # R^2 - 2Ru + 1 cancels as R, u -> 1 (1.5e-8 relative on the second row);
@@ -257,17 +277,17 @@ def test_axis_dist2_against_40_digit_mpmath(near_one):
 def test_quadrature_full_sphere_mass():
     # default weights reproduce the sigma_d normalization at t = 1
     for d in (2, 3, 5):
-        q = build_quadrature(1.0, Params(d=d, s=d / 2.0), order=32)
-        assert float(np.sum(q.weights)) == pytest.approx(1.0, abs=1e-12)
-        assert np.all(q.nodes > -1.0) and np.all(q.nodes < 1.0)
+        u, w = build_quadrature(1.0, Params(d=d, s=d / 2.0), order=32)
+        assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(u > -1.0) and np.all(u < 1.0)
 
 
 def test_quadrature_cap_mass_invariant():
     d, t = 3, 0.4
     p = Params(d=d, s=1.5)
-    q = build_quadrature(t, p, order=48)
+    u, w = build_quadrature(t, p, order=48)
     direct, err = integrate.quad(lambda u: (1.0 - u * u) ** (d / 2.0 - 1.0), -1.0, t)
-    assert float(np.sum(q.weights)) == pytest.approx(surface_factor(d) * direct, rel=1e-12)
+    assert float(np.sum(w)) == pytest.approx(surface_factor(d) * direct, rel=1e-12)
 
 
 def test_quadrature_nu_norm_closed_form():
@@ -275,8 +295,8 @@ def test_quadrature_nu_norm_closed_form():
     # form; the left-exponent quadrature must hit it to 1e-10
     for (d, s, t) in [(2, 1.0, 0.0), (3, 1.5, 0.5), (4, 2.5, -0.3), (3, 2.9, 0.9)]:
         p = Params(d=d, s=s)
-        q = build_quadrature(t, p, order=60, left_exponent=s / 2.0 - 1.0)
-        got = omega_ratio(p) * q.integrate(lambda u: (1.0 - u) ** ((d - s) / 2.0))
+        u, w = build_quadrature(t, p, order=60, left_exponent=s / 2.0 - 1.0)
+        got = omega_ratio(p) * float(w @ (1.0 - u) ** ((d - s) / 2.0))
         closed = (betainc(s / 2.0, d - s / 2.0, (1.0 + t) / 2.0)
                   * math.exp(math.lgamma(s / 2.0) + math.lgamma(d - s / 2.0)
                              - math.lgamma(float(d)) + (d - 1.0) * math.log(2.0)))
@@ -300,13 +320,13 @@ def test_quadrature_polynomial_exactness():
     d, s, t = 4, 3.0, 0.6
     p = Params(d=d, s=s)
     order = 6
-    q = build_quadrature(t, p, order=order, singular_exponent=(s - d) / 2.0)
+    u, w = build_quadrature(t, p, order=order, singular_exponent=(s - d) / 2.0)
     coeffs = np.array([0.3, -1.2, 0.9, 2.0, -0.7])  # degree 4 <= 2*6-1-(d/2-1)
     f = lambda u: np.polyval(coeffs, u)
     direct, err = integrate.quad(
         lambda u: np.polyval(coeffs, u) * (1.0 - u * u) ** (d / 2.0 - 1.0)
         * (t - u) ** ((s - d) / 2.0), -1.0, t, epsabs=1e-13, epsrel=1e-12)
-    assert q.integrate(f) == pytest.approx(surface_factor(d) * direct, rel=1e-11)
+    assert float(w @ f(u)) == pytest.approx(surface_factor(d) * direct, rel=1e-11)
 
 
 def test_quadrature_validation():
@@ -361,9 +381,9 @@ def fresh_quadrature(params, order, se, left, t):
 def test_cached_rule_is_bit_identical_to_fresh_build(case):
     params, order, se, left, t = case
     for _ in range(2):  # the first build may fill the cache, the second reads it
-        q = build_quadrature(t, params, order, se, left_exponent=left)
+        nodes, w = build_quadrature(t, params, order, se, left_exponent=left)
         u, weights = fresh_quadrature(params, order, se, left, t)
-        assert np.array_equal(q.nodes, u) and np.array_equal(q.weights, weights)
+        assert np.array_equal(nodes, u) and np.array_equal(w, weights)
 
 
 def test_cached_rule_arrays_are_read_only():
@@ -402,12 +422,12 @@ def test_jacobi_rule_moments_match_beta_values(n):
 
 def test_writing_into_a_rule_leaves_the_next_build_alone():
     params, order, se, left, t = RULE_CASES[0]
-    q = build_quadrature(t, params, order, se, left_exponent=left)
-    q.nodes[:] = 0.0
-    q.weights[:] = 0.0
-    again = build_quadrature(t, params, order, se, left_exponent=left)
+    nodes, w = build_quadrature(t, params, order, se, left_exponent=left)
+    nodes[:] = 0.0
+    w[:] = 0.0
+    again_nodes, again_w = build_quadrature(t, params, order, se, left_exponent=left)
     u, weights = fresh_quadrature(params, order, se, left, t)
-    assert np.array_equal(again.nodes, u) and np.array_equal(again.weights, weights)
+    assert np.array_equal(again_nodes, u) and np.array_equal(again_w, weights)
 
 
 def test_repeated_build_is_a_cache_hit(monkeypatch):
@@ -477,8 +497,8 @@ def test_batch_rows_take_their_own_paths_to_their_one_row_values():
     # 128) and a row declared singular inside its cap (the doubling fallback):
     # each row's value is the one that row gives alone, bit for bit
     p, t = Params(d=3, s=1.5), 0.4
-    q = build_quadrature(t, p, 64)
-    mean = float(q.weights @ q.nodes / q.weights.sum())
+    u, w = build_quadrature(t, p, 64)
+    mean = float(w @ u / w.sum())
     # the singular height whose truncation term at order 64 is 1e-13: the a-priori
     # rule is 64, and only the scale the row measures asks for more
     rho_m1 = optimize.brentq(lambda r: math.log(sphere._truncation(r, 64) / 1e-13), 1e-3, 10.0)
