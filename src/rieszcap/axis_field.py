@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _LOWER = -1.0 + 1e-9  # the lower end of the root bracket
+_MASS_TOL = 1e-10  # |mass(eta_t0) - 1| above which a solve raises: mass(eta_t) = 1 identically
 
 
 class Regime(NamedTuple):
@@ -107,7 +108,8 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     steps on Delta from t = 0, bisecting where a step would leave the sign
     bracket (-1 + 1e-9, 1), find its unique interior root; a bracket that
     collapses onto its lower end, where Delta <= 0, raises ConvergenceError.
-    At the root Delta(t0) = 0, so eta_t0 carries no ring charge.
+    At the root Delta(t0) = 0, so eta_t0 carries no ring charge.  A mass of
+    eta_t0 off 1 (its value at every t) by over 1e-10 raises ConvergenceError.
     """
     lam = lam.folded(params)
     form = regime(params)
@@ -135,5 +137,7 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
             raise ConvergenceError(f"Newton on Delta did not settle: bracket ({lo!r}, {hi!r})")
         t0, solved_by = min(max(t - step, lo), hi), "interior_root"
     measure = replace(form.eta(t0, lam), boundary_coeff=0.0).with_mass(params)
+    if not abs(measure.mass - 1.0) <= _MASS_TOL:
+        raise ConvergenceError(f"mass(eta_t0) - 1 = {measure.mass - 1.0!r} at t0 = {t0!r}")
     return CapSolution(equilibrium=measure, solved_by=solved_by, field=lam, params=params,
                        delta_evals=evals, t0_error=abs(step))

@@ -26,7 +26,7 @@ import numpy as np
 
 from rieszcap.cap_riesz import _edge, _edge_slope, _per_height, eps_measure, nu_measure
 from rieszcap.point_field import AxisMeasure
-from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, axis_dist2
+from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, _gap_dist2, axis_dist2
 
 __all__ = [
     "weakstar_gap",
@@ -128,10 +128,10 @@ def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     field = field.folded(params)
     total = field.total_mass
 
-    def interior(u):
-        out = (1.0 + total) * np.ones_like(u)
+    def interior(nodes):
+        out = (1.0 + total) * np.ones_like(nodes.u)
         for R, m in field.atoms:
-            out = out - m * (R * R - 1.0) ** 2 / axis_dist2(u, R) ** 2
+            out = out - m * (R * R - 1.0) ** 2 / _gap_dist2(nodes.one_minus_u, R) ** 2
         return out
 
     bcoef = (1.0 - t) / 2.0 * (1.0 + total - _edge(t, field.atoms, params)) if t < 1.0 else 0.0

@@ -32,8 +32,8 @@ from scipy.special import beta, betainc
 
 from rieszcap.point_field import AxisMeasure, _exterior, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
-from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, _entries, _like, axis_dist2, \
-    integrate_radial, omega_ratio, sphere_energy
+from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, _entries, _gap_dist2, _like, \
+    axis_dist2, integrate_radial, omega_ratio, sphere_energy
 
 __all__ = [
     "nu_measure",
@@ -98,10 +98,11 @@ def _cap_measure(t: float, params: Params, K: float, charges, *, contraction=(1.
     net = K - _edge(t, charges, params)
     height = 1.0 if t < 1.0 else min((_axis_pole_height(R) for R, _ in charges), default=math.inf)
     if t == 1.0 or params.is_exceptional:
-        def whole(u):
-            out = np.full(np.shape(u), K / W)
+        def whole(nodes):
+            out = np.full(np.shape(nodes.u), K / W)
             for R, c in charges:
-                out = out - c * ((R * R - 1.0) ** (d - s) * axis_dist2(u, R) ** (s / 2.0 - d) / W)
+                rho2 = _gap_dist2(nodes.one_minus_u, R)
+                out = out - c * ((R * R - 1.0) ** (d - s) * rho2 ** (s / 2.0 - d) / W)
             return out
 
         ring = (1.0 - t) / 2.0 * (1.0 - t * t) ** (d / 2.0 - 1.0) * net if t < 1.0 else 0.0
@@ -109,13 +110,11 @@ def _cap_measure(t: float, params: Params, K: float, charges, *, contraction=(1.
                           singular_height=height)
     pref = math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0)) / W
 
-    def regular(u):
-        u_arr = np.asarray(u, dtype=float)
-        w, rest = (t - u_arr) / (1.0 - u_arr), (1.0 - t) / (1.0 - u_arr)  # w and 1 - w
+    def regular(nodes):
+        w, rest = nodes.t_minus_u / nodes.one_minus_u, (1.0 - t) / nodes.one_minus_u  # w and 1 - w
         acc = hyp2f1_regularized(1.0, d / 2.0, 1.0 - (d - s) / 2.0, c * w, net, pairs,
                                  one_minus_z=gap + c * rest)
-        out = pref * rest ** (d / 2.0) * (1.0 - t) ** ((d - s) / 2.0) * acc
-        return out if np.ndim(out) else float(out)
+        return pref * rest ** (d / 2.0) * (1.0 - t) ** ((d - s) / 2.0) * acc
 
     return CapMeasure(t=t, regular_part=regular, singular_exponent=_families(params)[2][0], phi=phi,
                       singular_height=height)
@@ -209,10 +208,11 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
         if not rows:
             continue
         idx, heights, consts, singular, radii = zip(*rows)
-        axis = np.array([((r - 1.0) ** 2, 2.0 * r) for r in radii])  # axis_dist2's two terms
+        radii = np.array(radii)[:, None]
         power = (s - d) / 2.0 if complement else (d - s) / 2.0
-        f = lambda v, j: (1.0 - v) ** power * (
-            axis[j, :1] + axis[j, 1:] * (1.0 + v if complement else 1.0 - v)) ** (-d / 2.0)
+        # v = u, or -u in the complement: its 1-v, and r(u)^2 from 1-u, which is 1+v there
+        f = lambda nodes, j: nodes.one_minus_u ** power * _gap_dist2(
+            nodes.one_plus_u if complement else nodes.one_minus_u, radii[j]) ** (-d / 2.0)
         singular_exponent, left = _families(params)[complement]
         vals = integrate_radial(f, list(heights), params, singular_exponent, left_exponent=left,
                                 singular_height=list(singular))

@@ -146,20 +146,14 @@ def hyp2f1_regularized(a, b, c, z, scale=1.0, pairs=(), *, one_minus_z=None):
     Well defined for every real c; terms whose Gamma(n+c) sits at a pole
     contribute exactly zero, so non-positive integer c is fine (the sum
     then starts at n = 1-c).  Evaluated by its own series, never as
-    2F1/Gamma(c).  `z` may be a scalar or ndarray with |z| < 1.  Negative z
-    goes through Pfaff's transformation
-
-        F(a, b; c; z) = (1-z)^{-a} F(a, c-b; c; z/(z-1)),
-
-    whose argument lies in (0, 1/2): the series in z itself alternates and
-    cancels to ~1e-9 of its largest term as z -> -1.
+    2F1/Gamma(c).  `z` may be a scalar or ndarray with 0 <= z < 1.
 
     With a ``scale`` D and ``pairs`` (B_i, g_i), 0 <= g_i < 1, it returns
 
         D F(z) + sum_i B_i [F(z) - F((1-g_i) z)]
 
     as one series whose n-th term is F's times D + sum_i B_i (1 - (1-g_i)^n),
-    so no two sums cancel however small g_i is; pairs need z >= 0.
+    so no two sums cancel however small g_i is.
 
     Above z = 0.999 each term runs through :func:`hyp2f1_1mz` on 1 - z, and
     on 1 - (1-g_i) z = (1-z) + g_i z for the pairs, whose differences are
@@ -171,24 +165,11 @@ def hyp2f1_regularized(a, b, c, z, scale=1.0, pairs=(), *, one_minus_z=None):
     z at once, so a caller that needs one cap's bits passes one cap per call.
     """
     z_arr = np.asarray(z, dtype=float)
-    if np.any(np.abs(z_arr) >= 1.0):
-        raise ValueError("hyp2f1_regularized requires |z| < 1")
+    if np.any((z_arr < 0.0) | (z_arr >= 1.0)):
+        raise ValueError("hyp2f1_regularized requires 0 <= z < 1")
     scalar = z_arr.ndim == 0
     zv = np.atleast_1d(z_arr)
     wv = 1.0 - zv if one_minus_z is None else np.atleast_1d(np.asarray(one_minus_z, dtype=float))
-
-    negative = zv < 0.0
-    if np.any(negative):
-        if pairs:
-            raise ValueError("hyp2f1_regularized takes pairs only for z >= 0")
-        out = np.empty_like(zv)
-        zn = zv[negative]
-        out[negative] = (scale * (1.0 - zn) ** (-a)
-                         * hyp2f1_regularized(a, c - b, c, zn / (zn - 1.0)))
-        if not np.all(negative):
-            out[~negative] = hyp2f1_regularized(a, b, c, zv[~negative], scale,
-                                                one_minus_z=wv[~negative])
-        return float(out[0]) if scalar else out.reshape(z_arr.shape)
 
     near_one = zv > 0.999
     if np.any(near_one):
@@ -250,4 +231,4 @@ def hyp2f1_regularized(a, b, c, z, scale=1.0, pairs=(), *, one_minus_z=None):
         term, total = plain[-1], totals[-1]
         n += block
     raise ConvergenceError(
-        f"regularized 2F1 series stalled at a={a} b={b} c={c} max|z|={np.max(np.abs(zv))}")
+        f"regularized 2F1 series stalled at a={a} b={b} c={c} max z={np.max(zv)}")

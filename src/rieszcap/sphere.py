@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dsterf
@@ -35,6 +35,7 @@ from rieszcap.specfun import ConvergenceError, hyp2f1_1mz
 __all__ = [
     "Params",
     "CapMeasure",
+    "Nodes",
     "omega_ratio",
     "sphere_energy",
     "kappa",
@@ -52,8 +53,6 @@ _STEPS_PER_TABLE = 64  # recurrence steps whose per-node coefficients are laid o
 _NEWTON_SETTLED = 1e-8  # relative step after which one more correction is exact to rounding
 _RADIAL_TOL = 1e-12  # error bound (doubling: successive agreement) settling integrate_radial
 _RULE_EPS = 2e-14  # relative weight error of two Gauss-Jacobi rules (moments ~1e-14 each)
-_NODE_ROUNDING = 4.4e-16  # absolute error of a node height -1 + half*(1+x), two roundings
-_TINY = 2.2250738585072014e-308  # smallest normal double
 _RADIAL_FIRST_ORDER = 64  # the first Gauss-Jacobi order integrate_radial tries
 _RADIAL_MAX_ORDER = 8192  # the order at which integrate_radial gives up
 _CHUNK_NODES = 65536  # nodes evaluated at once: rows sharing a rule run in chunks of this size
@@ -135,7 +134,12 @@ def axis_dist2(u, R: float):
     """Squared distance from a sphere point at height u to the axis point R*p,
     as (R-1)^2 + 2R(1-u): two nonnegative terms, so no cancellation as R and
     u approach 1."""
-    return (R - 1.0) ** 2 + 2.0 * R * (1.0 - u)
+    return _gap_dist2(1.0 - u, R)
+
+
+def _gap_dist2(gap, R):
+    # axis_dist2 from the distance gap = 1-u itself, as a cap rule's nodes hold it
+    return (R - 1.0) ** 2 + 2.0 * R * gap
 
 
 def kappa(u: float, xi: float, params: Params) -> float:
@@ -440,10 +444,21 @@ def _jacobi_exponents(t: float, params: Params, singular_exponent: float,
     return alpha, beta
 
 
+class Nodes(NamedTuple):
+    """Cap rule nodes on [-1, t]: heights u and their distances 1+u, t-u and
+    1-u, each formed from the rule's endpoint distances without cancellation
+    (1-u as (1-t) + (t-u), two nonnegative terms)."""
+
+    u: np.ndarray
+    one_plus_u: np.ndarray
+    t_minus_u: np.ndarray
+    one_minus_u: np.ndarray
+
+
 def build_quadrature(t: float | np.ndarray, params: Params, order: int,
                      singular_exponent: float = 0.0, *,
-                     left_exponent: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes and weights (u, w) on [-1, t] for the
+                     left_exponent: float | None = None) -> tuple[Nodes, np.ndarray]:
+    """Gauss-Jacobi nodes and weights (nodes, w) on [-1, t] for the
     surface-weighted integral
 
         sum_i w_i f(u_i)  ~=  (omega_{d-1}/omega_d) *
@@ -472,9 +487,10 @@ def build_quadrature(t: float | np.ndarray, params: Params, order: int,
     on Golub-Welsch seeds, with every node held as its distance to its
     endpoint.  Its weights give the moments of (1-x)^alpha (1+x)^beta to
     ~1e-14 relative for alpha, beta in (-1, 2] and orders up to 4096, so a
-    singular exponent near -1 (s -> d-2) costs no accuracy.  Nodes reach
-    ``f`` as heights u, so they carry absolute rounding ~1e-16 near the
-    endpoints.
+    singular exponent near -1 (s -> d-2) costs no accuracy.  The
+    :class:`Nodes` keep those distances: 1+u = half (1+x) and t-u =
+    half (1-x), half = (1+t)/2, are one rounding each, so an integrand
+    formed from them sees no node rounded past an endpoint.
     """
     ts, shape = _entries(t)
     lo, hi = min(ts), max(ts)
@@ -489,16 +505,17 @@ def build_quadrature(t: float | np.ndarray, params: Params, order: int,
         raise ValueError(f"Jacobi exponents must exceed -1, got ({alpha}, {beta})")
     one_minus_x, one_plus_x, w = _jacobi_rules(order, [(alpha, beta)])[0]
     om = omega_ratio(params)
-    # per-row scalars in Python floats, rounded as for one cap (numpy's vector pow can differ)
+    # per-row scalars in Python floats, rounded as for one cap (numpy's vector pow can differ),
+    # in t's shape: they broadcast against the rule into one row of nodes per height
     cols = np.array([((1.0 + t) / 2.0, ((1.0 + t) / 2.0) ** (alpha + beta + 1.0) / om, 1.0 - t)
-                     for t in ts])
-    half, scale, gap = cols[:, :1], cols[:, 1:2], cols[:, 2:]
+                     for t in ts]).reshape(shape + (3,))
+    half, scale, gap = cols[..., :1], cols[..., 1:2], cols[..., 2:]
+    one_plus_u, t_minus_u = half * one_plus_x, half * one_minus_x
+    one_minus_u = gap + t_minus_u  # two nonnegative terms
     weights = w * scale
-    if ts[0] < 1.0 and params.d > 2:
-        # 1-u as two nonnegative terms (the factor is 1 at d = 2)
-        weights = weights * (gap + half * one_minus_x) ** (params.d / 2.0 - 1.0)
-    rows = shape + (order,)
-    return (-1.0 + half * one_plus_x).reshape(rows), weights.reshape(rows)
+    if ts[0] < 1.0 and params.d > 2:  # the factor is 1 at d = 2
+        weights = weights * one_minus_u ** (params.d / 2.0 - 1.0)
+    return Nodes(-1.0 + one_plus_u, one_plus_u, t_minus_u, one_minus_u), weights
 
 
 def _axis_pole_height(R: float) -> float:
@@ -534,9 +551,9 @@ def _one_rule(f, ts: list[float], params: Params, singular_exponent: float,
     NaN for a row settled by doubling.  A row's order is the least power of two
     n >= 64 with scale * 4 rho^(1-2n)/(rho-1) <= tol, scale = mu M / max(1, |I|)
     (1 before the first build).  A rule whose bound misses is followed by the
-    order its measured scale asks for, unless the rounding floor alone misses
-    (s near d-2, where the rule mass grows like 1/(alpha+1)); then, as when no
-    order <= 8192 can settle the row, its order doubles from 64."""
+    order its measured scale asks for, unless the weights' rounding floor alone
+    misses (an integral far below sum_i w_i |f(u_i)|); then, as when no order
+    <= 8192 can settle the row, its order doubles from 64."""
     rho = [_bernstein_rho_minus_one(t, h) for t, h in zip(ts, heights)]
     values, bounds, orders = [math.nan] * len(ts), [math.nan] * len(ts), [0] * len(ts)
     todo = [(i, _RADIAL_FIRST_ORDER, 1.0, None) for i in range(len(ts))]  # prev: when doubling
@@ -556,22 +573,18 @@ def _one_rule(f, ts: list[float], params: Params, singular_exponent: float,
             step = max(1, _CHUNK_NODES // order)
             for chunk in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
                 idx = [i for i, _ in chunk]
-                u, w = build_quadrature([ts[i] for i in idx], params, order, singular_exponent,
-                                        left_exponent=left_exponent)
+                nodes, w = build_quadrature([ts[i] for i in idx], params, order,
+                                            singular_exponent, left_exponent=left_exponent)
                 # the rows ascend, so a chunk without gaps is a slice (and gathers nothing)
                 run = idx[-1] + 1 - idx[0] == len(idx)
-                vals = f(u, slice(idx[0], idx[-1] + 1) if run else np.array(idx))
+                vals = f(nodes, slice(idx[0], idx[-1] + 1) if run else np.array(idx))
                 abs_vals = np.abs(vals)
-                # |f'| by the secant between neighbouring nodes, charged to both; nodes of
-                # a cap near -1 can share a rounded height (and then a value of f)
-                secant = np.abs(vals[:, 1:] - vals[:, :-1]) / np.maximum(u[:, 1:] - u[:, :-1], _TINY)
                 # np.vecdot sums each row as np.dot would that row alone, bit for bit
-                for (i, prev), value, mass, top, weighted, steep in zip(
+                for (i, prev), value, mass, top, weighted in zip(
                         chunk, np.vecdot(w, vals).tolist(), w.sum(axis=1).tolist(),
-                        abs_vals.max(axis=1).tolist(), np.vecdot(w, abs_vals).tolist(),
-                        np.vecdot(w[:, :-1] + w[:, 1:], secant).tolist()):
+                        abs_vals.max(axis=1).tolist(), np.vecdot(w, abs_vals).tolist()):
                     size, mass_m = max(1.0, abs(value)), mass * top
-                    floor = _RULE_EPS * weighted + _NODE_ROUNDING * steep
+                    floor = _RULE_EPS * weighted
                     if prev is None:  # the a-priori rule, settled by its bound
                         bound = mass_m * _truncation(rho[i], order) + floor
                         if bound <= _RADIAL_TOL * size:
@@ -594,16 +607,16 @@ def _one_rule(f, ts: list[float], params: Params, singular_exponent: float,
     return values, bounds, orders
 
 
-def integrate_radial(f: Callable[[np.ndarray, np.ndarray], np.ndarray], t: float | np.ndarray,
+def integrate_radial(f: Callable[[Nodes, np.ndarray], np.ndarray], t: float | np.ndarray,
                      params: Params, singular_exponent: float = 0.0, *,
                      left_exponent: float | None = None,
                      singular_height: float | np.ndarray) -> float | np.ndarray:
     """Surface-weighted cap integrals, one per height of ``t`` (a row), each
     from one Gauss-Jacobi rule whose order is set a priori by the row
-    integrand's nearest singularity.  ``f(u, rows)`` returns the integrand
-    of the rows ``rows`` (ascending indices into the flattened t, or a
-    slice) at their (rows, n) node heights u, as an array.  The result has
-    t's shape, each row's value bit for bit what the row gives alone.
+    integrand's nearest singularity.  ``f(nodes, rows)`` returns the
+    integrand of the rows ``rows`` (ascending indices into the flattened t,
+    or a slice) at their (rows, n) :class:`Nodes`, as an array.  The result
+    has t's shape, each row's value bit for bit what the row gives alone.
 
     ``singular_height`` (one, or an array of t's shape) is the height of the
     integrand's nearest singularity outside [-1, t] (math.inf for an entire
@@ -625,16 +638,15 @@ def integrate_radial(f: Callable[[np.ndarray, np.ndarray], np.ndarray], t: float
     unbounded when the singularity lies on E_rho itself, so the largest |f|
     at the nodes stands in for it; the sweep's oracle test checks the bound
     so formed against doubled orders on every call-site family
-    (tests/test_sweep.py).  A rounding floor covers the weights' own error
-    (2e-14 of sum_i w_i |f(u_i)|) and that of the node heights, which reach
-    f rounded to ~4e-16 absolute: a steep f near a heavy endpoint node (s
-    near d-2, t near 1) moves by |f'| times that, taken from the secants to
-    the neighbouring nodes.  The one power-of-two order n >= 64 whose bound
-    meets 1e-12 (mixed absolute/relative) is built; see :func:`_one_rule`.
+    (tests/test_sweep.py).  A rounding floor covers the weights' own error,
+    2e-14 of sum_i w_i |f(u_i)|; the nodes add none, as f reads its distances
+    to the endpoints from :class:`Nodes`, each one rounding of the rule's own.
+    The one power-of-two order n >= 64 whose bound meets 1e-12 (mixed
+    absolute/relative) is built; see :func:`_one_rule`.
 
     When no order up to 8192 meets a row's bound (a singularity within ~1e-6
     of the cap edge relative to its length, a height inside the cap, or a
-    rounding floor above the tolerance as s nears d-2), its orders double
+    rounding floor above the tolerance), its orders double
     from 64 until two results agree to 1e-12; :class:`ConvergenceError`
     names its t, the Jacobi exponents, the last order and difference.
     """
@@ -664,8 +676,8 @@ class CapMeasure:
 
     The absolutely continuous part has density
     regular_part(u) * (t-u)^singular_exponent against sigma_d (the form the
-    cap quadrature integrates; regular_part is called with float arrays of
-    heights); ``boundary_coeff`` multiplies the unit
+    cap quadrature integrates; regular_part is called with the :class:`Nodes`
+    of a float array of heights); ``boundary_coeff`` multiplies the unit
     uniform measure on the ring u = t.  ``phi`` is the constant weighted
     potential on the cap of an equilibrium measure (None for a balayage
     measure), and ``mass`` the total mass once computed (None otherwise).
@@ -675,7 +687,7 @@ class CapMeasure:
     """
 
     t: float
-    regular_part: Callable[[np.ndarray], np.ndarray]
+    regular_part: Callable[[Nodes], np.ndarray]
     singular_exponent: float = 0.0
     boundary_coeff: float = 0.0
     phi: float | None = None
@@ -689,7 +701,9 @@ class CapMeasure:
         singular = self.singular_exponent < 0.0
         if np.any(u_arr >= self.t if singular else u_arr > self.t):
             raise ValueError(f"density needs u {'<' if singular else '<='} t = {self.t}")
-        out = np.asarray(self.regular_part(u_arr)) * (self.t - u_arr) ** self.singular_exponent
+        t_minus_u = self.t - u_arr
+        out = np.asarray(self.regular_part(Nodes(u_arr, 1.0 + u_arr, t_minus_u, 1.0 - u_arr)))
+        out = out * t_minus_u ** self.singular_exponent
         return float(out) if out.ndim == 0 else out
 
     def with_mass(self, params: Params) -> "CapMeasure":
@@ -698,13 +712,14 @@ class CapMeasure:
         The integral is one Gauss-Jacobi rule sized by ``singular_height``
         (falling back to order doubling when no order up to 8192 meets the
         error bound); see :func:`integrate_radial`."""
-        interior = integrate_radial(lambda u, rows: self.regular_part(u), self.t, params,
+        interior = integrate_radial(lambda nodes, rows: self.regular_part(nodes), self.t, params,
                                     self.singular_exponent, singular_height=self.singular_height)
         return replace(self, mass=interior + self.boundary_coeff)
 
     def moment(self, k: int, params: Params) -> float:
         """int u^k d(this measure), the ring charge included; the integral is
         sized as in :meth:`with_mass`."""
-        interior = integrate_radial(lambda u, rows: u ** k * self.regular_part(u), self.t, params,
-                                    self.singular_exponent, singular_height=self.singular_height)
+        interior = integrate_radial(lambda nodes, rows: nodes.u ** k * self.regular_part(nodes),
+                                    self.t, params, self.singular_exponent,
+                                    singular_height=self.singular_height)
         return interior + self.boundary_coeff * self.t ** k

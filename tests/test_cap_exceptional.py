@@ -38,11 +38,11 @@ def log_cap_measures(t: float, R: float) -> tuple[CapMeasure, CapMeasure]:
     cap, for a unit charge at R*p; both have total mass exactly 1 (log
     balayage preserves mass)."""
     r2 = axis_dist2(t, R)
-    nu = CapMeasure(t=t, regular_part=np.ones_like, boundary_coeff=(1.0 - t) / 2.0, mass=1.0,
-                    singular_height=math.inf)
+    nu = CapMeasure(t=t, regular_part=lambda nodes: np.ones_like(nodes.u),
+                    boundary_coeff=(1.0 - t) / 2.0, mass=1.0, singular_height=math.inf)
 
-    def eps_interior(u):
-        return (R * R - 1.0) ** 2 / axis_dist2(u, R) ** 2
+    def eps_interior(nodes):
+        return (R * R - 1.0) ** 2 / axis_dist2(nodes.u, R) ** 2
 
     eps = CapMeasure(t=t, regular_part=eps_interior,
                      boundary_coeff=(1.0 - t) / 2.0 * (R + 1.0) ** 2 / r2, mass=1.0,

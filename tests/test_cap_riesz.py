@@ -22,7 +22,8 @@ from rieszcap.cap_riesz import (
 )
 from rieszcap.point_field import AxisMeasure, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
-from rieszcap.sphere import CapMeasure, Params, axis_dist2, kappa, sphere_energy, surface_factor
+from rieszcap.sphere import CapMeasure, Nodes, Params, axis_dist2, build_quadrature, kappa, \
+    sphere_energy, surface_factor
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -220,6 +221,19 @@ def test_nu_norm_closed_vs_quadrature():
                 for R in (1.3, 3.0):
                     got = eps_measure(t, R, p).with_mass(p).mass
                     assert abs(got - eps_norm(t, R, p)) <= 1e-12, (d, s, t, R)
+
+
+def test_cap_rules_of_every_order_agree_to_rounding():
+    # the integrand reads t-u and 1-u from the rule's endpoint distances, so
+    # no node height is rounded near the edge, where (t-u)^{-0.98} weighs it:
+    # orders 128 to 2048 give one mass of eps_t to rounding
+    p = Params(d=2, s=0.04)
+    eps = eps_measure(0.99, 1.1, p)
+    masses = []
+    for order in (128, 256, 512, 1024, 2048):
+        nodes, w = build_quadrature(eps.t, p, order, eps.singular_exponent)
+        masses.append(float(w @ eps.regular_part(nodes)))
+    assert max(masses) - min(masses) <= 1e-15 * max(map(abs, masses)), masses
 
 
 def test_nu_norm_random_cross_checks():
@@ -426,7 +440,7 @@ def test_eta_regular_part_against_mpmath(t, tol, d):
             eta = eta_measure(t, AxisMeasure(atoms), params)
             for us in curves:
                 ref = np.array([eta_regular_reference(t, u, atoms, params) for u in us])
-                err = np.max(np.abs(eta.regular_part(us) - ref))
+                err = np.max(np.abs(eta.regular_part(Nodes(us, 1 + us, t - us, 1 - us)) - ref))
                 assert err <= tol * np.max(np.abs(ref)), (f, atoms)
 
 

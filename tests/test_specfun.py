@@ -151,47 +151,17 @@ def test_regularized_matches_unregularized():
 
 
 def test_regularized_vectorized():
-    z = np.array([0.0, 0.1, 0.55, -0.3, 0.9])
+    z = np.array([0.0, 0.1, 0.55, 0.3, 0.9])
     vec = hyp2f1_regularized(1.0, 1.5, 0.5, z)
     scal = [hyp2f1_regularized(1.0, 1.5, 0.5, float(zi)) for zi in z]
     assert_allclose(vec, scal, rtol=1e-13)
 
 
-def reg_reference(a, b, c, z):
-    """40-digit regularized 2F1; at c = -m it is (a)_{m+1} (b)_{m+1} z^{m+1}
-    / (m+1)! 2F1(a+m+1, b+m+1; m+2; z) (DLMF 15.2.3_5)."""
-    z = mp.mpf(z)
-    if c <= 0 and c == int(c):
-        m = int(-c)
-        return float(mp.rf(a, m + 1) * mp.rf(b, m + 1) * z ** (m + 1) / mp.factorial(m + 1)
-                     * mp.hyp2f1(a + m + 1, b + m + 1, m + 2, z))
-    return float(mp.hyp2f1(a, b, c, z) * mp.rgamma(c))
-
-
-@pytest.mark.parametrize("a, b, c", [(1.0, 2.0, -1.0), (1.0, 2.0, -2.0), (1.0, 2.5, -0.5),
-                                     (1.0, 1.5, 0.3)])
-def test_regularized_negative_argument_against_mpmath(a, b, c):
-    # the alternating series in z cancels as z -> -1; Pfaff's z/(z-1) does not
-    z = np.linspace(-0.999, 0.0, 200)[:-1]
-    ref = np.array([reg_reference(a, b, c, zz) for zz in z])
-    scale = np.max(np.abs(ref))
-    assert np.max(np.abs(hyp2f1_regularized(a, b, c, z) - ref)) <= 1e-13 * scale
-    scalar = np.array([hyp2f1_regularized(a, b, c, float(zz)) for zz in z])
-    assert np.max(np.abs(scalar - ref)) <= 1e-13 * scale
-
-
 def test_regularized_domain():
-    with pytest.raises(ValueError):
-        hyp2f1_regularized(1.0, 1.0, 1.0, 1.0)
-
-
-def test_regularized_pairs_need_nonnegative_argument():
-    # pairs are summed term by term in z itself; Pfaff's map would change the terms
-    z = np.array([0.2, -0.1])
-    with pytest.raises(ValueError):
-        hyp2f1_regularized(1.0, 1.5, 0.5, z, 0.5, [(1.0, 0.3)])
-    assert hyp2f1_regularized(1.0, 1.5, 0.5, z, 0.5) == pytest.approx(
-        0.5 * hyp2f1_regularized(1.0, 1.5, 0.5, z), rel=1e-15)
+    # 0 <= z < 1: every cap density's argument (t-u)/(1-u) is nonnegative
+    for z in (1.0, -1e-300, -0.3):
+        with pytest.raises(ValueError):
+            hyp2f1_regularized(1.0, 1.0, 1.0, z)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +286,7 @@ def test_appell_identity_random_tuples():
         if beta + gam <= alpha + 0.05:
             continue
         x = float(rng.uniform(0.05, 0.9))
-        y = float(rng.uniform(-0.9, 0.9))
+        y = float(rng.uniform(0.0, 0.9))
         lhs = euler_lhs(alpha, beta, gam, x, y)
         rhs = appell_f1_euler(alpha, beta, gam, x, y)
         assert abs(lhs - rhs) < 1e-8, (alpha, beta, gam, x, y)

@@ -277,7 +277,7 @@ def test_axis_dist2_against_40_digit_mpmath(near_one):
 def test_quadrature_full_sphere_mass():
     # default weights reproduce the sigma_d normalization at t = 1
     for d in (2, 3, 5):
-        u, w = build_quadrature(1.0, Params(d=d, s=d / 2.0), order=32)
+        (u, *_), w = build_quadrature(1.0, Params(d=d, s=d / 2.0), order=32)
         assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-12)
         assert np.all(u > -1.0) and np.all(u < 1.0)
 
@@ -285,7 +285,7 @@ def test_quadrature_full_sphere_mass():
 def test_quadrature_cap_mass_invariant():
     d, t = 3, 0.4
     p = Params(d=d, s=1.5)
-    u, w = build_quadrature(t, p, order=48)
+    (u, *_), w = build_quadrature(t, p, order=48)
     direct, err = integrate.quad(lambda u: (1.0 - u * u) ** (d / 2.0 - 1.0), -1.0, t)
     assert float(np.sum(w)) == pytest.approx(surface_factor(d) * direct, rel=1e-12)
 
@@ -295,7 +295,7 @@ def test_quadrature_nu_norm_closed_form():
     # form; the left-exponent quadrature must hit it to 1e-10
     for (d, s, t) in [(2, 1.0, 0.0), (3, 1.5, 0.5), (4, 2.5, -0.3), (3, 2.9, 0.9)]:
         p = Params(d=d, s=s)
-        u, w = build_quadrature(t, p, order=60, left_exponent=s / 2.0 - 1.0)
+        (u, *_), w = build_quadrature(t, p, order=60, left_exponent=s / 2.0 - 1.0)
         got = omega_ratio(p) * float(w @ (1.0 - u) ** ((d - s) / 2.0))
         closed = (betainc(s / 2.0, d - s / 2.0, (1.0 + t) / 2.0)
                   * math.exp(math.lgamma(s / 2.0) + math.lgamma(d - s / 2.0)
@@ -307,8 +307,8 @@ def test_quadrature_endpoint_singular_integrand():
     # (t-u)^{(s-d)/2} with d=2, s=1 integrates finitely; compare adaptive quad
     d, s, t = 2, 1.0, 0.2
     p = Params(d=d, s=s)
-    got = integrate_radial(lambda u, rows: np.ones_like(u), t, p, singular_exponent=(s - d) / 2.0,
-                           singular_height=math.inf)
+    got = integrate_radial(lambda nodes, rows: np.ones_like(nodes.u), t, p,
+                           singular_exponent=(s - d) / 2.0, singular_height=math.inf)
     direct, err = integrate.quad(lambda u: (t - u) ** ((s - d) / 2.0), -1.0, t,
                                  epsabs=1e-12, epsrel=1e-11)
     assert got == pytest.approx(surface_factor(d) * direct, rel=1e-9)
@@ -320,7 +320,7 @@ def test_quadrature_polynomial_exactness():
     d, s, t = 4, 3.0, 0.6
     p = Params(d=d, s=s)
     order = 6
-    u, w = build_quadrature(t, p, order=order, singular_exponent=(s - d) / 2.0)
+    (u, *_), w = build_quadrature(t, p, order=order, singular_exponent=(s - d) / 2.0)
     coeffs = np.array([0.3, -1.2, 0.9, 2.0, -0.7])  # degree 4 <= 2*6-1-(d/2-1)
     f = lambda u: np.polyval(coeffs, u)
     direct, err = integrate.quad(
@@ -381,7 +381,7 @@ def fresh_quadrature(params, order, se, left, t):
 def test_cached_rule_is_bit_identical_to_fresh_build(case):
     params, order, se, left, t = case
     for _ in range(2):  # the first build may fill the cache, the second reads it
-        nodes, w = build_quadrature(t, params, order, se, left_exponent=left)
+        (nodes, *_), w = build_quadrature(t, params, order, se, left_exponent=left)
         u, weights = fresh_quadrature(params, order, se, left, t)
         assert np.array_equal(nodes, u) and np.array_equal(w, weights)
 
@@ -422,10 +422,10 @@ def test_jacobi_rule_moments_match_beta_values(n):
 
 def test_writing_into_a_rule_leaves_the_next_build_alone():
     params, order, se, left, t = RULE_CASES[0]
-    nodes, w = build_quadrature(t, params, order, se, left_exponent=left)
+    (nodes, *_), w = build_quadrature(t, params, order, se, left_exponent=left)
     nodes[:] = 0.0
     w[:] = 0.0
-    again_nodes, again_w = build_quadrature(t, params, order, se, left_exponent=left)
+    (again_nodes, *_), again_w = build_quadrature(t, params, order, se, left_exponent=left)
     u, weights = fresh_quadrature(params, order, se, left, t)
     assert np.array_equal(again_nodes, u) and np.array_equal(again_w, weights)
 
@@ -479,7 +479,7 @@ def test_unsettled_quadrature_names_the_integral(monkeypatch):
     p = Params(d=2, s=1.0)
     monkeypatch.setattr(sphere, "_RADIAL_MAX_ORDER", 256)
     with pytest.raises(ConvergenceError) as info:
-        integrate_radial(lambda u, rows: np.sign(np.sin(1e4 * u)), 0.25, p, -0.5,
+        integrate_radial(lambda nodes, rows: np.sign(np.sin(1e4 * nodes.u)), 0.25, p, -0.5,
                          singular_height=0.0)
     msg = str(info.value)
     assert "order 256" in msg and "t=0.25" in msg and "(-0.5, 0.0)" in msg
@@ -487,8 +487,9 @@ def test_unsettled_quadrature_names_the_integral(monkeypatch):
 
 
 def per_row(fns):
-    # the integrand f(u, rows) of a batch whose row i integrates fns[i]
-    return lambda u, rows: np.stack([fns[i](row) for i, row in zip(np.arange(len(fns))[rows], u)])
+    # the integrand f(nodes, rows) of a batch whose row i integrates fns[i] at the heights u
+    return lambda nodes, rows: np.stack([fns[i](row) for i, row in
+                                         zip(np.arange(len(fns))[rows], nodes.u)])
 
 
 def test_batch_rows_take_their_own_paths_to_their_one_row_values():
@@ -497,7 +498,7 @@ def test_batch_rows_take_their_own_paths_to_their_one_row_values():
     # 128) and a row declared singular inside its cap (the doubling fallback):
     # each row's value is the one that row gives alone, bit for bit
     p, t = Params(d=3, s=1.5), 0.4
-    u, w = build_quadrature(t, p, 64)
+    (u, *_), w = build_quadrature(t, p, 64)
     mean = float(w @ u / w.sum())
     # the singular height whose truncation term at order 64 is 1e-13: the a-priori
     # rule is 64, and only the scale the row measures asks for more
@@ -510,7 +511,7 @@ def test_batch_rows_take_their_own_paths_to_their_one_row_values():
     assert math.isfinite(bounds[0]) and math.isfinite(bounds[1]) and math.isnan(bounds[2])
     batch = integrate_radial(per_row(fns), np.array(ts), p, singular_height=np.array(heights))
     for i, fn in enumerate(fns):
-        one = integrate_radial(lambda u, rows: fn(u), ts[i], p, singular_height=heights[i])
+        one = integrate_radial(lambda nodes, rows: fn(nodes.u), ts[i], p, singular_height=heights[i])
         assert batch[i] == one == values[i]
 
 

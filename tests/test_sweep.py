@@ -17,6 +17,7 @@ import pytest
 from rieszcap import axis_field, cap_exceptional, cap_riesz, sphere
 from rieszcap.axis_field import axis_solve_t
 from rieszcap.point_field import AxisMeasure
+from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import Params, build_quadrature
 
 SWEEP = [(d, d - 2 + 2 * f, R) for d in (2, 3, 4, 5) for f in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9)
@@ -34,6 +35,8 @@ EDGES = [  # t0 -> 1 at d = 2, s = 1 (with a 30-digit t0 where known); s = d-2; 
     (Params(d=3, s=1.0), 1.5, None),
     (Params(d=2, log=True), 1.5, None),
 ]
+# a point charge outside, two atoms, and a charge inside the sphere (solved by inversion)
+NEAR_EXCEPTIONAL_FIELDS = ([(1.5, 1.0)], [(1.2, 0.3), (2.5, 1.0)], [(0.7, 0.5)])
 REFERENCES = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "t0_reference.json").read_text())["cases"]
 
@@ -55,6 +58,37 @@ def test_sweep_edges_solve_with_unit_mass(params, R, t0_ref):
     assert sol.solved_by == "interior_root"
     assert_unit_mass(sol)
     assert t0_ref is None or abs(sol.t0 - t0_ref) <= 2e-14
+
+
+@pytest.mark.parametrize("k", [16, 24, 32, 36])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_solves_with_unit_mass_as_s_decreases_to_d_minus_2(d, k):
+    # s - d + 2 = 2^-k is above the 1e-12 that counts as s = d-2, so these run
+    # the d-2 < s < d formulas with eta's edge exponent (s-d)/2 within 2^-(k+1) of -1
+    for atoms in NEAR_EXCEPTIONAL_FIELDS:
+        assert_unit_mass(axis_solve_t(AxisMeasure(atoms), Params(d=d, s=d - 2 + 2.0 ** -k)))
+
+
+@pytest.mark.parametrize("q", [1e8, 1e10, 1e12])
+@pytest.mark.parametrize("d, s, R", [(2, 0.5, 3.0), (3, 1.5, 1.5)])
+def test_strong_fields_pass_the_mass_certificate_or_raise(d, s, R, q):
+    # t0 near -1, where eta's density cancels at a small cap: a solve returns
+    # mass(eta_t0) within 1e-10 of 1 or raises ConvergenceError, never a
+    # degraded answer and no other error
+    try:
+        sol = axis_solve_t(AxisMeasure([(R, q)]), Params(d=d, s=s))
+    except ConvergenceError:
+        return
+    assert_unit_mass(sol)
+
+
+def test_mass_certificate_raises_past_its_bound(monkeypatch):
+    # mass(eta_t) = 1 identically; a mass outside the bound, here one that no
+    # mass meets, is reported
+    assert_unit_mass(axis_solve_t(AxisMeasure([(1.5, 1.0)]), Params(d=3, s=1.5)))
+    monkeypatch.setattr(axis_field, "_MASS_TOL", -1.0)
+    with pytest.raises(ConvergenceError, match="mass"):
+        axis_solve_t(AxisMeasure([(1.5, 1.0)]), Params(d=3, s=1.5))
 
 
 def test_delta_changes_sign_at_one_minus_4e8():
@@ -180,9 +214,9 @@ def test_one_rule_bound_holds_against_doubled_order(monkeypatch):
             else:
                 name = measure[0] + (" mass at t = 1" if x == 1.0 else " mass")
             assert not math.isnan(bound), (name, x, params, heights[i])  # no doubling
-            u, w = build_quadrature(x, params, 2 * order, singular_exponent,
-                                    left_exponent=left_exponent)
-            doubled = float(w @ f(u[None], np.array([i]))[0])
+            nodes, w = build_quadrature([x], params, 2 * order, singular_exponent,
+                                        left_exponent=left_exponent)
+            doubled = float(w[0] @ f(nodes, np.array([i]))[0])
             assert abs(value - doubled) <= bound <= 1e-12 * max(1.0, abs(value)), (name, x, params)
             seen.add(name)
         return values[0] if np.ndim(t) == 0 else np.array(values)
