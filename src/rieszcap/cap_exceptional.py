@@ -11,7 +11,7 @@ height t,
 and the signed equilibrium etabar_t carries a ring charge that vanishes
 exactly at the optimal height t0, where the density also stays strictly
 positive at the edge (unlike the d-2 < s < d regime).  All three measures,
-their potentials and the norms, Phi and Delta are the s -> (d-2)+ limits in
+their potentials and the norms, Phi and H are the s -> (d-2)+ limits in
 :mod:`rieszcap.cap_riesz`, built by the same constructors as for s > d-2;
 this module measures the weak* convergence of that limit.  The planar
 logarithmic case d = 2 has mass-preserving balayage and fully closed forms,
@@ -20,19 +20,20 @@ including t0 = min{1, (R^2 - 2Rq + 1)/(2R(1+q))}.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from rieszcap.cap_riesz import _edge, _edge_slope, _per_height, eps_measure, nu_measure
+from rieszcap.cap_riesz import eps_measure, nu_measure
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, _gap_dist2, axis_dist2
 
 __all__ = [
     "weakstar_gap",
     "gamma_s_norm",
-    "log_delta",
-    "log_delta_slope",
+    "log_h",
+    "log_h_slope",
     "log_etabar",
     "log_cap_energy",
     "log_f0_functional",
@@ -104,24 +105,33 @@ def log_cap_energy(t: float) -> float:
     return (1.0 + t) / 4.0 - 0.5 * math.log(2.0) - 0.5 * math.log1p(t)
 
 
-def log_delta(t: float, field: AxisMeasure, params: Params) -> float:
-    """Delta(t) = (1+||lambda||) / sum_i m_i (R_i+1)^2/r_i(t)^2 - 1, which has
-    the sign of the ring charge of etabar_{t,0}; its root is t0.  Affine in t
-    for a point charge, so one Newton step lands on the closed form
-    t0 = (R^2 - 2Rq + 1) / (2R(1+q)) to rounding."""
+def _per_height(fn):
+    # fn(t, ...) at a number t, or at each entry of an array t as a Python float:
+    # math's rounding, so that each entry is the one-height call bit for bit
+    @functools.wraps(fn)
+    def each(t, *args, **kwargs):
+        if not isinstance(t, np.ndarray):
+            return fn(t, *args, **kwargs)
+        return np.array([fn(x, *args, **kwargs) for x in t.ravel().tolist()]).reshape(t.shape)
+    return each
+
+
+def log_h(t: float, field: AxisMeasure, params: Params) -> float:
+    """H(t) = sum_i m_i 2 R_i (1+t)/r_i(t)^2 = sum_i m_i (R_i+1)^2/r_i^2 - ||lambda||, t a number or
+    an array: H(-1) = 0, and etabar_{t,0}'s ring charge is (1-t)/2 (1 - H(t)), so H(t0) = 1."""
     _require_log(params)
-    return (1.0 + field.total_mass) / _edge(t, field.folded(params).atoms, params) - 1.0
+    return sum(m * 2.0 * R * (1.0 + t) / axis_dist2(t, R) for R, m in field.folded(params).atoms)
 
 
-def log_delta_slope(t: float, delta_t: float, field: AxisMeasure, params: Params) -> float:
-    """Delta'(t) = -(Delta(t)+1) edge'(t)/edge(t), edge(t) = sum_i m_i (R_i+1)^2/r_i(t)^2."""
-    atoms = field.folded(params).atoms
-    return -(delta_t + 1.0) * _edge_slope(t, atoms, params) / _edge(t, atoms, params)
+def log_h_slope(t: float, field: AxisMeasure, params: Params) -> float:
+    """H'(t) = sum_i m_i 2 R_i (R_i+1)^2/r_i(t)^4."""
+    return sum(m * 2.0 * R * (R + 1.0) ** 2 / axis_dist2(t, R) ** 2
+               for R, m in field.folded(params).atoms)
 
 
 def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     """Signed logarithmic cap equilibrium (1+||lambda||) nubar_{t,0} - sum_i
-    m_i epsbar_{t,0}^i for t in (-1, 1]; the ring charge (1-t)/2 Delta(t)
+    m_i epsbar_{t,0}^i for t in (-1, 1]; the ring charge (1-t)/2 (1 - H(t))
     vanishes exactly at t0 and at t = 1.  Unit mass; ``phi`` is F_0(Sigma_t).
     The density is singular only at the atoms' heights (R_i^2+1)/(2R_i): at
     d = 2 the cap rule folds in no surface factor."""
@@ -134,7 +144,7 @@ def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
             out = out - m * (R * R - 1.0) ** 2 / _gap_dist2(nodes.one_minus_u, R) ** 2
         return out
 
-    bcoef = (1.0 - t) / 2.0 * (1.0 + total - _edge(t, field.atoms, params)) if t < 1.0 else 0.0
+    bcoef = (1.0 - t) / 2.0 * (1.0 - log_h(t, field, params)) if t < 1.0 else 0.0
     height = min((_axis_pole_height(R) for R, _ in field.atoms), default=math.inf)
     return CapMeasure(t=t, regular_part=interior, boundary_coeff=bcoef,
                       phi=log_f0_functional(t, field, params), mass=1.0, singular_height=height)

@@ -7,13 +7,13 @@ regularized Gauss function.  Their norms combine into
     Phi_s(t) = W_s (1 + q ||eps_t||) / ||nu_t||,
 
 whose unique minimizer t0 over (-1, 1] is the height of the extremal
-support cap, found as the root of
+support cap, the root of
 
-    Delta(t) = Phi_s(t) - q (R+1)^{d-s} / (R^2 - 2 R t + 1)^{d/2}
+    Delta(t) = Phi_s(t) - q (R+1)^{d-s} / (R^2 - 2 R t + 1)^{d/2} = W_s (1 - H(t)) / ||nu_t||
 
-when an interior root exists and t0 = 1 otherwise.  The signed cap
-equilibrium eta_t and its weighted potential have closed forms on and off
-the cap; eta_{t0} is the extremal measure.
+when an interior root exists and t0 = 1 otherwise; H is a positive integral
+(:func:`h`).  The signed cap equilibrium eta_t and its weighted potential
+have closed forms on and off the cap; eta_{t0} is the extremal measure.
 
 Everything holds on d-2 <= s < d, at s = d-2 as the limit s -> (d-2)+.
 nu_t, eps_t and eta_t are one CapMeasure constructor with different
@@ -24,11 +24,10 @@ forms with (d-s)/2 = 1.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
-from scipy.special import beta, betainc
+from scipy.special import betainc
 
 from rieszcap.point_field import AxisMeasure, _exterior, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
@@ -41,8 +40,8 @@ __all__ = [
     "nu_norm",
     "eps_norm",
     "phi",
-    "delta",
-    "delta_slope",
+    "h",
+    "h_slope",
     "eta_measure",
     "eta_potential",
     "nu_potential",
@@ -62,24 +61,25 @@ def _families(params: Params) -> tuple[tuple[float, float | None], ...]:
             (0.0 if params.is_exceptional else (s - d) / 2.0, None))
 
 
-def _cap_measure(t: float, params: Params, K: float, charges, *, contraction=(1.0, 0.0),
-                 pairs=(), phi: float | None = None) -> CapMeasure:
+def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
+                 contraction=(1.0, 0.0), pairs=(), phi: float | None = None) -> CapMeasure:
     """The measure (K/W_s) nu_t - sum_j c_j eps_t^{R_j} for charges ((R_j, c_j), ...),
     R_j > 1, on the cap t in (-1, 1]; d-2 <= s < d (mass not computed).
 
-    With B_j = (R_j+1)^{d-s}/r_j^d, r_j^2 = R_j^2 - 2 R_j t + 1, at t = 1 or
-    s = d-2 the density is the whole sphere's
+    With B_j = (R_j+1)^{d-s}/r_j^d, r_j^2 = R_j^2 - 2 R_j t + 1, the caller
+    passes the net charge net = K - sum_j c_j B_j, formed without cancellation.
+    At t = 1 or s = d-2 the density is the whole sphere's
 
         K/W_s - sum_j c_j (R_j^2-1)^{d-s} rho_j^{s-2d} / W_s,   rho_j^2 = R_j^2 - 2 R_j u + 1,
 
-    and s = d-2 adds the ring charge (1-t)/2 (1-t^2)^{d/2-1} (K - sum_j c_j B_j)
-    on the edge.  Otherwise the density is (t-u)^{(s-d)/2} times
+    and s = d-2 adds the ring charge (1-t)/2 (1-t^2)^{d/2-1} net on the
+    edge.  Otherwise the density is (t-u)^{(s-d)/2} times
 
         Gamma(d/2)/(Gamma(d-s/2) W_s) ((1-t)/(1-u))^{d/2} (1-t)^{(d-s)/2}
             { K F(w) - sum_j c_j B_j F(((R_j-1)^2/r_j^2) w) },
 
     w = (t-u)/(1-u), F = 2F1reg(1, d/2; 1-(d-s)/2; .).  The brace is summed
-    as (K - sum_j c_j B_j) F(c w) plus the ``pairs`` of
+    as net F(c w) plus the ``pairs`` of
     :func:`rieszcap.specfun.hyp2f1_regularized`; the caller picks the two so
     that they equal it, and passes ``contraction`` as (c, 1-c), each formed
     without cancellation.  F's argument reaches the near-one route with its
@@ -95,7 +95,6 @@ def _cap_measure(t: float, params: Params, K: float, charges, *, contraction=(1.
     d, s = params.d, params.s
     c, gap = contraction
     W = sphere_energy(params)
-    net = K - _edge(t, charges, params)
     height = 1.0 if t < 1.0 else min((_axis_pole_height(R) for R, _ in charges), default=math.inf)
     if t == 1.0 or params.is_exceptional:
         def whole(nodes):
@@ -132,7 +131,7 @@ def nu_measure(t: float, params: Params) -> CapMeasure:
     on the cap plus a ring charge W_{d-2} (1-t)/2 (1-t^2)^{d/2-1}; at t = 1
     it is the uniform measure itself.
     """
-    return _cap_measure(t, params, sphere_energy(params), ())
+    return _cap_measure(t, params, sphere_energy(params), sphere_energy(params), ())
 
 
 def eps_measure(t: float, R: float, params: Params) -> CapMeasure:
@@ -152,8 +151,8 @@ def eps_measure(t: float, R: float, params: Params) -> CapMeasure:
     # a contraction, not a pair with B = -1, whose term weights B (1 + expm1(...))
     # cancel when (R-1)^2/r^2 is small
     r2 = axis_dist2(t, R)
-    return _cap_measure(t, params, 0.0, ((R, -1.0),),
-                        contraction=((R - 1.0) ** 2 / r2, 2.0 * R * (1.0 - t) / r2))
+    return _cap_measure(t, params, 0.0, (R + 1.0) ** (params.d - params.s) / r2 ** (params.d / 2.0),
+                        ((R, -1.0),), contraction=((R - 1.0) ** 2 / r2, 2.0 * R * (1.0 - t) / r2))
 
 
 def nu_norm(t: float | np.ndarray, params: Params) -> float | np.ndarray:
@@ -182,6 +181,11 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
     ``t`` and ``R`` broadcast together, each pair a row: the rows of each
     form make one batch of :func:`rieszcap.sphere.integrate_radial`.
     """
+    return _eps_rows(t, R, params, by_parts=False)
+
+
+def _eps_rows(t, R, params: Params, by_parts: bool):
+    # eps_norm's rows, or with by_parts those of G = ||nu_t|| e(t)/W_s - ||eps_t|| (see h)
     _require_cap_regime(params)
     (ts, shape), (Rs, R_shape), form = _entries(t), _entries(R), t  # form: that of the result
     if shape != R_shape:
@@ -196,6 +200,9 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
         beyond = (r - 1.0) ** 2 / (2.0 * r)  # how far the charge's height lies above u = 1
         complement = x == 1.0 or min(1.0 + x, beyond) * (1.0 + x) > (1.0 - x) ** 2
         out.append(field_potential_on_axis(r, params) / W if complement else 0.0)
+        if by_parts and complement:  # G: ||nu_t|| e(t)/W_s less the whole sphere's, plus the integral
+            out[-1] = (nu_norm(x, params) * (r + 1.0) ** (d - s) / axis_dist2(x, r) ** (d / 2.0) / W
+                       - out[-1])
         if -1.0 < x < 1.0:  # index, rule height, constant, singular height, R
             forms[complement].append((len(out) - 1, -x if complement else x,
                                       c0 * (r + 1.0) ** (d - s) / W * om,
@@ -213,13 +220,25 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
         # v = u, or -u in the complement: its 1-v, and r(u)^2 from 1-u, which is 1+v there
         f = lambda nodes, j: nodes.one_minus_u ** power * _gap_dist2(
             nodes.one_plus_u if complement else nodes.one_minus_u, radii[j]) ** (-d / 2.0)
+        if by_parts and not complement:  # r(t)^{-d} - r(u)^{-d} = -r(t)^{-d} expm1(-(d/2) log1p(.))
+            r2 = axis_dist2(np.array(heights)[:, None], radii)
+            f = lambda nodes, j: nodes.one_minus_u ** power * -r2[j] ** (-d / 2.0) * np.expm1(
+                -d / 2.0 * np.log1p(2.0 * radii[j] * nodes.t_minus_u / r2[j]))
         singular_exponent, left = _families(params)[complement]
         vals = integrate_radial(f, list(heights), params, singular_exponent, left_exponent=left,
                                 singular_height=list(singular))
         for i, const, val in zip(idx, consts, vals):
-            # near t = 1: the whole sphere's value minus the integral over [t, 1]
-            out[i] = out[i] - const * val if complement else const * val
+            # near t = 1: the whole sphere's value minus the integral over [t, 1] (G: plus)
+            out[i] = out[i] + (const * val if by_parts else -const * val) if complement else const * val
     return _like(form, out)
+
+
+def _atom_sum(t, field: AxisMeasure, params: Params, by_parts: bool):
+    # sum_i m_i (atom i's _eps_rows) at each height of t: each (height, atom) pair a row of one batch
+    ts, atoms = _entries(t)[0], field.folded(params).atoms
+    rows = iter(_eps_rows([x for x in ts for _ in atoms], [R for _ in ts for R, _ in atoms],
+                          params, by_parts))
+    return _like(t, [sum(m * next(rows) for _, m in atoms) for _ in ts])
 
 
 def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.ndarray:
@@ -227,53 +246,27 @@ def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np
     with ||eps_t^i|| the per-unit-charge norm of atom i; d-2 <= s < d.  Every
     (height, atom) pair of an array or a number t is a row of one eps_norm batch."""
     _require_cap_regime(params)
-    ts = _entries(t)[0]
-    if min(ts) <= -1.0:
+    if min(_entries(t)[0]) <= -1.0:
         raise ValueError("phi diverges at t = -1 (the cap degenerates to a point)")
-    atoms = field.folded(params).atoms
-    norms = iter(eps_norm([x for x in ts for _ in atoms], [R for _ in ts for R, _ in atoms],
-                          params))
-    eps = _like(t, [sum(m * next(norms) for _, m in atoms) for _ in ts])
-    return sphere_energy(params) * (1.0 + eps) / nu_norm(t, params)
+    return sphere_energy(params) * (1.0 + _atom_sum(t, field, params, False)) / nu_norm(t, params)
 
 
-def _per_height(fn):
-    # fn(t, ...) at a number t, or at each entry of an array t as a Python float:
-    # math's rounding, so that each entry is the one-height call bit for bit
-    @functools.wraps(fn)
-    def each(t, *args, **kwargs):
-        if not isinstance(t, np.ndarray):
-            return fn(t, *args, **kwargs)
-        return np.array([fn(x, *args, **kwargs) for x in t.ravel().tolist()]).reshape(t.shape)
-    return each
+def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.ndarray:
+    """H(t) = sum_i m_i (1/W_s) int_{-1}^t ||nu_u||' (e_i(t) - e_i(u)) du, e_i = (R_i+1)^{d-s}/r_i^d,
+    at a number or an array t in [-1, 1]: positive, increasing from H(-1) = 0.  By parts,
+    Delta(t) = Phi_s(t) - sum_i m_i e_i(t) = W_s (1 - H(t))/||nu_t||, so H(t0) = 1, and H(1) <= 1
+    gives the whole sphere.  The rows are those of :func:`phi`, on eps_norm's rules."""
+    _require_cap_regime(params)
+    return _atom_sum(t, field, params, True)
 
 
-@_per_height
-def _edge(t: float, atoms, params: Params) -> float:
-    # sum_i m_i (R_i+1)^{d-s} / r_i(t)^d over exterior atoms (R_i, m_i), the
-    # competing term in Delta(t) (s = 0 for log)
-    d, s = params.d, 0.0 if params.log else params.s
-    return sum(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0) for R, m in atoms)
-
-
-def _edge_slope(t: float, atoms, params: Params) -> float:
-    # d/dt of _edge: sum_i m_i d R_i (R_i+1)^{d-s} / r_i(t)^{d+2}
-    d, s = params.d, 0.0 if params.log else params.s
-    return sum(m * d * R * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0 + 1.0) for R, m in atoms)
-
-
-def delta(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.ndarray:
-    """Delta(t) = Phi_s(t) - sum_i m_i (R_i+1)^{d-s} / r_i(t)^d, at a number
-    or an array t; its root is t0."""
-    return phi(t, field, params) - _edge(t, field.folded(params).atoms, params)
-
-
-def delta_slope(t: float, delta_t: float, field: AxisMeasure, params: Params) -> float:
-    """Delta'(t) = -(||nu_t||'/||nu_t||) Delta(t) - edge'(t) for t in (-1, 1), given
-    delta_t = Delta(t): no quadrature, as ||eps_t^i||' = ||nu_t||' (R_i+1)^{d-s}/(W_s r_i^d)."""
-    a, b = params.s / 2.0, params.d - params.s / 2.0
-    nu_slope = ((1.0 + t) / 2.0) ** (a - 1.0) * ((1.0 - t) / 2.0) ** (b - 1.0) / (2.0 * beta(a, b))
-    return -nu_slope / nu_norm(t, params) * delta_t - _edge_slope(t, field.folded(params).atoms, params)
+def h_slope(t: float, field: AxisMeasure, params: Params) -> float:
+    """H'(t) = ||nu_t|| sum_i m_i e_i'(t)/W_s, e_i'(t) = d R_i (R_i+1)^{d-s}/r_i(t)^{d+2}, for
+    t in (-1, 1): no quadrature, as the integrand of G_i vanishes at u = t."""
+    d, s = params.d, params.s
+    return nu_norm(t, params) / sphere_energy(params) * sum(
+        m * d * R * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0 + 1.0)
+        for R, m in field.folded(params).atoms)
 
 
 def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
@@ -292,16 +285,17 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     B_i [2F1reg(w) - 2F1reg(c_i^2 w)], which avoids the near-total
     cancellation of the 2F1 values when t is close to t0;
     :func:`rieszcap.specfun.hyp2f1_regularized` sums it as one series, given
-    Delta(t) and the pairs (B_i, 1 - c_i^2).
+    Delta(t) = W_s (1 - H(t))/||nu_t|| (see :func:`h`) and the pairs (B_i, 1 - c_i^2).
     """
     _require_cap_regime(params)
     field = field.folded(params)
     d, s = params.d, params.s
     phi_t = phi(t, field, params)
+    net = sphere_energy(params) * (1.0 - h(t, field, params)) / nu_norm(t, params)
     # (B_i, 1 - c_i^2), the second formed as 2 R_i (1-t) / r_i^2 without cancellation
     pairs = [(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0),
               2.0 * R * (1.0 - t) / axis_dist2(t, R)) for R, m in field.atoms]
-    return _cap_measure(t, params, phi_t, field.atoms, pairs=pairs, phi=phi_t)
+    return _cap_measure(t, params, phi_t, net, field.atoms, pairs=pairs, phi=phi_t)
 
 
 def nu_potential(xi: float, t: float, params: Params) -> float:

@@ -154,7 +154,8 @@ def _task_cap_curves(cfg, field, params, out_dir: Path, name: str) -> dict:
         _write_csv(out_dir / f"{name}_potential.csv", ["xi", "weighted_potential", "F"],
                    [(xi, potential(float(xi), eta, field), eta.phi) for xi in xis])
         files.append(f"{name}_potential.csv")
-    us = np.linspace(-1.0 + 1e-9, eta.t - 1e-9, n)
+    gap = min(1e-9, (1.0 + eta.t) / 4.0)  # the samples' distance to each end of the cap
+    us = np.linspace(-1.0 + gap, eta.t - gap, n)
     _write_csv(out_dir / f"{name}_density.csv", ["u", "density", "boundary_coeff"],
                zip(us, eta.radial_density(us), [eta.boundary_coeff] * n))
     files.append(f"{name}_density.csv")
@@ -171,7 +172,8 @@ def _task_phi_curve(cfg, field, params, out_dir: Path, name: str) -> dict:
 def _task_solve_support(cfg, field, params, out_dir: Path, name: str) -> dict:
     n = _grid(cfg, 50)
     sol = axis_solve_t(field, params)
-    us = np.linspace(-1.0 + 1e-9, sol.t0 - 1e-9, n)
+    gap = min(1e-9, (1.0 + sol.t0) / 4.0)  # the samples' distance to each end of the cap
+    us = np.linspace(-1.0 + gap, sol.t0 - gap, n)
     samples = [[float(u), float(v)] for u, v in zip(us, sol.equilibrium.radial_density(us))]
     payload = {
         "t0": sol.t0,

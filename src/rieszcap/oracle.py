@@ -117,8 +117,8 @@ def check_variational(solution: CapSolution, grid_size: int = 41) -> Variational
             min_margin = min(min_margin, val)
     if not np.isfinite(min_margin):
         min_margin = 0.0  # full-sphere support: nothing off the cap
-    t_edge = t0 - 1e-9 if t0 < 1.0 else 1.0 - 1e-9
-    us = np.linspace(-1.0 + 1e-9, t_edge, 500)
+    gap = min(1e-9, (1.0 + t0) / 4.0)  # the samples' distance to each end of the cap
+    us = np.linspace(-1.0 + gap, t0 - gap, 500)
     dens = np.asarray(measure.radial_density(us), dtype=float)
     if measure.boundary_coeff:
         dens = np.append(dens, measure.boundary_coeff)

@@ -90,8 +90,8 @@ def field_potential_on_axis(R: float, params: Params) -> float:
 
     The second is summed as its plain Gauss series for 1/R^2 <= 0.9; the
     first, used nearer the sphere, is summed in 1-z, whose two terms cancel
-    as (d-s)/2 nears an integer.  Cached, since every Delta(t) of a solve
-    needs it.
+    as (d-s)/2 nears an integer.  Cached, since every H(t) of a solve near
+    t = 1 needs it.
     """
     if params.log:
         raise ValueError("field_potential_on_axis covers 0 < s < d Riesz kernels")

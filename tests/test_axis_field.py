@@ -12,10 +12,9 @@ from rieszcap.axis_field import (
     axis_solve_t,
     regime,
 )
-from rieszcap.cap_exceptional import log_delta, log_f0_functional
+from rieszcap.cap_exceptional import log_f0_functional, log_h
 from rieszcap.oracle import external_field
 from rieszcap.point_field import field_potential_on_axis
-from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import Params, axis_dist2, kappa, sphere_energy, surface_factor
 
 P21 = Params(d=2, s=1.0)
@@ -128,7 +127,7 @@ def test_regime_eta_at_one_is_the_whole_sphere_equilibrium(kernel, name):
                             for R, m in atoms)) / W
     np.testing.assert_allclose(eta.radial_density(us), expected, rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(expected)))
-    assert np.sign(eta.radial_density(1.0)) == np.sign(regime(params).delta(1.0, lam))
+    assert np.sign(eta.radial_density(1.0)) == np.sign(1.0 - regime(params).h(1.0, lam))
 
 
 def test_axis_log_margin_proper_cap():
@@ -136,7 +135,7 @@ def test_axis_log_margin_proper_cap():
     lam = AxisMeasure([(2.0, 0.5)])
     eq = regime(PLOG).eta(1.0, lam)
     assert eq.radial_density(1.0) == pytest.approx(1.5 - 0.5 * 9.0, rel=1e-13)
-    assert log_delta(1.0, lam, PLOG) < 0.0
+    assert log_h(1.0, lam, PLOG) > 1.0
     sol = axis_solve_t(lam, PLOG)
     assert sol.t0 < 1.0
 
@@ -307,7 +306,7 @@ def test_axis_full_support_branch():
 
 
 # ---------------------------------------------------------------------------
-# the Newton solve: Delta' in closed form, and the lower end of the bracket
+# the Newton solve: H' in closed form, and strong fields (t0 -> -1)
 
 SLOPE_PARAMS = {f"riesz_{d}": Params(d=d, s=d - 1.2) for d in (2, 3, 4, 5)} | {
     "exceptional_3": Params(d=3, s=1.0), "exceptional_4": Params(d=4, s=2.0), "log": PLOG}
@@ -325,24 +324,28 @@ SLOPE_FIELDS = {
 def test_delta_slope_matches_central_differences(kernel, name):
     form, lam, h = regime(SLOPE_PARAMS[kernel]), SLOPE_FIELDS[name], 1e-6
     for t in (-0.9, -0.3, 0.3, 0.9, 0.99):
-        slope = form.slope(t, form.delta(t, lam), lam)
-        central = (form.delta(t + h, lam) - form.delta(t - h, lam)) / (2.0 * h)
+        slope = form.slope(t, lam)
+        central = (form.h(t + h, lam) - form.h(t - h, lam)) / (2.0 * h)
         assert abs(slope - central) <= 1e-7 * abs(slope), (t, slope, central)
 
 
-def test_log_point_charge_solve_takes_one_newton_step():
-    # Delta is affine in t: Delta(1), Delta(0), then Delta at the closed-form t0
+def test_log_point_charge_solve_lands_on_the_closed_form():
+    # H is closed form; Newton on log H in log(1+t) takes a few steps, H(1) included
     q, R = 1.0, 2.0
     sol = axis_solve_t(AxisMeasure([(R, q)]), PLOG)
-    assert sol.delta_evals == 3
+    assert sol.delta_evals <= 12
     assert sol.t0 == pytest.approx((R * R - 2.0 * R * q + 1.0) / (2.0 * R * (1.0 + q)), abs=1e-15)
 
 
-def test_t0_below_the_bracket_raises_convergence_error():
-    # q = 1e14 puts t0 below -1 + 1e-9, the lower end of the bracket: the
-    # bracket collapses onto it, and Delta there is negative
-    with pytest.raises(ConvergenceError, match=r"Delta\(-0\.999999999\) = -[0-9.e+]+ <= 0"):
-        axis_solve_t(AxisMeasure([(3.0, 1e14)]), Params(d=2, s=0.5))
+def test_strong_fields_solve_with_unit_mass():
+    # t0 -> -1 as q grows (1 + t0 = 6.8e-13 at (2, .5, 3), q = 1e16): H is a
+    # positive integral, so no difference of two numbers of size q e(t) enters
+    # the solve or eta_t0's net charge
+    for d, s, R in ((2, 0.5, 3.0), (3, 1.5, 1.5), (4, 2.5, 1.2)):
+        for q in (1e4, 1e8, 1e12, 1e14, 1e16):
+            sol = axis_solve_t(AxisMeasure([(R, q)]), Params(d=d, s=s))
+            assert sol.solved_by == "interior_root" and -1.0 < sol.t0 < 0.0
+            assert abs(sol.equilibrium.mass - 1.0) <= 1e-10, (d, s, R, q, sol.equilibrium.mass)
 
 
 # ---------------------------------------------------------------------------

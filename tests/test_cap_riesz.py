@@ -9,12 +9,12 @@ pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarn
 
 from rieszcap.axis_field import axis_solve_t
 from rieszcap.cap_riesz import (
-    delta,
     eps_measure,
     eps_norm,
     eps_potential,
     eta_measure,
     eta_potential,
+    h,
     nu_measure,
     nu_norm,
     nu_potential,
@@ -29,6 +29,11 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 P21 = Params(d=2, s=1.0)
 C13 = AxisMeasure([(1.3, 1.0)])
+
+
+def delta(t, field, params):
+    # Delta(t) = Phi_s(t) - sum_i m_i e_i(t), from H as the package forms it
+    return sphere_energy(params) * (1.0 - h(t, field, params)) / nu_norm(t, params)
 
 
 def cap_sigma_integral(f, d, t, edge_exponent=0.0):
@@ -158,12 +163,12 @@ def test_nu_balayage_property():
 def test_norms_phi_delta_gate_includes_s_equal_d_minus_2():
     below = Params(d=3, s=0.5)
     for call in (lambda: nu_norm(0.2, below), lambda: eps_norm(0.2, 1.3, below),
-                 lambda: phi(0.2, C13, below), lambda: delta(0.2, C13, below)):
+                 lambda: phi(0.2, C13, below), lambda: h(0.2, C13, below)):
         with pytest.raises(ValueError):
             call()
     ring = Params(d=3, s=1.0)
     assert 0.0 < nu_norm(0.2, ring) < 1.0
-    assert math.isfinite(delta(0.2, C13, ring))
+    assert math.isfinite(h(0.2, C13, ring))
     with pytest.raises(ValueError):
         phi(-1.0, C13, ring)
     # eta_t at s = d-2: the whole sphere's density plus a ring charge on the edge
@@ -405,8 +410,8 @@ ETA_FIELDS = [[(1.5, 1.0)], [(3.0, 0.4), (1.2, 0.2)], [(10.0, 2.0)]]
 
 def eta_regular_reference(t, u, atoms, params):
     """50-digit regular part of eta_t at height u from the float inputs.
-    Delta(t) is taken as the package computes it: near t0 it is itself a
-    cancelling difference, which no summation of the brace can repair."""
+    Delta(t) is taken as the package computes it, W_s (1 - H(t))/||nu_t||:
+    its rounding is the brace's own input, which no summation can repair."""
     dt = delta(t, AxisMeasure(atoms), params)
     with mp.workdps(50):
         t, u, d, s = mp.mpf(t), mp.mpf(u), mp.mpf(params.d), mp.mpf(params.s)
@@ -553,7 +558,7 @@ def test_phi_batch_equals_per_point_calls(params, field, monkeypatch):
     monkeypatch.setattr(cap_riesz, "integrate_radial", lambda *a, **k: forms.add(
         k["left_exponent"]) or integrate_radial(*a, **k))
     form, ts = regime(params), np.linspace(-0.999, 1.0, 200)
-    for fn in (form.phi, form.delta):
+    for fn in (form.phi, form.h):
         batch = fn(ts, field)
         assert np.array_equal(batch, [fn(float(t), field) for t in ts])
     assert ts[-1] == 1.0 and len(forms) == (0 if params.log else 2)

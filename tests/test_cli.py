@@ -159,14 +159,18 @@ def test_rule_underflow_near_s_equal_d_minus_2_exits_0_or_3(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_t0_below_the_bracket_exits_3(tmp_path, capsys):
-    # q = 1e14 puts t0 below the bracket's lower end -1 + 1e-9: a typed
-    # numeric failure, not an answer at the bracket end
+def test_strong_field_small_cap_exits_0(tmp_path, capsys):
+    # q = 1e14 puts t0 within 3e-11 of -1: the solve settles with unit mass,
+    # and the density samples keep inside the cap, a gap of (1+t0)/4 from each end
     cfg = {"name": "case", "task": "solve-support", "d": 2, "kernel": {"type": "riesz", "s": 0.5},
-           "field": {"type": "point", "q": 1e14, "R": 3.0}, "grid": GRID}
-    assert cli.main(["run", str(write_scenario(tmp_path, cfg)), "--out", str(tmp_path)]) == 3
-    assert "Delta(-0.999999999)" in capsys.readouterr().err
-    assert not (tmp_path / "case.json").exists()
+           "field": {"type": "point", "q": 1e14, "R": 3.0}}
+    assert cli.main(["run", str(write_scenario(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "case.json").read_text())
+    assert abs(payload["mass"] - 1.0) <= 1e-10
+    us, dens = np.array(payload["density_samples"]).T
+    assert len(us) == 50 and np.all(np.isfinite(dens)) and np.all(dens > 0.0)
+    assert np.all((-1.0 < us) & (us < payload["t0"])) and np.all(np.diff(us) > 0.0)
 
 
 def test_newton_distance_command(tmp_path, capsys):

@@ -183,6 +183,11 @@ def test_balayage_mass_identity():
 # support margin
 
 
+def margin_at_one(params, field):
+    # Delta(1) = W_s (1 - H(1)); for log, 1 - H(1), which has the log Delta(1)'s sign
+    return (1.0 if params.log else sphere_energy(params)) * (1.0 - regime(params).h(1.0, field))
+
+
 def test_margin_zero_iff_density_zero_at_pole():
     # Delta(1) = W * (whole-sphere density at the pole) for d-2 < s < d and
     # s = d-2, one atom or two; the log Delta(1) has the pole density's sign
@@ -191,13 +196,13 @@ def test_margin_zero_iff_density_zero_at_pole():
     for params in (Params(d=3, s=1.4), Params(d=3, s=1.0), Params(d=4, s=2.0)):
         W = sphere_energy(params)
         for field in fields:
-            margin = regime(params).delta(1.0, field)
+            margin = margin_at_one(params, field)
             pole = regime(params).eta(1.0, field).radial_density(1.0)
             assert margin == pytest.approx(W * pole, rel=1e-10, abs=1e-12)
     plog = Params(d=2, log=True)
     signs = set()
     for field in fields:
-        margin = regime(plog).delta(1.0, field)
+        margin = margin_at_one(plog, field)
         assert np.sign(margin) == np.sign(regime(plog).eta(1.0, field).radial_density(1.0))
         signs.add(np.sign(margin))
     assert signs == {-1.0, 1.0}
@@ -206,7 +211,7 @@ def test_margin_zero_iff_density_zero_at_pole():
 def test_margin_sign_flip_at_golden_ratio():
     params = Params(d=2, s=1.0)
     rho = GOLDEN
-    margin = lambda R: regime(params).delta(1.0, AxisMeasure([(R, 1.0)]))
+    margin = lambda R: margin_at_one(params, AxisMeasure([(R, 1.0)]))
     at = margin(1.0 + rho)
     below = margin(1.0 + rho - 1e-6)
     above = margin(1.0 + rho + 1e-6)
@@ -230,7 +235,7 @@ def test_margin_series_form():
     q = 1.3
     closed = (R + 1.0) ** (d - s) / (R - 1.0) ** d - field_potential_on_axis(R, params)
     assert closed == pytest.approx(series, rel=1e-10)
-    assert regime(params).delta(1.0, AxisMeasure([(R, q)])) / q == pytest.approx(
+    assert margin_at_one(params, AxisMeasure([(R, q)])) / q == pytest.approx(
         sphere_energy(params) / q - series, rel=1e-10)
 
 
@@ -239,7 +244,7 @@ def test_signed_equilibrium_bundle():
     charge = AxisMeasure([(3.0, 1.0)])
     eq = regime(params).eta(1.0, charge)
     assert eq.phi == pytest.approx(sphere_energy(params) + 1.0 / 3.0, rel=1e-12)
-    assert regime(params).delta(1.0, charge) > 0.0
+    assert margin_at_one(params, charge) > 0.0
     atom = AxisMeasure([(3.0, 1.0)])
     assert eq.radial_density(0.0) == pytest.approx(
         regime(params).eta(1.0, atom).radial_density(0.0))
@@ -331,6 +336,6 @@ def test_margin_root_agrees_with_gonchar_distance():
     for d in (2, 3):
         params = Params(d=d, s=float(d - 1))
         root_R = optimize.brentq(
-            lambda R: regime(params).delta(1.0, AxisMeasure([(R, 1.0)])),
+            lambda R: margin_at_one(params, AxisMeasure([(R, 1.0)])),
             1.0 + 1e-9, 6.0, xtol=1e-13)
         assert root_R == pytest.approx(1.0 + gonchar_root(d), abs=1e-10)

@@ -72,9 +72,8 @@ def test_solves_with_unit_mass_as_s_decreases_to_d_minus_2(d, k):
 @pytest.mark.parametrize("q", [1e8, 1e10, 1e12])
 @pytest.mark.parametrize("d, s, R", [(2, 0.5, 3.0), (3, 1.5, 1.5)])
 def test_strong_fields_pass_the_mass_certificate_or_raise(d, s, R, q):
-    # t0 near -1, where eta's density cancels at a small cap: a solve returns
-    # mass(eta_t0) within 1e-10 of 1 or raises ConvergenceError, never a
-    # degraded answer and no other error
+    # t0 near -1, a small cap: a solve returns mass(eta_t0) within 1e-10 of 1
+    # or raises ConvergenceError, never a degraded answer and no other error
     try:
         sol = axis_solve_t(AxisMeasure([(R, q)]), Params(d=d, s=s))
     except ConvergenceError:
@@ -92,26 +91,30 @@ def test_mass_certificate_raises_past_its_bound(monkeypatch):
 
 
 def test_delta_changes_sign_at_one_minus_4e8():
-    # Delta brackets the reference root within 1e-12
+    # H - 1, which has the sign of -Delta, brackets the reference root within 1e-12
     field, params = AxisMeasure([(2.6180339, 1.0)]), Params(d=2, s=1.0)
-    assert cap_riesz.delta(T0_R_2_6180339 - 1e-12, field, params) > 0.0
-    assert cap_riesz.delta(T0_R_2_6180339 + 1e-12, field, params) < 0.0
+    assert cap_riesz.h(T0_R_2_6180339 - 1e-12, field, params) < 1.0
+    assert cap_riesz.h(T0_R_2_6180339 + 1e-12, field, params) > 1.0
 
 
 def test_interior_solves_take_few_delta_evaluations(monkeypatch):
-    # Newton steps on Delta from t = 0; regime() reads cap_riesz.delta at call
-    # time.  Every count includes Delta(1), and the solve reports it
+    # Newton on log H in log(1+t) from t = 0; regime() reads cap_riesz.h at call
+    # time.  The solve counts H(1) and its iterates; eta_t0 evaluates H(t0) once more
     calls = []
-    delta = cap_riesz.delta
-    monkeypatch.setattr(cap_riesz, "delta", lambda *a, **k: calls.append(a[0]) or delta(*a, **k))
+    h = cap_riesz.h
+    monkeypatch.setattr(cap_riesz, "h", lambda *a, **k: calls.append(a[0]) or h(*a, **k))
     counts = []
     for d, s, R in SWEEP:
         calls.clear()
         sol = axis_solve_t(AxisMeasure([(R, 1.0)]), Params(d=d, s=s))
-        assert sol.delta_evals == len(calls)
+        assert sol.delta_evals == len(calls) - 1 and calls[-1] == sol.t0
         if sol.solved_by == "interior_root":
-            counts.append(len(calls))
-    assert statistics.median(counts) <= 9 and max(counts) <= 12, counts
+            counts.append(sol.delta_evals)
+            # log H is convex in log(1+t): every iterate after t = 0 lies on one side of t0
+            after = np.array(calls[2:-1]) - sol.t0
+            tol = 1e-14 + 8.9e-16 * abs(sol.t0)
+            assert np.all(after >= -tol) or np.all(after <= tol), (d, s, R, after)
+    assert statistics.median(counts) <= 7 and max(counts) <= 12, counts
 
 
 def test_t0_edge_cases_sit_near_one():
@@ -125,7 +128,7 @@ def test_t0_edge_cases_sit_near_one():
 def test_t0_matches_30_digit_reference(case):
     # the bound of test_solve_t0_exceptional_against_30_digit_references:
     # twice the stopping tolerance of the Newton solve, which reports its
-    # last step |Delta/Delta'| as t0's error estimate
+    # last step in t as t0's error estimate
     sol = axis_solve_t(AxisMeasure([(case["R"], case["q"])]), Params(d=case["d"], s=case["s"]))
     assert abs(sol.t0 - float(case["t0"])) <= 2e-14
     assert sol.t0_error <= 1e-14
