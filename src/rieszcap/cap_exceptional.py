@@ -15,7 +15,8 @@ their potentials and the norms, Phi and H are the s -> (d-2)+ limits in
 :mod:`rieszcap.cap_riesz`, built by the same constructors as for s > d-2;
 this module measures the weak* convergence of that limit.  The planar
 logarithmic case d = 2 has mass-preserving balayage and fully closed forms,
-including t0 = min{1, (R^2 - 2Rq + 1)/(2R(1+q))}.
+including t0 = min{1, (R^2 - 2Rq + 1)/(2R(1+q))}; its etabar_t is the s = d-2
+cap measure of that module at d = 2 with W = 1.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import math
 
 import numpy as np
 
-from rieszcap.cap_riesz import eps_measure, nu_measure
+from rieszcap.cap_riesz import _cap_measure, eps_measure, nu_measure
 from rieszcap.point_field import AxisMeasure
-from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, _gap_dist2, axis_dist2
+from rieszcap.sphere import CapMeasure, Params, axis_dist2
 
 __all__ = [
     "weakstar_gap",
@@ -131,23 +132,13 @@ def log_h_slope(t: float, field: AxisMeasure, params: Params) -> float:
 
 def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     """Signed logarithmic cap equilibrium (1+||lambda||) nubar_{t,0} - sum_i
-    m_i epsbar_{t,0}^i for t in (-1, 1]; the ring charge (1-t)/2 (1 - H(t))
-    vanishes exactly at t0 and at t = 1.  Unit mass; ``phi`` is F_0(Sigma_t).
-    The density is singular only at the atoms' heights (R_i^2+1)/(2R_i): at
-    d = 2 the cap rule folds in no surface factor."""
+    m_i epsbar_{t,0}^i for t in (-1, 1], of mass 1 (not computed; ``phi`` is
+    F_0(Sigma_t)): the s = d-2 cap measure at d = 2 with W = 1, density
+    (1+||lambda||) - sum_i m_i (R_i^2-1)^2/rho_i^4 and ring charge
+    (1-t)/2 (1 - H(t)), which vanishes exactly at t0 and at t = 1."""
     field = field.folded(params)
-    total = field.total_mass
-
-    def interior(nodes):
-        out = (1.0 + total) * np.ones_like(nodes.u)
-        for R, m in field.atoms:
-            out = out - m * (R * R - 1.0) ** 2 / _gap_dist2(nodes.one_minus_u, R) ** 2
-        return out
-
-    bcoef = (1.0 - t) / 2.0 * (1.0 - log_h(t, field, params)) if t < 1.0 else 0.0
-    height = min((_axis_pole_height(R) for R, _ in field.atoms), default=math.inf)
-    return CapMeasure(t=t, regular_part=interior, boundary_coeff=bcoef,
-                      phi=log_f0_functional(t, field, params), mass=1.0, singular_height=height)
+    return _cap_measure(t, params, 1.0 + field.total_mass, 1.0 - log_h(t, field, params),
+                        field.atoms, phi=log_f0_functional(t, field, params))
 
 
 @_per_height

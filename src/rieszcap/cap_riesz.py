@@ -85,18 +85,22 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
     without cancellation.  F's argument reaches the near-one route with its
     complement 1 - c w = (1-c) + c (1-t)/(1-u), which does not cancel.
 
+    The planar log kernel is the s = d-2 form at d = 2 with W = 1.
+
     Its ``singular_height`` is u = 1 for t < 1 (a branch point of the regular
     part and of the surface factor the cap rule folds in), and at t = 1 the
-    lowest charge height (R_j^2+1)/(2R_j) > 1.
+    lowest charge height (R_j^2+1)/(2R_j) > 1; for log it is that height at
+    every t, as d = 2 folds in no surface factor.
     """
-    _require_cap_regime(params)
+    if not (params.log and params.d == 2):
+        _require_cap_regime(params)
     if not -1.0 < t <= 1.0:
         raise ValueError(f"cap height must lie in (-1, 1], got {t}")
-    d, s = params.d, params.s
+    d, s, W = (2, 0.0, 1.0) if params.log else (params.d, params.s, sphere_energy(params))
     c, gap = contraction
-    W = sphere_energy(params)
-    height = 1.0 if t < 1.0 else min((_axis_pole_height(R) for R, _ in charges), default=math.inf)
-    if t == 1.0 or params.is_exceptional:
+    height = 1.0 if t < 1.0 and not params.log else min(
+        (_axis_pole_height(R) for R, _ in charges), default=math.inf)
+    if t == 1.0 or params.is_exceptional or params.log:
         def whole(nodes):
             out = np.full(np.shape(nodes.u), K / W)
             for R, c in charges:
@@ -271,7 +275,9 @@ def h_slope(t: float, field: AxisMeasure, params: Params) -> float:
 
 def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     """The signed cap equilibrium eta_t = (Phi_s(t)/W_s) nu_t - sum_i m_i eps_t^i
-    for t in (-1, 1] (mass not computed; ``phi`` is Phi_s(t)).
+    for t in (-1, 1] (mass not computed; ``phi`` is Phi_s(t)).  Phi_s(t) is
+    Delta(t) + sum_i B_i, B_i below, so eta_t takes one H evaluation and no
+    quadrature of :func:`phi`.
 
     At t = 1, the whole sphere, its density is regular up to the pole, and its
     value at u = 1 has the sign of Delta(1).  At s = d-2 every cap has that
@@ -290,11 +296,11 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     _require_cap_regime(params)
     field = field.folded(params)
     d, s = params.d, params.s
-    phi_t = phi(t, field, params)
     net = sphere_energy(params) * (1.0 - h(t, field, params)) / nu_norm(t, params)
     # (B_i, 1 - c_i^2), the second formed as 2 R_i (1-t) / r_i^2 without cancellation
     pairs = [(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0),
               2.0 * R * (1.0 - t) / axis_dist2(t, R)) for R, m in field.atoms]
+    phi_t = math.fsum([net, *(B for B, _ in pairs)])
     return _cap_measure(t, params, phi_t, net, field.atoms, pairs=pairs, phi=phi_t)
 
 

@@ -148,7 +148,7 @@ def hyp2f1_regularized(a, b, c, z, scale=1.0, pairs=(), *, one_minus_z=None):
     then starts at n = 1-c).  Evaluated by its own series, never as
     2F1/Gamma(c).  `z` may be a scalar or ndarray with 0 <= z < 1.
 
-    With a ``scale`` D and ``pairs`` (B_i, g_i), 0 <= g_i < 1, it returns
+    With a ``scale`` D and ``pairs`` (B_i, g_i), 0 <= g_i <= 1, it returns
 
         D F(z) + sum_i B_i [F(z) - F((1-g_i) z)]
 
@@ -196,9 +196,11 @@ def hyp2f1_regularized(a, b, c, z, scale=1.0, pairs=(), *, one_minus_z=None):
         n_start = int(round(1.0 - c))  # first index with n + c = 1
     else:
         n_start = 0
-    # the weight of term n is scale + sum_i B_i (1 - (1-g_i)^n)
+    # the weight of term n is scale + sum_i B_i (1 - (1-g_i)^n); g_i = 1 is taken as
+    # the double below it, as any 1 - g_i < 2^-53 moves a weight by under an ulp
     B, g = np.reshape(np.asarray(pairs, dtype=float), (-1, 2)).T
-    weights = lambda k: scale - np.expm1(np.multiply.outer(k, np.log1p(-g))) @ B
+    log_c2 = np.log1p(-np.minimum(g, 1.0 - 2.0 ** -53))
+    weights = lambda k: scale - np.expm1(np.multiply.outer(k, log_c2)) @ B
 
     # seed term t_{n_start} = (a)_n (b)_n z^n / (n! Gamma(n+c))
     seed = poch(a, n_start) * poch(b, n_start) / math.factorial(n_start)

@@ -348,6 +348,19 @@ def test_strong_fields_solve_with_unit_mass():
             assert abs(sol.equilibrium.mass - 1.0) <= 1e-10, (d, s, R, q, sol.equilibrium.mass)
 
 
+def test_charges_within_1e8_of_the_sphere_solve():
+    # (R-1)^2 < 1e-16 r^2 rounds eta's pair argument 2R(1-t)/r^2 to 1: its
+    # weights must stay finite, and t0 must stay near its value at |R-1| = 1e-7
+    for d, s in ((2, 1.0), (3, 1.5)):
+        params = Params(d=d, s=s)
+        for sign in (1.0, -1.0):
+            near = axis_solve_t(AxisMeasure([(1.0 + sign * 1e-7, 1.0)]), params).t0
+            for gap in (1e-8, 1e-12):
+                sol = axis_solve_t(AxisMeasure([(1.0 + sign * gap, 1.0)]), params)
+                assert abs(sol.equilibrium.mass - 1.0) <= 1e-14, (d, s, sign * gap)
+                assert abs(sol.t0 - near) <= 1e-6, (d, s, sign * gap, sol.t0, near)
+
+
 # ---------------------------------------------------------------------------
 # the fold contract: field-level functions fold, per-unit formulas take R > 1
 

@@ -13,6 +13,7 @@ from rieszcap.cap_exceptional import (
     log_eta_potential,
     log_etabar,
     log_f0_functional,
+    log_h,
     weakstar_gap,
 )
 from rieszcap.cap_riesz import (
@@ -353,6 +354,22 @@ def test_log_etabar_ring_sign_structure():
     assert log_etabar(t0 - 0.2, charge, PLOG).boundary_coeff > 0.0
     assert abs(log_etabar(t0, charge, PLOG).boundary_coeff) < 1e-14
     assert log_etabar(t0 + 0.2, charge, PLOG).boundary_coeff < 0.0
+
+
+def test_log_etabar_is_the_exceptional_form_at_d2():
+    # the density, ring charge and pole height of the s = d-2 cap measure at
+    # d = 2 with W = 1, against the log formulas written out (1 + ||lambda|| = 2.4)
+    field = AxisMeasure([(2.0, 1.0), (3.0, 0.4)])
+    pole = min((R * R + 1.0) / (2.0 * R) for R, _ in field.atoms)
+    for t in (-0.6, 0.0, 0.3, 1.0):
+        eta = log_etabar(t, field, PLOG)
+        for u in (-0.95, (t - 1.0) / 2.0, t - 1e-3):
+            expected = 2.4 - sum(m * (R * R - 1.0) ** 2 / axis_dist2(u, R) ** 2
+                                 for R, m in field.atoms)
+            assert eta.radial_density(u) == pytest.approx(expected, rel=1e-15, abs=0.0), (t, u)
+        ring = (1.0 - t) / 2.0 * (1.0 - log_h(t, field, PLOG))
+        assert eta.boundary_coeff == pytest.approx(ring, rel=1e-15, abs=0.0), t
+        assert eta.singular_height == pytest.approx(pole, rel=1e-15), t
 
 
 def test_gating():

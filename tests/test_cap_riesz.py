@@ -562,3 +562,39 @@ def test_phi_batch_equals_per_point_calls(params, field, monkeypatch):
         batch = fn(ts, field)
         assert np.array_equal(batch, [fn(float(t), field) for t in ts])
     assert ts[-1] == 1.0 and len(forms) == (0 if params.log else 2)
+
+
+# ---------------------------------------------------------------------------
+# eta_t's Phi_s(t) = Delta(t) + sum_i B_i
+
+
+def test_eta_measure_makes_no_phi_quadrature(monkeypatch):
+    # eta_t reads Phi_s(t) off its one H batch; a solve never evaluates phi
+    from rieszcap import cap_riesz
+    cases = [(params, field, phi(0.2, field, params)) for params, field in PHI_BATCH[:6]]
+
+    def no_phi(*args, **kwargs):
+        raise AssertionError("phi was evaluated")
+
+    monkeypatch.setattr(cap_riesz, "phi", no_phi)
+    for params, field, expected in cases:
+        assert eta_measure(0.2, field, params).phi == pytest.approx(expected, rel=1e-13)
+        assert axis_solve_t(field, params).solved_by == "interior_root"
+
+
+@pytest.mark.parametrize("exceptional", [False, True], ids=["d-2<s<d", "s=d-2"])
+def test_delta_plus_pair_weights_is_phi(exceptional):
+    # the identity eta_t rests on, on seeded fields (atoms on both sides, q up to 1e3)
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        d = int(rng.integers(3 if exceptional else 2, 6))
+        s = d - 2.0 if exceptional else float(rng.uniform(d - 2 + 0.05, d - 0.05))
+        params = Params(d=d, s=s)
+        atoms = [(float(rng.choice([rng.uniform(0.3, 0.9), rng.uniform(1.1, 3.0)])),
+                  float(10.0 ** rng.uniform(-1.0, 3.0))) for _ in range(int(rng.integers(1, 3)))]
+        field = AxisMeasure(atoms)
+        t0 = axis_solve_t(field, params).t0
+        for t in {t0, max(t0 - 0.2, -0.99), min(t0 + 0.2, 1.0)}:
+            expected = phi(t, field, params)
+            assert eta_measure(t, field, params).phi == pytest.approx(expected, rel=1e-13), (
+                d, s, atoms, t)
