@@ -224,6 +224,7 @@ def _task_particles(cfg, field, params, out_dir: Path, name: str) -> dict:
         "n": n, "iters": iters, "seed": seed,
         "empirical_support_height": est,
         "final_energy": system.energies[-1],
+        "energy_evals": system.energy_evals,
         "energy_monotone": bool(np.all(np.diff(np.asarray(system.energies)) <= 0.0)),
     }
     _write_json(out_dir / f"{name}.json", payload)

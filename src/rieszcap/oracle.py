@@ -140,62 +140,72 @@ class ParticleSystem:
     step_init: float
     backtrack_factor: float
     energies: list = dataclass_field(default_factory=list)
+    energy_evals: int = 0  # pair evaluations, rejected trials included
 
     @property
     def heights(self) -> np.ndarray:
         return self.points[:, 2]
 
 
-def _pairs(x: np.ndarray, params: Params):
-    """Kernel values k_ij and gradient weights w_ij of every pair of points,
-    both from one Gram matrix (diagonals zero).
+_STRIP = 128  # rows per strip of the pair sums; 64 to 200 run equally fast
+# For coincident unit vectors 2 - 2 x.x is rounding alone: |x|^2 is within 6u
+# of 1 (u = eps/2), the dot product adds 3u and the sum with 2 rounds by 2u,
+# so |d2| <= 20u = 10 eps: a d2 <= 16 eps (distance 6e-8) has no correct digit.
+_D2_FLOOR = 16.0 * np.finfo(float).eps
 
-    With d2_ij = |x_i - x_j|^2 = 2 - 2 x_i.x_j, the kernel is d2^{-s/2} (or
-    -log(d2)/2) and w_ij = s k_ij / d2_ij (or 1 / d2_ij), so that
-    grad_i k(x_i, x_j) = -w_ij (x_i - x_j).  Returns None when two points
-    coincide (an off-diagonal d2 <= 0).
+
+def _pairs(x: np.ndarray, params: Params, work: np.ndarray):
+    """The pair sum sum_{i != j} k(x_i, x_j) and the n x 4 sums [W x | W 1]
+    of the gradient weights, or None when two points coincide (a d2 at or
+    below the Gram form's rounding floor).  With d2_ij = 2 - 2 x_i.x_j, k is
+    d2^{-s/2} (or -log(d2)/2) and w_ij = s k_ij / d2_ij (or 1 / d2_ij), so
+    grad_i k(x_i, x_j) = -w_ij (x_i - x_j).  Strips of rows i0:i0+m against
+    columns i0:n, in the two rows of ``work``, form each unordered pair once:
+    the left m x m block holds both orders, the rest stands for (i, j), (j, i).
     """
-    # -2 x^T is a separate array, so numpy calls gemm, not the syrk of
-    # x @ x.T, which is about twice as slow with three columns
-    d2 = x @ (-2.0 * x.T)
-    d2 += 2.0
-    np.fill_diagonal(d2, 1.0)
-    if d2.min() <= 0.0:
-        return None
-    if params.log:
-        k = np.log(d2)
-        k *= -0.5
-        w = np.reciprocal(d2, out=d2)
-    else:
-        k = np.power(d2, -params.s / 2.0)
-        w = np.divide(k, d2, out=d2)
-        w *= params.s
-    np.fill_diagonal(k, 0.0)
-    np.fill_diagonal(w, 0.0)
-    return k, w
+    n, xt = x.shape[0], -2.0 * x.T  # gemm, not the slower syrk of x @ x.T
+    x1, acc, total = np.hstack([x, np.ones((n, 1))]), np.zeros((n, 4)), 0.0
+    for i0 in range(0, n, _STRIP):
+        m, c = min(_STRIP, n - i0), n - i0
+        d2, k = (buf[:m * c].reshape(m, c) for buf in work)
+        np.matmul(x[i0:i0 + m], xt[:, i0:], out=d2)
+        d2 += 2.0
+        np.fill_diagonal(d2, 1.0)
+        if d2.min() <= _D2_FLOOR:
+            return None
+        if params.log:
+            np.log(d2, out=k)
+            k *= -0.5
+            w = np.reciprocal(d2, out=d2)
+        else:
+            w = np.divide(np.power(d2, -params.s / 2.0, out=k), d2, out=d2)
+            w *= params.s
+        np.fill_diagonal(k, 0.0)
+        np.fill_diagonal(w, 0.0)
+        total += np.sum(k[:, :m]) + 2.0 * np.sum(k[:, m:])
+        acc[i0:i0 + m] += w @ x1[i0:]
+        acc[i0 + m:] += w[:, m:].T @ x1[i0:i0 + m]
+    return total, acc
 
 
-def _energy(x: np.ndarray, params: Params, field):
-    """The discrete weighted energy of the points x and the gradient weights
-    of their pairs; (inf, None) when two points coincide."""
-    pairs = _pairs(x, params)
+def _energy(x: np.ndarray, params: Params, field, work):
+    """The discrete weighted energy of the points x and the gradient
+    accumulator of their pairs; (inf, None) when two points coincide."""
+    pairs = _pairs(x, params, work)
     if pairs is None:
         return math.inf, None
-    k, w = pairs
-    n = x.shape[0]
-    q_vals = external_field(x[:, 2], field, params)
-    return float(np.sum(k) / n ** 2 + 2.0 / n * np.sum(q_vals)), w
+    n, q_sum = x.shape[0], np.sum(external_field(x[:, 2], field, params))
+    return float(pairs[0] / n ** 2 + 2.0 / n * q_sum), pairs[1]
 
 
-def _gradient(x: np.ndarray, w: np.ndarray, params: Params, field) -> np.ndarray:
-    """Gradient of the discrete energy in R^3, from the pair weights w of x:
-    the pair part is -(2/n^2) (x_i sum_j w_ij - (W x)_i)."""
+def _gradient(x: np.ndarray, acc: np.ndarray, params: Params, field) -> np.ndarray:
+    """Gradient of the discrete energy in R^3, from the pair accumulator
+    [W x | W 1] of x: the pair part is -(2/n^2) (x_i sum_j w_ij - (W x)_i)."""
     n = x.shape[0]
-    grad = -(2.0 / n ** 2) * (x * np.sum(w, axis=1)[:, None] - w @ x)
+    grad = -(2.0 / n ** 2) * (x * acc[:, 3:] - acc[:, :3])
     # external field gradient; the field acts through |x - R p|
     for R, m in field.atoms:
-        a = np.array([0.0, 0.0, R])
-        da = x - a
+        da = x - np.array([0.0, 0.0, R])
         da2 = np.sum(da * da, axis=1)
         if params.log:
             grad += (2.0 / n) * m * (-da / da2[:, None])
@@ -213,10 +223,10 @@ def minimize_particles(n: int, params: Params, field, seed: int,
 
     on S^2.  Steps renormalize to the sphere; backtracking halves the step
     until the energy does not increase and each accepted step may double it
-    again.  The energy and the gradient share one pair matrix: the weights
-    computed with an accepted trial's energy give the next step's gradient,
-    so each trial costs one n x n pair computation.  Deterministic for a
-    given seed; raises after too many halvings.
+    again.  The energy and the gradient share one pass over the pairs: the
+    weight sums of an accepted trial give the next step's gradient, so each
+    trial forms every unordered pair once, in row strips of one workspace.
+    Deterministic for a given seed; raises after too many halvings.
     """
     if params.d != 2:
         raise ValueError("the particle oracle runs on S^2 only")
@@ -227,27 +237,27 @@ def minimize_particles(n: int, params: Params, field, seed: int,
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     step_init = 0.1 / n
     backtrack = 0.5
-    system = ParticleSystem(points=x, params=params, field=field,
+    system = ParticleSystem(points=x, params=params, field=field, energy_evals=1,
                             step_init=step_init, backtrack_factor=backtrack)
-    energy, w = _energy(x, params, field)
+    work = np.empty((2, _STRIP * n))
+    energy, acc = _energy(x, params, field, work)
     system.energies.append(energy)
     step = step_init
     for _ in range(iters):
-        grad = _gradient(x, w, params, field)
-        accepted = False
+        grad = _gradient(x, acc, params, field)
         for _ in range(60):
             x_new = x - step * grad
             x_new /= np.linalg.norm(x_new, axis=1, keepdims=True)
-            e_new, w_new = _energy(x_new, params, field)
+            e_new, acc_new = _energy(x_new, params, field, work)
+            system.energy_evals += 1
             if e_new <= energy:
-                accepted = True
                 break
             step *= backtrack
-        if not accepted:
+        else:
             raise RuntimeError(
                 f"descent stalled: energy {energy:.12g}, step {step:.3e}, "
                 f"gradient norm {np.linalg.norm(grad):.3e}")
-        x, energy, w = x_new, e_new, w_new
+        x, energy, acc = x_new, e_new, acc_new
         system.energies.append(energy)
         step *= 2.0  # regrow towards the stability ceiling; backtracking trims it
     system.points = x
@@ -260,10 +270,10 @@ def empirical_support_height(system: ParticleSystem) -> float:
     edge exactly for a locally uniform height distribution.
 
     The extremal density eta_t0 vanishes like (t0 - u)^{1/2} at the edge, so
-    under that law the estimate is biased low: 0.465 against t0 = 0.505 on
-    ``scenarios/reference_particles.json``.  The planned replacement is the
-    Kolmogorov distance between the empirical height CDF and the cumulative
-    mass of eta_t0.
+    under that law the estimate is biased low: 0.42-0.48, as rounding steers
+    the descent, against t0 = 0.505 on ``scenarios/reference_particles.json``.
+    The planned replacement is the Kolmogorov distance between the empirical
+    height CDF and the cumulative mass of eta_t0.
     """
     h = np.sort(system.heights)
     q90, q95 = np.quantile(h, [0.90, 0.95])

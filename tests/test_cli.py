@@ -317,6 +317,7 @@ def test_committed_particle_scenario_runs_briefly(tmp_path):
     cli.run_scenario(cfg, tmp_path)
     payload = json.loads((tmp_path / "reference_particles.json").read_text())
     assert payload["energy_monotone"] is True and payload["iters"] == 20
+    assert payload["energy_evals"] >= 21
     _, heights = read_csv(tmp_path / "reference_particles_heights.csv")
     assert heights.shape == (cfg["n"], 1) and np.all(np.abs(heights) <= 1.0)
 

@@ -30,6 +30,15 @@ def sphere_points(n, seed=5):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def workspace(n):
+    """The two strip buffers that ``minimize_particles`` allocates for n points."""
+    return np.empty((2, oracle._STRIP * n))
+
+
+def energy(x, params, field):
+    return oracle._energy(x, params, field, workspace(len(x)))
+
+
 def kernel(r2, params):
     return -0.5 * math.log(r2) if params.log else r2 ** (-params.s / 2.0)
 
@@ -62,11 +71,26 @@ def reference_energy(x, params, field):
     return pair / n ** 2 + 2.0 / n * ext
 
 
+def dense_energy(x, params, field):
+    """The energy from the full n x n matrix of squared distances."""
+    n = len(x)
+    diff = x[:, None, :] - x[None, :, :]
+    d2 = np.sum(diff * diff, axis=2)
+    np.fill_diagonal(d2, 1.0)
+    k = -0.5 * np.log(d2) if params.log else d2 ** (-params.s / 2.0)
+    np.fill_diagonal(k, 0.0)
+    ext = 0.0
+    for R, m in field.atoms:
+        da2 = np.sum((x - np.array([0.0, 0.0, R])) ** 2, axis=1)
+        ext += m * np.sum(-0.5 * np.log(da2) if params.log else da2 ** (-params.s / 2.0))
+    return np.sum(k) / n ** 2 + 2.0 / n * ext
+
+
 @pytest.mark.parametrize("params, field", CASES)
 def test_gradient_matches_difference_tensor(params, field):
     x = sphere_points(N_GRAD)
-    _, w = oracle._energy(x, params, field)
-    got = oracle._gradient(x, w, params, field)
+    _, acc = energy(x, params, field)
+    got = oracle._gradient(x, acc, params, field)
     want = reference_gradient(x, params, field)
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
@@ -74,17 +98,35 @@ def test_gradient_matches_difference_tensor(params, field):
 @pytest.mark.parametrize("params, field", CASES)
 def test_energy_matches_pairwise_sum(params, field):
     x = sphere_points(N_ENERGY)
-    got, _ = oracle._energy(x, params, field)
+    got, _ = energy(x, params, field)
     want = reference_energy(x, params, field)
     assert abs(got - want) <= 1e-13 * abs(want)
+
+
+# below, at and across the strip height of 128 rows
+STRIP_CASES = [pytest.param(Params(d=2, s=0.5), RIESZ_AXIS, id="s0.5"),
+               pytest.param(Params(d=2, s=1.37), POINT, id="s1.37"),
+               pytest.param(Params(d=2, log=True), LOG_AXIS, id="log")]
+
+
+@pytest.mark.parametrize("n", [99, 100, 101, 257, 801])
+@pytest.mark.parametrize("params, field", STRIP_CASES)
+def test_strip_sums_match_the_dense_pair_matrix(params, field, n):
+    x = sphere_points(n, seed=n)
+    got, acc = energy(x, params, field)
+    want = dense_energy(x, params, field)
+    assert abs(got - want) <= 1e-13 * abs(want)
+    grad = oracle._gradient(x, acc, params, field)
+    want = reference_gradient(x, params, field)
+    assert np.max(np.abs(grad - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("params, field", CASES)
 def test_tangential_gradient_matches_central_differences(params, field):
     # move one particle along a great circle through its own tangent gradient
     x = sphere_points(N_GRAD)
-    energy, w = oracle._energy(x, params, field)
-    grad = oracle._gradient(x, w, params, field)
+    _, acc = energy(x, params, field)
+    grad = oracle._gradient(x, acc, params, field)
     h = 1e-5
     for i in (0, 57, 123):
         g_tan = grad[i] - (grad[i] @ x[i]) * x[i]
@@ -93,7 +135,7 @@ def test_tangential_gradient_matches_central_differences(params, field):
         def moved(t):
             y = x.copy()
             y[i] = math.cos(t) * x[i] + math.sin(t) * v
-            return oracle._energy(y, params, field)[0]
+            return energy(y, params, field)[0]
 
         slope = (moved(h) - moved(-h)) / (2.0 * h)
         assert slope == pytest.approx(g_tan @ v, rel=1e-6)
@@ -104,8 +146,15 @@ def test_tangential_gradient_matches_central_differences(params, field):
 def test_coincident_points_have_infinite_energy(params):
     x = sphere_points(N_ENERGY)
     x[7] = x[3]
-    assert oracle._pairs(x, params) is None
-    assert oracle._energy(x, params, POINT) == (math.inf, None)
+    assert oracle._pairs(x, params, workspace(N_ENERGY)) is None
+    assert energy(x, params, POINT) == (math.inf, None)
+    # 2 - 2 x.x of a repeated point rounds to +2.2e-16 at n = 60 and to
+    # +4.4e-16 at n = 101 and 257; at n = 801 the pair spans two strips
+    for n in (60, 101, 257, 801):
+        x = sphere_points(n, seed=n)
+        x[n - 1] = x[0]
+        assert oracle._pairs(x, params, workspace(n)) is None
+        assert energy(x, params, POINT) == (math.inf, None)
 
 
 @pytest.mark.parametrize("params, field", [(Params(d=2, s=1.4), RIESZ_AXIS),
@@ -120,6 +169,18 @@ def test_descent_is_deterministic_and_monotone(params, field):
     assert np.all(np.diff(first.energies) <= 0.0)
     assert first.step_init == 0.1 / 60 and first.backtrack_factor == 0.5
     assert np.allclose(np.linalg.norm(first.points, axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+def test_descent_across_strips_is_deterministic_and_monotone():
+    # 257 points make three strips, the last of one row
+    params, field = Params(d=2, s=1.2), RIESZ_AXIS
+    first = oracle.minimize_particles(257, params, field, seed=8, iters=20)
+    second = oracle.minimize_particles(257, params, field, seed=8, iters=20)
+    assert first.energies == second.energies
+    assert np.array_equal(first.points, second.points)
+    assert len(first.energies) == 21
+    assert np.all(np.diff(first.energies) <= 0.0)
+    assert first.energy_evals == second.energy_evals >= 21
 
 
 # ---------------------------------------------------------------------------
