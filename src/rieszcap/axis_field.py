@@ -47,8 +47,9 @@ class Regime(NamedTuple):
     sphere), and ``potential(xi, eta, field)`` its closed-form weighted potential.
     The Riesz range d-2 <= s < d runs one set of formulas; at s = d-2 its
     ``eta`` carries a ring charge.  ``column`` names the functional in
-    phi-curve output.  ``families`` are the (singular, left) exponents of the
-    cap integrals whose rules depend on s (none for log, fixed at d = 2).
+    phi-curve output.  ``families`` holds the (singular, left) exponents of
+    eta_t's mass rule, the one cap integral of a solve whose rule depends on s
+    (H's tanh-sinh rule does not; none for log, fixed at d = 2).
     """
 
     column: str
@@ -115,7 +116,7 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     if form.h(1.0, lam) <= 1.0:
         t0, solved_by, evals, step = 1.0, "boundary_t_equals_1", 1, 0.0
     else:
-        # the first-order rules of every cap integral of the solve, in one build pass
+        # the first-order rule of eta_t0's mass, built before the Newton steps
         _jacobi_rules(_RADIAL_FIRST_ORDER, [_jacobi_exponents(0.0, params, *f) for f in form.families])
         t, right = 0.0, False  # right: an iterate has landed right of t0, where H > 1
         for evals in range(2, 102):  # H evaluations, H(1) included

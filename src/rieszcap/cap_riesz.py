@@ -54,11 +54,9 @@ def _require_cap_regime(params: Params) -> None:
         raise ValueError(f"cap formulas need d-2 <= s < d, got d={params.d}, s={params.s}")
 
 
-def _families(params: Params) -> tuple[tuple[float, float | None], ...]:
-    # (singular, left) exponents of the direct and complement ||eps_t|| and eta_t's mass, t < 1
-    d, s = params.d, params.s
-    return ((0.0, s / 2.0 - 1.0), (0.0, d - s / 2.0 - 1.0),
-            (0.0 if params.is_exceptional else (s - d) / 2.0, None))
+def _families(params: Params) -> tuple[tuple[float, None], ...]:
+    # the (singular, left) exponents of eta_t's mass rule, t < 1: the one cap rule of a solve
+    return ((0.0 if params.is_exceptional else (params.s - params.d) / 2.0, None),)
 
 
 def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
@@ -78,12 +76,19 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
         Gamma(d/2)/(Gamma(d-s/2) W_s) ((1-t)/(1-u))^{d/2} (1-t)^{(d-s)/2}
             { K F(w) - sum_j c_j B_j F(((R_j-1)^2/r_j^2) w) },
 
-    w = (t-u)/(1-u), F = 2F1reg(1, d/2; 1-(d-s)/2; .).  The brace is summed
-    as net F(c w) plus the ``pairs`` of
-    :func:`rieszcap.specfun.hyp2f1_regularized`; the caller picks the two so
-    that they equal it, and passes ``contraction`` as (c, 1-c), each formed
-    without cancellation.  F's argument reaches the near-one route with its
-    complement 1 - c w = (1-c) + c (1-t)/(1-u), which does not cancel.
+    w = (t-u)/(1-u), F = 2F1reg(1, d/2; 1-(d-s)/2; .).  With a = 1, F has the
+    closed form (DLMF 8.17.8 with 8.17.20)
+
+        F(z) = 1/Gamma(c) + Gamma(d-s/2)/Gamma(d/2) z^{(d-s)/2} (1-z)^{s/2-d} I_z(c, d-s/2),
+
+    c = 1-(d-s)/2, through the regularized incomplete beta of ||nu_t||.  The
+    brace is net F(c w) plus the ``pairs`` of
+    :func:`rieszcap.specfun.hyp2f1_regularized`, which forms each pair's
+    F(z) - F(z') from nonnegative parts and takes, per point, the grouping
+    (this one, or (net + sum B) F(z) - sum B F(z')) whose absolute parts sum
+    less; the caller picks net and pairs so that they equal the brace, and
+    passes ``contraction`` as (c, 1-c), each formed without cancellation.  F
+    reads its 1 - c w as (1-c) + c (1-t)/(1-u), which does not cancel.
 
     The planar log kernel is the s = d-2 form at d = 2 with W = 1.
 
@@ -119,7 +124,7 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
                                  one_minus_z=gap + c * rest)
         return pref * rest ** (d / 2.0) * (1.0 - t) ** ((d - s) / 2.0) * acc
 
-    return CapMeasure(t=t, regular_part=regular, singular_exponent=_families(params)[2][0], phi=phi,
+    return CapMeasure(t=t, regular_part=regular, singular_exponent=_families(params)[0][0], phi=phi,
                       singular_height=height)
 
 
@@ -185,11 +190,11 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
     ``t`` and ``R`` broadcast together, each pair a row: the rows of each
     form make one batch of :func:`rieszcap.sphere.integrate_radial`.
     """
-    return _eps_rows(t, R, params, by_parts=False)
+    return _eps_rows(t, R, params)
 
 
-def _eps_rows(t, R, params: Params, by_parts: bool):
-    # eps_norm's rows, or with by_parts those of G = ||nu_t|| e(t)/W_s - ||eps_t|| (see h)
+def _eps_rows(t, R, params: Params):
+    # eps_norm's rows: each (height, R) pair a row of one batch per form
     _require_cap_regime(params)
     (ts, shape), (Rs, R_shape), form = _entries(t), _entries(R), t  # form: that of the result
     if shape != R_shape:
@@ -204,9 +209,6 @@ def _eps_rows(t, R, params: Params, by_parts: bool):
         beyond = (r - 1.0) ** 2 / (2.0 * r)  # how far the charge's height lies above u = 1
         complement = x == 1.0 or min(1.0 + x, beyond) * (1.0 + x) > (1.0 - x) ** 2
         out.append(field_potential_on_axis(r, params) / W if complement else 0.0)
-        if by_parts and complement:  # G: ||nu_t|| e(t)/W_s less the whole sphere's, plus the integral
-            out[-1] = (nu_norm(x, params) * (r + 1.0) ** (d - s) / axis_dist2(x, r) ** (d / 2.0) / W
-                       - out[-1])
         if -1.0 < x < 1.0:  # index, rule height, constant, singular height, R
             forms[complement].append((len(out) - 1, -x if complement else x,
                                       c0 * (r + 1.0) ** (d - s) / W * om,
@@ -224,25 +226,13 @@ def _eps_rows(t, R, params: Params, by_parts: bool):
         # v = u, or -u in the complement: its 1-v, and r(u)^2 from 1-u, which is 1+v there
         f = lambda nodes, j: nodes.one_minus_u ** power * _gap_dist2(
             nodes.one_plus_u if complement else nodes.one_minus_u, radii[j]) ** (-d / 2.0)
-        if by_parts and not complement:  # r(t)^{-d} - r(u)^{-d} = -r(t)^{-d} expm1(-(d/2) log1p(.))
-            r2 = axis_dist2(np.array(heights)[:, None], radii)
-            f = lambda nodes, j: nodes.one_minus_u ** power * -r2[j] ** (-d / 2.0) * np.expm1(
-                -d / 2.0 * np.log1p(2.0 * radii[j] * nodes.t_minus_u / r2[j]))
-        singular_exponent, left = _families(params)[complement]
-        vals = integrate_radial(f, list(heights), params, singular_exponent, left_exponent=left,
+        vals = integrate_radial(f, list(heights), params, 0.0,
+                                left_exponent=d - s / 2.0 - 1.0 if complement else s / 2.0 - 1.0,
                                 singular_height=list(singular))
         for i, const, val in zip(idx, consts, vals):
-            # near t = 1: the whole sphere's value minus the integral over [t, 1] (G: plus)
-            out[i] = out[i] + (const * val if by_parts else -const * val) if complement else const * val
+            # near t = 1: the whole sphere's value minus the integral over [t, 1]
+            out[i] = out[i] - const * val if complement else const * val
     return _like(form, out)
-
-
-def _atom_sum(t, field: AxisMeasure, params: Params, by_parts: bool):
-    # sum_i m_i (atom i's _eps_rows) at each height of t: each (height, atom) pair a row of one batch
-    ts, atoms = _entries(t)[0], field.folded(params).atoms
-    rows = iter(_eps_rows([x for x in ts for _ in atoms], [R for _ in ts for R, _ in atoms],
-                          params, by_parts))
-    return _like(t, [sum(m * next(rows) for _, m in atoms) for _ in ts])
 
 
 def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.ndarray:
@@ -250,27 +240,69 @@ def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np
     with ||eps_t^i|| the per-unit-charge norm of atom i; d-2 <= s < d.  Every
     (height, atom) pair of an array or a number t is a row of one eps_norm batch."""
     _require_cap_regime(params)
-    if min(_entries(t)[0]) <= -1.0:
+    ts, atoms = _entries(t)[0], field.folded(params).atoms
+    if min(ts) <= -1.0:
         raise ValueError("phi diverges at t = -1 (the cap degenerates to a point)")
-    return sphere_energy(params) * (1.0 + _atom_sum(t, field, params, False)) / nu_norm(t, params)
+    rows = iter(_eps_rows([x for x in ts for _ in atoms], [R for _ in ts for R, _ in atoms], params))
+    eps = _like(t, [sum(m * next(rows) for _, m in atoms) for _ in ts])
+    return sphere_energy(params) * (1.0 + eps) / nu_norm(t, params)
+
+
+# the tanh-sinh rule x_k = tanh(u_k), u_k = pi/2 sinh(k h), h = 0.08, |k| <= 40: its 81 nodes
+# on [-1, 1] as 1 + x and 1 - x (down to 4e-17), and its weights h dx/dk
+_TS_K = 0.08 * np.arange(-40, 41)
+_TS_U = math.pi / 2.0 * np.sinh(_TS_K)
+_TS_PLUS, _TS_MINUS = np.exp(_TS_U) / np.cosh(_TS_U), np.exp(-_TS_U) / np.cosh(_TS_U)
+_TS_W = 0.08 * math.pi / 2.0 * np.cosh(_TS_K) / np.cosh(_TS_U) ** 2
+
+
+def _slope(one_plus, one_minus, atoms, params: Params):
+    # W_s H' = ||nu_u|| sum_i m_i e_i'(u) at heights u given as their distances 1+u and 1-u
+    d, s = params.d, params.s
+    return betainc(s / 2.0, d - s / 2.0, one_plus / 2.0) * sum(
+        m * d * R * (R + 1.0) ** (d - s) * _gap_dist2(one_minus, R) ** (-d / 2.0 - 1.0)
+        for R, m in atoms)
 
 
 def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.ndarray:
-    """H(t) = sum_i m_i (1/W_s) int_{-1}^t ||nu_u||' (e_i(t) - e_i(u)) du, e_i = (R_i+1)^{d-s}/r_i^d,
-    at a number or an array t in [-1, 1]: positive, increasing from H(-1) = 0.  By parts,
-    Delta(t) = Phi_s(t) - sum_i m_i e_i(t) = W_s (1 - H(t))/||nu_t||, so H(t0) = 1, and H(1) <= 1
-    gives the whole sphere.  The rows are those of :func:`phi`, on eps_norm's rules."""
+    """H(t) = (1/W_s) int_{-1}^t ||nu_u|| sum_i m_i e_i'(u) du, the integral of :func:`h_slope`,
+    at a number or at each entry of an array t in [-1, 1] (bit for bit the one-height call):
+    positive, increasing from H(-1) = 0.  By parts, Delta(t) = Phi_s(t) - sum_i m_i e_i(t)
+    = W_s (1 - H(t))/||nu_t||, e_i = (R_i+1)^{d-s}/r_i^d, so H(t0) = 1, and H(1) <= 1 gives
+    the whole sphere.  H(1) is the closed form sum_i m_i (e_i(1) - U^sigma(R_i))/W_s.
+
+    Below 1 the integrand holds neither t nor a rule that depends on s: one tanh-sinh rule
+    (Takahasi & Mori, Publ. RIMS 9 (1974) 721-741), 81 nodes at step 0.08, held as their
+    distances 1+u and 1-u = (1-t) + (t-u).  When the lowest pole height p = (R^2+1)/(2R)
+    lies within (1+t)/17 of t, panels graded toward t at t - (p-t) 4^j keep it away.
+    """
     _require_cap_regime(params)
-    return _atom_sum(t, field, params, True)
+    d, s, W = params.d, params.s, sphere_energy(params)
+    atoms, out = field.folded(params).atoms, []
+    for x in _entries(t)[0]:
+        if not -1.0 <= x <= 1.0:
+            raise ValueError(f"H needs -1 <= t <= 1, got {x}")
+        if x == 1.0:
+            out.append(sum(m * ((R + 1.0) ** (d - s) / axis_dist2(x, R) ** (d / 2.0) / W
+                                - field_potential_on_axis(R, params) / W) for R, m in atoms))
+            continue
+        # the panel edges as distances below t: 0, (p-t) 4^j while the pole is near, 1+t
+        gap, cuts = (1.0 - x) + min((R - 1.0) ** 2 / (2.0 * R) for R, _ in atoms), [0.0]
+        while gap + cuts[-1] < (1.0 + x - cuts[-1]) / 17.0:
+            cuts.append(gap * 4.0 ** (len(cuts) - 1))
+        ends = cuts + [1.0 + x]  # each panel's 1+u at its left end, t-u at its right, half length
+        left, right, half = np.array([(1.0 + x - hi, lo, (hi - lo) / 2.0)
+                                      for lo, hi in zip(ends, ends[1:])]).T[:, :, None]
+        f = half * _TS_W * _slope(left + half * _TS_PLUS, (1.0 - x) + (right + half * _TS_MINUS),
+                                  atoms, params)
+        out.append(float(f.sum()) / W)
+    return _like(t, out)
 
 
 def h_slope(t: float, field: AxisMeasure, params: Params) -> float:
-    """H'(t) = ||nu_t|| sum_i m_i e_i'(t)/W_s, e_i'(t) = d R_i (R_i+1)^{d-s}/r_i(t)^{d+2}, for
-    t in (-1, 1): no quadrature, as the integrand of G_i vanishes at u = t."""
-    d, s = params.d, params.s
-    return nu_norm(t, params) / sphere_energy(params) * sum(
-        m * d * R * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0 + 1.0)
-        for R, m in field.folded(params).atoms)
+    """H'(t) = ||nu_t|| sum_i m_i e_i'(t)/W_s, e_i'(t) = d R_i (R_i+1)^{d-s}/r_i(t)^{d+2},
+    for t in (-1, 1): the integrand of :func:`h`, in closed form."""
+    return _slope(1.0 + t, 1.0 - t, field.folded(params).atoms, params) / sphere_energy(params)
 
 
 def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
@@ -289,9 +321,12 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
 
     c_i^2 = (R_i-1)^2/r_i^2, is rearranged into Delta(t)*2F1reg(w) + sum_i
     B_i [2F1reg(w) - 2F1reg(c_i^2 w)], which avoids the near-total
-    cancellation of the 2F1 values when t is close to t0;
-    :func:`rieszcap.specfun.hyp2f1_regularized` sums it as one series, given
+    cancellation of the 2F1 values when t is close to t0, given
     Delta(t) = W_s (1 - H(t))/||nu_t|| (see :func:`h`) and the pairs (B_i, 1 - c_i^2).
+    :func:`rieszcap.specfun.hyp2f1_regularized` evaluates it through the
+    incomplete beta I_z(1-(d-s)/2, d-s/2) (DLMF 8.17.8, 8.17.20), each
+    difference from two nonnegative parts, and takes at each point the
+    grouping, this one or the first, whose absolute parts sum less.
     """
     _require_cap_regime(params)
     field = field.folded(params)

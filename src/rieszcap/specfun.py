@@ -1,20 +1,21 @@
 """Gauss hypergeometric functions behind the closed forms of this package.
 
 Gamma, digamma, Pochhammer and incomplete-beta values come from ``math``
-and ``scipy.special``.  The 2F1 routines stay here because scipy cannot
-do what two of them do:
+and ``scipy.special``.  Two 2F1 routines stay here because scipy cannot do
+what they do:
 
 - :func:`hyp2f1_1mz` takes w = 1-z itself, so an argument within rounding
   of z = 1 (the axis potential as R -> 1, the oracle's ring kernel as its
   two rings meet) keeps its distance to 1;
-- :func:`hyp2f1_regularized` sums 2F1/Gamma(c) for every real c, the
-  non-positive integers included, vectorized over z; it also sums a signed
-  cap density's D F(z) + sum_i B_i [F(z) - F((1-g_i) z)] as one series.
+- :func:`hyp2f1_regularized` gives the cap densities' 2F1(1, b; c; z)/Gamma(c),
+  0 < c <= 1, in closed form through the regularized incomplete beta
+  (DLMF 8.17.8, 8.17.20), vectorized over z and read from 1 - z; it also
+  forms a signed cap density's D F(z) + sum_i B_i [F(z) - F((1-g_i) z)]
+  from nonnegative parts, so no two values cancel however small g_i is.
 
-:func:`hyp2f1_1mz` is a scalar loop of its own: a scalar call costs several
-times as much through the vectorized series, and the oracle makes many.
-Sources: Abramowitz & Stegun ch. 15, DLMF ch. 15.  Everything is pure and
-reentrant.
+:func:`hyp2f1_1mz` is a scalar loop of its own, as the oracle makes many
+scalar calls.  Sources: Abramowitz & Stegun ch. 15, DLMF ch. 8 and 15.
+Everything is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import poch, psi, rgamma
+from scipy.special import betainc, poch, psi, rgamma
 
 __all__ = [
     "ConvergenceError",
@@ -32,18 +33,11 @@ __all__ = [
 
 _SERIES_TOL = 1e-16
 _SERIES_MAX_TERMS = 100_000
-_BLOCK_ELEMENTS = 1 << 15  # terms x points computed at once by a vectorised series
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)  # the brace's rule for I_z - I_z' on [-1, 1]
 
 
 class ConvergenceError(RuntimeError):
     """A series or quadrature failed to reach its tolerance."""
-
-
-def _block_terms(points: int) -> int:
-    """Terms per block for a series summed over ``points`` arguments at once:
-    64, fewer when the points are many, so a block stays within
-    _BLOCK_ELEMENTS values."""
-    return max(4, min(64, _BLOCK_ELEMENTS // max(points, 1)))
 
 
 def _is_nonpositive_integer(x: float, eps: float = 1e-12) -> bool:
@@ -141,96 +135,63 @@ def hyp2f1_1mz(a: float, b: float, c: float, w: float) -> float:
 
 
 def hyp2f1_regularized(a, b, c, z, scale=1.0, pairs=(), *, one_minus_z=None):
-    """Regularized Gauss function: sum (a)_n (b)_n z^n / (Gamma(n+c) n!).
+    """Regularized Gauss function F(z) = 2F1(1, b; c; z)/Gamma(c), 0 < c <= 1, in
+    closed form through the regularized incomplete beta (DLMF 8.17.8 with 8.17.20):
 
-    Well defined for every real c; terms whose Gamma(n+c) sits at a pole
-    contribute exactly zero, so non-positive integer c is fine (the sum
-    then starts at n = 1-c).  Evaluated by its own series, never as
-    2F1/Gamma(c).  `z` may be a scalar or ndarray with 0 <= z < 1.
+        F(z) = 1/Gamma(c) + K p(z) I_z(c, e),  e = b + 1 - c,  K = Gamma(e)/Gamma(b),
+        p(z) = z^{1-c} (1-z)^{-e}.
 
-    With a ``scale`` D and ``pairs`` (B_i, g_i), 0 <= g_i <= 1, it returns
+    ``z`` is a number or an ndarray, 0 <= z < 1; an a other than 1 or a c
+    outside (0, 1] raises ValueError.  ``one_minus_z``, of z's shape, is 1 - z
+    formed by the caller without cancellation (a z rounded near 1 has lost it).
 
-        D F(z) + sum_i B_i [F(z) - F((1-g_i) z)]
+    With a ``scale`` D and ``pairs`` (B_i, g_i), 0 <= g_i <= 1 (g_i = 1 taken
+    as the double below it), it returns the brace
 
-    as one series whose n-th term is F's times D + sum_i B_i (1 - (1-g_i)^n),
-    so no two sums cancel however small g_i is.
+        D F(z) + sum_i B_i [F(z) - F(z_i')],   z_i' = (1-g_i) z,  1 - z_i' = (1-z) + g_i z.
 
-    Above z = 0.999 each term runs through :func:`hyp2f1_1mz` on 1 - z, and
-    on 1 - (1-g_i) z = (1-z) + g_i z for the pairs, whose differences are
-    taken directly.  ``one_minus_z``, when given, is that 1 - z formed by the
-    caller without cancellation (a z rounded near 1 has lost it); it has z's
-    shape.
-
-    The series stops when three consecutive terms are small at all points of
-    z at once, so a caller that needs one cap's bits passes one cap per call.
+    Each difference is K [(p(z) - p(z_i')) I_z + p(z_i') (I_z - I_{z_i'})]: 1/Gamma(c)
+    cancels exactly, and both parts are nonnegative.  p(z) - p(z_i') comes from
+    expm1 of its log1p log-ratio.  I_z - I_{z_i'}, when g_i < 1/2 and g_i z < 1 - z,
+    comes from a 32-point Gauss-Legendre rule in y on [0, g_i] of
+    z^c (1-y)^{c-1} ((1-z) + z y)^{e-1} / B(c, e), whose singularities lie
+    beyond the interval's length from it; elsewhere the first part outweighs
+    the rounding of I_z - I_{z_i'} taken as it stands.  At each point the sum
+    takes the grouping with the smaller sum of absolute parts: the one above,
+    or Phi F(z) - sum_i B_i F(z_i') with Phi = D + sum_i B_i.
     """
-    z_arr = np.asarray(z, dtype=float)
-    if np.any((z_arr < 0.0) | (z_arr >= 1.0)):
+    if a != 1.0 or not 0.0 < c <= 1.0:
+        raise ValueError(f"hyp2f1_regularized needs a = 1 and 0 < c <= 1, got a={a}, c={c}")
+    shape = np.shape(z)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if np.any((z < 0.0) | (z >= 1.0)):
         raise ValueError("hyp2f1_regularized requires 0 <= z < 1")
-    scalar = z_arr.ndim == 0
-    zv = np.atleast_1d(z_arr)
-    wv = 1.0 - zv if one_minus_z is None else np.atleast_1d(np.asarray(one_minus_z, dtype=float))
-
-    near_one = zv > 0.999
-    if np.any(near_one):
-        # the direct series needs ~37/(1-z) terms here, past the term cap;
-        # c is finite-Gamma in every caller that can reach this region, so
-        # the transformation-based 2F1 is safe (and still reported if not)
-        if _is_nonpositive_integer(c):
-            raise ConvergenceError(
-                "regularized 2F1 with non-positive integer c cannot be summed for z > 0.999")
-        rg = rgamma(c)
-        out = np.empty_like(zv)
-        zn, wn = zv[near_one], wv[near_one]
-        f = np.array([hyp2f1_1mz(a, b, c, float(w)) * rg for w in wn])
-        out[near_one] = scale * f
+    w = 1.0 - z if one_minus_z is None else np.atleast_1d(np.asarray(one_minus_z, dtype=float))
+    e = b + 1.0 - c
+    K, rg = math.exp(math.lgamma(e) - math.lgamma(b)), float(rgamma(c))
+    # p = z^{1-c} w^{-e}, w^{-e} as w^c w^{-(b+1)}: exact exponents, which |log w| would magnify
+    power = lambda x, gap: x ** (1.0 - c) * gap ** c * gap ** -(b + 1.0)
+    p, I = power(z, w), betainc(c, e, z)
+    F = rg + K * p * I
+    out, parts = scale * F, np.abs(scale * F)
+    if pairs:
+        phi = math.fsum([scale, *(B for B, _ in pairs)])
+        by_phi, phi_parts = phi * F, np.abs(phi * F)
         for B, g in pairs:
-            # (1-g) z stays comparable to 1-z, so this difference does not cancel
-            out[near_one] += B * (f - hyp2f1_regularized(a, b, c, (1.0 - g) * zn,
-                                                         one_minus_z=wn + g * zn))
-        if np.any(~near_one):
-            out[~near_one] = hyp2f1_regularized(a, b, c, zv[~near_one], scale, pairs)
-        return float(out[0]) if scalar else out.reshape(z_arr.shape)
-
-    if _is_nonpositive_integer(c):
-        n_start = int(round(1.0 - c))  # first index with n + c = 1
-    else:
-        n_start = 0
-    # the weight of term n is scale + sum_i B_i (1 - (1-g_i)^n); g_i = 1 is taken as
-    # the double below it, as any 1 - g_i < 2^-53 moves a weight by under an ulp
-    B, g = np.reshape(np.asarray(pairs, dtype=float), (-1, 2)).T
-    log_c2 = np.log1p(-np.minimum(g, 1.0 - 2.0 ** -53))
-    weights = lambda k: scale - np.expm1(np.multiply.outer(k, log_c2)) @ B
-
-    # seed term t_{n_start} = (a)_n (b)_n z^n / (n! Gamma(n+c))
-    seed = poch(a, n_start) * poch(b, n_start) / math.factorial(n_start)
-    seed *= rgamma(n_start + c)
-    term = seed * zv ** n_start
-    total = term * weights(float(n_start))
-    small = 0
-    n = n_start
-    block = _block_terms(zv.size)
-    # a block of terms at a time; the stopping rule (three consecutive terms
-    # below tol * max|total|) is applied term by term inside the block
-    while n - n_start < _SERIES_MAX_TERMS:
-        k = n + np.arange(block + 1, dtype=float)
-        ratio = (a + k) / (k + 1.0) * ((b + k) / (k + c))  # term n+1 over term n, times z
-        plain = term * np.cumprod(ratio[:block, None] * zv, axis=0)
-        # a plain sum skips the weighting pass (about a sixth of its time)
-        terms = plain * weights(k[1:])[:, None] if pairs or scale != 1.0 else plain
-        totals = total + np.cumsum(terms, axis=0)
-        settled = (np.abs(terms).max(axis=1)
-                   <= _SERIES_TOL * np.maximum(np.abs(totals).max(axis=1), 1e-300))
-        for j, ok in enumerate(settled):
-            small = small + 1 if ok else 0
-            if small >= 3:
-                # the terms past the stop, summed as the geometric tail of the
-                # next term ratio (their sum, ~tol/(1-z), is the truncation error)
-                rho = ratio[j + 1] * zv
-                tail = np.where(np.abs(rho) < 1.0, terms[j] * rho / (1.0 - rho), 0.0)
-                total = totals[j] + tail
-                return float(total[0]) if scalar else total.reshape(z_arr.shape)
-        term, total = plain[-1], totals[-1]
-        n += block
-    raise ConvergenceError(
-        f"regularized 2F1 series stalled at a={a} b={b} c={c} max z={np.max(zv)}")
+            g = min(g, 1.0 - 2.0 ** -53)
+            zg, wg = (1.0 - g) * z, w + g * z
+            pg, Ig = power(zg, wg), betainc(c, e, zg)
+            dp = -p * np.expm1((1.0 - c) * math.log1p(-g) - e * np.log1p(g * z / w))  # p - pg
+            KdI = K * (I - Ig)
+            near = (g < 0.5) & (g * z < w)
+            if np.any(near):  # K / B(c, e) = b / Gamma(c)
+                y, zn = g / 2.0 * (1.0 + _GL_X), z[near]
+                gap = w[near][:, None] + zn[:, None] * y
+                KdI[near] = (b * rg * g / 2.0 * zn ** c
+                             * ((gap ** b * gap ** -c) @ ((1.0 - y) ** (c - 1.0) * _GL_W)))
+            diff = dp * K * I + pg * KdI  # F(z) - F(zg), two nonnegative parts
+            out, parts = out + B * diff, parts + abs(B) * diff
+            Fg = rg + K * pg * Ig
+            by_phi, phi_parts = by_phi - B * Fg, phi_parts + abs(B) * Fg
+        out = np.where(parts <= phi_parts, out, by_phi)
+    return float(out[0]) if shape == () else out.reshape(shape)

@@ -310,6 +310,59 @@ def test_eps_norm_t1_equals_axis_potential_ratio():
         assert eps_norm(1.0, R, p) == pytest.approx(expected, abs=1e-8)
 
 
+@pytest.mark.parametrize("d, k, t", [(2, 30, 0.99999), (2, 37, 0.9995), (2, 37, 0.99999),
+                                     (4, 30, 0.99999), (4, 37, 0.9995), (4, 37, 0.99999)])
+def test_nu_mass_keeps_its_edge_as_s_decreases_to_d_minus_2(d, k, t):
+    # s = d-2+2^-k puts c = 1-(d-s)/2 at 2^-(k+1): F must keep its whole value
+    # where 1 - w is within 1e-3 of the edge, not half of it
+    p = Params(d=d, s=d - 2.0 + 2.0 ** -k)
+    assert abs(nu_measure(t, p).with_mass(p).mass - nu_norm(t, p)) <= 1e-13
+
+
+def test_eps_mass_keeps_its_edge_mass_at_c_near_zero():
+    # c = 2^-40 is no non-positive integer: F's 1/Gamma(c) term holds the edge mass
+    p = Params(d=3, s=1.0 + 2.0 ** -39)
+    assert abs(eps_measure(0.3, 1.5, p).with_mass(p).mass - eps_norm(0.3, 1.5, p)) <= 1e-13
+
+
+def h_reference(t, atoms, params):
+    """24-digit H(t) = (1/W) int_{-1}^t ||nu_u|| sum_i m_i e_i'(u) du for exterior
+    atoms, in v = 1 + u on panels graded toward t, each scaled to O(1) (mp.quad's
+    tolerance is absolute)."""
+    with mp.workdps(24):
+        d, s, top, bottom = mp.mpf(params.d), mp.mpf(params.s), 1 + mp.mpf(t), 1 - mp.mpf(t)
+        W = (mp.gamma(d) * mp.gamma((d - s) / 2)
+             / (2 ** s * mp.gamma(d / 2) * mp.gamma(d - s / 2)))
+        nu = lambda v: (mp.betainc(s / 2, d - s / 2, 0, v / 2, regularized=True) if v < 1 else
+                        1 - mp.betainc(d - s / 2, s / 2, 0, (bottom + top - v) / 2, regularized=True))
+        f = lambda v: nu(v) * mp.fsum(
+            m * d * R * (R + 1) ** (d - s)
+            / ((R - 1) ** 2 + 2 * R * (bottom + top - v)) ** (d / 2 + 1)
+            for R, m in map(lambda a: map(mp.mpf, a), atoms))
+        gap = min(bottom + (mp.mpf(R) - 1) ** 2 / (2 * mp.mpf(R)) for R, _ in atoms)
+        ends, k = [top], 0
+        while top - gap * 4 ** k > gap * 4 ** k:
+            ends.append(top - gap * 4 ** k)
+            k += 1
+        ends = ends[::-1]
+        total = 0
+        for a, b in zip([mp.mpf(0)] + ends, ends):
+            scale = (b - a) * f(b)
+            total += scale * mp.quad(lambda y: f(a + (b - a) * y) * (b - a) / scale, [0, 1])
+        return total / W
+
+
+@pytest.mark.parametrize("params", [Params(d=2, s=1.0), Params(d=4, s=2.0), Params(d=5, s=4.4)],
+                         ids=["d2", "d4-s2", "d5"])
+def test_h_against_24_digit_mpmath(params):
+    # charges from 1e-12 to 2 beyond the sphere, and caps from 1e-14 to 1e-9 short of
+    # either pole: panels graded toward t keep a pole near the edge away from the rule
+    for R in (1.0 + 1e-12, 1.0 + 1e-8, 1.0001, 1.05, 3.0):
+        for t in (-1.0 + 1e-14, -0.5, 0.3, 0.99, 1.0 - 1e-6, 1.0 - 1e-9):
+            ref = h_reference(t, [(R, 1.0)], params)
+            assert abs(h(t, AxisMeasure([(R, 1.0)]), params) / ref - 1) <= 2e-15, (R, t)
+
+
 # ---------------------------------------------------------------------------
 # phi and the support solve
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
-from scipy.special import betainc, poch, psi
+from scipy.special import betainc, hyp2f1, poch, psi, rgamma
 
 from rieszcap import specfun
 from rieszcap.specfun import hyp2f1_1mz, hyp2f1_regularized
@@ -121,33 +121,23 @@ def test_hyp2f1_1mz_domain():
 # hyp2f1_regularized
 
 
-def reg_series_oracle(a, b, c, z, nterms=400):
-    """Term-by-term summation with explicit pole skipping, in mp arithmetic."""
-    total = mp.mpf(0)
-    for n in range(nterms):
-        if c + n <= 0 and abs((c + n) - round(c + n)) < 1e-12:
-            continue  # 1/Gamma at a pole: the term vanishes
-        total += (mp.rf(a, n) * mp.rf(b, n) / mp.factorial(n)
-                  * mp.rgamma(c + n) * mp.mpf(z) ** n)
-    return float(total)
-
-
 def test_regularized_trivial():
-    assert hyp2f1_regularized(0.9, 2.0, 1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
+    assert hyp2f1_regularized(1.0, 2.0, 1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_regularized_nonpositive_c():
-    # c = 0: the n = 0 term vanishes and the sum starts at n = 1
-    got = hyp2f1_regularized(1.0, 2.0, 0.0, 0.3)
-    assert got == pytest.approx(reg_series_oracle(1.0, 2.0, 0.0, 0.3), rel=1e-12)
-    got = hyp2f1_regularized(0.7, 1.1, -2.0, 0.4)
-    assert got == pytest.approx(reg_series_oracle(0.7, 1.1, -2.0, 0.4), rel=1e-12)
+    # the closed form covers a = 1 and 0 < c <= 1, the cap densities' range; any
+    # other a or c, the non-positive integers included, is refused
+    for a, b, c in [(1.0, 2.0, 0.0), (0.7, 1.1, -2.0), (1.0, 1.5, -0.5), (0.5, 1.0, 0.5),
+                    (1.0, 1.0, 1.5)]:
+        with pytest.raises(ValueError):
+            hyp2f1_regularized(a, b, c, 0.3)
 
 
 def test_regularized_matches_unregularized():
-    c = 1.5
-    expected = hyp2f1_1mz(0.5, 1.0, c, 0.75) / math.gamma(c)
-    assert hyp2f1_regularized(0.5, 1.0, c, 0.25) == pytest.approx(expected, rel=1e-12)
+    c = 0.5
+    expected = hyp2f1_1mz(1.0, 1.0, c, 0.75) / math.gamma(c)
+    assert hyp2f1_regularized(1.0, 1.0, c, 0.25) == pytest.approx(expected, rel=1e-12)
 
 
 def test_regularized_vectorized():
@@ -155,6 +145,60 @@ def test_regularized_vectorized():
     vec = hyp2f1_regularized(1.0, 1.5, 0.5, z)
     scal = [hyp2f1_regularized(1.0, 1.5, 0.5, float(zi)) for zi in z]
     assert_allclose(vec, scal, rtol=1e-13)
+
+
+def brace_reference(b, c, w, D, pairs):
+    """40-digit D F(z) + sum_i B_i [F(z) - F((1-g_i) z)] at z = 1 - w, and the
+    smaller sum of absolute parts of its two groupings (that one, and
+    Phi F(z) - sum_i B_i F((1-g_i) z) with Phi = D + sum_i B_i)."""
+    with mp.workdps(40):
+        F = lambda x: mp.hyp2f1(1, b, c, x) * mp.rgamma(c)
+        z = 1 - mp.mpf(w)
+        Fz = F(z)
+        value, d_parts, phi_parts = D * Fz, abs(D * Fz), abs((D + mp.fsum(B for B, _ in pairs)) * Fz)
+        for B, g in pairs:
+            Fg = F((1 - mp.mpf(g)) * z)
+            value += B * (Fz - Fg)
+            d_parts += abs(B * (Fz - Fg))
+            phi_parts += abs(B * Fg)
+        return value, min(d_parts, phi_parts)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_brace_against_40_digit_mpmath(seed):
+    # 4 x 80 seeded cap braces: b = d/2, c = (s-d+2)/2 with s - d + 2 from 2^-38
+    # up to 1.95, 1 - z from 1e-7, g_i from 1e-13, and D of both signs, a third
+    # of them with Phi = D + sum_i B_i down to 1e-12 of sum_i B_i (where only the
+    # Phi grouping keeps the digits); each within 1e-14 of its parts' absolute sum
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(80):
+        d = int(rng.integers(2, 6))
+        gap = 1.95 * 2.0 ** -rng.uniform(0.0, 38.0) if rng.random() < 0.5 else rng.uniform(0.01, 1.95)
+        c = float(gap) / 2.0
+        w = float(10.0 ** rng.uniform(-7.0, 0.0))
+        pairs = [(float(10.0 ** rng.uniform(-2.0, 3.0)), float(10.0 ** rng.uniform(-13.0, 0.0)))
+                 for _ in range(int(rng.integers(1, 3)))]
+        D = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 2.0))
+        if rng.random() < 1.0 / 3.0:
+            D = -math.fsum(B for B, _ in pairs) * (1.0 - 10.0 ** rng.uniform(-12.0, 0.0))
+        got = hyp2f1_regularized(1.0, d / 2.0, c, 1.0 - w, D, pairs, one_minus_z=w)
+        value, parts = brace_reference(d / 2.0, c, w, D, pairs)
+        assert abs(got - value) <= 1e-14 * parts, (d, c, w, D, pairs)
+
+
+@pytest.mark.parametrize("d, s", [(3, 2.0), (5, 4.0)])
+def test_regularized_at_integer_c_minus_a_minus_b(d, s):
+    # c - a - b = s/2 - d is an integer here, where 2F1's connection formula
+    # takes its log case; the closed form has no case of its own
+    b, c = d / 2.0, 1.0 - (d - s) / 2.0
+    ws = 10.0 ** -np.arange(0.0, 9.5, 0.5)
+    got = hyp2f1_regularized(1.0, b, c, 1.0 - ws, one_minus_z=ws)
+    brace = hyp2f1_regularized(1.0, b, c, 1.0 - ws, -0.3, [(2.0, 1e-3), (0.5, 0.7)], one_minus_z=ws)
+    for w, value, pair_value in zip(ws, got, brace):
+        ref, parts = brace_reference(b, c, w, 1.0, [])
+        assert abs(value - ref) <= 1e-14 * parts, w
+        ref, parts = brace_reference(b, c, w, -0.3, [(2.0, 1e-3), (0.5, 0.7)])
+        assert abs(pair_value - ref) <= 1e-14 * parts, w
 
 
 def test_regularized_domain():
@@ -246,7 +290,7 @@ def euler_lhs(alpha, beta, gam, x, y):
 
     def f(u):
         return (u ** (beta - 1.0) * (x - u) ** (gam - 1.0) * (1.0 - u) ** (-alpha)
-                * hyp2f1_regularized(alpha, beta, gam, y * (x - u) / (1.0 - u)))
+                * hyp2f1(alpha, beta, gam, y * (x - u) / (1.0 - u)) * rgamma(gam))
 
     val, err = integrate.quad(f, 0.0, x, epsabs=1e-12, epsrel=1e-11, limit=300)
     assert err < 1e-8 * max(1.0, abs(val))

@@ -139,9 +139,8 @@ def test_t0_matches_30_digit_reference(case):
                           (Params(d=5, s=4.5), 3.0, 1)],
                          ids=["interior", "interior-d2", "whole-sphere"])
 def test_solve_builds_one_rule_per_integral_family(params, R, most, monkeypatch):
-    # an interior solve integrates direct eps, complement eps and eta's mass;
-    # at d = 2 the direct eps rule (0, s/2-1) is eta's (s/2-1, 0) reflected;
-    # a whole-sphere solve only the mass at t = 1.  The pairs _gauss_jacobi
+    # an interior solve integrates eta's mass (H takes a rule that does not
+    # depend on s); a whole-sphere solve only the mass at t = 1.  The pairs _gauss_jacobi
     # is given count rule builds; the cache holds the reflected copies
     built, build = [], sphere._gauss_jacobi
     monkeypatch.setattr(sphere, "_RULES", {})
@@ -166,8 +165,8 @@ def _solve_record(params):
 
 @pytest.mark.parametrize("params", COLD, ids=[f"d{p.d}-s{p.s}" for p in COLD])
 def test_cold_solve_builds_its_rules_in_one_pass(params, monkeypatch):
-    # an interior solve requests the first-order rules of its regime's cap
-    # integral families before the Newton steps, in one build pass; every rule
+    # an interior solve requests the first-order rule of its one s-dependent
+    # family, eta_t's mass, before the Newton steps, in one build pass; every rule
     # its call sites ask for at that order was in the request, and the answer
     # is bit for bit that of a warm cache and of rules built one pair at a time
     requests, passes = [], []
@@ -185,7 +184,7 @@ def test_cold_solve_builds_its_rules_in_one_pass(params, monkeypatch):
     cold = _solve_record(params)
     assert len(passes) == 1
     (order, up_front), later = requests[0], requests[1:]
-    assert order == sphere._RADIAL_FIRST_ORDER and len(up_front) == 3
+    assert order == sphere._RADIAL_FIRST_ORDER and len(up_front) == 1
     assert {pair for o, pairs in later if o == order for pair in pairs} <= set(up_front)
     assert _solve_record(params) == cold  # warm: no build at all
     assert len(passes) == 1
