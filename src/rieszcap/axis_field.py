@@ -7,10 +7,12 @@ lambda is the mass-weighted sum of the single-charge balayages.  All three
 kernel regimes run one algorithm on H, increasing from H(-1) = 0, with
 Delta(t) = W (1 - H(t))/||nu_t||: H(1) <= 1 gives the full sphere; else
 Newton on log H in log(1+t) finds the root t0 of H = 1, and eta_t0 is
-assembled.  The whole sphere is the cap t = 1.  The regime modules supply
-only the formulas (see :class:`Regime`).  A continuous lambda should be
-pre-discretized by the caller (any quadrature of d lambda(R) against these
-formulas is exact for its own nodes).
+assembled and certified by its mass.  H and that mass run on one tanh-sinh
+rule that does not depend on s, so a solve builds no quadrature rule.  The
+whole sphere is the cap t = 1.  The regime modules supply only the formulas
+(see :class:`Regime`).  A continuous lambda should be pre-discretized by the
+caller (any quadrature of d lambda(R) against these formulas is exact for its
+own nodes).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, NamedTuple
 from rieszcap import cap_exceptional, cap_riesz
 from rieszcap.point_field import AxisMeasure
 from rieszcap.specfun import ConvergenceError
-from rieszcap.sphere import _RADIAL_FIRST_ORDER, CapMeasure, Params, _jacobi_exponents, _jacobi_rules
+from rieszcap.sphere import CapMeasure, Params
 
 __all__ = [
     "AxisMeasure",
@@ -47,9 +49,8 @@ class Regime(NamedTuple):
     sphere), and ``potential(xi, eta, field)`` its closed-form weighted potential.
     The Riesz range d-2 <= s < d runs one set of formulas; at s = d-2 its
     ``eta`` carries a ring charge.  ``column`` names the functional in
-    phi-curve output.  ``families`` holds the (singular, left) exponents of
-    eta_t's mass rule, the one cap integral of a solve whose rule depends on s
-    (H's tanh-sinh rule does not; none for log, fixed at d = 2).
+    phi-curve output.  Neither H nor eta's mass takes a rule that depends on
+    s: both run on the tanh-sinh nodes of :mod:`rieszcap.sphere`.
     """
 
     column: str
@@ -58,7 +59,6 @@ class Regime(NamedTuple):
     slope: Callable[[float, AxisMeasure], float]
     eta: Callable[[float, AxisMeasure], CapMeasure]
     potential: Callable[[float, CapMeasure, AxisMeasure], float]
-    families: tuple[tuple[float, float | None], ...]
 
 
 def regime(params: Params) -> Regime:
@@ -66,14 +66,14 @@ def regime(params: Params) -> Regime:
     ce, cr = cap_exceptional, cap_riesz
     if params.log:
         ce._require_log(params)
-        column, fns, families = "F0", (ce.log_f0_functional, ce.log_h, ce.log_h_slope,
-                                       ce.log_etabar, ce.log_eta_potential), ()
+        column, fns = "F0", (ce.log_f0_functional, ce.log_h, ce.log_h_slope, ce.log_etabar,
+                             ce.log_eta_potential)
     elif params.in_cap_regime or params.is_exceptional:
         fns = cr.phi, cr.h, cr.h_slope, cr.eta_measure, cr.eta_potential
-        column, families = "phibar" if params.is_exceptional else "phi", cr._families(params)
+        column = "phibar" if params.is_exceptional else "phi"
     else:
         raise ValueError(f"no cap solver for d={params.d}, s={params.s}")
-    return Regime(column, *(partial(f, params=params) for f in fns), families)
+    return Regime(column, *(partial(f, params=params) for f in fns))
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,6 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     if form.h(1.0, lam) <= 1.0:
         t0, solved_by, evals, step = 1.0, "boundary_t_equals_1", 1, 0.0
     else:
-        # the first-order rule of eta_t0's mass, built before the Newton steps
-        _jacobi_rules(_RADIAL_FIRST_ORDER, [_jacobi_exponents(0.0, params, *f) for f in form.families])
         t, right = 0.0, False  # right: an iterate has landed right of t0, where H > 1
         for evals in range(2, 102):  # H evaluations, H(1) included
             h_t = float(form.h(t, lam))

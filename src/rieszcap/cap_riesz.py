@@ -32,7 +32,7 @@ from scipy.special import betainc
 from rieszcap.point_field import AxisMeasure, _exterior, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
 from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, _entries, _gap_dist2, _like, \
-    axis_dist2, integrate_radial, omega_ratio, sphere_energy
+    _tanh_sinh_nodes, axis_dist2, integrate_radial, omega_ratio, sphere_energy
 
 __all__ = [
     "nu_measure",
@@ -52,11 +52,6 @@ __all__ = [
 def _require_cap_regime(params: Params) -> None:
     if not (params.in_cap_regime or params.is_exceptional):
         raise ValueError(f"cap formulas need d-2 <= s < d, got d={params.d}, s={params.s}")
-
-
-def _families(params: Params) -> tuple[tuple[float, None], ...]:
-    # the (singular, left) exponents of eta_t's mass rule, t < 1: the one cap rule of a solve
-    return ((0.0 if params.is_exceptional else (params.s - params.d) / 2.0, None),)
 
 
 def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
@@ -93,9 +88,9 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
     The planar log kernel is the s = d-2 form at d = 2 with W = 1.
 
     Its ``singular_height`` is u = 1 for t < 1 (a branch point of the regular
-    part and of the surface factor the cap rule folds in), and at t = 1 the
-    lowest charge height (R_j^2+1)/(2R_j) > 1; for log it is that height at
-    every t, as d = 2 folds in no surface factor.
+    part and of the surface factor the cap integral multiplies in), and at
+    t = 1 the lowest charge height (R_j^2+1)/(2R_j) > 1; for log it is that
+    height at every t, as d = 2 has no surface factor.
     """
     if not (params.log and params.d == 2):
         _require_cap_regime(params)
@@ -124,7 +119,7 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
                                  one_minus_z=gap + c * rest)
         return pref * rest ** (d / 2.0) * (1.0 - t) ** ((d - s) / 2.0) * acc
 
-    return CapMeasure(t=t, regular_part=regular, singular_exponent=_families(params)[0][0], phi=phi,
+    return CapMeasure(t=t, regular_part=regular, singular_exponent=(s - d) / 2.0, phi=phi,
                       singular_height=height)
 
 
@@ -248,14 +243,6 @@ def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np
     return sphere_energy(params) * (1.0 + eps) / nu_norm(t, params)
 
 
-# the tanh-sinh rule x_k = tanh(u_k), u_k = pi/2 sinh(k h), h = 0.08, |k| <= 40: its 81 nodes
-# on [-1, 1] as 1 + x and 1 - x (down to 4e-17), and its weights h dx/dk
-_TS_K = 0.08 * np.arange(-40, 41)
-_TS_U = math.pi / 2.0 * np.sinh(_TS_K)
-_TS_PLUS, _TS_MINUS = np.exp(_TS_U) / np.cosh(_TS_U), np.exp(-_TS_U) / np.cosh(_TS_U)
-_TS_W = 0.08 * math.pi / 2.0 * np.cosh(_TS_K) / np.cosh(_TS_U) ** 2
-
-
 def _slope(one_plus, one_minus, atoms, params: Params):
     # W_s H' = ||nu_u|| sum_i m_i e_i'(u) at heights u given as their distances 1+u and 1-u
     d, s = params.d, params.s
@@ -271,10 +258,11 @@ def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.n
     = W_s (1 - H(t))/||nu_t||, e_i = (R_i+1)^{d-s}/r_i^d, so H(t0) = 1, and H(1) <= 1 gives
     the whole sphere.  H(1) is the closed form sum_i m_i (e_i(1) - U^sigma(R_i))/W_s.
 
-    Below 1 the integrand holds neither t nor a rule that depends on s: one tanh-sinh rule
-    (Takahasi & Mori, Publ. RIMS 9 (1974) 721-741), 81 nodes at step 0.08, held as their
-    distances 1+u and 1-u = (1-t) + (t-u).  When the lowest pole height p = (R^2+1)/(2R)
-    lies within (1+t)/17 of t, panels graded toward t at t - (p-t) 4^j keep it away.
+    Below 1 the integrand holds neither t nor a rule that depends on s: the 81-node
+    tanh-sinh rule at step 0.08 of :func:`rieszcap.sphere._tanh_sinh_nodes`, which the cap
+    masses share, its nodes held as their distances 1+u and 1-u = (1-t) + (t-u).  When the
+    lowest pole height p = (R^2+1)/(2R) lies within (1+t)/17 of t, panels graded toward t
+    at t - (p-t) 4^j keep it away.  H takes that one step, with no error estimate.
     """
     _require_cap_regime(params)
     d, s, W = params.d, params.s, sphere_energy(params)
@@ -286,15 +274,9 @@ def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.n
             out.append(sum(m * ((R + 1.0) ** (d - s) / axis_dist2(x, R) ** (d / 2.0) / W
                                 - field_potential_on_axis(R, params) / W) for R, m in atoms))
             continue
-        # the panel edges as distances below t: 0, (p-t) 4^j while the pole is near, 1+t
-        gap, cuts = (1.0 - x) + min((R - 1.0) ** 2 / (2.0 * R) for R, _ in atoms), [0.0]
-        while gap + cuts[-1] < (1.0 + x - cuts[-1]) / 17.0:
-            cuts.append(gap * 4.0 ** (len(cuts) - 1))
-        ends = cuts + [1.0 + x]  # each panel's 1+u at its left end, t-u at its right, half length
-        left, right, half = np.array([(1.0 + x - hi, lo, (hi - lo) / 2.0)
-                                      for lo, hi in zip(ends, ends[1:])]).T[:, :, None]
-        f = half * _TS_W * _slope(left + half * _TS_PLUS, (1.0 - x) + (right + half * _TS_MINUS),
-                                  atoms, params)
+        gap = (1.0 - x) + min((R - 1.0) ** 2 / (2.0 * R) for R, _ in atoms)  # p - t
+        nodes, w = _tanh_sinh_nodes(x, gap)
+        f = w * _slope(nodes.one_plus_u, nodes.one_minus_u, atoms, params)
         out.append(float(f.sum()) / W)
     return _like(t, out)
 

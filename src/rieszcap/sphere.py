@@ -10,14 +10,20 @@ and all potentials become 1-d integrals against the Funk-Hecke ring kernel
 sigma_d throughout, and quadrature weights include the full surface factor
 (omega ratio and Jacobian), so plain weight sums are sigma_d masses.
 
-Every cap integral (:func:`integrate_radial`) is one Gauss-Jacobi rule.
-Its caller names the height of the integrand's nearest singularity; the
+The masses and moments of a cap measure (:class:`CapMeasure`) come from
+one tanh-sinh rule that does not depend on s (:func:`_cap_integral`): its
+edge power (t-u)^a is split off in closed form, and its step halves until
+the step-2h rule, the even-indexed nodes, agrees.  H shares that rule's
+nodes (:func:`rieszcap.cap_riesz.h`).
+
+The Gauss-Jacobi rules (:func:`build_quadrature`, :func:`integrate_radial`)
+serve the rows of ||eps_t|| only (``eps_norm``, ``phi`` and phi-curves).
+The caller names the height of the integrand's nearest singularity; the
 Bernstein ellipse through it sets, a priori, the power-of-two order whose
 error bound 4 mu M rho^{1-2n}/(rho-1) meets 1e-12.  Only when no order up
 to 8192 does (a singularity within ~1e-6 of the cap edge, relative to the
 cap) do the orders double until two results agree.  Integrals come in
-batches of rows, one per cap height; rows that share a rule share its build,
-and a solve builds the first-order rules of all its integrals in one pass.
+batches of rows, one per cap height; rows that share a rule share its build.
 """
 
 from __future__ import annotations
@@ -52,10 +58,14 @@ _NEWTON_STEPS = 8  # Newton passes before a rule build gives up
 _STEPS_PER_TABLE = 64  # recurrence steps whose per-node coefficients are laid out at once
 _NEWTON_SETTLED = 1e-8  # relative step after which one more correction is exact to rounding
 _RADIAL_TOL = 1e-12  # error bound (doubling: successive agreement) settling integrate_radial
-_RULE_EPS = 2e-14  # relative weight error of two Gauss-Jacobi rules (moments ~1e-14 each)
+_RULE_EPS = 2e-14  # relative weight error of two Gauss-Jacobi rules (moments ~1e-14 each);
+                   # also the rounding floor of a tanh-sinh cap integral, relative to sum w|f|
 _RADIAL_FIRST_ORDER = 64  # the first Gauss-Jacobi order integrate_radial tries
 _RADIAL_MAX_ORDER = 8192  # the order at which integrate_radial gives up
 _CHUNK_NODES = 65536  # nodes evaluated at once: rows sharing a rule run in chunks of this size
+_TS_STEP = 0.08  # the tanh-sinh step at level 0; level j halves it j times
+_TS_LEVELS = 4  # tanh-sinh levels a cap integral may take, h = 0.08 down to 0.01
+_TS_TOL = 1e-14  # a level settles when (I_h - I_2h)^2 / max(1, |I|) <= this * max(1, |I|)
 
 
 @dataclass(frozen=True)
@@ -296,8 +306,7 @@ def _jacobi_rules(order: int, pairs) -> list[tuple[np.ndarray, np.ndarray, np.nd
     """Gauss-Jacobi rules on [-1, 1] for (1-x)^alpha (1+x)^beta, one per pair
     (alpha, beta), as read-only arrays (1-x, 1+x, w) in increasing x, from a
     bounded per-process cache that builds what it lacks in one pass of
-    :func:`_gauss_jacobi`.  alpha > beta reflects the (beta, alpha) rule: at
-    d = 2 the direct ||eps_t|| rule is eta's mass rule."""
+    :func:`_gauss_jacobi`.  alpha > beta reflects the (beta, alpha) rule."""
     keys = [(order, a, b) for a, b in pairs]
     lacking = dict.fromkeys((order, min(k[1:]), max(k[1:])) for k in keys if k not in _RULES)
     build = [k[1:] for k in lacking if k not in _RULES]  # the alpha <= beta rules to build
@@ -455,11 +464,89 @@ class Nodes(NamedTuple):
     one_minus_u: np.ndarray
 
 
+def _tanh_sinh(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the tanh-sinh rule x_k = tanh(v_k), v_k = pi/2 sinh(k h), h = 0.08 2^-level, |k h| <= 3.2
+    # (Takahasi & Mori, Publ. RIMS 9 (1974) 721-741): its nodes on [-1, 1] as 1 + x and 1 - x
+    # (down to 4e-17), and its weights h dx/dk; the even-indexed nodes are the step-2h rule
+    h = _TS_STEP / 2 ** level
+    k = h * np.arange(-40 * 2 ** level, 40 * 2 ** level + 1)
+    v = math.pi / 2.0 * np.sinh(k)
+    w = h * math.pi / 2.0 * np.cosh(k) / np.cosh(v) ** 2
+    return np.exp(v) / np.cosh(v), np.exp(-v) / np.cosh(v), w
+
+
+_TS_RULES = tuple(_tanh_sinh(level) for level in range(_TS_LEVELS))
+
+
+def _tanh_sinh_nodes(t: float, gap: float, level: int = 0) -> tuple[Nodes, np.ndarray]:
+    """Tanh-sinh nodes and weights (nodes, w) on [-1, t], t <= 1, with
+    sum w f(nodes) ~= int_{-1}^t f(u) du: (panels, n) arrays, one row per panel.
+
+    The nodes are held as their distances 1+u, t-u and 1-u = (1-t) + (t-u), each
+    formed without cancellation.  ``gap`` is how far the integrand's nearest
+    singularity lies beyond t; when it lies within (1+t)/17 of t, panels graded
+    toward t at t - gap 4^j keep it away from all but the last panel's end.
+    """
+    cuts = [0.0]  # the panel edges as distances below t: 0, gap 4^j while the singularity is near
+    while 0.0 < gap and gap + cuts[-1] < (1.0 + t - cuts[-1]) / 17.0:
+        cuts.append(gap * 4.0 ** (len(cuts) - 1))
+    ends = cuts + [1.0 + t]  # each panel's 1+u at its left end, t-u at its right, half length
+    left, right, half = np.array([(1.0 + t - hi, lo, (hi - lo) / 2.0)
+                                  for lo, hi in zip(ends, ends[1:])]).T[:, :, None]
+    plus, minus, w = _TS_RULES[level]
+    one_plus_u, t_minus_u = left + half * plus, right + half * minus
+    return Nodes(-1.0 + one_plus_u, one_plus_u, t_minus_u, (1.0 - t) + t_minus_u), half * w
+
+
+def _cap_integral(t: float, a: float, gap: float, f: Callable[[Nodes], np.ndarray],
+                  params: Params) -> tuple[float, float, int]:
+    """(I, e, level): I = int_{-1}^t f(u) (t-u)^a (omega_{d-1}/omega_d) (1-u^2)^{d/2-1} du,
+    its error estimate e, and the tanh-sinh level that settled it, t in (-1, 1], a > -1.
+
+    With G = f times the surface factor, an edge exponent a < 0 is split off in
+    closed form: I = G(t) (1+t)^{a+1}/(a+1) + int (t-u)^a (G(u) - G(t)) du, whose
+    integrand behaves like (t-u)^{a+1} at the edge, so a -> -1 costs nothing.
+    The integral runs on :func:`_tanh_sinh_nodes` (``gap`` as there) at step
+    h = 0.08 2^-j; its even-indexed nodes give the step-2h value at no cost.
+    e is (I_h - I_2h)^2 / max(1, |I|), the error of a rule that converges
+    double-exponentially once I_2h has, plus a rounding floor of 2e-14 of
+    |G(t)| (1+t)^{a+1}/(a+1) + sum w |integrand|.  When its first part exceeds
+    1e-14 max(1, |I|) the step halves, down to h = 0.01; past that,
+    :class:`ConvergenceError` names t, a and e.
+    """
+    d, om = params.d, omega_ratio(params)
+
+    def g(nodes):  # f times the surface factor, which is 1/om at d = 2
+        out = f(nodes) / om
+        return out if d == 2 else out * (nodes.one_plus_u * nodes.one_minus_u) ** (d / 2.0 - 1.0)
+
+    edge = (t, 1.0 + t, 0.0, 1.0 - t)
+    for level in range(_TS_LEVELS):
+        nodes, w = _tanh_sinh_nodes(t, gap, level)
+        if a < 0.0:  # G(t) rides along as one more node
+            vals = g(Nodes(*(np.append(x, y) for x, y in zip(nodes, edge))))
+            g_t, vals = float(vals[-1]), vals[:-1].reshape(w.shape)
+        else:
+            g_t, vals = 0.0, g(nodes)
+        closed = g_t * (1.0 + t) ** (a + 1.0) / (a + 1.0)
+        part = w * (vals - g_t) * nodes.t_minus_u ** a
+        fine, coarse = float(part.sum()), 2.0 * float(part[:, ::2].sum())
+        value = closed + fine
+        size = max(1.0, abs(value))
+        e = (fine - coarse) ** 2 / size
+        if e <= _TS_TOL * size:
+            return value, e + _RULE_EPS * (abs(closed) + float(np.abs(part).sum())), level
+    raise ConvergenceError(f"cap integral did not settle down to tanh-sinh step "
+                           f"{_TS_STEP / 2 ** level}: t={t!r}, edge exponent a={a!r}, "
+                           f"error estimate {e:.3e}")
+
+
 def build_quadrature(t: float | np.ndarray, params: Params, order: int,
                      singular_exponent: float = 0.0, *,
                      left_exponent: float | None = None) -> tuple[Nodes, np.ndarray]:
     """Gauss-Jacobi nodes and weights (nodes, w) on [-1, t] for the
-    surface-weighted integral
+    surface-weighted integral (the rows of ||eps_t|| only, through
+    :func:`integrate_radial`; cap masses take :func:`_cap_integral`)
 
         sum_i w_i f(u_i)  ~=  (omega_{d-1}/omega_d) *
             int_{-1}^t f(u) (1-u)^{d/2-1} (1+u)^{left} (t-u)^{se} du,
@@ -613,10 +700,12 @@ def integrate_radial(f: Callable[[Nodes, np.ndarray], np.ndarray], t: float | np
                      singular_height: float | np.ndarray) -> float | np.ndarray:
     """Surface-weighted cap integrals, one per height of ``t`` (a row), each
     from one Gauss-Jacobi rule whose order is set a priori by the row
-    integrand's nearest singularity.  ``f(nodes, rows)`` returns the
-    integrand of the rows ``rows`` (ascending indices into the flattened t,
-    or a slice) at their (rows, n) :class:`Nodes`, as an array.  The result
-    has t's shape, each row's value bit for bit what the row gives alone.
+    integrand's nearest singularity: the direct and complement rows of
+    ||eps_t|| (``eps_norm``, ``phi`` and phi-curves), and nothing else.
+    ``f(nodes, rows)`` returns the integrand of the rows ``rows`` (ascending
+    indices into the flattened t, or a slice) at their (rows, n)
+    :class:`Nodes`, as an array.  The result has t's shape, each row's value
+    bit for bit what the row gives alone.
 
     ``singular_height`` (one, or an array of t's shape) is the height of the
     integrand's nearest singularity outside [-1, t] (math.inf for an entire
@@ -675,15 +764,16 @@ class CapMeasure:
     """A (possibly signed) measure on the cap u <= t.
 
     The absolutely continuous part has density
-    regular_part(u) * (t-u)^singular_exponent against sigma_d (the form the
-    cap quadrature integrates; regular_part is called with the :class:`Nodes`
-    of a float array of heights); ``boundary_coeff`` multiplies the unit
-    uniform measure on the ring u = t.  ``phi`` is the constant weighted
-    potential on the cap of an equilibrium measure (None for a balayage
-    measure), and ``mass`` the total mass once computed (None otherwise).
-    ``singular_height`` is the height of regular_part's nearest singularity
-    outside the cap, the (1-u)^{d/2-1} surface factor included for t < 1:
-    what :func:`integrate_radial` needs to size its rule.
+    regular_part(u) * (t-u)^singular_exponent against sigma_d (regular_part
+    is called with the :class:`Nodes` of a float array of heights);
+    ``boundary_coeff`` multiplies the unit uniform measure on the ring u = t.
+    ``phi`` is the constant weighted potential on the cap of an equilibrium
+    measure (None for a balayage measure), and ``mass`` the total mass once
+    computed (None otherwise).  ``singular_height`` is the height of
+    regular_part's nearest singularity outside the cap, the (1-u)^{d/2-1}
+    surface factor included for t < 1: it sets the panel grading of the cap
+    integrals (:func:`_cap_integral`), graded toward t when it lies within
+    (1+t)/17 of t.
     """
 
     t: float
@@ -706,20 +796,21 @@ class CapMeasure:
         out = out * t_minus_u ** self.singular_exponent
         return float(out) if out.ndim == 0 else out
 
+    def _integral(self, f: Callable[[Nodes], np.ndarray], params: Params) -> float:
+        # int f d(the absolutely continuous part), on the s-free tanh-sinh rule
+        return _cap_integral(self.t, self.singular_exponent, self.singular_height - self.t, f,
+                             params)[0]
+
     def with_mass(self, params: Params) -> "CapMeasure":
         """This measure with ``mass`` set: the cap integral plus the ring charge.
 
-        The integral is one Gauss-Jacobi rule sized by ``singular_height``
-        (falling back to order doubling when no order up to 8192 meets the
-        error bound); see :func:`integrate_radial`."""
-        interior = integrate_radial(lambda nodes, rows: self.regular_part(nodes), self.t, params,
-                                    self.singular_exponent, singular_height=self.singular_height)
-        return replace(self, mass=interior + self.boundary_coeff)
+        The integral takes the tanh-sinh rule of :func:`_cap_integral`, which
+        splits off the edge power in closed form, and raises
+        :class:`ConvergenceError` when no step down to 0.01 settles it."""
+        return replace(self, mass=self._integral(self.regular_part, params) + self.boundary_coeff)
 
     def moment(self, k: int, params: Params) -> float:
         """int u^k d(this measure), the ring charge included; the integral is
-        sized as in :meth:`with_mass`."""
-        interior = integrate_radial(lambda nodes, rows: nodes.u ** k * self.regular_part(nodes),
-                                    self.t, params, self.singular_exponent,
-                                    singular_height=self.singular_height)
+        taken as in :meth:`with_mass`."""
+        interior = self._integral(lambda nodes: nodes.u ** k * self.regular_part(nodes), params)
         return interior + self.boundary_coeff * self.t ** k

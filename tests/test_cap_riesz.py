@@ -325,6 +325,31 @@ def test_eps_mass_keeps_its_edge_mass_at_c_near_zero():
     assert abs(eps_measure(0.3, 1.5, p).with_mass(p).mass - eps_norm(0.3, 1.5, p)) <= 1e-13
 
 
+NEAR_D_MINUS_2 = [(2, 30, 0.9995), (4, 30, 0.9995), (4, 37, 0.99), (4, 39, 0.3), (5, 39, 0.5)]
+
+
+@pytest.mark.parametrize("d, k, t", NEAR_D_MINUS_2, ids=[f"{d}-{k}-{t}" for d, k, t in NEAR_D_MINUS_2])
+def test_cap_masses_settle_as_s_decreases_to_d_minus_2(d, k, t):
+    # the edge exponent (s-d)/2 within 2^-(k+1) of -1, the cap near the pole and
+    # not: the masses of nu_t and eps_t (R = 1.5) match their norms, and at
+    # 2^-39 they stay where 2^-38 puts them
+    p = Params(d=d, s=d - 2.0 + 2.0 ** -k)
+    nu, eps = nu_measure(t, p).with_mass(p).mass, eps_measure(t, 1.5, p).with_mass(p).mass
+    assert abs(nu - nu_norm(t, p)) <= 1e-13
+    assert abs(eps - eps_norm(t, 1.5, p)) <= 1e-13
+    if k == 39:
+        p38 = Params(d=d, s=d - 2.0 + 2.0 ** -38)
+        assert abs(nu - nu_measure(t, p38).with_mass(p38).mass) <= 1e-10
+        assert abs(eps - eps_measure(t, 1.5, p38).with_mass(p38).mass) <= 1e-10
+
+
+def test_eps_mass_settles_near_the_pole():
+    # 1 - t = 1e-6: the surface factor's branch point at u = 1 and the charge's
+    # pole 1.2e-3 beyond it sit close to the cap edge
+    p, t = Params(d=3, s=1.0), 1.0 - 1e-6
+    assert abs(eps_measure(t, 1.05, p).with_mass(p).mass - eps_norm(t, 1.05, p)) <= 1e-12
+
+
 def h_reference(t, atoms, params):
     """24-digit H(t) = (1/W) int_{-1}^t ||nu_u|| sum_i m_i e_i'(u) du for exterior
     atoms, in v = 1 + u on panels graded toward t, each scaled to O(1) (mp.quad's

@@ -10,6 +10,7 @@ from scipy.special import betainc
 
 from rieszcap import sphere
 from rieszcap.sphere import (
+    CapMeasure,
     Params,
     axis_dist2,
     build_quadrature,
@@ -484,6 +485,18 @@ def test_unsettled_quadrature_names_the_integral(monkeypatch):
     msg = str(info.value)
     assert "order 256" in msg and "t=0.25" in msg and "(-0.5, 0.0)" in msg
     assert "|cur - prev| = " in msg
+
+
+def test_unsettled_cap_mass_names_its_edge():
+    # a density that never settles: every step down to h = 0.01 misses, and the
+    # error reports the cap height, the edge exponent and the last estimate
+    p = Params(d=3, s=1.5)
+    m = CapMeasure(t=0.25, regular_part=lambda nodes: np.sign(np.sin(1e4 * nodes.u)),
+                   singular_exponent=-0.25, singular_height=1.0)
+    with pytest.raises(ConvergenceError) as info:
+        m.with_mass(p)
+    msg = str(info.value)
+    assert "step 0.01" in msg and "t=0.25" in msg and "a=-0.25" in msg and "estimate" in msg
 
 
 def per_row(fns):
