@@ -49,8 +49,9 @@ class Regime(NamedTuple):
     sphere), and ``potential(xi, eta, field)`` its closed-form weighted potential.
     The Riesz range d-2 <= s < d runs one set of formulas; at s = d-2 its
     ``eta`` carries a ring charge.  ``column`` names the functional in
-    phi-curve output.  Neither H nor eta's mass takes a rule that depends on
-    s: both run on the tanh-sinh nodes of :mod:`rieszcap.sphere`.
+    phi-curve output.  No formula takes a rule that depends on s: H, eta's
+    mass and phi's rows of ||eps_t|| run on the tanh-sinh nodes of
+    :mod:`rieszcap.sphere`.
     """
 
     column: str

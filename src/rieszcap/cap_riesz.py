@@ -31,8 +31,8 @@ from scipy.special import betainc
 
 from rieszcap.point_field import AxisMeasure, _exterior, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
-from rieszcap.sphere import CapMeasure, Params, _axis_pole_height, _entries, _gap_dist2, _like, \
-    _tanh_sinh_nodes, axis_dist2, integrate_radial, omega_ratio, sphere_energy
+from rieszcap.sphere import CapMeasure, Params, _entries, _gap_dist2, _like, _tanh_sinh_integrals, \
+    _tanh_sinh_nodes, axis_dist2, sphere_energy
 
 __all__ = [
     "nu_measure",
@@ -63,7 +63,7 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
     passes the net charge net = K - sum_j c_j B_j, formed without cancellation.
     At t = 1 or s = d-2 the density is the whole sphere's
 
-        K/W_s - sum_j c_j (R_j^2-1)^{d-s} rho_j^{s-2d} / W_s,   rho_j^2 = R_j^2 - 2 R_j u + 1,
+        K/W_s - sum_j c_j ((R_j-1)(R_j+1))^{d-s} rho_j^{s-2d} / W_s,  rho_j^2 = R_j^2 - 2 R_j u + 1,
 
     and s = d-2 adds the ring charge (1-t)/2 (1-t^2)^{d/2-1} net on the
     edge.  Otherwise the density is (t-u)^{(s-d)/2} times
@@ -87,10 +87,11 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
 
     The planar log kernel is the s = d-2 form at d = 2 with W = 1.
 
-    Its ``singular_height`` is u = 1 for t < 1 (a branch point of the regular
-    part and of the surface factor the cap integral multiplies in), and at
-    t = 1 the lowest charge height (R_j^2+1)/(2R_j) > 1; for log it is that
-    height at every t, as d = 2 has no surface factor.
+    Its ``gap`` is 1-t for t < 1 (u = 1 is a branch point of the regular part
+    and of the surface factor the cap integral multiplies in), and at t = 1
+    how far the lowest charge height (R_j^2+1)/(2R_j) lies beyond t,
+    (1-t) + (R_j-1)^2/(2R_j) as H forms it; for log it is that at every t, as
+    d = 2 has no surface factor.
     """
     if not (params.log and params.d == 2):
         _require_cap_regime(params)
@@ -98,19 +99,19 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
         raise ValueError(f"cap height must lie in (-1, 1], got {t}")
     d, s, W = (2, 0.0, 1.0) if params.log else (params.d, params.s, sphere_energy(params))
     c, gap = contraction
-    height = 1.0 if t < 1.0 and not params.log else min(
-        (_axis_pole_height(R) for R, _ in charges), default=math.inf)
+    beyond = 0.0 if t < 1.0 and not params.log else min(
+        ((R - 1.0) ** 2 / (2.0 * R) for R, _ in charges), default=math.inf)
     if t == 1.0 or params.is_exceptional or params.log:
         def whole(nodes):
             out = np.full(np.shape(nodes.u), K / W)
             for R, c in charges:
                 rho2 = _gap_dist2(nodes.one_minus_u, R)
-                out = out - c * ((R * R - 1.0) ** (d - s) * rho2 ** (s / 2.0 - d) / W)
+                out = out - c * (((R - 1.0) * (R + 1.0)) ** (d - s) * rho2 ** (s / 2.0 - d) / W)
             return out
 
         ring = (1.0 - t) / 2.0 * (1.0 - t * t) ** (d / 2.0 - 1.0) * net if t < 1.0 else 0.0
         return CapMeasure(t=t, regular_part=whole, boundary_coeff=ring, phi=phi,
-                          singular_height=height)
+                          gap=(1.0 - t) + beyond)
     pref = math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0)) / W
 
     def regular(nodes):
@@ -120,7 +121,7 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
         return pref * rest ** (d / 2.0) * (1.0 - t) ** ((d - s) / 2.0) * acc
 
     return CapMeasure(t=t, regular_part=regular, singular_exponent=(s - d) / 2.0, phi=phi,
-                      singular_height=height)
+                      gap=(1.0 - t) + beyond)
 
 
 def nu_measure(t: float, params: Params) -> CapMeasure:
@@ -170,64 +171,60 @@ def nu_norm(t: float | np.ndarray, params: Params) -> float | np.ndarray:
 
 
 def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> float | np.ndarray:
-    """||eps_t|| of a unit charge at R*p, R > 1, by quadrature of its
-    one-dimensional integral form:
+    """||eps_t|| of a unit charge at R*p, R > 1, t in [-1, 1], by quadrature of
+    its one-dimensional integral form:
 
-        C (R+1)^{d-s}/W_s int_{-1}^t (1+u)^{s/2-1} (1-u)^{d-s/2-1}
-                                      (R^2-2Ru+1)^{-d/2} du,
+        C (R+1)^{d-s}/W_s int_{-1}^t (1+u)^{s/2-1} G(u) du,   G(u) = (1-u)^{d-s/2-1} r(u)^{-d},
 
-    C = 2^{1-d} Gamma(d) / (Gamma(d-s/2) Gamma(s/2)).
+    r(u)^2 = R^2 - 2Ru + 1, C = 2^{1-d} Gamma(d) / (Gamma(d-s/2) Gamma(s/2)).
     At t = 1 it is the closed form U_s^sigma(R)/W_s of the whole sphere.
-    Near t = 1 it is that value minus the integral over [t, 1], whose smooth
-    factor is singular min(1+t, (R-1)^2/(2R)) beyond t (at u = -1 and
-    u = (R^2+1)/(2R)); this form is used when that distance over 1-t exceeds
-    the direct form's, 1-t (its branch point u = 1) over 1+t.
-    ``t`` and ``R`` broadcast together, each pair a row: the rows of each
-    form make one batch of :func:`rieszcap.sphere.integrate_radial`.
+    Below 1 the integral runs on the tanh-sinh nodes of
+    :func:`rieszcap.sphere._tanh_sinh_nodes`, graded toward t with gap 1-t (G's
+    branch point u = 1 lies nearer than the charge's height), and settles by
+    :func:`rieszcap.sphere._tanh_sinh_integrals`, which names t and R when it
+    cannot.  For s < 2 the left edge power is split off in closed form,
+
+        G(-1) (1+t)^{s/2}/(s/2) + int_{-1}^t (1+u)^{s/2-1} (G(u) - G(-1)) du,
+
+    the split of :func:`rieszcap.sphere._cap_integral` at u = t mirrored to
+    u = -1, so s -> 0 costs nothing.  ``t`` and ``R`` broadcast together, and
+    each pair is a row of one batch, bit for bit what the row gives alone.
     """
-    return _eps_rows(t, R, params)
-
-
-def _eps_rows(t, R, params: Params):
-    # eps_norm's rows: each (height, R) pair a row of one batch per form
     _require_cap_regime(params)
     (ts, shape), (Rs, R_shape), form = _entries(t), _entries(R), t  # form: that of the result
     if shape != R_shape:
         form, R = np.broadcast_arrays(t, R)
         (ts, _), (Rs, _) = _entries(form), _entries(R)
-    d, s = params.d, params.s
-    W, om = sphere_energy(params), omega_ratio(params)
-    c0 = math.exp((1.0 - d) * math.log(2.0) + math.lgamma(float(d))
-                  - math.lgamma(d - s / 2.0) - math.lgamma(s / 2.0))
-    out, forms = [], ([], [])  # the whole-sphere values, and the rows of each form
-    for x, r in zip(ts, map(_exterior, Rs)):
-        beyond = (r - 1.0) ** 2 / (2.0 * r)  # how far the charge's height lies above u = 1
-        complement = x == 1.0 or min(1.0 + x, beyond) * (1.0 + x) > (1.0 - x) ** 2
-        out.append(field_potential_on_axis(r, params) / W if complement else 0.0)
-        if -1.0 < x < 1.0:  # index, rule height, constant, singular height, R
-            forms[complement].append((len(out) - 1, -x if complement else x,
-                                      c0 * (r + 1.0) ** (d - s) / W * om,
-                                      -1.0 - beyond if complement and 1.0 + x > beyond else 1.0, r))
-    # the direct rule supplies (1+u)^{s/2-1} (1-u)^{d/2-1} / omega_ratio, the
-    # integrand (1-u)^{(d-s)/2} r(u)^{-d}, singular at u = 1; the complement's, on
-    # [-1, -t] in v = -u, (1-v)^{d/2-1} (1+v)^{d-s/2-1} / omega_ratio, and the
-    # integrand (1-v)^{(s-d)/2} r(-v)^{-d}, singular at v = 1 and v = -(R^2+1)/(2R)
-    for complement, rows in enumerate(forms):
-        if not rows:
-            continue
-        idx, heights, consts, singular, radii = zip(*rows)
-        radii = np.array(radii)[:, None]
-        power = (s - d) / 2.0 if complement else (d - s) / 2.0
-        # v = u, or -u in the complement: its 1-v, and r(u)^2 from 1-u, which is 1+v there
-        f = lambda nodes, j: nodes.one_minus_u ** power * _gap_dist2(
-            nodes.one_plus_u if complement else nodes.one_minus_u, radii[j]) ** (-d / 2.0)
-        vals = integrate_radial(f, list(heights), params, 0.0,
-                                left_exponent=d - s / 2.0 - 1.0 if complement else s / 2.0 - 1.0,
-                                singular_height=list(singular))
-        for i, const, val in zip(idx, consts, vals):
-            # near t = 1: the whole sphere's value minus the integral over [t, 1]
-            out[i] = out[i] - const * val if complement else const * val
-    return _like(form, out)
+    for r in set(Rs):
+        _exterior(r)
+    d, s, W = params.d, params.s, sphere_energy(params)
+    ts, Rs = np.array(ts, dtype=float), np.array(Rs, dtype=float)
+    if not np.all((-1.0 <= ts) & (ts <= 1.0)):
+        raise ValueError(f"eps_norm needs -1 <= t <= 1, got {t}")
+    out = np.zeros(len(ts))
+    top = np.flatnonzero(ts == 1.0)
+    out[top] = [field_potential_on_axis(r, params) / W for r in Rs[top].tolist()]
+    rows = np.flatnonzero((-1.0 < ts) & (ts < 1.0))
+    if len(rows):
+        x, radii = ts[rows], Rs[rows]
+        b, p = s / 2.0 - 1.0, d - s / 2.0 - 1.0  # the (1+u) and (1-u) exponents
+
+        def g(one_minus_u, r):
+            return one_minus_u ** p * _gap_dist2(one_minus_u, r) ** (-d / 2.0)
+
+        edge = g(2.0, radii) if b < 0.0 else np.zeros(len(rows))  # G(-1) when it is split off
+
+        def terms(todo, nodes, w, owner):
+            at = todo[owner][:, None]
+            closed = edge[todo] * (1.0 + x[todo]) ** (b + 1.0) / (b + 1.0)
+            return closed, w * nodes.one_plus_u ** b * (g(nodes.one_minus_u, radii[at]) - edge[at])
+
+        values = _tanh_sinh_integrals(
+            x, 1.0 - x, terms, lambda i: f"t={float(x[i])!r}, R={float(radii[i])!r}")[0]
+        c0 = math.exp((1.0 - d) * math.log(2.0) + math.lgamma(float(d))
+                      - math.lgamma(d - s / 2.0) - math.lgamma(s / 2.0))
+        out[rows] = c0 * (radii + 1.0) ** (d - s) / W * values
+    return _like(form, out.tolist())
 
 
 def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.ndarray:
@@ -238,7 +235,7 @@ def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np
     ts, atoms = _entries(t)[0], field.folded(params).atoms
     if min(ts) <= -1.0:
         raise ValueError("phi diverges at t = -1 (the cap degenerates to a point)")
-    rows = iter(_eps_rows([x for x in ts for _ in atoms], [R for _ in ts for R, _ in atoms], params))
+    rows = iter(eps_norm([x for x in ts for _ in atoms], [R for _ in ts for R, _ in atoms], params))
     eps = _like(t, [sum(m * next(rows) for _, m in atoms) for _ in ts])
     return sphere_energy(params) * (1.0 + eps) / nu_norm(t, params)
 
@@ -260,9 +257,10 @@ def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.n
 
     Below 1 the integrand holds neither t nor a rule that depends on s: the 81-node
     tanh-sinh rule at step 0.08 of :func:`rieszcap.sphere._tanh_sinh_nodes`, which the cap
-    masses share, its nodes held as their distances 1+u and 1-u = (1-t) + (t-u).  When the
-    lowest pole height p = (R^2+1)/(2R) lies within (1+t)/17 of t, panels graded toward t
-    at t - (p-t) 4^j keep it away.  H takes that one step, with no error estimate.
+    masses and :func:`eps_norm` share, its nodes held as their distances 1+u and
+    1-u = (1-t) + (t-u).  When the lowest pole height p = (R^2+1)/(2R) lies within
+    (1+t)/17 of t, panels graded toward t at t - (p-t) 4^j keep it away.  H takes that
+    one step, with no error estimate.
     """
     _require_cap_regime(params)
     d, s, W = params.d, params.s, sphere_energy(params)
@@ -275,7 +273,7 @@ def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.n
                                 - field_potential_on_axis(R, params) / W) for R, m in atoms))
             continue
         gap = (1.0 - x) + min((R - 1.0) ** 2 / (2.0 * R) for R, _ in atoms)  # p - t
-        nodes, w = _tanh_sinh_nodes(x, gap)
+        nodes, w, _ = _tanh_sinh_nodes(x, gap)
         f = w * _slope(nodes.one_plus_u, nodes.one_minus_u, atoms, params)
         out.append(float(f.sum()) / W)
     return _like(t, out)

@@ -40,14 +40,14 @@ def log_cap_measures(t: float, R: float) -> tuple[CapMeasure, CapMeasure]:
     balayage preserves mass)."""
     r2 = axis_dist2(t, R)
     nu = CapMeasure(t=t, regular_part=lambda nodes: np.ones_like(nodes.u),
-                    boundary_coeff=(1.0 - t) / 2.0, mass=1.0, singular_height=math.inf)
+                    boundary_coeff=(1.0 - t) / 2.0, mass=1.0, gap=math.inf)
 
     def eps_interior(nodes):
         return (R * R - 1.0) ** 2 / axis_dist2(nodes.u, R) ** 2
 
     eps = CapMeasure(t=t, regular_part=eps_interior,
                      boundary_coeff=(1.0 - t) / 2.0 * (R + 1.0) ** 2 / r2, mass=1.0,
-                     singular_height=(R * R + 1.0) / (2.0 * R))
+                     gap=(1.0 - t) + (R - 1.0) ** 2 / (2.0 * R))
     return nu, eps
 
 
@@ -357,7 +357,7 @@ def test_log_etabar_ring_sign_structure():
 
 
 def test_log_etabar_is_the_exceptional_form_at_d2():
-    # the density, ring charge and pole height of the s = d-2 cap measure at
+    # the density, ring charge and pole gap of the s = d-2 cap measure at
     # d = 2 with W = 1, against the log formulas written out (1 + ||lambda|| = 2.4)
     field = AxisMeasure([(2.0, 1.0), (3.0, 0.4)])
     pole = min((R * R + 1.0) / (2.0 * R) for R, _ in field.atoms)
@@ -369,7 +369,7 @@ def test_log_etabar_is_the_exceptional_form_at_d2():
             assert eta.radial_density(u) == pytest.approx(expected, rel=1e-15, abs=0.0), (t, u)
         ring = (1.0 - t) / 2.0 * (1.0 - log_h(t, field, PLOG))
         assert eta.boundary_coeff == pytest.approx(ring, rel=1e-15, abs=0.0), t
-        assert eta.singular_height == pytest.approx(pole, rel=1e-15), t
+        assert eta.gap == pytest.approx(pole - t, rel=1e-15), t
 
 
 def test_gating():

@@ -22,7 +22,7 @@ from rieszcap.cap_riesz import (
 )
 from rieszcap.point_field import AxisMeasure, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
-from rieszcap.sphere import CapMeasure, Nodes, Params, axis_dist2, build_quadrature, kappa, \
+from rieszcap.sphere import CapMeasure, Nodes, Params, axis_dist2, kappa, \
     sphere_energy, surface_factor
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -228,17 +228,14 @@ def test_nu_norm_closed_vs_quadrature():
                     assert abs(got - eps_norm(t, R, p)) <= 1e-12, (d, s, t, R)
 
 
-def test_cap_rules_of_every_order_agree_to_rounding():
-    # the integrand reads t-u and 1-u from the rule's endpoint distances, so
-    # no node height is rounded near the edge, where (t-u)^{-0.98} weighs it:
-    # orders 128 to 2048 give one mass of eps_t to rounding
-    p = Params(d=2, s=0.04)
-    eps = eps_measure(0.99, 1.1, p)
-    masses = []
-    for order in (128, 256, 512, 1024, 2048):
-        nodes, w = build_quadrature(eps.t, p, order, eps.singular_exponent)
-        masses.append(float(w @ eps.regular_part(nodes)))
-    assert max(masses) - min(masses) <= 1e-15 * max(map(abs, masses)), masses
+@pytest.mark.parametrize("k", [6, 8, 10, 12])
+@pytest.mark.parametrize("d, s", [(2, 1.0), (3, 1.0), (4, 2.0), (3, 1.7)])
+def test_whole_sphere_eps_mass_near_the_sphere(d, s, k):
+    # R = 1 + 10^-k puts the charge's pole (R-1)^2/(2R) beyond u = 1, below
+    # ulp(1) from k = 8 on: the cap rule takes that gap as such, not from a
+    # rounded height, and the density takes R^2 - 1 as (R-1)(R+1)
+    p, R = Params(d=d, s=s), 1.0 + 10.0 ** -k
+    assert abs(eps_measure(1.0, R, p).with_mass(p).mass - eps_norm(1.0, R, p)) <= 1e-13
 
 
 def test_nu_norm_random_cross_checks():
@@ -278,27 +275,46 @@ def test_eps_norm_endpoints_and_monotonicity():
     assert eps_norm(-1.0, R, p) == 0.0
     vals = [eps_norm(t, R, p) for t in (-0.5, 0.0, 0.5)]
     assert vals[0] < vals[1] < vals[2]
+    for t in (1.5, np.array([0.5, -1.5])):  # no height outside the sphere reads as a norm
+        with pytest.raises(ValueError, match="-1 <= t <= 1"):
+            eps_norm(t, R, p)
 
 
-EPS_NORM_CASES = [(2, 1.0, 2.618), (3, 2.4, 1.7), (4, 2.3, 1.2), (3, 1.0, 1.1), (5, 3.2, 3.0)]
+HEIGHTS = (-0.5, 0.5, 0.99, 1.0 - 4e-8, 1.0 - 1e-12)
+EPS_NORM_CASES = [  # (d, s, R, heights)
+    (2, 1.0, 2.618, HEIGHTS), (3, 2.4, 1.7, HEIGHTS), (4, 2.3, 1.2, HEIGHTS), (3, 1.0, 1.1, HEIGHTS),
+    (5, 3.2, 3.0, HEIGHTS),
+    # charges within 3e-7 of the sphere, with t within 1.1e-6 of the pole
+    (4, 3.9734767560083855, 1.0000000167305272, (0.999999923485185,)),
+    (3, 1.3418928503481116, 1.0000002756255286, (0.9999988982917943,)),
+    (5, 3 + 2.0 ** -26, 1.0000833322055374, (0.9999999999823347,)),  # s just above d-2
+    (2, 0.02, 1.5, (-0.5,)),  # the left edge power (1+u)^{-0.99}
+]
 
 
-@pytest.mark.parametrize("d, s, R", EPS_NORM_CASES, ids=[f"d{d}-s{s}-R{R}" for d, s, R in EPS_NORM_CASES])
-def test_eps_norm_against_30_digit_mpmath(d, s, R):
-    # heights on both sides of the switch to the complement form, down to
-    # 1e-12 below the pole, where the direct integrand's branch point at
-    # u = 1 lies 1-t beyond the cap edge.  The reference integrates over
-    # [-1, 1] and [t, 1] (both singular only at their ends) above t = 0.
+@pytest.mark.parametrize("d, s, R, heights", EPS_NORM_CASES,
+                         ids=[f"d{d}-s{s}-R{R}" for d, s, R, _ in EPS_NORM_CASES])
+def test_eps_norm_against_30_digit_mpmath(d, s, R, heights):
+    # heights from -0.5 up to 1e-12 below the pole, where the integrand's branch
+    # point at u = 1 lies 1-t beyond the cap edge.  The reference takes
+    # 1 + u = y^{2/s} on [-1, min(t, 0)], which leaves no singular factor there,
+    # and splits [0, t] at t - (1-t) 2^j toward the edge
     with mp.workdps(30):
         dm, sm, Rm = mp.mpf(d), mp.mpf(s), mp.mpf(R)
         W = mp.gamma(dm) * mp.gamma((dm - sm) / 2) / (
             2 ** sm * mp.gamma(dm / 2) * mp.gamma(dm - sm / 2))
         C = 2 ** (1 - dm) * mp.gamma(dm) / (mp.gamma(dm - sm / 2) * mp.gamma(sm / 2))
-        f = lambda u: ((1 + u) ** (sm / 2 - 1) * (1 - u) ** (dm - sm / 2 - 1)
-                       * (Rm * Rm - 2 * Rm * u + 1) ** (-dm / 2))
-        for t in (-0.5, 0.5, 0.99, 1.0 - 4e-8, 1.0 - 1e-12):
+        g = lambda u: (1 - u) ** (dm - sm / 2 - 1) * (Rm * Rm - 2 * Rm * u + 1) ** (-dm / 2)
+        for t in heights:
             tm = mp.mpf(t)
-            integral = mp.quad(f, [-1, tm]) if t < 0 else mp.quad(f, [-1, 0, 1]) - mp.quad(f, [tm, 1])
+            top = (1 + min(tm, 0)) ** (sm / 2)
+            integral = 2 / sm * mp.quad(lambda y: g(y ** (2 / sm) - 1), [0, top])
+            if t > 0:
+                cuts, gap = [tm], 1 - tm
+                while tm - 2 * gap > 0:
+                    gap *= 2
+                    cuts.append(tm - gap)
+                integral += mp.quad(lambda u: (1 + u) ** (sm / 2 - 1) * g(u), [0] + cuts[::-1])
             ref = C * (Rm + 1) ** (dm - sm) / W * integral
             assert abs(eps_norm(t, R, Params(d=d, s=s)) / ref - 1) <= 1e-14, t
 
@@ -629,17 +645,23 @@ PHI_BATCH = [  # Riesz d = 2..5, s = d-2, log; four atoms, one of them at R < 1
 @pytest.mark.parametrize("params, field", PHI_BATCH,
                          ids=["d2", "d3", "d4", "d5", "d3-s1", "d4-s2", "log", "four-atoms"])
 def test_phi_batch_equals_per_point_calls(params, field, monkeypatch):
-    # 200 heights up to t = 1 (the closed form), rows in both eps_norm forms
+    # 200 heights up to t = 1 (the closed form): phi integrates every (height,
+    # atom) row below 1 in one eps_norm batch on the tanh-sinh rule
     from rieszcap import cap_riesz
     from rieszcap.axis_field import regime
-    forms, integrate_radial = set(), cap_riesz.integrate_radial
-    monkeypatch.setattr(cap_riesz, "integrate_radial", lambda *a, **k: forms.add(
-        k["left_exponent"]) or integrate_radial(*a, **k))
+    batches, integrals = [], cap_riesz._tanh_sinh_integrals
+    monkeypatch.setattr(cap_riesz, "_tanh_sinh_integrals",
+                        lambda t, *a: batches.append(len(t)) or integrals(t, *a))
     form, ts = regime(params), np.linspace(-0.999, 1.0, 200)
     for fn in (form.phi, form.h):
+        batches.clear()
         batch = fn(ts, field)
+        rows = list(batches)
         assert np.array_equal(batch, [fn(float(t), field) for t in ts])
-    assert ts[-1] == 1.0 and len(forms) == (0 if params.log else 2)
+        if fn is form.phi:
+            atoms = len(field.folded(params).atoms)
+            assert rows == ([] if params.log else [199 * atoms])
+    assert ts[-1] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,12 @@
 Every solve ends in the mass certificate of CapMeasure.with_mass, a cap
 integral whose edge exponent (s-d)/2 nears -1 as s -> d-2.  It runs on a
 tanh-sinh rule that does not depend on s, with the edge power split off in
-closed form, so a solve builds no Gauss-Jacobi rule; its error estimate is
-checked here against the rule at half the step.  The Gauss-Jacobi rules of
-||eps_t||'s rows are sized by their nearest singularity, and their error
-bound is checked against the doubled order.
+closed form; so do the rows of ||eps_t||, with their left edge power
+(1+u)^{s/2-1} split off.  The error estimates of both are checked here
+against the rule at half the step.
 """
 
 import json
-import math
 import statistics
 from pathlib import Path
 
@@ -21,7 +19,7 @@ from rieszcap import axis_field, cap_exceptional, cap_riesz, sphere
 from rieszcap.axis_field import axis_solve_t
 from rieszcap.point_field import AxisMeasure
 from rieszcap.specfun import ConvergenceError
-from rieszcap.sphere import Params, build_quadrature
+from rieszcap.sphere import Params
 
 SWEEP = [(d, d - 2 + 2 * f, R) for d in (2, 3, 4, 5) for f in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9)
          for R in (1.1, 1.5, 3.0)]
@@ -138,79 +136,34 @@ def test_t0_matches_30_digit_reference(case):
     assert sol.t0_error <= 1e-14
 
 
-@pytest.mark.parametrize("params, R, solved_by",
-                         [(Params(d=3, s=1.7), 1.5, "interior_root"),
-                          (Params(d=2, s=1.0), 1.5, "interior_root"),
-                          (Params(d=5, s=4.5), 3.0, "boundary_t_equals_1")],
-                         ids=["interior", "interior-d2", "whole-sphere"])
-def test_solve_builds_one_rule_per_integral_family(params, R, solved_by, monkeypatch):
-    # H and eta's mass both run on the tanh-sinh rule that does not depend on s:
-    # a solve, interior or whole-sphere, calls _gauss_jacobi zero times
-    built, build = [], sphere._gauss_jacobi
-    monkeypatch.setattr(sphere, "_RULES", {})
-    monkeypatch.setattr(sphere, "_gauss_jacobi",
-                        lambda order, pairs: built.extend(pairs) or build(order, pairs))
-    assert axis_solve_t(AxisMeasure([(R, 1.0)]), params).solved_by == solved_by
-    assert built == []
-
-
-COLD = [Params(d=2, s=1.0), Params(d=3, s=1.7), Params(d=4, s=2.9), Params(d=5, s=3.6),
-        Params(d=3, s=1.0), Params(d=4, s=2.0)]
-
-
-def _solve_record(params):
-    # t0, Phi(t0), mass and density samples of the point-charge solve at R = 1.5
-    sol = axis_solve_t(AxisMeasure([(1.5, 1.0)]), params)
-    assert sol.solved_by == "interior_root"
-    u = sol.t0 - (1.0 + sol.t0) * np.linspace(0.01, 0.99, 9)
-    return sol.t0, sol.phi_at_t0, sol.equilibrium.mass, sol.equilibrium.radial_density(u).tolist()
-
-
-@pytest.mark.parametrize("params", COLD, ids=[f"d{p.d}-s{p.s}" for p in COLD])
-def test_cold_solve_builds_its_rules_in_one_pass(params, monkeypatch):
-    # with the Gauss-Jacobi cache empty, a solve at a new s requests no rule at
-    # all, and its answer is bit for bit that of a repeated (warm) solve
-    requests, rules = [], sphere._jacobi_rules
-    monkeypatch.setattr(sphere, "_RULES", {})
-    monkeypatch.setattr(sphere, "_jacobi_rules",
-                        lambda order, pairs: requests.append(pairs) or rules(order, pairs))
-    cold = _solve_record(params)
-    assert requests == [] and sphere._RULES == {}
-    assert _solve_record(params) == cold
-
-
 ORACLE_T = (-0.5, 0.3, 0.9, 0.99, 1.0)
 
 
-def test_one_rule_bound_holds_against_doubled_order(monkeypatch):
-    # every Gauss-Jacobi cap integral, the rows of ||eps_t||'s two forms, on the
-    # sweep grid as one batch per form over the heights ORACLE_T: every row's
-    # a-priori rule agrees with the rule of twice its order within the bound it
-    # reports, and that bound meets the 1e-12 tolerance
-    seen = set()
+def test_eps_row_estimate_holds_against_half_step(monkeypatch):
+    # every row of ||eps_t||, on the sweep grid and at s = d-2, as one batch over
+    # the heights ORACLE_T: each settles at the first step, h = 0.08, and agrees
+    # with the rule at half that step within the estimate it reports, which
+    # meets 1e-12
+    seen, integrals = [], sphere._tanh_sinh_integrals
 
-    def checked(f, t, params, singular_exponent=0.0, *, left_exponent=None, singular_height):
-        ts, _ = sphere._entries(t)
-        heights, shape = sphere._entries(singular_height)
-        heights = heights if shape else heights * len(ts)
-        values, bounds, orders = sphere._one_rule(f, ts, params, singular_exponent,
-                                                  left_exponent, heights)
-        for i, (x, value, bound, order) in enumerate(zip(ts, values, bounds, orders)):
-            # on [-1, t], or in v = -u on [-1, -t]
-            name = "direct eps" if left_exponent == params.s / 2.0 - 1.0 else "complement eps"
-            assert not math.isnan(bound), (name, x, params, heights[i])  # no doubling
-            nodes, w = build_quadrature([x], params, 2 * order, singular_exponent,
-                                        left_exponent=left_exponent)
-            doubled = float(w[0] @ f(nodes, np.array([i]))[0])
-            assert abs(value - doubled) <= bound <= 1e-12 * max(1.0, abs(value)), (name, x, params)
-            seen.add(name)
-        return values[0] if np.ndim(t) == 0 else np.array(values)
+    def checked(t, gap, terms, describe):
+        values, estimates, levels = integrals(t, gap, terms, describe)
+        assert not levels.any(), (t, levels)
+        with pytest.MonkeyPatch.context() as half_step:
+            half_step.setattr(sphere, "_TS_RULES", sphere._TS_RULES[1:2])
+            half_step.setattr(sphere, "_TS_LEVELS", 1)
+            half = integrals(t, gap, terms, describe)[0]
+        bound = 1e-12 * np.maximum(1.0, np.abs(values))
+        assert np.all(np.abs(values - half) <= estimates) and np.all(estimates <= bound), t
+        seen.extend(t.tolist())
+        return values, estimates, levels
 
-    monkeypatch.setattr(cap_riesz, "integrate_radial", checked)
+    monkeypatch.setattr(cap_riesz, "_tanh_sinh_integrals", checked)
     ts = np.array(ORACLE_T)
-    for d, s, R in SWEEP:
+    grid = SWEEP + [(d, d - 2.0, R) for d in (3, 4, 5) for R in (1.1, 1.5, 3.0)]
+    for d, s, R in grid:
         cap_riesz.eps_norm(ts, R, Params(d=d, s=s))
-    assert seen == {"direct eps", "complement eps"}, seen
+    assert len(seen) == len(grid) * (len(ORACLE_T) - 1)  # t = 1 is the closed form
 
 
 def test_cap_mass_estimate_holds_against_half_step(monkeypatch):
