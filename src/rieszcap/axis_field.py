@@ -41,13 +41,14 @@ _MASS_TOL = 1e-10  # |mass(eta_t0) - 1| above which a solve raises: mass(eta_t) 
 class Regime(NamedTuple):
     """The formulas one kernel regime supplies, bound to its parameters.
 
-    ``phi(t, field)`` is the cap functional and ``h(t, field)`` the increasing
-    positive function H with Delta = W (1 - H)/||nu_t||, so that H(t0) = 1, at
-    t or each entry of an array t (bit for bit), ``slope(t, field)`` H'(t) for
-    t in (-1, 1), ``eta(t, field)`` the signed cap equilibrium for t in (-1, 1] (mass
-    not computed, ``phi`` set; eta_1 is the signed equilibrium of the whole
-    sphere), and ``potential(xi, eta, field)`` its closed-form weighted potential.
-    The Riesz range d-2 <= s < d runs one set of formulas; at s = d-2 its
+    ``phi(t, field)`` is the cap functional, ``h(t, field)`` the increasing
+    positive function H with Delta = W (1 - H)/||nu_t||, so that H(t0) = 1,
+    ``slope(t, field)`` H'(t) for t in (-1, 1), ``eta(t, field)`` the signed cap
+    equilibrium for t in (-1, 1] (mass not computed, ``phi`` set; eta_1 is the
+    signed equilibrium of the whole sphere), and ``potential(xi, eta, field)`` its
+    closed-form weighted potential.  ``phi``, ``h`` and ``potential`` take a number
+    or an ndarray of heights and return the same form, each entry bit for bit
+    the one-height call.  The Riesz range d-2 <= s < d runs one set of formulas; at s = d-2 its
     ``eta`` carries a ring charge.  ``column`` names the functional in
     phi-curve output.  No formula takes a rule that depends on s: H, eta's
     mass and phi's rows of ||eps_t|| run on the tanh-sinh nodes of

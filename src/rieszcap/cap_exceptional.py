@@ -21,7 +21,6 @@ cap measure of that module at d = 2 with W = 1.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -98,23 +97,13 @@ def weakstar_gap(t: float, s_values, R: float, params: Params):
 # logarithmic case, d = 2
 
 
-def log_cap_energy(t: float) -> float:
-    """Logarithmic energy of the cap: W_0(Sigma_t) = (1+t)/4 - log(2)/2
-    - log(1+t)/2 (the cap's equilibrium measure is nubar_{t,0})."""
-    if not -1.0 < t <= 1.0:
+def log_cap_energy(t: float | np.ndarray) -> float | np.ndarray:
+    """Logarithmic energy of the cap at a height t, or at each entry of an array t:
+    W_0(Sigma_t) = (1+t)/4 - log(2)/2 - log(1+t)/2 (the cap's equilibrium measure
+    is nubar_{t,0})."""
+    if not np.all((-1.0 < t) & (t <= 1.0)):
         raise ValueError("cap height must lie in (-1, 1]")
-    return (1.0 + t) / 4.0 - 0.5 * math.log(2.0) - 0.5 * math.log1p(t)
-
-
-def _per_height(fn):
-    # fn(t, ...) at a number t, or at each entry of an array t as a Python float:
-    # math's rounding, so that each entry is the one-height call bit for bit
-    @functools.wraps(fn)
-    def each(t, *args, **kwargs):
-        if not isinstance(t, np.ndarray):
-            return fn(t, *args, **kwargs)
-        return np.array([fn(x, *args, **kwargs) for x in t.ravel().tolist()]).reshape(t.shape)
-    return each
+    return (1.0 + t) / 4.0 - 0.5 * math.log(2.0) - 0.5 * np.log1p(t)
 
 
 def log_h(t: float, field: AxisMeasure, params: Params) -> float:
@@ -141,37 +130,40 @@ def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
                         field.atoms, phi=log_f0_functional(t, field, params))
 
 
-@_per_height
-def log_f0_functional(t: float, field: AxisMeasure, params: Params) -> float:
+def log_f0_functional(t: float | np.ndarray, field: AxisMeasure, params: Params
+                      ) -> float | np.ndarray:
     """Closed form of the cap functional F_0(Sigma_t) = W_0(Sigma_t)
     + int Q d mu_cap for the logarithmic axis field (d = 2), t a number or array:
 
-        (1+||lambda||)(1+t)/4 - log(2)/2 - log(1+t)/2
+        W_0(Sigma_t) + ||lambda|| (1+t)/4
         + sum_i m_i [ (R_i-1)^2 log(R_i^2-2R_i t+1)
-                      - (R_i+1)^2 log((R_i+1)^2) ] / (8 R_i).
+                      - (R_i+1)^2 log((R_i+1)^2) ] / (8 R_i),
+
+    W_0(Sigma_t) from :func:`log_cap_energy`.
     """
     _require_log(params)
-    if not -1.0 < t <= 1.0:
-        raise ValueError("cap height must lie in (-1, 1]")
     field = field.folded(params)
-    out = ((1.0 + field.total_mass) * (1.0 + t) / 4.0
-           - 0.5 * math.log(2.0) - 0.5 * math.log1p(t))
+    out = log_cap_energy(t) + field.total_mass * (1.0 + t) / 4.0
     for R, m in field.atoms:
-        out += m * ((R - 1.0) ** 2 * math.log(axis_dist2(t, R))
+        out += m * ((R - 1.0) ** 2 * np.log(axis_dist2(t, R))
                     - (R + 1.0) ** 2 * math.log((R + 1.0) ** 2)) / (8.0 * R)
     return out
 
 
-def log_eta_potential(xi: float, eta: CapMeasure, field: AxisMeasure, params: Params) -> float:
-    """Weighted logarithmic potential of the signed cap equilibrium
-    (``eta`` from :func:`log_etabar`): F_0(Sigma_t) on the cap, and off it
+def log_eta_potential(xi: float | np.ndarray, eta: CapMeasure, field: AxisMeasure,
+                      params: Params) -> float | np.ndarray:
+    """Weighted logarithmic potential of the signed cap equilibrium at a height xi,
+    or at each entry of an array xi (``eta`` from :func:`log_etabar`): F_0(Sigma_t)
+    on the cap, and off it
 
         F_0(Sigma_t) + log((1+t)/(1+xi))/2 + sum_i (m_i/2) log(r_i^2/rho_i^2).
     """
     _require_log(params)
     t, f0 = eta.t, eta.phi
-    if xi <= t:
-        return f0
-    return (f0 + 0.5 * math.log((1.0 + t) / (1.0 + xi))
-            + sum(0.5 * m * math.log(axis_dist2(t, R) / axis_dist2(xi, R))
-                  for R, m in field.folded(params).atoms))
+    xi = np.asarray(xi, dtype=float)
+    out, above = np.full(xi.shape, f0), xi > t
+    x = xi[above]
+    out[above] = (f0 + 0.5 * np.log((1.0 + t) / (1.0 + x))
+                  + sum(0.5 * m * np.log(axis_dist2(t, R) / axis_dist2(x, R))
+                        for R, m in field.folded(params).atoms))
+    return out[()]

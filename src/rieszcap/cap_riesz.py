@@ -31,8 +31,8 @@ from scipy.special import betainc
 
 from rieszcap.point_field import AxisMeasure, _exterior, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
-from rieszcap.sphere import CapMeasure, Params, _entries, _gap_dist2, _like, _tanh_sinh_integrals, \
-    _tanh_sinh_nodes, axis_dist2, sphere_energy
+from rieszcap.sphere import CapMeasure, Params, _gap_dist2, _tanh_sinh_integrals, _tanh_sinh_nodes, \
+    axis_dist2, sphere_energy
 
 __all__ = [
     "nu_measure",
@@ -191,14 +191,11 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
     each pair is a row of one batch, bit for bit what the row gives alone.
     """
     _require_cap_regime(params)
-    (ts, shape), (Rs, R_shape), form = _entries(t), _entries(R), t  # form: that of the result
-    if shape != R_shape:
-        form, R = np.broadcast_arrays(t, R)
-        (ts, _), (Rs, _) = _entries(form), _entries(R)
-    for r in set(Rs):
+    ts, Rs = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(R, dtype=float))
+    shape, ts, Rs = ts.shape, ts.ravel(), Rs.ravel()
+    for r in set(Rs.tolist()):
         _exterior(r)
     d, s, W = params.d, params.s, sphere_energy(params)
-    ts, Rs = np.array(ts, dtype=float), np.array(Rs, dtype=float)
     if not np.all((-1.0 <= ts) & (ts <= 1.0)):
         raise ValueError(f"eps_norm needs -1 <= t <= 1, got {t}")
     out = np.zeros(len(ts))
@@ -224,19 +221,22 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
         c0 = math.exp((1.0 - d) * math.log(2.0) + math.lgamma(float(d))
                       - math.lgamma(d - s / 2.0) - math.lgamma(s / 2.0))
         out[rows] = c0 * (radii + 1.0) ** (d - s) / W * values
-    return _like(form, out.tolist())
+    return out.reshape(shape)[()]
 
 
 def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.ndarray:
     """Mhaskar-Saff functional of the cap: W_s (1 + sum_i m_i ||eps_t^i||)/||nu_t||,
     with ||eps_t^i|| the per-unit-charge norm of atom i; d-2 <= s < d.  Every
-    (height, atom) pair of an array or a number t is a row of one eps_norm batch."""
+    (height, atom) pair of a number or an array t is a row of one eps_norm batch,
+    height-major, and each height's masses add in atom order."""
     _require_cap_regime(params)
-    ts, atoms = _entries(t)[0], field.folded(params).atoms
-    if min(ts) <= -1.0:
+    atoms = field.folded(params).atoms
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts <= -1.0):
         raise ValueError("phi diverges at t = -1 (the cap degenerates to a point)")
-    rows = iter(eps_norm([x for x in ts for _ in atoms], [R for _ in ts for R, _ in atoms], params))
-    eps = _like(t, [sum(m * next(rows) for _, m in atoms) for _ in ts])
+    n = len(atoms)
+    rows = eps_norm(ts.ravel().repeat(n), np.tile([R for R, _ in atoms], ts.size), params)
+    eps = sum(m * rows[i::n] for i, (_, m) in enumerate(atoms)).reshape(ts.shape)
     return sphere_energy(params) * (1.0 + eps) / nu_norm(t, params)
 
 
@@ -264,8 +264,10 @@ def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.n
     """
     _require_cap_regime(params)
     d, s, W = params.d, params.s, sphere_energy(params)
-    atoms, out = field.folded(params).atoms, []
-    for x in _entries(t)[0]:
+    atoms, ts, out = field.folded(params).atoms, np.asarray(t, dtype=float), []
+    # one height at a time: a solve calls H on single heights, which a batch over
+    # heights in numpy would make slower
+    for x in ts.ravel().tolist():
         if not -1.0 <= x <= 1.0:
             raise ValueError(f"H needs -1 <= t <= 1, got {x}")
         if x == 1.0:
@@ -276,7 +278,7 @@ def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.n
         nodes, w, _ = _tanh_sinh_nodes(x, gap)
         f = w * _slope(nodes.one_plus_u, nodes.one_minus_u, atoms, params)
         out.append(float(f.sum()) / W)
-    return _like(t, out)
+    return np.reshape(out, ts.shape) if ts.ndim else out[0]
 
 
 def h_slope(t: float, field: AxisMeasure, params: Params) -> float:
@@ -348,8 +350,10 @@ def eps_potential(xi: float, t: float, R: float, params: Params) -> float:
     return rho2 ** (-s / 2.0) * betainc(s / 2.0, (params.d - params.s) / 2.0, x)
 
 
-def eta_potential(xi: float, eta: CapMeasure, field: AxisMeasure, params: Params) -> float:
-    """Weighted potential U^{eta_t} + Q at height xi: Phi_s(t) on the cap and
+def eta_potential(xi: float | np.ndarray, eta: CapMeasure, field: AxisMeasure,
+                  params: Params) -> float | np.ndarray:
+    """Weighted potential U^{eta_t} + Q at a height xi, or at each entry of an array xi:
+    Phi_s(t) on the cap and
 
         Phi_s(t) + sum_i m_i rho_i^{-s} I((R_i+1)^2 (xi-t)/(r_i^2 (1+xi)); (d-s)/2, s/2)
                  - Phi_s(t) I((xi-t)/(1+xi); (d-s)/2, s/2)
@@ -359,12 +363,14 @@ def eta_potential(xi: float, eta: CapMeasure, field: AxisMeasure, params: Params
     (Phi/W) nubar_t - sum_i m_i epsbar_t^i plus Q, ring charge included.
     """
     t, phi_t = eta.t, eta.phi
-    if xi <= t:
-        return phi_t
     d, s = params.d, params.s
+    xi = np.asarray(xi, dtype=float)
+    out, above = np.full(xi.shape, phi_t), xi > t
+    x = xi[above]
     charges = sum(
-        m * axis_dist2(xi, R) ** (-s / 2.0)
+        m * axis_dist2(x, R) ** (-s / 2.0)
         * betainc((d - s) / 2.0, s / 2.0,
-                  min(1.0, (R + 1.0) ** 2 * (xi - t) / (axis_dist2(t, R) * (1.0 + xi))))
+                  np.minimum(1.0, (R + 1.0) ** 2 * (x - t) / (axis_dist2(t, R) * (1.0 + x))))
         for R, m in field.folded(params).atoms)
-    return phi_t + charges - phi_t * betainc((d - s) / 2.0, s / 2.0, (xi - t) / (1.0 + xi))
+    out[above] = phi_t + charges - phi_t * betainc((d - s) / 2.0, s / 2.0, (x - t) / (1.0 + x))
+    return out[()]

@@ -26,9 +26,10 @@ Scenario schema::
 Every task takes either field type; a point charge is the one-atom axis
 field.  ``density`` and ``potential`` evaluate the signed cap equilibrium
 eta_t at the cap height, ``phi-curve`` the regime's cap functional (phi,
-phibar or F0) on a height grid in one batched call.  Curve tasks write ``<name>_potential.csv``
-(xi, weighted potential, F), ``<name>_density.csv`` (u, density,
-boundary_coeff) and ``<name>_phi.csv``; scalar tasks write ``<name>.json``.
+phibar or F0); each curve is one call of its formula on the whole height
+grid.  Curve tasks write ``<name>_potential.csv`` (xi, weighted potential, F),
+``<name>_density.csv`` (u, density, boundary_coeff) and ``<name>_phi.csv``;
+scalar tasks write ``<name>.json`` (one line, keys sorted).
 Exit codes: 0 success, 2 malformed scenario (a kernel outside the three
 solvable regimes d-2 < s < d, s = d-2 with d >= 3 and log with d = 2
 included), 3 numeric failure.
@@ -139,7 +140,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _task_cap_curves(cfg, field, params, out_dir: Path, name: str) -> dict:
@@ -152,7 +153,7 @@ def _task_cap_curves(cfg, field, params, out_dir: Path, name: str) -> dict:
         potential = regime(params).potential
         xis = np.linspace(-1.0 + 1e-6, 1.0 - 1e-9, n)
         _write_csv(out_dir / f"{name}_potential.csv", ["xi", "weighted_potential", "F"],
-                   [(xi, potential(float(xi), eta, field), eta.phi) for xi in xis])
+                   zip(xis, potential(xis, eta, field), [eta.phi] * n))
         files.append(f"{name}_potential.csv")
     gap = min(1e-9, (1.0 + eta.t) / 4.0)  # the samples' distance to each end of the cap
     us = np.linspace(-1.0 + gap, eta.t - gap, n)

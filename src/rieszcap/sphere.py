@@ -251,19 +251,9 @@ def _tanh_sinh_integrals(t: np.ndarray, gap: np.ndarray, terms, describe: Callab
     for level in range(_TS_LEVELS):
         nodes, w, owner = _tanh_sinh_nodes(t[todo], gap[todo], level)
         closed, part = terms(todo, nodes, w, owner)
-        graded = []  # the panel rows of each graded height
-        if len(owner) > len(todo):
-            first = owner.searchsorted(np.arange(len(todo)))
-            stops = np.append(first[1:], len(owner))
-            graded = [(i, slice(first[i], stops[i])) for i in (stops - first > 1).nonzero()[0]]
 
-        def sums(x):  # per height: a graded one's rows summed as one array, as it is alone
-            out = x.sum(axis=1)
-            if graded:
-                out = out[first]
-                for i, rows in graded:
-                    out[i] = x[rows].sum()
-            return out
+        def sums(x):  # per height: its own rows in order, added to 0.0, as when it is alone
+            return np.bincount(owner, x.sum(axis=1), len(todo))
 
         fine, coarse = sums(part), 2.0 * sums(part[:, ::2])
         value = closed + fine
@@ -314,20 +304,6 @@ def _cap_integral(t: float, a: float, gap: float, f: Callable[[Nodes], np.ndarra
     value, e, level = _tanh_sinh_integrals(np.array([t]), np.array([gap]), terms,
                                            lambda i: f"t={t!r}, edge exponent a={a!r}")
     return float(value[0]), float(e[0]), int(level[0])
-
-
-def _entries(x) -> tuple[list[float], tuple[int, ...]]:
-    # the entries of a number, list or array as Python floats, with its shape
-    if isinstance(x, np.ndarray):
-        return x.ravel().tolist(), x.shape
-    return (x, (len(x),)) if isinstance(x, list) else ([float(x)], ())
-
-
-def _like(x, values: list[float]):
-    # values in the form of x: an array of its shape, a list, or one float
-    if isinstance(x, np.ndarray):
-        return np.array(values).reshape(x.shape)
-    return values if isinstance(x, list) else values[0]
 
 
 @dataclass(frozen=True)

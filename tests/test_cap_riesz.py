@@ -646,7 +646,8 @@ PHI_BATCH = [  # Riesz d = 2..5, s = d-2, log; four atoms, one of them at R < 1
                          ids=["d2", "d3", "d4", "d5", "d3-s1", "d4-s2", "log", "four-atoms"])
 def test_phi_batch_equals_per_point_calls(params, field, monkeypatch):
     # 200 heights up to t = 1 (the closed form): phi integrates every (height,
-    # atom) row below 1 in one eps_norm batch on the tanh-sinh rule
+    # atom) row below 1 in one eps_norm batch on the tanh-sinh rule; the weighted
+    # potential on the CLI's 200-point grid, both sides of the cap, is one call too
     from rieszcap import cap_riesz
     from rieszcap.axis_field import regime
     batches, integrals = [], cap_riesz._tanh_sinh_integrals
@@ -662,6 +663,10 @@ def test_phi_batch_equals_per_point_calls(params, field, monkeypatch):
             atoms = len(field.folded(params).atoms)
             assert rows == ([] if params.log else [199 * atoms])
     assert ts[-1] == 1.0
+    eta, xis = form.eta(0.2, field), np.linspace(-1.0 + 1e-6, 1.0 - 1e-9, 200)
+    batch = form.potential(xis, eta, field)
+    assert np.array_equal(batch, [form.potential(float(xi), eta, field) for xi in xis])
+    assert np.all(batch[xis <= 0.2] == eta.phi) and np.all(batch[xis > 0.2] != eta.phi)
 
 
 # ---------------------------------------------------------------------------

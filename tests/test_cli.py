@@ -106,6 +106,24 @@ def test_log_curves_match_public_functions(tmp_path):
         assert_rel(ring, m.boundary_coeff)
 
 
+@pytest.mark.parametrize("case", [RIESZ, EXCEPTIONAL, LOG], ids=["riesz", "s=d-2", "log"])
+def test_potential_curve_is_one_call(tmp_path, monkeypatch, case):
+    # the 200-point potential curve is one batch call of the regime's potential
+    kernel, params, charge, d = case
+    calls, form_of = [], cli.regime
+
+    def counted(p):
+        form = form_of(p)
+        return form._replace(potential=lambda xi, *a: calls.append(np.shape(xi))
+                             or form.potential(xi, *a))
+
+    monkeypatch.setattr(cli, "regime", counted)
+    cli.run_scenario(scenario("potential", d, kernel, point(charge), grid=200), tmp_path)
+    assert calls == [(200,)]
+    _, pot = read_csv(tmp_path / "case_potential.csv")
+    assert len(pot) == 200
+
+
 def test_phi_curve_matches_public_functions(tmp_path):
     kernel, params, charge, d = RIESZ
     cfg = scenario("phi-curve", d, kernel, point(charge), grid=4)
