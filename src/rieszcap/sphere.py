@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import psi
+from scipy.special import beta, psi
 
 from rieszcap.specfun import ConvergenceError, hyp2f1_1mz
 
@@ -107,18 +107,20 @@ def surface_factor(params: Params | int) -> float:
 def sphere_energy(params: Params) -> float:
     """Continuous kernel energy of the whole sphere.
 
-    Riesz:        W_s = Gamma(d) Gamma((d-s)/2) / (2^s Gamma(d/2) Gamma(d-s/2)),
+    Riesz:        W_s = Gamma(d) Gamma((d-s)/2) / (2^s Gamma(d/2) Gamma(d-s/2))
+                      = B((d-s)/2, d/2) / (2^s B(d/2, d/2)),
     logarithmic:  W_0 = (psi(d) - psi(d/2))/2 - log 2,
 
-    the latter being d/ds W_s at s=0 (for d=2 it equals 1/2 - log 2).
+    the latter being d/ds W_s at s=0 (for d=2 it equals 1/2 - log 2).  The
+    ratio of two beta functions rounds less than the exp of a sum of log
+    gammas, and stays finite up to d = 1000.
     """
     d = params.d
     if params.log:
         return 0.5 * (psi(float(d)) - psi(d / 2.0)) - math.log(2.0)
     s = params.s
     # Params already guarantees 0 < s < d
-    return math.exp(math.lgamma(float(d)) + math.lgamma((d - s) / 2.0)
-                    - s * math.log(2.0) - math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0))
+    return float(beta((d - s) / 2.0, d / 2.0) / (2.0 ** s * beta(d / 2.0, d / 2.0)))
 
 
 def axis_dist2(u, R: float):

@@ -129,6 +129,21 @@ def test_gamma_closed_forms_against_40_digit_mpmath(d):
             assert abs(kappa(u, u, Params(d=d, s=s)) / ref - 1) <= 1e-14, (s, u)
 
 
+def test_sphere_energy_rounding_against_40_digit_mpmath():
+    # W_s as a ratio of beta functions: at the four (d, s) where the exp of a sum of
+    # log gammas was 1.4e-15 to 2.0e-15 off, and on a seeded grid of d <= 5
+    rng = np.random.default_rng(5)
+    cases = [(5, 3.61), (5, 3.44), (4, 2.08), (5, 3.88)]
+    for d in range(2, 6):
+        cases += [(d, float(s)) for s in rng.uniform(max(0.0, d - 2), d, size=100) if s > 0.0]
+    with mp.workdps(40):
+        for k, (d, s) in enumerate(cases):
+            S, D = mp.mpf(s), mp.mpf(d)
+            ref = mp.gamma(D) * mp.gamma((D - S) / 2) / (2 ** S * mp.gamma(D / 2) * mp.gamma(D - S / 2))
+            bound = 4.5e-16 if k < 4 else 8e-16
+            assert abs(sphere_energy(Params(d=d, s=s)) / ref - 1) <= bound, (d, s)
+
+
 def test_sphere_energy_domain():
     with pytest.raises(ValueError):
         Params(d=3, s=3.0)  # s = d rejected at the Params level
