@@ -48,8 +48,8 @@ class Regime(NamedTuple):
     signed equilibrium of the whole sphere), and ``potential(xi, eta, field)`` its
     closed-form weighted potential.  ``phi``, ``h`` and ``potential`` take a number
     or an ndarray of heights and return the same form, each entry bit for bit
-    the one-height call.  The Riesz range d-2 <= s < d runs one set of formulas; at s = d-2 its
-    ``eta`` carries a ring charge.  ``column`` names the functional in
+    the one-height call.  The Riesz range d-2 <= s < d runs one set of formulas;
+    at s = d-2 its ``eta`` carries a ring charge.  ``column`` names the functional in
     phi-curve output.  No formula takes a rule that depends on s: H, eta's
     mass and phi's rows of ||eps_t|| run on the tanh-sinh nodes of
     :mod:`rieszcap.sphere`.

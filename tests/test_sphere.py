@@ -130,8 +130,8 @@ def test_gamma_closed_forms_against_40_digit_mpmath(d):
 
 
 def test_sphere_energy_rounding_against_40_digit_mpmath():
-    # W_s as a ratio of beta functions: at the four (d, s) where the exp of a sum of
-    # log gammas was 1.4e-15 to 2.0e-15 off, and on a seeded grid of d <= 5
+    # W_s at four (d, s) where a sum of log gammas rounds badly, and on a seeded
+    # grid of d <= 5
     rng = np.random.default_rng(5)
     cases = [(5, 3.61), (5, 3.44), (4, 2.08), (5, 3.88)]
     for d in range(2, 6):
