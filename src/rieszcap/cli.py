@@ -32,7 +32,8 @@ grid.  Curve tasks write ``<name>_potential.csv`` (xi, weighted potential, F),
 scalar tasks write ``<name>.json`` (one line, keys sorted).
 Exit codes: 0 success, 2 malformed scenario (a kernel outside the three
 solvable regimes d-2 < s < d, s = d-2 with d >= 3 and log with d = 2
-included), 3 numeric failure.
+included, and a log charge inside the sphere for any task but particles),
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -133,9 +134,10 @@ def _scenario_eta(cfg: dict, field: AxisMeasure, params: Params) -> CapMeasure:
     return regime(params).eta(t, field)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    # one %-format per row tuple: the bytes of _fmt, value by value
-    line = ",".join(["%.17g"] * len(header))
+def _write_csv(path: Path, header: list[str], rows, constants=()) -> None:
+    # one %-format per row tuple: the bytes of _fmt, value by value; the last
+    # columns hold the same values on every row, formatted once into the line
+    line = ",".join(["%.17g"] * (len(header) - len(constants)) + [_fmt(v) for v in constants])
     path.write_text("\n".join([",".join(header)] + [line % row for row in rows]) + "\n")
 
 
@@ -153,12 +155,12 @@ def _task_cap_curves(cfg, field, params, out_dir: Path, name: str) -> dict:
         potential = regime(params).potential
         xis = np.linspace(-1.0 + 1e-6, 1.0 - 1e-9, n)
         _write_csv(out_dir / f"{name}_potential.csv", ["xi", "weighted_potential", "F"],
-                   zip(xis, potential(xis, eta, field), [eta.phi] * n))
+                   zip(xis, potential(xis, eta, field)), [eta.phi])
         files.append(f"{name}_potential.csv")
     gap = min(1e-9, (1.0 + eta.t) / 4.0)  # the samples' distance to each end of the cap
     us = np.linspace(-1.0 + gap, eta.t - gap, n)
     _write_csv(out_dir / f"{name}_density.csv", ["u", "density", "boundary_coeff"],
-               zip(us, eta.radial_density(us), [eta.boundary_coeff] * n))
+               zip(us, eta.radial_density(us)), [eta.boundary_coeff])
     files.append(f"{name}_density.csv")
     return {"t": eta.t, "F": eta.phi, "boundary_coeff": eta.boundary_coeff, "files": files}
 
@@ -260,8 +262,13 @@ def run_scenario(cfg: dict, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     if task == "newton-distance":
         return _task_newton_distance(cfg, out_dir, name)
-    params = _parse_params(cfg)
-    return _TASK_RUNNERS[task](cfg, _parse_field(cfg), params, out_dir, name)
+    params, field = _parse_params(cfg), _parse_field(cfg)
+    if task != "particles":  # every other task folds the field; particles sums it as given
+        try:
+            field.folded(params)
+        except ValueError as exc:  # an interior log charge, until folding covers it
+            raise ScenarioError(str(exc)) from exc
+    return _TASK_RUNNERS[task](cfg, field, params, out_dir, name)
 
 
 def main(argv=None) -> int:

@@ -4,8 +4,10 @@ Nothing here reuses the closed forms it checks: potentials are rebuilt by
 adaptive quadrature of the ring kernel against the measure's density, the
 Gauss variational inequalities are tested pointwise on a height grid, and a
 projected-descent particle gas on S^2 provides a discrete stand-in for the
-continuous minimization (support height and radial histogram are compared
-against the analytic cap solution).
+continuous minimization; its heights and a support-height estimate are what
+it reports.  The descent's energy and gradient come from one fused pass over
+the pairs: row strips of one workspace, each with one Gram gemm for the
+squared distances, one energy gemv, and the Riesz kernel as exp2 of log2.
 """
 
 from __future__ import annotations
@@ -148,43 +150,54 @@ class ParticleSystem:
 
 
 _STRIP = 128  # rows per strip of the pair sums; 64 to 200 run equally fast
-# For coincident unit vectors 2 - 2 x.x is rounding alone: |x|^2 is within 6u
-# of 1 (u = eps/2), the dot product adds 3u and the sum with 2 rounds by 2u,
-# so |d2| <= 20u = 10 eps: a d2 <= 16 eps (distance 6e-8) has no correct digit.
+# For coincident unit vectors d2 = [x | 1].[-2x | 2] is rounding alone (u = eps/2).
+# |x|^2 is within 6u of 1, so the exact 2 - 2|x|^2 is within 12u of 0; the
+# products -2 x_k^2 round by 2u in all, and BLAS sums the 4 terms, of magnitudes
+# adding to 4, in some order within 3u * 4 = 12u.  So |d2| <= 26u = 13 eps, and a
+# d2 <= 16 eps (distance 6e-8) has no correct digit.
 _D2_FLOOR = 16.0 * np.finfo(float).eps
 
 
 def _pairs(x: np.ndarray, params: Params, work: np.ndarray):
-    """The pair sum sum_{i != j} k(x_i, x_j) and the n x 4 sums [W x | W 1]
-    of the gradient weights, or None when two points coincide (a d2 at or
-    below the Gram form's rounding floor).  With d2_ij = 2 - 2 x_i.x_j, k is
-    d2^{-s/2} (or -log(d2)/2) and w_ij = s k_ij / d2_ij (or 1 / d2_ij), so
+    """The pair sum sum_{i != j} k(x_i, x_j) and the n x (D+1) sums [W x | W 1]
+    of the gradient weights for x of width D, or None when two points coincide
+    (a d2 at or below the Gram form's rounding floor).  With d2_ij = 2 - 2 x_i.x_j,
+    k is d2^{-s/2} (or -log(d2)/2) and w_ij = s k_ij / d2_ij (or 1 / d2_ij), so
     grad_i k(x_i, x_j) = -w_ij (x_i - x_j).  Strips of rows i0:i0+m against
     columns i0:n, in the two rows of ``work``, form each unordered pair once:
-    the left m x m block holds both orders, the rest stands for (i, j), (j, i).
+    the left m x m block holds both orders, the rest stands for (i, j), (j, i),
+    which the weights ev (1 on the first _STRIP columns, 2 after) count in one
+    gemv.  Each strip forms d2 in one gemm of [x | 1] against [-2x | 2] (not the
+    slower syrk of one operand), takes d2^{-s/2} as exp2(-s/2 log2 d2), and leaves
+    the constants -1/2 and s to the sums.
     """
-    n, xt = x.shape[0], -2.0 * x.T  # gemm, not the slower syrk of x @ x.T
-    x1, acc, total = np.hstack([x, np.ones((n, 1))]), np.zeros((n, 4)), 0.0
+    n, ones = x.shape[0], np.ones((x.shape[0], 1))
+    x1, yt = np.hstack([x, ones]), np.hstack([-2.0 * x, 2.0 * ones]).T
+    ev = np.full(n, 2.0)
+    ev[:_STRIP] = 1.0
+    acc, total = np.zeros_like(x1), 0.0
     for i0 in range(0, n, _STRIP):
         m, c = min(_STRIP, n - i0), n - i0
         d2, k = (buf[:m * c].reshape(m, c) for buf in work)
-        np.matmul(x[i0:i0 + m], xt[:, i0:], out=d2)
-        d2 += 2.0
+        np.matmul(x1[i0:i0 + m], yt[:, i0:], out=d2)
         np.fill_diagonal(d2, 1.0)
         if d2.min() <= _D2_FLOOR:
             return None
         if params.log:
             np.log(d2, out=k)
-            k *= -0.5
             w = np.reciprocal(d2, out=d2)
         else:
-            w = np.divide(np.power(d2, -params.s / 2.0, out=k), d2, out=d2)
-            w *= params.s
+            np.log2(d2, out=k)
+            k *= -params.s / 2.0
+            w = np.divide(np.exp2(k, out=k), d2, out=d2)
         np.fill_diagonal(k, 0.0)
         np.fill_diagonal(w, 0.0)
-        total += np.sum(k[:, :m]) + 2.0 * np.sum(k[:, m:])
+        total += np.sum(k @ ev[:c])
         acc[i0:i0 + m] += w @ x1[i0:]
         acc[i0 + m:] += w[:, m:].T @ x1[i0:i0 + m]
+    if params.log:
+        return -0.5 * total, acc
+    acc *= params.s
     return total, acc
 
 

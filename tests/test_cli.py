@@ -287,6 +287,25 @@ def test_particles_off_s2_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+INTERIOR_LOG = {"type": "point", "q": 1.0, "R": 0.6}
+
+
+@pytest.mark.parametrize("task", ["solve-support", "density", "potential", "phi-curve", "verify"])
+def test_interior_log_charge_exits_2(tmp_path, capsys, task):
+    # a log charge inside the sphere folds to the exterior one plus a constant
+    # that no formula takes yet: a malformed scenario, not a numeric failure
+    cfg = scenario(task, 2, LOG[0], INTERIOR_LOG)
+    assert cli.main(["run", str(write_scenario(tmp_path, cfg))]) == 2
+    assert capsys.readouterr().err.startswith("error: logarithmic fields require R > 1")
+
+
+def test_particles_take_an_interior_log_charge(tmp_path, capsys):
+    # the particle gas sums the field as given and folds nothing
+    cfg = dict(scenario("particles", 2, LOG[0], INTERIOR_LOG), n=50, iters=3)
+    assert cli.main(["run", str(write_scenario(tmp_path, cfg))]) == 0
+    assert json.loads((tmp_path / "case.json").read_text())["energy_monotone"] is True
+
+
 def test_particles_rerun_is_byte_identical(tmp_path):
     cfg = dict(scenario("particles", 2, RIESZ[0], point(RIESZ[2])), n=60, iters=20, seed=4)
     path = write_scenario(tmp_path, cfg)
@@ -367,3 +386,30 @@ def test_csv_rows_are_the_bytes_of_per_value_formatting(tmp_path):
     cli._write_csv(tmp_path / "rows.csv", ["a", "b", "c"], rows)
     expected = "\n".join(["a,b,c"] + [",".join(cli._fmt(v) for v in row) for row in rows]) + "\n"
     assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
+
+
+def test_csv_constant_columns_are_the_bytes_of_per_value_formatting(tmp_path):
+    # a column that holds one value on every row is formatted once per file
+    rows = [(0.1, -0.0), (float("nan"), 5e-324), (np.float64(1.0 / 3.0), 2)]
+    for const in (0.0, -0.0, float("inf"), float("nan"), -2.5e-310, 1.0 / 3.0, np.float64(-1e300)):
+        cli._write_csv(tmp_path / "rows.csv", ["a", "b", "c"], rows, [const])
+        expected = "\n".join(["a,b,c"] + ["%.17g,%.17g,%.17g" % (*row, const) for row in rows])
+        assert (tmp_path / "rows.csv").read_bytes() == (expected + "\n").encode()
+
+
+@pytest.mark.parametrize("case", [RIESZ, EXCEPTIONAL, LOG], ids=["riesz", "s=d-2", "log"])
+def test_curve_csvs_are_per_row_formatting(tmp_path, case):
+    # every row of the three curve kinds reads as %.17g of each value, and the
+    # constant columns hold F and boundary_coeff
+    kernel, params, charge, d = case
+    summary = cli.run_scenario(scenario("potential", d, kernel, point(charge)), tmp_path)
+    cli.run_scenario(scenario("phi-curve", d, kernel, point(charge)), tmp_path)
+    assert summary["boundary_coeff"] != 0.0 or case is not EXCEPTIONAL
+    for kind, constant in (("potential", summary["F"]),
+                           ("density", summary["boundary_coeff"]), ("phi", None)):
+        lines = (tmp_path / f"case_{kind}.csv").read_text().splitlines()
+        assert len(lines) == GRID + 1
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert cells == ["%.17g" % float(v) for v in cells]
+            assert constant is None or cells[-1] == "%.17g" % constant

@@ -103,13 +103,15 @@ def test_energy_matches_pairwise_sum(params, field):
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
-# below, at and across the strip height of 128 rows
+# below, at and across the strip height of 128 rows; at n = 129 the last strip
+# is one row, whose pairs the energy weights count once
 STRIP_CASES = [pytest.param(Params(d=2, s=0.5), RIESZ_AXIS, id="s0.5"),
                pytest.param(Params(d=2, s=1.37), POINT, id="s1.37"),
+               pytest.param(Params(d=2, s=0.05), POINT, id="s0.05"),
                pytest.param(Params(d=2, log=True), LOG_AXIS, id="log")]
 
 
-@pytest.mark.parametrize("n", [99, 100, 101, 257, 801])
+@pytest.mark.parametrize("n", [99, 100, 101, 128, 129, 257, 801])
 @pytest.mark.parametrize("params, field", STRIP_CASES)
 def test_strip_sums_match_the_dense_pair_matrix(params, field, n):
     x = sphere_points(n, seed=n)
@@ -119,6 +121,23 @@ def test_strip_sums_match_the_dense_pair_matrix(params, field, n):
     grad = oracle._gradient(x, acc, params, field)
     want = reference_gradient(x, params, field)
     assert np.max(np.abs(grad - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("params", [Params(d=2, s=0.05), Params(d=2, s=1.37),
+                                    Params(d=2, s=1.95), Params(d=2, log=True)],
+                         ids=["s0.05", "s1.37", "s1.95", "log"])
+def test_near_coincident_pair_kernel_against_40_digit_mpmath(params):
+    # two points 1e-7 apart in angle: d2 = 2 - 2 cos(1e-7) ~ 1e-14, just above the
+    # floor; with x0 = e_1 and x1 in the e_1 e_2 plane the Gram form 2 - 2 c is
+    # exact, so the pair sum, both orders of one pair, tests the kernel at d2 alone
+    mp = pytest.importorskip("mpmath")
+    c = math.cos(1e-7)
+    x = np.array([[1.0, 0.0, 0.0], [c, math.sqrt(1.0 - c * c), 0.0]])
+    total, _ = oracle._pairs(x, params, workspace(2))
+    with mp.workdps(40):
+        d2 = 2 - 2 * mp.mpf(c)
+        want = -mp.log(d2) / 2 if params.log else d2 ** (-mp.mpf(params.s) / 2)
+        assert abs(mp.mpf(total / 2.0) - want) <= 1e-14 * abs(want)
 
 
 @pytest.mark.parametrize("params, field", CASES)
