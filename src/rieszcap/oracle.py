@@ -171,7 +171,8 @@ def _pairs(x: np.ndarray, params: Params, work: np.ndarray):
     slower syrk of one operand), takes d2^{-s/2} as exp2(-s/2 log2 d2), and leaves
     the constants -1/2 and s to the sums.
     """
-    n, ones = x.shape[0], np.ones((x.shape[0], 1))
+    n = x.shape[0]
+    ones = np.ones((n, 1))
     x1, yt = np.hstack([x, ones]), np.hstack([-2.0 * x, 2.0 * ones]).T
     ev = np.full(n, 2.0)
     ev[:_STRIP] = 1.0

@@ -3,6 +3,7 @@ and its variational check on solved and mis-solved caps."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -130,7 +131,6 @@ def test_near_coincident_pair_kernel_against_40_digit_mpmath(params):
     # two points 1e-7 apart in angle: d2 = 2 - 2 cos(1e-7) ~ 1e-14, just above the
     # floor; with x0 = e_1 and x1 in the e_1 e_2 plane the Gram form 2 - 2 c is
     # exact, so the pair sum, both orders of one pair, tests the kernel at d2 alone
-    mp = pytest.importorskip("mpmath")
     c = math.cos(1e-7)
     x = np.array([[1.0, 0.0, 0.0], [c, math.sqrt(1.0 - c * c), 0.0]])
     total, _ = oracle._pairs(x, params, workspace(2))
