@@ -81,8 +81,9 @@ def regime(params: Params) -> Regime:
 @dataclass(frozen=True)
 class CapSolution:
     """Solved extremal support: the extremal measure eta_t0 (with its mass) and
-    the branch taken; t0 and Phi(t0) are read from eta_t0.  ``delta_evals`` counts
-    H's evaluations, H(1) included; ``t0_error`` is the last Newton step in t."""
+    the branch taken; t0 and Phi(t0) are read from eta_t0.  ``field`` is the field
+    as the caller gave it, atoms on either side of the sphere.  ``delta_evals``
+    counts H's evaluations, H(1) included; ``t0_error`` is the last Newton step in t."""
 
     equilibrium: CapMeasure
     solved_by: str  # "interior_root" or "boundary_t_equals_1"
@@ -113,7 +114,6 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     eta_t0 carries no ring charge, and a mass of eta_t0 off 1 (its value at
     every t) by over 1e-10 raises ConvergenceError.
     """
-    lam = lam.folded(params)
     form = regime(params)
     if form.h(1.0, lam) <= 1.0:
         t0, solved_by, evals, step = 1.0, "boundary_t_equals_1", 1, 0.0

@@ -68,7 +68,7 @@ def gamma_s_norm(t: float, s: float, d: int) -> float:
 
 def weakstar_gap(t: float, s_values, R: float, params: Params):
     """Moment gaps quantifying the weak* convergence nu_{t,s} -> nubar_t and
-    eps_{t,s} -> epsbar_t (unit charge at R*p, R > 1) as s decreases to d-2.
+    eps_{t,s} -> epsbar_t (unit charge at R*p, R != 1) as s decreases to d-2.
 
     For each s, computes |int u^k d nu_{t,s} - int u^k d nubar_t| and the
     eps analogue for k = 0..3, ring charges included; returns a list of
@@ -110,13 +110,13 @@ def log_h(t: float, field: AxisMeasure, params: Params) -> float:
     """H(t) = sum_i m_i 2 R_i (1+t)/r_i(t)^2 = sum_i m_i (R_i+1)^2/r_i^2 - ||lambda||, t a number or
     an array: H(-1) = 0, and etabar_{t,0}'s ring charge is (1-t)/2 (1 - H(t)), so H(t0) = 1."""
     _require_log(params)
-    return sum(m * 2.0 * R * (1.0 + t) / axis_dist2(t, R) for R, m in field.folded(params).atoms)
+    return sum(m * 2.0 * R * (1.0 + t) / axis_dist2(t, R) for R, m in field.atoms)
 
 
 def log_h_slope(t: float, field: AxisMeasure, params: Params) -> float:
     """H'(t) = sum_i m_i 2 R_i (R_i+1)^2/r_i(t)^4."""
     return sum(m * 2.0 * R * (R + 1.0) ** 2 / axis_dist2(t, R) ** 2
-               for R, m in field.folded(params).atoms)
+               for R, m in field.atoms)
 
 
 def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
@@ -125,7 +125,6 @@ def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     F_0(Sigma_t)): the s = d-2 cap measure at d = 2 with W = 1, density
     (1+||lambda||) - sum_i m_i (R_i^2-1)^2/rho_i^4 and ring charge
     (1-t)/2 (1 - H(t)), which vanishes exactly at t0 and at t = 1."""
-    field = field.folded(params)
     return _cap_measure(t, params, 1.0 + field.total_mass, 1.0 - log_h(t, field, params),
                         field.atoms, phi=log_f0_functional(t, field, params))
 
@@ -142,7 +141,6 @@ def log_f0_functional(t: float | np.ndarray, field: AxisMeasure, params: Params
     W_0(Sigma_t) from :func:`log_cap_energy`.
     """
     _require_log(params)
-    field = field.folded(params)
     out = log_cap_energy(t) + field.total_mass * (1.0 + t) / 4.0
     for R, m in field.atoms:
         out += m * ((R - 1.0) ** 2 * np.log(axis_dist2(t, R))
@@ -165,5 +163,5 @@ def log_eta_potential(xi: float | np.ndarray, eta: CapMeasure, field: AxisMeasur
     x = xi[above]
     out[above] = (f0 + 0.5 * np.log((1.0 + t) / (1.0 + x))
                   + sum(0.5 * m * np.log(axis_dist2(t, R) / axis_dist2(x, R))
-                        for R, m in field.folded(params).atoms))
+                        for R, m in field.atoms))
     return out[()]

@@ -29,7 +29,7 @@ import math
 import numpy as np
 from scipy.special import betainc
 
-from rieszcap.point_field import AxisMeasure, _exterior, field_potential_on_axis
+from rieszcap.point_field import AxisMeasure, _axis_height, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
 from rieszcap.sphere import CapMeasure, Params, _gap_dist2, _tanh_sinh_integrals, _tanh_sinh_nodes, \
     axis_dist2, sphere_energy
@@ -57,13 +57,13 @@ def _require_cap_regime(params: Params) -> None:
 def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
                  contraction=(1.0, 0.0), pairs=(), phi: float | None = None) -> CapMeasure:
     """The measure (K/W_s) nu_t - sum_j c_j eps_t^{R_j} for charges ((R_j, c_j), ...),
-    R_j > 1, on the cap t in (-1, 1]; d-2 <= s < d (mass not computed).
+    R_j != 1, on the cap t in (-1, 1]; d-2 <= s < d (mass not computed).
 
     With B_j = (R_j+1)^{d-s}/r_j^d, r_j^2 = R_j^2 - 2 R_j t + 1, the caller
     passes the net charge net = K - sum_j c_j B_j, formed without cancellation.
     At t = 1 or s = d-2 the density is the whole sphere's
 
-        K/W_s - sum_j c_j ((R_j-1)(R_j+1))^{d-s} rho_j^{s-2d} / W_s,  rho_j^2 = R_j^2 - 2 R_j u + 1,
+        K/W_s - sum_j c_j |(R_j-1)(R_j+1)|^{d-s} rho_j^{s-2d} / W_s,  rho_j^2 = R_j^2 - 2 R_j u + 1,
 
     and s = d-2 adds the ring charge (1-t)/2 (1-t^2)^{d/2-1} net on the
     edge.  Otherwise the density is (t-u)^{(s-d)/2} times
@@ -106,7 +106,7 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
             out = np.full(np.shape(nodes.u), K / W)
             for R, c in charges:
                 rho2 = _gap_dist2(nodes.one_minus_u, R)
-                out = out - c * (((R - 1.0) * (R + 1.0)) ** (d - s) * rho2 ** (s / 2.0 - d) / W)
+                out = out - c * (abs((R - 1.0) * (R + 1.0)) ** (d - s) * rho2 ** (s / 2.0 - d) / W)
             return out
 
         ring = (1.0 - t) / 2.0 * (1.0 - t * t) ** (d / 2.0 - 1.0) * net if t < 1.0 else 0.0
@@ -140,7 +140,7 @@ def nu_measure(t: float, params: Params) -> CapMeasure:
 
 
 def eps_measure(t: float, R: float, params: Params) -> CapMeasure:
-    """Balayage eps_t of a unit charge at R*p, R > 1, onto the cap, t in (-1, 1].
+    """Balayage eps_t of a unit charge at R*p, R != 1, onto the cap, t in (-1, 1].
 
     For d-2 < s < d and t < 1 its density is
 
@@ -149,10 +149,10 @@ def eps_measure(t: float, R: float, params: Params) -> CapMeasure:
                     2F1reg(1, d/2; 1-(d-s)/2; ((R-1)^2/r^2)(t-u)/(1-u)),
 
     r^2 = R^2 - 2 R t + 1.  At t = 1, and on every cap at s = d-2, it is the
-    whole sphere's (R^2-1)^{d-s} rho^{s-2d} / W_s, rho^2 = R^2 - 2 R u + 1;
+    whole sphere's |R^2-1|^{d-s} rho^{s-2d} / W_s, rho^2 = R^2 - 2 R u + 1;
     s = d-2 adds the ring charge (1-t)/2 (1-t^2)^{d/2-1} (R+1)^2/r^d.
     """
-    R = _exterior(R)
+    R = _axis_height(R)
     # a contraction, not a pair with B = -1, whose term weights B (1 + expm1(...))
     # cancel when (R-1)^2/r^2 is small
     r2 = axis_dist2(t, R)
@@ -171,7 +171,7 @@ def nu_norm(t: float | np.ndarray, params: Params) -> float | np.ndarray:
 
 
 def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> float | np.ndarray:
-    """||eps_t|| of a unit charge at R*p, R > 1, t in [-1, 1], by quadrature of
+    """||eps_t|| of a unit charge at R*p, R != 1, t in [-1, 1], by quadrature of
     its one-dimensional integral form:
 
         C (R+1)^{d-s}/W_s int_{-1}^t (1+u)^{s/2-1} G(u) du,   G(u) = (1-u)^{d-s/2-1} r(u)^{-d},
@@ -194,7 +194,7 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
     ts, Rs = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(R, dtype=float))
     shape, ts, Rs = ts.shape, ts.ravel(), Rs.ravel()
     for r in set(Rs.tolist()):
-        _exterior(r)
+        _axis_height(r)
     d, s, W = params.d, params.s, sphere_energy(params)
     if not np.all((-1.0 <= ts) & (ts <= 1.0)):
         raise ValueError(f"eps_norm needs -1 <= t <= 1, got {t}")
@@ -230,7 +230,7 @@ def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np
     (height, atom) pair of a number or an array t is a row of one eps_norm batch,
     height-major, and each height's masses add in atom order."""
     _require_cap_regime(params)
-    atoms = field.folded(params).atoms
+    atoms = field.atoms
     ts = np.asarray(t, dtype=float)
     if np.any(ts <= -1.0):
         raise ValueError("phi diverges at t = -1 (the cap degenerates to a point)")
@@ -264,7 +264,7 @@ def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.n
     """
     _require_cap_regime(params)
     d, s, W = params.d, params.s, sphere_energy(params)
-    atoms, ts, out = field.folded(params).atoms, np.asarray(t, dtype=float), []
+    atoms, ts, out = field.atoms, np.asarray(t, dtype=float), []
     # one height at a time: a solve calls H on single heights, which a batch over
     # heights in numpy would make slower
     for x in ts.ravel().tolist():
@@ -284,7 +284,7 @@ def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.n
 def h_slope(t: float, field: AxisMeasure, params: Params) -> float:
     """H'(t) = ||nu_t|| sum_i m_i e_i'(t)/W_s, e_i'(t) = d R_i (R_i+1)^{d-s}/r_i(t)^{d+2},
     for t in (-1, 1): the integrand of :func:`h`, in closed form."""
-    return _slope(1.0 + t, 1.0 - t, field.folded(params).atoms, params) / sphere_energy(params)
+    return _slope(1.0 + t, 1.0 - t, field.atoms, params) / sphere_energy(params)
 
 
 def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
@@ -311,7 +311,6 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     grouping, this one or the first, whose absolute parts sum less.
     """
     _require_cap_regime(params)
-    field = field.folded(params)
     d, s = params.d, params.s
     net = sphere_energy(params) * (1.0 - h(t, field, params)) / nu_norm(t, params)
     # (B_i, 1 - c_i^2), the second formed as 2 R_i (1-t) / r_i^2 without cancellation
@@ -337,11 +336,11 @@ def nu_potential(xi: float, t: float, params: Params) -> float:
 
 
 def eps_potential(xi: float, t: float, R: float, params: Params) -> float:
-    """Potential of eps_t of a unit charge at a = R*p, R > 1, at height xi:
+    """Potential of eps_t of a unit charge at a = R*p, R != 1, at height xi:
     |z-a|^{-s} on the cap, rho^{-s} I((rho^2/r^2)(1+t)/(1+xi); s/2, (d-s)/2)
     above it (r^{2-d} ((1+t)/(1+xi))^{d/2-1} at s = d-2)."""
     _require_cap_regime(params)
-    s, R = params.s, _exterior(R)
+    s, R = params.s, _axis_height(R)
     rho2 = axis_dist2(xi, R)
     if xi <= t:
         return rho2 ** (-s / 2.0)
@@ -371,6 +370,6 @@ def eta_potential(xi: float | np.ndarray, eta: CapMeasure, field: AxisMeasure,
         m * axis_dist2(x, R) ** (-s / 2.0)
         * betainc((d - s) / 2.0, s / 2.0,
                   np.minimum(1.0, (R + 1.0) ** 2 * (x - t) / (axis_dist2(t, R) * (1.0 + x))))
-        for R, m in field.folded(params).atoms)
+        for R, m in field.atoms)
     out[above] = phi_t + charges - phi_t * betainc((d - s) / 2.0, s / 2.0, (x - t) / (1.0 + x))
     return out[()]

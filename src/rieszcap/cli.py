@@ -32,8 +32,7 @@ grid.  Curve tasks write ``<name>_potential.csv`` (xi, weighted potential, F),
 scalar tasks write ``<name>.json`` (one line, keys sorted).
 Exit codes: 0 success, 2 malformed scenario (a kernel outside the three
 solvable regimes d-2 < s < d, s = d-2 with d >= 3 and log with d = 2
-included, and a log charge inside the sphere for any task but particles),
-3 numeric failure.
+included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -263,11 +262,6 @@ def run_scenario(cfg: dict, out_dir: Path) -> dict:
     if task == "newton-distance":
         return _task_newton_distance(cfg, out_dir, name)
     params, field = _parse_params(cfg), _parse_field(cfg)
-    if task != "particles":  # every other task folds the field; particles sums it as given
-        try:
-            field.folded(params)
-        except ValueError as exc:  # an interior log charge, until folding covers it
-            raise ScenarioError(str(exc)) from exc
     return _TASK_RUNNERS[task](cfg, field, params, out_dir, name)
 
 

@@ -6,6 +6,15 @@ charge q at a = R*p is the one-atom measure.  The field potential of the
 uniform measure on the axis is a Gauss hypergeometric value.  The distance
 question for the Newtonian kernel s = d-1 comes down to one polynomial root
 (the golden ratio when d = 2).
+
+A charge may sit on either side of the sphere.  On the sphere
+|x - R p| = R |x - p/R| (the Kelvin transform of Riesz potentials; Landkof,
+Foundations of Modern Potential Theory, 1972, ch. IV), so the field of a
+charge m at R is that of m R^{-s} at 1/R.  Every per-unit-charge formula of
+the package is written in a form that R -> 1/R leaves unchanged once the
+charge is scaled by R^{-s}, f(R) = R^{-s} f(1/R), and takes the charge where
+it lies.  For the log kernel the field of m at R is that of m at 1/R plus the
+constant -m log R, which the closed forms carry into F.
 """
 
 from __future__ import annotations
@@ -33,9 +42,7 @@ class AxisMeasure:
     """Finite positive measure on the axis: atoms ((R_1, m_1), ...).
 
     All masses must be positive and finite, and every height must satisfy
-    0 < R < inf, R != 1.  Atoms with R < 1 are accepted for Riesz kernels
-    and mapped to the equivalent exterior problem by inversion (see
-    :meth:`folded`).
+    0 < R < inf, R != 1: a charge may sit on either side of the sphere.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -47,58 +54,42 @@ class AxisMeasure:
         for R, m in atoms:
             if not 0.0 < m < math.inf:
                 raise ValueError(f"charges must be positive and finite, got {m}")
-            if not 0.0 < R < math.inf or R == 1.0:
-                raise ValueError(f"axis height must satisfy 0 < R < inf, R != 1, got R={R}")
+            _axis_height(R)
         object.__setattr__(self, "atoms", atoms)
 
     @property
     def total_mass(self) -> float:
         return sum(m for _, m in self.atoms)
 
-    def folded(self, params: Params) -> AxisMeasure:
-        """The same field with every atom at R > 1 (Riesz kernels only).
 
-        The field of (m, R) with R < 1 equals the field of (m R'^s, R') with
-        R' = 1/R exactly, since |x - (1/R')p| = |x - R'p| / R' on the
-        sphere.  The logarithmic kernel rejects R < 1: the same map shifts
-        the field by a constant, which changes the functional values.
-        """
-        if all(R > 1.0 for R, _ in self.atoms):
-            return self
-        if params.log:
-            raise ValueError("logarithmic fields require R > 1 (inversion shifts the field "
-                             "by a constant; supply the exterior charge directly)")
-        return AxisMeasure(
-            (R, m) if R > 1.0 else (1.0 / R, m * (1.0 / R) ** params.s) for R, m in self.atoms)
-
-
-def _exterior(R: float) -> float:
-    # the per-unit-charge formulas take an exterior height; only field-level
-    # functions fold interior atoms (with their mass factor R'^s)
-    if not 1.0 < R < math.inf:
-        raise ValueError(f"per-unit-charge formulas need an exterior height 1 < R < inf, "
-                         f"got R={R}; fold the field first")
+def _axis_height(R: float) -> float:
+    # the one height rule: a charge off the sphere, on either side of it
+    if not 0.0 < R < math.inf or R == 1.0:
+        raise ValueError(f"axis height must satisfy 0 < R < inf, R != 1, got R={R}")
     return R
 
 
 @functools.lru_cache
 def field_potential_on_axis(R: float, params: Params) -> float:
-    """Potential of the uniform measure at the axis point a = R*p, R > 1:
+    """Potential of the uniform measure at the axis point a = R*p, R != 1:
 
         U_s^sigma(a) = (R+1)^{-s} 2F1(s/2, d/2; d; 4R/(R+1)^2)
-                     = R^{-s} 2F1(s/2, (s-d+1)/2; (d+1)/2; 1/R^2)   (A&S 15.3.17).
+                     = R^{-s} 2F1(s/2, (s-d+1)/2; (d+1)/2; 1/R^2)   (A&S 15.3.17),
 
-    The second is summed as its plain Gauss series for 1/R^2 <= 0.9; the
-    first, used nearer the sphere, is summed in 1-z, whose two terms cancel
-    as (d-s)/2 nears an integer.  Cached, since every H(t) of a solve near
-    t = 1 needs it.
+    the second for R > 1; for R < 1 it is 2F1(s/2, (s-d+1)/2; (d+1)/2; R^2),
+    R^{-s} times its value at 1/R.  The plain Gauss series sums it while its
+    argument is at most 0.9; the first form, Kelvin-invariant as written and
+    used nearer the sphere, is summed in 1-z, whose two terms cancel as
+    (d-s)/2 nears an integer.  Cached: only H(1) and ||eps_1|| call it, and a
+    whole-sphere solve forms H(1) twice (its test and eta_1), as fixed cases
+    that recur do.
     """
     if params.log:
         raise ValueError("field_potential_on_axis covers 0 < s < d Riesz kernels")
-    d, s, R = params.d, params.s, _exterior(R)
-    z = 1.0 / (R * R)
+    d, s, R = params.d, params.s, _axis_height(R)
+    z, scale = (1.0 / (R * R), R ** (-s)) if R > 1.0 else (R * R, 1.0)
     if z <= 0.9:
-        return R ** (-s) * _series_2f1(s / 2.0, (s - d + 1.0) / 2.0, (d + 1.0) / 2.0, z)
+        return scale * _series_2f1(s / 2.0, (s - d + 1.0) / 2.0, (d + 1.0) / 2.0, z)
     # 1 - z = ((R-1)/(R+1))^2 computed directly: z itself rounds to 1 as R -> 1
     w = ((R - 1.0) / (R + 1.0)) ** 2
     return (R + 1.0) ** (-s) * hyp2f1_1mz(s / 2.0, d / 2.0, float(d), w)

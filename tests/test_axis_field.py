@@ -103,17 +103,16 @@ WHOLE_SPHERE_PARAMS = {"riesz_2_1": Params(d=2, s=1.0), "riesz_3_1.5": Params(d=
 
 
 @pytest.mark.parametrize("kernel, name", [
-    (kernel, name) for kernel in WHOLE_SPHERE_PARAMS for name in WHOLE_SPHERE_FIELDS
-    if not (kernel == "log" and name == "interior_atom")])  # log fields need R > 1
+    (kernel, name) for kernel in WHOLE_SPHERE_PARAMS for name in WHOLE_SPHERE_FIELDS])
 def test_regime_eta_at_one_is_the_whole_sphere_equilibrium(kernel, name):
     # eta_1 of every regime: no ring, the closed-form density
-    # (Phi(1) - sum_i m_i (R_i^2-1)^{d-s} rho_i^{s-2d}) / W of the folded
-    # atoms, and a pole value with the sign of Delta(1)
+    # (Phi(1) - sum_i m_i |R_i^2-1|^{d-s} rho_i^{s-2d}) / W of the atoms where
+    # they lie, and a pole value with the sign of Delta(1)
     params, lam = WHOLE_SPHERE_PARAMS[kernel], WHOLE_SPHERE_FIELDS[name]
     eta = regime(params).eta(1.0, lam)
     assert eta.t == 1.0
     assert eta.boundary_coeff == 0.0
-    atoms = lam.folded(params).atoms
+    atoms = lam.atoms
     d = params.d
     if params.log:
         s, W, level = 0.0, 1.0, 1.0 + lam.total_mass
@@ -123,7 +122,7 @@ def test_regime_eta_at_one_is_the_whole_sphere_equilibrium(kernel, name):
         level = W + sum(m * field_potential_on_axis(R, params) for R, m in atoms)
         assert eta.phi == pytest.approx(level, rel=1e-14)
     us = np.linspace(-1.0, 1.0, 41)
-    expected = (level - sum(m * (R * R - 1.0) ** (d - s) * axis_dist2(us, R) ** (s / 2.0 - d)
+    expected = (level - sum(m * abs(R * R - 1.0) ** (d - s) * axis_dist2(us, R) ** (s / 2.0 - d)
                             for R, m in atoms)) / W
     np.testing.assert_allclose(eta.radial_density(us), expected, rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(expected)))
@@ -312,14 +311,13 @@ SLOPE_PARAMS = {f"riesz_{d}": Params(d=d, s=d - 1.2) for d in (2, 3, 4, 5)} | {
     "exceptional_3": Params(d=3, s=1.0), "exceptional_4": Params(d=4, s=2.0), "log": PLOG}
 SLOPE_FIELDS = {
     "one_atom": AxisMeasure([(1.5, 1.0)]),
-    # one atom inside the sphere, folded (the log kernel takes exterior atoms only)
-    "three_atoms": AxisMeasure([(0.7, 0.3), (1.3, 0.5), (2.5, 1.0)]),
+    "three_atoms": AxisMeasure([(0.7, 0.3), (1.3, 0.5), (2.5, 1.0)]),  # one inside the sphere
     "three_exterior_atoms": AxisMeasure([(1.7, 0.3), (1.3, 0.5), (2.5, 1.0)]),
 }
 
 
 @pytest.mark.parametrize("kernel, name", [(kernel, "one_atom") for kernel in SLOPE_PARAMS]
-                         + [(kernel, "three_atoms") for kernel in SLOPE_PARAMS if kernel != "log"]
+                         + [(kernel, "three_atoms") for kernel in SLOPE_PARAMS]
                          + [("log", "three_exterior_atoms")])
 def test_delta_slope_matches_central_differences(kernel, name):
     form, lam, h = regime(SLOPE_PARAMS[kernel]), SLOPE_FIELDS[name], 1e-6
@@ -362,43 +360,69 @@ def test_charges_within_1e8_of_the_sphere_solve():
 
 
 # ---------------------------------------------------------------------------
-# the fold contract: field-level functions fold, per-unit formulas take R > 1
+# charges on either side of the sphere: the Kelvin-invariant per-charge forms
 
 
-@pytest.mark.parametrize("params", [Params(d=2, s=1.0), Params(d=3, s=1.0)],
-                         ids=["riesz", "exceptional"])
+@pytest.mark.parametrize("params", [Params(d=2, s=1.0), Params(d=3, s=1.0), PLOG],
+                         ids=["riesz", "exceptional", "log"])
 def test_interior_atom_solves_as_its_exterior_fold(params):
-    # (R, m) with R < 1 is the field of (1/R, m R^{-s}) on the sphere
-    s = params.s
+    # (R, m) with R < 1 is the field of (1/R, m R^{-s}) on the sphere, and for
+    # the log kernel that of (1/R, m) plus the constant -m log R, which F takes
+    s = 0.0 if params.log else params.s
     inner = AxisMeasure([(0.6, 0.6), (2.0, 0.3)])
     outer = AxisMeasure([(1.0 / 0.6, 0.6 * 0.6 ** -s), (2.0, 0.3)])
+    shift = -0.6 * math.log(0.6) if params.log else 0.0
     sol_in, sol_out = axis_solve_t(inner, params), axis_solve_t(outer, params)
     assert sol_in.solved_by == sol_out.solved_by == "interior_root"
     assert sol_in.t0 == pytest.approx(sol_out.t0, rel=0, abs=1e-13)
-    assert sol_in.phi_at_t0 == pytest.approx(sol_out.phi_at_t0, rel=1e-13)
+    assert sol_in.phi_at_t0 == pytest.approx(sol_out.phi_at_t0 + shift, rel=1e-13)
     us = np.linspace(-1.0 + 1e-9, sol_out.t0 - 1e-3, 50)
     np.testing.assert_allclose(sol_in.equilibrium.radial_density(us),
                                sol_out.equilibrium.radial_density(us), rtol=1e-13, atol=1e-13)
     potential = regime(params).potential
     for xi in (-0.5, sol_out.t0 + 0.05, 0.9):
         assert potential(xi, sol_in.equilibrium, inner) == pytest.approx(
-            potential(xi, sol_out.equilibrium, outer), rel=1e-13)
+            potential(xi, sol_out.equilibrium, outer) + shift, rel=1e-13)
 
 
+# name: (params, the per-unit-charge formula as a function of R); s = d-2 runs
+# epsbar_t, its ring charge and its potential through the Riesz cap formulas,
+# and t = 1 the whole sphere's closed forms
+P315, P31 = Params(d=3, s=1.5), Params(d=3, s=1.0)
 PER_UNIT = {
-    "field_potential_on_axis": lambda R: field_potential_on_axis(R, Params(d=3, s=1.5)),
-    "eps_density": lambda R: cap_riesz.eps_measure(0.2, R, Params(d=3, s=1.5)).radial_density(0.0),
-    "eps_norm": lambda R: cap_riesz.eps_norm(0.2, R, Params(d=3, s=1.5)),
-    "eps_potential": lambda R: cap_riesz.eps_potential(0.5, 0.2, R, Params(d=3, s=1.5)),
-    # epsbar_t, the s = d-2 balayage, and its potential, by the Riesz cap formulas
-    "epsbar": lambda R: cap_riesz.eps_measure(0.2, R, Params(d=3, s=1.0)),
-    "epsbar_potential": lambda R: cap_riesz.eps_potential(0.5, 0.2, R, Params(d=3, s=1.0)),
-    "weakstar_gap": lambda R: cap_exceptional.weakstar_gap(0.0, [1.5], R, Params(d=3, s=1.0)),
+    "field_potential_on_axis": (P315, lambda R: field_potential_on_axis(R, P315)),
+    "eps_density": (P315, lambda R: cap_riesz.eps_measure(0.2, R, P315).radial_density(0.0)),
+    "eps_mass": (P315, lambda R: cap_riesz.eps_measure(0.2, R, P315).with_mass(P315).mass),
+    "eps_whole_density": (P315, lambda R: cap_riesz.eps_measure(1.0, R, P315).radial_density(0.0)),
+    "eps_norm": (P315, lambda R: cap_riesz.eps_norm(0.2, R, P315)),
+    "eps_whole_norm": (P315, lambda R: cap_riesz.eps_norm(1.0, R, P315)),
+    "eps_potential": (P315, lambda R: cap_riesz.eps_potential(0.5, 0.2, R, P315)),
+    "epsbar": (P31, lambda R: [cap_riesz.eps_measure(0.2, R, P31).radial_density(0.0),
+                               cap_riesz.eps_measure(0.2, R, P31).boundary_coeff]),
+    "epsbar_potential": (P31, lambda R: cap_riesz.eps_potential(0.5, 0.2, R, P31)),
+    "weakstar_gap": (P31, lambda R: cap_exceptional.weakstar_gap(0.0, [1.5], R, P31)),
 }
 
 
-@pytest.mark.parametrize("R", [0.5, 1.0])
+@pytest.mark.parametrize("R", [1.0, 0.0, -0.5])
 @pytest.mark.parametrize("name", list(PER_UNIT))
-def test_per_unit_formulas_reject_heights_not_above_one(name, R):
-    with pytest.raises(ValueError, match="exterior height"):
-        PER_UNIT[name](R)
+def test_per_unit_formulas_reject_heights_off_the_rule(name, R):
+    # the one height rule: 0 < R < inf, R != 1
+    with pytest.raises(ValueError, match="axis height"):
+        PER_UNIT[name][1](R)
+
+
+@pytest.mark.parametrize("R", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("name", [name for name in PER_UNIT if name != "weakstar_gap"])
+def test_per_unit_formulas_are_kelvin_invariant(name, R):
+    # |x - R p| = R |x - p/R| on the sphere: a unit charge at R < 1 acts as
+    # R^{-s} unit charges at 1/R, in every per-unit-charge formula
+    params, f = PER_UNIT[name]
+    np.testing.assert_allclose(f(R), R ** -params.s * np.asarray(f(1.0 / R)), rtol=1e-13)
+
+
+def test_weakstar_gap_takes_an_interior_charge():
+    # it compares measures at two values of s, which scale by different powers
+    # of R, so only that it takes R < 1
+    for rec in PER_UNIT["weakstar_gap"][1](0.5):
+        assert np.all(np.isfinite(rec["nu"])) and np.all(np.isfinite(rec["eps"]))

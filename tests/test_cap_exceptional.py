@@ -380,4 +380,4 @@ def test_gating():
     with pytest.raises(ValueError):
         eta_measure(0.0, C12, Params(d=4, s=1.0))
     with pytest.raises(ValueError):
-        axis_solve_t(AxisMeasure([(0.5, 1.0)]), PLOG)
+        axis_solve_t(AxisMeasure([(2.0, 1.0)]), Params(d=3, log=True))

@@ -291,16 +291,38 @@ INTERIOR_LOG = {"type": "point", "q": 1.0, "R": 0.6}
 
 
 @pytest.mark.parametrize("task", ["solve-support", "density", "potential", "phi-curve", "verify"])
-def test_interior_log_charge_exits_2(tmp_path, capsys, task):
-    # a log charge inside the sphere folds to the exterior one plus a constant
-    # that no formula takes yet: a malformed scenario, not a numeric failure
-    cfg = scenario(task, 2, LOG[0], INTERIOR_LOG)
-    assert cli.main(["run", str(write_scenario(tmp_path, cfg))]) == 2
-    assert capsys.readouterr().err.startswith("error: logarithmic fields require R > 1")
+def test_interior_log_charge_exits_0(tmp_path, task):
+    # a log charge at R = 0.6 is the one at 1/0.6 plus the constant -log 0.6 in
+    # the field: the same cap (t0 = 1/15), and F shifted by -log 0.6
+    outputs = []
+    for R in (0.6, 1.0 / 0.6):
+        cfg = scenario(task, 2, LOG[0], dict(INTERIOR_LOG, R=R), cap={"mode": "solve"},
+                       grid=41, tol=1e-5)
+        out = tmp_path / str(R)
+        assert cli.main(["run", str(write_scenario(tmp_path, cfg)), "--out", str(out)]) == 0
+        outputs.append(out)
+    inner, outer = outputs
+    shift = -np.log(0.6)
+    if task in ("solve-support", "verify"):
+        got, want = (json.loads((out / "case.json").read_text()) for out in outputs)
+        assert abs(got["t0"] - 1.0 / 15.0) <= 1e-15 and abs(got["t0"] - want["t0"]) <= 1e-15
+    if task == "solve-support":
+        assert abs(got["phi_at_t0"] - (want["phi_at_t0"] + shift)) <= 1e-14
+    if task == "verify":
+        assert got["passed"] is True
+    if task in ("density", "potential"):
+        (_, got), (_, want) = (read_csv(out / "case_density.csv") for out in outputs)
+        np.testing.assert_allclose(got[:, 1], want[:, 1], rtol=1e-13)
+    if task == "potential":
+        (_, got), (_, want) = (read_csv(out / "case_potential.csv") for out in outputs)
+        np.testing.assert_allclose(got[:, 1:], want[:, 1:] + shift, rtol=0, atol=1e-14)
+    if task == "phi-curve":
+        (_, got), (_, want) = (read_csv(out / "case_phi.csv") for out in outputs)
+        np.testing.assert_allclose(got[:, 1], want[:, 1] + shift, rtol=0, atol=1e-14)
 
 
 def test_particles_take_an_interior_log_charge(tmp_path, capsys):
-    # the particle gas sums the field as given and folds nothing
+    # the particle gas sums the field as given
     cfg = dict(scenario("particles", 2, LOG[0], INTERIOR_LOG), n=50, iters=3)
     assert cli.main(["run", str(write_scenario(tmp_path, cfg))]) == 0
     assert json.loads((tmp_path / "case.json").read_text())["energy_monotone"] is True

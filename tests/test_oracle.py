@@ -16,7 +16,7 @@ N_GRAD = 200
 N_ENERGY = 60
 
 POINT = AxisMeasure([(1.3, 1.0)])
-# the Riesz axis field has one atom inside the sphere; log fields need R > 1
+# the Riesz axis field has one atom inside the sphere
 RIESZ_AXIS = AxisMeasure([(1.6, 0.5), (0.7, 0.5)])
 LOG_AXIS = AxisMeasure([(1.6, 0.5), (2.5, 0.5)])
 

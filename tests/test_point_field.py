@@ -7,6 +7,7 @@ from scipy import integrate, optimize
 
 from rieszcap import point_field
 from rieszcap.axis_field import axis_solve_t, regime
+from rieszcap.oracle import external_field
 from rieszcap.point_field import (
     AxisMeasure,
     field_potential_on_axis,
@@ -16,6 +17,7 @@ from rieszcap.point_field import (
 from rieszcap.sphere import Params, axis_dist2, sphere_energy, surface_factor
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+PLOG = Params(d=2, log=True)
 
 
 def sigma_integral(f, d, lo=-1.0, hi=1.0):
@@ -40,21 +42,25 @@ def test_point_charge_validation():
 
 
 def test_inversion_normalization_is_exact_at_field_level():
-    # q|x - (1/R')p|^{-s} == q R'^s |x - R'p|^{-s} on the sphere
+    # q|x - (1/R')p|^{-s} == q R'^s |x - R'p|^{-s} on the sphere: the field of
+    # charges inside the sphere, summed where they lie, is that of their images
     params = Params(d=3, s=1.7)
-    inner = AxisMeasure([(0.4, 0.8)])
-    (R_out, q_out), = inner.folded(params).atoms
-    assert R_out == pytest.approx(2.5)
-    assert q_out == pytest.approx(0.8 * 2.5 ** 1.7)
-    for u in (-0.9, 0.0, 0.7):
-        lhs = 0.8 * axis_dist2(u, 0.4) ** (-params.s / 2.0)
-        rhs = q_out * axis_dist2(u, R_out) ** (-params.s / 2.0)
-        assert lhs == pytest.approx(rhs, rel=1e-13)
+    inner = AxisMeasure([(0.4, 0.8), (0.9, 0.3), (3.0, 0.5)])
+    outer = AxisMeasure([(2.5, 0.8 * 2.5 ** 1.7), (1.0 / 0.9, 0.3 * 0.9 ** -1.7), (3.0, 0.5)])
+    us = np.array([-0.9, 0.0, 0.7, 1.0])
+    np.testing.assert_allclose(external_field(us, inner, params),
+                               external_field(us, outer, params), rtol=1e-13)
 
 
-def test_inversion_rejected_for_log():
-    with pytest.raises(ValueError):
-        AxisMeasure([(0.5, 1.0)]).folded(Params(d=2, log=True))
+def test_inversion_shifts_the_log_field_by_a_constant():
+    # -log|x - R p| = -log|x - p/R| - log R on the sphere: the images keep their
+    # masses, and the field moves by -sum_i m_i log R_i over the interior atoms
+    inner = AxisMeasure([(0.4, 0.8), (0.9, 0.3), (3.0, 0.5)])
+    outer = AxisMeasure([(2.5, 0.8), (1.0 / 0.9, 0.3), (3.0, 0.5)])
+    us = np.array([-0.9, 0.0, 0.7, 1.0])
+    shift = -0.8 * math.log(0.4) - 0.3 * math.log(0.9)
+    np.testing.assert_allclose(external_field(us, inner, PLOG),
+                               external_field(us, outer, PLOG) + shift, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -90,16 +96,18 @@ def test_field_potential_against_quadrature():
 @pytest.mark.parametrize("d", range(2, 7))
 def test_field_potential_against_30_digit_mpmath(d):
     # (d-s)/2 near an integer makes the two terms of the 1-z transformation
-    # cancel; the quadratic transformation's series avoids them for 1/R^2 <= 0.9
-    worst = {True: 0.0, False: 0.0}  # keyed by 1/R^2 <= 0.9
+    # cancel; the quadratic transformation's series avoids them for 1/R^2 <= 0.9,
+    # and for R^2 <= 0.9 inside the sphere, where the reference form holds as it is
+    worst = {True: 0.0, False: 0.0}  # keyed by min(R^2, 1/R^2) <= 0.9
     with mp.workdps(30):
         for f in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98):
             s = d - 2 + 2 * f
-            for R in (1.0001, 1.01, 1.08, 1.1, 1.12, 1.18, 1.5, 2.0, 3.0, 10.0):
+            for R in (1.0001, 1.01, 1.08, 1.1, 1.12, 1.18, 1.5, 2.0, 3.0, 10.0,
+                      0.1, 0.5, 0.9, 0.94, 0.96, 0.99, 0.9999):
                 sm, Rm = mp.mpf(s), mp.mpf(R)
                 ref = (Rm + 1) ** (-sm) * mp.hyp2f1(sm / 2, mp.mpf(d) / 2, d, 4 * Rm / (Rm + 1) ** 2)
                 err = float(abs(field_potential_on_axis(R, Params(d=d, s=s)) / ref - 1))
-                far = 1.0 / (R * R) <= 0.9
+                far = min(R * R, 1.0 / (R * R)) <= 0.9
                 worst[far] = max(worst[far], err)
     assert worst[True] <= 3e-15
     assert worst[False] <= 1e-14

@@ -36,7 +36,7 @@ EDGES = [  # t0 -> 1 at d = 2, s = 1 (with a 30-digit t0 where known); s = d-2; 
     (Params(d=3, s=1.0), 1.5, None),
     (Params(d=2, log=True), 1.5, None),
 ]
-# a point charge outside, two atoms, and a charge inside the sphere (solved by inversion)
+# a point charge outside, two atoms, and a charge inside the sphere (taken where it lies)
 NEAR_EXCEPTIONAL_FIELDS = ([(1.5, 1.0)], [(1.2, 0.3), (2.5, 1.0)], [(0.7, 0.5)])
 REFERENCES = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "t0_reference.json").read_text())["cases"]
