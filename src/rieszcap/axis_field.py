@@ -64,7 +64,8 @@ class Regime(NamedTuple):
 
 
 def regime(params: Params) -> Regime:
-    """The formulas for d-2 < s < d, s = d-2 with d >= 3, or log with d = 2."""
+    """The formulas for d-2 < s < d, s = d-2 with d >= 3, or log with d = 2; the ValueError
+    for d = 2, s <= 2^-53 (edge exponent 1-(d-s)/2 rounds to 0) names the log kernel."""
     ce, cr = cap_exceptional, cap_riesz
     if params.log:
         ce._require_log(params)
@@ -74,7 +75,8 @@ def regime(params: Params) -> Regime:
         fns = cr.phi, cr.h, cr.h_slope, cr.eta_measure, cr.eta_potential
         column = "phibar" if params.is_exceptional else "phi"
     else:
-        raise ValueError(f"no cap solver for d={params.d}, s={params.s}")
+        limit = "; its s -> 0+ limit is the log kernel" if params.d == 2 else ""
+        raise ValueError(f"no cap solver for d={params.d}, s={params.s}{limit}")
     return Regime(column, *(partial(f, params=params) for f in fns))
 
 
@@ -112,7 +114,7 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     and clipped at x = log 2 finds H(t0) = 1; an iterate left of t0 after one
     right of it, by more than the stopping tolerance, raises ConvergenceError.
     eta_t0 carries no ring charge, and a mass of eta_t0 off 1 (its value at
-    every t) by over 1e-10 raises ConvergenceError.
+    every t) by over 1e-10 raises ConvergenceError (:func:`_certified`).
     """
     form = regime(params)
     if form.h(1.0, lam) <= 1.0:
@@ -131,8 +133,14 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
         else:
             raise ConvergenceError(f"Newton on log H did not settle: last step {step!r} at t = {t!r}")
         t0, solved_by = t - step, "interior_root"
-    measure = replace(form.eta(t0, lam), boundary_coeff=0.0).with_mass(params)
-    if not abs(measure.mass - 1.0) <= _MASS_TOL:
-        raise ConvergenceError(f"mass(eta_t0) - 1 = {measure.mass - 1.0!r} at t0 = {t0!r}")
+    measure = _certified(replace(form.eta(t0, lam), boundary_coeff=0.0), params)
     return CapSolution(equilibrium=measure, solved_by=solved_by, field=lam, params=params,
                        delta_evals=evals, t0_error=abs(step))
+
+
+def _certified(eta: CapMeasure, params: Params) -> CapMeasure:
+    """eta_t with its mass set; a mass off 1, its value at every t, by over 1e-10 raises."""
+    eta = eta.with_mass(params)
+    if not abs(eta.mass - 1.0) <= _MASS_TOL:
+        raise ConvergenceError(f"mass(eta_t) - 1 = {float(eta.mass) - 1.0!r} at t = {eta.t!r}")
+    return eta

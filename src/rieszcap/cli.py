@@ -32,7 +32,9 @@ grid.  Curve tasks write ``<name>_potential.csv`` (xi, weighted potential, F),
 scalar tasks write ``<name>.json`` (one line, keys sorted).
 Exit codes: 0 success, 2 malformed scenario (a kernel outside the three
 solvable regimes d-2 < s < d, s = d-2 with d >= 3 and log with d = 2
-included), 3 numeric failure.
+included; at d = 2, s <= 2^-53 names the log kernel as its s -> 0+ limit),
+3 numeric failure (a fixed or offset cap whose eta_t fails the mass
+certificate included).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from rieszcap import oracle, point_field
-from rieszcap.axis_field import AxisMeasure, axis_solve_t, regime
+from rieszcap.axis_field import AxisMeasure, _certified, axis_solve_t, regime
 from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import CapMeasure, Params
 
@@ -130,7 +132,7 @@ def _scenario_eta(cfg: dict, field: AxisMeasure, params: Params) -> CapMeasure:
         t += axis_solve_t(field, params).t0
     if not -1.0 < t <= 1.0:
         raise ScenarioError(f"cap height {t} outside (-1, 1]")
-    return regime(params).eta(t, field)
+    return _certified(regime(params).eta(t, field), params)
 
 
 def _write_csv(path: Path, header: list[str], rows, constants=()) -> None:
@@ -156,10 +158,8 @@ def _task_cap_curves(cfg, field, params, out_dir: Path, name: str) -> dict:
         _write_csv(out_dir / f"{name}_potential.csv", ["xi", "weighted_potential", "F"],
                    zip(xis, potential(xis, eta, field)), [eta.phi])
         files.append(f"{name}_potential.csv")
-    gap = min(1e-9, (1.0 + eta.t) / 4.0)  # the samples' distance to each end of the cap
-    us = np.linspace(-1.0 + gap, eta.t - gap, n)
     _write_csv(out_dir / f"{name}_density.csv", ["u", "density", "boundary_coeff"],
-               zip(us, eta.radial_density(us)), [eta.boundary_coeff])
+               zip(*eta.density_samples(n)), [eta.boundary_coeff])
     files.append(f"{name}_density.csv")
     return {"t": eta.t, "F": eta.phi, "boundary_coeff": eta.boundary_coeff, "files": files}
 
@@ -174,9 +174,7 @@ def _task_phi_curve(cfg, field, params, out_dir: Path, name: str) -> dict:
 def _task_solve_support(cfg, field, params, out_dir: Path, name: str) -> dict:
     n = _grid(cfg, 50)
     sol = axis_solve_t(field, params)
-    gap = min(1e-9, (1.0 + sol.t0) / 4.0)  # the samples' distance to each end of the cap
-    us = np.linspace(-1.0 + gap, sol.t0 - gap, n)
-    samples = [[float(u), float(v)] for u, v in zip(us, sol.equilibrium.radial_density(us))]
+    samples = [[float(u), float(v)] for u, v in zip(*sol.equilibrium.density_samples(n))]
     payload = {
         "t0": sol.t0,
         "phi_at_t0": sol.phi_at_t0,
@@ -220,8 +218,7 @@ def _task_particles(cfg, field, params, out_dir: Path, name: str) -> dict:
     seed = _value(cfg, "seed", int, 0)
     system = oracle.minimize_particles(n, params, field, seed=seed, iters=iters)
     est = oracle.empirical_support_height(system)
-    rows = [(h,) for h in np.sort(system.heights)]
-    _write_csv(out_dir / f"{name}_heights.csv", ["height"], rows)
+    _write_csv(out_dir / f"{name}_heights.csv", ["height"], [(h,) for h in np.sort(system.heights)])
     payload = {
         "n": n, "iters": iters, "seed": seed,
         "empirical_support_height": est,

@@ -64,8 +64,7 @@ def potential_of(measure: CapMeasure, xi: float, params: Params) -> float:
         return density(u) * kappa(u, xi, params) * (1.0 - u * u) ** (d / 2.0 - 1.0)
 
     cuts = [(-1.0, xi), (xi, t)] if -1.0 < xi < t else [(-1.0, t)]
-    total = 0.0
-    err = 0.0
+    total = err = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         for a, b in cuts:
@@ -102,14 +101,10 @@ class VariationalReport:
 def check_variational(solution: CapSolution, grid_size: int = 41) -> VariationalReport:
     """Evaluate U^{eta} + Q - F on a height grid for a solved (or deliberately
     mis-solved) cap measure and report the extremes."""
-    params = solution.params
-    t0 = solution.t0
-    F = solution.phi_at_t0
-    measure = solution.equilibrium
-    field = solution.field
+    params, t0, F = solution.params, solution.t0, solution.phi_at_t0
+    measure, field = solution.equilibrium, solution.field
     grid = np.linspace(-1.0 + 1e-9, 1.0 - 1e-12, grid_size)
-    max_violation = 0.0
-    min_margin = math.inf
+    max_violation, min_margin = 0.0, math.inf
     for xi in grid:
         val = potential_of(measure, float(xi), params) \
             + float(external_field(float(xi), field, params)) - F
@@ -119,9 +114,7 @@ def check_variational(solution: CapSolution, grid_size: int = 41) -> Variational
             min_margin = min(min_margin, val)
     if not np.isfinite(min_margin):
         min_margin = 0.0  # full-sphere support: nothing off the cap
-    gap = min(1e-9, (1.0 + t0) / 4.0)  # the samples' distance to each end of the cap
-    us = np.linspace(-1.0 + gap, t0 - gap, 500)
-    dens = np.asarray(measure.radial_density(us), dtype=float)
+    dens = np.asarray(measure.density_samples(500)[1], dtype=float)
     if measure.boundary_coeff:
         dens = np.append(dens, measure.boundary_coeff)
     return VariationalReport(
@@ -139,8 +132,6 @@ class ParticleSystem:
     points: np.ndarray
     params: Params
     field: AxisMeasure
-    step_init: float
-    backtrack_factor: float
     energies: list = dataclass_field(default_factory=list)
     energy_evals: int = 0  # pair evaluations, rejected trials included
 
@@ -158,28 +149,31 @@ _STRIP = 128  # rows per strip of the pair sums; 64 to 200 run equally fast
 _D2_FLOOR = 16.0 * np.finfo(float).eps
 
 
-def _pairs(x: np.ndarray, params: Params, work: np.ndarray):
+def _workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two strip buffers of :func:`_pairs` for n points, and its column weights ev."""
+    return np.empty((2, _STRIP * n)), np.where(np.arange(n) < _STRIP, 1.0, 2.0)
+
+
+def _pairs(x: np.ndarray, params: Params, work: tuple[np.ndarray, np.ndarray]):
     """The pair sum sum_{i != j} k(x_i, x_j) and the n x (D+1) sums [W x | W 1]
     of the gradient weights for x of width D, or None when two points coincide
     (a d2 at or below the Gram form's rounding floor).  With d2_ij = 2 - 2 x_i.x_j,
     k is d2^{-s/2} (or -log(d2)/2) and w_ij = s k_ij / d2_ij (or 1 / d2_ij), so
     grad_i k(x_i, x_j) = -w_ij (x_i - x_j).  Strips of rows i0:i0+m against
-    columns i0:n, in the two rows of ``work``, form each unordered pair once:
-    the left m x m block holds both orders, the rest stands for (i, j), (j, i),
-    which the weights ev (1 on the first _STRIP columns, 2 after) count in one
-    gemv.  Each strip forms d2 in one gemm of [x | 1] against [-2x | 2] (not the
-    slower syrk of one operand), takes d2^{-s/2} as exp2(-s/2 log2 d2), and leaves
-    the constants -1/2 and s to the sums.
+    columns i0:n, in the two buffers of ``work`` (:func:`_workspace`), form each
+    unordered pair once: the left m x m block holds both orders, the rest stands
+    for (i, j), (j, i), which the weights ev of ``work`` (1 on the first _STRIP
+    columns, 2 after) count in one gemv.  Each strip forms d2 in one gemm of
+    [x | 1] against [-2x | 2] (not the slower syrk of one operand), takes
+    d2^{-s/2} as exp2(-s/2 log2 d2), and leaves the constants -1/2 and s to the sums.
     """
-    n = x.shape[0]
+    n, (bufs, ev) = x.shape[0], work
     ones = np.ones((n, 1))
     x1, yt = np.hstack([x, ones]), np.hstack([-2.0 * x, 2.0 * ones]).T
-    ev = np.full(n, 2.0)
-    ev[:_STRIP] = 1.0
     acc, total = np.zeros_like(x1), 0.0
     for i0 in range(0, n, _STRIP):
         m, c = min(_STRIP, n - i0), n - i0
-        d2, k = (buf[:m * c].reshape(m, c) for buf in work)
+        d2, k = (buf[:m * c].reshape(m, c) for buf in bufs)
         np.matmul(x1[i0:i0 + m], yt[:, i0:], out=d2)
         np.fill_diagonal(d2, 1.0)
         if d2.min() <= _D2_FLOOR:
@@ -246,17 +240,12 @@ def minimize_particles(n: int, params: Params, field, seed: int,
         raise ValueError("the particle oracle runs on S^2 only")
     if n < 50:
         raise ValueError("need at least 50 particles")
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, 3))
+    x = np.random.default_rng(seed).normal(size=(n, 3))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    step_init = 0.1 / n
-    backtrack = 0.5
-    system = ParticleSystem(points=x, params=params, field=field, energy_evals=1,
-                            step_init=step_init, backtrack_factor=backtrack)
-    work = np.empty((2, _STRIP * n))
+    work = _workspace(n)
     energy, acc = _energy(x, params, field, work)
-    system.energies.append(energy)
-    step = step_init
+    system = ParticleSystem(points=x, params=params, field=field, energies=[energy], energy_evals=1)
+    step = 0.1 / n
     for _ in range(iters):
         grad = _gradient(x, acc, params, field)
         for _ in range(60):
@@ -266,7 +255,7 @@ def minimize_particles(n: int, params: Params, field, seed: int,
             system.energy_evals += 1
             if e_new <= energy:
                 break
-            step *= backtrack
+            step *= 0.5
         else:
             raise RuntimeError(
                 f"descent stalled: energy {energy:.12g}, step {step:.3e}, "

@@ -42,7 +42,6 @@ __all__ = [
     "axis_dist2",
 ]
 
-_EXC_TOL = 1e-12  # how close s must be to d-2 to count as the exceptional case
 _RULE_EPS = 2e-14  # rounding floor of a tanh-sinh integral, relative to sum w|f|
 _TS_STEP = 0.08  # the tanh-sinh step at level 0; level j halves it j times
 _TS_LEVELS = 4  # tanh-sinh levels a cap integral may take, h = 0.08 down to 0.01
@@ -55,9 +54,9 @@ class Params:
 
     Either a Riesz kernel |x-y|^(-s) with 0 < s < d (pass ``s``), or the
     logarithmic kernel log(1/|x-y|) (pass ``log=True``).  Cap-level results
-    gate their own sub-regimes: d-2 <= s < d for the Riesz cap formulas
-    (s = d-2 with d >= 3 is the boundary case, where balayage grows a ring
-    charge), and d = 2 for the logarithmic cap case.
+    gate their own sub-regimes: d-2 <= s < d for the Riesz cap formulas (s = d-2
+    is a point, d >= 3, where balayage grows a ring charge; every double above it
+    is d-2 < s < d), and d = 2 for the logarithmic cap case, the s -> 0+ limit.
     """
 
     d: int
@@ -74,13 +73,14 @@ class Params:
 
     @property
     def in_cap_regime(self) -> bool:
-        """True when d-2 < s < d strictly (generic cap formulas apply)."""
-        return self.s is not None and self.d - 2 + _EXC_TOL < self.s < self.d
+        """True when s < d and the edge exponent c = 1-(d-s)/2 that the d-2 < s < d cap
+        density hands to hyp2f1_regularized is positive (at d = 2: s > 2^-53)."""
+        return self.s is not None and self.s < self.d and 1.0 - (self.d - self.s) / 2.0 > 0.0
 
     @property
     def is_exceptional(self) -> bool:
-        """True when s = d-2 with d >= 3 (balayage grows a boundary atom)."""
-        return self.s is not None and self.d >= 3 and abs(self.s - (self.d - 2)) <= _EXC_TOL
+        """True when s = d-2 exactly (so d >= 3): balayage grows a boundary atom."""
+        return self.s == self.d - 2
 
 
 def _dim(params: Params | int) -> int:
@@ -344,6 +344,12 @@ class CapMeasure:
         out = np.asarray(self.regular_part(Nodes(u_arr, 1.0 + u_arr, t_minus_u, 1.0 - u_arr)))
         out = out * t_minus_u ** self.singular_exponent
         return float(out) if out.ndim == 0 else out
+
+    def density_samples(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n evenly spaced cap heights, min(1e-9, (1+t)/4) inside each end, and their density."""
+        gap = min(1e-9, (1.0 + self.t) / 4.0)
+        us = np.linspace(-1.0 + gap, self.t - gap, n)
+        return us, self.radial_density(us)
 
     def _integral(self, f: Callable[[Nodes], np.ndarray], params: Params) -> float:
         # int f d(the absolutely continuous part), on the s-free tanh-sinh rule

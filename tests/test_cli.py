@@ -359,6 +359,32 @@ def test_kernel_outside_the_regimes_exits_2(tmp_path, capsys, d, kernel):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("s, code", [(1e-13, 0), (2.0 ** -53, 2), (1e-17, 2)],
+                         ids=["1e-13", "2^-53", "1e-17"])
+def test_d2_riesz_near_0_solves_or_names_the_log_kernel(tmp_path, capsys, s, code):
+    # 0 < s < 2 is the Riesz range at d = 2, down to where 1-(d-s)/2 rounds to 0
+    cfg = {"name": "case", "task": "solve-support", "d": 2, "kernel": {"type": "riesz", "s": s},
+           "field": {"type": "point", "q": 1.0, "R": 1.5}, "grid": GRID}
+    assert cli.main(["run", str(write_scenario(tmp_path, cfg)), "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert "log kernel" in err if code == 2 else err == ""
+
+
+@pytest.mark.parametrize("d, s, t, code", [(5, 3.2, 1.0 - 1e-6, 3), (3, 1.0, 0.9999, 3),
+                                           (4, 3.5, 0.999, 0)],
+                         ids=["mass-off-4.7e-2", "mass-off-4.0e-10", "mass-off-7.7e-11"])
+def test_fixed_cap_eta_carries_the_mass_certificate(tmp_path, capsys, d, s, t, code):
+    # a charge 1e-4 from the sphere: eta_t's two parts cancel near the pole, and an
+    # eta_t whose mass is off 1 by over 1e-10 is a numeric failure, not an artifact
+    near = {"type": "point", "q": 1.0, "R": 1.0001}
+    cfg = scenario("density", d, {"type": "riesz", "s": s}, near, cap={"mode": "fixed", "value": t})
+    assert cli.main(["run", str(write_scenario(tmp_path, cfg)), "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        assert err.startswith("numeric-failure: mass(eta_t) - 1 = ") and f"at t = {t!r}" in err
+    assert (tmp_path / "case_density.csv").exists() == (code == 0)
+
+
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # minutes of oracle quadrature and particle descent: not tier-1 material
 SLOW_SCENARIOS = {"reference_verify", "reference_particles"}

@@ -31,13 +31,8 @@ def sphere_points(n, seed=5):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def workspace(n):
-    """The two strip buffers that ``minimize_particles`` allocates for n points."""
-    return np.empty((2, oracle._STRIP * n))
-
-
 def energy(x, params, field):
-    return oracle._energy(x, params, field, workspace(len(x)))
+    return oracle._energy(x, params, field, oracle._workspace(len(x)))
 
 
 def kernel(r2, params):
@@ -133,7 +128,7 @@ def test_near_coincident_pair_kernel_against_40_digit_mpmath(params):
     # exact, so the pair sum, both orders of one pair, tests the kernel at d2 alone
     c = math.cos(1e-7)
     x = np.array([[1.0, 0.0, 0.0], [c, math.sqrt(1.0 - c * c), 0.0]])
-    total, _ = oracle._pairs(x, params, workspace(2))
+    total, _ = oracle._pairs(x, params, oracle._workspace(2))
     with mp.workdps(40):
         d2 = 2 - 2 * mp.mpf(c)
         want = -mp.log(d2) / 2 if params.log else d2 ** (-mp.mpf(params.s) / 2)
@@ -165,14 +160,14 @@ def test_tangential_gradient_matches_central_differences(params, field):
 def test_coincident_points_have_infinite_energy(params):
     x = sphere_points(N_ENERGY)
     x[7] = x[3]
-    assert oracle._pairs(x, params, workspace(N_ENERGY)) is None
+    assert oracle._pairs(x, params, oracle._workspace(N_ENERGY)) is None
     assert energy(x, params, POINT) == (math.inf, None)
     # 2 - 2 x.x of a repeated point rounds to +2.2e-16 at n = 60 and to
     # +4.4e-16 at n = 101 and 257; at n = 801 the pair spans two strips
     for n in (60, 101, 257, 801):
         x = sphere_points(n, seed=n)
         x[n - 1] = x[0]
-        assert oracle._pairs(x, params, workspace(n)) is None
+        assert oracle._pairs(x, params, oracle._workspace(n)) is None
         assert energy(x, params, POINT) == (math.inf, None)
 
 
@@ -186,7 +181,6 @@ def test_descent_is_deterministic_and_monotone(params, field):
     assert np.array_equal(first.points, second.points)
     assert len(first.energies) == 21
     assert np.all(np.diff(first.energies) <= 0.0)
-    assert first.step_init == 0.1 / 60 and first.backtrack_factor == 0.5
     assert np.allclose(np.linalg.norm(first.points, axis=1), 1.0, rtol=0, atol=1e-15)
 
 
@@ -253,6 +247,5 @@ def test_empirical_support_height_of_evenly_spaced_heights(a, n):
     # to within one spacing, whatever order the particles come in
     heights = np.random.default_rng(n).permutation(np.linspace(-1.0, a, n))
     points = np.column_stack([np.sqrt(1.0 - heights ** 2), np.zeros(n), heights])
-    system = oracle.ParticleSystem(points=points, params=Params(d=2, s=1.0), field=POINT,
-                                   step_init=0.1 / n, backtrack_factor=0.5)
+    system = oracle.ParticleSystem(points=points, params=Params(d=2, s=1.0), field=POINT)
     assert abs(oracle.empirical_support_height(system) - a) <= (1.0 + a) / (n - 1)

@@ -40,6 +40,13 @@ def test_params_regime_flags():
     assert not Params(d=3, s=1.0).in_cap_regime
     assert Params(d=3, s=1.0).is_exceptional
     assert not Params(d=2, s=0.5).is_exceptional  # d=2 has no s=d-2 Riesz case
+    for d in (3, 4, 5, 8):  # s = d-2 is a point: the next double up is d-2 < s < d
+        above = Params(d=d, s=math.nextafter(d - 2.0, math.inf))
+        assert above.in_cap_regime and not above.is_exceptional
+        assert Params(d=d, s=d - 2.0).is_exceptional and not Params(d=d, s=d - 2.0).in_cap_regime
+    # at d = 2, 2 - 2^-53 rounds to 2: the edge exponent 1-(d-s)/2 is 0, in no regime
+    rounded = Params(d=2, s=2.0 ** -53)
+    assert not rounded.in_cap_regime and not rounded.is_exceptional
     assert Params(d=2, log=True).log
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rieszcap import axis_field, cap_exceptional, cap_riesz, sphere
-from rieszcap.axis_field import axis_solve_t
+from rieszcap.axis_field import axis_solve_t, regime
 from rieszcap.point_field import AxisMeasure
 from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import Params
@@ -61,14 +61,53 @@ def test_sweep_edges_solve_with_unit_mass(params, R, t0_ref):
     assert t0_ref is None or abs(sol.t0 - t0_ref) <= 2e-14
 
 
-@pytest.mark.parametrize("k", [16, 24, 32, 36, 38, 39])
-@pytest.mark.parametrize("d", [3, 4, 5])
+# s = d-2+2^-k; 2^-52 is one ulp above d-2 only at d = 3 (3 + 2^-52 rounds to 3)
+NEAR_EXCEPTIONAL_K = [(d, k) for k in (16, 24, 32, 36, 38, 39, 40, 44, 48, 51) for d in (3, 4, 5)]
+NEAR_EXCEPTIONAL_K.append((3, 52))
+
+
+@pytest.mark.parametrize("d, k", NEAR_EXCEPTIONAL_K,
+                         ids=[f"{d}-{k}" for d, k in NEAR_EXCEPTIONAL_K])
 def test_solves_with_unit_mass_as_s_decreases_to_d_minus_2(d, k):
-    # s - d + 2 = 2^-k is above the 1e-12 that counts as s = d-2, so these run
-    # the d-2 < s < d formulas with eta's edge exponent (s-d)/2 within 2^-(k+1) of -1;
-    # 2^-39 lies just above that 1e-12
+    # every double above d-2 runs the d-2 < s < d formulas, eta's edge exponent (s-d)/2
+    # within 2^-(k+1) of -1, and t0 comes down to the s = d-2 height tbar0 at a rate
+    # of 0.19-0.48 (s - d + 2) on these fields
     for atoms in NEAR_EXCEPTIONAL_FIELDS:
-        assert_unit_mass(axis_solve_t(AxisMeasure(atoms), Params(d=d, s=d - 2 + 2.0 ** -k)))
+        field = AxisMeasure(atoms)
+        sol = axis_solve_t(field, Params(d=d, s=d - 2 + 2.0 ** -k))
+        gap = sol.t0 - axis_solve_t(field, Params(d=d, s=float(d - 2))).t0
+        assert abs(sol.equilibrium.mass - 1.0) <= 1e-14, (atoms, sol.equilibrium.mass)
+        assert -4e-16 <= gap <= 0.6 * 2.0 ** -k + 4e-16, (atoms, gap)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8])
+def test_s_at_d_minus_2_plus_1e_12_takes_the_riesz_formulas(d):
+    # the double nearest d-2+1e-12 lies above d-2: its edge exponent 1-(d-s)/2 is
+    # positive, so it has the d-2 < s < d formulas and no ring charge
+    params, field = Params(d=d, s=d - 2 + 1e-12), AxisMeasure([(1.5, 1.0)])
+    assert params.in_cap_regime and not params.is_exceptional
+    assert regime(params).column == "phi"
+    sol = axis_solve_t(field, params)
+    assert abs(sol.equilibrium.mass - 1.0) <= 1e-14
+    assert 0.0 < sol.t0 - axis_solve_t(field, Params(d=d, s=d - 2.0)).t0 < 1e-12
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-13, 2.0 ** -52], ids=["1e-12", "1e-13", "2^-52"])
+def test_d2_riesz_solves_down_to_2_pow_minus_52_next_to_the_log_t0(s):
+    # s -> 0+ at d = 2 tends to the log kernel: t0(s) - t0_log = 0.550 s to first order
+    field = AxisMeasure([(1.5, 1.0)])
+    sol = axis_solve_t(field, Params(d=2, s=s))
+    assert abs(sol.equilibrium.mass - 1.0) <= 1e-14
+    assert abs(sol.t0 - axis_solve_t(field, Params(d=2, log=True)).t0) <= 0.6 * s + 4e-16
+
+
+@pytest.mark.parametrize("s", [2.0 ** -53, 1e-17, 1e-300], ids=["2^-53", "1e-17", "1e-300"])
+def test_d2_riesz_below_2_pow_minus_52_names_the_log_kernel(s):
+    # 2 - s rounds to 2 there, and so eta's edge exponent 1-(d-s)/2 to 0
+    params = Params(d=2, s=s)
+    assert not params.in_cap_regime and not params.is_exceptional
+    with pytest.raises(ValueError, match="log kernel"):
+        regime(params)
 
 
 @pytest.mark.parametrize("q", [1e8, 1e10, 1e12])
