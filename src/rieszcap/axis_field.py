@@ -9,10 +9,11 @@ Delta(t) = W (1 - H(t))/||nu_t||: H(1) <= 1 gives the full sphere; else
 Newton on log H in log(1+t) finds the root t0 of H = 1, and eta_t0 is
 assembled and certified by its mass.  H and that mass run on one tanh-sinh
 rule that does not depend on s, so a solve builds no quadrature rule.  The
-whole sphere is the cap t = 1.  The regime modules supply only the formulas
-(see :class:`Regime`).  A continuous lambda should be pre-discretized by the
-caller (any quadrature of d lambda(R) against these formulas is exact for its
-own nodes).
+whole sphere is the cap t = 1; for s = d-1 and q = 1 the charge distance
+where H(1) = 1 is :func:`newtonian_distance`.  The regime modules supply only
+the formulas (see :class:`Regime`).  A continuous lambda should be
+pre-discretized by the caller (any quadrature of d lambda(R) against these
+formulas is exact for its own nodes).
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple
+
+from scipy import optimize
 
 from rieszcap import cap_exceptional, cap_riesz
 from rieszcap.point_field import AxisMeasure
@@ -33,6 +36,7 @@ __all__ = [
     "Regime",
     "regime",
     "axis_solve_t",
+    "newtonian_distance",
 ]
 
 _MASS_TOL = 1e-10  # |mass(eta_t0) - 1| above which a solve raises: mass(eta_t) = 1 identically
@@ -144,3 +148,12 @@ def _certified(eta: CapMeasure, params: Params) -> CapMeasure:
     if not abs(eta.mass - 1.0) <= _MASS_TOL:
         raise ConvergenceError(f"mass(eta_t) - 1 = {float(eta.mass) - 1.0!r} at t = {eta.t!r}")
     return eta
+
+
+def newtonian_distance(d: int) -> float:
+    """rho_+ = R - 1 for the Newtonian kernel s = d-1 and q = 1: the charge distance where
+    :func:`axis_solve_t`'s whole-sphere test H(1) <= 1 flips, by Brent on H(1) - 1 over
+    rho in [1, 2], which P(d; .) of :mod:`rieszcap.point_field` brackets and certifies."""
+    h = regime(Params(d=d, s=d - 1.0)).h
+    return float(optimize.brentq(lambda rho: h(1.0, AxisMeasure([(1.0 + rho, 1.0)])) - 1.0,
+                                 1.0, 2.0, xtol=1e-15, rtol=8.9e-16))

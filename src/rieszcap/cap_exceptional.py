@@ -1,22 +1,13 @@
-"""Boundary kernel regimes: s = d-2 with d >= 3, and the planar log case.
+"""The planar logarithmic regime (d = 2) and the weak* helpers of s = d-2.
 
-At s = d-2 the balayage measures acquire a component uniformly distributed
-on the cap boundary ring: writing beta_t for the unit ring measure at
-height t,
-
-    nubar_t  = sigma_d|_cap + W_{d-2} (1-t)/2 (1-t^2)^{d/2-1} beta_t,
-    epsbar_t = (R^2-1)^2 / (W_{d-2} (R^2-2Ru+1)^{d/2+1}) sigma_d|_cap
-               + (1-t)/2 (R+1)^2/r^d (1-t^2)^{d/2-1} beta_t,
-
-and the signed equilibrium etabar_t carries a ring charge that vanishes
-exactly at the optimal height t0, where the density also stays strictly
-positive at the edge (unlike the d-2 < s < d regime).  All three measures,
-their potentials and the norms, Phi and H are the s -> (d-2)+ limits in
-:mod:`rieszcap.cap_riesz`, built by the same constructors as for s > d-2;
-this module measures the weak* convergence of that limit.  The planar
-logarithmic case d = 2 has mass-preserving balayage and fully closed forms,
-including t0 = min{1, (R^2 - 2Rq + 1)/(2R(1+q))}; its etabar_t is the s = d-2
-cap measure of that module at d = 2 with W = 1.
+The s = d-2 balayage formulas, with the ring charge that nubar_t, epsbar_t
+and etabar_t carry on the cap boundary, live in :mod:`rieszcap.cap_riesz`
+as the s -> (d-2)+ limits of its constructors.  This module measures the
+weak* convergence of that limit (:func:`weakstar_gap`,
+:func:`gamma_s_norm`) and holds the log regime.  The planar logarithmic
+case d = 2 has mass-preserving balayage and fully closed forms, including
+t0 = min{1, (R^2 - 2Rq + 1)/(2R(1+q))}; its etabar_t is the s = d-2 cap
+measure of :mod:`rieszcap.cap_riesz` at d = 2 with W = 1.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Scenario schema::
     {
       "name": "fig1_below",                  # basename for output files
       "task": "density" | "potential" | "phi-curve" | "solve-support"
-              | "verify" | "particles" | "newton-distance",
+              | "verify" | "particles",
       "d": 2,                                # integer >= 2
       "kernel": {"type": "riesz", "s": 0.5} | {"type": "log"},
       "field":  {"type": "point", "q": 1.0, "R": 1.5}
@@ -18,9 +18,8 @@ Scenario schema::
               | {"mode": "offset", "value": -0.2},   # relative to solved t0
       "grid": 200,          # positive integer: curve resolution / verification grid
       "tol": 1e-5,          # verification tolerance
-      "seed": 0, "n": 800, "iters": 2500,    # particles task (d = 2; integers, n >= 50;
+      "seed": 0, "n": 800, "iters": 2500     # particles task (d = 2; integers, n >= 50;
                                              #   default seed 0, n 800, iters 2000)
-      "newton_d": 2                          # newton-distance task
     }
 
 Every task takes either field type; a point charge is the one-atom axis
@@ -47,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from rieszcap import oracle, point_field
-from rieszcap.axis_field import AxisMeasure, _certified, axis_solve_t, regime
+from rieszcap.axis_field import AxisMeasure, _certified, axis_solve_t, newtonian_distance, regime
 from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import CapMeasure, Params
 
@@ -231,20 +230,9 @@ def _task_particles(cfg, field, params, out_dir: Path, name: str) -> dict:
             "files": [f"{name}.json", f"{name}_heights.csv"]}
 
 
-def _task_newton_distance(cfg, out_dir: Path, name: str) -> dict:
-    d = _value(cfg, "newton_d", int, cfg.get("d", 2))
-    rho = point_field.gonchar_root(d)
-    residual = point_field.gonchar_polynomial(d, rho)
-    payload = {"d": d, "rho_plus": rho, "polynomial_residual": residual}
-    if out_dir is not None:
-        _write_json(out_dir / f"{name}.json", payload)
-    return payload
-
-
-_TASK_RUNNERS = {"density": _task_cap_curves, "potential": _task_cap_curves,
-                 "phi-curve": _task_phi_curve, "solve-support": _task_solve_support,
-                 "verify": _task_verify, "particles": _task_particles}
-_TASKS = (*_TASK_RUNNERS, "newton-distance")
+_TASKS = {"density": _task_cap_curves, "potential": _task_cap_curves,
+          "phi-curve": _task_phi_curve, "solve-support": _task_solve_support,
+          "verify": _task_verify, "particles": _task_particles}
 
 
 def run_scenario(cfg: dict, out_dir: Path) -> dict:
@@ -253,13 +241,11 @@ def run_scenario(cfg: dict, out_dir: Path) -> dict:
         raise ScenarioError("scenario must be a JSON object")
     task = cfg.get("task")
     if task not in _TASKS:
-        raise ScenarioError(f"unknown task {task!r}; expected one of {_TASKS}")
+        raise ScenarioError(f"unknown task {task!r}; expected one of {tuple(_TASKS)}")
     name = str(cfg.get("name", "scenario"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    if task == "newton-distance":
-        return _task_newton_distance(cfg, out_dir, name)
     params, field = _parse_params(cfg), _parse_field(cfg)
-    return _TASK_RUNNERS[task](cfg, field, params, out_dir, name)
+    return _TASKS[task](cfg, field, params, out_dir, name)
 
 
 def main(argv=None) -> int:
@@ -285,12 +271,15 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "newton-distance":
+            d, rho = args.d, newtonian_distance(args.d)
+            # P(d; rho) relative to the size of its terms: it did not produce rho
+            size = (rho ** d + 2.0 + rho) * (rho + 1.0) ** (d - 1) + rho ** d
+            residual = point_field.gonchar_polynomial(d, rho) / size
             if args.out is not None:
                 args.out.mkdir(parents=True, exist_ok=True)
-            payload = _task_newton_distance({"newton_d": args.d}, args.out,
-                                            f"newton_distance_d{args.d}")
-            print(f"rho_plus(d={args.d}) = {_fmt(payload['rho_plus'])} "
-                  f"(residual {_fmt(payload['polynomial_residual'])})")
+                _write_json(args.out / f"newton_distance_d{d}.json",
+                            {"d": d, "rho_plus": rho, "polynomial_residual": residual})
+            print(f"rho_plus(d={d}) = {_fmt(rho)} (residual {_fmt(residual)})")
             return 0
 
         try:

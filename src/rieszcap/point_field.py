@@ -3,9 +3,10 @@
 A finite positive atom measure lambda = sum_i m_i delta_{R_i p} drives the
 field Q(x) = sum_i m_i |x - R_i p|^{-s} (or the log analogue); a point
 charge q at a = R*p is the one-atom measure.  The field potential of the
-uniform measure on the axis is a Gauss hypergeometric value.  The distance
-question for the Newtonian kernel s = d-1 comes down to one polynomial root
-(the golden ratio when d = 2).
+uniform measure on the axis is a Gauss hypergeometric value.  For the
+Newtonian kernel s = d-1 and q = 1 the critical charge distance is where the
+solver's whole-sphere test H(1) = 1 flips (the golden ratio when d = 2); the
+polynomial P(d; rho) vanishes there and certifies it.
 
 A charge may sit on either side of the sphere.  On the sphere
 |x - R p| = R |x - p/R| (the Kelvin transform of Riesz potentials; Landkof,
@@ -24,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from scipy import optimize
-
 from rieszcap.specfun import _series_2f1, hyp2f1_1mz
 from rieszcap.sphere import Params
 
@@ -33,7 +32,6 @@ __all__ = [
     "AxisMeasure",
     "field_potential_on_axis",
     "gonchar_polynomial",
-    "gonchar_root",
 ]
 
 
@@ -98,21 +96,11 @@ def field_potential_on_axis(R: float, params: Params) -> float:
 def gonchar_polynomial(d: int, rho: float) -> float:
     """P(d; rho) = (rho^d - 2 - rho)(rho+1)^{d-1} + rho^d.
 
-    Its unique positive root is the critical sphere-to-charge distance for
-    the Newtonian kernel s = d-1 with q = 1.
+    Its unique positive root, bracketed by P(d; 1) < 0 < P(d; 2), is the
+    critical sphere-to-charge distance for the Newtonian kernel s = d-1 with
+    q = 1 (:func:`rieszcap.axis_field.newtonian_distance` finds it from H(1)).
     """
     if d < 2:
         raise ValueError("need d >= 2")
     return (rho ** d - 2.0 - rho) * (rho + 1.0) ** (d - 1) + rho ** d
 
-
-def gonchar_root(d: int) -> float:
-    """The unique positive root of P(d; .), bracketed in (1, 2].
-
-    P(d;1) = 1 - 2^d < 0 and P(d;2) > 0, so plain Brent iteration on [1, 2]
-    converges; refined to ~1e-15 in rho.
-    """
-    if d < 2:
-        raise ValueError("need d >= 2")
-    return float(optimize.brentq(lambda r: gonchar_polynomial(d, r), 1.0, 2.0,
-                                 xtol=1e-15, rtol=8.9e-16))

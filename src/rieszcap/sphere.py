@@ -83,25 +83,19 @@ class Params:
         return self.s == self.d - 2
 
 
-def _dim(params: Params | int) -> int:
-    return params.d if isinstance(params, Params) else int(params)
+def omega_ratio(d: int) -> float:
+    """omega_d / omega_{d-1} = sqrt(pi) Gamma(d/2) / Gamma((d+1)/2), for d >= 1.
 
-
-def omega_ratio(params: Params | int) -> float:
-    """omega_d / omega_{d-1} = sqrt(pi) Gamma(d/2) / Gamma((d+1)/2).
-
-    Equals the full height integral of (1-u^2)^{d/2-1}.  Accepts a bare
-    dimension too, since the ratio makes sense for d >= 1.
+    Equals the full height integral of (1-u^2)^{d/2-1}.
     """
-    d = _dim(params)
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     return math.sqrt(math.pi) * math.exp(math.lgamma(d / 2.0) - math.lgamma((d + 1) / 2.0))
 
 
-def surface_factor(params: Params | int) -> float:
+def surface_factor(d: int) -> float:
     """omega_{d-1} / omega_d, the constant in the sigma_d decomposition."""
-    return 1.0 / omega_ratio(params)
+    return 1.0 / omega_ratio(d)
 
 
 def sphere_energy(params: Params) -> float:
@@ -286,7 +280,7 @@ def _cap_integral(t: float, a: float, gap: float, f: Callable[[Nodes], np.ndarra
     The integral runs on :func:`_tanh_sinh_nodes` (``gap`` as there) and settles
     by :func:`_tanh_sinh_integrals`; :class:`ConvergenceError` names t and a.
     """
-    d, om = params.d, omega_ratio(params)
+    d, om = params.d, omega_ratio(params.d)
 
     def g(nodes):  # f times the surface factor, which is 1/om at d = 2
         out = f(nodes) / om

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -198,6 +199,28 @@ def test_newton_distance_command(tmp_path, capsys):
     assert out.startswith("rho_plus(d=2) = 1.618033988749")
     payload = json.loads((tmp_path / "newton_distance_d2.json").read_text())
     assert payload["rho_plus"] == pytest.approx((1.0 + 5.0 ** 0.5) / 2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8, 50, 100, 200, 400])
+def test_newton_distance_residual_is_relative(tmp_path, capsys, d):
+    # the residual is P(d; rho_+) over the size of its terms, so a root within
+    # an ulp reads small at every d; rho_+ agrees with P's 60-digit root
+    assert cli.main(["newton-distance", "--d", str(d), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / f"newton_distance_d{d}.json").read_text())
+    assert sorted(payload) == ["d", "polynomial_residual", "rho_plus"] and payload["d"] == d
+    assert abs(payload["polynomial_residual"]) <= 1e-12
+    with mp.workdps(60):
+        root = mp.findroot(lambda x: (x ** d - 2 - x) + x ** d / (x + 1) ** (d - 1),
+                           mp.mpf(payload["rho_plus"]))
+        assert abs(payload["rho_plus"] - root) <= 1e-15
+
+
+def test_newton_distance_is_no_scenario_task(tmp_path, capsys):
+    # the subcommand is the one entry point; a scenario naming the task is refused
+    cfg = {"name": "case", "task": "newton-distance", "d": 2, "newton_d": 2}
+    assert cli.main(["run", str(write_scenario(tmp_path, cfg)), "--out", str(tmp_path)]) == 2
+    assert "unknown task 'newton-distance'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change", [

@@ -6,13 +6,12 @@ import pytest
 from scipy import integrate, optimize
 
 from rieszcap import point_field
-from rieszcap.axis_field import axis_solve_t, regime
+from rieszcap.axis_field import axis_solve_t, newtonian_distance, regime
 from rieszcap.oracle import external_field
 from rieszcap.point_field import (
     AxisMeasure,
     field_potential_on_axis,
     gonchar_polynomial,
-    gonchar_root,
 )
 from rieszcap.sphere import Params, axis_dist2, sphere_energy, surface_factor
 
@@ -313,15 +312,15 @@ def test_gonchar_polynomial_descartes_single_sign_change():
         assert changes == 1
 
 
-def test_gonchar_root_golden_ratio():
-    assert gonchar_root(2) == pytest.approx(GOLDEN, abs=1e-12)
+def test_newton_distance_golden_ratio():
+    assert newtonian_distance(2) == pytest.approx(GOLDEN, abs=1e-12)
 
 
-def test_gonchar_root_d3_residual():
-    r = gonchar_root(3)
+def test_newton_distance_d3_residual():
+    r = newtonian_distance(3)
     assert 1.0 < r <= 2.0
     assert abs(gonchar_polynomial(3, r)) < 1e-10
-    # bisection oracle
+    # bisection oracle on P, which did not produce r
     lo, hi = 1.0, 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -332,18 +331,31 @@ def test_gonchar_root_d3_residual():
     assert r == pytest.approx(0.5 * (lo + hi), abs=1e-13)
 
 
-def test_gonchar_root_log3_asymptotics():
-    vals = [d * (gonchar_root(d) - 1.0) for d in (50, 100, 200)]
+def test_newton_distance_log3_asymptotics():
+    vals = [d * (newtonian_distance(d) - 1.0) for d in (50, 100, 200)]
     gaps = [abs(v - math.log(3.0)) for v in vals]
     assert gaps[0] > gaps[1] > gaps[2]
     assert all(v > math.log(3.0) for v in vals)  # monotone approach from above
 
 
-def test_margin_root_agrees_with_gonchar_distance():
+def test_margin_root_agrees_with_newton_distance():
     # the support-margin zero in R sits exactly at R = 1 + rho_+ for s = d-1, q = 1
     for d in (2, 3):
         params = Params(d=d, s=float(d - 1))
         root_R = optimize.brentq(
             lambda R: margin_at_one(params, AxisMeasure([(R, 1.0)])),
             1.0 + 1e-9, 6.0, xtol=1e-13)
-        assert root_R == pytest.approx(1.0 + gonchar_root(d), abs=1e-10)
+        assert root_R == pytest.approx(1.0 + newtonian_distance(d), abs=1e-10)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_solver_branch_flips_at_newton_distance(d):
+    # rho_+ is the solver's own whole-sphere test: just beyond 1 + rho_+ the
+    # support is the sphere, just inside it the cap edge sits ~1e-9 below 1
+    params, R = Params(d=d, s=d - 1.0), 1.0 + newtonian_distance(d)
+    far = axis_solve_t(AxisMeasure([(R * (1.0 + 1e-12), 1.0)]), params)
+    assert far.solved_by == "boundary_t_equals_1" and far.t0 == 1.0
+    near = axis_solve_t(AxisMeasure([(R * (1.0 - 1e-9), 1.0)]), params)
+    assert near.solved_by == "interior_root"
+    assert 0.0 < 1.0 - near.t0 <= 2e-9
+    assert abs(near.equilibrium.mass - 1.0) <= 1e-14
