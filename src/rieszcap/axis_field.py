@@ -48,9 +48,9 @@ class Regime(NamedTuple):
     ``phi(t, field)`` is the cap functional, ``h(t, field)`` the increasing
     positive function H with Delta = W (1 - H)/||nu_t||, so that H(t0) = 1,
     ``slope(t, field)`` H'(t) for t in (-1, 1), ``eta(t, field)`` the signed cap
-    equilibrium for t in (-1, 1] (mass not computed, ``phi`` set; eta_1 is the
-    signed equilibrium of the whole sphere), and ``potential(xi, eta, field)`` its
-    closed-form weighted potential.  ``phi``, ``h`` and ``potential`` take a number
+    equilibrium for t in (-1, 1] (``phi`` set; eta_1 is the signed equilibrium of
+    the whole sphere), and ``potential(xi, eta, field)`` its closed-form weighted
+    potential.  ``phi``, ``h`` and ``potential`` take a number
     or an ndarray of heights and return the same form, each entry bit for bit
     the one-height call.  The Riesz range d-2 <= s < d runs one set of formulas;
     at s = d-2 its ``eta`` carries a ring charge.  ``column`` names the functional in
@@ -86,15 +86,14 @@ def regime(params: Params) -> Regime:
 
 @dataclass(frozen=True)
 class CapSolution:
-    """Solved extremal support: the extremal measure eta_t0 (with its mass) and
-    the branch taken; t0 and Phi(t0) are read from eta_t0.  ``field`` is the field
+    """Solved extremal support: the extremal measure eta_t0 and the branch
+    taken; t0, Phi(t0) and the kernel are read from eta_t0.  ``field`` is the field
     as the caller gave it, atoms on either side of the sphere.  ``delta_evals``
     counts H's evaluations, H(1) included; ``t0_error`` is the last Newton step in t."""
 
     equilibrium: CapMeasure
     solved_by: str  # "interior_root" or "boundary_t_equals_1"
     field: AxisMeasure
-    params: Params
     delta_evals: int = 1
     t0_error: float = 0.0
 
@@ -137,14 +136,13 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
         else:
             raise ConvergenceError(f"Newton on log H did not settle: last step {step!r} at t = {t!r}")
         t0, solved_by = t - step, "interior_root"
-    measure = _certified(replace(form.eta(t0, lam), boundary_coeff=0.0), params)
-    return CapSolution(equilibrium=measure, solved_by=solved_by, field=lam, params=params,
+    measure = _certified(replace(form.eta(t0, lam), boundary_coeff=0.0))
+    return CapSolution(equilibrium=measure, solved_by=solved_by, field=lam,
                        delta_evals=evals, t0_error=abs(step))
 
 
-def _certified(eta: CapMeasure, params: Params) -> CapMeasure:
-    """eta_t with its mass set; a mass off 1, its value at every t, by over 1e-10 raises."""
-    eta = eta.with_mass(params)
+def _certified(eta: CapMeasure) -> CapMeasure:
+    """eta_t itself; a mass off 1, its value at every t, by over 1e-10 raises."""
     if not abs(eta.mass - 1.0) <= _MASS_TOL:
         raise ConvergenceError(f"mass(eta_t) - 1 = {float(eta.mass) - 1.0!r} at t = {eta.t!r}")
     return eta

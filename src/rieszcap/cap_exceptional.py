@@ -70,6 +70,7 @@ def weakstar_gap(t: float, s_values, R: float, params: Params):
     d = params.d
 
     nb, eb = nu_measure(t, params), eps_measure(t, R, params)
+    nb_k, eb_k = [nb.moment(k) for k in range(4)], [eb.moment(k) for k in range(4)]
     out = []
     for s in s_values:
         if not (d - 2 < s < d):
@@ -78,8 +79,8 @@ def weakstar_gap(t: float, s_values, R: float, params: Params):
         nu, eps = nu_measure(t, ps), eps_measure(t, R, ps)
         rec = {"s": float(s), "nu": np.empty(4), "eps": np.empty(4)}
         for k in range(4):
-            rec["nu"][k] = abs(nu.moment(k, ps) - nb.moment(k, params))
-            rec["eps"][k] = abs(eps.moment(k, ps) - eb.moment(k, params))
+            rec["nu"][k] = abs(nu.moment(k) - nb_k[k])
+            rec["eps"][k] = abs(eps.moment(k) - eb_k[k])
         out.append(rec)
     return out
 
@@ -106,14 +107,15 @@ def log_h(t: float, field: AxisMeasure, params: Params) -> float:
 
 def log_h_slope(t: float, field: AxisMeasure, params: Params) -> float:
     """H'(t) = sum_i m_i 2 R_i (R_i+1)^2/r_i(t)^4."""
+    _require_log(params)
     return sum(m * 2.0 * R * (R + 1.0) ** 2 / axis_dist2(t, R) ** 2
                for R, m in field.atoms)
 
 
 def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     """Signed logarithmic cap equilibrium (1+||lambda||) nubar_{t,0} - sum_i
-    m_i epsbar_{t,0}^i for t in (-1, 1], of mass 1 (not computed; ``phi`` is
-    F_0(Sigma_t)): the s = d-2 cap measure at d = 2 with W = 1, density
+    m_i epsbar_{t,0}^i for t in (-1, 1], of mass 1 (``phi`` is F_0(Sigma_t)):
+    the s = d-2 cap measure at d = 2 with W = 1, density
     (1+||lambda||) - sum_i m_i (R_i^2-1)^2/rho_i^4 and ring charge
     (1-t)/2 (1 - H(t)), which vanishes exactly at t0 and at t = 1."""
     return _cap_measure(t, params, 1.0 + field.total_mass, 1.0 - log_h(t, field, params),

@@ -57,7 +57,7 @@ def _require_cap_regime(params: Params) -> None:
 def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
                  contraction=(1.0, 0.0), pairs=(), phi: float | None = None) -> CapMeasure:
     """The measure (K/W_s) nu_t - sum_j c_j eps_t^{R_j} for charges ((R_j, c_j), ...),
-    R_j != 1, on the cap t in (-1, 1]; d-2 <= s < d (mass not computed).
+    R_j != 1, on the cap t in (-1, 1] of the kernel ``params``, d-2 <= s < d.
 
     With B_j = (R_j+1)^{d-s}/r_j^d, r_j^2 = R_j^2 - 2 R_j t + 1, the caller
     passes the net charge net = K - sum_j c_j B_j, formed without cancellation.
@@ -111,7 +111,7 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
 
         ring = (1.0 - t) / 2.0 * (1.0 - t * t) ** (d / 2.0 - 1.0) * net if t < 1.0 else 0.0
         return CapMeasure(t=t, regular_part=whole, boundary_coeff=ring, phi=phi,
-                          gap=(1.0 - t) + beyond)
+                          gap=(1.0 - t) + beyond, params=params)
     pref = math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0)) / W
 
     def regular(nodes):
@@ -121,7 +121,7 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
         return pref * rest ** (d / 2.0) * (1.0 - t) ** ((d - s) / 2.0) * acc
 
     return CapMeasure(t=t, regular_part=regular, singular_exponent=(s - d) / 2.0, phi=phi,
-                      gap=(1.0 - t) + beyond)
+                      gap=(1.0 - t) + beyond, params=params)
 
 
 def nu_measure(t: float, params: Params) -> CapMeasure:
@@ -289,9 +289,8 @@ def h_slope(t: float, field: AxisMeasure, params: Params) -> float:
 
 def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     """The signed cap equilibrium eta_t = (Phi_s(t)/W_s) nu_t - sum_i m_i eps_t^i
-    for t in (-1, 1] (mass not computed; ``phi`` is Phi_s(t)).  Phi_s(t) is
-    Delta(t) + sum_i B_i, B_i below, so eta_t takes one H evaluation and no
-    quadrature of :func:`phi`.
+    for t in (-1, 1] (``phi`` is Phi_s(t)).  Phi_s(t) is Delta(t) + sum_i B_i,
+    B_i below, so eta_t takes one H evaluation and no quadrature of :func:`phi`.
 
     At t = 1, the whole sphere, its density is regular up to the pole, and its
     value at u = 1 has the sign of Delta(1).  At s = d-2 every cap has that

@@ -131,7 +131,7 @@ def _scenario_eta(cfg: dict, field: AxisMeasure, params: Params) -> CapMeasure:
         t += axis_solve_t(field, params).t0
     if not -1.0 < t <= 1.0:
         raise ScenarioError(f"cap height {t} outside (-1, 1]")
-    return _certified(regime(params).eta(t, field), params)
+    return _certified(regime(params).eta(t, field))
 
 
 def _write_csv(path: Path, header: list[str], rows, constants=()) -> None:

@@ -46,7 +46,7 @@ def external_field(xi, field: AxisMeasure, params: Params):
     return float(out) if out.ndim == 0 else out
 
 
-def potential_of(measure: CapMeasure, xi: float, params: Params) -> float:
+def potential_of(measure: CapMeasure, xi: float) -> float:
     """U^mu at height xi by adaptive quadrature of the ring kernel:
 
         (omega_{d-1}/omega_d) int_{-1}^t kappa(u, xi) density(u)
@@ -58,7 +58,7 @@ def potential_of(measure: CapMeasure, xi: float, params: Params) -> float:
     quadrature cannot certify ~1e-7 accuracy.
     """
     t, density, bcoef = measure.t, measure.radial_density, measure.boundary_coeff
-    d = params.d
+    params, d = measure.params, measure.params.d
 
     def f(u: float) -> float:
         return density(u) * kappa(u, xi, params) * (1.0 - u * u) ** (d / 2.0 - 1.0)
@@ -101,12 +101,12 @@ class VariationalReport:
 def check_variational(solution: CapSolution, grid_size: int = 41) -> VariationalReport:
     """Evaluate U^{eta} + Q - F on a height grid for a solved (or deliberately
     mis-solved) cap measure and report the extremes."""
-    params, t0, F = solution.params, solution.t0, solution.phi_at_t0
-    measure, field = solution.equilibrium, solution.field
+    measure, field, t0, F = solution.equilibrium, solution.field, solution.t0, solution.phi_at_t0
+    params = measure.params
     grid = np.linspace(-1.0 + 1e-9, 1.0 - 1e-12, grid_size)
     max_violation, min_margin = 0.0, math.inf
     for xi in grid:
-        val = potential_of(measure, float(xi), params) \
+        val = potential_of(measure, float(xi)) \
             + float(external_field(float(xi), field, params)) - F
         if xi <= t0:
             max_violation = max(max_violation, abs(val))

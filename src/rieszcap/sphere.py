@@ -24,7 +24,8 @@ integrals until the step-2h rule, the even-indexed nodes, agrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -270,7 +271,7 @@ def _tanh_sinh_integrals(t: np.ndarray, gap: np.ndarray, terms, describe: Callab
 
 
 def _cap_integral(t: float, a: float, gap: float, f: Callable[[Nodes], np.ndarray],
-                  params: Params) -> tuple[float, float, int]:
+                  d: int) -> tuple[float, float, int]:
     """(I, e, level): I = int_{-1}^t f(u) (t-u)^a (omega_{d-1}/omega_d) (1-u^2)^{d/2-1} du,
     its error estimate e, and the tanh-sinh level that settled it, t in (-1, 1], a > -1.
 
@@ -280,7 +281,7 @@ def _cap_integral(t: float, a: float, gap: float, f: Callable[[Nodes], np.ndarra
     The integral runs on :func:`_tanh_sinh_nodes` (``gap`` as there) and settles
     by :func:`_tanh_sinh_integrals`; :class:`ConvergenceError` names t and a.
     """
-    d, om = params.d, omega_ratio(params.d)
+    om = omega_ratio(d)
 
     def g(nodes):  # f times the surface factor, which is 1/om at d = 2
         out = f(nodes) / om
@@ -311,12 +312,12 @@ class CapMeasure:
     is called with the :class:`Nodes` of a float array of heights);
     ``boundary_coeff`` multiplies the unit uniform measure on the ring u = t.
     ``phi`` is the constant weighted potential on the cap of an equilibrium
-    measure (None for a balayage measure), and ``mass`` the total mass once
-    computed (None otherwise).  ``gap`` is how far regular_part's nearest
-    singularity lies beyond t, the (1-u)^{d/2-1} surface factor included for
-    t < 1, formed without rounding it through a height: it sets the panel
-    grading of the cap integrals (:func:`_cap_integral`), graded toward t when
-    it lies within (1+t)/17 of t.
+    measure (None for a balayage measure), and ``params`` the kernel it
+    belongs to.  ``gap`` is how far regular_part's nearest singularity lies
+    beyond t, the (1-u)^{d/2-1} surface factor included for t < 1, formed
+    without rounding it through a height: it sets the panel grading of the
+    cap integrals (:func:`_cap_integral`), graded toward t when it lies
+    within (1+t)/17 of t.
     """
 
     t: float
@@ -324,8 +325,8 @@ class CapMeasure:
     singular_exponent: float = 0.0
     boundary_coeff: float = 0.0
     phi: float | None = None
-    mass: float | None = None
     gap: float = field(kw_only=True)
+    params: Params = field(kw_only=True)
 
     def radial_density(self, u):
         """Density of the absolutely continuous part at height u <= t (u < t
@@ -345,20 +346,17 @@ class CapMeasure:
         us = np.linspace(-1.0 + gap, self.t - gap, n)
         return us, self.radial_density(us)
 
-    def _integral(self, f: Callable[[Nodes], np.ndarray], params: Params) -> float:
-        # int f d(the absolutely continuous part), on the s-free tanh-sinh rule
-        return _cap_integral(self.t, self.singular_exponent, self.gap, f, params)[0]
+    @cached_property
+    def mass(self) -> float:
+        """The total mass, ring charge included: :meth:`moment` 0."""
+        return self.moment(0)
 
-    def with_mass(self, params: Params) -> "CapMeasure":
-        """This measure with ``mass`` set: the cap integral plus the ring charge.
-
-        The integral takes the tanh-sinh rule of :func:`_cap_integral`, which
-        splits off the edge power in closed form, and raises
+    def moment(self, k: int) -> float:
+        """int u^k d(this measure), the ring charge included.  The cap integral
+        takes the tanh-sinh rule of :func:`_cap_integral` at d = ``params.d``,
+        which splits off the edge power in closed form, and raises
         :class:`ConvergenceError` when no step down to 0.01 settles it."""
-        return replace(self, mass=self._integral(self.regular_part, params) + self.boundary_coeff)
-
-    def moment(self, k: int, params: Params) -> float:
-        """int u^k d(this measure), the ring charge included; the integral is
-        taken as in :meth:`with_mass`."""
-        interior = self._integral(lambda nodes: nodes.u ** k * self.regular_part(nodes), params)
+        interior = _cap_integral(self.t, self.singular_exponent, self.gap,
+                                 lambda nodes: nodes.u ** k * self.regular_part(nodes),
+                                 self.params.d)[0]
         return interior + self.boundary_coeff * self.t ** k

@@ -288,7 +288,7 @@ def test_axis_weakstar_eps_gap_decay():
         # int u^k d(sum_i m_i eps_t^i), ring charges included
         out = 0.0
         for R, m in lam.atoms:
-            out += m * eps_measure(t, R, params).moment(k, params)
+            out += m * eps_measure(t, R, params).moment(k)
         return out
 
     for k in (0, 1):
@@ -392,7 +392,7 @@ P315, P31 = Params(d=3, s=1.5), Params(d=3, s=1.0)
 PER_UNIT = {
     "field_potential_on_axis": (P315, lambda R: field_potential_on_axis(R, P315)),
     "eps_density": (P315, lambda R: cap_riesz.eps_measure(0.2, R, P315).radial_density(0.0)),
-    "eps_mass": (P315, lambda R: cap_riesz.eps_measure(0.2, R, P315).with_mass(P315).mass),
+    "eps_mass": (P315, lambda R: cap_riesz.eps_measure(0.2, R, P315).mass),
     "eps_whole_density": (P315, lambda R: cap_riesz.eps_measure(1.0, R, P315).radial_density(0.0)),
     "eps_norm": (P315, lambda R: cap_riesz.eps_norm(0.2, R, P315)),
     "eps_whole_norm": (P315, lambda R: cap_riesz.eps_norm(1.0, R, P315)),

@@ -6,6 +6,7 @@ from scipy import integrate
 
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
+from rieszcap import sphere
 from rieszcap.axis_field import axis_solve_t, regime
 from rieszcap.cap_exceptional import (
     gamma_s_norm,
@@ -14,6 +15,7 @@ from rieszcap.cap_exceptional import (
     log_etabar,
     log_f0_functional,
     log_h,
+    log_h_slope,
     weakstar_gap,
 )
 from rieszcap.cap_riesz import (
@@ -40,14 +42,14 @@ def log_cap_measures(t: float, R: float) -> tuple[CapMeasure, CapMeasure]:
     balayage preserves mass)."""
     r2 = axis_dist2(t, R)
     nu = CapMeasure(t=t, regular_part=lambda nodes: np.ones_like(nodes.u),
-                    boundary_coeff=(1.0 - t) / 2.0, mass=1.0, gap=math.inf)
+                    boundary_coeff=(1.0 - t) / 2.0, gap=math.inf, params=PLOG)
 
     def eps_interior(nodes):
         return (R * R - 1.0) ** 2 / axis_dist2(nodes.u, R) ** 2
 
     eps = CapMeasure(t=t, regular_part=eps_interior,
-                     boundary_coeff=(1.0 - t) / 2.0 * (R + 1.0) ** 2 / r2, mass=1.0,
-                     gap=(1.0 - t) + (R - 1.0) ** 2 / (2.0 * R))
+                     boundary_coeff=(1.0 - t) / 2.0 * (R + 1.0) ** 2 / r2,
+                     gap=(1.0 - t) + (R - 1.0) ** 2 / (2.0 * R), params=PLOG)
     return nu, eps
 
 
@@ -81,14 +83,14 @@ def cap_sigma_mass(density, d, t):
 
 
 def test_nubar_reduces_to_sigma_at_t1():
-    m = nu_measure(1.0, P31).with_mass(P31)
+    m = nu_measure(1.0, P31)
     assert m.boundary_coeff == 0.0
     assert m.mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nubar_norm_closed_form_matches_mass():
     for t in (-0.3, 0.2, 0.7):
-        m = nu_measure(t, P31).with_mass(P31)
+        m = nu_measure(t, P31)
         assert nu_norm(t, P31) == pytest.approx(m.mass, abs=1e-10)
 
 
@@ -137,7 +139,7 @@ def test_epsbar_norm_quadrature():
             * axis_dist2(u, R) ** (-d / 2.0), -1.0, t, epsabs=1e-13, epsrel=1e-12)
         expected = (d - 2) / 4.0 * (R + 1.0) ** 2 * direct
         assert eps_norm(t, R, P31) == pytest.approx(expected, rel=1e-10)
-        assert eps_measure(t, R, P31).with_mass(P31).mass == pytest.approx(expected, abs=1e-10)
+        assert eps_measure(t, R, P31).mass == pytest.approx(expected, abs=1e-10)
 
 
 def test_epsbar_t1_consistency():
@@ -160,7 +162,7 @@ def test_solve_t0_exceptional_reference():
     # scratch solve of the exceptional equilibrium condition (d=3,q=1,R=2)
     assert sol.t0 == pytest.approx(0.34940700375655837, abs=1e-9)
     # boundary charge of etabar vanishes at t0
-    ring = regime(P31).eta(sol.t0, C12).with_mass(P31)
+    ring = regime(P31).eta(sol.t0, C12)
     assert abs(ring.boundary_coeff) < 1e-10
     # interior density strictly positive at the cap edge
     edge = sol.equilibrium.radial_density(sol.t0 - 1e-12)
@@ -185,22 +187,22 @@ def test_solve_t0_exceptional_against_30_digit_references(d, q, R, ref):
 
 def test_etabar_ring_charge_sign_structure():
     sol = axis_solve_t(C12, P31)
-    below = regime(P31).eta(sol.t0 - 0.2, C12).with_mass(P31)
-    above = regime(P31).eta(sol.t0 + 0.2, C12).with_mass(P31)
+    below = regime(P31).eta(sol.t0 - 0.2, C12)
+    above = regime(P31).eta(sol.t0 + 0.2, C12)
     assert below.boundary_coeff > 0.0
     assert above.boundary_coeff < 0.0
 
 
 def test_etabar_mass_is_one():
     for t in (-0.2, 0.349407, 0.8):
-        m = regime(P31).eta(t, C12).with_mass(P31)
+        m = regime(P31).eta(t, C12)
         assert m.mass == pytest.approx(1.0, abs=1e-9)
 
 
 def test_phibar_matches_weighted_potential_on_cap():
     # U^{etabar} + Q is constant = Phibar on the cap
     t = 0.1
-    m = regime(P31).eta(t, C12).with_mass(P31)
+    m = regime(P31).eta(t, C12)
     pv = phi(t, C12, P31)
     q, R = 1.0, 2.0
     for xi in (-0.8, -0.3, 0.05):
@@ -228,6 +230,14 @@ def test_gamma_s_norm_bounds():
     assert gamma_s_norm(0.0, 1.0 + 1e-9, 3) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_weakstar_gap_takes_the_reference_moments_once(monkeypatch):
+    # moments k = 0..3 of nubar_t and epsbar_t once (8 cap integrals), then 8 per s
+    calls, integral = [], sphere._cap_integral
+    monkeypatch.setattr(sphere, "_cap_integral", lambda *a: calls.append(a) or integral(*a))
+    weakstar_gap(0.0, [1.5, 1.2, 1.05, 1.01], 2.0, P31)
+    assert len(calls) == 8 + 4 * 8
+
+
 def test_weakstar_moment_gaps_decay():
     recs = weakstar_gap(0.0, [1.5, 1.2, 1.05, 1.01], 2.0, P31)
     for k in range(4):
@@ -247,7 +257,7 @@ def test_weakstar_moment_gaps_decay():
 
 def test_log_cap_measures_unit_mass():
     nu, eps = log_cap_measures(0.3, 2.0)
-    assert nu.mass == 1.0 and eps.mass == 1.0
+    assert abs(nu.mass - 1.0) <= 1e-12 and abs(eps.mass - 1.0) <= 1e-12
     # numeric verification of the stated masses
     for m in (nu, eps):
         interior = cap_sigma_mass(lambda u: float(m.radial_density(u)), 2, m.t)
@@ -381,3 +391,9 @@ def test_gating():
         eta_measure(0.0, C12, Params(d=4, s=1.0))
     with pytest.raises(ValueError):
         axis_solve_t(AxisMeasure([(2.0, 1.0)]), Params(d=3, log=True))
+
+
+@pytest.mark.parametrize("fn", [log_h, log_h_slope, log_f0_functional])
+def test_log_formulas_refuse_a_riesz_kernel(fn):
+    with pytest.raises(ValueError, match="logarithmic cap case"):
+        fn(0.3, AxisMeasure([(2.0, 1.0)]), Params(d=3, s=1.0))

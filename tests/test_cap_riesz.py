@@ -222,9 +222,9 @@ def test_nu_norm_closed_vs_quadrature():
         for s in ([d - 2.0] if d >= 3 else []) + [d - 1.4, d - 0.3]:
             p = Params(d=d, s=s)
             for t in (-0.5, 0.3, 0.9, 1.0):
-                assert abs(nu_measure(t, p).with_mass(p).mass - nu_norm(t, p)) <= 1e-12
+                assert abs(nu_measure(t, p).mass - nu_norm(t, p)) <= 1e-12
                 for R in (1.3, 3.0):
-                    got = eps_measure(t, R, p).with_mass(p).mass
+                    got = eps_measure(t, R, p).mass
                     assert abs(got - eps_norm(t, R, p)) <= 1e-12, (d, s, t, R)
 
 
@@ -235,7 +235,7 @@ def test_whole_sphere_eps_mass_near_the_sphere(d, s, k):
     # ulp(1) from k = 8 on: the cap rule takes that gap as such, not from a
     # rounded height, and the density takes R^2 - 1 as (R-1)(R+1)
     p, R = Params(d=d, s=s), 1.0 + 10.0 ** -k
-    assert abs(eps_measure(1.0, R, p).with_mass(p).mass - eps_norm(1.0, R, p)) <= 1e-13
+    assert abs(eps_measure(1.0, R, p).mass - eps_norm(1.0, R, p)) <= 1e-13
 
 
 def test_nu_norm_random_cross_checks():
@@ -332,13 +332,13 @@ def test_nu_mass_keeps_its_edge_as_s_decreases_to_d_minus_2(d, k, t):
     # s = d-2+2^-k puts c = 1-(d-s)/2 at 2^-(k+1): F must keep its whole value
     # where 1 - w is within 1e-3 of the edge, not half of it
     p = Params(d=d, s=d - 2.0 + 2.0 ** -k)
-    assert abs(nu_measure(t, p).with_mass(p).mass - nu_norm(t, p)) <= 1e-13
+    assert abs(nu_measure(t, p).mass - nu_norm(t, p)) <= 1e-13
 
 
 def test_eps_mass_keeps_its_edge_mass_at_c_near_zero():
     # c = 2^-40 is no non-positive integer: F's 1/Gamma(c) term holds the edge mass
     p = Params(d=3, s=1.0 + 2.0 ** -39)
-    assert abs(eps_measure(0.3, 1.5, p).with_mass(p).mass - eps_norm(0.3, 1.5, p)) <= 1e-13
+    assert abs(eps_measure(0.3, 1.5, p).mass - eps_norm(0.3, 1.5, p)) <= 1e-13
 
 
 NEAR_D_MINUS_2 = [(2, 30, 0.9995), (4, 30, 0.9995), (4, 37, 0.99), (4, 39, 0.3), (5, 39, 0.5)]
@@ -350,20 +350,20 @@ def test_cap_masses_settle_as_s_decreases_to_d_minus_2(d, k, t):
     # not: the masses of nu_t and eps_t (R = 1.5) match their norms, and at
     # 2^-39 they stay where 2^-38 puts them
     p = Params(d=d, s=d - 2.0 + 2.0 ** -k)
-    nu, eps = nu_measure(t, p).with_mass(p).mass, eps_measure(t, 1.5, p).with_mass(p).mass
+    nu, eps = nu_measure(t, p).mass, eps_measure(t, 1.5, p).mass
     assert abs(nu - nu_norm(t, p)) <= 1e-13
     assert abs(eps - eps_norm(t, 1.5, p)) <= 1e-13
     if k == 39:
         p38 = Params(d=d, s=d - 2.0 + 2.0 ** -38)
-        assert abs(nu - nu_measure(t, p38).with_mass(p38).mass) <= 1e-10
-        assert abs(eps - eps_measure(t, 1.5, p38).with_mass(p38).mass) <= 1e-10
+        assert abs(nu - nu_measure(t, p38).mass) <= 1e-10
+        assert abs(eps - eps_measure(t, 1.5, p38).mass) <= 1e-10
 
 
 def test_eps_mass_settles_near_the_pole():
     # 1 - t = 1e-6: the surface factor's branch point at u = 1 and the charge's
     # pole 1.2e-3 beyond it sit close to the cap edge
     p, t = Params(d=3, s=1.0), 1.0 - 1e-6
-    assert abs(eps_measure(t, 1.05, p).with_mass(p).mass - eps_norm(t, 1.05, p)) <= 1e-12
+    assert abs(eps_measure(t, 1.05, p).mass - eps_norm(t, 1.05, p)) <= 1e-12
 
 
 def h_reference(t, atoms, params):

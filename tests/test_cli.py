@@ -69,7 +69,7 @@ def test_riesz_curves_match_public_functions(tmp_path):
 def test_exceptional_density_matches_etabar(tmp_path):
     _, dens = run_potential(tmp_path, EXCEPTIONAL)
     _, params, charge, _ = EXCEPTIONAL
-    m = regime(params).eta(T_FIXED, charge).with_mass(params)
+    m = regime(params).eta(T_FIXED, charge)
     for u, val, ring in dens:
         assert_rel(val, m.radial_density(float(u)))
         assert_rel(ring, m.boundary_coeff)
@@ -88,10 +88,10 @@ def test_exceptional_potential_matches_oracle(tmp_path):
         cfg = scenario("potential", d, {"type": "riesz", "s": d - 2.0}, point(charge), grid=3)
         cli.run_scenario(cfg, tmp_path)
         _, pot = read_csv(tmp_path / "case_potential.csv")
-        m = regime(params).eta(T_FIXED, charge).with_mass(params)
+        m = regime(params).eta(T_FIXED, charge)
         assert abs(m.boundary_coeff) > 1e-3
         for xi, val, _ in pot:
-            direct = (oracle.potential_of(m, float(xi), params)
+            direct = (oracle.potential_of(m, float(xi))
                       + float(oracle.external_field(float(xi), charge, params)))
             assert val == pytest.approx(direct, rel=1e-9)
 

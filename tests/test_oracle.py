@@ -1,6 +1,7 @@
 """The particle descent of ``rieszcap.oracle`` against direct pairwise sums,
 and its variational check on solved and mis-solved caps."""
 
+import json
 import math
 
 import mpmath as mp
@@ -214,12 +215,24 @@ def test_verify_task_passes_on_solved_cap(tmp_path, d, kernel):
     assert cli.run_scenario(cfg, tmp_path)["passed"] is True
 
 
+@pytest.mark.parametrize("grid", [5, 41])
+def test_verify_task_passes_on_the_whole_sphere(tmp_path, grid):
+    # R = 3 leaves the whole sphere as the support at d = 3, s = 1.5: every grid
+    # height lies on the cap, and nothing is left off it for a margin
+    cfg = {"name": "v", "task": "verify", "d": 3, "kernel": {"type": "riesz", "s": 1.5},
+           "grid": grid, "field": {"type": "point", "q": 1.0, "R": 3.0}}
+    assert cli.run_scenario(cfg, tmp_path)["passed"] is True
+    report = json.loads((tmp_path / "v.json").read_text())
+    assert report["t0"] == 1.0 and report["min_margin_off_support"] == 0.0
+    assert report["max_violation_on_support"] <= 1e-7
+    assert report["min_density"] > 0.0
+
+
 def mis_solved(params, shift):
-    """The regime's eta at t0 + shift, with its mass and ring charge, posing as a solution."""
+    """The regime's eta at t0 + shift, with its ring charge, posing as a solution."""
     t = axis_solve_t(VERIFY_FIELD, params).t0 + shift
-    eta = regime(params).eta(t, VERIFY_FIELD).with_mass(params)
-    return CapSolution(equilibrium=eta, solved_by="interior_root", field=VERIFY_FIELD,
-                       params=params)
+    return CapSolution(equilibrium=regime(params).eta(t, VERIFY_FIELD), solved_by="interior_root",
+                       field=VERIFY_FIELD)
 
 
 @pytest.mark.parametrize("params", VERIFY_PARAMS)

@@ -301,7 +301,7 @@ def test_quadrature_full_sphere_mass():
     # the cap integral of 1 at t = 1 is the sigma_d mass of the sphere, and the
     # nodes keep their distances to both poles positive
     for d in (2, 3, 5):
-        assert sphere._cap_integral(1.0, 0.0, math.inf, ones, Params(d=d, s=d / 2.0))[0] == \
+        assert sphere._cap_integral(1.0, 0.0, math.inf, ones, d)[0] == \
             pytest.approx(1.0, abs=1e-12)
     nodes, _, _ = sphere._tanh_sinh_nodes(1.0, math.inf)
     assert np.all(nodes.one_plus_u > 0.0) and np.all(nodes.one_minus_u > 0.0)
@@ -309,8 +309,7 @@ def test_quadrature_full_sphere_mass():
 
 def test_quadrature_cap_mass_invariant():
     d, t = 3, 0.4
-    p = Params(d=d, s=1.5)
-    got = sphere._cap_integral(t, 0.0, 1.0 - t, ones, p)[0]
+    got = sphere._cap_integral(t, 0.0, 1.0 - t, ones, d)[0]
     direct, err = integrate.quad(lambda u: (1.0 - u * u) ** (d / 2.0 - 1.0), -1.0, t)
     assert got == pytest.approx(surface_factor(d) * direct, rel=1e-12)
 
@@ -318,8 +317,7 @@ def test_quadrature_cap_mass_invariant():
 def test_quadrature_endpoint_singular_integrand():
     # (t-u)^{(s-d)/2} with d=2, s=1 integrates finitely; compare adaptive quad
     d, s, t = 2, 1.0, 0.2
-    p = Params(d=d, s=s)
-    got = sphere._cap_integral(t, (s - d) / 2.0, math.inf, ones, p)[0]
+    got = sphere._cap_integral(t, (s - d) / 2.0, math.inf, ones, d)[0]
     direct, err = integrate.quad(lambda u: (t - u) ** ((s - d) / 2.0), -1.0, t,
                                  epsabs=1e-12, epsrel=1e-11)
     assert got == pytest.approx(surface_factor(d) * direct, rel=1e-9)
@@ -370,10 +368,9 @@ def test_unsettled_quadrature_names_the_integral(monkeypatch):
 def test_unsettled_cap_mass_names_its_edge():
     # a density that never settles: every step down to h = 0.01 misses, and the
     # error reports the cap height, the edge exponent and the last estimate
-    p = Params(d=3, s=1.5)
     m = CapMeasure(t=0.25, regular_part=lambda nodes: np.sign(np.sin(1e4 * nodes.u)),
-                   singular_exponent=-0.25, gap=0.75)
+                   singular_exponent=-0.25, gap=0.75, params=Params(d=3, s=1.5))
     with pytest.raises(ConvergenceError) as info:
-        m.with_mass(p)
+        m.mass
     msg = str(info.value)
     assert "step 0.01" in msg and "t=0.25" in msg and "a=-0.25" in msg and "estimate" in msg

@@ -1,6 +1,6 @@
 """Solver sweep across the paper's parameter range, and the 30-digit t0 references.
 
-Every solve ends in the mass certificate of CapMeasure.with_mass, a cap
+Every solve ends in the mass certificate of CapMeasure.mass, a cap
 integral whose edge exponent (s-d)/2 nears -1 as s -> d-2.  It runs on a
 tanh-sinh rule that does not depend on s, with the edge power split off in
 closed form; so do the rows of ||eps_t||, with their left edge power
@@ -211,14 +211,14 @@ def test_cap_mass_estimate_holds_against_half_step(monkeypatch):
     # the rule at half that step within the estimate it reports, which meets 1e-12
     seen, measure, integral = set(), [""], sphere._cap_integral
 
-    def checked(t, a, gap, f, params):
-        value, estimate, level = integral(t, a, gap, f, params)
-        assert level == 0, (measure[0], t, params)
+    def checked(t, a, gap, f, d):
+        value, estimate, level = integral(t, a, gap, f, d)
+        assert level == 0, (measure[0], t, d)
         with pytest.MonkeyPatch.context() as half_step:
             half_step.setattr(sphere, "_TS_RULES", sphere._TS_RULES[1:2])
             half_step.setattr(sphere, "_TS_LEVELS", 1)
-            half = integral(t, a, gap, f, params)[0]
-        assert abs(value - half) <= estimate <= 1e-12 * max(1.0, abs(value)), (measure[0], t, params)
+            half = integral(t, a, gap, f, d)[0]
+        assert abs(value - half) <= estimate <= 1e-12 * max(1.0, abs(value)), (measure[0], t, d)
         seen.add(measure[0] + (" mass at t = 1" if t == 1.0 else " mass"))
         return value, estimate, level
 
@@ -227,16 +227,16 @@ def test_cap_mass_estimate_holds_against_half_step(monkeypatch):
         p = Params(d=d, s=s)
         for t in ORACLE_T:
             measure[0] = "nu/eps"
-            cap_riesz.nu_measure(t, p).with_mass(p)
-            cap_riesz.eps_measure(t, R, p).with_mass(p)
+            cap_riesz.nu_measure(t, p).mass
+            cap_riesz.eps_measure(t, R, p).mass
             eta = cap_riesz.eta_measure(t, AxisMeasure([(R, 1.0)]), p)
             measure[0] = "eta"
-            eta.with_mass(p)
+            eta.mass
     plog = Params(d=2, log=True)
     measure[0] = "log"
     for R in (1.1, 1.5, 3.0):
         for t in ORACLE_T:
-            cap_exceptional.log_etabar(t, AxisMeasure([(R, 1.0)]), plog).with_mass(plog)
+            cap_exceptional.log_etabar(t, AxisMeasure([(R, 1.0)]), plog).mass
     assert seen == {"nu/eps mass", "nu/eps mass at t = 1", "eta mass", "eta mass at t = 1",
                     "log mass", "log mass at t = 1"}, seen
 
