@@ -10,8 +10,9 @@ Newton on log H in log(1+t) finds the root t0 of H = 1, and eta_t0 is
 assembled and certified by its mass.  H and that mass run on one tanh-sinh
 rule that does not depend on s, so a solve builds no quadrature rule.  The
 whole sphere is the cap t = 1; for s = d-1 and q = 1 the charge distance
-where H(1) = 1 is :func:`newtonian_distance`.  The regime modules supply only
-the formulas (see :class:`Regime`).  A continuous lambda should be
+where H(1) = 1 is :func:`newtonian_distance`.  Every regime shares H and H'
+(:func:`rieszcap.cap_riesz.h`); it supplies only its functional, eta_t and
+potential (see :class:`Regime`).  A continuous lambda should be
 pre-discretized by the caller (any quadrature of d lambda(R) against these
 formulas is exact for its own nodes).
 """
@@ -45,26 +46,26 @@ _MASS_TOL = 1e-10  # |mass(eta_t0) - 1| above which a solve raises: mass(eta_t) 
 class Regime(NamedTuple):
     """The formulas one kernel regime supplies, bound to its parameters.
 
-    ``phi(t, field)`` is the cap functional, ``h(t, field)`` the increasing
-    positive function H with Delta = W (1 - H)/||nu_t||, so that H(t0) = 1,
-    ``slope(t, field)`` H'(t) for t in (-1, 1), ``eta(t, field)`` the signed cap
+    ``phi(t, field)`` is the cap functional, ``eta(t, field)`` the signed cap
     equilibrium for t in (-1, 1] (``phi`` set; eta_1 is the signed equilibrium of
     the whole sphere), and ``potential(xi, eta, field)`` its closed-form weighted
-    potential.  ``phi``, ``h`` and ``potential`` take a number
-    or an ndarray of heights and return the same form, each entry bit for bit
-    the one-height call.  The Riesz range d-2 <= s < d runs one set of formulas;
-    at s = d-2 its ``eta`` carries a ring charge.  ``column`` names the functional in
-    phi-curve output.  No formula takes a rule that depends on s: H, eta's
-    mass and phi's rows of ||eps_t|| run on the tanh-sinh nodes of
-    :mod:`rieszcap.sphere`.
+    potential.  ``phi`` and ``potential`` take a number or an ndarray of heights
+    and return the same form, each entry bit for bit the one-height call.
+    ``column`` names the functional in phi-curve output.  Every regime's ``eta``
+    is :func:`rieszcap.cap_riesz.eta_measure`: at s = d-2 it carries a ring
+    charge, and the log kernel, that point at d = 2, sets F_0 as its ``phi``.
     """
 
     column: str
     phi: Callable[[float, AxisMeasure], float]
-    h: Callable[[float, AxisMeasure], float]
-    slope: Callable[[float, AxisMeasure], float]
     eta: Callable[[float, AxisMeasure], CapMeasure]
     potential: Callable[[float, CapMeasure, AxisMeasure], float]
+
+
+def _log_eta(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
+    # the s = d-2 eta_t at d = 2, which carries F_0(Sigma_t) as its weighted potential
+    return replace(cap_riesz.eta_measure(t, field, params),
+                   phi=cap_exceptional.log_f0_functional(t, field, params))
 
 
 def regime(params: Params) -> Regime:
@@ -72,11 +73,10 @@ def regime(params: Params) -> Regime:
     for d = 2, s <= 2^-53 (edge exponent 1-(d-s)/2 rounds to 0) names the log kernel."""
     ce, cr = cap_exceptional, cap_riesz
     if params.log:
-        ce._require_log(params)
-        column, fns = "F0", (ce.log_f0_functional, ce.log_h, ce.log_h_slope, ce.log_etabar,
-                             ce.log_eta_potential)
+        ce._require(params, log=True)
+        column, fns = "F0", (ce.log_f0_functional, _log_eta, ce.log_eta_potential)
     elif params.in_cap_regime or params.is_exceptional:
-        fns = cr.phi, cr.h, cr.h_slope, cr.eta_measure, cr.eta_potential
+        fns = cr.phi, cr.eta_measure, cr.eta_potential
         column = "phibar" if params.is_exceptional else "phi"
     else:
         limit = "; its s -> 0+ limit is the log kernel" if params.d == 2 else ""
@@ -119,14 +119,14 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     eta_t0 carries no ring charge, and a mass of eta_t0 off 1 (its value at
     every t) by over 1e-10 raises ConvergenceError (:func:`_certified`).
     """
-    form = regime(params)
-    if form.h(1.0, lam) <= 1.0:
+    form, h, slope = regime(params), cap_riesz.h, cap_riesz.h_slope
+    if h(1.0, lam, params) <= 1.0:
         t0, solved_by, evals, step = 1.0, "boundary_t_equals_1", 1, 0.0
     else:
         t, right = 0.0, False  # right: an iterate has landed right of t0, where H > 1
         for evals in range(2, 102):  # H evaluations, H(1) included
-            h_t = float(form.h(t, lam))
-            x = math.log1p(t) - math.log(h_t) * h_t / ((1.0 + t) * float(form.slope(t, lam)))
+            h_t, h_dt = float(h(t, lam, params)), float(slope(t, lam, params))
+            x = math.log1p(t) - math.log(h_t) * h_t / ((1.0 + t) * h_dt)
             step = t - min(math.expm1(x), 1.0)
             if abs(step) <= 1e-14 + 8.9e-16 * abs(t):
                 break
@@ -152,6 +152,6 @@ def newtonian_distance(d: int) -> float:
     """rho_+ = R - 1 for the Newtonian kernel s = d-1 and q = 1: the charge distance where
     :func:`axis_solve_t`'s whole-sphere test H(1) <= 1 flips, by Brent on H(1) - 1 over
     rho in [1, 2], which P(d; .) of :mod:`rieszcap.point_field` brackets and certifies."""
-    h = regime(Params(d=d, s=d - 1.0)).h
+    h = partial(cap_riesz.h, params=Params(d=d, s=d - 1.0))
     return float(optimize.brentq(lambda rho: h(1.0, AxisMeasure([(1.0 + rho, 1.0)])) - 1.0,
                                  1.0, 2.0, xtol=1e-15, rtol=8.9e-16))

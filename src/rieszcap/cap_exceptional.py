@@ -1,13 +1,14 @@
-"""The planar logarithmic regime (d = 2) and the weak* helpers of s = d-2.
+"""The log kernel's cap functional and potential, and the weak* helpers of s = d-2.
 
 The s = d-2 balayage formulas, with the ring charge that nubar_t, epsbar_t
 and etabar_t carry on the cap boundary, live in :mod:`rieszcap.cap_riesz`
-as the s -> (d-2)+ limits of its constructors.  This module measures the
-weak* convergence of that limit (:func:`weakstar_gap`,
-:func:`gamma_s_norm`) and holds the log regime.  The planar logarithmic
-case d = 2 has mass-preserving balayage and fully closed forms, including
-t0 = min{1, (R^2 - 2Rq + 1)/(2R(1+q))}; its etabar_t is the s = d-2 cap
-measure of :mod:`rieszcap.cap_riesz` at d = 2 with W = 1.
+as the s -> (d-2)+ limits of its constructors.  The planar log kernel is
+that point at d = 2 (s = 0, W = 1), so its nubar_t, epsbar_t, H, H' and
+etabar_t come from there too, with mass-preserving balayage and
+t0 = min{1, (R^2 - 2Rq + 1)/(2R(1+q))}.  This module holds what log does not
+share (its cap energy, the functional F_0 and the weighted potential) and
+measures the weak* convergence of the limit (:func:`weakstar_gap`,
+:func:`gamma_s_norm`), at d = 2 against the log kernel.
 """
 
 from __future__ import annotations
@@ -16,30 +17,25 @@ import math
 
 import numpy as np
 
-from rieszcap.cap_riesz import _cap_measure, eps_measure, nu_measure
+from rieszcap.cap_riesz import eps_measure, nu_measure
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import CapMeasure, Params, axis_dist2
 
 __all__ = [
     "weakstar_gap",
     "gamma_s_norm",
-    "log_h",
-    "log_h_slope",
-    "log_etabar",
     "log_cap_energy",
     "log_f0_functional",
     "log_eta_potential",
 ]
 
-def _require_exceptional(params: Params) -> None:
-    if not params.is_exceptional:
-        raise ValueError(f"this operation needs s = d-2 with d >= 3, "
-                         f"got d={params.d}, s={params.s}")
 
-
-def _require_log(params: Params) -> None:
-    if not (params.log and params.d == 2):
-        raise ValueError(f"the logarithmic cap case is stated for d = 2, got {params}")
+def _require(params: Params, log: bool = False) -> None:
+    # s = d-2: with d >= 3, or the log kernel at d = 2; ``log`` admits only the latter
+    if not params.is_exceptional or (log and not params.log):
+        what = ("the logarithmic cap case is stated for d = 2" if log
+                else "this operation needs s = d-2 with d >= 3, or the log kernel at d = 2")
+        raise ValueError(f"{what}, got {params}")
 
 
 # ---------------------------------------------------------------------------
@@ -59,14 +55,15 @@ def gamma_s_norm(t: float, s: float, d: int) -> float:
 
 def weakstar_gap(t: float, s_values, R: float, params: Params):
     """Moment gaps quantifying the weak* convergence nu_{t,s} -> nubar_t and
-    eps_{t,s} -> epsbar_t (unit charge at R*p, R != 1) as s decreases to d-2.
+    eps_{t,s} -> epsbar_t (unit charge at R*p, R != 1) as s decreases to d-2,
+    nubar_t and epsbar_t those of ``params``: s = d-2, or the log kernel at d = 2.
 
     For each s, computes |int u^k d nu_{t,s} - int u^k d nubar_t| and the
     eps analogue for k = 0..3, ring charges included; returns a list of
     dicts with keys 's', 'nu', 'eps'.  Decay along s -> (d-2)+ is the
     caller's assertion.
     """
-    _require_exceptional(params)
+    _require(params)
     d = params.d
 
     nb, eb = nu_measure(t, params), eps_measure(t, R, params)
@@ -98,30 +95,6 @@ def log_cap_energy(t: float | np.ndarray) -> float | np.ndarray:
     return (1.0 + t) / 4.0 - 0.5 * math.log(2.0) - 0.5 * np.log1p(t)
 
 
-def log_h(t: float, field: AxisMeasure, params: Params) -> float:
-    """H(t) = sum_i m_i 2 R_i (1+t)/r_i(t)^2 = sum_i m_i (R_i+1)^2/r_i^2 - ||lambda||, t a number or
-    an array: H(-1) = 0, and etabar_{t,0}'s ring charge is (1-t)/2 (1 - H(t)), so H(t0) = 1."""
-    _require_log(params)
-    return sum(m * 2.0 * R * (1.0 + t) / axis_dist2(t, R) for R, m in field.atoms)
-
-
-def log_h_slope(t: float, field: AxisMeasure, params: Params) -> float:
-    """H'(t) = sum_i m_i 2 R_i (R_i+1)^2/r_i(t)^4."""
-    _require_log(params)
-    return sum(m * 2.0 * R * (R + 1.0) ** 2 / axis_dist2(t, R) ** 2
-               for R, m in field.atoms)
-
-
-def log_etabar(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
-    """Signed logarithmic cap equilibrium (1+||lambda||) nubar_{t,0} - sum_i
-    m_i epsbar_{t,0}^i for t in (-1, 1], of mass 1 (``phi`` is F_0(Sigma_t)):
-    the s = d-2 cap measure at d = 2 with W = 1, density
-    (1+||lambda||) - sum_i m_i (R_i^2-1)^2/rho_i^4 and ring charge
-    (1-t)/2 (1 - H(t)), which vanishes exactly at t0 and at t = 1."""
-    return _cap_measure(t, params, 1.0 + field.total_mass, 1.0 - log_h(t, field, params),
-                        field.atoms, phi=log_f0_functional(t, field, params))
-
-
 def log_f0_functional(t: float | np.ndarray, field: AxisMeasure, params: Params
                       ) -> float | np.ndarray:
     """Closed form of the cap functional F_0(Sigma_t) = W_0(Sigma_t)
@@ -133,7 +106,7 @@ def log_f0_functional(t: float | np.ndarray, field: AxisMeasure, params: Params
 
     W_0(Sigma_t) from :func:`log_cap_energy`.
     """
-    _require_log(params)
+    _require(params, log=True)
     out = log_cap_energy(t) + field.total_mass * (1.0 + t) / 4.0
     for R, m in field.atoms:
         out += m * ((R - 1.0) ** 2 * np.log(axis_dist2(t, R))
@@ -144,12 +117,13 @@ def log_f0_functional(t: float | np.ndarray, field: AxisMeasure, params: Params
 def log_eta_potential(xi: float | np.ndarray, eta: CapMeasure, field: AxisMeasure,
                       params: Params) -> float | np.ndarray:
     """Weighted logarithmic potential of the signed cap equilibrium at a height xi,
-    or at each entry of an array xi (``eta`` from :func:`log_etabar`): F_0(Sigma_t)
-    on the cap, and off it
+    or at each entry of an array xi (``eta`` the log regime's, whose ``phi`` is
+    F_0(Sigma_t); see :func:`rieszcap.axis_field.regime`): F_0(Sigma_t) on the cap,
+    and off it
 
         F_0(Sigma_t) + log((1+t)/(1+xi))/2 + sum_i (m_i/2) log(r_i^2/rho_i^2).
     """
-    _require_log(params)
+    _require(params, log=True)
     t, f0 = eta.t, eta.phi
     xi = np.asarray(xi, dtype=float)
     out, above = np.full(xi.shape, f0), xi > t

@@ -1,4 +1,4 @@
-"""Equilibrium on spherical caps for the Riesz kernel range d-2 <= s < d.
+"""Equilibrium on spherical caps for the Riesz kernel range d-2 <= s < d and the log kernel.
 
 The balayage of the uniform measure and of the external point charge onto
 the cap Sigma_t = {u <= t} have explicit densities built from a
@@ -20,6 +20,11 @@ nu_t, eps_t and eta_t are one CapMeasure constructor with different
 coefficients; at s = d-2 each has the whole sphere's density on every cap
 plus a ring charge on the cap edge, and the potentials are the betainc
 forms with (d-s)/2 = 1.
+
+The planar log kernel, the s -> 0+ limit at d = 2, is the s = d-2 point there:
+with s = 0 and W = 1 (``Params.exponent``, ``Params.balayage_constant``) nu_t,
+eps_t, ||nu_t||, H, H' and eta_t serve it too.  phi, ||eps_t|| and the
+potentials are Riesz forms; log's live in :mod:`rieszcap.cap_exceptional`.
 """
 
 from __future__ import annotations
@@ -49,9 +54,11 @@ __all__ = [
 ]
 
 
-def _require_cap_regime(params: Params) -> None:
-    if not (params.in_cap_regime or params.is_exceptional):
-        raise ValueError(f"cap formulas need d-2 <= s < d, got d={params.d}, s={params.s}")
+def _require_cap_regime(params: Params, *, log: bool = True) -> None:
+    # d-2 <= s < d, or the log kernel at d = 2, its s = d-2 point, unless ``log`` is False
+    if not (params.in_cap_regime or params.is_exceptional) or (params.log and not log):
+        kernels = "d-2 <= s < d" + (" or the log kernel at d = 2" if log else "")
+        raise ValueError(f"cap formulas need {kernels}, got {params}")
 
 
 def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
@@ -85,23 +92,22 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
     passes ``contraction`` as (c, 1-c), each formed without cancellation.  F
     reads its 1 - c w as (1-c) + c (1-t)/(1-u), which does not cancel.
 
-    The planar log kernel is the s = d-2 form at d = 2 with W = 1.
+    The log kernel is the s = d-2 form at d = 2 (``exponent`` 0, W = 1).
 
     Its ``gap`` is 1-t for t < 1 (u = 1 is a branch point of the regular part
     and of the surface factor the cap integral multiplies in), and at t = 1
     how far the lowest charge height (R_j^2+1)/(2R_j) lies beyond t,
-    (1-t) + (R_j-1)^2/(2R_j) as H forms it; for log it is that at every t, as
-    d = 2 has no surface factor.
+    (1-t) + (R_j-1)^2/(2R_j) as H forms it; at s = d-2 with d = 2 it is that
+    at every t, as d = 2 has no surface factor.
     """
-    if not (params.log and params.d == 2):
-        _require_cap_regime(params)
+    _require_cap_regime(params)
     if not -1.0 < t <= 1.0:
         raise ValueError(f"cap height must lie in (-1, 1], got {t}")
-    d, s, W = (2, 0.0, 1.0) if params.log else (params.d, params.s, sphere_energy(params))
+    d, s, W = params.d, params.exponent, params.balayage_constant
     c, gap = contraction
-    beyond = 0.0 if t < 1.0 and not params.log else min(
+    beyond = 0.0 if t < 1.0 and not (params.is_exceptional and d == 2) else min(
         ((R - 1.0) ** 2 / (2.0 * R) for R, _ in charges), default=math.inf)
-    if t == 1.0 or params.is_exceptional or params.log:
+    if t == 1.0 or params.is_exceptional:
         def whole(nodes):
             out = np.full(np.shape(nodes.u), K / W)
             for R, c in charges:
@@ -133,10 +139,10 @@ def nu_measure(t: float, params: Params) -> CapMeasure:
                    ((t-u)/(1-t))^{(s-d)/2} 2F1reg(1, d/2; 1-(d-s)/2; (t-u)/(1-u)),
 
     which blows up like (t-u)^{(s-d)/2} at the edge.  At s = d-2 it is 1
-    on the cap plus a ring charge W_{d-2} (1-t)/2 (1-t^2)^{d/2-1}; at t = 1
+    on the cap plus a ring charge W (1-t)/2 (1-t^2)^{d/2-1}; at t = 1
     it is the uniform measure itself.
     """
-    return _cap_measure(t, params, sphere_energy(params), sphere_energy(params), ())
+    return _cap_measure(t, params, params.balayage_constant, params.balayage_constant, ())
 
 
 def eps_measure(t: float, R: float, params: Params) -> CapMeasure:
@@ -152,22 +158,23 @@ def eps_measure(t: float, R: float, params: Params) -> CapMeasure:
     whole sphere's |R^2-1|^{d-s} rho^{s-2d} / W_s, rho^2 = R^2 - 2 R u + 1;
     s = d-2 adds the ring charge (1-t)/2 (1-t^2)^{d/2-1} (R+1)^2/r^d.
     """
-    R = _axis_height(R)
+    R, d = _axis_height(R), params.d
     # a contraction, not a pair with B = -1, whose term weights B (1 + expm1(...))
     # cancel when (R-1)^2/r^2 is small
     r2 = axis_dist2(t, R)
-    return _cap_measure(t, params, 0.0, (R + 1.0) ** (params.d - params.s) / r2 ** (params.d / 2.0),
+    return _cap_measure(t, params, 0.0, (R + 1.0) ** (d - params.exponent) / r2 ** (d / 2.0),
                         ((R, -1.0),), contraction=((R - 1.0) ** 2 / r2, 2.0 * R * (1.0 - t) / r2))
 
 
 def nu_norm(t: float | np.ndarray, params: Params) -> float | np.ndarray:
-    """||nu_t|| = I((1+t)/2; s/2, d - s/2) (regularized incomplete beta), t in [-1, 1].
+    """||nu_t|| = I((1+t)/2; s/2, d - s/2) (regularized incomplete beta), t in [-1, 1];
+    for the log kernel (s = 0) it is 1 on t > -1.
 
     The symmetric form of 1 - I((1-t)/2; d - s/2, s/2) (DLMF 8.17.4), which
     would lose digits to the subtraction.
     """
     _require_cap_regime(params)
-    return betainc(params.s / 2.0, params.d - params.s / 2.0, (1.0 + t) / 2.0)
+    return betainc(params.exponent / 2.0, params.d - params.exponent / 2.0, (1.0 + t) / 2.0)
 
 
 def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> float | np.ndarray:
@@ -190,7 +197,7 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
     u = -1, so s -> 0 costs nothing.  ``t`` and ``R`` broadcast together, and
     each pair is a row of one batch, bit for bit what the row gives alone.
     """
-    _require_cap_regime(params)
+    _require_cap_regime(params, log=False)
     ts, Rs = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(R, dtype=float))
     shape, ts, Rs = ts.shape, ts.ravel(), Rs.ravel()
     for r in set(Rs.tolist()):
@@ -229,7 +236,7 @@ def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np
     with ||eps_t^i|| the per-unit-charge norm of atom i; d-2 <= s < d.  Every
     (height, atom) pair of a number or an array t is a row of one eps_norm batch,
     height-major, and each height's masses add in atom order."""
-    _require_cap_regime(params)
+    _require_cap_regime(params, log=False)
     atoms = field.atoms
     ts = np.asarray(t, dtype=float)
     if np.any(ts <= -1.0):
@@ -242,7 +249,7 @@ def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np
 
 def _slope(one_plus, one_minus, atoms, params: Params):
     # W_s H' = ||nu_u|| sum_i m_i e_i'(u) at heights u given as their distances 1+u and 1-u
-    d, s = params.d, params.s
+    d, s = params.d, params.exponent
     return betainc(s / 2.0, d - s / 2.0, one_plus / 2.0) * sum(
         m * d * R * (R + 1.0) ** (d - s) * _gap_dist2(one_minus, R) ** (-d / 2.0 - 1.0)
         for R, m in atoms)
@@ -260,11 +267,14 @@ def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.n
     masses and :func:`eps_norm` share, its nodes held as their distances 1+u and
     1-u = (1-t) + (t-u).  When the lowest pole height p = (R^2+1)/(2R) lies within
     (1+t)/17 of t, panels graded toward t at t - (p-t) 4^j keep it away.  H takes that
-    one step, with no error estimate.
+    one step, with no error estimate.  For the log kernel H is exact at every t.
     """
     _require_cap_regime(params)
+    atoms = field.atoms
+    if params.log:  # ||nu_u|| = W = 1: H = sum_i m_i (e_i(t) - e_i(-1)), e_i = (R_i+1)^2/r_i^2
+        return sum(m * 2.0 * R * (1.0 + t) / axis_dist2(t, R) for R, m in atoms)
     d, s, W = params.d, params.s, sphere_energy(params)
-    atoms, ts, out = field.atoms, np.asarray(t, dtype=float), []
+    ts, out = np.asarray(t, dtype=float), []
     # one height at a time: a solve calls H on single heights, which a batch over
     # heights in numpy would make slower
     for x in ts.ravel().tolist():
@@ -284,7 +294,7 @@ def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.n
 def h_slope(t: float, field: AxisMeasure, params: Params) -> float:
     """H'(t) = ||nu_t|| sum_i m_i e_i'(t)/W_s, e_i'(t) = d R_i (R_i+1)^{d-s}/r_i(t)^{d+2},
     for t in (-1, 1): the integrand of :func:`h`, in closed form."""
-    return _slope(1.0 + t, 1.0 - t, field.atoms, params) / sphere_energy(params)
+    return _slope(1.0 + t, 1.0 - t, field.atoms, params) / params.balayage_constant
 
 
 def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
@@ -308,10 +318,13 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     incomplete beta I_z(1-(d-s)/2, d-s/2) (DLMF 8.17.8, 8.17.20), each
     difference from two nonnegative parts, and takes at each point the
     grouping, this one or the first, whose absolute parts sum less.
+
+    For the log kernel (s = 0, W = 1) ``phi`` is 1 + ||lambda||, the density's level;
+    the log regime of :func:`rieszcap.axis_field.regime` sets F_0(Sigma_t) there.
     """
     _require_cap_regime(params)
-    d, s = params.d, params.s
-    net = sphere_energy(params) * (1.0 - h(t, field, params)) / nu_norm(t, params)
+    d, s = params.d, params.exponent
+    net = params.balayage_constant * (1.0 - h(t, field, params)) / nu_norm(t, params)
     # (B_i, 1 - c_i^2), the second formed as 2 R_i (1-t) / r_i^2 without cancellation
     pairs = [(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0),
               2.0 * R * (1.0 - t) / axis_dist2(t, R)) for R, m in field.atoms]
@@ -327,7 +340,7 @@ def nu_potential(xi: float, t: float, params: Params) -> float:
     above it (strictly below W_s there); at s = d-2 that is
     W_{d-2} ((1+t)/(1+xi))^{d/2-1}, since I(x; a, 1) = x^a.
     """
-    _require_cap_regime(params)
+    _require_cap_regime(params, log=False)
     W = sphere_energy(params)
     if xi <= t:
         return W
@@ -338,7 +351,7 @@ def eps_potential(xi: float, t: float, R: float, params: Params) -> float:
     """Potential of eps_t of a unit charge at a = R*p, R != 1, at height xi:
     |z-a|^{-s} on the cap, rho^{-s} I((rho^2/r^2)(1+t)/(1+xi); s/2, (d-s)/2)
     above it (r^{2-d} ((1+t)/(1+xi))^{d/2-1} at s = d-2)."""
-    _require_cap_regime(params)
+    _require_cap_regime(params, log=False)
     s, R = params.s, _axis_height(R)
     rho2 = axis_dist2(xi, R)
     if xi <= t:
@@ -360,6 +373,7 @@ def eta_potential(xi: float | np.ndarray, eta: CapMeasure, field: AxisMeasure,
     At s = d-2, where I(x; 1, b) = 1 - (1-x)^b, this is the potential of
     (Phi/W) nubar_t - sum_i m_i epsbar_t^i plus Q, ring charge included.
     """
+    _require_cap_regime(params, log=False)
     t, phi_t = eta.t, eta.phi
     d, s = params.d, params.s
     xi = np.asarray(xi, dtype=float)

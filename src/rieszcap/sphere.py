@@ -56,8 +56,9 @@ class Params:
     Either a Riesz kernel |x-y|^(-s) with 0 < s < d (pass ``s``), or the
     logarithmic kernel log(1/|x-y|) (pass ``log=True``).  Cap-level results
     gate their own sub-regimes: d-2 <= s < d for the Riesz cap formulas (s = d-2
-    is a point, d >= 3, where balayage grows a ring charge; every double above it
-    is d-2 < s < d), and d = 2 for the logarithmic cap case, the s -> 0+ limit.
+    is a point, where balayage grows a ring charge; every double above it is
+    d-2 < s < d), and d = 2 for the log kernel, the s -> 0+ limit: the cap
+    formulas take it as the s = d-2 point of d = 2, with exponent 0 and W = 1.
     """
 
     d: int
@@ -79,9 +80,19 @@ class Params:
         return self.s is not None and self.s < self.d and 1.0 - (self.d - self.s) / 2.0 > 0.0
 
     @property
+    def exponent(self) -> float:
+        """The exponent the cap formulas read: s, or 0 for the log kernel, its s -> 0+ limit."""
+        return 0.0 if self.log else self.s
+
+    @property
+    def balayage_constant(self) -> float:
+        """W_s in the cap formulas (:func:`sphere_energy`), or 1 for the log kernel."""
+        return 1.0 if self.log else sphere_energy(self)
+
+    @property
     def is_exceptional(self) -> bool:
-        """True when s = d-2 exactly (so d >= 3): balayage grows a boundary atom."""
-        return self.s == self.d - 2
+        """True at exponent d-2 (s = d-2 with d >= 3, or log at d = 2): balayage grows a ring."""
+        return self.exponent == self.d - 2
 
 
 def omega_ratio(d: int) -> float:

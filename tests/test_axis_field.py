@@ -12,7 +12,7 @@ from rieszcap.axis_field import (
     axis_solve_t,
     regime,
 )
-from rieszcap.cap_exceptional import log_f0_functional, log_h
+from rieszcap.cap_exceptional import log_f0_functional
 from rieszcap.oracle import external_field
 from rieszcap.point_field import field_potential_on_axis
 from rieszcap.sphere import Params, axis_dist2, kappa, sphere_energy, surface_factor
@@ -126,7 +126,7 @@ def test_regime_eta_at_one_is_the_whole_sphere_equilibrium(kernel, name):
                             for R, m in atoms)) / W
     np.testing.assert_allclose(eta.radial_density(us), expected, rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(expected)))
-    assert np.sign(eta.radial_density(1.0)) == np.sign(1.0 - regime(params).h(1.0, lam))
+    assert np.sign(eta.radial_density(1.0)) == np.sign(1.0 - cap_riesz.h(1.0, lam, params))
 
 
 def test_axis_log_margin_proper_cap():
@@ -134,7 +134,7 @@ def test_axis_log_margin_proper_cap():
     lam = AxisMeasure([(2.0, 0.5)])
     eq = regime(PLOG).eta(1.0, lam)
     assert eq.radial_density(1.0) == pytest.approx(1.5 - 0.5 * 9.0, rel=1e-13)
-    assert log_h(1.0, lam, PLOG) > 1.0
+    assert cap_riesz.h(1.0, lam, PLOG) > 1.0
     sol = axis_solve_t(lam, PLOG)
     assert sol.t0 < 1.0
 
@@ -320,10 +320,10 @@ SLOPE_FIELDS = {
                          + [(kernel, "three_atoms") for kernel in SLOPE_PARAMS]
                          + [("log", "three_exterior_atoms")])
 def test_delta_slope_matches_central_differences(kernel, name):
-    form, lam, h = regime(SLOPE_PARAMS[kernel]), SLOPE_FIELDS[name], 1e-6
+    params, lam, h = SLOPE_PARAMS[kernel], SLOPE_FIELDS[name], 1e-6
     for t in (-0.9, -0.3, 0.3, 0.9, 0.99):
-        slope = form.slope(t, lam)
-        central = (form.h(t + h, lam) - form.h(t - h, lam)) / (2.0 * h)
+        slope = cap_riesz.h_slope(t, lam, params)
+        central = (cap_riesz.h(t + h, lam, params) - cap_riesz.h(t - h, lam, params)) / (2.0 * h)
         assert abs(slope - central) <= 1e-7 * abs(slope), (t, slope, central)
 
 

@@ -12,10 +12,7 @@ from rieszcap.cap_exceptional import (
     gamma_s_norm,
     log_cap_energy,
     log_eta_potential,
-    log_etabar,
     log_f0_functional,
-    log_h,
-    log_h_slope,
     weakstar_gap,
 )
 from rieszcap.cap_riesz import (
@@ -23,6 +20,7 @@ from rieszcap.cap_riesz import (
     eps_norm,
     eps_potential,
     eta_measure,
+    h,
     nu_measure,
     nu_norm,
     nu_potential,
@@ -251,6 +249,19 @@ def test_weakstar_moment_gaps_decay():
                                              abs=1e-8)
 
 
+@pytest.mark.parametrize("t, R", [(0.3, 1.5), (-0.5, 0.6)])
+def test_weakstar_gaps_decay_to_the_log_kernel_at_d2(t, R):
+    # s = 2^-k -> 0+ at d = 2: every moment gap to the log nubar_t and epsbar_t
+    # shrinks with s and ends below s itself (from k = 2: at (-0.5, 0.6) the
+    # signed u^2 gap of eps crosses zero between k = 1 and 2)
+    s_values = [2.0 ** -k for k in range(2, 41)]
+    recs = weakstar_gap(t, s_values, R, PLOG)
+    for key in ("nu", "eps"):
+        gaps = np.array([r[key] for r in recs])
+        assert np.all(gaps[:-1] > gaps[1:]), key
+        assert np.all(gaps[-1] <= s_values[-1]), (key, gaps[-1] / s_values[-1])
+
+
 # ---------------------------------------------------------------------------
 # logarithmic case
 
@@ -262,6 +273,21 @@ def test_log_cap_measures_unit_mass():
     for m in (nu, eps):
         interior = cap_sigma_mass(lambda u: float(m.radial_density(u)), 2, m.t)
         assert interior + m.boundary_coeff == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("R", [0.6, 1.5, 3.0])
+def test_log_balayage_is_the_s_equal_d_minus_2_form_at_d2(R):
+    # the shared constructors at d = 2 with the log kernel: mass 1, and the
+    # density, ring charge and pole gap of the measures written out above
+    for t in (-0.9, -0.5, 0.0, 0.3, 0.7, 0.95, 1.0):
+        for got, ref in zip((nu_measure(t, PLOG), eps_measure(t, R, PLOG)),
+                            log_cap_measures(t, R)):
+            assert abs(got.mass - 1.0) <= 1e-15, (t, got.mass)
+            for u in (-0.95, (t - 1.0) / 2.0, t - 1e-3):
+                assert got.radial_density(u) == pytest.approx(ref.radial_density(u), rel=1e-15,
+                                                              abs=0.0), (t, u)
+            assert got.boundary_coeff == pytest.approx(ref.boundary_coeff, rel=1e-15, abs=0.0)
+            assert got.gap == pytest.approx(ref.gap, rel=1e-15), t
 
 
 def test_log_cap_energy_value():
@@ -347,7 +373,7 @@ def test_log_weighted_potential_off_cap():
     (R, q), = charge.atoms
     p = Params(d=2, log=True)
     t = 0.125
-    m = log_etabar(t, charge, p)
+    m = regime(p).eta(t, charge)
     for xi in (0.5, 0.9):
         direct = (ring_potential_quadrature(m, xi, p)
                   - 0.5 * q * math.log(axis_dist2(xi, R)))
@@ -361,9 +387,9 @@ def test_log_weighted_potential_off_cap():
 def test_log_etabar_ring_sign_structure():
     charge = C12
     t0 = axis_solve_t(charge, PLOG).t0
-    assert log_etabar(t0 - 0.2, charge, PLOG).boundary_coeff > 0.0
-    assert abs(log_etabar(t0, charge, PLOG).boundary_coeff) < 1e-14
-    assert log_etabar(t0 + 0.2, charge, PLOG).boundary_coeff < 0.0
+    assert eta_measure(t0 - 0.2, charge, PLOG).boundary_coeff > 0.0
+    assert abs(eta_measure(t0, charge, PLOG).boundary_coeff) < 1e-14
+    assert eta_measure(t0 + 0.2, charge, PLOG).boundary_coeff < 0.0
 
 
 def test_log_etabar_is_the_exceptional_form_at_d2():
@@ -372,12 +398,12 @@ def test_log_etabar_is_the_exceptional_form_at_d2():
     field = AxisMeasure([(2.0, 1.0), (3.0, 0.4)])
     pole = min((R * R + 1.0) / (2.0 * R) for R, _ in field.atoms)
     for t in (-0.6, 0.0, 0.3, 1.0):
-        eta = log_etabar(t, field, PLOG)
+        eta = eta_measure(t, field, PLOG)
         for u in (-0.95, (t - 1.0) / 2.0, t - 1e-3):
             expected = 2.4 - sum(m * (R * R - 1.0) ** 2 / axis_dist2(u, R) ** 2
                                  for R, m in field.atoms)
             assert eta.radial_density(u) == pytest.approx(expected, rel=1e-15, abs=0.0), (t, u)
-        ring = (1.0 - t) / 2.0 * (1.0 - log_h(t, field, PLOG))
+        ring = (1.0 - t) / 2.0 * (1.0 - h(t, field, PLOG))
         assert eta.boundary_coeff == pytest.approx(ring, rel=1e-15, abs=0.0), t
         assert eta.gap == pytest.approx(pole - t, rel=1e-15), t
 
@@ -393,7 +419,7 @@ def test_gating():
         axis_solve_t(AxisMeasure([(2.0, 1.0)]), Params(d=3, log=True))
 
 
-@pytest.mark.parametrize("fn", [log_h, log_h_slope, log_f0_functional])
+@pytest.mark.parametrize("fn", [log_f0_functional])
 def test_log_formulas_refuse_a_riesz_kernel(fn):
     with pytest.raises(ValueError, match="logarithmic cap case"):
         fn(0.3, AxisMeasure([(2.0, 1.0)]), Params(d=3, s=1.0))

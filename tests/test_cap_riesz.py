@@ -182,6 +182,25 @@ def test_norms_phi_delta_gate_includes_s_equal_d_minus_2():
     assert math.isfinite(eta_potential(0.5, eta, C13, ring))
 
 
+RIESZ_ONLY = {
+    "phi": lambda p: phi(0.2, C13, p),
+    "eps_norm": lambda p: eps_norm(0.2, 1.3, p),
+    "nu_potential": lambda p: nu_potential(0.5, 0.2, p),
+    "eps_potential": lambda p: eps_potential(0.5, 0.2, 1.3, p),
+    "eta_potential": lambda p: eta_potential(0.5, eta_measure(0.2, C13, P21), C13, p),
+}
+
+
+@pytest.mark.parametrize("kernel", [Params(d=2, log=True), Params(d=4, s=1.0)],
+                         ids=["log", "d4-s1"])
+@pytest.mark.parametrize("name", RIESZ_ONLY)
+def test_riesz_formulas_refuse_other_kernels(name, kernel):
+    # the log kernel shares the s = d-2 cap measures, not the Riesz functional or
+    # potentials; s < d-2 has no cap formula
+    with pytest.raises(ValueError, match="cap formulas need"):
+        RIESZ_ONLY[name](kernel)
+
+
 def test_balayage_measures_at_s_equal_d_minus_2_carry_a_ring():
     # nubar_t: density 1 plus W (1-t)/2 (1-t^2)^{d/2-1} on the edge; epsbar_t:
     # the whole sphere's density plus (1-t)/2 (R+1)^2/r^d (1-t^2)^{d/2-1}
@@ -654,7 +673,7 @@ def test_phi_batch_equals_per_point_calls(params, field, monkeypatch):
     monkeypatch.setattr(cap_riesz, "_tanh_sinh_integrals",
                         lambda t, *a: batches.append(len(t)) or integrals(t, *a))
     form, ts = regime(params), np.linspace(-0.999, 1.0, 200)
-    for fn in (form.phi, form.h):
+    for fn in (form.phi, lambda t, field: cap_riesz.h(t, field, params)):
         batches.clear()
         batch = fn(ts, field)
         rows = list(batches)

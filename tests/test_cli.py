@@ -7,7 +7,7 @@ import pytest
 
 from rieszcap import cli
 from rieszcap.axis_field import axis_solve_t, regime
-from rieszcap.cap_exceptional import log_eta_potential, log_etabar
+from rieszcap.cap_exceptional import log_eta_potential
 from rieszcap.cap_riesz import eta_measure, eta_potential, phi
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import Params
@@ -99,7 +99,7 @@ def test_exceptional_potential_matches_oracle(tmp_path):
 def test_log_curves_match_public_functions(tmp_path):
     pot, dens = run_potential(tmp_path, LOG)
     _, params, charge, _ = LOG
-    m = log_etabar(T_FIXED, charge, params)
+    m = regime(params).eta(T_FIXED, charge)
     for xi, val, _ in pot:
         assert_rel(val, log_eta_potential(float(xi), m, charge, params))
     for u, val, ring in dens:
@@ -379,7 +379,10 @@ def test_kernel_outside_the_regimes_exits_2(tmp_path, capsys, d, kernel):
     # d = 3, s = 0.5 with this field has a proper cap, which no regime solves
     cfg = scenario("solve-support", d, kernel, {"type": "point", "q": 1.0, "R": 1.2})
     assert cli.main(["run", str(write_scenario(tmp_path, cfg))]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if kernel["type"] == "log":
+        assert "d = 2" in err
 
 
 @pytest.mark.parametrize("s, code", [(1e-13, 0), (2.0 ** -53, 2), (1e-17, 2)],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from rieszcap import point_field
+from rieszcap import cap_riesz, point_field
 from rieszcap.axis_field import axis_solve_t, newtonian_distance, regime
 from rieszcap.oracle import external_field
 from rieszcap.point_field import (
@@ -192,7 +192,7 @@ def test_balayage_mass_identity():
 
 def margin_at_one(params, field):
     # Delta(1) = W_s (1 - H(1)); for log, 1 - H(1), which has the log Delta(1)'s sign
-    return (1.0 if params.log else sphere_energy(params)) * (1.0 - regime(params).h(1.0, field))
+    return params.balayage_constant * (1.0 - cap_riesz.h(1.0, field, params))
 
 
 def test_margin_zero_iff_density_zero_at_pole():
