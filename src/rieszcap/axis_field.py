@@ -10,9 +10,9 @@ Newton on log H in log(1+t) finds the root t0 of H = 1, and eta_t0 is
 assembled and certified by its mass.  H and that mass run on one tanh-sinh
 rule that does not depend on s, so a solve builds no quadrature rule.  The
 whole sphere is the cap t = 1; for s = d-1 and q = 1 the charge distance
-where H(1) = 1 is :func:`newtonian_distance`.  Every regime shares H and H'
-(:func:`rieszcap.cap_riesz.h`); it supplies only its functional, eta_t and
-potential (see :class:`Regime`).  A continuous lambda should be
+where H(1) = 1 is :func:`newtonian_distance`.  Every kernel shares H, H' and
+eta_t (:mod:`rieszcap.cap_riesz`), each one formula that reads the kernel's
+constants from :class:`rieszcap.sphere.Params`.  A continuous lambda should be
 pre-discretized by the caller (any quadrature of d lambda(R) against these
 formulas is exact for its own nodes).
 """
@@ -22,11 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, NamedTuple
 
 from scipy import optimize
 
-from rieszcap import cap_exceptional, cap_riesz
+from rieszcap import cap_riesz
 from rieszcap.point_field import AxisMeasure
 from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import CapMeasure, Params
@@ -34,54 +33,11 @@ from rieszcap.sphere import CapMeasure, Params
 __all__ = [
     "AxisMeasure",
     "CapSolution",
-    "Regime",
-    "regime",
     "axis_solve_t",
     "newtonian_distance",
 ]
 
 _MASS_TOL = 1e-10  # |mass(eta_t0) - 1| above which a solve raises: mass(eta_t) = 1 identically
-
-
-class Regime(NamedTuple):
-    """The formulas one kernel regime supplies, bound to its parameters.
-
-    ``phi(t, field)`` is the cap functional, ``eta(t, field)`` the signed cap
-    equilibrium for t in (-1, 1] (``phi`` set; eta_1 is the signed equilibrium of
-    the whole sphere), and ``potential(xi, eta, field)`` its closed-form weighted
-    potential.  ``phi`` and ``potential`` take a number or an ndarray of heights
-    and return the same form, each entry bit for bit the one-height call.
-    ``column`` names the functional in phi-curve output.  Every regime's ``eta``
-    is :func:`rieszcap.cap_riesz.eta_measure`: at s = d-2 it carries a ring
-    charge, and the log kernel, that point at d = 2, sets F_0 as its ``phi``.
-    """
-
-    column: str
-    phi: Callable[[float, AxisMeasure], float]
-    eta: Callable[[float, AxisMeasure], CapMeasure]
-    potential: Callable[[float, CapMeasure, AxisMeasure], float]
-
-
-def _log_eta(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
-    # the s = d-2 eta_t at d = 2, which carries F_0(Sigma_t) as its weighted potential
-    return replace(cap_riesz.eta_measure(t, field, params),
-                   phi=cap_exceptional.log_f0_functional(t, field, params))
-
-
-def regime(params: Params) -> Regime:
-    """The formulas for d-2 < s < d, s = d-2 with d >= 3, or log with d = 2; the ValueError
-    for d = 2, s <= 2^-53 (edge exponent 1-(d-s)/2 rounds to 0) names the log kernel."""
-    ce, cr = cap_exceptional, cap_riesz
-    if params.log:
-        ce._require(params, log=True)
-        column, fns = "F0", (ce.log_f0_functional, _log_eta, ce.log_eta_potential)
-    elif params.in_cap_regime or params.is_exceptional:
-        fns = cr.phi, cr.eta_measure, cr.eta_potential
-        column = "phibar" if params.is_exceptional else "phi"
-    else:
-        limit = "; its s -> 0+ limit is the log kernel" if params.d == 2 else ""
-        raise ValueError(f"no cap solver for d={params.d}, s={params.s}{limit}")
-    return Regime(column, *(partial(f, params=params) for f in fns))
 
 
 @dataclass(frozen=True)
@@ -119,7 +75,7 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
     eta_t0 carries no ring charge, and a mass of eta_t0 off 1 (its value at
     every t) by over 1e-10 raises ConvergenceError (:func:`_certified`).
     """
-    form, h, slope = regime(params), cap_riesz.h, cap_riesz.h_slope
+    h, slope, eta = cap_riesz.h, cap_riesz.h_slope, cap_riesz.eta_measure
     if h(1.0, lam, params) <= 1.0:
         t0, solved_by, evals, step = 1.0, "boundary_t_equals_1", 1, 0.0
     else:
@@ -136,7 +92,7 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
         else:
             raise ConvergenceError(f"Newton on log H did not settle: last step {step!r} at t = {t!r}")
         t0, solved_by = t - step, "interior_root"
-    measure = _certified(replace(form.eta(t0, lam), boundary_coeff=0.0))
+    measure = _certified(replace(eta(t0, lam, params), boundary_coeff=0.0))
     return CapSolution(equilibrium=measure, solved_by=solved_by, field=lam,
                        delta_evals=evals, t0_error=abs(step))
 

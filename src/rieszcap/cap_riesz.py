@@ -23,8 +23,11 @@ forms with (d-s)/2 = 1.
 
 The planar log kernel, the s -> 0+ limit at d = 2, is the s = d-2 point there:
 with s = 0 and W = 1 (``Params.exponent``, ``Params.balayage_constant``) nu_t,
-eps_t, ||nu_t||, H, H' and eta_t serve it too.  phi, ||eps_t|| and the
-potentials are Riesz forms; log's live in :mod:`rieszcap.cap_exceptional`.
+eps_t, ||nu_t||, H, H' and eta_t serve it too; its functional F_0(Sigma_t)
+and eta_t's weighted potential are closed forms, the log branches of
+:func:`phi` and :func:`eta_potential`.  So each quantity a solve or a curve
+reads is one function for all three kernels; ||eps_t|| and the potentials of
+nu_t and eps_t are Riesz forms.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "nu_norm",
     "eps_norm",
     "phi",
+    "log_cap_energy",
     "h",
     "h_slope",
     "eta_measure",
@@ -55,10 +59,18 @@ __all__ = [
 
 
 def _require_cap_regime(params: Params, *, log: bool = True) -> None:
-    # d-2 <= s < d, or the log kernel at d = 2, its s = d-2 point, unless ``log`` is False
+    # d-2 <= s < d, or the log kernel at d = 2, its s = d-2 point, unless ``log`` is False;
+    # at d = 2, s <= 2^-53 (edge exponent 1-(d-s)/2 rounds to 0) the refusal names the log kernel
     if not (params.in_cap_regime or params.is_exceptional) or (params.log and not log):
         kernels = "d-2 <= s < d" + (" or the log kernel at d = 2" if log else "")
-        raise ValueError(f"cap formulas need {kernels}, got {params}")
+        limit = "; its s -> 0+ limit is the log kernel" if params.d == 2 and not params.log else ""
+        raise ValueError(f"no cap solver for {params}: cap formulas need {kernels}{limit}")
+
+
+def _require_heights(x, what: str, name: str = "t") -> None:
+    # x a number or an array of heights on the sphere; one off [-1, 1], nan included, raises
+    if not (-1.0 <= x <= 1.0 if isinstance(x, float) else np.all((-1.0 <= x) & (x <= 1.0))):
+        raise ValueError(f"{what} needs -1 <= {name} <= 1, got {x}")
 
 
 def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
@@ -174,6 +186,7 @@ def nu_norm(t: float | np.ndarray, params: Params) -> float | np.ndarray:
     would lose digits to the subtraction.
     """
     _require_cap_regime(params)
+    _require_heights(t, "||nu_t||")
     return betainc(params.exponent / 2.0, params.d - params.exponent / 2.0, (1.0 + t) / 2.0)
 
 
@@ -203,8 +216,7 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
     for r in set(Rs.tolist()):
         _axis_height(r)
     d, s, W = params.d, params.s, sphere_energy(params)
-    if not np.all((-1.0 <= ts) & (ts <= 1.0)):
-        raise ValueError(f"eps_norm needs -1 <= t <= 1, got {t}")
+    _require_heights(ts, "eps_norm")
     out = np.zeros(len(ts))
     top = np.flatnonzero(ts == 1.0)
     out[top] = [field_potential_on_axis(r, params) / W for r in Rs[top].tolist()]
@@ -235,16 +247,41 @@ def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np
     """Mhaskar-Saff functional of the cap: W_s (1 + sum_i m_i ||eps_t^i||)/||nu_t||,
     with ||eps_t^i|| the per-unit-charge norm of atom i; d-2 <= s < d.  Every
     (height, atom) pair of a number or an array t is a row of one eps_norm batch,
-    height-major, and each height's masses add in atom order."""
-    _require_cap_regime(params, log=False)
+    height-major, and each height's masses add in atom order.
+
+    For the log kernel it is the closed form of F_0(Sigma_t) = W_0(Sigma_t)
+    + int Q d mu_cap (d = 2),
+
+        W_0(Sigma_t) + ||lambda|| (1+t)/4
+        + sum_i m_i [ (R_i-1)^2 log(R_i^2-2R_i t+1)
+                      - (R_i+1)^2 log((R_i+1)^2) ] / (8 R_i),
+
+    W_0(Sigma_t) from :func:`log_cap_energy`.
+    """
+    _require_cap_regime(params)
     atoms = field.atoms
     ts = np.asarray(t, dtype=float)
     if np.any(ts <= -1.0):
         raise ValueError("phi diverges at t = -1 (the cap degenerates to a point)")
+    if params.log:
+        out = log_cap_energy(t) + field.total_mass * (1.0 + t) / 4.0
+        for R, m in atoms:
+            out += m * ((R - 1.0) ** 2 * np.log(axis_dist2(t, R))
+                        - (R + 1.0) ** 2 * math.log((R + 1.0) ** 2)) / (8.0 * R)
+        return out
     n = len(atoms)
     rows = eps_norm(ts.ravel().repeat(n), np.tile([R for R, _ in atoms], ts.size), params)
     eps = sum(m * rows[i::n] for i, (_, m) in enumerate(atoms)).reshape(ts.shape)
     return sphere_energy(params) * (1.0 + eps) / nu_norm(t, params)
+
+
+def log_cap_energy(t: float | np.ndarray) -> float | np.ndarray:
+    """Logarithmic energy of the cap at a height t, or at each entry of an array t:
+    W_0(Sigma_t) = (1+t)/4 - log(2)/2 - log(1+t)/2 (the cap's equilibrium measure
+    is nubar_{t,0})."""
+    if not np.all((-1.0 < t) & (t <= 1.0)):
+        raise ValueError("cap height must lie in (-1, 1]")
+    return (1.0 + t) / 4.0 - 0.5 * math.log(2.0) - 0.5 * np.log1p(t)
 
 
 def _slope(one_plus, one_minus, atoms, params: Params):
@@ -270,6 +307,7 @@ def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.n
     one step, with no error estimate.  For the log kernel H is exact at every t.
     """
     _require_cap_regime(params)
+    _require_heights(t, "H")
     atoms = field.atoms
     if params.log:  # ||nu_u|| = W = 1: H = sum_i m_i (e_i(t) - e_i(-1)), e_i = (R_i+1)^2/r_i^2
         return sum(m * 2.0 * R * (1.0 + t) / axis_dist2(t, R) for R, m in atoms)
@@ -278,8 +316,6 @@ def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.n
     # one height at a time: a solve calls H on single heights, which a batch over
     # heights in numpy would make slower
     for x in ts.ravel().tolist():
-        if not -1.0 <= x <= 1.0:
-            raise ValueError(f"H needs -1 <= t <= 1, got {x}")
         if x == 1.0:
             out.append(sum(m * ((R + 1.0) ** (d - s) / axis_dist2(x, R) ** (d / 2.0) / W
                                 - field_potential_on_axis(R, params) / W) for R, m in atoms))
@@ -294,6 +330,7 @@ def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.n
 def h_slope(t: float, field: AxisMeasure, params: Params) -> float:
     """H'(t) = ||nu_t|| sum_i m_i e_i'(t)/W_s, e_i'(t) = d R_i (R_i+1)^{d-s}/r_i(t)^{d+2},
     for t in (-1, 1): the integrand of :func:`h`, in closed form."""
+    _require_heights(t, "H'")
     return _slope(1.0 + t, 1.0 - t, field.atoms, params) / params.balayage_constant
 
 
@@ -319,8 +356,8 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     difference from two nonnegative parts, and takes at each point the
     grouping, this one or the first, whose absolute parts sum less.
 
-    For the log kernel (s = 0, W = 1) ``phi`` is 1 + ||lambda||, the density's level;
-    the log regime of :func:`rieszcap.axis_field.regime` sets F_0(Sigma_t) there.
+    For the log kernel (s = 0, W = 1) the density's level is 1 + ||lambda||, and
+    ``phi`` is F_0(Sigma_t) (:func:`phi`), the weighted potential on the cap.
     """
     _require_cap_regime(params)
     d, s = params.d, params.exponent
@@ -328,8 +365,9 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     # (B_i, 1 - c_i^2), the second formed as 2 R_i (1-t) / r_i^2 without cancellation
     pairs = [(m * (R + 1.0) ** (d - s) / axis_dist2(t, R) ** (d / 2.0),
               2.0 * R * (1.0 - t) / axis_dist2(t, R)) for R, m in field.atoms]
-    phi_t = math.fsum([net, *(B for B, _ in pairs)])
-    return _cap_measure(t, params, phi_t, net, field.atoms, pairs=pairs, phi=phi_t)
+    level = math.fsum([net, *(B for B, _ in pairs)])
+    return _cap_measure(t, params, level, net, field.atoms, pairs=pairs,
+                        phi=phi(t, field, params) if params.log else level)
 
 
 def nu_potential(xi: float, t: float, params: Params) -> float:
@@ -341,6 +379,7 @@ def nu_potential(xi: float, t: float, params: Params) -> float:
     W_{d-2} ((1+t)/(1+xi))^{d/2-1}, since I(x; a, 1) = x^a.
     """
     _require_cap_regime(params, log=False)
+    _require_heights(xi, "nu_potential", "xi")
     W = sphere_energy(params)
     if xi <= t:
         return W
@@ -352,6 +391,7 @@ def eps_potential(xi: float, t: float, R: float, params: Params) -> float:
     |z-a|^{-s} on the cap, rho^{-s} I((rho^2/r^2)(1+t)/(1+xi); s/2, (d-s)/2)
     above it (r^{2-d} ((1+t)/(1+xi))^{d/2-1} at s = d-2)."""
     _require_cap_regime(params, log=False)
+    _require_heights(xi, "eps_potential", "xi")
     s, R = params.s, _axis_height(R)
     rho2 = axis_dist2(xi, R)
     if xi <= t:
@@ -372,13 +412,22 @@ def eta_potential(xi: float | np.ndarray, eta: CapMeasure, field: AxisMeasure,
     above it, rho_i^2 = R_i^2 - 2 R_i xi + 1 (``eta`` from :func:`eta_measure`).
     At s = d-2, where I(x; 1, b) = 1 - (1-x)^b, this is the potential of
     (Phi/W) nubar_t - sum_i m_i epsbar_t^i plus Q, ring charge included.
+    For the log kernel it is F_0(Sigma_t) on the cap and, off it,
+
+        F_0(Sigma_t) + log((1+t)/(1+xi))/2 + sum_i (m_i/2) log(r_i^2/rho_i^2).
     """
-    _require_cap_regime(params, log=False)
+    _require_cap_regime(params)
     t, phi_t = eta.t, eta.phi
-    d, s = params.d, params.s
     xi = np.asarray(xi, dtype=float)
+    _require_heights(xi, "eta_potential", "xi")
     out, above = np.full(xi.shape, phi_t), xi > t
     x = xi[above]
+    if params.log:
+        out[above] = (phi_t + 0.5 * np.log((1.0 + t) / (1.0 + x))
+                      + sum(0.5 * m * np.log(axis_dist2(t, R) / axis_dist2(x, R))
+                            for R, m in field.atoms))
+        return out[()]
+    d, s = params.d, params.s
     charges = sum(
         m * axis_dist2(x, R) ** (-s / 2.0)
         * betainc((d - s) / 2.0, s / 2.0,

@@ -24,11 +24,12 @@ Scenario schema::
 
 Every task takes either field type; a point charge is the one-atom axis
 field.  ``density`` and ``potential`` evaluate the signed cap equilibrium
-eta_t at the cap height, ``phi-curve`` the regime's cap functional (phi,
-phibar or F0); each curve is one call of its formula on the whole height
-grid.  Curve tasks write ``<name>_potential.csv`` (xi, weighted potential, F),
-``<name>_density.csv`` (u, density, boundary_coeff) and ``<name>_phi.csv``;
-scalar tasks write ``<name>.json`` (one line, keys sorted).
+eta_t at the cap height, ``phi-curve`` the kernel's cap functional (its
+column phi, phibar at s = d-2, or F0 for log); each curve is one call of its
+:mod:`rieszcap.cap_riesz` formula, which takes every kernel, on the whole
+height grid.  Curve tasks write ``<name>_potential.csv`` (xi, weighted
+potential, F), ``<name>_density.csv`` (u, density, boundary_coeff) and
+``<name>_phi.csv``; scalar tasks write ``<name>.json`` (one line, keys sorted).
 Exit codes: 0 success, 2 malformed scenario (a kernel outside the three
 solvable regimes d-2 < s < d, s = d-2 with d >= 3 and log with d = 2
 included; at d = 2, s <= 2^-53 names the log kernel as its s -> 0+ limit),
@@ -45,8 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rieszcap import oracle, point_field
-from rieszcap.axis_field import AxisMeasure, _certified, axis_solve_t, newtonian_distance, regime
+from rieszcap import cap_riesz, oracle, point_field
+from rieszcap.axis_field import AxisMeasure, _certified, axis_solve_t, newtonian_distance
 from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import CapMeasure, Params
 
@@ -94,7 +95,7 @@ def _parse_params(cfg: dict) -> Params:
     if ktype not in ("riesz", "log"):
         raise ScenarioError(f"unknown kernel type {ktype!r}")
     try:
-        regime(params)  # one of the three solvable kernel regimes
+        cap_riesz._require_cap_regime(params)  # one of the three solvable kernel regimes
     except ValueError as exc:
         raise ScenarioError(f"unsupported kernel: {exc}") from exc
     return params
@@ -131,7 +132,7 @@ def _scenario_eta(cfg: dict, field: AxisMeasure, params: Params) -> CapMeasure:
         t += axis_solve_t(field, params).t0
     if not -1.0 < t <= 1.0:
         raise ScenarioError(f"cap height {t} outside (-1, 1]")
-    return _certified(regime(params).eta(t, field))
+    return _certified(cap_riesz.eta_measure(t, field, params))
 
 
 def _write_csv(path: Path, header: list[str], rows, constants=()) -> None:
@@ -152,10 +153,9 @@ def _task_cap_curves(cfg, field, params, out_dir: Path, name: str) -> dict:
     eta = _scenario_eta(cfg, field, params)
     files = []
     if cfg["task"] == "potential":
-        potential = regime(params).potential
         xis = np.linspace(-1.0 + 1e-6, 1.0 - 1e-9, n)
         _write_csv(out_dir / f"{name}_potential.csv", ["xi", "weighted_potential", "F"],
-                   zip(xis, potential(xis, eta, field)), [eta.phi])
+                   zip(xis, cap_riesz.eta_potential(xis, eta, field, params)), [eta.phi])
         files.append(f"{name}_potential.csv")
     _write_csv(out_dir / f"{name}_density.csv", ["u", "density", "boundary_coeff"],
                zip(*eta.density_samples(n)), [eta.boundary_coeff])
@@ -164,9 +164,10 @@ def _task_cap_curves(cfg, field, params, out_dir: Path, name: str) -> dict:
 
 
 def _task_phi_curve(cfg, field, params, out_dir: Path, name: str) -> dict:
-    form = regime(params)
+    column = "F0" if params.log else "phibar" if params.is_exceptional else "phi"
     ts = np.linspace(-0.999, 1.0, _grid(cfg, 200))
-    _write_csv(out_dir / f"{name}_phi.csv", ["t", form.column], zip(ts, form.phi(ts, field)))
+    _write_csv(out_dir / f"{name}_phi.csv", ["t", column],
+               zip(ts, cap_riesz.phi(ts, field, params)))
     return {"files": [f"{name}_phi.csv"]}
 
 

@@ -54,11 +54,12 @@ class Params:
     """Sphere dimension and interaction kernel.
 
     Either a Riesz kernel |x-y|^(-s) with 0 < s < d (pass ``s``), or the
-    logarithmic kernel log(1/|x-y|) (pass ``log=True``).  Cap-level results
-    gate their own sub-regimes: d-2 <= s < d for the Riesz cap formulas (s = d-2
-    is a point, where balayage grows a ring charge; every double above it is
-    d-2 < s < d), and d = 2 for the log kernel, the s -> 0+ limit: the cap
-    formulas take it as the s = d-2 point of d = 2, with exponent 0 and W = 1.
+    logarithmic kernel log(1/|x-y|) (pass ``log=True``).  The cap formulas of
+    :mod:`rieszcap.cap_riesz` take three kernel regimes, one function per cap
+    quantity for all of them: d-2 < s < d; s = d-2, a point, where balayage
+    grows a ring charge (every double above it is d-2 < s < d); and the log
+    kernel at d = 2, the s -> 0+ limit, which they take as the s = d-2 point of
+    d = 2 with exponent 0 and W = 1.  Any other kernel has no cap solver.
     """
 
     d: int

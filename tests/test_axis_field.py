@@ -10,9 +10,7 @@ from rieszcap import cap_exceptional, cap_riesz
 from rieszcap.axis_field import (
     AxisMeasure,
     axis_solve_t,
-    regime,
 )
-from rieszcap.cap_exceptional import log_f0_functional
 from rieszcap.oracle import external_field
 from rieszcap.point_field import field_potential_on_axis
 from rieszcap.sphere import Params, axis_dist2, kappa, sphere_energy, surface_factor
@@ -74,8 +72,8 @@ def test_axis_q_inversion_reduction():
 
 def test_axis_sphere_equilibrium_single_atom_matches_point_field():
     lam = AxisMeasure([(3.0, 1.0)])
-    eq = regime(P21).eta(1.0, lam)
-    point = regime(P21).eta(1.0, AxisMeasure([(3.0, 1.0)]))
+    eq = cap_riesz.eta_measure(1.0, lam, P21)
+    point = cap_riesz.eta_measure(1.0, AxisMeasure([(3.0, 1.0)]), P21)
     for u in (-1.0, -0.2, 0.5, 1.0):
         assert eq.radial_density(u) == pytest.approx(point.radial_density(u), rel=1e-12)
 
@@ -83,7 +81,7 @@ def test_axis_sphere_equilibrium_single_atom_matches_point_field():
 def test_axis_sphere_equilibrium_mass():
     lam = AxisMeasure([(2.0, 0.5), (4.0, 1.5), (1.5, 0.2)])
     p = Params(d=3, s=1.4)
-    eq = regime(p).eta(1.0, lam)
+    eq = cap_riesz.eta_measure(1.0, lam, p)
     val, err = integrate.quad(lambda u: eq.radial_density(u) * (1.0 - u * u) ** 0.5, -1.0, 1.0,
                               epsabs=1e-12, epsrel=1e-11)
     assert surface_factor(3) * val == pytest.approx(1.0, abs=1e-9)
@@ -109,7 +107,7 @@ def test_regime_eta_at_one_is_the_whole_sphere_equilibrium(kernel, name):
     # (Phi(1) - sum_i m_i |R_i^2-1|^{d-s} rho_i^{s-2d}) / W of the atoms where
     # they lie, and a pole value with the sign of Delta(1)
     params, lam = WHOLE_SPHERE_PARAMS[kernel], WHOLE_SPHERE_FIELDS[name]
-    eta = regime(params).eta(1.0, lam)
+    eta = cap_riesz.eta_measure(1.0, lam, params)
     assert eta.t == 1.0
     assert eta.boundary_coeff == 0.0
     atoms = lam.atoms
@@ -132,7 +130,7 @@ def test_regime_eta_at_one_is_the_whole_sphere_equilibrium(kernel, name):
 def test_axis_log_margin_proper_cap():
     # single atom (R, m) = (2, 0.5): pole density 1.5 - 0.5*(3/1)^2 = -3 < 0 (W = 1)
     lam = AxisMeasure([(2.0, 0.5)])
-    eq = regime(PLOG).eta(1.0, lam)
+    eq = cap_riesz.eta_measure(1.0, lam, PLOG)
     assert eq.radial_density(1.0) == pytest.approx(1.5 - 0.5 * 9.0, rel=1e-13)
     assert cap_riesz.h(1.0, lam, PLOG) > 1.0
     sol = axis_solve_t(lam, PLOG)
@@ -261,18 +259,18 @@ def test_axis_f0_single_atom_matches_point_version():
     lam = AxisMeasure([(2.0, 1.0)])
     charge = AxisMeasure([(2.0, 1.0)])
     for t in (-0.5, 0.125, 0.8):
-        assert log_f0_functional(t, lam, PLOG) == pytest.approx(
-            log_f0_functional(t, charge, PLOG), rel=1e-13)
+        assert cap_riesz.phi(t, lam, PLOG) == pytest.approx(
+            cap_riesz.phi(t, charge, PLOG), rel=1e-13)
 
 
 def test_axis_f0_derivative_vanishes_at_solution():
     lam = AxisMeasure([(2.0, 1.0), (1.6, 0.5)])
     sol = axis_solve_t(lam, PLOG)
     h = 1e-6
-    deriv = (log_f0_functional(sol.t0 + h, lam, PLOG)
-             - log_f0_functional(sol.t0 - h, lam, PLOG)) / (2.0 * h)
+    deriv = (cap_riesz.phi(sol.t0 + h, lam, PLOG)
+             - cap_riesz.phi(sol.t0 - h, lam, PLOG)) / (2.0 * h)
     assert abs(deriv) < 1e-6
-    vals = [log_f0_functional(t, lam, PLOG) for t in (-0.9, -0.99, -0.999)]
+    vals = [cap_riesz.phi(t, lam, PLOG) for t in (-0.9, -0.99, -0.999)]
     assert vals[0] < vals[1] < vals[2]
 
 
@@ -379,10 +377,10 @@ def test_interior_atom_solves_as_its_exterior_fold(params):
     us = np.linspace(-1.0 + 1e-9, sol_out.t0 - 1e-3, 50)
     np.testing.assert_allclose(sol_in.equilibrium.radial_density(us),
                                sol_out.equilibrium.radial_density(us), rtol=1e-13, atol=1e-13)
-    potential = regime(params).potential
+    potential = cap_riesz.eta_potential
     for xi in (-0.5, sol_out.t0 + 0.05, 0.9):
-        assert potential(xi, sol_in.equilibrium, inner) == pytest.approx(
-            potential(xi, sol_out.equilibrium, outer) + shift, rel=1e-13)
+        assert potential(xi, sol_in.equilibrium, inner, params) == pytest.approx(
+            potential(xi, sol_out.equilibrium, outer, params) + shift, rel=1e-13)
 
 
 # name: (params, the per-unit-charge formula as a function of R); s = d-2 runs

@@ -7,20 +7,16 @@ from scipy import integrate
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
 from rieszcap import sphere
-from rieszcap.axis_field import axis_solve_t, regime
-from rieszcap.cap_exceptional import (
-    gamma_s_norm,
-    log_cap_energy,
-    log_eta_potential,
-    log_f0_functional,
-    weakstar_gap,
-)
+from rieszcap.axis_field import axis_solve_t
+from rieszcap.cap_exceptional import gamma_s_norm, weakstar_gap
 from rieszcap.cap_riesz import (
     eps_measure,
     eps_norm,
     eps_potential,
     eta_measure,
+    eta_potential,
     h,
+    log_cap_energy,
     nu_measure,
     nu_norm,
     nu_potential,
@@ -160,7 +156,7 @@ def test_solve_t0_exceptional_reference():
     # scratch solve of the exceptional equilibrium condition (d=3,q=1,R=2)
     assert sol.t0 == pytest.approx(0.34940700375655837, abs=1e-9)
     # boundary charge of etabar vanishes at t0
-    ring = regime(P31).eta(sol.t0, C12)
+    ring = eta_measure(sol.t0, C12, P31)
     assert abs(ring.boundary_coeff) < 1e-10
     # interior density strictly positive at the cap edge
     edge = sol.equilibrium.radial_density(sol.t0 - 1e-12)
@@ -185,22 +181,22 @@ def test_solve_t0_exceptional_against_30_digit_references(d, q, R, ref):
 
 def test_etabar_ring_charge_sign_structure():
     sol = axis_solve_t(C12, P31)
-    below = regime(P31).eta(sol.t0 - 0.2, C12)
-    above = regime(P31).eta(sol.t0 + 0.2, C12)
+    below = eta_measure(sol.t0 - 0.2, C12, P31)
+    above = eta_measure(sol.t0 + 0.2, C12, P31)
     assert below.boundary_coeff > 0.0
     assert above.boundary_coeff < 0.0
 
 
 def test_etabar_mass_is_one():
     for t in (-0.2, 0.349407, 0.8):
-        m = regime(P31).eta(t, C12)
+        m = eta_measure(t, C12, P31)
         assert m.mass == pytest.approx(1.0, abs=1e-9)
 
 
 def test_phibar_matches_weighted_potential_on_cap():
     # U^{etabar} + Q is constant = Phibar on the cap
     t = 0.1
-    m = regime(P31).eta(t, C12)
+    m = eta_measure(t, C12, P31)
     pv = phi(t, C12, P31)
     q, R = 1.0, 2.0
     for xi in (-0.8, -0.3, 0.05):
@@ -348,12 +344,12 @@ def test_log_f0_functional_shape():
     charge = C12
     sol = axis_solve_t(charge, PLOG)
     h = 1e-6
-    deriv = (log_f0_functional(sol.t0 + h, charge, PLOG)
-             - log_f0_functional(sol.t0 - h, charge, PLOG)) / (2.0 * h)
+    deriv = (phi(sol.t0 + h, charge, PLOG)
+             - phi(sol.t0 - h, charge, PLOG)) / (2.0 * h)
     assert abs(deriv) < 1e-6
-    assert log_f0_functional(sol.t0 - 0.1, charge, PLOG) > sol.phi_at_t0
-    assert log_f0_functional(sol.t0 + 0.1, charge, PLOG) > sol.phi_at_t0
-    vals = [log_f0_functional(t, charge, PLOG) for t in (-0.9, -0.99, -0.999)]
+    assert phi(sol.t0 - 0.1, charge, PLOG) > sol.phi_at_t0
+    assert phi(sol.t0 + 0.1, charge, PLOG) > sol.phi_at_t0
+    vals = [phi(t, charge, PLOG) for t in (-0.9, -0.99, -0.999)]
     assert vals[0] < vals[1] < vals[2]
 
 
@@ -365,7 +361,7 @@ def test_log_f0_against_quadrature():
         interior = cap_sigma_mass(lambda u: -0.5 * q * math.log(axis_dist2(u, R)), 2, t)
         ring = (1.0 - t) / 2.0 * (-0.5 * q * math.log(axis_dist2(t, R)))
         expected = log_cap_energy(t) + interior + ring
-        assert log_f0_functional(t, charge, PLOG) == pytest.approx(expected, abs=1e-8)
+        assert phi(t, charge, PLOG) == pytest.approx(expected, abs=1e-8)
 
 
 def test_log_weighted_potential_off_cap():
@@ -373,15 +369,15 @@ def test_log_weighted_potential_off_cap():
     (R, q), = charge.atoms
     p = Params(d=2, log=True)
     t = 0.125
-    m = regime(p).eta(t, charge)
+    m = eta_measure(t, charge, p)
     for xi in (0.5, 0.9):
         direct = (ring_potential_quadrature(m, xi, p)
                   - 0.5 * q * math.log(axis_dist2(xi, R)))
-        assert direct == pytest.approx(log_eta_potential(xi, m, charge, p), abs=1e-6)
+        assert direct == pytest.approx(eta_potential(xi, m, charge, p), abs=1e-6)
     for xi in (-0.5, 0.0):
         direct = (ring_potential_quadrature(m, xi, p)
                   - 0.5 * q * math.log(axis_dist2(xi, R)))
-        assert direct == pytest.approx(log_f0_functional(t, charge, p), abs=1e-6)
+        assert direct == pytest.approx(phi(t, charge, p), abs=1e-6)
 
 
 def test_log_etabar_ring_sign_structure():
@@ -418,8 +414,3 @@ def test_gating():
     with pytest.raises(ValueError):
         axis_solve_t(AxisMeasure([(2.0, 1.0)]), Params(d=3, log=True))
 
-
-@pytest.mark.parametrize("fn", [log_f0_functional])
-def test_log_formulas_refuse_a_riesz_kernel(fn):
-    with pytest.raises(ValueError, match="logarithmic cap case"):
-        fn(0.3, AxisMeasure([(2.0, 1.0)]), Params(d=3, s=1.0))

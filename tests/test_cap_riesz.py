@@ -15,6 +15,7 @@ from rieszcap.cap_riesz import (
     eta_measure,
     eta_potential,
     h,
+    h_slope,
     nu_measure,
     nu_norm,
     nu_potential,
@@ -182,23 +183,71 @@ def test_norms_phi_delta_gate_includes_s_equal_d_minus_2():
     assert math.isfinite(eta_potential(0.5, eta, C13, ring))
 
 
-RIESZ_ONLY = {
+CAP_FORMULAS = {
     "phi": lambda p: phi(0.2, C13, p),
     "eps_norm": lambda p: eps_norm(0.2, 1.3, p),
     "nu_potential": lambda p: nu_potential(0.5, 0.2, p),
     "eps_potential": lambda p: eps_potential(0.5, 0.2, 1.3, p),
     "eta_potential": lambda p: eta_potential(0.5, eta_measure(0.2, C13, P21), C13, p),
 }
+LOG_TAKES = {"phi", "eta_potential"}  # F_0 and eta's potential have log forms
 
 
-@pytest.mark.parametrize("kernel", [Params(d=2, log=True), Params(d=4, s=1.0)],
-                         ids=["log", "d4-s1"])
-@pytest.mark.parametrize("name", RIESZ_ONLY)
+@pytest.mark.parametrize("name, kernel", [
+    pytest.param(name, kernel, id=f"{name}-{kid}") for name in CAP_FORMULAS
+    for kid, kernel in (("log", Params(d=2, log=True)), ("d4-s1", Params(d=4, s=1.0)))
+    if not (kid == "log" and name in LOG_TAKES)])
 def test_riesz_formulas_refuse_other_kernels(name, kernel):
-    # the log kernel shares the s = d-2 cap measures, not the Riesz functional or
-    # potentials; s < d-2 has no cap formula
+    # the log kernel shares the s = d-2 cap measures, its functional and eta's
+    # potential, not ||eps_t|| or the potentials of nu_t and eps_t; s < d-2 has
+    # no cap formula
     with pytest.raises(ValueError, match="cap formulas need"):
-        RIESZ_ONLY[name](kernel)
+        CAP_FORMULAS[name](kernel)
+
+
+KERNELS = [pytest.param(Params(d=3, s=1.5), id="riesz"), pytest.param(Params(d=3, s=1.0), id="s=d-2"),
+           pytest.param(Params(d=2, log=True), id="log")]
+AXIS2 = AxisMeasure([(1.6, 0.8), (0.7, 0.3)])
+
+
+@pytest.mark.parametrize("params", KERNELS)
+@pytest.mark.parametrize("t", [-0.9, -0.5, 0.0, 0.2, 0.8, 0.99, 1.0])
+def test_eta_phi_is_the_functional(params, t):
+    # eta_t carries Phi(t), the weighted potential on its cap: for log the closed form
+    # F_0 bit for bit; for s <= d-2 < d it is Delta(t) + sum_i B_i from H's rule
+    # against W (1 + ||lambda eps_t||)/||nu_t|| from eps_t's rows, within 6.3e-15 here
+    eta = eta_measure(t, AXIS2, params)
+    if params.log:
+        assert eta.phi == phi(t, AXIS2, params)
+    else:
+        assert eta.phi == pytest.approx(phi(t, AXIS2, params), rel=1e-13, abs=0.0)
+    xis = np.array([-1.0, (t - 1.0) / 2.0, t])
+    assert np.all(eta_potential(xis, eta, AXIS2, params) == eta.phi)
+
+
+OFF_SPHERE = [1.5, -1.5, math.nan, np.array([0.5, 1.5])]
+HEIGHT_FORMULAS = {
+    "h": lambda x, p: h(x, AXIS2, p),
+    "h_slope": lambda x, p: h_slope(x, AXIS2, p),
+    "nu_norm": lambda x, p: nu_norm(x, p),
+    "eta_potential": lambda x, p: eta_potential(x, eta_measure(0.2, AXIS2, p), AXIS2, p),
+    "nu_potential": lambda x, p: nu_potential(x, 0.2, p),
+    "eps_potential": lambda x, p: eps_potential(x, 0.2, 1.6, p),
+    "eps_norm": lambda x, p: eps_norm(x, 1.6, p),
+}
+
+
+@pytest.mark.parametrize("x", OFF_SPHERE, ids=["1.5", "-1.5", "nan", "array"])
+@pytest.mark.parametrize("name, params", [
+    pytest.param(name, kernel.values[0], id=f"{name}-{kernel.id}")
+    for name in HEIGHT_FORMULAS for kernel in KERNELS
+    if not (kernel.id == "log" and name in CAP_FORMULAS and name not in LOG_TAKES)])
+def test_heights_off_the_sphere_raise(name, params, x):
+    # a height or xi off [-1, 1] reads as no value: H's log branch returned -10.0
+    # at t = 1.5, and nu_potential 0.417 at xi = 1.5 (the Riesz-only potentials
+    # and eps_norm refuse the log kernel, test_riesz_formulas_refuse_other_kernels)
+    with pytest.raises(ValueError, match=r"needs -1 <= (t|xi) <= 1"):
+        HEIGHT_FORMULAS[name](x, params)
 
 
 def test_balayage_measures_at_s_equal_d_minus_2_carry_a_ring():
@@ -668,23 +717,22 @@ def test_phi_batch_equals_per_point_calls(params, field, monkeypatch):
     # atom) row below 1 in one eps_norm batch on the tanh-sinh rule; the weighted
     # potential on the CLI's 200-point grid, both sides of the cap, is one call too
     from rieszcap import cap_riesz
-    from rieszcap.axis_field import regime
     batches, integrals = [], cap_riesz._tanh_sinh_integrals
     monkeypatch.setattr(cap_riesz, "_tanh_sinh_integrals",
                         lambda t, *a: batches.append(len(t)) or integrals(t, *a))
-    form, ts = regime(params), np.linspace(-0.999, 1.0, 200)
-    for fn in (form.phi, lambda t, field: cap_riesz.h(t, field, params)):
+    ts = np.linspace(-0.999, 1.0, 200)
+    for fn in (cap_riesz.phi, cap_riesz.h):
         batches.clear()
-        batch = fn(ts, field)
+        batch = fn(ts, field, params)
         rows = list(batches)
-        assert np.array_equal(batch, [fn(float(t), field) for t in ts])
-        if fn is form.phi:
+        assert np.array_equal(batch, [fn(float(t), field, params) for t in ts])
+        if fn is cap_riesz.phi:
             atoms = len(field.atoms)
             assert rows == ([] if params.log else [199 * atoms])
     assert ts[-1] == 1.0
-    eta, xis = form.eta(0.2, field), np.linspace(-1.0 + 1e-6, 1.0 - 1e-9, 200)
-    batch = form.potential(xis, eta, field)
-    assert np.array_equal(batch, [form.potential(float(xi), eta, field) for xi in xis])
+    eta, xis = eta_measure(0.2, field, params), np.linspace(-1.0 + 1e-6, 1.0 - 1e-9, 200)
+    batch = eta_potential(xis, eta, field, params)
+    assert np.array_equal(batch, [eta_potential(float(xi), eta, field, params) for xi in xis])
     assert np.all(batch[xis <= 0.2] == eta.phi) and np.all(batch[xis > 0.2] != eta.phi)
 
 

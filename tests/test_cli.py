@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from rieszcap import cli
-from rieszcap.axis_field import axis_solve_t, regime
-from rieszcap.cap_exceptional import log_eta_potential
+from rieszcap.axis_field import axis_solve_t
 from rieszcap.cap_riesz import eta_measure, eta_potential, phi
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import Params
@@ -69,7 +68,7 @@ def test_riesz_curves_match_public_functions(tmp_path):
 def test_exceptional_density_matches_etabar(tmp_path):
     _, dens = run_potential(tmp_path, EXCEPTIONAL)
     _, params, charge, _ = EXCEPTIONAL
-    m = regime(params).eta(T_FIXED, charge)
+    m = eta_measure(T_FIXED, charge, params)
     for u, val, ring in dens:
         assert_rel(val, m.radial_density(float(u)))
         assert_rel(ring, m.boundary_coeff)
@@ -88,7 +87,7 @@ def test_exceptional_potential_matches_oracle(tmp_path):
         cfg = scenario("potential", d, {"type": "riesz", "s": d - 2.0}, point(charge), grid=3)
         cli.run_scenario(cfg, tmp_path)
         _, pot = read_csv(tmp_path / "case_potential.csv")
-        m = regime(params).eta(T_FIXED, charge)
+        m = eta_measure(T_FIXED, charge, params)
         assert abs(m.boundary_coeff) > 1e-3
         for xi, val, _ in pot:
             direct = (oracle.potential_of(m, float(xi))
@@ -99,9 +98,9 @@ def test_exceptional_potential_matches_oracle(tmp_path):
 def test_log_curves_match_public_functions(tmp_path):
     pot, dens = run_potential(tmp_path, LOG)
     _, params, charge, _ = LOG
-    m = regime(params).eta(T_FIXED, charge)
+    m = eta_measure(T_FIXED, charge, params)
     for xi, val, _ in pot:
-        assert_rel(val, log_eta_potential(float(xi), m, charge, params))
+        assert_rel(val, eta_potential(float(xi), m, charge, params))
     for u, val, ring in dens:
         assert_rel(val, m.radial_density(float(u)))
         assert_rel(ring, m.boundary_coeff)
@@ -109,16 +108,11 @@ def test_log_curves_match_public_functions(tmp_path):
 
 @pytest.mark.parametrize("case", [RIESZ, EXCEPTIONAL, LOG], ids=["riesz", "s=d-2", "log"])
 def test_potential_curve_is_one_call(tmp_path, monkeypatch, case):
-    # the 200-point potential curve is one batch call of the regime's potential
+    # the 200-point potential curve is one batch call of the kernel's potential
     kernel, params, charge, d = case
-    calls, form_of = [], cli.regime
-
-    def counted(p):
-        form = form_of(p)
-        return form._replace(potential=lambda xi, *a: calls.append(np.shape(xi))
-                             or form.potential(xi, *a))
-
-    monkeypatch.setattr(cli, "regime", counted)
+    calls, potential = [], cli.cap_riesz.eta_potential
+    monkeypatch.setattr(cli.cap_riesz, "eta_potential",
+                        lambda xi, *a: calls.append(np.shape(xi)) or potential(xi, *a))
     cli.run_scenario(scenario("potential", d, kernel, point(charge), grid=200), tmp_path)
     assert calls == [(200,)]
     _, pot = read_csv(tmp_path / "case_potential.csv")

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from rieszcap import cli, oracle
-from rieszcap.axis_field import CapSolution, axis_solve_t, regime
+from rieszcap.axis_field import CapSolution, axis_solve_t
+from rieszcap.cap_riesz import eta_measure
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import Params
 
@@ -229,9 +230,9 @@ def test_verify_task_passes_on_the_whole_sphere(tmp_path, grid):
 
 
 def mis_solved(params, shift):
-    """The regime's eta at t0 + shift, with its ring charge, posing as a solution."""
+    """eta_measure at t0 + shift, with its ring charge, posing as a solution."""
     t = axis_solve_t(VERIFY_FIELD, params).t0 + shift
-    return CapSolution(equilibrium=regime(params).eta(t, VERIFY_FIELD), solved_by="interior_root",
+    return CapSolution(equilibrium=eta_measure(t, VERIFY_FIELD, params), solved_by="interior_root",
                        field=VERIFY_FIELD)
 
 

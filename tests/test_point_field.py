@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, optimize
 
 from rieszcap import cap_riesz, point_field
-from rieszcap.axis_field import axis_solve_t, newtonian_distance, regime
+from rieszcap.axis_field import axis_solve_t, newtonian_distance
 from rieszcap.oracle import external_field
 from rieszcap.point_field import (
     AxisMeasure,
@@ -129,7 +129,7 @@ def test_field_potential_evaluated_once_per_atom(monkeypatch):
 
 def test_density_uniform_without_charge():
     params = Params(d=3, s=1.5)
-    eq = regime(params).eta(1.0, AxisMeasure([(2.0, 1e-14)]))
+    eq = cap_riesz.eta_measure(1.0, AxisMeasure([(2.0, 1e-14)]), params)
     for u in (-1.0, 0.0, 1.0):
         assert eq.radial_density(u) == pytest.approx(1.0, abs=1e-12)
 
@@ -138,7 +138,7 @@ def test_density_minimum_at_north_pole():
     params = Params(d=2, s=1.0)
     charge = AxisMeasure([(1.5, 1.0)])
     us = np.linspace(-1.0, 1.0, 201)
-    dens = regime(params).eta(1.0, charge).radial_density(us)
+    dens = cap_riesz.eta_measure(1.0, charge, params).radial_density(us)
     assert np.argmin(dens) == len(us) - 1
 
 
@@ -155,9 +155,9 @@ def test_density_total_mass_one():
         if not (params.in_cap_regime or params.is_exceptional):
             # s < d-2 lies outside every solvable regime
             with pytest.raises(ValueError, match="no cap solver"):
-                regime(params)
+                cap_riesz.eta_measure(1.0, charge, params)
             continue
-        mass = sigma_integral(regime(params).eta(1.0, charge).radial_density, d)
+        mass = sigma_integral(cap_riesz.eta_measure(1.0, charge, params).radial_density, d)
         assert mass == pytest.approx(1.0, abs=1e-9)
         checked += 1
 
@@ -167,7 +167,7 @@ def test_density_d2_value_through_mass_identity():
     # removing it from the mass identity computed by quadrature
     params = Params(d=2, s=1.0)
     charge = AxisMeasure([(3.0, 1.0)])
-    density = regime(params).eta(1.0, charge).radial_density
+    density = cap_riesz.eta_measure(1.0, charge, params).radial_density
     val = density(-1.0)
     # direct formula assembled from independently tested pieces
     W = sphere_energy(params)
@@ -204,13 +204,13 @@ def test_margin_zero_iff_density_zero_at_pole():
         W = sphere_energy(params)
         for field in fields:
             margin = margin_at_one(params, field)
-            pole = regime(params).eta(1.0, field).radial_density(1.0)
+            pole = cap_riesz.eta_measure(1.0, field, params).radial_density(1.0)
             assert margin == pytest.approx(W * pole, rel=1e-10, abs=1e-12)
     plog = Params(d=2, log=True)
     signs = set()
     for field in fields:
         margin = margin_at_one(plog, field)
-        assert np.sign(margin) == np.sign(regime(plog).eta(1.0, field).radial_density(1.0))
+        assert np.sign(margin) == np.sign(cap_riesz.eta_measure(1.0, field, plog).radial_density(1.0))
         signs.add(np.sign(margin))
     assert signs == {-1.0, 1.0}
 
@@ -249,12 +249,12 @@ def test_margin_series_form():
 def test_signed_equilibrium_bundle():
     params = Params(d=2, s=1.0)
     charge = AxisMeasure([(3.0, 1.0)])
-    eq = regime(params).eta(1.0, charge)
+    eq = cap_riesz.eta_measure(1.0, charge, params)
     assert eq.phi == pytest.approx(sphere_energy(params) + 1.0 / 3.0, rel=1e-12)
     assert margin_at_one(params, charge) > 0.0
     atom = AxisMeasure([(3.0, 1.0)])
     assert eq.radial_density(0.0) == pytest.approx(
-        regime(params).eta(1.0, atom).radial_density(0.0))
+        cap_riesz.eta_measure(1.0, atom, params).radial_density(0.0))
 
 
 def test_weighted_potential_constant_on_sphere():
@@ -263,7 +263,7 @@ def test_weighted_potential_constant_on_sphere():
     params = Params(d=d, s=s)
     charge = AxisMeasure([(R, q)])
     from rieszcap.sphere import kappa
-    density = regime(params).eta(1.0, charge).radial_density
+    density = cap_riesz.eta_measure(1.0, charge, params).radial_density
 
     def weighted(xi):
         val, err = integrate.quad(
@@ -275,7 +275,7 @@ def test_weighted_potential_constant_on_sphere():
     vals = [weighted(xi) for xi in np.linspace(-0.95, 0.95, 20)]
     spread = (max(vals) - min(vals)) / abs(np.mean(vals))
     assert spread < 1e-6
-    eq = regime(params).eta(1.0, charge)
+    eq = cap_riesz.eta_measure(1.0, charge, params)
     assert np.mean(vals) == pytest.approx(eq.phi, rel=1e-7)
 
 

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rieszcap import axis_field, cap_riesz, sphere
-from rieszcap.axis_field import axis_solve_t, regime
+from rieszcap import axis_field, cap_riesz, cli, sphere
+from rieszcap.axis_field import axis_solve_t
 from rieszcap.point_field import AxisMeasure
 from rieszcap.specfun import ConvergenceError
 from rieszcap.sphere import Params
@@ -81,12 +81,15 @@ def test_solves_with_unit_mass_as_s_decreases_to_d_minus_2(d, k):
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 8])
-def test_s_at_d_minus_2_plus_1e_12_takes_the_riesz_formulas(d):
+def test_s_at_d_minus_2_plus_1e_12_takes_the_riesz_formulas(d, tmp_path):
     # the double nearest d-2+1e-12 lies above d-2: its edge exponent 1-(d-s)/2 is
     # positive, so it has the d-2 < s < d formulas and no ring charge
     params, field = Params(d=d, s=d - 2 + 1e-12), AxisMeasure([(1.5, 1.0)])
     assert params.in_cap_regime and not params.is_exceptional
-    assert regime(params).column == "phi"
+    cli.run_scenario({"name": "case", "task": "phi-curve", "d": d,
+                      "kernel": {"type": "riesz", "s": params.s},
+                      "field": {"type": "point", "q": 1.0, "R": 1.5}, "grid": 2}, tmp_path)
+    assert (tmp_path / "case_phi.csv").read_text().splitlines()[0] == "t,phi"
     sol = axis_solve_t(field, params)
     assert abs(sol.equilibrium.mass - 1.0) <= 1e-14
     assert 0.0 < sol.t0 - axis_solve_t(field, Params(d=d, s=d - 2.0)).t0 < 1e-12
@@ -107,7 +110,7 @@ def test_d2_riesz_below_2_pow_minus_52_names_the_log_kernel(s):
     params = Params(d=2, s=s)
     assert not params.in_cap_regime and not params.is_exceptional
     with pytest.raises(ValueError, match="log kernel"):
-        regime(params)
+        axis_solve_t(AxisMeasure([(1.5, 1.0)]), params)
 
 
 @pytest.mark.parametrize("q", [1e8, 1e10, 1e12])
@@ -139,7 +142,7 @@ def test_delta_changes_sign_at_one_minus_4e8():
 
 
 def test_interior_solves_take_few_delta_evaluations(monkeypatch):
-    # Newton on log H in log(1+t) from t = 0; regime() reads cap_riesz.h at call
+    # Newton on log H in log(1+t) from t = 0; axis_solve_t reads cap_riesz.h at call
     # time.  The solve counts H(1) and its iterates; eta_t0 evaluates H(t0) once more
     calls = []
     h = cap_riesz.h
