@@ -39,7 +39,7 @@ from scipy.special import betainc
 
 from rieszcap.point_field import AxisMeasure, _axis_height, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
-from rieszcap.sphere import CapMeasure, Params, _gap_dist2, _tanh_sinh_integrals, _tanh_sinh_nodes, \
+from rieszcap.sphere import CapMeasure, Params, _cap_integrals, _gap_dist2, _tanh_sinh_nodes, \
     axis_dist2, sphere_energy
 
 __all__ = [
@@ -71,6 +71,12 @@ def _require_heights(x, what: str, name: str = "t") -> None:
     # x a number or an array of heights on the sphere; one off [-1, 1], nan included, raises
     if not (-1.0 <= x <= 1.0 if isinstance(x, float) else np.all((-1.0 <= x) & (x <= 1.0))):
         raise ValueError(f"{what} needs -1 <= {name} <= 1, got {x}")
+
+
+def _require_cap_height(t) -> None:
+    # t a number or an array of cap heights; one off (-1, 1], nan included, raises
+    if not (-1.0 < t <= 1.0 if isinstance(t, float) else np.all((-1.0 < t) & (t <= 1.0))):
+        raise ValueError(f"cap height must lie in (-1, 1], got {t}")
 
 
 def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
@@ -113,8 +119,7 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
     at every t, as d = 2 has no surface factor.
     """
     _require_cap_regime(params)
-    if not -1.0 < t <= 1.0:
-        raise ValueError(f"cap height must lie in (-1, 1], got {t}")
+    _require_cap_height(t)
     d, s, W = params.d, params.exponent, params.balayage_constant
     c, gap = contraction
     beyond = 0.0 if t < 1.0 and not (params.is_exceptional and d == 2) else min(
@@ -198,16 +203,11 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
 
     r(u)^2 = R^2 - 2Ru + 1, C = 2^{1-d} Gamma(d) / (Gamma(d-s/2) Gamma(s/2)).
     At t = 1 it is the closed form U_s^sigma(R)/W_s of the whole sphere.
-    Below 1 the integral runs on the tanh-sinh nodes of
-    :func:`rieszcap.sphere._tanh_sinh_nodes`, graded toward t with gap 1-t (G's
-    branch point u = 1 lies nearer than the charge's height), and settles by
-    :func:`rieszcap.sphere._tanh_sinh_integrals`, which names t and R when it
-    cannot.  For s < 2 the left edge power is split off in closed form,
-
-        G(-1) (1+t)^{s/2}/(s/2) + int_{-1}^t (1+u)^{s/2-1} (G(u) - G(-1)) du,
-
-    the split of :func:`rieszcap.sphere._cap_integral` at u = t mirrored to
-    u = -1, so s -> 0 costs nothing.  ``t`` and ``R`` broadcast together, and
+    Below 1 the integral is a row of :func:`rieszcap.sphere._cap_integrals` with
+    power s/2 at the left edge u = -1, graded toward t with gap 1-t (G's branch
+    point u = 1 lies nearer than the charge's height); for s < 2 that splits off
+    G(-1) (1+t)^{s/2}/(s/2) in closed form, so s -> 0 costs nothing, and a row
+    that does not settle names t and R.  ``t`` and ``R`` broadcast together, and
     each pair is a row of one batch, bit for bit what the row gives alone.
     """
     _require_cap_regime(params, log=False)
@@ -223,20 +223,13 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
     rows = np.flatnonzero((-1.0 < ts) & (ts < 1.0))
     if len(rows):
         x, radii = ts[rows], Rs[rows]
-        b, p = s / 2.0 - 1.0, d - s / 2.0 - 1.0  # the (1+u) and (1-u) exponents
 
-        def g(one_minus_u, r):
-            return one_minus_u ** p * _gap_dist2(one_minus_u, r) ** (-d / 2.0)
+        def g(nodes, rows):
+            return nodes.one_minus_u ** (d - s / 2.0 - 1.0) \
+                * _gap_dist2(nodes.one_minus_u, radii[rows]) ** (-d / 2.0)
 
-        edge = g(2.0, radii) if b < 0.0 else np.zeros(len(rows))  # G(-1) when it is split off
-
-        def terms(todo, nodes, w, owner):
-            at = todo[owner][:, None]
-            closed = edge[todo] * (1.0 + x[todo]) ** (b + 1.0) / (b + 1.0)
-            return closed, w * nodes.one_plus_u ** b * (g(nodes.one_minus_u, radii[at]) - edge[at])
-
-        values = _tanh_sinh_integrals(
-            x, 1.0 - x, terms, lambda i: f"t={float(x[i])!r}, R={float(radii[i])!r}")[0]
+        values = _cap_integrals(x, 1.0 - x, g, s / 2.0, True,
+                                lambda i: f"t={float(x[i])!r}, R={float(radii[i])!r}")[0]
         c0 = math.exp((1.0 - d) * math.log(2.0) + math.lgamma(float(d))
                       - math.lgamma(d - s / 2.0) - math.lgamma(s / 2.0))
         out[rows] = c0 * (radii + 1.0) ** (d - s) / W * values
@@ -279,8 +272,7 @@ def log_cap_energy(t: float | np.ndarray) -> float | np.ndarray:
     """Logarithmic energy of the cap at a height t, or at each entry of an array t:
     W_0(Sigma_t) = (1+t)/4 - log(2)/2 - log(1+t)/2 (the cap's equilibrium measure
     is nubar_{t,0})."""
-    if not np.all((-1.0 < t) & (t <= 1.0)):
-        raise ValueError("cap height must lie in (-1, 1]")
+    _require_cap_height(t)
     return (1.0 + t) / 4.0 - 0.5 * math.log(2.0) - 0.5 * np.log1p(t)
 
 
@@ -380,6 +372,7 @@ def nu_potential(xi: float, t: float, params: Params) -> float:
     """
     _require_cap_regime(params, log=False)
     _require_heights(xi, "nu_potential", "xi")
+    _require_cap_height(t)
     W = sphere_energy(params)
     if xi <= t:
         return W
@@ -392,6 +385,7 @@ def eps_potential(xi: float, t: float, R: float, params: Params) -> float:
     above it (r^{2-d} ((1+t)/(1+xi))^{d/2-1} at s = d-2)."""
     _require_cap_regime(params, log=False)
     _require_heights(xi, "eps_potential", "xi")
+    _require_cap_height(t)
     s, R = params.s, _axis_height(R)
     rho2 = axis_dist2(xi, R)
     if xi <= t:
@@ -401,23 +395,24 @@ def eps_potential(xi: float, t: float, R: float, params: Params) -> float:
     return rho2 ** (-s / 2.0) * betainc(s / 2.0, (params.d - params.s) / 2.0, x)
 
 
-def eta_potential(xi: float | np.ndarray, eta: CapMeasure, field: AxisMeasure,
-                  params: Params) -> float | np.ndarray:
+def eta_potential(xi: float | np.ndarray, eta: CapMeasure,
+                  field: AxisMeasure) -> float | np.ndarray:
     """Weighted potential U^{eta_t} + Q at a height xi, or at each entry of an array xi:
     Phi_s(t) on the cap and
 
         Phi_s(t) + sum_i m_i rho_i^{-s} I((R_i+1)^2 (xi-t)/(r_i^2 (1+xi)); (d-s)/2, s/2)
                  - Phi_s(t) I((xi-t)/(1+xi); (d-s)/2, s/2)
 
-    above it, rho_i^2 = R_i^2 - 2 R_i xi + 1 (``eta`` from :func:`eta_measure`).
+    above it, rho_i^2 = R_i^2 - 2 R_i xi + 1 (``eta`` from :func:`eta_measure`, whose
+    kernel ``eta.params`` it takes).
     At s = d-2, where I(x; 1, b) = 1 - (1-x)^b, this is the potential of
     (Phi/W) nubar_t - sum_i m_i epsbar_t^i plus Q, ring charge included.
     For the log kernel it is F_0(Sigma_t) on the cap and, off it,
 
         F_0(Sigma_t) + log((1+t)/(1+xi))/2 + sum_i (m_i/2) log(r_i^2/rho_i^2).
     """
+    params, t, phi_t = eta.params, eta.t, eta.phi
     _require_cap_regime(params)
-    t, phi_t = eta.t, eta.phi
     xi = np.asarray(xi, dtype=float)
     _require_heights(xi, "eta_potential", "xi")
     out, above = np.full(xi.shape, phi_t), xi > t

@@ -155,7 +155,7 @@ def _task_cap_curves(cfg, field, params, out_dir: Path, name: str) -> dict:
     if cfg["task"] == "potential":
         xis = np.linspace(-1.0 + 1e-6, 1.0 - 1e-9, n)
         _write_csv(out_dir / f"{name}_potential.csv", ["xi", "weighted_potential", "F"],
-                   zip(xis, cap_riesz.eta_potential(xis, eta, field, params)), [eta.phi])
+                   zip(xis, cap_riesz.eta_potential(xis, eta, field)), [eta.phi])
         files.append(f"{name}_potential.csv")
     _write_csv(out_dir / f"{name}_density.csv", ["u", "density", "boundary_coeff"],
                zip(*eta.density_samples(n)), [eta.boundary_coeff])

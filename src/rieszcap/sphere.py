@@ -12,13 +12,13 @@ sigma_d throughout, and cap integrals multiply in the full surface factor
 
 Every cap integral runs on one tanh-sinh rule that does not depend on s
 (:func:`_tanh_sinh_nodes`): the masses and moments of a cap measure
-(:class:`CapMeasure`, :func:`_cap_integral`), H
-(:func:`rieszcap.cap_riesz.h`) and the rows of ||eps_t||
-(:func:`rieszcap.cap_riesz.eps_norm`).  Nodes are held as their distances to
-the ends of the cap, and panels are graded toward the cap edge when a
-singularity lies near it.  An edge power is split off in closed form, and
-one settle rule (:func:`_tanh_sinh_integrals`) halves the step of a batch of
-integrals until the step-2h rule, the even-indexed nodes, agrees.
+(:meth:`CapMeasure.moment`), H (:func:`rieszcap.cap_riesz.h`) and the rows
+of ||eps_t|| (:func:`rieszcap.cap_riesz.eps_norm`).  Nodes are held as their
+distances to the ends of the cap, and panels are graded toward the cap edge
+when a singularity lies near it.  The moments and eps_t's rows settle by one
+driver (:func:`_cap_integrals`): it splits an edge power at either end off in
+closed form and halves the step of a batch of integrals until the step-2h
+rule, the even-indexed nodes, agrees.  H takes the first step alone.
 """
 
 from __future__ import annotations
@@ -238,31 +238,53 @@ def _tanh_sinh_nodes(t, gap, level: int = 0) -> tuple[Nodes, np.ndarray, np.ndar
     return Nodes(-1.0 + one_plus_u, one_plus_u, t_minus_u, one_minus_u), half * w, owner
 
 
-def _tanh_sinh_integrals(t: np.ndarray, gap: np.ndarray, terms, describe: Callable[[int], str]
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(I, e, level) of a batch of integrals over [-1, t_i], one per entry of the
-    1-d array t, each bit for bit what it gives alone: the values, their error
-    estimates and the tanh-sinh levels that settled them.
+def _cap_integrals(t: np.ndarray, gap: np.ndarray, f, power: float, left: bool,
+                   describe: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(I, e, level) of a batch of cap integrals, one per entry of the 1-d array t,
+    each bit for bit what it gives alone: the values, their error estimates and
+    the tanh-sinh levels that settled them.  Row i is
 
-    ``terms(rows, nodes, w, owner)`` receives the :func:`_tanh_sinh_nodes` of the
-    heights t[rows] (``gap`` as there), ``owner`` indexing into ``rows``, and
-    returns each height's closed part and the weighted integrand w f at every
-    node; I is the closed part plus the sum of w f over the height's panels.
+        I_i = int_{-1}^{t_i} f(u) |u - c_i|^{power-1} du,   c_i = -1 if ``left`` else t_i,
+
+    t_i in (-1, 1].  ``f(nodes, rows)`` receives the (panels, n) :class:`Nodes` of
+    :func:`_tanh_sinh_nodes` (``gap`` as there) and the batch index of each panel
+    row, a (panels, 1) column.  A power below 1 is split off in closed form,
+
+        I_i = f(c_i) (1+t_i)^power/power + int (f(u) - f(c_i)) |u - c_i|^{power-1} du,
+
+    whose integrand behaves like |u - c_i|^power at the edge, so power -> 0 costs
+    nothing; f(c_i) rides along as one more node on each panel row.
+
     The step starts at h = 0.08, and the even-indexed nodes give the step-2h
     value at no cost.  e is (I_h - I_2h)^2 / max(1, |I|), the error of a rule
     that converges double-exponentially once I_2h has, plus a rounding floor
-    of 2e-14 of |closed part| + sum w |f|.  The heights whose first part
-    exceeds 1e-14 max(1, |I|) take half the step, down to h = 0.01; past that,
-    :class:`ConvergenceError` names ``describe(i)`` of the first unsettled
-    height and its estimate.
+    of 2e-14 of |closed part| + sum w |f|.  The rows whose first part exceeds
+    1e-14 max(1, |I|) take half the step, down to h = 0.01; past that,
+    :class:`ConvergenceError` names ``describe(i)`` of the first unsettled row
+    and its estimate.
     """
-    todo = np.arange(len(t))
+    todo, split = np.arange(len(t)), power < 1.0
     for level in range(_TS_LEVELS):
-        nodes, w, owner = _tanh_sinh_nodes(t[todo], gap[todo], level)
-        closed, part = terms(todo, nodes, w, owner)
+        x = t[todo]
+        nodes, w, owner = _tanh_sinh_nodes(x, gap[todo], level)
+        rows = todo[owner][:, None]
+        if split:  # each panel row takes its height's edge c as one more node
+            at = x[owner][:, None]
+            edge = (np.full_like(at, -1.0), np.zeros_like(at), 1.0 + at, np.full_like(at, 2.0)) \
+                if left else (at, 1.0 + at, np.zeros_like(at), 1.0 - at)
+            vals = f(Nodes(*(np.concatenate(pair, axis=1) for pair in zip(nodes, edge))), rows)
+            f_c, vals = vals[:, -1:], vals[:, :-1]
+            closed = np.empty(len(todo))
+            closed[owner] = f_c[:, 0]  # every panel row of a height holds the same f(c)
+            closed = closed * (1.0 + x) ** power / power
+            part = w * (vals - f_c)
+        else:
+            closed, part = np.zeros(len(todo)), w * f(nodes, rows)
+        if power != 1.0:
+            part = part * (nodes.one_plus_u if left else nodes.t_minus_u) ** (power - 1.0)
 
-        def sums(x):  # per height: its own rows in order, added to 0.0, as when it is alone
-            return np.bincount(owner, x.sum(axis=1), len(todo))
+        def sums(y):  # per row: its own panel rows in order, added to 0.0, as when it is alone
+            return np.bincount(owner, y.sum(axis=1), len(todo))
 
         fine, coarse = sums(part), 2.0 * sums(part[:, ::2])
         value = closed + fine
@@ -271,7 +293,7 @@ def _tanh_sinh_integrals(t: np.ndarray, gap: np.ndarray, terms, describe: Callab
         estimate = e + _RULE_EPS * (np.abs(closed) + sums(np.abs(part)))
         if level == 0:
             values, estimates, levels = value, estimate, np.zeros(len(t), dtype=int)
-        else:  # the unsettled heights are written again at the next level
+        else:  # the unsettled rows are written again at the next level
             values[todo], estimates[todo], levels[todo] = value, estimate, level
         settled = e <= _TS_TOL * size
         if settled.all():
@@ -282,53 +304,20 @@ def _tanh_sinh_integrals(t: np.ndarray, gap: np.ndarray, terms, describe: Callab
                            f"error estimate {e[0]:.3e}")
 
 
-def _cap_integral(t: float, a: float, gap: float, f: Callable[[Nodes], np.ndarray],
-                  d: int) -> tuple[float, float, int]:
-    """(I, e, level): I = int_{-1}^t f(u) (t-u)^a (omega_{d-1}/omega_d) (1-u^2)^{d/2-1} du,
-    its error estimate e, and the tanh-sinh level that settled it, t in (-1, 1], a > -1.
-
-    With G = f times the surface factor, an edge exponent a < 0 is split off in
-    closed form: I = G(t) (1+t)^{a+1}/(a+1) + int (t-u)^a (G(u) - G(t)) du, whose
-    integrand behaves like (t-u)^{a+1} at the edge, so a -> -1 costs nothing.
-    The integral runs on :func:`_tanh_sinh_nodes` (``gap`` as there) and settles
-    by :func:`_tanh_sinh_integrals`; :class:`ConvergenceError` names t and a.
-    """
-    om = omega_ratio(d)
-
-    def g(nodes):  # f times the surface factor, which is 1/om at d = 2
-        out = f(nodes) / om
-        return out if d == 2 else out * (nodes.one_plus_u * nodes.one_minus_u) ** (d / 2.0 - 1.0)
-
-    edge = (t, 1.0 + t, 0.0, 1.0 - t)
-
-    def terms(rows, nodes, w, owner):
-        if a < 0.0:  # G(t) rides along as one more node
-            vals = g(Nodes(*(np.append(x, y) for x, y in zip(nodes, edge))))
-            g_t, vals = float(vals[-1]), vals[:-1].reshape(w.shape)
-        else:
-            g_t, vals = 0.0, g(nodes)
-        closed = g_t * (1.0 + t) ** (a + 1.0) / (a + 1.0)
-        return np.array([closed]), w * (vals - g_t) * nodes.t_minus_u ** a
-
-    value, e, level = _tanh_sinh_integrals(np.array([t]), np.array([gap]), terms,
-                                           lambda i: f"t={t!r}, edge exponent a={a!r}")
-    return float(value[0]), float(e[0]), int(level[0])
-
-
 @dataclass(frozen=True)
 class CapMeasure:
     """A (possibly signed) measure on the cap u <= t.
 
     The absolutely continuous part has density
     regular_part(u) * (t-u)^singular_exponent against sigma_d (regular_part
-    is called with the :class:`Nodes` of a float array of heights);
+    is called with the :class:`Nodes` of a float array of heights, of any shape);
     ``boundary_coeff`` multiplies the unit uniform measure on the ring u = t.
     ``phi`` is the constant weighted potential on the cap of an equilibrium
     measure (None for a balayage measure), and ``params`` the kernel it
     belongs to.  ``gap`` is how far regular_part's nearest singularity lies
     beyond t, the (1-u)^{d/2-1} surface factor included for t < 1, formed
     without rounding it through a height: it sets the panel grading of the
-    cap integrals (:func:`_cap_integral`), graded toward t when it lies
+    cap integrals (:func:`_cap_integrals`), graded toward t when it lies
     within (1+t)/17 of t.
     """
 
@@ -364,11 +353,19 @@ class CapMeasure:
         return self.moment(0)
 
     def moment(self, k: int) -> float:
-        """int u^k d(this measure), the ring charge included.  The cap integral
-        takes the tanh-sinh rule of :func:`_cap_integral` at d = ``params.d``,
-        which splits off the edge power in closed form, and raises
-        :class:`ConvergenceError` when no step down to 0.01 settles it."""
-        interior = _cap_integral(self.t, self.singular_exponent, self.gap,
-                                 lambda nodes: nodes.u ** k * self.regular_part(nodes),
-                                 self.params.d)[0]
-        return interior + self.boundary_coeff * self.t ** k
+        """int u^k d(this measure), the ring charge included.  The cap integral of
+        u^k regular_part times the surface factor (omega_{d-1}/omega_d) (1-u^2)^{d/2-1}
+        against (t-u)^singular_exponent takes :func:`_cap_integrals` with power
+        singular_exponent + 1, which rounds as the density's edge exponent
+        c = 1-(d-s)/2 does, so the edge power split off in closed form matches it;
+        it raises :class:`ConvergenceError` when no step down to 0.01 settles it."""
+        t, a, d = self.t, self.singular_exponent, self.params.d
+        om, e = omega_ratio(d), d / 2.0 - 1.0
+
+        def f(nodes, rows):  # the surface factor is 1/om at d = 2
+            out = nodes.u ** k * self.regular_part(nodes) / om
+            return out if d == 2 else out * (nodes.one_plus_u * nodes.one_minus_u) ** e
+
+        interior = _cap_integrals(np.array([t]), np.array([self.gap]), f, a + 1.0, False,
+                                  lambda i: f"t={t!r}, edge exponent a={a!r}")[0]
+        return float(interior[0]) + self.boundary_coeff * t ** k

@@ -379,8 +379,8 @@ def test_interior_atom_solves_as_its_exterior_fold(params):
                                sol_out.equilibrium.radial_density(us), rtol=1e-13, atol=1e-13)
     potential = cap_riesz.eta_potential
     for xi in (-0.5, sol_out.t0 + 0.05, 0.9):
-        assert potential(xi, sol_in.equilibrium, inner, params) == pytest.approx(
-            potential(xi, sol_out.equilibrium, outer, params) + shift, rel=1e-13)
+        assert potential(xi, sol_in.equilibrium, inner) == pytest.approx(
+            potential(xi, sol_out.equilibrium, outer) + shift, rel=1e-13)
 
 
 # name: (params, the per-unit-charge formula as a function of R); s = d-2 runs

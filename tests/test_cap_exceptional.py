@@ -226,8 +226,8 @@ def test_gamma_s_norm_bounds():
 
 def test_weakstar_gap_takes_the_reference_moments_once(monkeypatch):
     # moments k = 0..3 of nubar_t and epsbar_t once (8 cap integrals), then 8 per s
-    calls, integral = [], sphere._cap_integral
-    monkeypatch.setattr(sphere, "_cap_integral", lambda *a: calls.append(a) or integral(*a))
+    calls, integrals = [], sphere._cap_integrals
+    monkeypatch.setattr(sphere, "_cap_integrals", lambda *a: calls.append(a) or integrals(*a))
     weakstar_gap(0.0, [1.5, 1.2, 1.05, 1.01], 2.0, P31)
     assert len(calls) == 8 + 4 * 8
 
@@ -373,7 +373,7 @@ def test_log_weighted_potential_off_cap():
     for xi in (0.5, 0.9):
         direct = (ring_potential_quadrature(m, xi, p)
                   - 0.5 * q * math.log(axis_dist2(xi, R)))
-        assert direct == pytest.approx(eta_potential(xi, m, charge, p), abs=1e-6)
+        assert direct == pytest.approx(eta_potential(xi, m, charge), abs=1e-6)
     for xi in (-0.5, 0.0):
         direct = (ring_potential_quadrature(m, xi, p)
                   - 0.5 * q * math.log(axis_dist2(xi, R)))

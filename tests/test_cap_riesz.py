@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -180,7 +181,7 @@ def test_norms_phi_delta_gate_includes_s_equal_d_minus_2():
     assert eta.radial_density(0.0) == pytest.approx(
         (eta.phi - 0.69 ** 2 / 2.69 ** 2.5) / sphere_energy(ring), rel=1e-14)
     assert eta_measure(1.0, C13, ring).boundary_coeff == 0.0
-    assert math.isfinite(eta_potential(0.5, eta, C13, ring))
+    assert math.isfinite(eta_potential(0.5, eta, C13))
 
 
 CAP_FORMULAS = {
@@ -188,7 +189,9 @@ CAP_FORMULAS = {
     "eps_norm": lambda p: eps_norm(0.2, 1.3, p),
     "nu_potential": lambda p: nu_potential(0.5, 0.2, p),
     "eps_potential": lambda p: eps_potential(0.5, 0.2, 1.3, p),
-    "eta_potential": lambda p: eta_potential(0.5, eta_measure(0.2, C13, P21), C13, p),
+    # eta's own kernel, swapped for the one under test
+    "eta_potential": lambda p: eta_potential(0.5, replace(eta_measure(0.2, C13, P21), params=p),
+                                             C13),
 }
 LOG_TAKES = {"phi", "eta_potential"}  # F_0 and eta's potential have log forms
 
@@ -210,19 +213,20 @@ KERNELS = [pytest.param(Params(d=3, s=1.5), id="riesz"), pytest.param(Params(d=3
 AXIS2 = AxisMeasure([(1.6, 0.8), (0.7, 0.3)])
 
 
-@pytest.mark.parametrize("params", KERNELS)
+@pytest.mark.parametrize("params", KERNELS + [pytest.param(Params(d=2, s=1e-13), id="d2-s1e-13")])
 @pytest.mark.parametrize("t", [-0.9, -0.5, 0.0, 0.2, 0.8, 0.99, 1.0])
 def test_eta_phi_is_the_functional(params, t):
     # eta_t carries Phi(t), the weighted potential on its cap: for log the closed form
-    # F_0 bit for bit; for s <= d-2 < d it is Delta(t) + sum_i B_i from H's rule
+    # F_0 bit for bit; for d-2 <= s < d it is Delta(t) + sum_i B_i from H's rule
     # against W (1 + ||lambda eps_t||)/||nu_t|| from eps_t's rows, within 6.3e-15 here
+    # (at d = 2, s = 1e-13 eps_t's rows keep their digits as s -> 0)
     eta = eta_measure(t, AXIS2, params)
     if params.log:
         assert eta.phi == phi(t, AXIS2, params)
     else:
         assert eta.phi == pytest.approx(phi(t, AXIS2, params), rel=1e-13, abs=0.0)
     xis = np.array([-1.0, (t - 1.0) / 2.0, t])
-    assert np.all(eta_potential(xis, eta, AXIS2, params) == eta.phi)
+    assert np.all(eta_potential(xis, eta, AXIS2) == eta.phi)
 
 
 OFF_SPHERE = [1.5, -1.5, math.nan, np.array([0.5, 1.5])]
@@ -230,7 +234,7 @@ HEIGHT_FORMULAS = {
     "h": lambda x, p: h(x, AXIS2, p),
     "h_slope": lambda x, p: h_slope(x, AXIS2, p),
     "nu_norm": lambda x, p: nu_norm(x, p),
-    "eta_potential": lambda x, p: eta_potential(x, eta_measure(0.2, AXIS2, p), AXIS2, p),
+    "eta_potential": lambda x, p: eta_potential(x, eta_measure(0.2, AXIS2, p), AXIS2),
     "nu_potential": lambda x, p: nu_potential(x, 0.2, p),
     "eps_potential": lambda x, p: eps_potential(x, 0.2, 1.6, p),
     "eps_norm": lambda x, p: eps_norm(x, 1.6, p),
@@ -248,6 +252,21 @@ def test_heights_off_the_sphere_raise(name, params, x):
     # and eps_norm refuse the log kernel, test_riesz_formulas_refuse_other_kernels)
     with pytest.raises(ValueError, match=r"needs -1 <= (t|xi) <= 1"):
         HEIGHT_FORMULAS[name](x, params)
+
+
+CAP_HEIGHT_FORMULAS = {
+    "nu_potential": lambda t: nu_potential(0.5, t, Params(d=3, s=1.5)),
+    "eps_potential": lambda t: eps_potential(0.5, t, 1.3, Params(d=3, s=1.5)),
+}
+
+
+@pytest.mark.parametrize("t", [1.5, -1.0, -2.0, math.nan], ids=["1.5", "-1", "-2", "nan"])
+@pytest.mark.parametrize("name", CAP_HEIGHT_FORMULAS)
+def test_cap_heights_off_the_cap_range_raise(name, t):
+    # the cap height of a balayage potential lies in (-1, 1]: nu_potential returned
+    # W = 0.863 at t = 1.5, 0.0 at t = -1 and nan at t = -2
+    with pytest.raises(ValueError, match=r"cap height must lie in \(-1, 1\]"):
+        CAP_HEIGHT_FORMULAS[name](t)
 
 
 def test_balayage_measures_at_s_equal_d_minus_2_carry_a_ring():
@@ -357,6 +376,8 @@ EPS_NORM_CASES = [  # (d, s, R, heights)
     (3, 1.3418928503481116, 1.0000002756255286, (0.9999988982917943,)),
     (5, 3 + 2.0 ** -26, 1.0000833322055374, (0.9999999999823347,)),  # s just above d-2
     (2, 0.02, 1.5, (-0.5,)),  # the left edge power (1+u)^{-0.99}
+    # s -> 0 at d = 2: the closed part divides by the power s/2 itself, not (s/2 - 1) + 1
+    (2, 1e-13, 1.5, (-0.5, 0.3)), (2, 1e-10, 0.7, (0.3,)),
 ]
 
 
@@ -659,10 +680,10 @@ def test_weighted_potential_continuity_and_inequality():
     sol = axis_solve_t(C13, P21)
     t0 = sol.t0
     eta = eta_measure(t0, C13, P21)
-    assert eta_potential(t0, eta, C13, P21) == pytest.approx(sol.phi_at_t0, rel=1e-12)
+    assert eta_potential(t0, eta, C13) == pytest.approx(sol.phi_at_t0, rel=1e-12)
     # just outside the cap the potential exceeds the functional value
     for xi in (t0 + 1e-3, t0 + 0.1, 0.9):
-        assert eta_potential(xi, eta, C13, P21) > sol.phi_at_t0
+        assert eta_potential(xi, eta, C13) > sol.phi_at_t0
 
 
 def test_weighted_potential_against_quadrature():
@@ -673,7 +694,7 @@ def test_weighted_potential_against_quadrature():
     eta = eta_measure(t, charge, p)
     for xi in (0.6, 0.85):
         direct = cap_potential(eta.radial_density, t, xi, p) + q * axis_dist2(xi, R) ** (-s / 2.0)
-        assert direct == pytest.approx(eta_potential(xi, eta, charge, p), abs=1e-6)
+        assert direct == pytest.approx(eta_potential(xi, eta, charge), abs=1e-6)
 
 
 def test_phi_unimodal_on_grid():
@@ -717,8 +738,8 @@ def test_phi_batch_equals_per_point_calls(params, field, monkeypatch):
     # atom) row below 1 in one eps_norm batch on the tanh-sinh rule; the weighted
     # potential on the CLI's 200-point grid, both sides of the cap, is one call too
     from rieszcap import cap_riesz
-    batches, integrals = [], cap_riesz._tanh_sinh_integrals
-    monkeypatch.setattr(cap_riesz, "_tanh_sinh_integrals",
+    batches, integrals = [], cap_riesz._cap_integrals
+    monkeypatch.setattr(cap_riesz, "_cap_integrals",
                         lambda t, *a: batches.append(len(t)) or integrals(t, *a))
     ts = np.linspace(-0.999, 1.0, 200)
     for fn in (cap_riesz.phi, cap_riesz.h):
@@ -731,8 +752,8 @@ def test_phi_batch_equals_per_point_calls(params, field, monkeypatch):
             assert rows == ([] if params.log else [199 * atoms])
     assert ts[-1] == 1.0
     eta, xis = eta_measure(0.2, field, params), np.linspace(-1.0 + 1e-6, 1.0 - 1e-9, 200)
-    batch = eta_potential(xis, eta, field, params)
-    assert np.array_equal(batch, [eta_potential(float(xi), eta, field, params) for xi in xis])
+    batch = eta_potential(xis, eta, field)
+    assert np.array_equal(batch, [eta_potential(float(xi), eta, field) for xi in xis])
     assert np.all(batch[xis <= 0.2] == eta.phi) and np.all(batch[xis > 0.2] != eta.phi)
 
 

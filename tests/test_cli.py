@@ -58,7 +58,7 @@ def test_riesz_curves_match_public_functions(tmp_path):
     F = phi(T_FIXED, charge, params)
     eta = eta_measure(T_FIXED, charge, params)
     for xi, val, f_col in pot:
-        assert_rel(val, eta_potential(float(xi), eta, charge, params))
+        assert_rel(val, eta_potential(float(xi), eta, charge))
         assert_rel(f_col, F)
     for u, val, ring in dens:
         assert_rel(val, eta.radial_density(float(u)))
@@ -100,7 +100,7 @@ def test_log_curves_match_public_functions(tmp_path):
     _, params, charge, _ = LOG
     m = eta_measure(T_FIXED, charge, params)
     for xi, val, _ in pot:
-        assert_rel(val, eta_potential(float(xi), m, charge, params))
+        assert_rel(val, eta_potential(float(xi), m, charge))
     for u, val, ring in dens:
         assert_rel(val, m.radial_density(float(u)))
         assert_rel(ring, m.boundary_coeff)
@@ -432,8 +432,8 @@ def test_phi_curve_batches_its_cap_integrals(tmp_path, monkeypatch):
     # a 200-point Riesz phi-curve integrates every (height, atom) row in one
     # eps_norm batch on the tanh-sinh rule, not 200
     from rieszcap import cap_riesz
-    calls, integrals = [], cap_riesz._tanh_sinh_integrals
-    monkeypatch.setattr(cap_riesz, "_tanh_sinh_integrals",
+    calls, integrals = [], cap_riesz._cap_integrals
+    monkeypatch.setattr(cap_riesz, "_cap_integrals",
                         lambda t, *a: calls.append(len(t)) or integrals(t, *a))
     atoms = [[1.5, 0.5], [2.5, 0.7]]
     cfg = {"name": "curve", "task": "phi-curve", "d": 3, "kernel": {"type": "riesz", "s": 1.5},

@@ -293,23 +293,25 @@ def test_axis_dist2_against_40_digit_mpmath(near_one):
 # cap integrals on the tanh-sinh rule
 
 
-def ones(nodes):
-    return np.ones_like(nodes.u)
+def cap_integral(t, a, gap, d):
+    # int_{-1}^t (t-u)^a (omega_{d-1}/omega_d) (1-u^2)^{d/2-1} du, one row of the driver
+    def f(nodes, rows):
+        return surface_factor(d) * (nodes.one_plus_u * nodes.one_minus_u) ** (d / 2.0 - 1.0)
+    return sphere._cap_integrals(np.array([t]), np.array([gap]), f, a + 1.0, False, str)[0][0]
 
 
 def test_quadrature_full_sphere_mass():
     # the cap integral of 1 at t = 1 is the sigma_d mass of the sphere, and the
     # nodes keep their distances to both poles positive
     for d in (2, 3, 5):
-        assert sphere._cap_integral(1.0, 0.0, math.inf, ones, d)[0] == \
-            pytest.approx(1.0, abs=1e-12)
+        assert cap_integral(1.0, 0.0, math.inf, d) == pytest.approx(1.0, abs=1e-12)
     nodes, _, _ = sphere._tanh_sinh_nodes(1.0, math.inf)
     assert np.all(nodes.one_plus_u > 0.0) and np.all(nodes.one_minus_u > 0.0)
 
 
 def test_quadrature_cap_mass_invariant():
     d, t = 3, 0.4
-    got = sphere._cap_integral(t, 0.0, 1.0 - t, ones, d)[0]
+    got = cap_integral(t, 0.0, 1.0 - t, d)
     direct, err = integrate.quad(lambda u: (1.0 - u * u) ** (d / 2.0 - 1.0), -1.0, t)
     assert got == pytest.approx(surface_factor(d) * direct, rel=1e-12)
 
@@ -317,18 +319,17 @@ def test_quadrature_cap_mass_invariant():
 def test_quadrature_endpoint_singular_integrand():
     # (t-u)^{(s-d)/2} with d=2, s=1 integrates finitely; compare adaptive quad
     d, s, t = 2, 1.0, 0.2
-    got = sphere._cap_integral(t, (s - d) / 2.0, math.inf, ones, d)[0]
+    got = cap_integral(t, (s - d) / 2.0, math.inf, d)
     direct, err = integrate.quad(lambda u: (t - u) ** ((s - d) / 2.0), -1.0, t,
                                  epsabs=1e-12, epsrel=1e-11)
     assert got == pytest.approx(surface_factor(d) * direct, rel=1e-9)
 
 
 def per_row(fns):
-    # the terms of a batch whose row i integrates fns[i] over [-1, t_i], with no closed part
-    def terms(rows, nodes, w, owner):
-        vals = np.stack([fns[i](u) for i, u in zip(rows[owner], nodes.u)])
-        return np.zeros(len(rows)), w * vals
-    return terms
+    # the integrand f(nodes, rows) of a batch whose row i integrates fns[i] over [-1, t_i]
+    def f(nodes, rows):
+        return np.stack([fns[i](u) for i, u in zip(rows[:, 0], nodes.u)])
+    return f
 
 
 def test_batch_rows_take_their_own_paths_to_their_one_row_values():
@@ -338,10 +339,10 @@ def test_batch_rows_take_their_own_paths_to_their_one_row_values():
     # alone, bit for bit, and every value meets quad
     fns = [lambda u: 1.0 + u, lambda u: np.cos(40.0 * u), lambda u: 1.0 / (0.901 - u)]
     ts, gaps = np.array([0.3, 0.5, 0.9]), np.array([math.inf, math.inf, 1e-3])
-    values, estimates, levels = sphere._tanh_sinh_integrals(ts, gaps, per_row(fns), str)
+    values, estimates, levels = sphere._cap_integrals(ts, gaps, per_row(fns), 1.0, False, str)
     assert levels.tolist() == [0, 2, 0]
     for i, fn in enumerate(fns):
-        one = sphere._tanh_sinh_integrals(ts[i:i + 1], gaps[i:i + 1], per_row([fn]), str)
+        one = sphere._cap_integrals(ts[i:i + 1], gaps[i:i + 1], per_row([fn]), 1.0, False, str)
         assert (one[0][0], one[1][0], one[2][0]) == (values[i], estimates[i], levels[i])
         direct, err = integrate.quad(fn, -1.0, ts[i], epsabs=1e-13, epsrel=1e-13, limit=200)
         assert abs(values[i] - direct) <= 1e-12 * max(1.0, abs(direct)), i
@@ -350,8 +351,8 @@ def test_batch_rows_take_their_own_paths_to_their_one_row_values():
 def test_batch_row_that_cannot_settle_names_its_t():
     fns = [lambda u: 1.0 + u, lambda u: np.sign(np.sin(1e4 * u))]
     with pytest.raises(ConvergenceError) as info:
-        sphere._tanh_sinh_integrals(np.array([0.3, 0.25]), np.array([math.inf, math.inf]),
-                                    per_row(fns), lambda i: f"row {i}")
+        sphere._cap_integrals(np.array([0.3, 0.25]), np.array([math.inf, math.inf]),
+                              per_row(fns), 1.0, False, lambda i: f"row {i}")
     assert "row 1" in str(info.value) and "step 0.01" in str(info.value)
 
 

@@ -186,21 +186,21 @@ def test_eps_row_estimate_holds_against_half_step(monkeypatch):
     # the heights ORACLE_T: each settles at the first step, h = 0.08, and agrees
     # with the rule at half that step within the estimate it reports, which
     # meets 1e-12
-    seen, integrals = [], sphere._tanh_sinh_integrals
+    seen, integrals = [], sphere._cap_integrals
 
-    def checked(t, gap, terms, describe):
-        values, estimates, levels = integrals(t, gap, terms, describe)
+    def checked(t, gap, f, power, left, describe):
+        values, estimates, levels = integrals(t, gap, f, power, left, describe)
         assert not levels.any(), (t, levels)
         with pytest.MonkeyPatch.context() as half_step:
             half_step.setattr(sphere, "_TS_RULES", sphere._TS_RULES[1:2])
             half_step.setattr(sphere, "_TS_LEVELS", 1)
-            half = integrals(t, gap, terms, describe)[0]
+            half = integrals(t, gap, f, power, left, describe)[0]
         bound = 1e-12 * np.maximum(1.0, np.abs(values))
         assert np.all(np.abs(values - half) <= estimates) and np.all(estimates <= bound), t
         seen.extend(t.tolist())
         return values, estimates, levels
 
-    monkeypatch.setattr(cap_riesz, "_tanh_sinh_integrals", checked)
+    monkeypatch.setattr(cap_riesz, "_cap_integrals", checked)
     ts = np.array(ORACLE_T)
     grid = SWEEP + [(d, d - 2.0, R) for d in (3, 4, 5) for R in (1.1, 1.5, 3.0)]
     for d, s, R in grid:
@@ -212,20 +212,21 @@ def test_cap_mass_estimate_holds_against_half_step(monkeypatch):
     # every cap mass of nu_t, eps_t, eta_t and the log etabar_t, on the sweep grid
     # at the heights ORACLE_T, settles at the first step, h = 0.08, and agrees with
     # the rule at half that step within the estimate it reports, which meets 1e-12
-    seen, measure, integral = set(), [""], sphere._cap_integral
+    seen, measure, integrals = set(), [""], sphere._cap_integrals
 
-    def checked(t, a, gap, f, d):
-        value, estimate, level = integral(t, a, gap, f, d)
-        assert level == 0, (measure[0], t, d)
+    def checked(t, gap, f, power, left, describe):
+        values, estimates, levels = integrals(t, gap, f, power, left, describe)
+        value, estimate, level = values[0], estimates[0], levels[0]
+        assert level == 0, (measure[0], t, power)
         with pytest.MonkeyPatch.context() as half_step:
             half_step.setattr(sphere, "_TS_RULES", sphere._TS_RULES[1:2])
             half_step.setattr(sphere, "_TS_LEVELS", 1)
-            half = integral(t, a, gap, f, d)[0]
-        assert abs(value - half) <= estimate <= 1e-12 * max(1.0, abs(value)), (measure[0], t, d)
-        seen.add(measure[0] + (" mass at t = 1" if t == 1.0 else " mass"))
-        return value, estimate, level
+            half = integrals(t, gap, f, power, left, describe)[0][0]
+        assert abs(value - half) <= estimate <= 1e-12 * max(1.0, abs(value)), (measure[0], t, power)
+        seen.add(measure[0] + (" mass at t = 1" if t[0] == 1.0 else " mass"))
+        return values, estimates, levels
 
-    monkeypatch.setattr(sphere, "_cap_integral", checked)
+    monkeypatch.setattr(sphere, "_cap_integrals", checked)
     for d, s, R in SWEEP:
         p = Params(d=d, s=s)
         for t in ORACLE_T:
