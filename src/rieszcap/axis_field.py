@@ -43,13 +43,11 @@ _MASS_TOL = 1e-10  # |mass(eta_t0) - 1| above which a solve raises: mass(eta_t) 
 @dataclass(frozen=True)
 class CapSolution:
     """Solved extremal support: the extremal measure eta_t0 and the branch
-    taken; t0, Phi(t0) and the kernel are read from eta_t0.  ``field`` is the field
-    as the caller gave it, atoms on either side of the sphere.  ``delta_evals``
+    taken; t0, Phi(t0), the kernel and the field are read from eta_t0.  ``delta_evals``
     counts H's evaluations, H(1) included; ``t0_error`` is the last Newton step in t."""
 
     equilibrium: CapMeasure
     solved_by: str  # "interior_root" or "boundary_t_equals_1"
-    field: AxisMeasure
     delta_evals: int = 1
     t0_error: float = 0.0
 
@@ -62,6 +60,11 @@ class CapSolution:
     def phi_at_t0(self) -> float:
         """The functional at t0, the weighted potential on the support."""
         return self.equilibrium.phi
+
+    @property
+    def field(self) -> AxisMeasure:
+        """The field as the caller gave it: the charges eta_t0 was swept from."""
+        return AxisMeasure(self.equilibrium.charges)
 
 
 def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
@@ -93,8 +96,8 @@ def axis_solve_t(lam: AxisMeasure, params: Params) -> CapSolution:
             raise ConvergenceError(f"Newton on log H did not settle: last step {step!r} at t = {t!r}")
         t0, solved_by = t - step, "interior_root"
     measure = _certified(replace(eta(t0, lam, params), boundary_coeff=0.0))
-    return CapSolution(equilibrium=measure, solved_by=solved_by, field=lam,
-                       delta_evals=evals, t0_error=abs(step))
+    return CapSolution(equilibrium=measure, solved_by=solved_by, delta_evals=evals,
+                       t0_error=abs(step))
 
 
 def _certified(eta: CapMeasure) -> CapMeasure:

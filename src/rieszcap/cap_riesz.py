@@ -19,15 +19,17 @@ Everything holds on d-2 <= s < d, at s = d-2 as the limit s -> (d-2)+.
 nu_t, eps_t and eta_t are one CapMeasure constructor with different
 coefficients; at s = d-2 each has the whole sphere's density on every cap
 plus a ring charge on the cap edge, and the potentials are the betainc
-forms with (d-s)/2 = 1.
+forms with (d-s)/2 = 1.  Each measure records the charges it was swept from, and
+balayage fixes the potential of each piece on the cap, so one formula,
+:func:`weighted_potential`, gives the potential of every one of them.
 
 The planar log kernel, the s -> 0+ limit at d = 2, is the s = d-2 point there:
 with s = 0 and W = 1 (``Params.exponent``, ``Params.balayage_constant``) nu_t,
 eps_t, ||nu_t||, H, H' and eta_t serve it too; its functional F_0(Sigma_t)
 and eta_t's weighted potential are closed forms, the log branches of
-:func:`phi` and :func:`eta_potential`.  So each quantity a solve or a curve
-reads is one function for all three kernels; ||eps_t|| and the potentials of
-nu_t and eps_t are Riesz forms.
+:func:`phi` and :func:`weighted_potential`.  So each quantity a solve or a
+curve reads is one function for all three kernels; ||eps_t|| is a Riesz form,
+and of the log measures only eta_t carries the constant of its potential.
 """
 
 from __future__ import annotations
@@ -52,9 +54,7 @@ __all__ = [
     "h",
     "h_slope",
     "eta_measure",
-    "eta_potential",
-    "nu_potential",
-    "eps_potential",
+    "weighted_potential",
 ]
 
 
@@ -112,6 +112,11 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
 
     The log kernel is the s = d-2 form at d = 2 (``exponent`` 0, W = 1).
 
+    The measure records its ``charges`` and, as its ``phi``, K: balayage makes
+    U^{nu_t} = W_s and U^{eps_t^R} = |x - R p|^{-s} on the cap, so K is the
+    constant of its :func:`weighted_potential` there.  The log kernel keeps the
+    ``phi`` passed, F_0(Sigma_t) from :func:`eta_measure` or else None.
+
     Its ``gap`` is 1-t for t < 1 (u = 1 is a branch point of the regular part
     and of the surface factor the cap integral multiplies in), and at t = 1
     how far the lowest charge height (R_j^2+1)/(2R_j) lies beyond t,
@@ -124,6 +129,8 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
     c, gap = contraction
     beyond = 0.0 if t < 1.0 and not (params.is_exceptional and d == 2) else min(
         ((R - 1.0) ** 2 / (2.0 * R) for R, _ in charges), default=math.inf)
+    kept = dict(phi=phi if params.log else K, gap=(1.0 - t) + beyond, params=params,
+                charges=charges)
     if t == 1.0 or params.is_exceptional:
         def whole(nodes):
             out = np.full(np.shape(nodes.u), K / W)
@@ -133,8 +140,7 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
             return out
 
         ring = (1.0 - t) / 2.0 * (1.0 - t * t) ** (d / 2.0 - 1.0) * net if t < 1.0 else 0.0
-        return CapMeasure(t=t, regular_part=whole, boundary_coeff=ring, phi=phi,
-                          gap=(1.0 - t) + beyond, params=params)
+        return CapMeasure(t=t, regular_part=whole, boundary_coeff=ring, **kept)
     pref = math.exp(math.lgamma(d / 2.0) - math.lgamma(d - s / 2.0)) / W
 
     def regular(nodes):
@@ -143,8 +149,7 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
                                  one_minus_z=gap + c * rest)
         return pref * rest ** (d / 2.0) * (1.0 - t) ** ((d - s) / 2.0) * acc
 
-    return CapMeasure(t=t, regular_part=regular, singular_exponent=(s - d) / 2.0, phi=phi,
-                      gap=(1.0 - t) + beyond, params=params)
+    return CapMeasure(t=t, regular_part=regular, singular_exponent=(s - d) / 2.0, **kept)
 
 
 def nu_measure(t: float, params: Params) -> CapMeasure:
@@ -328,7 +333,8 @@ def h_slope(t: float, field: AxisMeasure, params: Params) -> float:
 
 def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     """The signed cap equilibrium eta_t = (Phi_s(t)/W_s) nu_t - sum_i m_i eps_t^i
-    for t in (-1, 1] (``phi`` is Phi_s(t)).  Phi_s(t) is Delta(t) + sum_i B_i,
+    for t in (-1, 1], with ``charges`` the field's atoms and ``phi`` Phi_s(t), the
+    constant K that :func:`_cap_measure` records.  Phi_s(t) is Delta(t) + sum_i B_i,
     B_i below, so eta_t takes one H evaluation and no quadrature of :func:`phi`.
 
     At t = 1, the whole sphere, its density is regular up to the pole, and its
@@ -349,7 +355,8 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     grouping, this one or the first, whose absolute parts sum less.
 
     For the log kernel (s = 0, W = 1) the density's level is 1 + ||lambda||, and
-    ``phi`` is F_0(Sigma_t) (:func:`phi`), the weighted potential on the cap.
+    ``phi``, passed to :func:`_cap_measure`, is F_0(Sigma_t) (:func:`phi`), the
+    weighted potential on the cap.
     """
     _require_cap_regime(params)
     d, s = params.d, params.exponent
@@ -359,74 +366,42 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
               2.0 * R * (1.0 - t) / axis_dist2(t, R)) for R, m in field.atoms]
     level = math.fsum([net, *(B for B, _ in pairs)])
     return _cap_measure(t, params, level, net, field.atoms, pairs=pairs,
-                        phi=phi(t, field, params) if params.log else level)
+                        phi=phi(t, field, params) if params.log else None)
 
 
-def nu_potential(xi: float, t: float, params: Params) -> float:
-    """Potential of nu_t at height xi: W_s on the cap, and
+def weighted_potential(xi: float | np.ndarray, mu: CapMeasure) -> float | np.ndarray:
+    """U^mu + sum_j c_j |x - R_j p|^{-s} for a cap measure mu swept from its ``charges``
+    ((R_j, c_j), ...), at a height xi or at each entry of an array xi: K = ``mu.phi``
+    on the cap and
 
-        W_s I((1+t)/(1+xi); s/2, (d-s)/2)
+        K + sum_j c_j rho_j^{-s} I((R_j+1)^2 (xi-t)/(r_j^2 (1+xi)); (d-s)/2, s/2)
+          - K I((xi-t)/(1+xi); (d-s)/2, s/2)
 
-    above it (strictly below W_s there); at s = d-2 that is
-    W_{d-2} ((1+t)/(1+xi))^{d/2-1}, since I(x; a, 1) = x^a.
+    above it, rho_j^2 = R_j^2 - 2 R_j xi + 1 (ring charge included at s = d-2).
+    So U^{nu_t} is nu_t's, U^{eps_t} is eps_t's plus rho^{-s}, and eta_t's is
+    U^{eta_t} + Q.  For the log kernel it is K = F_0(Sigma_t), which only eta_t
+    carries (None raises), on the cap and, off it,
+
+        K + log((1+t)/(1+xi))/2 + sum_j (c_j/2) log(r_j^2/rho_j^2).
     """
-    _require_cap_regime(params, log=False)
-    _require_heights(xi, "nu_potential", "xi")
-    _require_cap_height(t)
-    W = sphere_energy(params)
-    if xi <= t:
-        return W
-    return W * betainc(params.s / 2.0, (params.d - params.s) / 2.0, (1.0 + t) / (1.0 + xi))
-
-
-def eps_potential(xi: float, t: float, R: float, params: Params) -> float:
-    """Potential of eps_t of a unit charge at a = R*p, R != 1, at height xi:
-    |z-a|^{-s} on the cap, rho^{-s} I((rho^2/r^2)(1+t)/(1+xi); s/2, (d-s)/2)
-    above it (r^{2-d} ((1+t)/(1+xi))^{d/2-1} at s = d-2)."""
-    _require_cap_regime(params, log=False)
-    _require_heights(xi, "eps_potential", "xi")
-    _require_cap_height(t)
-    s, R = params.s, _axis_height(R)
-    rho2 = axis_dist2(xi, R)
-    if xi <= t:
-        return rho2 ** (-s / 2.0)
-    r2 = axis_dist2(t, R)
-    x = (rho2 / r2) * (1.0 + t) / (1.0 + xi)
-    return rho2 ** (-s / 2.0) * betainc(s / 2.0, (params.d - params.s) / 2.0, x)
-
-
-def eta_potential(xi: float | np.ndarray, eta: CapMeasure,
-                  field: AxisMeasure) -> float | np.ndarray:
-    """Weighted potential U^{eta_t} + Q at a height xi, or at each entry of an array xi:
-    Phi_s(t) on the cap and
-
-        Phi_s(t) + sum_i m_i rho_i^{-s} I((R_i+1)^2 (xi-t)/(r_i^2 (1+xi)); (d-s)/2, s/2)
-                 - Phi_s(t) I((xi-t)/(1+xi); (d-s)/2, s/2)
-
-    above it, rho_i^2 = R_i^2 - 2 R_i xi + 1 (``eta`` from :func:`eta_measure`, whose
-    kernel ``eta.params`` it takes).
-    At s = d-2, where I(x; 1, b) = 1 - (1-x)^b, this is the potential of
-    (Phi/W) nubar_t - sum_i m_i epsbar_t^i plus Q, ring charge included.
-    For the log kernel it is F_0(Sigma_t) on the cap and, off it,
-
-        F_0(Sigma_t) + log((1+t)/(1+xi))/2 + sum_i (m_i/2) log(r_i^2/rho_i^2).
-    """
-    params, t, phi_t = eta.params, eta.t, eta.phi
+    params, t, K = mu.params, mu.t, mu.phi
     _require_cap_regime(params)
     xi = np.asarray(xi, dtype=float)
-    _require_heights(xi, "eta_potential", "xi")
-    out, above = np.full(xi.shape, phi_t), xi > t
+    _require_heights(xi, "weighted_potential", "xi")
+    if K is None:
+        raise ValueError("cap formulas need phi, None here: log's F_0 comes from eta_measure")
+    out, above = np.full(xi.shape, K), xi > t
     x = xi[above]
     if params.log:
-        out[above] = (phi_t + 0.5 * np.log((1.0 + t) / (1.0 + x))
-                      + sum(0.5 * m * np.log(axis_dist2(t, R) / axis_dist2(x, R))
-                            for R, m in field.atoms))
+        out[above] = (K + 0.5 * np.log((1.0 + t) / (1.0 + x))
+                      + sum(0.5 * c * np.log(axis_dist2(t, R) / axis_dist2(x, R))
+                            for R, c in mu.charges))
         return out[()]
     d, s = params.d, params.s
     charges = sum(
-        m * axis_dist2(x, R) ** (-s / 2.0)
+        c * axis_dist2(x, R) ** (-s / 2.0)
         * betainc((d - s) / 2.0, s / 2.0,
                   np.minimum(1.0, (R + 1.0) ** 2 * (x - t) / (axis_dist2(t, R) * (1.0 + x))))
-        for R, m in field.atoms)
-    out[above] = phi_t + charges - phi_t * betainc((d - s) / 2.0, s / 2.0, (x - t) / (1.0 + x))
+        for R, c in mu.charges)
+    out[above] = K + charges - K * betainc((d - s) / 2.0, s / 2.0, (x - t) / (1.0 + x))
     return out[()]

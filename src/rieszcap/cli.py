@@ -17,9 +17,9 @@ Scenario schema::
               | {"mode": "fixed", "value": 0.2}
               | {"mode": "offset", "value": -0.2},   # relative to solved t0
       "grid": 200,          # positive integer: curve resolution / verification grid
-      "tol": 1e-5,          # verification tolerance
-      "seed": 0, "n": 800, "iters": 2500     # particles task (d = 2; integers, n >= 50;
-                                             #   default seed 0, n 800, iters 2000)
+      "tol": 1e-5,          # verification tolerance, finite and > 0
+      "seed": 0, "n": 800, "iters": 2500     # particles task (d = 2; integers seed >= 0,
+                                             #   n >= 50, iters >= 1; default 0, 800, 2000)
     }
 
 Every task takes either field type; a point charge is the one-atom axis
@@ -28,11 +28,12 @@ eta_t at the cap height, ``phi-curve`` the kernel's cap functional (its
 column phi, phibar at s = d-2, or F0 for log); each curve is one call of its
 :mod:`rieszcap.cap_riesz` formula, which takes every kernel, on the whole
 height grid.  Curve tasks write ``<name>_potential.csv`` (xi, weighted
-potential, F), ``<name>_density.csv`` (u, density, boundary_coeff) and
-``<name>_phi.csv``; scalar tasks write ``<name>.json`` (one line, keys sorted).
-Exit codes: 0 success, 2 malformed scenario (a kernel outside the three
-solvable regimes d-2 < s < d, s = d-2 with d >= 3 and log with d = 2
-included; at d = 2, s <= 2^-53 names the log kernel as its s -> 0+ limit),
+potential U^{eta_t} + Q, F), ``<name>_density.csv`` (u, density,
+boundary_coeff) and ``<name>_phi.csv``; scalar tasks write ``<name>.json``
+(one line, keys sorted).  Exit codes: 0 success, 2 malformed scenario (a
+setting off its range above, or a kernel outside the three solvable regimes
+d-2 < s < d, s = d-2 with d >= 3 and log with d = 2; at d = 2, s <= 2^-53
+names the log kernel as its s -> 0+ limit),
 3 numeric failure (a fixed or offset cap whose eta_t fails the mass
 certificate included).
 """
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -74,10 +76,10 @@ def _value(cfg: dict, key: str, kind: type, default=None):
     return _number(cfg.get(key, default), key, kind)
 
 
-def _grid(cfg: dict, default: int) -> int:
-    n = _value(cfg, "grid", int, default)
-    if n < 1:
-        raise ScenarioError(f"grid must be positive, got {n}")
+def _count(cfg: dict, key: str, default: int, least: int = 1) -> int:
+    n = _value(cfg, key, int, default)
+    if n < least:
+        raise ScenarioError(f"{key} must be at least {least}, got {n}")
     return n
 
 
@@ -149,13 +151,13 @@ def _write_json(path: Path, payload: dict) -> None:
 def _task_cap_curves(cfg, field, params, out_dir: Path, name: str) -> dict:
     # density: eta_t on a height grid of the cap; potential: also the
     # weighted potential on a height grid of the sphere
-    n = _grid(cfg, 200)
+    n = _count(cfg, "grid", 200)
     eta = _scenario_eta(cfg, field, params)
     files = []
     if cfg["task"] == "potential":
         xis = np.linspace(-1.0 + 1e-6, 1.0 - 1e-9, n)
         _write_csv(out_dir / f"{name}_potential.csv", ["xi", "weighted_potential", "F"],
-                   zip(xis, cap_riesz.eta_potential(xis, eta, field)), [eta.phi])
+                   zip(xis, cap_riesz.weighted_potential(xis, eta)), [eta.phi])
         files.append(f"{name}_potential.csv")
     _write_csv(out_dir / f"{name}_density.csv", ["u", "density", "boundary_coeff"],
                zip(*eta.density_samples(n)), [eta.boundary_coeff])
@@ -165,14 +167,14 @@ def _task_cap_curves(cfg, field, params, out_dir: Path, name: str) -> dict:
 
 def _task_phi_curve(cfg, field, params, out_dir: Path, name: str) -> dict:
     column = "F0" if params.log else "phibar" if params.is_exceptional else "phi"
-    ts = np.linspace(-0.999, 1.0, _grid(cfg, 200))
+    ts = np.linspace(-0.999, 1.0, _count(cfg, "grid", 200))
     _write_csv(out_dir / f"{name}_phi.csv", ["t", column],
                zip(ts, cap_riesz.phi(ts, field, params)))
     return {"files": [f"{name}_phi.csv"]}
 
 
 def _task_solve_support(cfg, field, params, out_dir: Path, name: str) -> dict:
-    n = _grid(cfg, 50)
+    n = _count(cfg, "grid", 50)
     sol = axis_solve_t(field, params)
     samples = [[float(u), float(v)] for u, v in zip(*sol.equilibrium.density_samples(n))]
     payload = {
@@ -189,7 +191,9 @@ def _task_solve_support(cfg, field, params, out_dir: Path, name: str) -> dict:
 
 def _task_verify(cfg, field, params, out_dir: Path, name: str) -> dict:
     tol = _value(cfg, "tol", float, 1e-5)
-    grid = _grid(cfg, 41)
+    if not 0.0 < tol < math.inf:
+        raise ScenarioError(f"tol must be finite and positive, got {tol}")
+    grid = _count(cfg, "grid", 41)
     sol = axis_solve_t(field, params)
     report = oracle.check_variational(sol, grid_size=grid)
     passed = (report.max_violation_on_support <= tol
@@ -211,11 +215,8 @@ def _task_verify(cfg, field, params, out_dir: Path, name: str) -> dict:
 def _task_particles(cfg, field, params, out_dir: Path, name: str) -> dict:
     if params.d != 2:
         raise ScenarioError(f"particles runs on S^2 only (d = 2), got d={params.d}")
-    n = _value(cfg, "n", int, 800)
-    if n < 50:
-        raise ScenarioError(f"particles needs n >= 50, got {n}")
-    iters = _value(cfg, "iters", int, 2000)
-    seed = _value(cfg, "seed", int, 0)
+    n, iters = _count(cfg, "n", 800, 50), _count(cfg, "iters", 2000)
+    seed = _count(cfg, "seed", 0, 0)
     system = oracle.minimize_particles(n, params, field, seed=seed, iters=iters)
     est = oracle.empirical_support_height(system)
     _write_csv(out_dir / f"{name}_heights.csv", ["height"], [(h,) for h in np.sort(system.heights)])

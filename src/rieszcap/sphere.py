@@ -312,8 +312,10 @@ class CapMeasure:
     regular_part(u) * (t-u)^singular_exponent against sigma_d (regular_part
     is called with the :class:`Nodes` of a float array of heights, of any shape);
     ``boundary_coeff`` multiplies the unit uniform measure on the ring u = t.
-    ``phi`` is the constant weighted potential on the cap of an equilibrium
-    measure (None for a balayage measure), and ``params`` the kernel it
+    ``charges`` are the axis charges ((R_j, c_j), ...) the measure was swept
+    from, and ``phi`` the constant K of its weighted potential
+    U^mu + sum_j c_j |x - R_j p|^{-s} on the cap (None for the log kernel's
+    balayages, which carry no closed form of it); ``params`` is the kernel it
     belongs to.  ``gap`` is how far regular_part's nearest singularity lies
     beyond t, the (1-u)^{d/2-1} surface factor included for t < 1, formed
     without rounding it through a height: it sets the panel grading of the
@@ -328,6 +330,7 @@ class CapMeasure:
     phi: float | None = None
     gap: float = field(kw_only=True)
     params: Params = field(kw_only=True)
+    charges: tuple[tuple[float, float], ...] = field(default=(), kw_only=True)
 
     def radial_density(self, u):
         """Density of the absolutely continuous part at height u <= t (u < t

@@ -9,6 +9,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarn
 from rieszcap import cap_exceptional, cap_riesz
 from rieszcap.axis_field import (
     AxisMeasure,
+    CapSolution,
     axis_solve_t,
 )
 from rieszcap.oracle import external_field
@@ -377,10 +378,29 @@ def test_interior_atom_solves_as_its_exterior_fold(params):
     us = np.linspace(-1.0 + 1e-9, sol_out.t0 - 1e-3, 50)
     np.testing.assert_allclose(sol_in.equilibrium.radial_density(us),
                                sol_out.equilibrium.radial_density(us), rtol=1e-13, atol=1e-13)
-    potential = cap_riesz.eta_potential
+    potential = cap_riesz.weighted_potential
     for xi in (-0.5, sol_out.t0 + 0.05, 0.9):
-        assert potential(xi, sol_in.equilibrium, inner) == pytest.approx(
-            potential(xi, sol_out.equilibrium, outer) + shift, rel=1e-13)
+        assert potential(xi, sol_in.equilibrium) == pytest.approx(
+            potential(xi, sol_out.equilibrium) + shift, rel=1e-13)
+
+
+def u_eps(xi, t, R, params):
+    """U^{eps_t}(xi): the weighted potential of eps_t (the charge -1 at R) plus
+    |x - R p|^{-s}; both parts are Kelvin-invariant."""
+    return (cap_riesz.weighted_potential(xi, cap_riesz.eps_measure(t, R, params))
+            + axis_dist2(xi, R) ** (-params.s / 2.0))
+
+
+@pytest.mark.parametrize("params", [Params(d=2, s=1.0), Params(d=3, s=1.0), PLOG],
+                         ids=["riesz", "exceptional", "log"])
+def test_solution_field_is_the_one_eta_was_swept_from(params):
+    # eta_t0 records its charges, so a solution's field cannot differ from the one
+    # its weighted potential reads: CapSolution takes no field of its own
+    lam = AxisMeasure([(0.6, 0.6), (2.0, 0.3)])
+    sol = axis_solve_t(lam, params)
+    assert sol.field == lam and sol.equilibrium.charges == lam.atoms
+    with pytest.raises(TypeError):
+        CapSolution(equilibrium=sol.equilibrium, solved_by=sol.solved_by, field=lam)
 
 
 # name: (params, the per-unit-charge formula as a function of R); s = d-2 runs
@@ -394,10 +414,10 @@ PER_UNIT = {
     "eps_whole_density": (P315, lambda R: cap_riesz.eps_measure(1.0, R, P315).radial_density(0.0)),
     "eps_norm": (P315, lambda R: cap_riesz.eps_norm(0.2, R, P315)),
     "eps_whole_norm": (P315, lambda R: cap_riesz.eps_norm(1.0, R, P315)),
-    "eps_potential": (P315, lambda R: cap_riesz.eps_potential(0.5, 0.2, R, P315)),
+    "eps_potential": (P315, lambda R: u_eps(0.5, 0.2, R, P315)),
     "epsbar": (P31, lambda R: [cap_riesz.eps_measure(0.2, R, P31).radial_density(0.0),
                                cap_riesz.eps_measure(0.2, R, P31).boundary_coeff]),
-    "epsbar_potential": (P31, lambda R: cap_riesz.eps_potential(0.5, 0.2, R, P31)),
+    "epsbar_potential": (P31, lambda R: u_eps(0.5, 0.2, R, P31)),
     "weakstar_gap": (P31, lambda R: cap_exceptional.weakstar_gap(0.0, [1.5], R, P31)),
 }
 

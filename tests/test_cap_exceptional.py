@@ -12,15 +12,13 @@ from rieszcap.cap_exceptional import gamma_s_norm, weakstar_gap
 from rieszcap.cap_riesz import (
     eps_measure,
     eps_norm,
-    eps_potential,
     eta_measure,
-    eta_potential,
     h,
     log_cap_energy,
     nu_measure,
     nu_norm,
-    nu_potential,
     phi,
+    weighted_potential,
 )
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import CapMeasure, Params, axis_dist2, kappa, sphere_energy, surface_factor
@@ -103,7 +101,7 @@ def test_nubar_potential_off_cap():
     W = sphere_energy(P31)
     m = nu_measure(t, P31)
     for xi in (0.5, 0.8):
-        closed = nu_potential(xi, t, P31)
+        closed = weighted_potential(xi, m)
         assert closed == pytest.approx(W * (1.0 + t) ** (d / 2.0 - 1.0)
                                        * (1.0 + xi) ** (1.0 - d / 2.0), rel=1e-13)
         assert closed < W
@@ -120,7 +118,7 @@ def test_epsbar_balayage_potential():
         assert ring_potential_quadrature(m, xi, P31) == pytest.approx(
             axis_dist2(xi, R) ** ((2.0 - d) / 2.0), abs=1e-6)
     for xi in (0.4, 0.9):
-        closed = eps_potential(xi, t, R, P31)
+        closed = weighted_potential(xi, m) + axis_dist2(xi, R) ** ((2.0 - d) / 2.0)
         assert ring_potential_quadrature(m, xi, P31) == pytest.approx(closed, abs=1e-6)
         assert closed < axis_dist2(xi, R) ** ((2.0 - d) / 2.0)
 
@@ -373,7 +371,7 @@ def test_log_weighted_potential_off_cap():
     for xi in (0.5, 0.9):
         direct = (ring_potential_quadrature(m, xi, p)
                   - 0.5 * q * math.log(axis_dist2(xi, R)))
-        assert direct == pytest.approx(eta_potential(xi, m, charge), abs=1e-6)
+        assert direct == pytest.approx(weighted_potential(xi, m), abs=1e-6)
     for xi in (-0.5, 0.0):
         direct = (ring_potential_quadrature(m, xi, p)
                   - 0.5 * q * math.log(axis_dist2(xi, R)))

@@ -12,15 +12,13 @@ from rieszcap.axis_field import axis_solve_t
 from rieszcap.cap_riesz import (
     eps_measure,
     eps_norm,
-    eps_potential,
     eta_measure,
-    eta_potential,
     h,
     h_slope,
     nu_measure,
     nu_norm,
-    nu_potential,
     phi,
+    weighted_potential,
 )
 from rieszcap.point_field import AxisMeasure, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
@@ -36,6 +34,17 @@ C13 = AxisMeasure([(1.3, 1.0)])
 def delta(t, field, params):
     # Delta(t) = Phi_s(t) - sum_i m_i e_i(t), from H as the package forms it
     return sphere_energy(params) * (1.0 - h(t, field, params)) / nu_norm(t, params)
+
+
+def u_nu(xi, t, params):
+    """U^{nu_t}(xi): the weighted potential of nu_t, which was swept from no charge."""
+    return weighted_potential(xi, nu_measure(t, params))
+
+
+def u_eps(xi, t, R, params):
+    """U^{eps_t}(xi): the weighted potential of eps_t (the charge -1 at R) plus |x - R p|^{-s}."""
+    return (weighted_potential(xi, eps_measure(t, R, params))
+            + axis_dist2(xi, R) ** (-params.s / 2.0))
 
 
 def cap_sigma_integral(f, d, t, edge_exponent=0.0):
@@ -181,17 +190,18 @@ def test_norms_phi_delta_gate_includes_s_equal_d_minus_2():
     assert eta.radial_density(0.0) == pytest.approx(
         (eta.phi - 0.69 ** 2 / 2.69 ** 2.5) / sphere_energy(ring), rel=1e-14)
     assert eta_measure(1.0, C13, ring).boundary_coeff == 0.0
-    assert math.isfinite(eta_potential(0.5, eta, C13))
+    assert math.isfinite(weighted_potential(0.5, eta))
 
 
 CAP_FORMULAS = {
     "phi": lambda p: phi(0.2, C13, p),
     "eps_norm": lambda p: eps_norm(0.2, 1.3, p),
-    "nu_potential": lambda p: nu_potential(0.5, 0.2, p),
-    "eps_potential": lambda p: eps_potential(0.5, 0.2, 1.3, p),
+    # the potentials of nu_t, eps_t and eta_t (plus Q), each by weighted_potential
+    "nu_potential": lambda p: u_nu(0.5, 0.2, p),
+    "eps_potential": lambda p: u_eps(0.5, 0.2, 1.3, p),
     # eta's own kernel, swapped for the one under test
-    "eta_potential": lambda p: eta_potential(0.5, replace(eta_measure(0.2, C13, P21), params=p),
-                                             C13),
+    "eta_potential": lambda p: weighted_potential(
+        0.5, replace(eta_measure(0.2, C13, P21), params=p)),
 }
 LOG_TAKES = {"phi", "eta_potential"}  # F_0 and eta's potential have log forms
 
@@ -202,8 +212,8 @@ LOG_TAKES = {"phi", "eta_potential"}  # F_0 and eta's potential have log forms
     if not (kid == "log" and name in LOG_TAKES)])
 def test_riesz_formulas_refuse_other_kernels(name, kernel):
     # the log kernel shares the s = d-2 cap measures, its functional and eta's
-    # potential, not ||eps_t|| or the potentials of nu_t and eps_t; s < d-2 has
-    # no cap formula
+    # potential, not ||eps_t|| or the potentials of nu_t and eps_t, whose log
+    # measures carry no phi; s < d-2 has no cap formula
     with pytest.raises(ValueError, match="cap formulas need"):
         CAP_FORMULAS[name](kernel)
 
@@ -226,7 +236,7 @@ def test_eta_phi_is_the_functional(params, t):
     else:
         assert eta.phi == pytest.approx(phi(t, AXIS2, params), rel=1e-13, abs=0.0)
     xis = np.array([-1.0, (t - 1.0) / 2.0, t])
-    assert np.all(eta_potential(xis, eta, AXIS2) == eta.phi)
+    assert np.all(weighted_potential(xis, eta) == eta.phi)
 
 
 OFF_SPHERE = [1.5, -1.5, math.nan, np.array([0.5, 1.5])]
@@ -234,9 +244,9 @@ HEIGHT_FORMULAS = {
     "h": lambda x, p: h(x, AXIS2, p),
     "h_slope": lambda x, p: h_slope(x, AXIS2, p),
     "nu_norm": lambda x, p: nu_norm(x, p),
-    "eta_potential": lambda x, p: eta_potential(x, eta_measure(0.2, AXIS2, p), AXIS2),
-    "nu_potential": lambda x, p: nu_potential(x, 0.2, p),
-    "eps_potential": lambda x, p: eps_potential(x, 0.2, 1.6, p),
+    "eta_potential": lambda x, p: weighted_potential(x, eta_measure(0.2, AXIS2, p)),
+    "nu_potential": lambda x, p: u_nu(x, 0.2, p),
+    "eps_potential": lambda x, p: u_eps(x, 0.2, 1.6, p),
     "eps_norm": lambda x, p: eps_norm(x, 1.6, p),
 }
 
@@ -248,23 +258,23 @@ HEIGHT_FORMULAS = {
     if not (kernel.id == "log" and name in CAP_FORMULAS and name not in LOG_TAKES)])
 def test_heights_off_the_sphere_raise(name, params, x):
     # a height or xi off [-1, 1] reads as no value: H's log branch returned -10.0
-    # at t = 1.5, and nu_potential 0.417 at xi = 1.5 (the Riesz-only potentials
-    # and eps_norm refuse the log kernel, test_riesz_formulas_refuse_other_kernels)
+    # at t = 1.5, and nu_t's potential 0.417 at xi = 1.5 (the potentials of nu_t
+    # and eps_t and eps_norm refuse the log kernel, test_riesz_formulas_refuse_other_kernels)
     with pytest.raises(ValueError, match=r"needs -1 <= (t|xi) <= 1"):
         HEIGHT_FORMULAS[name](x, params)
 
 
 CAP_HEIGHT_FORMULAS = {
-    "nu_potential": lambda t: nu_potential(0.5, t, Params(d=3, s=1.5)),
-    "eps_potential": lambda t: eps_potential(0.5, t, 1.3, Params(d=3, s=1.5)),
+    "nu_potential": lambda t: u_nu(0.5, t, Params(d=3, s=1.5)),
+    "eps_potential": lambda t: u_eps(0.5, t, 1.3, Params(d=3, s=1.5)),
 }
 
 
 @pytest.mark.parametrize("t", [1.5, -1.0, -2.0, math.nan], ids=["1.5", "-1", "-2", "nan"])
 @pytest.mark.parametrize("name", CAP_HEIGHT_FORMULAS)
 def test_cap_heights_off_the_cap_range_raise(name, t):
-    # the cap height of a balayage potential lies in (-1, 1]: nu_potential returned
-    # W = 0.863 at t = 1.5, 0.0 at t = -1 and nan at t = -2
+    # the cap height of a balayage lies in (-1, 1], which _cap_measure checks: nu_t's
+    # potential read W = 0.863 at t = 1.5, 0.0 at t = -1 and nan at t = -2
     with pytest.raises(ValueError, match=r"cap height must lie in \(-1, 1\]"):
         CAP_HEIGHT_FORMULAS[name](t)
 
@@ -667,23 +677,23 @@ def test_closed_form_off_cap_potentials():
     p = Params(d=d, s=s)
     for xi in (0.45, 0.7, 0.95):
         got = cap_potential(nu_measure(t, p).radial_density, t, xi, p)
-        assert got == pytest.approx(nu_potential(xi, t, p), abs=1e-6)
+        assert got == pytest.approx(u_nu(xi, t, p), abs=1e-6)
         got = cap_potential(eps_measure(t, R, p).radial_density, t, xi, p)
-        assert got == pytest.approx(eps_potential(xi, t, R, p), abs=1e-6)
+        assert got == pytest.approx(u_eps(xi, t, R, p), abs=1e-6)
     # off-cap deficiency
     for xi in (0.5, 0.8):
-        assert nu_potential(xi, t, p) < sphere_energy(p)
-        assert eps_potential(xi, t, R, p) < axis_dist2(xi, R) ** (-s / 2.0)
+        assert u_nu(xi, t, p) < sphere_energy(p)
+        assert u_eps(xi, t, R, p) < axis_dist2(xi, R) ** (-s / 2.0)
 
 
 def test_weighted_potential_continuity_and_inequality():
     sol = axis_solve_t(C13, P21)
     t0 = sol.t0
     eta = eta_measure(t0, C13, P21)
-    assert eta_potential(t0, eta, C13) == pytest.approx(sol.phi_at_t0, rel=1e-12)
+    assert weighted_potential(t0, eta) == pytest.approx(sol.phi_at_t0, rel=1e-12)
     # just outside the cap the potential exceeds the functional value
     for xi in (t0 + 1e-3, t0 + 0.1, 0.9):
-        assert eta_potential(xi, eta, C13) > sol.phi_at_t0
+        assert weighted_potential(xi, eta) > sol.phi_at_t0
 
 
 def test_weighted_potential_against_quadrature():
@@ -694,7 +704,58 @@ def test_weighted_potential_against_quadrature():
     eta = eta_measure(t, charge, p)
     for xi in (0.6, 0.85):
         direct = cap_potential(eta.radial_density, t, xi, p) + q * axis_dist2(xi, R) ** (-s / 2.0)
-        assert direct == pytest.approx(eta_potential(xi, eta, charge), abs=1e-6)
+        assert direct == pytest.approx(weighted_potential(xi, eta), abs=1e-6)
+
+
+@pytest.mark.parametrize("d, s", [(5, 4.8), (4, 3.8), (3, 1.5), (2, 0.5)])
+@pytest.mark.parametrize("t", [-0.5, 0.3])
+def test_balayage_potentials_at_the_cap_edge_against_40_digit_mpmath(d, s, t):
+    # just above the cap, against the paper's forms W I((1+t)/(1+xi); s/2, (d-s)/2) and
+    # rho^{-s} (I((rho^2/r^2)(1+t)/(1+xi); s/2, (d-s)/2) - 1), taken at 40 digits: the
+    # forms in (1+t)/(1+xi), which rounds to 1 one ulp above t, were 2.7e-2 (nu_t)
+    # and 3.0e-2 (eps_t) off at d = 5, s = 4.8, t = 0.3
+    p = Params(d=d, s=s)
+    with mp.workdps(40):
+        dm, sm, tm = mp.mpf(d), mp.mpf(s), mp.mpf(t)
+        W = mp.gamma(dm) * mp.gamma((dm - sm) / 2) / (
+            2 ** sm * mp.gamma(dm / 2) * mp.gamma(dm - sm / 2))
+        reg = lambda x: mp.betainc(sm / 2, (dm - sm) / 2, 0, x, regularized=True)
+        for xi in (float(np.nextafter(t, 2.0)), t + 1e-9):
+            xm = mp.mpf(xi)
+            got = weighted_potential(xi, nu_measure(t, p))
+            want = W * reg((1 + tm) / (1 + xm))
+            assert abs(got / float(want) - 1.0) <= 1e-14, (xi, got, want)
+            for R in (0.6, 1.3):
+                Rm = mp.mpf(R)
+                rho2, r2 = Rm ** 2 - 2 * Rm * xm + 1, Rm ** 2 - 2 * Rm * tm + 1
+                got = weighted_potential(xi, eps_measure(t, R, p))
+                want = rho2 ** (-sm / 2) * (reg(rho2 / r2 * (1 + tm) / (1 + xm)) - 1)
+                assert abs(got / float(want) - 1.0) <= 1e-14, (xi, R, got, want)
+
+
+@pytest.mark.parametrize("params", KERNELS[:2])
+def test_eta_weighted_potential_is_linear_in_its_balayages(params):
+    # weighted(eta_t) = (Phi/W) weighted(nu_t) - sum_i m_i weighted(eps_t^i): off the
+    # cap to 1e-13, and on it each is its own phi (Phi, W and 0) bit for bit
+    W = sphere_energy(params)
+    for t in (-0.6, 0.2, 0.7):
+        eta, nu = eta_measure(t, AXIS2, params), nu_measure(t, params)
+        eps = [(m, eps_measure(t, R, params)) for R, m in AXIS2.atoms]
+        on, off = np.linspace(-1.0, t, 9), np.linspace(t + 1e-6, 1.0, 17)
+        assert np.all(weighted_potential(on, eta) == eta.phi)
+        assert np.all(weighted_potential(on, nu) == nu.phi) and nu.phi == W
+        for _, e in eps:
+            assert np.all(weighted_potential(on, e) == e.phi) and e.phi == 0.0
+        combo = eta.phi / W * weighted_potential(off, nu) - sum(
+            m * weighted_potential(off, e) for m, e in eps)
+        np.testing.assert_allclose(weighted_potential(off, eta), combo, rtol=1e-13, atol=0.0)
+
+
+def test_weighted_potential_of_a_log_balayage_raises_value_error():
+    # of the log measures only eta_t carries its constant, F_0; nubar_t gave a TypeError
+    # from numpy arithmetic on its phi, None
+    with pytest.raises(ValueError, match="eta_measure"):
+        weighted_potential(0.5, nu_measure(0.2, Params(d=2, log=True)))
 
 
 def test_phi_unimodal_on_grid():
@@ -752,8 +813,8 @@ def test_phi_batch_equals_per_point_calls(params, field, monkeypatch):
             assert rows == ([] if params.log else [199 * atoms])
     assert ts[-1] == 1.0
     eta, xis = eta_measure(0.2, field, params), np.linspace(-1.0 + 1e-6, 1.0 - 1e-9, 200)
-    batch = eta_potential(xis, eta, field)
-    assert np.array_equal(batch, [eta_potential(float(xi), eta, field) for xi in xis])
+    batch = weighted_potential(xis, eta)
+    assert np.array_equal(batch, [weighted_potential(float(xi), eta) for xi in xis])
     assert np.all(batch[xis <= 0.2] == eta.phi) and np.all(batch[xis > 0.2] != eta.phi)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from rieszcap import cli
 from rieszcap.axis_field import axis_solve_t
-from rieszcap.cap_riesz import eta_measure, eta_potential, phi
+from rieszcap.cap_riesz import eta_measure, phi, weighted_potential
 from rieszcap.point_field import AxisMeasure
 from rieszcap.sphere import Params
 
@@ -58,7 +58,7 @@ def test_riesz_curves_match_public_functions(tmp_path):
     F = phi(T_FIXED, charge, params)
     eta = eta_measure(T_FIXED, charge, params)
     for xi, val, f_col in pot:
-        assert_rel(val, eta_potential(float(xi), eta, charge))
+        assert_rel(val, weighted_potential(float(xi), eta))
         assert_rel(f_col, F)
     for u, val, ring in dens:
         assert_rel(val, eta.radial_density(float(u)))
@@ -100,7 +100,7 @@ def test_log_curves_match_public_functions(tmp_path):
     _, params, charge, _ = LOG
     m = eta_measure(T_FIXED, charge, params)
     for xi, val, _ in pot:
-        assert_rel(val, eta_potential(float(xi), m, charge))
+        assert_rel(val, weighted_potential(float(xi), m))
     for u, val, ring in dens:
         assert_rel(val, m.radial_density(float(u)))
         assert_rel(ring, m.boundary_coeff)
@@ -110,8 +110,8 @@ def test_log_curves_match_public_functions(tmp_path):
 def test_potential_curve_is_one_call(tmp_path, monkeypatch, case):
     # the 200-point potential curve is one batch call of the kernel's potential
     kernel, params, charge, d = case
-    calls, potential = [], cli.cap_riesz.eta_potential
-    monkeypatch.setattr(cli.cap_riesz, "eta_potential",
+    calls, potential = [], cli.cap_riesz.weighted_potential
+    monkeypatch.setattr(cli.cap_riesz, "weighted_potential",
                         lambda xi, *a: calls.append(np.shape(xi)) or potential(xi, *a))
     cli.run_scenario(scenario("potential", d, kernel, point(charge), grid=200), tmp_path)
     assert calls == [(200,)]
@@ -296,6 +296,29 @@ def test_particles_with_too_few_points_exits_2(tmp_path, capsys):
     cfg = dict(scenario("particles", 2, RIESZ[0], point(RIESZ[2])), n=10, iters=3)
     assert cli.main(["run", str(write_scenario(tmp_path, cfg))]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("task, change, flags", [
+    ("particles", {"iters": -5}, []),
+    ("particles", {"iters": 0}, []),
+    ("particles", {"seed": -1}, []),
+    ("particles", {}, ["--seed", "-1"]),
+    ("verify", {}, ["--tol", "nan"]),
+    ("verify", {}, ["--tol", "-1"]),
+    ("verify", {}, ["--tol", "inf"]),
+    ("verify", {"tol": 0.0}, []),
+], ids=["iters-5", "iters0", "seed-1", "seed-1-flag", "tol-nan", "tol-1", "tol-inf", "tol0"])
+def test_settings_off_their_range_exit_2(tmp_path, capsys, task, change, flags):
+    # iters -5 wrote an undescended gas with a vacuous energy_monotone and exit 0,
+    # seed -1 exited 3 from numpy, and tol nan or -1 exited 0 with "passed": false
+    # (nan written as NaN, which is not strict JSON)
+    # verify runs the oracle, which takes s < d-1
+    kernel = RIESZ[0] if task == "particles" else {"type": "riesz", "s": 0.5}
+    cfg = dict(scenario(task, 2, kernel, point(RIESZ[2])), n=60, **change)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(write_scenario(tmp_path, cfg)), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(out.iterdir())
 
 
 def test_particles_off_s2_exits_2(tmp_path, capsys):

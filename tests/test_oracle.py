@@ -232,8 +232,7 @@ def test_verify_task_passes_on_the_whole_sphere(tmp_path, grid):
 def mis_solved(params, shift):
     """eta_measure at t0 + shift, with its ring charge, posing as a solution."""
     t = axis_solve_t(VERIFY_FIELD, params).t0 + shift
-    return CapSolution(equilibrium=eta_measure(t, VERIFY_FIELD, params), solved_by="interior_root",
-                       field=VERIFY_FIELD)
+    return CapSolution(equilibrium=eta_measure(t, VERIFY_FIELD, params), solved_by="interior_root")
 
 
 @pytest.mark.parametrize("params", VERIFY_PARAMS)
