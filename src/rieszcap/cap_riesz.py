@@ -28,7 +28,8 @@ with s = 0 and W = 1 (``Params.exponent``, ``Params.balayage_constant``) nu_t,
 eps_t, ||nu_t||, H, H' and eta_t serve it too; its functional F_0(Sigma_t)
 and eta_t's weighted potential are closed forms, the log branches of
 :func:`phi` and :func:`weighted_potential`.  So each quantity a solve or a
-curve reads is one function for all three kernels; ||eps_t|| is a Riesz form,
+curve reads is one function for all three kernels, and none checks its kernel,
+as :class:`rieszcap.sphere.Params` admits no other; ||eps_t|| is a Riesz form,
 and of the log measures only eta_t carries the constant of its potential.
 """
 
@@ -42,7 +43,7 @@ from scipy.special import betainc
 from rieszcap.point_field import AxisMeasure, _axis_height, field_potential_on_axis
 from rieszcap.specfun import hyp2f1_regularized
 from rieszcap.sphere import CapMeasure, Params, _cap_integrals, _gap_dist2, _tanh_sinh_nodes, \
-    axis_dist2, sphere_energy
+    axis_dist2
 
 __all__ = [
     "nu_measure",
@@ -56,15 +57,6 @@ __all__ = [
     "eta_measure",
     "weighted_potential",
 ]
-
-
-def _require_cap_regime(params: Params, *, log: bool = True) -> None:
-    # d-2 <= s < d, or the log kernel at d = 2, its s = d-2 point, unless ``log`` is False;
-    # at d = 2, s <= 2^-53 (edge exponent 1-(d-s)/2 rounds to 0) the refusal names the log kernel
-    if not (params.in_cap_regime or params.is_exceptional) or (params.log and not log):
-        kernels = "d-2 <= s < d" + (" or the log kernel at d = 2" if log else "")
-        limit = "; its s -> 0+ limit is the log kernel" if params.d == 2 and not params.log else ""
-        raise ValueError(f"no cap solver for {params}: cap formulas need {kernels}{limit}")
 
 
 def _require_heights(x, what: str, name: str = "t") -> None:
@@ -123,7 +115,6 @@ def _cap_measure(t: float, params: Params, K: float, net: float, charges, *,
     (1-t) + (R_j-1)^2/(2R_j) as H forms it; at s = d-2 with d = 2 it is that
     at every t, as d = 2 has no surface factor.
     """
-    _require_cap_regime(params)
     _require_cap_height(t)
     d, s, W = params.d, params.exponent, params.balayage_constant
     c, gap = contraction
@@ -195,7 +186,6 @@ def nu_norm(t: float | np.ndarray, params: Params) -> float | np.ndarray:
     The symmetric form of 1 - I((1-t)/2; d - s/2, s/2) (DLMF 8.17.4), which
     would lose digits to the subtraction.
     """
-    _require_cap_regime(params)
     _require_heights(t, "||nu_t||")
     return betainc(params.exponent / 2.0, params.d - params.exponent / 2.0, (1.0 + t) / 2.0)
 
@@ -215,12 +205,13 @@ def eps_norm(t: float | np.ndarray, R: float | np.ndarray, params: Params) -> fl
     that does not settle names t and R.  ``t`` and ``R`` broadcast together, and
     each pair is a row of one batch, bit for bit what the row gives alone.
     """
-    _require_cap_regime(params, log=False)
+    if params.log:  # a Riesz form: the log kernel's functional is phi's closed form
+        raise ValueError(f"no cap solver for {params} in eps_norm: cap formulas need d-2 <= s < d")
     ts, Rs = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(R, dtype=float))
     shape, ts, Rs = ts.shape, ts.ravel(), Rs.ravel()
     for r in set(Rs.tolist()):
         _axis_height(r)
-    d, s, W = params.d, params.s, sphere_energy(params)
+    d, s, W = params.d, params.exponent, params.balayage_constant
     _require_heights(ts, "eps_norm")
     out = np.zeros(len(ts))
     top = np.flatnonzero(ts == 1.0)
@@ -256,7 +247,6 @@ def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np
 
     W_0(Sigma_t) from :func:`log_cap_energy`.
     """
-    _require_cap_regime(params)
     atoms = field.atoms
     ts = np.asarray(t, dtype=float)
     if np.any(ts <= -1.0):
@@ -270,7 +260,7 @@ def phi(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np
     n = len(atoms)
     rows = eps_norm(ts.ravel().repeat(n), np.tile([R for R, _ in atoms], ts.size), params)
     eps = sum(m * rows[i::n] for i, (_, m) in enumerate(atoms)).reshape(ts.shape)
-    return sphere_energy(params) * (1.0 + eps) / nu_norm(t, params)
+    return params.balayage_constant * (1.0 + eps) / nu_norm(t, params)
 
 
 def log_cap_energy(t: float | np.ndarray) -> float | np.ndarray:
@@ -303,12 +293,11 @@ def h(t: float | np.ndarray, field: AxisMeasure, params: Params) -> float | np.n
     (1+t)/17 of t, panels graded toward t at t - (p-t) 4^j keep it away.  H takes that
     one step, with no error estimate.  For the log kernel H is exact at every t.
     """
-    _require_cap_regime(params)
     _require_heights(t, "H")
     atoms = field.atoms
     if params.log:  # ||nu_u|| = W = 1: H = sum_i m_i (e_i(t) - e_i(-1)), e_i = (R_i+1)^2/r_i^2
         return sum(m * 2.0 * R * (1.0 + t) / axis_dist2(t, R) for R, m in atoms)
-    d, s, W = params.d, params.s, sphere_energy(params)
+    d, s, W = params.d, params.exponent, params.balayage_constant
     ts, out = np.asarray(t, dtype=float), []
     # one height at a time: a solve calls H on single heights, which a batch over
     # heights in numpy would make slower
@@ -358,7 +347,6 @@ def eta_measure(t: float, field: AxisMeasure, params: Params) -> CapMeasure:
     ``phi``, passed to :func:`_cap_measure`, is F_0(Sigma_t) (:func:`phi`), the
     weighted potential on the cap.
     """
-    _require_cap_regime(params)
     d, s = params.d, params.exponent
     net = params.balayage_constant * (1.0 - h(t, field, params)) / nu_norm(t, params)
     # (B_i, 1 - c_i^2), the second formed as 2 R_i (1-t) / r_i^2 without cancellation
@@ -385,7 +373,6 @@ def weighted_potential(xi: float | np.ndarray, mu: CapMeasure) -> float | np.nda
         K + log((1+t)/(1+xi))/2 + sum_j (c_j/2) log(r_j^2/rho_j^2).
     """
     params, t, K = mu.params, mu.t, mu.phi
-    _require_cap_regime(params)
     xi = np.asarray(xi, dtype=float)
     _require_heights(xi, "weighted_potential", "xi")
     if K is None:
@@ -397,7 +384,7 @@ def weighted_potential(xi: float | np.ndarray, mu: CapMeasure) -> float | np.nda
                       + sum(0.5 * c * np.log(axis_dist2(t, R) / axis_dist2(x, R))
                             for R, c in mu.charges))
         return out[()]
-    d, s = params.d, params.s
+    d, s = params.d, params.exponent
     charges = sum(
         c * axis_dist2(x, R) ** (-s / 2.0)
         * betainc((d - s) / 2.0, s / 2.0,

@@ -6,7 +6,7 @@ digits, fixed key order, no timestamps) so reruns are byte-identical.
 Scenario schema::
 
     {
-      "name": "fig1_below",                  # basename for output files
+      "name": "fig1_below",                  # basename for output files, no path
       "task": "density" | "potential" | "phi-curve" | "solve-support"
               | "verify" | "particles",
       "d": 2,                                # integer >= 2
@@ -30,10 +30,11 @@ column phi, phibar at s = d-2, or F0 for log); each curve is one call of its
 height grid.  Curve tasks write ``<name>_potential.csv`` (xi, weighted
 potential U^{eta_t} + Q, F), ``<name>_density.csv`` (u, density,
 boundary_coeff) and ``<name>_phi.csv``; scalar tasks write ``<name>.json``
-(one line, keys sorted).  Exit codes: 0 success, 2 malformed scenario (a
-setting off its range above, or a kernel outside the three solvable regimes
-d-2 < s < d, s = d-2 with d >= 3 and log with d = 2; at d = 2, s <= 2^-53
-names the log kernel as its s -> 0+ limit),
+(one line, keys sorted).  Exit codes: 0 success, 2 malformed scenario or option
+(a setting off its range above, a name that is not a plain file name,
+``newton-distance --d`` below 2, or a kernel that :class:`rieszcap.sphere.Params`
+refuses, outside d-2 < s < d, s = d-2 with d >= 3 and log with d = 2, where at
+d = 2 s <= 2^-53 names the log kernel as its s -> 0+ limit),
 3 numeric failure (a fixed or offset cap whose eta_t fails the mass
 certificate included).
 """
@@ -43,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -57,7 +59,7 @@ __all__ = ["main", "run_scenario", "ScenarioError"]
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario configuration."""
+    """Malformed scenario configuration or command-line option."""
 
 
 def _fmt(x: float) -> str:
@@ -89,18 +91,12 @@ def _parse_params(cfg: dict) -> Params:
         kernel = cfg["kernel"]
         ktype = kernel["type"]
         if ktype == "riesz":
-            params = Params(d=d, s=_number(kernel["s"], "s"))
-        elif ktype == "log":
-            params = Params(d=d, log=True)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"missing or malformed kernel: {exc}") from exc
-    if ktype not in ("riesz", "log"):
-        raise ScenarioError(f"unknown kernel type {ktype!r}")
-    try:
-        cap_riesz._require_cap_regime(params)  # one of the three solvable kernel regimes
-    except ValueError as exc:
-        raise ScenarioError(f"unsupported kernel: {exc}") from exc
-    return params
+            return Params(d=d, s=_number(kernel["s"], "s"))
+        if ktype == "log":
+            return Params(d=d, log=True)
+    except (KeyError, TypeError, ValueError) as exc:  # Params refuses a kernel no cap formula takes
+        raise ScenarioError(f"no usable kernel: {exc}") from exc
+    raise ScenarioError(f"unknown kernel type {ktype!r}")
 
 
 def _parse_field(cfg: dict) -> AxisMeasure:
@@ -245,6 +241,8 @@ def run_scenario(cfg: dict, out_dir: Path) -> dict:
     if task not in _TASKS:
         raise ScenarioError(f"unknown task {task!r}; expected one of {tuple(_TASKS)}")
     name = str(cfg.get("name", "scenario"))
+    if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        raise ScenarioError(f"name must be a plain file name, got {name!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     params, field = _parse_params(cfg), _parse_field(cfg)
     return _TASKS[task](cfg, field, params, out_dir, name)
@@ -273,6 +271,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "newton-distance":
+            if args.d < 2:
+                raise ScenarioError(f"newton-distance needs --d >= 2, got {args.d}")
             d, rho = args.d, newtonian_distance(args.d)
             # P(d; rho) relative to the size of its terms: it did not produce rho
             size = (rho ** d + 2.0 + rho) * (rho + 1.0) ** (d - 1) + rho ** d

@@ -51,15 +51,15 @@ _TS_TOL = 1e-14  # a level settles when (I_h - I_2h)^2 / max(1, |I|) <= this * m
 
 @dataclass(frozen=True)
 class Params:
-    """Sphere dimension and interaction kernel.
+    """Sphere dimension and interaction kernel, one of the three the cap formulas take.
 
-    Either a Riesz kernel |x-y|^(-s) with 0 < s < d (pass ``s``), or the
-    logarithmic kernel log(1/|x-y|) (pass ``log=True``).  The cap formulas of
-    :mod:`rieszcap.cap_riesz` take three kernel regimes, one function per cap
-    quantity for all of them: d-2 < s < d; s = d-2, a point, where balayage
+    Either a Riesz kernel |x-y|^(-s) (pass ``s``) or the logarithmic kernel
+    log(1/|x-y|) (pass ``log=True``), one function per cap quantity of
+    :mod:`rieszcap.cap_riesz` for all three: d-2 < s < d with a positive edge
+    exponent 1-(d-s)/2 (at d = 2: s > 2^-53); s = d-2, a point, where balayage
     grows a ring charge (every double above it is d-2 < s < d); and the log
     kernel at d = 2, the s -> 0+ limit, which they take as the s = d-2 point of
-    d = 2 with exponent 0 and W = 1.  Any other kernel has no cap solver.
+    d = 2 with exponent 0 and W = 1.  Any other kernel raises ValueError here.
     """
 
     d: int
@@ -73,21 +73,19 @@ class Params:
             raise ValueError("specify exactly one of s=... or log=True")
         if self.s is not None and not 0.0 < self.s < self.d:
             raise ValueError(f"Riesz exponent must satisfy 0 < s < d, got s={self.s}, d={self.d}")
-
-    @property
-    def in_cap_regime(self) -> bool:
-        """True when s < d and the edge exponent c = 1-(d-s)/2 that the d-2 < s < d cap
-        density hands to hyp2f1_regularized is positive (at d = 2: s > 2^-53)."""
-        return self.s is not None and self.s < self.d and 1.0 - (self.d - self.s) / 2.0 > 0.0
+        if not (self.is_exceptional or self.s is not None and 1.0 - (self.d - self.s) / 2.0 > 0.0):
+            limit = "; its s -> 0+ limit is the log kernel" if self.d == 2 and not self.log else ""
+            raise ValueError(f"no cap solver for {self}: cap formulas need d-2 <= s < d "
+                             f"or the log kernel at d = 2{limit}")
 
     @property
     def exponent(self) -> float:
         """The exponent the cap formulas read: s, or 0 for the log kernel, its s -> 0+ limit."""
         return 0.0 if self.log else self.s
 
-    @property
+    @cached_property
     def balayage_constant(self) -> float:
-        """W_s in the cap formulas (:func:`sphere_energy`), or 1 for the log kernel."""
+        """W_s in the cap formulas (:func:`sphere_energy`, computed once), or 1 for log."""
         return 1.0 if self.log else sphere_energy(self)
 
     @property

@@ -6,7 +6,7 @@ from scipy import integrate
 
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
-from rieszcap import cap_exceptional, cap_riesz
+from rieszcap import cap_exceptional, cap_riesz, sphere
 from rieszcap.axis_field import (
     AxisMeasure,
     CapSolution,
@@ -18,6 +18,21 @@ from rieszcap.sphere import Params, axis_dist2, kappa, sphere_energy, surface_fa
 
 P21 = Params(d=2, s=1.0)
 PLOG = Params(d=2, log=True)
+
+
+def test_solve_computes_w_s_once(monkeypatch):
+    # W_s is the kernel's balayage_constant, computed once per Params: a two-atom
+    # solve read it from sphere_energy 16 times when every cap formula called it
+    energy, calls = sphere.sphere_energy, []
+
+    def counted(params):
+        calls.append(params)
+        return energy(params)
+
+    for module in (sphere, cap_riesz):
+        monkeypatch.setattr(module, "sphere_energy", counted, raising=False)
+    sol = axis_solve_t(AxisMeasure([(1.6, 0.8), (2.5, 0.3)]), Params(d=3, s=1.5))
+    assert sol.solved_by == "interior_root" and len(calls) == 1
 
 
 def test_axis_measure_validation():

@@ -403,12 +403,12 @@ def test_log_etabar_is_the_exceptional_form_at_d2():
 
 
 def test_gating():
-    with pytest.raises(ValueError):
-        nu_measure(0.0, Params(d=4, s=1.0))
+    # s < d-2 and log at d >= 3 are refused where they are built, before
+    # nu_measure, eta_measure or axis_solve_t runs
+    with pytest.raises(ValueError, match="no cap solver"):
+        Params(d=4, s=1.0)
     with pytest.raises(ValueError):
         weakstar_gap(0.0, [1.5], 2.0, Params(d=3, s=1.5))
-    with pytest.raises(ValueError):
-        eta_measure(0.0, C12, Params(d=4, s=1.0))
-    with pytest.raises(ValueError):
-        axis_solve_t(AxisMeasure([(2.0, 1.0)]), Params(d=3, log=True))
+    with pytest.raises(ValueError, match="no cap solver"):
+        Params(d=3, log=True)
 

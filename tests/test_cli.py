@@ -157,8 +157,8 @@ def test_main_exit_codes(tmp_path, capsys):
     assert json.loads((tmp_path / "case.json").read_text())["t0"] == pytest.approx(0.125)
     bad = dict(ok, task="nonsense")
     assert cli.main(["run", str(write_scenario(tmp_path, bad))]) == 2
-    # the critical distance needs d >= 2: a numeric failure
-    assert cli.main(["newton-distance", "--d", "1"]) == 3
+    # the critical distance needs d >= 2: an option off its range
+    assert cli.main(["newton-distance", "--d", "1"]) == 2
     capsys.readouterr()
 
 
@@ -208,6 +208,27 @@ def test_newton_distance_residual_is_relative(tmp_path, capsys, d):
         root = mp.findroot(lambda x: (x ** d - 2 - x) + x ** d / (x + 1) ** (d - 1),
                            mp.mpf(payload["rho_plus"]))
         assert abs(payload["rho_plus"] - root) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [1, 0, -3])
+def test_newton_distance_below_d_2_exits_2(tmp_path, capsys, d):
+    # --d 1 exited 3 as a numeric failure; a setting off its range exits 2
+    assert cli.main(["newton-distance", "--d", str(d), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: newton-distance needs --d >= 2, got {d}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["../x", "a/b", "", ".."], ids=["up-x", "a-b", "empty", "up"])
+def test_scenario_name_must_be_a_plain_file_name(tmp_path, capsys, name):
+    # "../escaped" with --out out/sub exited 0 and wrote out/escaped.json: a name
+    # that is not a plain file name exits 2 before anything is written
+    cfg = dict(scenario("solve-support", 2, RIESZ[0], point(RIESZ[2])), name=name)
+    path = write_scenario(tmp_path, cfg)
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "out" / "sub"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: name must be a plain file name, got {name!r}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_newton_distance_is_no_scenario_task(tmp_path, capsys):

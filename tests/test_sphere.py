@@ -19,9 +19,20 @@ from rieszcap.sphere import (
 from rieszcap.specfun import ConvergenceError, hyp2f1_1mz
 
 
+def cap_kernel(d, s=None):
+    """Params(d, s), or the log kernel when s is None, if a cap formula takes it
+    (s >= d-2, or log at d = 2); otherwise None, after asserting the refusal."""
+    if (d == 2) if s is None else s >= d - 2:
+        return Params(d=d, s=s, log=s is None)
+    with pytest.raises(ValueError, match="no cap solver"):
+        Params(d=d, s=s, log=s is None)
+    return None
+
+
 def test_params_validation():
     Params(d=2, s=1.0)
-    Params(d=3, log=True)
+    with pytest.raises(ValueError, match="no cap solver.*d = 2"):
+        Params(d=3, log=True)
     with pytest.raises(ValueError):
         Params(d=1, s=0.5)
     with pytest.raises(ValueError):
@@ -35,19 +46,43 @@ def test_params_validation():
 
 
 def test_params_regime_flags():
-    assert Params(d=2, s=1.0).in_cap_regime
-    assert Params(d=3, s=2.5).in_cap_regime
-    assert not Params(d=3, s=1.0).in_cap_regime
+    # every Params is d-2 < s < d, or is_exceptional (s = d-2, or log at d = 2)
+    assert not Params(d=2, s=1.0).is_exceptional
+    assert not Params(d=3, s=2.5).is_exceptional
+    with pytest.raises(ValueError, match="no cap solver"):
+        Params(d=4, s=1.0)
     assert Params(d=3, s=1.0).is_exceptional
     assert not Params(d=2, s=0.5).is_exceptional  # d=2 has no s=d-2 Riesz case
     for d in (3, 4, 5, 8):  # s = d-2 is a point: the next double up is d-2 < s < d
         above = Params(d=d, s=math.nextafter(d - 2.0, math.inf))
-        assert above.in_cap_regime and not above.is_exceptional
-        assert Params(d=d, s=d - 2.0).is_exceptional and not Params(d=d, s=d - 2.0).in_cap_regime
+        assert not above.is_exceptional
+        assert Params(d=d, s=d - 2.0).is_exceptional
     # at d = 2, 2 - 2^-53 rounds to 2: the edge exponent 1-(d-s)/2 is 0, in no regime
-    rounded = Params(d=2, s=2.0 ** -53)
-    assert not rounded.in_cap_regime and not rounded.is_exceptional
+    with pytest.raises(ValueError, match="log kernel"):
+        Params(d=2, s=2.0 ** -53)
     assert Params(d=2, log=True).log
+
+
+@pytest.mark.parametrize("d, s", [(2, 2.0 ** -52), (2, 1.99), (3, 1.0),
+                                  (3, math.nextafter(1.0, 2.0)), (2, None),
+                                  *((d, d - 2.0) for d in range(3, 9))],
+                         ids=["d2-2^-52", "d2-1.99", "d3-1", "d3-ulp-above-1", "d2-log",
+                              *(f"d{d}-{d - 2}" for d in range(3, 9))])
+def test_params_admits_the_cap_kernels(d, s):
+    # d-2 < s < d with a positive edge exponent, s = d-2, and the log kernel at d = 2
+    p = Params(d=d, s=s, log=s is None)
+    assert p.is_exceptional == (s is None or s == d - 2.0) and 0.0 < p.balayage_constant < math.inf
+
+
+@pytest.mark.parametrize("d, s, match", [
+    (3, math.nextafter(1.0, 0.0), "no cap solver"), (4, 1.0, "no cap solver"),
+    (5, 2.9, "no cap solver"), (2, 2.0 ** -53, "no cap solver.*log kernel$"),
+    (3, None, "no cap solver.*log kernel at d = 2$")],
+    ids=["d3-ulp-below-1", "d4-1", "d5-2.9", "d2-2^-53", "d3-log"])
+def test_params_refuses_kernels_no_cap_formula_takes(d, s, match):
+    with pytest.raises(ValueError, match=match) as err:
+        Params(d=d, s=s, log=s is None)
+    assert "cap formulas need d-2 <= s < d or the log kernel at d = 2" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +135,15 @@ def test_sphere_energy_monte_carlo_d3():
 
 def test_sphere_energy_log_is_riesz_derivative():
     # finite difference of W_s at s -> 0+ matches the logarithmic energy
+    # (at d >= 3 neither kernel has a cap formula, and Params refuses both)
     for d in (2, 3, 5):
         h = 1e-6
-        fd = (sphere_energy(Params(d=d, s=h)) - 1.0) / h  # W_0 energy of the sphere is 1
-        assert fd == pytest.approx(sphere_energy(Params(d=d, log=True)), abs=1e-5)
+        riesz, log = cap_kernel(d, h), cap_kernel(d)
+        if d > 2:
+            assert riesz is None and log is None
+            continue
+        fd = (sphere_energy(riesz) - 1.0) / h  # W_0 energy of the sphere is 1
+        assert fd == pytest.approx(sphere_energy(log), abs=1e-5)
 
 
 @pytest.mark.parametrize("d", range(2, 13))
@@ -114,7 +154,8 @@ def test_gamma_closed_forms_against_40_digit_mpmath(d):
     with mp.workdps(40):
         G, D = mp.gamma, mp.mpf(d)
         log_ref = (mp.digamma(D) - mp.digamma(D / 2)) / 2 - mp.log(2)
-        assert abs(sphere_energy(Params(d=d, log=True)) - log_ref) <= 1e-14
+        if (log := cap_kernel(d)) is not None:  # the log kernel constructs at d = 2 only
+            assert abs(sphere_energy(log) - log_ref) <= 1e-14
         assert abs(omega_ratio(d) / (mp.sqrt(mp.pi) * G(D / 2) / G((D + 1) / 2)) - 1) <= 1e-14
         # s = 0.995 d puts c-a-b = (d-s)/2 of the Gauss sum near 0, where
         # Gamma(c-a-b) magnifies any rounding of that difference
@@ -128,12 +169,12 @@ def test_gamma_closed_forms_against_40_digit_mpmath(d):
             assert abs(hyp2f1_1mz(s / 2.0, d / 2.0, float(d), 0.0) / gauss - 1) <= 1e-14, s
         for s, u in zip(rng.uniform(0.0, d - 1, size=20), rng.uniform(-0.9, 0.9, size=20)):
             s, u = float(s), float(u)
-            if s <= 0.0:
+            if s <= 0.0 or (p := cap_kernel(d, s)) is None:  # s < d-2: refused
                 continue
             S = mp.mpf(s)
             ref = ((1 - mp.mpf(u) ** 2) ** (-S / 2) * G(D / 2) * G(D - 1 - S)
                    / (G((D - S) / 2) * G(D - 1 - S / 2)))
-            assert abs(kappa(u, u, Params(d=d, s=s)) / ref - 1) <= 1e-14, (s, u)
+            assert abs(kappa(u, u, p) / ref - 1) <= 1e-14, (s, u)
 
 
 def test_sphere_energy_rounding_against_40_digit_mpmath():
@@ -224,9 +265,8 @@ def test_kappa_symmetry():
         d = int(rng.integers(2, 6))
         s = float(rng.uniform(0.2, d - 0.1))
         u, xi = (float(v) for v in rng.uniform(-0.95, 0.95, size=2))
-        if abs(u - xi) < 1e-3:
+        if abs(u - xi) < 1e-3 or (p := cap_kernel(d, s)) is None:  # s < d-2: refused
             continue
-        p = Params(d=d, s=s)
         assert kappa(u, xi, p) == pytest.approx(kappa(xi, u, p), rel=1e-11)
 
 
@@ -241,7 +281,7 @@ def test_kappa_convex_in_xi():
 
 
 def test_kappa_coincidence_point():
-    p = Params(d=4, s=1.5)  # s < d-1: finite on the diagonal
+    p = Params(d=4, s=2.2)  # s < d-1: finite on the diagonal
     val = kappa(0.3, 0.3, p)
     near = kappa(0.3, 0.3 + 1e-9, p)
     assert val == pytest.approx(near, rel=1e-5)
